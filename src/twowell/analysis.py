@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import covering
 from .errors import InvalidPairError, InvalidParameterError, \
     UndefinedDimensionError
 
@@ -322,12 +323,6 @@ def interface_segments(verts: np.ndarray, phases: np.ndarray,
 # L1 differences between nested states
 # ---------------------------------------------------------------------------
 
-def tri_areas(verts: np.ndarray) -> np.ndarray:
-    a = verts[:, 1] - verts[:, 0]
-    b = verts[:, 2] - verts[:, 0]
-    return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-
 def l1_diff(coarse, fine, which: str = "chi1") -> float:
     """Exact L1 distance of piecewise-constant fields on nested states.
 
@@ -342,7 +337,7 @@ def l1_diff(coarse, fine, which: str = "chi1") -> float:
     if prev.shape[0] != fine.verts.shape[0] or (prev.ndim != 1) \
             or prev.min() < 0 or prev.max() >= coarse.verts.shape[0]:
         raise InvalidPairError("states are not nested")
-    areas = tri_areas(fine.verts)
+    areas = np.abs(covering.tri_areas(fine.verts))
     if which in ("chi1", "chi2"):
         target = 1 if which == "chi1" else 2
         fv = (fine.phases == target).astype(float)

@@ -327,21 +327,15 @@ class RefinePlan:
     """
     M: np.ndarray
     stage: int
-    branch: int
-    eps: float
-    rho: float
     lam_cell: float
-    g0: float
     h: float
     retries: int
-    normal_axis: int            # 0: split normal e1, 1: normal e2
     S: np.ndarray
     unit_verts: np.ndarray      # (n,3,2)
     grads: np.ndarray           # (n,2,2) per piece (expanded, not slots)
     bvec: np.ndarray            # (n,2): offset = (M - G_i) y0 + r bvec + o_p
     stages: np.ndarray          # (n,)
     phases: np.ndarray          # (n,) 1 or 2
-    star: np.ndarray            # (n,) bool, pieces near the majority child
     areas_unit: np.ndarray      # (n,)
     gradient_error: float
     A_cell: np.ndarray = None
@@ -396,9 +390,6 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
     stages = np.asarray(slot_stages)[cc.gidx]
     dists = mg.dist_to_wells_b(grads, wells)
     phases = np.where(dists[:, 0] <= dists[:, 1], 1, 2).astype(np.uint8)
-    dB = np.linalg.norm(grads - B_cell, axis=(1, 2))
-    dA = np.linalg.norm(grads - A_cell, axis=(1, 2))
-    star = dB <= dA
     unit_verts = cc.tris.copy()
     bvec = cc.template.offs @ (M @ cc.frame).T if not cc.template.trivial \
         else np.zeros((cc.tris.shape[0], 2))
@@ -414,36 +405,30 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
     w_l1 = float(np.sum(cc.areas * wn[cc.template.tris].mean(axis=1)))
     edges = unit_verts - np.roll(unit_verts, 1, axis=1)
     perim = float(np.linalg.norm(edges, axis=2).sum())
-    return RefinePlan(M, stage, sr.branch, sr.eps, sr.rho, lam_cell,
-                      cc.g0, h, 0, sr.normal_axis, cc.frame, unit_verts,
-                      grads, bvec, stages, phases, star, cc.areas,
+    return RefinePlan(M, stage, lam_cell, h, 0, cc.frame, unit_verts,
+                      grads, bvec, stages, phases, cc.areas,
                       cc.gradient_error(), A_cell, B_cell,
                       parent_phase, flip_area, grad_l1, wsup, w_l1, perim)
 
 
-def replace_dyadic_stage(M: np.ndarray, delta: float, h0: float,
-                         max_retries: int = 8) -> RefinePlan:
+def replace_dyadic_stage(M: np.ndarray, delta: float,
+                         h0: float) -> RefinePlan:
     """Replacement plan for a stage >= 2 gradient at uniform aspect h0.
 
-    All five cell gradients must classify to stage + 1; with a calibrated
-    h0 this holds at the first attempt, otherwise h is halved a bounded
-    number of times (the retry count is recorded on the plan).
+    All five cell gradients must classify to stage + 1, which a calibrated
+    h0 guarantees; otherwise ConstructionFailureError (run_construction
+    then restarts the whole run at h0 / 2, keeping one aspect per run).
     """
     stage = ia.classify(M, delta)
     if stage < 2:
         raise WrongEntryPointError(f"stage {stage} needs the low-stage rule")
     branch, eps = ia.dyadic_split_target(stage, delta)
     sr = mg.split(M, branch, eps, delta)
-    wells = mg.make_wells(delta)
-    h = h0
-    for retry in range(max_retries + 1):
-        plan = _plan_from_split(M, stage, sr, h, delta, wells)
-        if np.all(plan.stages == stage + 1):
-            plan.retries = retry
-            return plan
-        h *= 0.5
-    raise ConstructionFailureError(
-        f"stage {stage} cell does not advance cleanly below h = {h:.2e}")
+    plan = _plan_from_split(M, stage, sr, h0, delta, mg.make_wells(delta))
+    if not np.all(plan.stages == stage + 1):
+        raise ConstructionFailureError(
+            f"stage {stage} cell does not advance cleanly at h = {h0:.2e}")
+    return plan
 
 
 def replace_low_stage(M: np.ndarray, delta: float,

@@ -59,47 +59,53 @@ def _fix_ccw(verts: np.ndarray) -> np.ndarray:
     return verts
 
 
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Lengths of the vectors d (...,2); per vector the same bits as
+    np.linalg.norm of one vector (np.linalg.norm(axis=-1) rounds
+    differently)."""
+    return np.sqrt(np.vecdot(d, d))
+
+
 def iso_parts(v: np.ndarray):
-    """(sides, apex, base ends b1 b2, base midpoint, height) of a triangle
-    read as isosceles: the apex faces the shortest side."""
+    """(sides, apex, base ends b1 b2, base midpoint, height) of triangles
+    v (...,3,2) read as isosceles: the apex faces the shortest side."""
     v = np.asarray(v, dtype=float)
-    sides = np.array([np.linalg.norm(v[2] - v[1]),
-                      np.linalg.norm(v[0] - v[2]),
-                      np.linalg.norm(v[1] - v[0])])
-    apex = int(np.argmin(sides))
-    a, b1, b2 = v[apex], v[(apex + 1) % 3], v[(apex + 2) % 3]
+    sides = _norm(np.roll(v, -2, axis=-2) - np.roll(v, -1, axis=-2))
+    apex = np.argmin(sides, axis=-1)[..., None, None]
+    a, b1, b2 = (np.take_along_axis(v, (apex + j) % 3, axis=-2)[..., 0, :]
+                 for j in range(3))
     m = 0.5 * (b1 + b2)
-    return sides, a, b1, b2, m, np.linalg.norm(a - m)
+    return sides, a, b1, b2, m, _norm(a - m)
 
 
 def iso_layout(v: np.ndarray):
-    """(center, scale, leftovers (2,3,2), apex axis, sides) of the
-    inscribed-diamond cover of v: the diamond spans the base midpoint to
-    the apex, and the two leftovers hold the base halves."""
+    """(center, scale, leftovers (...,2,3,2), apex axis, sides) of the
+    inscribed-diamond covers of v (...,3,2): the diamond spans the base
+    midpoint to the apex, and the two leftovers hold the base halves."""
     sides, a, b1, b2, m, height = iso_parts(v)
-    mids = np.stack([0.5 * (a + b1), 0.5 * (a + b2)])
-    leftovers = np.stack([np.stack([m, b1, mids[0]]),
-                          np.stack([m, mids[1], b2])])
-    return 0.5 * (a + m), 0.5 * height, leftovers, (a - m) / height, sides
+    leftovers = np.stack([np.stack([m, b1, 0.5 * (a + b1)], axis=-2),
+                          np.stack([m, 0.5 * (a + b2), b2], axis=-2)],
+                         axis=-3)
+    return (0.5 * (a + m), 0.5 * height, leftovers,
+            (a - m) / height[..., None], sides)
 
 
 def iso_membership(v: np.ndarray, h: float, tol: float = ISO_TOL):
-    """(member, apex_direction) test against the base/height = 2h class.
+    """(member, apex_direction) of triangles v (...,3,2) against the
+    base/height = 2h class.
 
     The base is the short side; the axis runs from the base midpoint to
-    the apex.  Membership requires base/height = 2h and the two legs to
-    match, both within tol relative to the triangle scale.
+    the apex.  Membership requires a height above tol, base/height = 2h
+    and the two legs to match, all within tol relative to the triangle
+    scale.
     """
     sides, a, b1, b2, m, height = iso_parts(v)
-    scale = sides.max()
-    if height <= tol * scale:
-        return False, None
-    base = sides.min()
-    legs_ok = abs(np.linalg.norm(a - b1) - np.linalg.norm(a - b2)) <= tol * scale
-    aspect_ok = abs(base - 2.0 * h * height) <= tol * scale
-    if not (legs_ok and aspect_ok):
-        return False, None
-    return True, (a - m) / height
+    scale = tol * sides.max(axis=-1)
+    member = ((height > scale)
+              & (np.abs(_norm(a - b1) - _norm(a - b2)) <= scale)
+              & (np.abs(sides.min(axis=-1) - 2.0 * h * height) <= scale))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return member, (a - m) / height[..., None]
 
 
 def iso_fast_path(iso_h: float, iso_axis: np.ndarray,
@@ -112,7 +118,8 @@ def iso_fast_path(iso_h: float, iso_axis: np.ndarray,
 
 @dataclass
 class CoverResult:
-    """Children of one covered triangle, classed for the perimeter ledger.
+    """Children of one cover, or of a batch of covers of one plan laid
+    cover after cover, classed for the perimeter ledger.
 
     good marks the pieces of replaced diamonds (new gradients); leftovers
     keep the parent's affine map.  iso_h > 0 tags leftover isosceles
@@ -125,14 +132,11 @@ class CoverResult:
     stages: np.ndarray       # (n,) int16
     phases: np.ndarray       # (n,) uint8, 1 or 2
     good: np.ndarray         # (n,) bool
-    star: np.ndarray         # (n,) bool
     iso_h: np.ndarray        # (n,) float, 0 for untagged children
     iso_axis: np.ndarray     # (n,2)
-    diam_scales: np.ndarray  # (m,) scale of every placed diamond
-    perimeter_good: float
-    perimeter_rest_iso: float
-    perimeter_rest_generic: float
-    parent_perimeter: float
+    diam_scales: np.ndarray  # (m,) scale of every placed diamond, in order
+    diam_counts: np.ndarray  # (covers,) diamonds placed by each cover
+    parent_perimeter: float  # of the covered cells; NaN when not given
     kind: str                # "iso" | "rect" | "generic"
 
     @property
@@ -145,71 +149,72 @@ class CoverResult:
     def good_area(self) -> float:
         return float(tri_areas(self.verts[self.good]).sum())
 
+    def perimeters(self):
+        """(good, leftover-iso, leftover-generic) sums of child perimeters."""
+        per = tri_perimeters(self.verts)
+        iso = self.iso_h > 0
+        return (float(per[self.good].sum()), float(per[iso].sum()),
+                float(per[~self.good & ~iso].sum()))
 
-class _Sink:
-    """Accumulates child batches before concatenation."""
+    def cover_sums(self, power: int) -> np.ndarray:
+        """Per cover, np.sum(r ** power) over its diamonds, with the bits
+        of a one-cover result: covers with equal diamond counts are summed
+        as the rows of one array, pairwise as np.sum adds (np.add.reduceat
+        would add sequentially)."""
+        x = self.diam_scales ** power
+        counts = self.diam_counts
+        first = np.cumsum(counts) - counts
+        out = np.zeros(counts.shape[0])
+        for c in np.unique(counts[counts > 0]):
+            sel = np.flatnonzero(counts == c)
+            out[sel] = x[first[sel, None] + np.arange(c)].sum(axis=1)
+        return out
 
-    def __init__(self, plan: cl.RefinePlan, parent_off: np.ndarray,
-                 parent_per: float, kind: str):
-        self.plan = plan
-        self.poff = np.asarray(parent_off, dtype=float)
-        self.parent_per = parent_per
-        self.kind = kind
-        self.batches: List[tuple] = []
-        self.scales: List[np.ndarray] = []
-        self.per = {"good": 0.0, "iso": 0.0, "gen": 0.0}
 
-    def add_diamonds(self, centers: np.ndarray, r: float):
-        """Place diamonds of one common scale at the given centers."""
-        p = self.plan
-        nd = centers.shape[0]
-        verts = (centers[:, None, None, :]
-                 + r * p.unit_verts[None]).reshape(-1, 3, 2)
-        mdiff = p.M[None] - p.grads                      # (np,2,2)
-        offs = (np.einsum("jkl,il->ijk", mdiff, centers) + r * p.bvec[None]
-                + self.poff).reshape(-1, 2)
-        grads = np.broadcast_to(p.grads, (nd,) + p.grads.shape).reshape(-1, 2, 2)
-        stages = np.broadcast_to(p.stages, (nd, p.n_pieces)).reshape(-1)
-        phases = np.broadcast_to(p.phases, (nd, p.n_pieces)).reshape(-1)
-        star = np.broadcast_to(p.star, (nd, p.n_pieces)).reshape(-1)
-        n = verts.shape[0]
-        self.batches.append((verts, grads, offs,
-                             stages.astype(np.int16),
-                             phases.astype(np.uint8),
-                             np.ones(n, dtype=bool), star.astype(bool),
-                             np.zeros(n), np.zeros((n, 2))))
-        self.scales.append(np.full(nd, r))
-        self.per["good"] += nd * r * p.perim_unit
+def runs(starts, counts) -> np.ndarray:
+    """starts[k] + 0, 1, ..., counts[k] - 1 for every k, concatenated."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.broadcast_to(counts, starts.shape).astype(np.int64)
+    before = np.cumsum(counts) - counts
+    return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
 
-    def add_leftovers(self, verts: np.ndarray, iso_h: float = 0.0,
-                      iso_axes: Optional[np.ndarray] = None):
-        """Children keeping the parent map; iso_h > 0 tags the iso class."""
-        verts = _fix_ccw(np.asarray(verts, dtype=float).reshape(-1, 3, 2))
-        n = verts.shape[0]
-        if n == 0:
-            return
-        p = self.plan
-        grads = np.broadcast_to(p.M, (n, 2, 2))
-        offs = np.broadcast_to(self.poff, (n, 2))
-        stages = np.full(n, p.stage, dtype=np.int16)
-        phases = np.full(n, p.parent_phase, dtype=np.uint8)
-        key = "iso" if iso_h > 0.0 else "gen"
-        axes = (np.asarray(iso_axes, dtype=float).reshape(n, 2)
-                if iso_h > 0.0 else np.zeros((n, 2)))
-        self.batches.append((verts, grads, offs, stages, phases,
-                             np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
-                             np.full(n, iso_h), axes))
-        self.per[key] += float(tri_perimeters(verts).sum())
 
-    def result(self) -> CoverResult:
-        cols = [np.concatenate([b[i] for b in self.batches])
-                for i in range(9)]
-        scales = (np.concatenate(self.scales) if self.scales
-                  else np.zeros(0))
-        return CoverResult(cols[0], cols[1], cols[2], cols[3], cols[4],
-                           cols[5], cols[6], cols[7], cols[8], scales,
-                           self.per["good"], self.per["iso"], self.per["gen"],
-                           self.parent_per, self.kind)
+def _emit(plan: cl.RefinePlan, kind: str, n: int, pieces_at: np.ndarray,
+          centers: np.ndarray, r: np.ndarray, dia_off: np.ndarray,
+          left_at: np.ndarray, left: np.ndarray, left_off: np.ndarray,
+          axes: np.ndarray, diam_counts: np.ndarray,
+          parent_perimeter: float) -> CoverResult:
+    """The n children of a batch of covers of one plan.
+
+    Diamond d (center centers[d], scale r[d], parent offset dia_off[d])
+    puts the plan's P pieces at pieces_at[d*P:(d+1)*P]; leftover k keeps
+    its parent's map at left_at[k], and the first len(axes) leftovers are
+    tagged for the isosceles class with apex axes axes.
+    """
+    res = CoverResult(np.empty((n, 3, 2)), np.empty((n, 2, 2)),
+                      np.empty((n, 2)), np.empty(n, dtype=np.int16),
+                      np.empty(n, dtype=np.uint8), np.zeros(n, dtype=bool),
+                      np.zeros(n), np.zeros((n, 2)), r, diam_counts,
+                      parent_perimeter, kind)
+    at = pieces_at.reshape(centers.shape[0], plan.n_pieces)
+    res.verts[at] = (centers[:, None, None, :]
+                     + r[:, None, None, None] * plan.unit_verts[None])
+    res.offs[at] = (np.einsum("jkl,il->ijk", plan.M[None] - plan.grads,
+                              centers)
+                    + r[:, None, None] * plan.bvec[None] + dia_off[:, None])
+    res.grads[at] = plan.grads
+    res.stages[at] = plan.stages
+    res.phases[at] = plan.phases
+    res.good[at] = True
+    res.verts[left_at] = _fix_ccw(left)
+    res.grads[left_at] = plan.M
+    res.offs[left_at] = left_off
+    res.stages[left_at] = plan.stage
+    res.phases[left_at] = plan.parent_phase
+    tagged = left_at[:axes.shape[0]]
+    res.iso_h[tagged] = plan.h
+    res.iso_axis[tagged] = axes
+    return res
 
 
 def _perp(d: np.ndarray) -> np.ndarray:
@@ -227,58 +232,51 @@ class _StackSpec:
     n: int
 
 
-def stack_centers(st: _StackSpec, h: float, idx: np.ndarray) -> np.ndarray:
-    """Centers of the diamonds idx (int array) of the row st; scale length/2."""
-    w = h * st.length
-    mid = st.p0 + (0.5 * st.length) * st.e_len
-    return mid + (np.asarray(idx)[:, None] + 0.5) * w * st.e_w
+def stack_rows(stacks: List[_StackSpec]):
+    """The rows as arrays: p0, e_len, e_w (S,2), length (S,), n (S,)."""
+    return (*(np.array([getattr(st, a) for st in stacks],
+                       dtype=float).reshape(-1, 2)
+              for a in ("p0", "e_len", "e_w")),
+            np.array([st.length for st in stacks], dtype=float),
+            np.array([st.n for st in stacks], dtype=np.int64))
 
 
-def stack_leftovers(st: _StackSpec, h: float, gaps=None):
-    """(upper, lower, ends): the leftovers of the diamond row st.
+def stack_centers(rows, h: float, s: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Centers of the diamonds j of the rows s (stack_rows, int arrays);
+    their scale is length/2."""
+    p0, e_len, e_w, length, _ = rows
+    mid = p0[s] + (0.5 * length[s])[:, None] * e_len[s]
+    return mid + ((j + 0.5) * (h * length[s]))[:, None] * e_w[s]
 
-    upper[k] and lower[k] are the isosceles gap triangles between
-    diamonds gaps[k] and gaps[k] + 1 (default: all n - 1 gaps), with apex
-    axes -e_len and +e_len; ends are the four right-angled end triangles
-    (legs w/2 and length/2).
+
+def stack_leftovers(rows, h: float, s: np.ndarray, g: np.ndarray):
+    """(upper, lower, ends): the leftovers of the rows (stack_rows).
+
+    upper[k] and lower[k] are the isosceles gap triangles between the
+    diamonds g[k] and g[k] + 1 of the row s[k], with apex axes -e_len and
+    +e_len; ends (S,4,3,2) holds the four right-angled end triangles
+    (legs w/2 and length/2) of every row.
     """
-    p0, e_len, e_w, n = st.p0, st.e_len, st.e_w, st.n
-    w = h * st.length
-    mid = p0 + (0.5 * st.length) * e_len
-    far = p0 + st.length * e_len
-    g = (np.arange(n - 1) if gaps is None
-         else np.asarray(gaps, dtype=np.int64))
-    m = g.shape[0]
-    # diamond slots whose outer tips are needed: both sides of each gap,
-    # then the first and the last diamond for the end triangles
-    i = np.concatenate([g, g + 1, [0, n - 1]])[:, None]
-    tops = far + (i + 0.5) * w * e_w
-    bots = p0 + (i + 0.5) * w * e_w
-    touch = mid + (g[:, None] + 1) * w * e_w
-    upper = np.stack([tops[:m], tops[m:2 * m], touch], axis=1)
-    lower = np.stack([bots[m:2 * m], bots[:m], touch], axis=1)
-    s_right = mid + n * w * e_w
+    p0, e_len, e_w, length, n = rows
+    w = (h * length)[:, None]
+    mid = p0 + (0.5 * length)[:, None] * e_len
+    far = p0 + length[:, None] * e_len
+
+    def tip(base, i, at=slice(None)):
+        """Outer tip of the diamonds i on the side of base."""
+        return base[at] + (i + 0.5)[:, None] * w[at] * e_w[at]
+
+    touch = mid[s] + (g + 1)[:, None] * w[s] * e_w[s]
+    nw = n[:, None] * w * e_w
     ends = np.stack([
-        np.stack([p0, bots[-2], mid]),
-        np.stack([far, mid, tops[-2]]),
-        np.stack([p0 + n * w * e_w, s_right, bots[-1]]),
-        np.stack([far + n * w * e_w, tops[-1], s_right]),
-    ])
-    return upper, lower, ends
-
-
-def _stack_into(sink: _Sink, st: _StackSpec):
-    """Diamonds and leftovers of the row st."""
-    h = sink.plan.h
-    n = st.n
-    sink.add_diamonds(stack_centers(st, h, np.arange(n)), 0.5 * st.length)
-    upper, lower, ends = stack_leftovers(st, h)
-    if n > 1:
-        sink.add_leftovers(upper, iso_h=h,
-                           iso_axes=np.broadcast_to(-st.e_len, (n - 1, 2)))
-        sink.add_leftovers(lower, iso_h=h,
-                           iso_axes=np.broadcast_to(st.e_len, (n - 1, 2)))
-    sink.add_leftovers(ends)
+        np.stack([p0, tip(p0, 0 * n), mid], axis=1),
+        np.stack([far, mid, tip(far, 0 * n)], axis=1),
+        np.stack([p0 + nw, mid + nw, tip(p0, n - 1)], axis=1),
+        np.stack([far + nw, tip(far, n - 1), mid + nw], axis=1),
+    ], axis=1)
+    return (np.stack([tip(far, g, s), tip(far, g + 1, s), touch], axis=1),
+            np.stack([tip(p0, g + 1, s), tip(p0, g, s), touch], axis=1),
+            ends)
 
 
 @dataclass
@@ -429,14 +427,46 @@ def generic_spec(tri: np.ndarray, plan: cl.RefinePlan) -> GenericSpec:
     return spec
 
 
-def emit_spec(spec: GenericSpec, plan: cl.RefinePlan, offset,
-              parent_perimeter: float, kind: str = "generic") -> CoverResult:
-    sink = _Sink(plan, offset, parent_perimeter, kind)
-    for st in spec.stacks:
-        _stack_into(sink, st)
-    if spec.tris:
-        sink.add_leftovers(np.stack(spec.tris))
-    return sink.result()
+def emit_spec(spec, plan: cl.RefinePlan, offset,
+              parent_perimeter: float = math.nan,
+              kind: str = "generic") -> CoverResult:
+    """Children of the covers laid out by spec, cover after cover.
+
+    spec is one GenericSpec, or a list of them for cells of one plan with
+    offsets (n,2) their maps.  A cover lists each of its rows (the row's
+    diamonds, its upper and lower gap triangles, its four end triangles),
+    then its other leftovers; all rows of the batch are placed by the
+    same array expressions.
+    """
+    specs = [spec] if isinstance(spec, GenericSpec) else spec
+    m = len(specs)
+    off = np.broadcast_to(np.asarray(offset, dtype=float), (m, 2))
+    cell = np.repeat(np.arange(m), [len(sp.stacks) for sp in specs])
+    nt = np.array([len(sp.tris) for sp in specs], dtype=np.int64)
+    rows = stack_rows([st for sp in specs for st in sp.stacks])
+    n = rows[4]
+    P = plan.n_pieces
+    size = P * n + 2 * (n - 1) + 4
+    tris_before = np.cumsum(nt) - nt
+    start = np.cumsum(size) - size + tris_before[cell]
+    rows_upto = np.cumsum(np.bincount(cell, size, m)).astype(np.int64)
+    s = np.repeat(np.arange(n.shape[0]), n)
+    sg = np.repeat(np.arange(n.shape[0]), n - 1)
+    upper, lower, ends = stack_leftovers(rows, plan.h, sg,
+                                         runs(np.zeros_like(n), n - 1))
+    tris = np.reshape([t for sp in specs for t in sp.tris], (-1, 3, 2))
+    gap_at = start + P * n
+    left_at = np.concatenate([runs(gap_at, n - 1), runs(gap_at + n - 1, n - 1),
+                              runs(gap_at + 2 * (n - 1), 4),
+                              runs(rows_upto + tris_before, nt)])
+    left_cell = np.concatenate([cell[sg], cell[sg], np.repeat(cell, 4),
+                                np.repeat(np.arange(m), nt)])
+    return _emit(plan, kind, int(size.sum() + nt.sum()), runs(start, P * n),
+                 stack_centers(rows, plan.h, s, runs(np.zeros_like(n), n)),
+                 0.5 * rows[3][s], off[cell[s]], left_at,
+                 np.concatenate([upper, lower, ends.reshape(-1, 3, 2), tris]),
+                 off[left_cell], np.concatenate([-rows[1][sg], rows[1][sg]]),
+                 np.bincount(cell, n, m).astype(np.int64), parent_perimeter)
 
 
 def _plan_for(M: np.ndarray, delta: float, stage_rule: str,
@@ -460,8 +490,10 @@ def cover_isosceles(tri: np.ndarray, M: np.ndarray, delta: float,
                     offset=(0.0, 0.0),
                     stage_rule: str = "A4",
                     h0: Optional[float] = None) -> CoverResult:
-    """Inscribed-diamond cover of a matching isosceles triangle.
+    """Inscribed-diamond covers of matching isosceles triangles.
 
+    tri is one triangle (3,2) or a batch (n,3,2) of cells of one plan,
+    with offsets (n,2) their maps; the children follow cover after cover.
     The diamond takes exactly half the area (scale H/2 between the base
     midpoint and the apex, equatorial vertices at the leg midpoints); the
     two leftovers are similar copies of the parent at ratio 1/2 with the
@@ -469,20 +501,22 @@ def cover_isosceles(tri: np.ndarray, M: np.ndarray, delta: float,
     """
     if plan is None:
         plan = _plan_for(M, delta, stage_rule, h0)
-    v = np.asarray(tri, dtype=float)
+    v = np.asarray(tri, dtype=float).reshape(-1, 3, 2)
     member, axis = iso_membership(v, plan.h)
-    if not member:
+    if not np.all(member):
         raise WrongEntryPointError("triangle is not in the matching "
                                    "isosceles class")
-    if abs(float(np.dot(axis, plan.dhat))) < 1.0 - ISO_TOL:
+    if np.any(np.abs(np.vecdot(axis, plan.dhat)) < 1.0 - ISO_TOL):
         raise WrongEntryPointError("isosceles axis does not match the "
                                    "diamond frame")
     center, r, leftovers, axis, sides = iso_layout(v)
-    sink = _Sink(plan, offset, float(sides.sum()), "iso")
-    sink.add_diamonds(center[None], r)
-    sink.add_leftovers(leftovers, iso_h=plan.h,
-                       iso_axes=np.broadcast_to(axis, (2, 2)))
-    return sink.result()
+    n, P = v.shape[0], plan.n_pieces
+    at = np.arange(n) * (P + 2)
+    off = np.broadcast_to(np.asarray(offset, dtype=float), (n, 2))
+    return _emit(plan, "iso", n * (P + 2), runs(at, P), center, r, off,
+                 runs(at + P, 2), leftovers.reshape(-1, 3, 2),
+                 np.repeat(off, 2, axis=0), np.repeat(axis, 2, axis=0),
+                 np.ones(n, dtype=np.int64), float(sides.sum()))
 
 
 def cover_rectangle(corner: np.ndarray, axis: np.ndarray, r: float, n: int,
@@ -506,12 +540,9 @@ def cover_rectangle(corner: np.ndarray, axis: np.ndarray, r: float, n: int,
     if abs(abs(float(np.dot(axis, plan.dhat))) - 1.0) > ISO_TOL:
         raise WrongEntryPointError("box axis does not match the diamond "
                                    "frame")
-    e_w = _perp(axis)
-    per = 2.0 * (r + n * plan.h * r)
-    sink = _Sink(plan, offset, per, "rect")
-    _stack_into(sink, _StackSpec(np.asarray(corner, dtype=float), axis, e_w,
-                                 r, n))
-    return sink.result()
+    row = _StackSpec(np.asarray(corner, dtype=float), axis, _perp(axis), r, n)
+    return emit_spec(GenericSpec([row], n_pieces=plan.n_pieces), plan, offset,
+                     2.0 * (r + n * plan.h * r), "rect")
 
 
 def cover_generic(tri: np.ndarray, M: np.ndarray, delta: float,
@@ -523,9 +554,8 @@ def cover_generic(tri: np.ndarray, M: np.ndarray, delta: float,
     if plan is None:
         plan = _plan_for(M, delta, stage_rule, h0)
     v = np.asarray(tri, dtype=float)
-    spec = generic_spec(v, plan)
-    per = float(np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1).sum())
-    return emit_spec(spec, plan, offset, per)
+    return emit_spec(generic_spec(v, plan), plan, offset,
+                     float(tri_perimeters(v[None])[0]))
 
 
 def perimeter_ledger(result: CoverResult):
@@ -535,10 +565,9 @@ def perimeter_ledger(result: CoverResult):
     good <= C0 * Per(T), leftover-iso <= C0 * Per(T) and leftover-generic
     <= C2 * Per(T), with C0 = 10*floor(1/h) and C2 = 42.
     """
-    sums = (result.perimeter_good, result.perimeter_rest_iso,
-            result.perimeter_rest_generic)
     if result.n_children == 0:
         return (0.0, 0.0, 0.0)
+    sums = result.perimeters()
     per = result.parent_perimeter
     h = result.iso_h.max() if np.any(result.iso_h > 0) else None
     if result.kind == "iso":

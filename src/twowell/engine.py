@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .errors import ConstructionFailureError, InvalidDomainError, \
     InvalidParameterError, NotClassifiableError, WrongEntryPointError
 
 INTERIOR_MARGIN = 1e-8
+# state columns a cover fills; the lineage columns are the engine's
+COVER_COLUMNS = ("verts", "grads", "offs", "stages", "phases", "iso_h",
+                 "iso_axis")
 
 
 @dataclass
@@ -104,7 +107,9 @@ def hull_report(M: np.ndarray, delta: float) -> str:
 
 
 class Engine:
-    """Stateful driver; construct via init_engine for full validation."""
+    """Stateful driver; the constructor validates the datum, the wells and
+    the domain.  restarts counts the retried attempts of run_construction
+    that led to this engine (0 for one built directly)."""
 
     def __init__(self, domain, M, delta: float,
                  config: Optional[EngineConfig] = None, wells=None):
@@ -146,6 +151,7 @@ class Engine:
         self.states: List[TwoWellState] = []
         self.h_dyadic_used: set = set()
         self.iso_fast_hits = 0
+        self.restarts = 0
         self.stalled = False
         self._record(l1_chi=0.0, l1_grad=0.0, wsup=0.0, wl1=0.0,
                      refined_area=0.0)
@@ -193,8 +199,7 @@ class Engine:
         if plan is None:
             stage = int(ia.classify(G, self.delta))
             if stage >= 2:
-                plan = cl.replace_dyadic_stage(G, self.delta, self.h0,
-                                               max_retries=0)
+                plan = cl.replace_dyadic_stage(G, self.delta, self.h0)
                 self.h_dyadic_used.add(plan.h)
             else:
                 plan = cl.replace_low_stage(G, self.delta)
@@ -218,11 +223,14 @@ class Engine:
         cand = np.flatnonzero(~st.frozen)
         order = cand[np.lexsort((st.ids[cand], -areas[cand]))]
         n_final = st.n
-        taken: List[Tuple[int, object, cl.RefinePlan]] = []
+        taken: List[int] = []       # covered cells, in selection order
+        counts: List[int] = []      # children of each covered cell
+        # per (plan, fast path): the plan, positions in taken, specs
+        batches: Dict[tuple, tuple] = {}
         for i in order:
             plan = self._plan(st.grads[i])
             if cv.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
-                count, spec = 12, None
+                count, spec = plan.n_pieces + 2, None
             else:
                 spec = cv.generic_spec(st.verts[i], plan)
                 count = spec.child_count()
@@ -236,39 +244,62 @@ class Engine:
                 else:
                     break
             n_final += count - 1
-            taken.append((int(i), spec, plan))
-        taken_idx = np.array([t[0] for t in taken], dtype=np.int64)
+            batch = batches.setdefault((id(plan), spec is None),
+                                       (plan, [], []))
+            batch[1].append(len(taken))
+            batch[2].append(spec)
+            taken.append(int(i))
+            counts.append(count)
+        taken_idx = np.array(taken, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
         keep = np.ones(st.n, dtype=bool)
         keep[taken_idx] = False
         st.frozen[keep & ~st.frozen] = True   # smallest first, permanently
-        covers = []
-        l1_chi = l1_grad = wl1 = wsup = 0.0
-        for i, spec, plan in taken:
-            if spec is None:
-                self.iso_fast_hits += 1
-                res = cv.cover_isosceles(st.verts[i], st.grads[i],
-                                         self.delta, plan=plan,
-                                         offset=st.offs[i])
+        # the next state: kept cells (all frozen by now) first, then each
+        # covered cell's children as one block, blocks in selection order;
+        # a child's columns start as its parent's until its cover is laid
+        kept = np.flatnonzero(keep)
+        n_kept = kept.shape[0]
+        src = np.concatenate([kept, np.repeat(taken_idx, counts)])
+        new = TwoWellState(
+            st.delta, k, **{c: getattr(st, c)[src] for c in COVER_COLUMNS},
+            frozen=np.arange(src.shape[0]) < n_kept,
+            ids=np.concatenate([st.ids[kept], self._next_id
+                                + np.arange(src.shape[0] - n_kept)]),
+            parents=np.concatenate([st.parents[kept], st.ids[src[n_kept:]]]),
+            prev_index=src)
+        first = n_kept + np.cumsum(counts) - counts
+        # per cover, in selection order: l1_chi, l1_grad and wl1 terms
+        terms = np.zeros((len(taken) + 1, 3))
+        wsup = 0.0
+        for (_, iso), (plan, pos, specs) in batches.items():
+            cells = taken_idx[pos]
+            if iso:
+                if np.any(st.stages[cells] + 1 != plan.stages.min()):
+                    raise ConstructionFailureError("dyadic cover did not "
+                                                   "advance the stage")
+                self.iso_fast_hits += len(pos)
+                res = cv.cover_isosceles(st.verts[cells], plan.M, self.delta,
+                                         plan=plan, offset=st.offs[cells])
             else:
-                per = float(np.linalg.norm(
-                    st.verts[i] - np.roll(st.verts[i], 1, axis=0),
-                    axis=1).sum())
-                res = cv.emit_spec(spec, plan, st.offs[i], per)
-            if res.stages.min(initial=np.iinfo(np.int16).max) < st.stages[i]:
-                raise ConstructionFailureError(
-                    f"stage regressed under cover of cell {st.ids[i]}")
-            if spec is None and res.stages[res.good].min() != st.stages[i] + 1:
-                raise ConstructionFailureError("dyadic cover did not "
-                                               "advance the stage")
-            r2 = float(np.sum(res.diam_scales ** 2))
-            r3 = float(np.sum(res.diam_scales ** 3))
-            rmax = float(res.diam_scales.max(initial=0.0))
-            l1_chi += plan.flip_area_unit * r2
-            l1_grad += plan.grad_l1_unit * r2
-            wl1 += plan.w_l1_unit * r3
-            wsup = max(wsup, plan.wsup_unit * rmax)
-            covers.append((i, res))
-        self.state = self._assemble(st, keep, covers, k)
+                res = cv.emit_spec(specs, plan, st.offs[cells])
+            at = cv.runs(first[pos], counts[pos])
+            for c in COVER_COLUMNS:
+                getattr(new, c)[at] = getattr(res, c)
+            r2, r3 = res.cover_sums(2), res.cover_sums(3)
+            terms[np.asarray(pos) + 1] = np.stack(
+                [plan.flip_area_unit * r2, plan.grad_l1_unit * r2,
+                 plan.w_l1_unit * r3], axis=1)
+            wsup = max(wsup, plan.wsup_unit
+                       * float(res.diam_scales.max(initial=0.0)))
+        low = np.flatnonzero(new.stages < st.stages[src])
+        if low.size:
+            raise ConstructionFailureError("stage regressed under cover of "
+                                           f"cell {new.parents[low[0]]}")
+        # running sums in selection order, as cover-by-cover additions
+        l1_chi, l1_grad, wl1 = map(float, np.cumsum(terms, axis=0)[-1])
+        self._next_id += src.shape[0] - n_kept
+        self.state = new
         refined_area = float(areas[taken_idx].sum()) if len(taken) else 0.0
         self._record(l1_chi, l1_grad, wsup, wl1, refined_area)
         if cfg.keep_states:
@@ -280,45 +311,6 @@ class Engine:
         n0 = self.metrics.rows[0]["n_cells"] if self.metrics.rows else 2
         frac = min(k / cfg.max_steps, 1.0) if cfg.max_steps > 0 else 1.0
         return n0 + (cfg.cell_budget - n0) * frac
-
-    def _assemble(self, st: TwoWellState, keep: np.ndarray, covers,
-                  k: int) -> TwoWellState:
-        kept = np.flatnonzero(keep)
-        cols_v = [st.verts[kept]]
-        cols_g = [st.grads[kept]]
-        cols_o = [st.offs[kept]]
-        cols_s = [st.stages[kept]]
-        cols_p = [st.phases[kept]]
-        cols_f = [st.frozen[kept]]
-        cols_id = [st.ids[kept]]
-        cols_par = [st.parents[kept]]
-        cols_ih = [st.iso_h[kept]]
-        cols_ia = [st.iso_axis[kept]]
-        cols_prev = [kept.astype(np.int64)]
-        nid = self._next_id
-        for i, res in covers:
-            m = res.n_children
-            cols_v.append(res.verts)
-            cols_g.append(res.grads)
-            cols_o.append(res.offs)
-            cols_s.append(res.stages)
-            cols_p.append(res.phases)
-            cols_f.append(np.zeros(m, dtype=bool))
-            cols_id.append(np.arange(nid, nid + m, dtype=np.int64))
-            cols_par.append(np.full(m, st.ids[i], dtype=np.int64))
-            cols_ih.append(res.iso_h)
-            cols_ia.append(res.iso_axis)
-            cols_prev.append(np.full(m, i, dtype=np.int64))
-            nid += m
-        self._next_id = nid
-        return TwoWellState(
-            st.delta, k,
-            np.concatenate(cols_v), np.concatenate(cols_g),
-            np.concatenate(cols_o), np.concatenate(cols_s),
-            np.concatenate(cols_p), np.concatenate(cols_f),
-            np.concatenate(cols_id), np.concatenate(cols_par),
-            np.concatenate(cols_ih), np.concatenate(cols_ia),
-            np.concatenate(cols_prev))
 
     # -- metrics and certification ----------------------------------------
 
@@ -383,12 +375,6 @@ class Engine:
         return self.metrics
 
 
-def init_engine(domain, M, delta: float,
-                config: Optional[EngineConfig] = None, wells=None) -> Engine:
-    """Validated construction entry point (datum, wells, domain)."""
-    return Engine(domain, M, delta, config, wells)
-
-
 def run_construction(domain, M, delta: float,
                      config: Optional[EngineConfig] = None,
                      wells=None) -> Engine:
@@ -402,8 +388,6 @@ def run_construction(domain, M, delta: float,
     last_err: Optional[Exception] = None
     for attempt in range(cfg.max_restarts + 1):
         eng = Engine(domain, M, delta, replace(cfg, h0=h0), wells)
-        if attempt > 0:
-            eng.restarts = attempt
         try:
             eng.run()
             eng.restarts = attempt

@@ -154,9 +154,12 @@ def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
         stack, corners = _square(row, 0, plan)
         r = 0.5 * stack.length
         n = stack.n
+        g = np.arange(n - 1)
+        upper, lower, ends = cv.stack_leftovers(
+            cv.stack_rows([stack]), plan.h, np.zeros_like(g), g)
         per = (n * r * plan.perim_unit
                + float(cv.tri_perimeters(np.concatenate(
-                   cv.stack_leftovers(stack, plan.h))).sum())
+                   [upper, lower, ends[0]])).sum())
                + float(cv.tri_perimeters(corners).sum()))
         tot += row.m * np.array([n * r, n * r * r, n * r ** 3, per, 0.0])
         tot[4] = max(tot[4], r)
@@ -249,7 +252,7 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
     """The child of a diamond row holding y.
 
     The row is laid by covering's stack_centers and stack_leftovers, as
-    _stack_into lays it: only diamond q next to y, its two gaps and, at
+    emit_spec lays it: only diamond q next to y, its two gaps and, at
     either end of the row, the end triangles.
     """
     n = stack.n
@@ -257,17 +260,19 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
     r = 0.5 * stack.length
     t = float((y - stack.p0) @ stack.e_w)
     q = min(max(int(np.floor(t / w)), 0), n - 1)
-    center = cv.stack_centers(stack, plan.h, np.array([q]))[0]
+    rows = cv.stack_rows([stack])
+    center = cv.stack_centers(rows, plan.h, [0], np.array([q]))[0]
     j, mj = _piece(plan, center, r, y)
     if mj >= 0.0:
         return _piece_child(node, plan, center, r, j, y)
-    gaps = [g for g in (q - 1, q) if 0 <= g < n - 1]
-    upper, lower, ends = cv.stack_leftovers(stack, plan.h, gaps)
+    gaps = np.arange(max(q - 1, 0), min(q + 1, n - 1))
+    upper, lower, ends = cv.stack_leftovers(rows, plan.h,
+                                            np.zeros_like(gaps), gaps)
     tri_l = [upper, lower]
     iso_l = [-stack.e_len] * len(gaps) + [stack.e_len] * len(gaps)
     tag_l = [None] * (2 * len(gaps))
     if q == 0 or q == n - 1:
-        tri_l.append(ends)
+        tri_l.append(ends[0])
         iso_l += [None] * 4
         tag_l += [0, 1, 2, 3]
     tl = _fix_ccw(np.concatenate(tri_l))

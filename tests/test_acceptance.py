@@ -254,8 +254,8 @@ def test_10_diagonal_pair_bounds():
             for d in (0.25, 0.5)]
     viol = sum(r.violations for r in reps)
     with pytest.raises(WrongEntryPointError) as err:
-        en.init_engine(en.unit_square_domain(), np.eye(2), 0.5,
-                       wells=ow.make_diagonal_wells(0.5))
+        en.Engine(en.unit_square_domain(), np.eye(2), 0.5,
+                  wells=ow.make_diagonal_wells(0.5))
     refused = "DiagonalWellPair" in str(err.value)
     dt = time.time() - t0
     ok = all(r.ok for r in reps) and viol == 0 and refused and dt < 30.0

@@ -240,6 +240,43 @@ class TestGeneric:
         assert res.good_area() >= cov.GOOD_FRACTION * area
 
 
+class TestBatches:
+    COLUMNS = ("verts", "grads", "offs", "stages", "phases", "good",
+               "iso_h", "iso_axis", "diam_scales")
+
+    def check(self, batch, singles):
+        for name in self.COLUMNS:
+            assert np.array_equal(getattr(batch, name), np.concatenate(
+                [getattr(res, name) for res in singles])), name
+        for power in (2, 3):
+            assert np.array_equal(batch.cover_sums(power), [
+                np.sum(res.diam_scales ** power) for res in singles])
+
+    def test_batch_is_its_covers_in_order(self, plan):
+        # a batch of cells with distinct maps (offsets) and covers of
+        # different sizes equals its one-cover results, concatenated
+        rng = np.random.default_rng(3)
+        offs = rng.normal(size=(4, 2))
+        tris = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]),
+                np.array([[0.2, -0.1], [0.9, 0.3], [0.1, 0.8]]),
+                np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]),
+                rng.uniform(-1, 1, (3, 2))]
+        specs = [cov.generic_spec(T, plan) for T in tris]
+        assert len({len(sp.stacks) for sp in specs}) > 1
+        self.check(cov.emit_spec(specs, plan, offs),
+                   [cov.emit_spec(sp, plan, o) for sp, o in zip(specs, offs)])
+        d = plan.dhat
+        Rot = np.column_stack([np.array([-d[1], d[0]]), d])
+        T = np.array([[-plan.h, 0.0], [plan.h, 0.0], [0.0, -1.0]]) @ Rot.T
+        # both apex directions along the frame, several scales and places
+        isos = np.stack([T, -0.5 * T + 1.0, 0.25 * T - 2.0, -T + 0.3])
+        self.check(cov.cover_isosceles(isos, plan.M, DELTA, plan=plan,
+                                       offset=offs),
+                   [cov.cover_isosceles(v, plan.M, DELTA, plan=plan,
+                                        offset=o)
+                    for v, o in zip(isos, offs)])
+
+
 class TestVerifySweep:
     def test_all_cover_kinds(self):
         rep = cov.verify_covering(0.5)

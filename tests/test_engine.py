@@ -36,18 +36,18 @@ class TestValidation:
     def test_rejects_boundary_datum(self):
         wells = mg.make_wells(DELTA)
         with pytest.raises(WrongEntryPointError):
-            en.init_engine(en.unit_square_domain(), wells.F0, DELTA)
+            en.Engine(en.unit_square_domain(), wells.F0, DELTA)
 
     def test_rejects_non_unimodular_datum(self):
         with pytest.raises(WrongEntryPointError):
-            en.init_engine(en.unit_square_domain(), 1.2 * np.eye(2), DELTA)
+            en.Engine(en.unit_square_domain(), 1.2 * np.eye(2), DELTA)
 
     def test_rejects_foreign_well_pairs(self):
         class NotWells:
             F0 = np.diag([1.0, 1.5])
         with pytest.raises(WrongEntryPointError) as err:
-            en.init_engine(en.unit_square_domain(), rep_datum(), DELTA,
-                           wells=NotWells())
+            en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
+                      wells=NotWells())
         assert "NotWells" in str(err.value)
 
     def test_rejects_overlapping_domain(self):
@@ -56,12 +56,12 @@ class TestValidation:
             [[0.25, 0.0], [0.75, 0.0], [0.5, 0.4]],
         ])
         with pytest.raises(InvalidDomainError):
-            en.init_engine(dom, rep_datum(), DELTA)
+            en.Engine(dom, rep_datum(), DELTA)
 
     def test_rejects_degenerate_domain(self):
         dom = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
         with pytest.raises(InvalidDomainError):
-            en.init_engine(dom, rep_datum(), DELTA)
+            en.Engine(dom, rep_datum(), DELTA)
 
 
 class TestRunSoundness:
@@ -140,8 +140,8 @@ class TestDeterminism:
 class TestBudgetPressure:
     def test_zero_steps_returns_initial_state(self):
         cfg = en.EngineConfig(max_steps=0)
-        eng = en.init_engine(en.unit_square_domain(), rep_datum(), DELTA,
-                             config=cfg)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
+                        config=cfg)
         eng.run()
         assert eng.state.k == 0
         assert eng.state.n == 2
@@ -150,8 +150,8 @@ class TestBudgetPressure:
     def test_stall_freezes_everything(self):
         cfg = en.EngineConfig(cell_budget=50, max_steps=3, checks="fast",
                               track_bv=False)
-        eng = en.init_engine(en.unit_square_domain(), rep_datum(), DELTA,
-                             config=cfg)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
+                        config=cfg)
         eng.run()
         assert eng.stalled
         assert eng.state.frozen.all()
@@ -208,6 +208,16 @@ class TestRestarts:
         assert eng.restarts == 1
         assert eng.h0 == 1 / 32
         assert eng.h_dyadic_used == {1 / 32}
+
+    def test_direct_engine_has_no_restarts(self):
+        # write_report reads restarts from any engine, not only from one
+        # that run_construction returned
+        cfg = en.EngineConfig(cell_budget=2_000, max_steps=1, checks="fast",
+                              track_bv=False)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        assert eng.restarts == 0
+        eng.run()
+        assert eng.restarts == 0
 
     def test_no_retries_raises(self):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=1, checks="fast",

@@ -149,8 +149,10 @@ def _node_of(eng, i):
                     ("cell", i), c, s, s)
 
 
-def _emitted(eng, i):
-    st = eng.state
+def _emitted(eng, i, st=None):
+    """The one-cover result of cell i of st (default: the engine's state),
+    laid by the same cover Engine.step chooses."""
+    st = eng.state if st is None else st
     plan = eng._plan(st.grads[i])
     if cov.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
         return cov.cover_isosceles(st.verts[i], st.grads[i], DELTA,
@@ -198,6 +200,40 @@ def test_located_children_are_emitted_children(gen1, which):
         np.testing.assert_allclose(lin._margins(child.verts[None], yc),
                                    lin._margins(verts[None], x) / (
                                        s * child.rel_s), atol=1e-9)
+
+
+def test_state_blocks_are_one_cover_results():
+    # Engine.step lays all covers of a plan at once; the next state must
+    # still hold the kept cells first, then every covered cell's children
+    # as one block in selection order, each block equal to the cell's own
+    # one-cover result, column by column and child by child
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
+                          track_bv=False, keep_states=True)
+    eng = en.Engine(en.unit_square_domain(), _datum(), DELTA, cfg)
+    eng.run()
+    assert eng.state.k == 3
+    kinds = []
+    for prev, st in zip(eng.states, eng.states[1:]):
+        covered = np.flatnonzero(~np.isin(prev.ids, st.ids))
+        n_kept = prev.n - covered.shape[0]
+        assert np.isin(st.ids[:n_kept], prev.ids).all()
+        assert np.array_equal(st.ids[n_kept:],
+                              st.ids[n_kept] + np.arange(st.n - n_kept))
+        areas = prev.areas()
+        covered = covered[np.lexsort((prev.ids[covered], -areas[covered]))]
+        at = n_kept
+        for i in covered:
+            res = _emitted(eng, i, prev)
+            kinds.append(res.kind)
+            block = slice(at, at + res.n_children)
+            assert (st.parents[block] == prev.ids[i]).all()
+            assert (st.prev_index[block] == i).all()
+            for name in en.COVER_COLUMNS:
+                assert np.array_equal(getattr(st, name)[block],
+                                      getattr(res, name)), (i, name)
+            at += res.n_children
+        assert at == st.n
+    assert set(kinds) == {"iso", "generic"}
 
 
 @pytest.mark.parametrize("which", ["iso", "piece", "leftover"])

@@ -185,6 +185,6 @@ class TestQcBounds:
     def test_engine_refuses_diagonal_pair(self):
         wells = ow.make_diagonal_wells(0.5)
         with pytest.raises(WrongEntryPointError) as err:
-            en.init_engine(en.unit_square_domain(), np.eye(2), 0.5,
-                           wells=wells)
+            en.Engine(en.unit_square_domain(), np.eye(2), 0.5,
+                      wells=wells)
         assert "DiagonalWellPair" in str(err.value)
