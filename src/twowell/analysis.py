@@ -6,11 +6,13 @@ continuity/boundary checks via a vectorized line sweep over coincident
 edge intervals, interpolated W^{s,p} bounds, geometric-rate fits, the
 regularity threshold, and box-counting dimension of interface edge sets.
 
-The line sweep groups all triangle edges by their carrying line
-(quantized normal form), sorts interval endpoints, and accumulates
-per-side coverage counts and payloads with segmented cumulative sums, so
-jumps across partially overlapping child/neighbor edges are integrated
-exactly without any pairwise matching.
+The line sweep keys every triangle edge by its carrying line (the
+quantized normal form (nx, ny, c)) and sorts the interval endpoints of
+all edges with one lexsort, by line key, then position along the line.
+Running sums of per-side coverage counts and active edges then give the
+owners of every subinterval, so jumps across partially overlapping
+child/neighbor edges are integrated exactly without any pairwise
+matching.
 
 Line grouping works in bbox-normalized coordinates and tolerates
 coordinate noise up to ~1e-10 of the mesh diameter, with features down
@@ -41,7 +43,7 @@ LINE_QUANTUM = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# edge extraction and the segmented line sweep
+# edge extraction and the line sweep
 # ---------------------------------------------------------------------------
 
 def _frame(verts: np.ndarray):
@@ -106,14 +108,13 @@ class SweepAccumulator:
     """Subinterval decomposition of all coincident-edge lines.
 
     For every maximal subinterval on every line: dt (length), the owning
-    cell on each side (-1 when uncovered), and the quantized line id.
-    Payload integrals are evaluated by the callers through the owners.
+    cell on each side (-1 when uncovered) and the endpoints in absolute
+    coordinates.  Payload integrals are evaluated by the callers through
+    the owners.
     """
     dt: np.ndarray
     left_owner: np.ndarray
     right_owner: np.ndarray
-    line_id: np.ndarray
-    point_mid: np.ndarray     # (m,2) midpoint of each subinterval
     point_lo: np.ndarray
     point_hi: np.ndarray
     overlap_error: bool
@@ -121,45 +122,33 @@ class SweepAccumulator:
 
 def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
     """Decompose all edges into subintervals with per-side owners."""
-    n = verts.shape[0]
     key, tlo, thi, left, owner, (plo_abs, phi_abs), (center, diam) = \
         _edge_table(verts)
-    uniq, line = np.unique(key, axis=0, return_inverse=True)
-    line = line.astype(np.int64)
     e = tlo.shape[0]
-    # two events per edge; closers sort before openers at equal t
-    ev_line = np.repeat(line, 2)
+    # two events per edge (event i belongs to edge i >> 1), sorted by line
+    # key (qnx, qny, qc), then t; closers sort before openers at equal t
     ev_t = np.empty(2 * e)
     ev_t[0::2], ev_t[1::2] = tlo, thi
     ev_open = np.empty(2 * e, dtype=np.int8)
     ev_open[0::2], ev_open[1::2] = 1, -1
-    ev_edge = np.repeat(np.arange(e, dtype=np.int64), 2)
-    ev_left = np.repeat(left, 2)
-    order = np.lexsort((ev_open, ev_t, ev_line))
-    ev_line = ev_line[order]
+    order = np.lexsort((ev_open, ev_t)
+                       + tuple(np.repeat(key, 2, axis=0).T[::-1]))
     ev_t = ev_t[order]
     ev_open = ev_open[order]
-    ev_edge = ev_edge[order]
-    ev_left = ev_left[order]
-    # segmented cumulative bookkeeping: with counts in {0,1} the running
-    # sum of (edge+1)*sign is the active edge + 1, and a per-line reset
-    # is a subtraction of the running value at line starts
+    ev_edge = order >> 1
+    ev_left = left[ev_edge]
+    ev_key = key[ev_edge]
+    same_line = (ev_key[1:] == ev_key[:-1]).all(axis=1)
+    del ev_key              # 24 bytes per event, not needed below
+    # both events of an edge carry its line key, so every running sum
+    # below returns to exactly 0 at the end of each line and plain cumsums
+    # are per-line sums; with counts in {0,1}, the running sum of
+    # (edge+1)*sign is the active edge + 1
     contrib = (ev_edge + 1) * ev_open
-    newline = np.r_[False, ev_line[1:] != ev_line[:-1]]
-    starts = np.flatnonzero(np.r_[True, newline[1:]])
-    grp = np.cumsum(newline)
-
-    def seg_cumsum(delta):
-        c = delta.cumsum()
-        off = np.zeros(grp[-1] + 1 if e else 1, dtype=c.dtype)
-        off[grp[starts]] = c[starts] - delta[starts]
-        return c - off[grp]
-
-    el = seg_cumsum(np.where(ev_left, contrib, 0))
-    er = seg_cumsum(np.where(ev_left, 0, contrib))
-    nl = seg_cumsum(np.where(ev_left, ev_open, 0).astype(np.int64))
-    nr = seg_cumsum(np.where(ev_left, 0, ev_open).astype(np.int64))
-    same_line = ev_line[1:] == ev_line[:-1]
+    el = np.cumsum(np.where(ev_left, contrib, 0))
+    er = np.cumsum(np.where(ev_left, 0, contrib))
+    nl = np.cumsum(np.where(ev_left, ev_open, 0).astype(np.int64))
+    nr = np.cumsum(np.where(ev_left, 0, ev_open).astype(np.int64))
     dt = np.where(same_line, ev_t[1:] - ev_t[:-1], 0.0)
     # event t values that should tie differ by float noise ~1e-16, which
     # makes sliver subintervals with transiently wrong coverage counts;
@@ -170,7 +159,6 @@ def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
     lo = np.where(eL >= 0, owner[np.maximum(eL, 0)], -1)
     ro = np.where(eR >= 0, owner[np.maximum(eR, 0)], -1)
     overlap = bool(np.any(nl[:-1][keep] > 1) or np.any(nr[:-1][keep] > 1))
-    li = ev_line[:-1][keep]
     # interval endpoints in absolute coordinates, reconstructed on the
     # active edge's own stored segment: the quantized frame only groups
     # lines, so points must not be rebuilt from it (thin pieces sit
@@ -184,8 +172,7 @@ def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
     seg = phi_abs[src] - plo_abs[src]
     plo = plo_abs[src] + s0[:, None] * seg
     phi = plo_abs[src] + s1[:, None] * seg
-    return SweepAccumulator(dt[keep] * diam, lo, ro, li, 0.5 * (plo + phi),
-                            plo, phi, overlap)
+    return SweepAccumulator(dt[keep] * diam, lo, ro, plo, phi, overlap)
 
 
 def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,
@@ -573,13 +560,27 @@ def box_dimension(segments: np.ndarray,
     b = segments[:, 1]
     lens = np.linalg.norm(b - a, axis=1)
     npts = np.maximum(2, np.ceil(lens / (eps_min / 3.0)).astype(np.int64) + 1)
-    pts = [np.linspace(0.0, 1.0, k)[:, None] * (bb - aa) + aa
-           for aa, bb, k in zip(a, b, npts)]
-    pts = np.concatenate(pts)
+    # every segment's np.linspace(0, 1, k) at once, with linspace's own
+    # operations: j * (1 / (k - 1)), last point set to exactly 1
+    seg = np.repeat(np.arange(len(npts)), npts)
+    f = covering.runs(np.zeros(len(npts)), npts) * (1.0 / (npts - 1))[seg]
+    f[np.cumsum(npts) - 1] = 1.0
+    pts = (b - a)[seg]
+    pts *= f[:, None]
+    pts += a[seg]
+    pts -= lo
+    del seg, f              # per-point arrays the count loop does not need
     table = []
     for e in sorted(eps_list, reverse=True):
-        cells = np.floor((pts - lo) / e).astype(np.int64)
-        count = np.unique(cells, axis=0).shape[0]
+        cells = pts / e
+        cells = np.floor(cells, out=cells).astype(np.int64)
+        # a point an ulp below lo floors to -1: shift to 0 before packing
+        cells -= cells.min(axis=0)
+        span = cells.max(axis=0) + 1
+        if int(span[0]) * int(span[1]) >= 2 ** 63:
+            raise InvalidParameterError("grid too fine for the extent of "
+                                        "the segments")
+        count = np.unique(cells[:, 0] * span[1] + cells[:, 1]).shape[0]
         table.append((e, count, count * e ** d_report))
     table.reverse()
     ns = np.array([row[1] for row in table], dtype=float)

@@ -360,13 +360,6 @@ class RefinePlan:
         """Diamond axis direction (the long direction of the stack)."""
         return self.S[:, 1]
 
-    def place(self, y0: np.ndarray, r: float):
-        """(verts, offsets) for a diamond at center y0, scale r."""
-        verts = y0 + r * self.unit_verts
-        offs = (y0 @ self.M.T - np.einsum("nij,j->ni", self.grads, y0)
-                + r * self.bvec)
-        return verts, offs
-
 
 def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
                      delta: float, wells: mg.WellPair) -> RefinePlan:

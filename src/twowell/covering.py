@@ -35,13 +35,9 @@ def c0_constant(h: float) -> float:
     return 10.0 * np.floor(1.0 / h + 1e-12)
 
 
-def tri_area(v: np.ndarray) -> float:
-    """Signed area; positive for counterclockwise vertices."""
-    return 0.5 * ((v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
-                  - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0]))
-
-
 def tri_areas(verts: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles (n,3,2); positive for counterclockwise
+    vertices."""
     a = verts[:, 1] - verts[:, 0]
     b = verts[:, 2] - verts[:, 0]
     return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
@@ -383,7 +379,7 @@ def _right_row(v0: np.ndarray, va: np.ndarray, vb: np.ndarray) -> RightRow:
 def generic_rows(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
     """The right triangles of the generic cover of tri, in cover order."""
     v = np.asarray(tri, dtype=float)
-    area = tri_area(v)
+    area = tri_areas(v[None])[0]
     if area < 0:
         v = v[[0, 2, 1]]
         area = -area
@@ -604,7 +600,7 @@ class CoveringCheckReport:
 def _check_cover(res: CoverResult, tri: np.ndarray, M: np.ndarray,
                  report: CoveringCheckReport, label: str):
     from . import analysis as an
-    area = abs(tri_area(np.asarray(tri, dtype=float)))
+    area = abs(tri_areas(np.asarray(tri, dtype=float)[None])[0])
     part = abs(float(tri_areas(res.verts).sum()) - area) / area
     cont = an.continuity_residual(res.verts, res.grads, res.offs)
     v = np.asarray(tri, dtype=float)
@@ -674,7 +670,7 @@ def verify_covering(delta: float, stages: tuple = (2, 3),
             report.cases += 1
             _check_cover(res, tri, M, report, f"gen@{stage}")
             good_frac = float(tri_areas(res.verts[res.good]).sum()
-                              / abs(tri_area(tri)))
+                              / abs(tri_areas(tri[None])[0]))
             report.min_good_fraction = min(report.min_good_fraction,
                                            good_frac)
             if good_frac < GOOD_FRACTION:

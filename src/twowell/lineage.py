@@ -58,7 +58,7 @@ class Node:
     abs_s: float             # absolute length of one local unit
 
     def area(self) -> float:
-        return float(cv.tri_area(self.verts))
+        return float(cv.tri_areas(self.verts[None])[0])
 
     def perimeter(self) -> float:
         return float(cv.tri_perimeters(self.verts[None])[0])
@@ -119,7 +119,7 @@ class PlanData:
         rim = np.where(both, 0.0, np.abs(ind[own] - par) * sw.dt)
         # rim jumps on the two edges at each tip (+dhat, -dhat): the
         # isosceles cover lays the apex-side edges on the cell boundary
-        along = sw.point_mid @ plan.dhat
+        along = (sw.point_lo + sw.point_hi) @ plan.dhat
         self.bv_unit = inner + float(rim.sum())
         self.rim_tip = {1.0: float(rim[along > 0].sum()),
                         -1.0: float(rim[along < 0].sum())}

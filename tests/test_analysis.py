@@ -33,6 +33,20 @@ def stripe_mesh(n: int):
     return np.array(verts), np.array(vals)
 
 
+def box_counts_reference(segs, eps_list):
+    """Box counts of the eps_min/3 point samples, one linspace per
+    segment and row-wise np.unique."""
+    lo = segs.reshape(-1, 2).min(axis=0)
+    pts = []
+    for a, b in segs:
+        k = max(2, int(np.ceil(np.linalg.norm(b - a) / (min(eps_list) / 3)))
+                + 1)
+        pts.append(np.linspace(0.0, 1.0, k)[:, None] * (b - a) + a)
+    pts = np.concatenate(pts)
+    return [np.unique(np.floor((pts - lo) / e).astype(np.int64),
+                      axis=0).shape[0] for e in eps_list]
+
+
 @pytest.fixture(scope="module")
 def cover_mesh():
     """A genuine multiscale mesh: generic cover of a skewed triangle."""
@@ -90,6 +104,31 @@ class TestBVSeminorm:
         assert rotated == pytest.approx(base, rel=1e-10)
         scaled = an.bv_seminorm_cells(verts * 1e6 - 3e5, vals)
         assert scaled == pytest.approx(base * 1e6, rel=1e-10)
+
+    def test_lines_apart_only_in_normal_x(self):
+        # two edges from the bbox center, near-horizontal and 2e-6 rad
+        # apart, each with its cell on the left: their line keys differ
+        # only in the normal's x component, and they must stay two lines
+        # (merged, the two cells would claim the same side of one line)
+        p1 = np.array([np.cos(1e-6), np.sin(1e-6)])
+        p2 = np.array([np.cos(3e-6), np.sin(3e-6)])
+        o = np.zeros(2)
+        verts = np.array([
+            [o, p1, p2],                              # sliver wedge
+            [o, p2, [-1.0, 1.0]],
+            [[-1.0, -1.0], [1.0, -1.0], [1.0, -0.5]],
+        ])
+        sweep = an.sweep_intervals(verts)
+        assert not sweep.overlap_error
+        # the only shared subinterval is the wedge's edge o-p2
+        both = (sweep.left_owner >= 0) & (sweep.right_owner >= 0)
+        assert sweep.dt[both].sum() == pytest.approx(1.0, rel=1e-12)
+        pairs = {tuple(sorted(pr)) for pr in zip(sweep.left_owner[both],
+                                                 sweep.right_owner[both])}
+        assert pairs == {(0, 1)}
+        # o-p1 is a boundary edge of the wedge alone
+        edges = np.linalg.norm(verts - np.roll(verts, 1, axis=1), axis=2)
+        assert sweep.dt.sum() == pytest.approx(edges.sum() - 1.0, rel=1e-12)
 
     def test_collinear_overlap_flagged(self):
         # two cells claiming the same side of one edge interval: the
@@ -250,12 +289,33 @@ class TestBoxDimension:
         order = np.argsort(eps)[::-1]       # coarse -> fine
         assert (np.diff(n[order]) >= 0).all()
 
+    def test_counts_match_per_segment_reference(self):
+        # the last sample of the first segment lands an ulp below the
+        # bbox minimum (box row -1); it is a box of its own, not an alias
+        # of the second segment's box
+        top, bottom = 0.2307702229625077, -0.22384795711443314
+        assert (bottom - top) + top < bottom
+        segs = [np.array([[[0.5, top], [0.5, bottom]],
+                          [[0.43, 0.23], [0.43, top]]])]
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1, 1, (200, 2))
+        segs.append(np.stack([a, a + rng.normal(0, 0.1, (200, 2))], axis=1))
+        for seg in segs:
+            _, table = an.box_dimension(seg)
+            eps = [row[0] for row in table]
+            assert [row[1] for row in table] == box_counts_reference(seg,
+                                                                     eps)
+
     def test_validation(self):
         with pytest.raises(UndefinedDimensionError):
             an.box_dimension(np.zeros((0, 2, 2)))
         seg = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         with pytest.raises(InvalidParameterError):
             an.box_dimension(seg, eps_list=[0.1, 0.05])   # not dyadic
+        far = np.array([[[0.0, 0.0], [1e-3, 0.0]],
+                        [[1e7, 1e7], [1e7, 1e7 + 1e-3]]])
+        with pytest.raises(InvalidParameterError):
+            an.box_dimension(far)       # box ids would overflow int64
 
     def test_m_d_column(self):
         seg = np.array([[[0.0, 0.0], [1.0, 0.0]]])

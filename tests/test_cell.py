@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import twowell.cell as cl
 from twowell import analysis as an
+from twowell import covering as cov
 from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import (ConstructionFailureError, InvalidPairError,
@@ -211,12 +212,23 @@ class TestPlans:
         assert p.stage == 0
         assert (p.stages > 0).all()
 
+    def placed(self, p, y0, r):
+        """(verts, offsets) of the pieces the engine lays for a diamond at
+        center y0, scale r: the first n_pieces children of the isosceles
+        cover of the triangle that inscribes that diamond."""
+        d = p.dhat
+        w = 2.0 * p.h * r * np.array([-d[1], d[0]])
+        m = y0 - r * d
+        tri = np.stack([m + w, m - w, y0 + r * d])
+        res = cov.cover_isosceles(tri, p.M, self.delta, plan=p)
+        return res.verts[:p.n_pieces], res.offs[:p.n_pieces]
+
     def test_place_matches_direct_construction(self):
         M = ia.stage_representative(2, self.delta)
         p = cl.replace_dyadic_stage(M, self.delta, self.h0)
         y0 = np.array([0.37, -1.2])
         r = 0.0125
-        verts, offs = p.place(y0, r)
+        verts, offs = self.placed(p, y0, r)
         cc = cl.build_cell(p.A_cell, p.B_cell, M, p.lam_cell, p.h,
                            center=y0, scale=r)
         assert np.abs(verts - cc.tris).max() < 1e-14
@@ -226,7 +238,7 @@ class TestPlans:
     def test_placed_cell_is_watertight(self):
         M = ia.stage_representative(3, self.delta)
         p = cl.replace_dyadic_stage(M, self.delta, self.h0)
-        verts, offs = p.place(np.array([0.2, 0.8]), 0.01)
+        verts, offs = self.placed(p, np.array([0.2, 0.8]), 0.01)
         sweep = an.sweep_intervals(verts)
         assert not sweep.overlap_error
         assert an.continuity_residual(verts, p.grads, offs, sweep=sweep) < 1e-12

@@ -59,7 +59,7 @@ class TestIsosceles:
         res = cov.cover_isosceles(T, M, DELTA, plan=plan)
         assert res.n_children == 12
         assert res.kind == "iso"
-        area = cov.tri_area(T)
+        area = cov.tri_areas(T[None])[0]
         cover_checks(res, T, M, area)
         # the diamond takes exactly half of the parent
         assert res.good_area() == pytest.approx(area / 2, rel=1e-12)
@@ -105,8 +105,8 @@ class TestIsosceles:
         left = res.verts[~res.good][0]
         res2 = cov.cover_isosceles(left, plan.M, DELTA, plan=plan)
         assert res2.n_children == 12
-        assert res2.good_area() == pytest.approx(cov.tri_area(left) / 2,
-                                                 rel=1e-12)
+        assert res2.good_area() == pytest.approx(
+            cov.tri_areas(left[None])[0] / 2, rel=1e-12)
 
     def test_rejects_non_member(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -170,7 +170,7 @@ class TestGeneric:
     def test_equilateral_altitude_split(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
-        area = cov.tri_area(T)
+        area = cov.tri_areas(T[None])[0]
         cover_checks(res, T, plan.M, area)
         assert res.good_area() >= cov.GOOD_FRACTION * area
 
@@ -179,9 +179,9 @@ class TestGeneric:
         rng = np.random.default_rng(7)
         for _ in range(5):
             T = rng.uniform(-1, 1, (3, 2))
-            if abs(cov.tri_area(T)) < 0.1:
+            if abs(cov.tri_areas(T[None])[0]) < 0.1:
                 continue
-            area = abs(cov.tri_area(T))
+            area = abs(cov.tri_areas(T[None])[0])
             res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
             cover_checks(res, T, plan.M, area)
             assert res.good_area() >= cov.GOOD_FRACTION * area
@@ -234,7 +234,7 @@ class TestGeneric:
         M0 = ia.matrix_from_gaps(0.75 * z0, 0.75 * z0, DELTA, 1)
         T = np.array([[0.0, 0.0], [0.5, 0.0], [0.1, 0.4]])
         res = cov.cover_generic(T, M0, DELTA, stage_rule="A3")
-        area = cov.tri_area(T)
+        area = cov.tri_areas(T[None])[0]
         assert res.areas().sum() == pytest.approx(area, rel=1e-12)
         assert (res.stages[res.good] > 0).all()
         assert res.good_area() >= cov.GOOD_FRACTION * area
