@@ -131,32 +131,36 @@ def _provenance(cfg: RunConfig) -> List[str]:
             f"# delta {_fmt(cfg.delta)}"]
 
 
+def _write_rows(f, head: List[str], fmt: str, columns, tail=()):
+    """The head lines, one line fmt % row per row of the equal-length
+    columns (formatted a block of rows at a time), then the tail lines."""
+    block = 1 << 14     # bounds the formatted text held at once
+    f.write("".join(line + "\n" for line in head))
+    for a in range(0, len(columns[0]), block):
+        f.write("".join(fmt % row for row in zip(
+            *(c[a:a + block].tolist() for c in columns))))
+    f.write("".join(line + "\n" for line in tail))
+
+
 def write_metrics(path: str, metrics: an.MetricsSeries, cfg: RunConfig):
-    lines = _provenance(cfg)
-    lines.append("\t".join(name for name, _ in METRIC_COLUMNS))
-    for row in metrics.rows:
-        cells = []
-        for name, key in METRIC_COLUMNS:
-            val = row.get(key, float("nan"))
-            cells.append(str(int(val)) if name == "k" else _fmt(val))
-        lines.append("\t".join(cells))
+    head = _provenance(cfg) + ["\t".join(name for name, _ in METRIC_COLUMNS)]
+    fmt = "\t".join(["%d"] + ["%.17g"] * (len(METRIC_COLUMNS) - 1)) + "\n"
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        _write_rows(f, head, fmt, [np.array([row.get(key, np.nan)
+                                             for row in metrics.rows])
+                                   for _, key in METRIC_COLUMNS])
 
 
 def write_mesh(path: str, state, cfg: RunConfig):
-    lines = _provenance(cfg)
-    lines.append("# columns: id parent stage frozen v1x v1y v2x v2y v3x v3y"
-                 " g11 g12 g21 g22 o1 o2")
-    for i in range(state.n):
-        row = [str(int(state.ids[i])), str(int(state.parents[i])),
-               str(int(state.stages[i])), "1" if state.frozen[i] else "0"]
-        row += [_fmt(x) for x in state.verts[i].ravel()]
-        row += [_fmt(x) for x in state.grads[i].ravel()]
-        row += [_fmt(x) for x in state.offs[i]]
-        lines.append(" ".join(row))
+    head = _provenance(cfg) + [
+        "# columns: id parent stage frozen v1x v1y v2x v2y v3x v3y"
+        " g11 g12 g21 g22 o1 o2"]
+    reals = np.concatenate([state.verts.reshape(-1, 6),
+                            state.grads.reshape(-1, 4), state.offs], axis=1)
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        _write_rows(f, head, "%d %d %d %d " + " ".join(["%.17g"] * 12) + "\n",
+                    [state.ids, state.parents, state.stages, state.frozen,
+                     *reals.T])
 
 
 PHASE_FILL = {0: "#b9b9b9", 1: "#3b6fb8", 2: "#d97130"}
@@ -170,7 +174,7 @@ def write_phase_svg(path: str, state, cfg: RunConfig):
     span = hi - lo
     stroke = 0.0015 * float(span.max())
     smax = max(int(state.stages.max()), 1)
-    lines = [
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="720" '
         f'height="{int(round(720 * span[1] / span[0]))}" '
@@ -178,17 +182,17 @@ def write_phase_svg(path: str, state, cfg: RunConfig):
         f'<desc>config {cfg.digest()} seed {cfg.seed}</desc>',
         f'<g transform="translate(0,{_g(lo[1] + hi[1])}) scale(1,-1)">',
     ]
-    for i in range(state.n):
-        pts = " ".join(f"{_g(x)},{_g(y)}" for x, y in state.verts[i])
-        fill = PHASE_FILL.get(int(state.phases[i]), "#b9b9b9")
-        tint = 32 + int(round(176 * int(state.stages[i]) / smax))
-        lines.append(
-            f'<polygon points="{pts}" fill="{fill}" '
-            f'stroke="#{tint:02x}{tint:02x}{tint:02x}" '
-            f'stroke-width="{_g(stroke)}"/>')
-    lines += ["</g>", "</svg>"]
+    phases, phase_at = np.unique(state.phases, return_inverse=True)
+    stages, stage_at = np.unique(state.stages, return_inverse=True)
+    fill = np.array([PHASE_FILL.get(p, "#b9b9b9") for p in phases.tolist()])
+    tint = np.array(["#" + "%02x" % (32 + int(round(176 * k / smax))) * 3
+                     for k in stages.tolist()])
+    polygon = ('<polygon points="%.8g,%.8g %.8g,%.8g %.8g,%.8g" fill="%s" '
+               f'stroke="%s" stroke-width="{_g(stroke)}"/>\n')
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        _write_rows(f, head, polygon, [*verts.reshape(-1, 6).T,
+                                       fill[phase_at], tint[stage_at]],
+                    ["</g>", "</svg>"])
 
 
 def _g(x) -> str:
@@ -344,32 +348,24 @@ def cmd_verify(args, parser) -> int:
 
 
 def read_mesh(path: str):
-    """Inverse of write_mesh: (verts, grads, offs, stages, delta?)."""
+    """Inverse of write_mesh: (verts, grads, offs, stages, delta?); delta
+    comes from a "# delta" line above the first cell."""
     delta = None
-    rows = []
     with open(path) as f:
         for raw in f:
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "delta":
-                    delta = float(parts[1])
-                continue
-            vals = line.split()
-            if len(vals) != 16:
-                raise ValueError(f"mesh line needs 16 fields, got "
-                                 f"{len(vals)}")
-            rows.append([float(x) for x in vals])
-    if not rows:
-        raise ValueError("mesh file has no cells")
-    data = np.asarray(rows)
-    verts = data[:, 4:10].reshape(-1, 3, 2)
-    grads = data[:, 10:14].reshape(-1, 2, 2)
-    offs = data[:, 14:16]
-    stages = data[:, 2].astype(np.int16)
-    return verts, grads, offs, stages, delta
+            if line and not line.startswith("#"):
+                break
+            parts = line[1:].split()
+            if len(parts) == 2 and parts[0] == "delta":
+                delta = float(parts[1])
+        else:
+            raise ValueError("mesh file has no cells")
+    data = np.loadtxt(path, ndmin=2)
+    if data.shape[1] != 16:
+        raise ValueError(f"mesh line needs 16 fields, got {data.shape[1]}")
+    return (data[:, 4:10].reshape(-1, 3, 2), data[:, 10:14].reshape(-1, 2, 2),
+            data[:, 14:16], data[:, 2].astype(np.int16), delta)
 
 
 def cmd_dim(args, parser) -> int:

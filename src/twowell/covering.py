@@ -6,7 +6,9 @@ diamond (half the area; two leftovers similar to the parent at ratio 1/2);
 aligned boxes receive a row of diamonds with isosceles gap triangles
 between them and four end triangles; generic triangles go through
 altitude split -> medial rectangle -> square packing -> rotated inner
-squares -> diamond rows.
+squares -> diamond rows.  A generic cover is kept as its right triangles
+(RightRow), its children counted in closed form; lay_squares lays the
+squares of any set of rows at once, a whole batch of covers for emit_spec.
 
 Child perimeters are summed per class (good / leftover-isosceles /
 leftover-generic) for the BV growth ledger; the good area fraction of a
@@ -15,7 +17,7 @@ generic cover is at least 2^-5 of the parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import List, Optional
 
@@ -217,36 +219,17 @@ def _perp(d: np.ndarray) -> np.ndarray:
     return np.array([-d[1], d[0]])
 
 
-@dataclass
-class _StackSpec:
-    """A row of n diamonds across the box
-    p0 + [0,length]e_len x [0,nh*length]e_w."""
-    p0: np.ndarray
-    e_len: np.ndarray
-    e_w: np.ndarray
-    length: float
-    n: int
-
-
-def stack_rows(stacks: List[_StackSpec]):
-    """The rows as arrays: p0, e_len, e_w (S,2), length (S,), n (S,)."""
-    return (*(np.array([getattr(st, a) for st in stacks],
-                       dtype=float).reshape(-1, 2)
-              for a in ("p0", "e_len", "e_w")),
-            np.array([st.length for st in stacks], dtype=float),
-            np.array([st.n for st in stacks], dtype=np.int64))
-
-
 def stack_centers(rows, h: float, s: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Centers of the diamonds j of the rows s (stack_rows, int arrays);
-    their scale is length/2."""
+    """Centers of the diamonds j of the diamond rows s (int arrays); rows
+    is the (p0, e_len, e_w, length, n) tuple of lay_squares, and the
+    diamonds' scale is length/2."""
     p0, e_len, e_w, length, _ = rows
     mid = p0[s] + (0.5 * length[s])[:, None] * e_len[s]
     return mid + ((j + 0.5) * (h * length[s]))[:, None] * e_w[s]
 
 
 def stack_leftovers(rows, h: float, s: np.ndarray, g: np.ndarray):
-    """(upper, lower, ends): the leftovers of the rows (stack_rows).
+    """(upper, lower, ends): the leftovers of the diamond rows (lay_squares).
 
     upper[k] and lower[k] are the isosceles gap triangles between the
     diamonds g[k] and g[k] + 1 of the row s[k], with apex axes -e_len and
@@ -276,82 +259,28 @@ def stack_leftovers(rows, h: float, s: np.ndarray, g: np.ndarray):
 
 
 @dataclass
-class GenericSpec:
-    """Precomputed geometry of one generic cover; cheap to count."""
-    stacks: List[_StackSpec] = field(default_factory=list)
-    tris: List[np.ndarray] = field(default_factory=list)
-    n_pieces: int = 10
-
-    def child_count(self) -> int:
-        c = len(self.tris)
-        for s in self.stacks:
-            c += self.n_pieces * s.n + 2 * (s.n - 1) + 4
-        return c
-
-
-def _square_into(spec: GenericSpec, q: np.ndarray, e1: np.ndarray,
-                 e2: np.ndarray, a: float, dhat: np.ndarray, nstack: int):
-    """One square of side a: align the diamond row with dhat.
-
-    If a side is parallel to dhat the row fills the square directly;
-    otherwise an inner square rotated onto the dhat frame (side ratio
-    1/(cos+sin), hence at least half the area) is filled and four corner
-    triangles are left over.
-    """
-    c = float(np.dot(dhat, e1))
-    s = float(np.dot(dhat, e2))
-    if c < 0:
-        q, e1, c = q + a * e1, -e1, -c
-    if s < 0:
-        q, e2, s = q + a * e2, -e2, -s
-    if s <= ISO_TOL:
-        spec.stacks.append(_StackSpec(q, e1, e2, a, nstack))
-        return
-    if c <= ISO_TOL:
-        spec.stacks.append(_StackSpec(q, e2, e1, a, nstack))
-        return
-    t = s / (c + s)
-    ap = a / (c + s)
-    v0 = q + t * a * e1
-    v1 = q + a * e1 + t * a * e2
-    v2 = q + a * e1 + a * e2 - t * a * e1
-    v3 = q + (1.0 - t) * a * e2
-    spec.tris.extend([
-        np.stack([q, v0, v3]),
-        np.stack([q + a * e1, v1, v0]),
-        np.stack([q + a * e1 + a * e2, v2, v1]),
-        np.stack([q + a * e2, v3, v2]),
-    ])
-    e_w = (v3 - v0) / ap
-    spec.stacks.append(_StackSpec(v0, dhat.copy(), e_w, ap, nstack))
-
-
-@dataclass
 class RightRow:
-    """One right triangle of a generic cover, before its squares are laid.
+    """One right triangle of a generic cover.
 
     The right angle sits at v0 with the shorter leg along e1.  The medial
     rectangle [0, a] e1 x [0, width] e2 (a = half the short leg) holds a
-    row of m squares of side a starting at v0 along e2; the two medial
-    leftovers lie outside it and the residual end of the rectangle, when
-    the squares do not fill it, is split into two triangles.
+    row of m squares of side a starting at v0 along e2 (lay_squares); the
+    two medial leftovers lie outside it and the residual end of the
+    rectangle, when the squares do not fill it, is split into two
+    triangles.
     """
     v0: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     a: float
     m: int
-    medial: List[np.ndarray]
-    residual: List[np.ndarray]
-
-    def square(self, spec: "GenericSpec", i: int, dhat: np.ndarray,
-               nstack: int):
-        """Add the i-th square's stack and corner triangles to spec."""
-        _square_into(spec, self.v0 + i * self.a * self.e2, self.e2,
-                     self.e1, self.a, dhat, nstack)
+    medial: np.ndarray      # (2,3,2)
+    residual: np.ndarray    # (0,3,2) or (2,3,2)
+    rotated: bool           # no side of its squares is parallel to dhat
 
 
-def _right_row(v0: np.ndarray, va: np.ndarray, vb: np.ndarray) -> RightRow:
+def _right_row(v0: np.ndarray, va: np.ndarray, vb: np.ndarray,
+               dhat: np.ndarray) -> RightRow:
     """Right triangle with the right angle at v0: medial rectangle + packing."""
     la = np.linalg.norm(va - v0)
     lb = np.linalg.norm(vb - v0)
@@ -362,18 +291,19 @@ def _right_row(v0: np.ndarray, va: np.ndarray, vb: np.ndarray) -> RightRow:
     m1 = v0 + 0.5 * la * e1
     m2 = v0 + 0.5 * lb * e2
     hyp = v0 + 0.5 * la * e1 + 0.5 * lb * e2
-    medial = [np.stack([m1, va, hyp]), np.stack([m2, hyp, vb])]
+    medial = np.stack([np.stack([m1, va, hyp]), np.stack([m2, hyp, vb])])
     a = 0.5 * la
     width = 0.5 * lb
     m = int(np.floor(width / a + 1e-9))
-    residual = []
+    residual = np.zeros((0, 3, 2))
     res = width - m * a
     if res > 1e-12 * a:
         c0 = v0 + m * a * e2
         c1 = c0 + res * e2
-        residual = [np.stack([c0, c1, c1 + a * e1]),
-                    np.stack([c0, c1 + a * e1, c0 + a * e1])]
-    return RightRow(v0, e1, e2, a, m, medial, residual)
+        residual = np.stack([np.stack([c0, c1, c1 + a * e1]),
+                             np.stack([c0, c1 + a * e1, c0 + a * e1])])
+    rotated = bool(np.all(np.abs(np.vecdot([e1, e2], dhat)) > ISO_TOL))
+    return RightRow(v0, e1, e2, a, m, medial, residual, rotated)
 
 
 def generic_rows(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
@@ -385,8 +315,7 @@ def generic_rows(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
         area = -area
     if area <= 0.0:
         raise InvalidDomainError("degenerate triangle")
-    nstack = int(round(1.0 / plan.h))
-    if abs(nstack * plan.h - 1.0) > 1e-9:
+    if abs(int(round(1.0 / plan.h)) * plan.h - 1.0) > 1e-9:
         raise InvalidDomainError(f"aspect {plan.h} does not divide the unit "
                                  "square row")
     # right-angle detection at each corner
@@ -398,7 +327,8 @@ def generic_rows(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
         rights.append(abs(d) <= 1e-12 * lens)
     if any(rights):
         i = rights.index(True)
-        return [_right_row(v[i], v[(i + 1) % 3], v[(i + 2) % 3])]
+        return [_right_row(v[i], v[(i + 1) % 3], v[(i + 2) % 3],
+                           plan.dhat)]
     # altitude from the vertex opposite the longest side
     sides = np.array([np.linalg.norm(v[2] - v[1]),
                       np.linalg.norm(v[0] - v[2]),
@@ -407,39 +337,87 @@ def generic_rows(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
     p, q, o = v[(i + 1) % 3], v[(i + 2) % 3], v[i]
     d = (q - p) / sides[i]
     foot = p + np.dot(o - p, d) * d
-    return [_right_row(foot, p, o), _right_row(foot, o, q)]
+    return [_right_row(foot, p, o, plan.dhat),
+            _right_row(foot, o, q, plan.dhat)]
+
+
+def lay_squares(rows: List[RightRow], ri, i, plan: cl.RefinePlan):
+    """The squares i of the rows ri (int arrays) as diamond rows along dhat.
+
+    Square i of a row spans q + [0,a] e1 x [0,a] e2 with e1 = row.e2,
+    e2 = row.e1 and q = v0 + i a e1; a side is flipped where c = dhat.e1
+    or s = dhat.e2 is negative.  If a side is then parallel to dhat, the
+    diamond row fills the square; otherwise it fills an inner square
+    rotated onto the dhat frame (side a/(c+s), at least half the area)
+    and leaves four corner triangles.
+    Returns the (p0, e_len, e_w, length, n) arrays of the diamond rows,
+    n = 1/h diamonds across p0 + [0,length] e_len x [0,n h length] e_w,
+    and the counterclockwise corners (4k,3,2) of the k rotated squares.
+    """
+    ri, i = np.asarray(ri, dtype=np.int64), np.asarray(i, dtype=np.int64)
+    v0, e1, e2, a, rotated = (np.array([getattr(row, f) for row in rows])[ri]
+                              for f in ("v0", "e2", "e1", "a", "rotated"))
+    c, s = np.vecdot(e1, plan.dhat), np.vecdot(e2, plan.dhat)
+    ac = a[:, None]
+    q = v0 + (i * a)[:, None] * e1
+    flip = (c < 0)[:, None]
+    q, e1 = np.where(flip, q + ac * e1, q), np.where(flip, -e1, e1)
+    flip = (s < 0)[:, None]
+    q, e2 = np.where(flip, q + ac * e2, q), np.where(flip, -e2, e2)
+    c, s = np.abs(c), np.abs(s)
+    # the inner square of a rotated square: side ap from v0 along dhat
+    t = (s / (c + s))[:, None]
+    ap = a / (c + s)
+    ta = t * ac
+    q1 = q + ac * e1
+    q12 = q1 + ac * e2
+    v0 = q + ta * e1
+    v1 = q1 + ta * e2
+    v2 = q12 - ta * e1
+    v3 = q + ((1.0 - t) * ac) * e2
+    across = ((s > ISO_TOL) & (c <= ISO_TOL))[:, None]
+    rot = rotated[:, None]
+    corners = np.stack([q, v0, v3, q1, v1, v0, q12, v2, v1, q + ac * e2, v3,
+                        v2], axis=1)[rotated]
+    return ((np.where(rot, v0, q),
+             np.where(rot, plan.dhat, np.where(across, e2, e1)),
+             np.where(rot, (v3 - v0) / ap[:, None], np.where(across, e1, e2)),
+             np.where(rotated, ap, a),
+             np.full(a.shape[0], int(round(1.0 / plan.h)), dtype=np.int64)),
+            _fix_ccw(corners.reshape(-1, 3, 2)))
+
+
+@dataclass
+class GenericSpec:
+    """The right triangles of one generic cover, squares not laid yet."""
+    rows: List[RightRow]
+    plan: cl.RefinePlan
+
+    def child_count(self) -> int:
+        """Per row: two medial triangles, the residual ones and, per
+        square, one diamond row (P n pieces, 2(n-1) gaps, four ends) plus
+        four corner triangles when the squares are rotated."""
+        n = int(round(1.0 / self.plan.h))
+        square = self.plan.n_pieces * n + 2 * (n - 1) + 4
+        return sum(2 + row.residual.shape[0]
+                   + row.m * (square + 4 * row.rotated) for row in self.rows)
 
 
 def generic_spec(tri: np.ndarray, plan: cl.RefinePlan) -> GenericSpec:
-    """Geometry of the generic cover of tri; no children materialized."""
-    rows = generic_rows(tri, plan)
-    nstack = int(round(1.0 / plan.h))
-    spec = GenericSpec(n_pieces=plan.n_pieces)
-    for row in rows:
-        spec.tris.extend(row.medial)
-        for i in range(row.m):
-            row.square(spec, i, plan.dhat, nstack)
-        spec.tris.extend(row.residual)
-    return spec
+    """The generic cover of tri; no square laid, no child materialized."""
+    return GenericSpec(generic_rows(tri, plan), plan)
 
 
-def emit_spec(spec, plan: cl.RefinePlan, offset,
-              parent_perimeter: float = math.nan,
-              kind: str = "generic") -> CoverResult:
-    """Children of the covers laid out by spec, cover after cover.
-
-    spec is one GenericSpec, or a list of them for cells of one plan with
-    offsets (n,2) their maps.  A cover lists each of its rows (the row's
-    diamonds, its upper and lower gap triangles, its four end triangles),
-    then its other leftovers; all rows of the batch are placed by the
-    same array expressions.
-    """
-    specs = [spec] if isinstance(spec, GenericSpec) else spec
-    m = len(specs)
+def _emit_rows(plan: cl.RefinePlan, kind: str, rows, cell: np.ndarray,
+               nt: np.ndarray, tris: np.ndarray, offset,
+               parent_perimeter: float) -> CoverResult:
+    """Children of the covers k = 0..len(nt)-1 of one plan, cover after
+    cover: cover k lists its diamond rows (rows, the tuple of lay_squares,
+    those with cell == k in order; each row's diamonds, its upper and
+    lower gap triangles, its four end triangles), then its nt[k]
+    triangles of tris, in order."""
+    m = nt.shape[0]
     off = np.broadcast_to(np.asarray(offset, dtype=float), (m, 2))
-    cell = np.repeat(np.arange(m), [len(sp.stacks) for sp in specs])
-    nt = np.array([len(sp.tris) for sp in specs], dtype=np.int64)
-    rows = stack_rows([st for sp in specs for st in sp.stacks])
     n = rows[4]
     P = plan.n_pieces
     size = P * n + 2 * (n - 1) + 4
@@ -450,7 +428,6 @@ def emit_spec(spec, plan: cl.RefinePlan, offset,
     sg = np.repeat(np.arange(n.shape[0]), n - 1)
     upper, lower, ends = stack_leftovers(rows, plan.h, sg,
                                          runs(np.zeros_like(n), n - 1))
-    tris = np.reshape([t for sp in specs for t in sp.tris], (-1, 3, 2))
     gap_at = start + P * n
     left_at = np.concatenate([runs(gap_at, n - 1), runs(gap_at + n - 1, n - 1),
                               runs(gap_at + 2 * (n - 1), 4),
@@ -463,6 +440,35 @@ def emit_spec(spec, plan: cl.RefinePlan, offset,
                  np.concatenate([upper, lower, ends.reshape(-1, 3, 2), tris]),
                  off[left_cell], np.concatenate([-rows[1][sg], rows[1][sg]]),
                  np.bincount(cell, n, m).astype(np.int64), parent_perimeter)
+
+
+def emit_spec(spec, plan: cl.RefinePlan, offset,
+              parent_perimeter: float = math.nan) -> CoverResult:
+    """Children of the generic covers laid out by spec, cover after cover.
+
+    spec is one GenericSpec, or a list of them for cells of one plan with
+    offsets (n,2) their maps; one lay_squares call lays all their squares.
+    A cover lists the diamond rows of its squares, then its triangles: per
+    right row the medial ones, its squares' corners, the residual ones.
+    """
+    specs = [spec] if isinstance(spec, GenericSpec) else spec
+    rows = [row for sp in specs for row in sp.rows]
+    cell = np.repeat(np.arange(len(specs)), [len(sp.rows) for sp in specs])
+    m = np.array([row.m for row in rows], dtype=np.int64)
+    ri = np.repeat(np.arange(len(rows)), m)
+    stacks, corners = lay_squares(rows, ri, runs(np.zeros_like(m), m), plan)
+    ncorner = 4 * m * np.array([row.rotated for row in rows])
+    nres = np.array([row.residual.shape[0] for row in rows], dtype=np.int64)
+    nt = 2 + ncorner + nres
+    first = np.cumsum(nt) - nt
+    tris = np.empty((int(nt.sum()), 3, 2))
+    tris[runs(first, 2)] = np.concatenate([row.medial for row in rows])
+    tris[runs(first + 2, ncorner)] = corners
+    tris[runs(first + 2 + ncorner, nres)] = np.concatenate(
+        [row.residual for row in rows])
+    return _emit_rows(plan, "generic", stacks, cell[ri],
+                      np.bincount(cell, nt, len(specs)).astype(np.int64),
+                      tris, offset, parent_perimeter)
 
 
 def _plan_for(M: np.ndarray, delta: float, stage_rule: str,
@@ -536,9 +542,12 @@ def cover_rectangle(corner: np.ndarray, axis: np.ndarray, r: float, n: int,
     if abs(abs(float(np.dot(axis, plan.dhat))) - 1.0) > ISO_TOL:
         raise WrongEntryPointError("box axis does not match the diamond "
                                    "frame")
-    row = _StackSpec(np.asarray(corner, dtype=float), axis, _perp(axis), r, n)
-    return emit_spec(GenericSpec([row], n_pieces=plan.n_pieces), plan, offset,
-                     2.0 * (r + n * plan.h * r), "rect")
+    row = (np.asarray(corner, dtype=float)[None], axis[None],
+           _perp(axis)[None], np.array([r], dtype=float),
+           np.array([n], dtype=np.int64))
+    return _emit_rows(plan, "rect", row, np.zeros(1, dtype=np.int64),
+                      np.zeros(1, dtype=np.int64), np.zeros((0, 3, 2)),
+                      offset, 2.0 * (r + n * plan.h * r))
 
 
 def cover_generic(tri: np.ndarray, M: np.ndarray, delta: float,

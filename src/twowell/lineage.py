@@ -6,8 +6,10 @@ no explicit mesh reaches the generations a regularity fit needs.  Every
 area integral in a metrics row is an expectation over a uniform point of
 the domain, however, and the cell containing such a point can be followed
 down the generations without building anything else: the cover of one
-cell is a GenericSpec (or the twelve-child isosceles template), and the
-child containing a point is found on that geometry directly.
+cell is its right triangles (covering.generic_rows) or the twelve-child
+isosceles template.  The child containing a point is found on that
+geometry directly; of a generic cover, only the square holding the point
+is laid, by the covering.lay_squares that emit_spec calls on a batch.
 
 Cells live in local frames.  A frame is a translation and a scaling of
 its parent's frame, chosen so the cell has unit size; the absolute scale
@@ -68,11 +70,11 @@ class Node:
 class Cover:
     """One cover in the covered cell's local frame, plus its totals.
 
-    A generic cover is kept as its RightRows (covering.generic_rows): a
-    row's squares are laid only when a point is located in one, with the
-    same call generic_spec makes.  leftovers[i] holds row i's medial and
-    residual triangles.  The isosceles fast path is one diamond (iso)
-    with two tagged leftovers.
+    A generic cover is kept as its RightRows (covering.generic_rows);
+    locate lays only the square holding a point, by covering.lay_squares
+    as emit_spec lays all squares of a batch.  leftovers[i] holds row i's
+    medial and residual triangles.  The isosceles fast path is one
+    diamond (iso) with two tagged leftovers.
     """
     plan: cl.RefinePlan
     rows: List[cv.RightRow]
@@ -126,37 +128,26 @@ class PlanData:
         self.stage_area = np.bincount(plan.stages, weights=plan.areas_unit)
 
 
-def _square(row: cv.RightRow, i: int, plan: cl.RefinePlan):
-    """(stack, corner triangles) of the row's i-th square."""
-    sub = cv.GenericSpec(n_pieces=plan.n_pieces)
-    row.square(sub, i, plan.dhat, int(round(1.0 / plan.h)))
-    tris = _fix_ccw(np.stack(sub.tris)) if sub.tris else np.zeros((0, 3, 2))
-    return sub.stacks[0], tris
-
-
 def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
                   pdata: PlanData) -> Cover:
-    """The generic cover of tri as generic_spec lays it, kept by rows.
+    """The generic cover of tri as emit_spec lays it, kept by rows.
 
     The squares of a row are translates of each other, so the totals are
-    m times those of the first square, whose children are laid by
-    covering's own row helpers.
+    m times those of the first square, laid by covering.lay_squares.
     """
     rows = cv.generic_rows(tri, plan)
     leftovers = []
     tot = np.zeros(5)       # sum r, r^2, r^3, perimeter, max r
     for row in rows:
-        left = row.medial + row.residual
-        leftovers.append(_fix_ccw(np.stack(left)))
+        leftovers.append(_fix_ccw(np.concatenate([row.medial, row.residual])))
         tot[3] += float(cv.tri_perimeters(leftovers[-1]).sum())
         if row.m == 0:
             continue
-        stack, corners = _square(row, 0, plan)
-        r = 0.5 * stack.length
-        n = stack.n
+        stack, corners = cv.lay_squares([row], [0], [0], plan)
+        r, n = 0.5 * stack[3][0], int(stack[4][0])
         g = np.arange(n - 1)
-        upper, lower, ends = cv.stack_leftovers(
-            cv.stack_rows([stack]), plan.h, np.zeros_like(g), g)
+        upper, lower, ends = cv.stack_leftovers(stack, plan.h,
+                                                np.zeros_like(g), g)
         per = (n * r * plan.perim_unit
                + float(cv.tri_perimeters(np.concatenate(
                    [upper, lower, ends[0]])).sum())
@@ -230,7 +221,7 @@ def locate(node: Node, cover: Cover, y: np.ndarray):
     if kind == "tri":
         return _leftover(node, cover.leftovers[ri][i], y, 0.0, None,
                          key and key + ("tri",))
-    stack, corners = _square(cover.rows[ri], i, plan)
+    stack, corners = cv.lay_squares([cover.rows[ri]], [0], [i], plan)
     if corners.shape[0]:
         mc = _margins(corners, y)
         c = int(np.argmax(mc))
@@ -241,35 +232,36 @@ def locate(node: Node, cover: Cover, y: np.ndarray):
 
 
 def _box_margin(stack, plan: cl.RefinePlan, y: np.ndarray) -> float:
-    d = y - stack.p0
-    s, t = float(d @ stack.e_len), float(d @ stack.e_w)
-    wt = plan.h * stack.length * stack.n
-    return min(s, stack.length - s, t, wt - t)
+    """Margin of y in the box of the one diamond row stack."""
+    p0, e_len, e_w, length, n = (x[0] for x in stack)
+    d = y - p0
+    s, t = float(d @ e_len), float(d @ e_w)
+    wt = plan.h * length * n
+    return min(s, length - s, t, wt - t)
 
 
 def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
               key: Optional[tuple]):
-    """The child of a diamond row holding y.
+    """The child of the one diamond row stack (covering.lay_squares)
+    holding y.
 
     The row is laid by covering's stack_centers and stack_leftovers, as
     emit_spec lays it: only diamond q next to y, its two gaps and, at
     either end of the row, the end triangles.
     """
-    n = stack.n
-    w = plan.h * stack.length
-    r = 0.5 * stack.length
-    t = float((y - stack.p0) @ stack.e_w)
+    p0, e_len, e_w, length, n = (x[0] for x in stack)
+    w, r = plan.h * length, 0.5 * length
+    t = float((y - p0) @ e_w)
     q = min(max(int(np.floor(t / w)), 0), n - 1)
-    rows = cv.stack_rows([stack])
-    center = cv.stack_centers(rows, plan.h, [0], np.array([q]))[0]
+    center = cv.stack_centers(stack, plan.h, [0], np.array([q]))[0]
     j, mj = _piece(plan, center, r, y)
     if mj >= 0.0:
         return _piece_child(node, plan, center, r, j, y)
     gaps = np.arange(max(q - 1, 0), min(q + 1, n - 1))
-    upper, lower, ends = cv.stack_leftovers(rows, plan.h,
+    upper, lower, ends = cv.stack_leftovers(stack, plan.h,
                                             np.zeros_like(gaps), gaps)
     tri_l = [upper, lower]
-    iso_l = [-stack.e_len] * len(gaps) + [stack.e_len] * len(gaps)
+    iso_l = [-e_len] * len(gaps) + [e_len] * len(gaps)
     tag_l = [None] * (2 * len(gaps))
     if q == 0 or q == n - 1:
         tri_l.append(ends[0])

@@ -206,6 +206,29 @@ class TestDim:
         assert run_cli(["dim", str(mesh)]) == 1
         assert run_cli(["dim", str(mesh), "--delta", "0.5"]) == 0
 
+    @pytest.mark.parametrize("short", ["last line", "every line"])
+    def test_line_without_16_fields(self, tmp_path, capsys, short):
+        mesh = tmp_path / "mesh.txt"
+        write_two_cell_mesh(mesh)
+        lines = mesh.read_text().splitlines()
+        for i in ([-1] if short == "last line" else [1, 2]):
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        mesh.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            cli.read_mesh(str(mesh))
+        assert run_cli(["dim", str(mesh)]) == 1
+        assert "cannot read mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["# delta 0.5\n", "# delta 0.5\n\n  \n",
+                                      ""])
+    def test_file_without_cells(self, tmp_path, capsys, text):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(text)
+        with pytest.raises(ValueError, match="no cells"):
+            cli.read_mesh(str(mesh))
+        assert run_cli(["dim", str(mesh)]) == 1
+        assert "no cells" in capsys.readouterr().err
+
 
 class TestThreadEnv:
     def test_thread_cap_recorded(self, tmp_path):

@@ -36,6 +36,50 @@ def cover_checks(res: cov.CoverResult, parent_tri, M, parent_area):
     assert stray < 1e-8 * scale
 
 
+# right triangles with legs 1 along u and 3 along w, one per branch of
+# covering.lay_squares: its squares have the sides e1 = w (along the row)
+# and e2 = u, and c = dhat.e1, s = dhat.e2
+BRANCHES = ("+dhat", "-dhat", "dhat-perp", "both-negative", "rotated")
+
+
+def right_triangle(plan, branch):
+    """(triangle, whether its squares are rotated) for one branch."""
+    d = plan.dhat
+    p = np.array([-d[1], d[0]])
+    cs, sn = np.cos(0.3), np.sin(0.3)
+    u, w = {"+dhat": (p, d),                   # c = 1, s = 0
+            "-dhat": (p, -d),                  # c = -1: e1 flipped
+            "dhat-perp": (-d, p),              # c = 0, s = -1: e2 flipped
+            "both-negative": (-(sn * d - cs * p), -(cs * d + sn * p)),
+            "rotated": (sn * d - cs * p, cs * d + sn * p)}[branch]
+    v0 = np.array([0.3, -0.2])
+    return (np.stack([v0, v0 + u, v0 + 3.0 * w]),
+            branch in ("both-negative", "rotated"))
+
+
+def square_reference(row, i, dhat):
+    """(p0, e_len, e_w, length) and corner triangles of the square i of
+    row, laid one square at a time with scalar arithmetic."""
+    q, e1, e2, a = row.v0 + i * row.a * row.e2, row.e2, row.e1, row.a
+    c, s = float(np.dot(dhat, e1)), float(np.dot(dhat, e2))
+    if c < 0:
+        q, e1, c = q + a * e1, -e1, -c
+    if s < 0:
+        q, e2, s = q + a * e2, -e2, -s
+    if s <= cov.ISO_TOL:
+        return (q, e1, e2, a), []
+    if c <= cov.ISO_TOL:
+        return (q, e2, e1, a), []
+    t, ap = s / (c + s), a / (c + s)
+    v0 = q + t * a * e1
+    v1 = q + a * e1 + t * a * e2
+    v2 = q + a * e1 + a * e2 - t * a * e1
+    v3 = q + (1.0 - t) * a * e2
+    return (v0, dhat, (v3 - v0) / ap, ap), [
+        [q, v0, v3], [q + a * e1, v1, v0], [q + a * e1 + a * e2, v2, v1],
+        [q + a * e2, v3, v2]]
+
+
 class TestIsosceles:
     def test_membership_and_axis(self, plan):
         h = plan.h
@@ -159,13 +203,40 @@ class TestRectangle:
 
 class TestGeneric:
     def test_right_triangle_squares(self, plan):
-        # legs (1,3): medial rectangle holds m=3 squares
-        T = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
-        spec = cov.generic_spec(T, plan)
-        assert len(spec.stacks) == 3
-        res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
-        cover_checks(res, T, plan.M, 1.5)
-        assert res.good_area() >= cov.GOOD_FRACTION * 1.5
+        # legs (1,3): medial rectangle holds m=3 squares, each a diamond
+        # row along +dhat, with four corner triangles when rotated
+        for branch in BRANCHES:
+            T, rotated = right_triangle(plan, branch)
+            spec = cov.generic_spec(T, plan)
+            assert [row.m for row in spec.rows] == [3], branch
+            rows, corners = cov.lay_squares(spec.rows, [0, 0, 0],
+                                            [0, 1, 2], plan)
+            assert np.abs(rows[1] - plan.dhat).max() < 1e-12, branch
+            assert corners.shape == (12 if rotated else 0, 3, 2), branch
+            res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+            area = abs(cov.tri_areas(T[None])[0])
+            cover_checks(res, T, plan.M, area)
+            assert res.good_area() >= cov.GOOD_FRACTION * area, branch
+
+    def test_squares_match_scalar_reference(self, plan):
+        # every square of a batch of rows, laid at once, has the bits of
+        # the square laid alone with scalar arithmetic
+        rng = np.random.default_rng(5)
+        tris = [right_triangle(plan, branch)[0] for branch in BRANCHES]
+        tris += [rng.uniform(-1, 1, (3, 2)) for _ in range(20)]
+        rows = [row for T in tris for row in cov.generic_rows(T, plan)]
+        ri = np.repeat(np.arange(len(rows)), [row.m for row in rows])
+        i = np.concatenate([np.arange(row.m) for row in rows])
+        laid, corners = cov.lay_squares(rows, ri, i, plan)
+        assert laid[4].tolist() == [round(1 / plan.h)] * ri.shape[0]
+        want = []
+        for k, (r, j) in enumerate(zip(ri, i)):
+            stack, tris_k = square_reference(rows[r], j, plan.dhat)
+            for got, ref in zip(laid, stack):
+                assert np.array_equal(got[k], ref), (r, j)
+            want += tris_k
+        assert 0 < len(want) < 4 * ri.shape[0]
+        assert np.array_equal(corners, cov._fix_ccw(np.array(want)))
 
     def test_equilateral_altitude_split(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
@@ -187,10 +258,15 @@ class TestGeneric:
             assert res.good_area() >= cov.GOOD_FRACTION * area
 
     def test_spec_count_matches_emission(self, plan):
-        T = np.array([[0.2, -0.1], [0.9, 0.3], [0.1, 0.8]])
-        spec = cov.generic_spec(T, plan)
-        res = cov.emit_spec(spec, plan, np.zeros(2), 1.0)
-        assert res.n_children == spec.child_count()
+        # the closed-form count of a spec against its emitted children, on
+        # a scalene triangle and on one right triangle per square branch
+        tris = [np.array([[0.2, -0.1], [0.9, 0.3], [0.1, 0.8]])]
+        tris += [right_triangle(plan, branch)[0] for branch in BRANCHES]
+        for T in tris:
+            spec = cov.generic_spec(T, plan)
+            res = cov.emit_spec(spec, plan, np.zeros(2), 1.0)
+            assert res.n_children == spec.child_count(), T
+            cover_checks(res, T, plan.M, abs(cov.tri_areas(T[None])[0]))
 
     def test_perimeter_ledger_bounds(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
@@ -262,7 +338,7 @@ class TestBatches:
                 np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]),
                 rng.uniform(-1, 1, (3, 2))]
         specs = [cov.generic_spec(T, plan) for T in tris]
-        assert len({len(sp.stacks) for sp in specs}) > 1
+        assert len({sum(row.m for row in sp.rows) for sp in specs}) > 1
         self.check(cov.emit_spec(specs, plan, offs),
                    [cov.emit_spec(sp, plan, o) for sp, o in zip(specs, offs)])
         d = plan.dhat

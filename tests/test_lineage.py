@@ -202,16 +202,52 @@ def test_located_children_are_emitted_children(gen1, which):
                                        s * child.rel_s), atol=1e-9)
 
 
+def _stepped(run):
+    """An engine with keep_states after its steps, and the cover kinds
+    they must use.
+
+    "ramp": three steps of the capacity ramp at a 20k budget, one plan and
+    one parent offset per batch.  "two-plans": four cells of a square
+    carrying two stage-2 gradients (two cells each) at distinct nonzero
+    offsets, all covered by one step, so each of its two generic batches
+    mixes offsets.
+    """
+    if run == "ramp":
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3,
+                              checks="fast", track_bv=False,
+                              keep_states=True)
+        eng = en.Engine(en.unit_square_domain(), _datum(), DELTA, cfg)
+        eng.run()
+        assert eng.state.k == 3
+        return eng, {"iso", "generic"}
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    domain = np.stack([[sq[k], sq[(k + 1) % 4], [0.5, 0.5]]
+                       for k in range(4)])
+    cfg = en.EngineConfig(cell_budget=100_000, max_steps=1, checks="fast",
+                          track_bv=False, keep_states=True)
+    eng = en.Engine(domain, _datum(), DELTA, cfg)
+    other = ia.sample_stage(2, DELTA, np.random.default_rng(3))
+    assert ia.classify(other, DELTA) == 2
+    st = eng.state
+    st.grads[1::2] = other
+    st.phases[1::2] = eng._phase_of(other)
+    st.offs[:] = np.random.default_rng(0).normal(size=(4, 2))
+    eng.step()
+    assert eng.state.k == 1 and len(eng._plans) == 2
+    assert not np.isin(st.ids, eng.state.ids).any()
+    return eng, {"generic"}
+
+
 def test_state_blocks_are_one_cover_results():
     # Engine.step lays all covers of a plan at once; the next state must
     # still hold the kept cells first, then every covered cell's children
     # as one block in selection order, each block equal to the cell's own
     # one-cover result, column by column and child by child
-    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
-                          track_bv=False, keep_states=True)
-    eng = en.Engine(en.unit_square_domain(), _datum(), DELTA, cfg)
-    eng.run()
-    assert eng.state.k == 3
+    for run in ("ramp", "two-plans"):
+        _check_blocks(*_stepped(run))
+
+
+def _check_blocks(eng, want_kinds):
     kinds = []
     for prev, st in zip(eng.states, eng.states[1:]):
         covered = np.flatnonzero(~np.isin(prev.ids, st.ids))
@@ -233,7 +269,7 @@ def test_state_blocks_are_one_cover_results():
                                       getattr(res, name)), (i, name)
             at += res.n_children
         assert at == st.n
-    assert set(kinds) == {"iso", "generic"}
+    assert set(kinds) == want_kinds
 
 
 @pytest.mark.parametrize("which", ["iso", "piece", "leftover"])
@@ -289,8 +325,7 @@ def _generic_geometries(eng):
 
 def test_generic_totals_match_every_generation1_geometry(gen1):
     # generic_cover counts a row's squares as m translates of its first
-    # one; here every square is laid (generic_spec) and emitted, a few
-    # thousand stacks at a time to bound the memory
+    # one; here every square is laid and emitted (emit_spec)
     st = gen1.state
     cells = _generic_geometries(gen1)
     assert len(cells) >= 10
@@ -299,21 +334,14 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
         plan = gen1._plan(st.grads[i])
         node = _node_of(gen1, i)
         cover = cache.cover(node)
-        spec = cov.generic_spec(st.verts[i], plan)
-        sums = np.zeros(4)          # r^2, r^3, perimeter, max r
-        good = np.zeros(plan.stages.max() + 1)
-        for a in range(0, max(len(spec.stacks), 1), 4000):
-            part = cov.GenericSpec(spec.stacks[a:a + 4000],
-                                   spec.tris if a == 0 else [],
-                                   spec.n_pieces)
-            res = cov.emit_spec(part, plan, st.offs[i], 1.0)
-            r = res.diam_scales
-            sums[:3] += [np.sum(r * r), np.sum(r ** 3),
-                         cov.tri_perimeters(res.verts).sum()]
-            sums[3] = max(sums[3], float(r.max()) if r.size else 0.0)
-            good += np.bincount(res.stages[res.good],
-                                weights=res.areas()[res.good],
-                                minlength=good.shape[0])
+        res = cov.emit_spec(cov.generic_spec(st.verts[i], plan), plan,
+                            st.offs[i], 1.0)
+        r = res.diam_scales
+        sums = [np.sum(r * r), np.sum(r ** 3),
+                cov.tri_perimeters(res.verts).sum(),
+                float(r.max()) if r.size else 0.0]
+        good = np.bincount(res.stages[res.good],
+                           weights=res.areas()[res.good])
         s = node.rel_s
         got = [cover.sum_r2 * s * s, cover.sum_r3 * s ** 3,
                cover.perimeter * s, cover.max_r * s]

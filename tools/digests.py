@@ -1,0 +1,144 @@
+"""Bit-identity digests of the engine, the CLI artifacts and the sampler.
+
+    python3 tools/digests.py --input 0 3
+    python3 tools/digests.py --input 3 --only refine_fast cli_pipeline
+
+Run from the root of a source checkout (the package is imported from
+``src``, the benchmark inputs and configs from ``perfbench/workloads.py``).
+For every input seed it prints:
+
+- ``big_run`` and ``refine_fast``: the SHA-256 prefix of the 11
+  ``TwoWellState`` arrays (their bytes concatenated in field order) after
+  each step, k = 0, 1, ..., and of the pickled ``MetricsSeries.rows``;
+- ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt`` and
+  ``phases.svg`` written by ``twowell run`` with the benchmark's arguments.
+
+``sampled`` prints the rows digest of ``sample_generations`` at the
+``test_07`` config (4000 lineages, 7 generations, seed 0) and the fitted
+numbers of its certificate line.  Two checkouts print equal lines exactly
+when their states, rows and artifacts are equal bit for bit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import pickle
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads as wl  # noqa: E402
+from twowell import analysis as an  # noqa: E402
+from twowell import covering as cv  # noqa: E402
+from twowell import engine as en  # noqa: E402
+from twowell import inapprox as ia  # noqa: E402
+
+STATE_FIELDS = ("verts", "grads", "offs", "stages", "phases", "frozen",
+                "ids", "parents", "iso_h", "iso_axis", "prev_index")
+SAMPLED = dict(n_samples=4000, generations=7, seed=0)
+
+
+def _hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def state_digest(st) -> str:
+    return _hex(b"".join(getattr(st, f).tobytes() for f in STATE_FIELDS))
+
+
+def rows_digest(rows) -> str:
+    return _hex(pickle.dumps(rows))
+
+
+def engine_digests(name: str, seed: int):
+    """(per-step state digests, rows digest) of one benchmark engine run;
+    the steps of a restarted attempt are dropped with it."""
+    steps = []
+    init, step = en.Engine.__init__, en.Engine.step
+
+    def traced_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        steps.clear()
+        steps.append(state_digest(self.state))
+
+    def traced_step(self):
+        row = step(self)
+        steps.append(state_digest(self.state))
+        return row
+
+    en.Engine.__init__, en.Engine.step = traced_init, traced_step
+    try:
+        eng = en.run_construction(en.unit_square_domain(),
+                                  wl.make_input(name, seed), wl.DELTA,
+                                  wl.engine_config(name, toy=False))
+    finally:
+        en.Engine.__init__, en.Engine.step = init, step
+    return steps, rows_digest(eng.metrics.rows)
+
+
+def cli_digests(seed: int):
+    from twowell import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        run, _ = wl.cli_argv(wl.make_input("cli_pipeline", seed), out,
+                             toy=False)
+        with open(os.devnull, "w") as null:
+            saved, sys.stdout = sys.stdout, null
+            try:
+                rc = cli.main(run)
+            finally:
+                sys.stdout = saved
+        if rc != 0:
+            raise SystemExit(f"twowell run exited {rc}")
+        digests = []
+        for name in ("mesh.txt", "phases.svg"):
+            with open(os.path.join(out, name), "rb") as f:
+                digests.append(_hex(f.read()))
+    return digests
+
+
+def sampled_digest():
+    """(rows digest, certificate numbers) of the test_07 series."""
+    series = en.sample_generations(en.unit_square_domain(),
+                                   ia.stage_representative(2, wl.DELTA),
+                                   wl.DELTA, **SAMPLED)
+    h = next(iter(series.meta["h_dyadic_used"]))
+    growth = 3.0 * max(cv.c0_constant(h), cv.C2_UNIFORM)
+    rep = an.regularity_report(series, growth_constant=growth)
+    return rows_digest(series.rows), (
+        f"theta0 {rep.theta0_measured:.4f}, s {rep.s:.4f}, wsp rate "
+        f"{rep.wsp_rate:.4f}, R^2 {rep.r2_wsp:.4f}, frozen max "
+        f"{rep.frozen_fraction_max:.3f}, window {rep.window}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--input", type=int, nargs="+", default=[0, 3],
+                        help="benchmark input seeds (default: 0 3)")
+    parser.add_argument("--only", nargs="+",
+                        choices=wl.NAMES + ("sampled",),
+                        default=wl.NAMES + ("sampled",))
+    args = parser.parse_args(argv)
+    for seed in args.input:
+        for name in ("big_run", "refine_fast"):
+            if name in args.only:
+                steps, rows = engine_digests(name, seed)
+                print(f"{name} input {seed}: rows {rows} states "
+                      + " ".join(steps), flush=True)
+        if "cli_pipeline" in args.only:
+            mesh, svg = cli_digests(seed)
+            print(f"cli_pipeline input {seed}: mesh.txt {mesh} "
+                  f"phases.svg {svg}", flush=True)
+    if "sampled" in args.only:
+        rows, line = sampled_digest()
+        print(f"sampled test_07: rows {rows} ({line})", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
