@@ -193,36 +193,15 @@ def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,
     return float(np.sum(np.where(both, jump, 0.0) * sw.dt))
 
 
-def bv_seminorm(state, which: str = "chi1",
-                include_boundary: bool = False,
-                sweep: Optional[SweepAccumulator] = None) -> float:
-    """BV seminorm of a state field: chi1/chi2, grad components, or grad.
-
-    "grad" sums the Frobenius norm of the gradient jump over interior
-    subintervals (the four components share one sweep).
-    """
-    verts, phases, grads = state.verts, state.phases, state.grads
-    sw = sweep if sweep is not None else sweep_intervals(verts)
-    if which in ("chi1", "chi2"):
-        target = 1 if which == "chi1" else 2
-        return bv_seminorm_cells(verts, (phases == target).astype(float),
-                                 include_boundary, sweep=sw)
-    if which.startswith("grad") and len(which) == 6:
-        i, j = int(which[4]), int(which[5])
-        return bv_seminorm_cells(verts, grads[:, i, j].copy(),
-                                 include_boundary, sweep=sw)
-    if which == "grad":
-        both = (sw.left_owner >= 0) & (sw.right_owner >= 0)
-        gl = grads[np.maximum(sw.left_owner, 0)]
-        gr = grads[np.maximum(sw.right_owner, 0)]
-        if include_boundary:
-            gl = np.where((sw.left_owner >= 0)[:, None, None], gl, 0.0)
-            gr = np.where((sw.right_owner >= 0)[:, None, None], gr, 0.0)
-            jump = np.linalg.norm(gl - gr, axis=(1, 2))
-            return float(np.sum(jump * sw.dt))
-        jump = np.linalg.norm(gl - gr, axis=(1, 2))
-        return float(np.sum(np.where(both, jump, 0.0) * sw.dt))
-    raise InvalidParameterError(f"unknown field {which!r}")
+def bv_seminorm(state, sweep: Optional[SweepAccumulator] = None) -> float:
+    """BV seminorm of a state's gradient field: the Frobenius norm of the
+    gradient jump summed over interior subintervals."""
+    sw = sweep if sweep is not None else sweep_intervals(state.verts)
+    both = (sw.left_owner >= 0) & (sw.right_owner >= 0)
+    gl = state.grads[np.maximum(sw.left_owner, 0)]
+    gr = state.grads[np.maximum(sw.right_owner, 0)]
+    jump = np.linalg.norm(gl - gr, axis=(1, 2))
+    return float(np.sum(np.where(both, jump, 0.0) * sw.dt))
 
 
 def continuity_residual(verts: np.ndarray, grads: np.ndarray,
@@ -251,49 +230,47 @@ def continuity_residual(verts: np.ndarray, grads: np.ndarray,
 
 def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
                             offs: np.ndarray, M: np.ndarray,
-                            sweep: Optional[SweepAccumulator] = None,
-                            hull_segments: Optional[np.ndarray] = None):
-    """Sup of |u - Mx| over single-sided (outer) edge subintervals.
+                            hull_segments: np.ndarray,
+                            sweep: Optional[SweepAccumulator] = None):
+    """(residual, stray_length): sup of |u - Mx| over the outer edge
+    subintervals that lie on the domain boundary.
 
-    With hull_segments (m,2,2), the outer intervals are first matched
-    geometrically against the domain boundary lines; intervals that sit
-    on none of them (partition gaps, or quantization splits of interior
+    The single-sided (outer) intervals are matched geometrically against
+    the boundary lines of hull_segments (m,2,2); intervals that sit on
+    none of them (partition gaps, or quantization splits of interior
     lines) are excluded from the trace and their total length is
-    returned as the second element of (residual, stray_length).
-    Without hull_segments, returns the residual alone.
+    stray_length.
     """
     sw = sweep if sweep is not None else sweep_intervals(verts)
     single = (sw.left_owner >= 0) ^ (sw.right_owner >= 0)
     if not np.any(single):
-        return 0.0 if hull_segments is None else (0.0, 0.0)
+        return 0.0, 0.0
     own = np.where(sw.left_owner >= 0, sw.left_owner, sw.right_owner)[single]
     p_lo = sw.point_lo[single]
     p_hi = sw.point_hi[single]
-    stray = 0.0
-    if hull_segments is not None:
-        hs = np.asarray(hull_segments, dtype=float)
-        a = hs[:, 0]
-        d = hs[:, 1] - hs[:, 0]
-        nrm = np.stack([-d[:, 1], d[:, 0]], axis=1)
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        cs = np.einsum("mj,mj->m", nrm, a)
-        _, diam = _frame(verts)
-        tol = 1e-8 * diam
-        dist_lo = np.abs(p_lo @ nrm.T - cs[None, :])
-        dist_hi = np.abs(p_hi @ nrm.T - cs[None, :])
-        on = np.any((dist_lo <= tol) & (dist_hi <= tol), axis=1)
-        stray = float(sw.dt[single][~on].sum())
-        own = own[on]
-        p_lo, p_hi = p_lo[on], p_hi[on]
-        if own.size == 0:
-            return 0.0, stray
+    hs = np.asarray(hull_segments, dtype=float)
+    a = hs[:, 0]
+    d = hs[:, 1] - hs[:, 0]
+    nrm = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    cs = np.einsum("mj,mj->m", nrm, a)
+    _, diam = _frame(verts)
+    tol = 1e-8 * diam
+    dist_lo = np.abs(p_lo @ nrm.T - cs[None, :])
+    dist_hi = np.abs(p_hi @ nrm.T - cs[None, :])
+    on = np.any((dist_lo <= tol) & (dist_hi <= tol), axis=1)
+    stray = float(sw.dt[single][~on].sum())
+    own = own[on]
+    p_lo, p_hi = p_lo[on], p_hi[on]
+    if own.size == 0:
+        return 0.0, stray
     dg = grads[own] - M[None]
     do = offs[own]
     res = 0.0
     for pts in (p_lo, p_hi):
         mis = np.einsum("nij,nj->ni", dg, pts) + do
         res = max(res, float(np.abs(mis).max()))
-    return res if hull_segments is None else (res, stray)
+    return res, stray
 
 
 def interface_segments(verts: np.ndarray, phases: np.ndarray,

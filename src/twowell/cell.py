@@ -381,13 +381,11 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
         except NotClassifiableError:
             slot_stages.append(-1)
     stages = np.asarray(slot_stages)[cc.gidx]
-    dists = mg.dist_to_wells_b(grads, wells)
-    phases = np.where(dists[:, 0] <= dists[:, 1], 1, 2).astype(np.uint8)
+    phases = mg.phases(grads, wells)
     unit_verts = cc.tris.copy()
     bvec = cc.template.offs @ (M @ cc.frame).T if not cc.template.trivial \
         else np.zeros((cc.tris.shape[0], 2))
-    pdist = mg.dist_to_wells_b(M[None], wells)[0]
-    parent_phase = 1 if pdist[0] <= pdist[1] else 2
+    parent_phase = int(mg.phases(M[None], wells)[0])
     flip_area = float(cc.areas[phases != parent_phase].sum())
     grad_l1 = float(np.sum(cc.areas
                            * np.linalg.norm(grads - M, axis=(1, 2))))
@@ -424,9 +422,7 @@ def replace_dyadic_stage(M: np.ndarray, delta: float,
     return plan
 
 
-def replace_low_stage(M: np.ndarray, delta: float,
-                      h_start: float = H_MAX,
-                      h_floor: float = H_FLOOR) -> RefinePlan:
+def replace_low_stage(M: np.ndarray, delta: float) -> RefinePlan:
     """Replacement plan for stage-0/1 gradients; h by verify-and-shrink.
 
     The aspect is halved until every cell gradient classifies strictly
@@ -438,9 +434,9 @@ def replace_low_stage(M: np.ndarray, delta: float,
     target = ia.low_stage_split_target(M, delta)
     sr = mg.split(M, target.branch, target.eps, delta)
     wells = mg.make_wells(delta)
-    h = h_start
+    h = H_MAX
     retry = 0
-    while h >= h_floor:
+    while h >= H_FLOOR:
         plan = _plan_from_split(M, stage, sr, h, delta, wells)
         if np.all(plan.stages > stage):
             plan.retries = retry
@@ -448,7 +444,7 @@ def replace_low_stage(M: np.ndarray, delta: float,
         h *= 0.5
         retry += 1
     raise ConstructionFailureError(
-        f"no admissible aspect above {h_floor:.1e} for stage {stage} input")
+        f"no admissible aspect above {H_FLOOR:.1e} for stage {stage} input")
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +452,26 @@ def replace_low_stage(M: np.ndarray, delta: float,
 # ---------------------------------------------------------------------------
 
 _H0_CACHE: dict = {}
+CALIBRATION_STAGES = range(2, 17)
 
 
-def calibrate_h0(delta: float, k_max: int = 16, verbose: bool = False,
-                 fracs: tuple = (0.02, 0.5, 0.98)) -> float:
+def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
     """Largest h in {1/8, 1/16, ...} whose cells advance every stage.
 
-    Stress grid: stages 2..k_max, band positions at the given fractions
-    of each band, both off-diagonal signs.  The default pushes 2% inside
-    the edges (worst case); engine runs calibrate on the narrower corridor
-    their gradients actually visit (improved entries land mid-band).
-    The result is cached per (delta, k_max, fracs).
+    Stress grid: CALIBRATION_STAGES (2..16), band positions at the given
+    fractions of each band, both off-diagonal signs.  The default pushes
+    2% inside the edges (worst case); engine runs calibrate on the
+    narrower corridor their gradients actually visit (improved entries
+    land mid-band).  The result is cached per (delta, fracs).
     """
-    key = (round(delta, 12), k_max, fracs)
+    key = (round(delta, 12), fracs)
     if key in _H0_CACHE:
         return _H0_CACHE[key]
     wells = mg.make_wells(delta)
     h = H_MAX
     while h >= H_FLOOR:
         ok = True
-        for k in range(2, k_max + 1):
+        for k in CALIBRATION_STAGES:
             branch, eps = ia.dyadic_split_target(k, delta)
             (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
             for f1 in fracs:
@@ -497,8 +493,6 @@ def calibrate_h0(delta: float, k_max: int = 16, verbose: bool = False,
                 break
         if ok:
             _H0_CACHE[key] = h
-            if verbose:
-                print(f"calibrated h0({delta}) = {h}")
             return h
         h *= 0.5
     raise ConstructionFailureError(f"no uniform aspect calibrates for delta={delta}")

@@ -379,10 +379,8 @@ def cmd_dim(args, parser) -> int:
         print("error: mesh has no delta header; pass --delta",
               file=sys.stderr)
         return 1
-    wells = mg.make_wells(delta)
-    d = mg.dist_to_wells_b(grads, wells)
-    phases = np.where(d[:, 0] <= d[:, 1], 1, 2).astype(np.uint8)
-    segments = an.interface_segments(verts, phases)
+    segments = an.interface_segments(verts,
+                                     mg.phases(grads, mg.make_wells(delta)))
     if segments.shape[0] == 0:
         print("error: the phase interface is empty", file=sys.stderr)
         return 1

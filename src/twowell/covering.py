@@ -6,9 +6,11 @@ diamond (half the area; two leftovers similar to the parent at ratio 1/2);
 aligned boxes receive a row of diamonds with isosceles gap triangles
 between them and four end triangles; generic triangles go through
 altitude split -> medial rectangle -> square packing -> rotated inner
-squares -> diamond rows.  A generic cover is kept as its right triangles
-(RightRow), its children counted in closed form; lay_squares lays the
-squares of any set of rows at once, a whole batch of covers for emit_spec.
+squares -> diamond rows.  A generic cover is its list of right
+triangles (RightRow, from generic_spec), its children counted in closed
+form by child_count; lay_squares lays the squares of any set of rows at
+once, a whole batch of covers for emit_spec.  Every cover takes the
+replacement plan of its cell; choosing that plan is the engine's job.
 
 Child perimeters are summed per class (good / leftover-isosceles /
 leftover-generic) for the BV growth ledger; the good area fraction of a
@@ -306,8 +308,9 @@ def _right_row(v0: np.ndarray, va: np.ndarray, vb: np.ndarray,
     return RightRow(v0, e1, e2, a, m, medial, residual, rotated)
 
 
-def generic_rows(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
-    """The right triangles of the generic cover of tri, in cover order."""
+def generic_spec(tri: np.ndarray, plan: cl.RefinePlan) -> List[RightRow]:
+    """The generic cover of tri: its right triangles, in cover order; no
+    square laid, no child materialized."""
     v = np.asarray(tri, dtype=float)
     area = tri_areas(v[None])[0]
     if area < 0:
@@ -387,25 +390,17 @@ def lay_squares(rows: List[RightRow], ri, i, plan: cl.RefinePlan):
             _fix_ccw(corners.reshape(-1, 3, 2)))
 
 
-@dataclass
-class GenericSpec:
-    """The right triangles of one generic cover, squares not laid yet."""
-    rows: List[RightRow]
-    plan: cl.RefinePlan
+def child_count(rows: List[RightRow], plan: cl.RefinePlan) -> int:
+    """Children of the generic cover with the right triangles rows.
 
-    def child_count(self) -> int:
-        """Per row: two medial triangles, the residual ones and, per
-        square, one diamond row (P n pieces, 2(n-1) gaps, four ends) plus
-        four corner triangles when the squares are rotated."""
-        n = int(round(1.0 / self.plan.h))
-        square = self.plan.n_pieces * n + 2 * (n - 1) + 4
-        return sum(2 + row.residual.shape[0]
-                   + row.m * (square + 4 * row.rotated) for row in self.rows)
-
-
-def generic_spec(tri: np.ndarray, plan: cl.RefinePlan) -> GenericSpec:
-    """The generic cover of tri; no square laid, no child materialized."""
-    return GenericSpec(generic_rows(tri, plan), plan)
+    Per row: two medial triangles, the residual ones and, per square, one
+    diamond row (P n pieces, 2(n-1) gaps, four ends) plus four corner
+    triangles when the squares are rotated.
+    """
+    n = int(round(1.0 / plan.h))
+    square = plan.n_pieces * n + 2 * (n - 1) + 4
+    return sum(2 + row.residual.shape[0]
+               + row.m * (square + 4 * row.rotated) for row in rows)
 
 
 def _emit_rows(plan: cl.RefinePlan, kind: str, rows, cell: np.ndarray,
@@ -442,18 +437,18 @@ def _emit_rows(plan: cl.RefinePlan, kind: str, rows, cell: np.ndarray,
                  np.bincount(cell, n, m).astype(np.int64), parent_perimeter)
 
 
-def emit_spec(spec, plan: cl.RefinePlan, offset,
+def emit_spec(covers: List[List[RightRow]], plan: cl.RefinePlan, offset,
               parent_perimeter: float = math.nan) -> CoverResult:
-    """Children of the generic covers laid out by spec, cover after cover.
+    """Children of the generic covers of cells of one plan, cover after
+    cover.
 
-    spec is one GenericSpec, or a list of them for cells of one plan with
-    offsets (n,2) their maps; one lay_squares call lays all their squares.
-    A cover lists the diamond rows of its squares, then its triangles: per
+    covers holds the generic_spec rows of each cell and offset (2,) or
+    (n,2) their maps; one lay_squares call lays all their squares.  A
+    cover lists the diamond rows of its squares, then its triangles: per
     right row the medial ones, its squares' corners, the residual ones.
     """
-    specs = [spec] if isinstance(spec, GenericSpec) else spec
-    rows = [row for sp in specs for row in sp.rows]
-    cell = np.repeat(np.arange(len(specs)), [len(sp.rows) for sp in specs])
+    rows = [row for cover in covers for row in cover]
+    cell = np.repeat(np.arange(len(covers)), [len(c) for c in covers])
     m = np.array([row.m for row in rows], dtype=np.int64)
     ri = np.repeat(np.arange(len(rows)), m)
     stacks, corners = lay_squares(rows, ri, runs(np.zeros_like(m), m), plan)
@@ -467,31 +462,12 @@ def emit_spec(spec, plan: cl.RefinePlan, offset,
     tris[runs(first + 2 + ncorner, nres)] = np.concatenate(
         [row.residual for row in rows])
     return _emit_rows(plan, "generic", stacks, cell[ri],
-                      np.bincount(cell, nt, len(specs)).astype(np.int64),
+                      np.bincount(cell, nt, len(covers)).astype(np.int64),
                       tris, offset, parent_perimeter)
 
 
-def _plan_for(M: np.ndarray, delta: float, stage_rule: str,
-              h0: Optional[float]) -> cl.RefinePlan:
-    stage = ia.classify(np.asarray(M, dtype=float), delta)
-    if stage_rule == "A4":
-        if stage < 2:
-            raise WrongEntryPointError("A4 rule needs a dyadic-stage input")
-        return cl.replace_dyadic_stage(M, delta,
-                                       h0 if h0 is not None
-                                       else cl.calibrate_h0(delta))
-    if stage_rule == "A3":
-        if stage >= 2:
-            raise WrongEntryPointError("A3 rule covers stages 0 and 1")
-        return cl.replace_low_stage(M, delta)
-    raise InvalidDomainError(f"unknown stage rule {stage_rule!r}")
-
-
-def cover_isosceles(tri: np.ndarray, M: np.ndarray, delta: float,
-                    plan: Optional[cl.RefinePlan] = None,
-                    offset=(0.0, 0.0),
-                    stage_rule: str = "A4",
-                    h0: Optional[float] = None) -> CoverResult:
+def cover_isosceles(tri: np.ndarray, plan: cl.RefinePlan,
+                    offset=(0.0, 0.0)) -> CoverResult:
     """Inscribed-diamond covers of matching isosceles triangles.
 
     tri is one triangle (3,2) or a batch (n,3,2) of cells of one plan,
@@ -501,8 +477,6 @@ def cover_isosceles(tri: np.ndarray, M: np.ndarray, delta: float,
     two leftovers are similar copies of the parent at ratio 1/2 with the
     same apex axis.
     """
-    if plan is None:
-        plan = _plan_for(M, delta, stage_rule, h0)
     v = np.asarray(tri, dtype=float).reshape(-1, 3, 2)
     member, axis = iso_membership(v, plan.h)
     if not np.all(member):
@@ -522,18 +496,12 @@ def cover_isosceles(tri: np.ndarray, M: np.ndarray, delta: float,
 
 
 def cover_rectangle(corner: np.ndarray, axis: np.ndarray, r: float, n: int,
-                    M: np.ndarray, delta: float,
-                    plan: Optional[cl.RefinePlan] = None,
-                    offset=(0.0, 0.0),
-                    stage_rule: str = "A4",
-                    h0: Optional[float] = None) -> CoverResult:
+                    plan: cl.RefinePlan, offset=(0.0, 0.0)) -> CoverResult:
     """Diamond row across the box corner + [0,r]*axis x [0,n*h*r]*perp.
 
     n diamonds of scale r/2, 2(n-1) gap triangles in the isosceles class,
     and four end triangles.
     """
-    if plan is None:
-        plan = _plan_for(M, delta, stage_rule, h0)
     axis = np.asarray(axis, dtype=float)
     nrm = np.linalg.norm(axis)
     if not (nrm > 0) or n < 1:
@@ -550,16 +518,11 @@ def cover_rectangle(corner: np.ndarray, axis: np.ndarray, r: float, n: int,
                       offset, 2.0 * (r + n * plan.h * r))
 
 
-def cover_generic(tri: np.ndarray, M: np.ndarray, delta: float,
-                  stage_rule: str = "A4",
-                  plan: Optional[cl.RefinePlan] = None,
-                  offset=(0.0, 0.0),
-                  h0: Optional[float] = None) -> CoverResult:
+def cover_generic(tri: np.ndarray, plan: cl.RefinePlan,
+                  offset=(0.0, 0.0)) -> CoverResult:
     """Full generic-triangle cover; good area is at least 2^-5 of the parent."""
-    if plan is None:
-        plan = _plan_for(M, delta, stage_rule, h0)
     v = np.asarray(tri, dtype=float)
-    return emit_spec(generic_spec(v, plan), plan, offset,
+    return emit_spec([generic_spec(v, plan)], plan, offset,
                      float(tri_perimeters(v[None])[0]))
 
 
@@ -656,12 +619,12 @@ def verify_covering(delta: float, stages: tuple = (2, 3),
         H = 0.37
         iso_tri = _fix_ccw(np.stack([m + H * d, m - plan.h * H * p,
                                      m + plan.h * H * p])[None])[0]
-        res = cover_isosceles(iso_tri, M, delta, plan=plan)
+        res = cover_isosceles(iso_tri, plan)
         report.cases += 1
         if res.n_children != 12:
             report.failures += 1
         _check_cover(res, iso_tri, M, report, f"iso@{stage}")
-        res = cover_rectangle(np.zeros(2), d, 0.2, 3, M, delta, plan=plan)
+        res = cover_rectangle(np.zeros(2), d, 0.2, 3, plan)
         corner_box = np.stack([np.zeros(2), 0.2 * d,
                                0.2 * d + 3 * plan.h * 0.2 * p,
                                3 * plan.h * 0.2 * p])
@@ -675,7 +638,7 @@ def verify_covering(delta: float, stages: tuple = (2, 3),
             report.failure_examples.append((f"rect@{stage}", part))
         for tri in (np.array([[0.0, 0.0], [0.9, 0.15], [0.25, 0.8]]),
                     np.array([[1.0, 1.0], [1.2, 1.9], [0.3, 1.5]])):
-            res = cover_generic(tri, M, delta, plan=plan)
+            res = cover_generic(tri, plan)
             report.cases += 1
             _check_cover(res, tri, M, report, f"gen@{stage}")
             good_frac = float(tri_areas(res.verts[res.good]).sum()
@@ -689,7 +652,7 @@ def verify_covering(delta: float, stages: tuple = (2, 3),
     z0 = ia.zeta0(delta)
     M0 = ia.matrix_from_gaps(0.75 * z0, 0.75 * z0, delta, 1.0)
     tri = np.array([[0.0, 0.0], [0.5, 0.1], [0.1, 0.45]])
-    res = cover_generic(tri, M0, delta, stage_rule="A3")
+    res = cover_generic(tri, cl.replace_low_stage(M0, delta))
     report.cases += 1
     _check_cover(res, tri, M0, report, "low-stage")
     if res.good.any() and res.stages[res.good].min() < 1:

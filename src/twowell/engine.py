@@ -34,6 +34,10 @@ from .errors import ConstructionFailureError, InvalidDomainError, \
     InvalidParameterError, NotClassifiableError, WrongEntryPointError
 
 INTERIOR_MARGIN = 1e-8
+PARTITION_TOL = 1e-10    # |total area - domain area| / domain area
+CONTINUITY_TOL = 1e-9
+TRACE_TOL = 1e-10
+CHECKS = ("fast", "full")
 # state columns a cover fills; the lineage columns are the engine's
 COVER_COLUMNS = ("verts", "grads", "offs", "stages", "phases", "iso_h",
                  "iso_axis")
@@ -70,13 +74,10 @@ class EngineConfig:
     max_steps: int = 6
     min_area_rel: float = 1e-12
     h0: Optional[float] = None    # None: corridor-calibrated per delta
-    checks: str = "fast"          # none | fast | full
+    checks: str = "fast"          # one of CHECKS
     track_bv: bool = True
     keep_states: bool = False
     max_restarts: int = 3
-    partition_tol: float = 1e-10
-    continuity_tol: float = 1e-9
-    trace_tol: float = 1e-10
 
 
 def _as_domain(domain) -> np.ndarray:
@@ -107,13 +108,18 @@ def hull_report(M: np.ndarray, delta: float) -> str:
 
 
 class Engine:
-    """Stateful driver; the constructor validates the datum, the wells and
-    the domain.  restarts counts the retried attempts of run_construction
-    that led to this engine (0 for one built directly)."""
+    """Stateful driver; the constructor validates the checks setting, the
+    datum, the wells and the domain.  restarts counts the retried attempts
+    of run_construction that led to this engine (0 for one built
+    directly)."""
 
     def __init__(self, domain, M, delta: float,
                  config: Optional[EngineConfig] = None, wells=None):
         self.config = config or EngineConfig()
+        if self.config.checks not in CHECKS:
+            raise InvalidParameterError(
+                f"checks must be one of {CHECKS}, got "
+                f"{self.config.checks!r}")
         self.delta = float(delta)
         self.wells = self._check_wells(wells)
         self.M = np.asarray(M, dtype=float).copy()
@@ -136,7 +142,7 @@ class Engine:
             np.broadcast_to(self.M, (n, 2, 2)).copy(),
             np.zeros((n, 2)),
             np.full(n, stage, dtype=np.int16),
-            np.full(n, self._phase_of(self.M), dtype=np.uint8),
+            np.repeat(mg.phases(self.M[None], self.wells), n),
             np.zeros(n, dtype=bool),
             np.arange(n, dtype=np.int64),
             np.full(n, -1, dtype=np.int64),
@@ -173,6 +179,10 @@ class Engine:
                 "the construction runs on the shear well pair "
                 "SO(2)F0 u SO(2)F0^-1 with F0 = [[1,d],[0,1]]; got "
                 f"{type(wells).__name__}")
+        if F0[0, 1] != self.delta:
+            raise WrongEntryPointError(
+                f"the wells have d = {F0[0, 1]!r}, the construction runs "
+                f"at delta = {self.delta!r}")
         return wells
 
     def _check_datum(self):
@@ -186,10 +196,6 @@ class Engine:
             raise WrongEntryPointError(
                 "boundary datum is not in the interior of the lamination "
                 "hull: " + report)
-
-    def _phase_of(self, G: np.ndarray) -> int:
-        d = mg.dist_to_wells_b(G[None], self.wells)[0]
-        return 1 if d[0] <= d[1] else 2
 
     # -- plans ------------------------------------------------------------
 
@@ -216,7 +222,7 @@ class Engine:
         st = self.state
         k = st.k + 1
         target = int(round(self._target(k)))
-        areas = st.areas()
+        areas = self._areas          # of st, from its _record
         floor = cfg.min_area_rel * self.domain_area
         tiny = (~st.frozen) & (areas < floor)
         st.frozen[tiny] = True
@@ -225,15 +231,16 @@ class Engine:
         n_final = st.n
         taken: List[int] = []       # covered cells, in selection order
         counts: List[int] = []      # children of each covered cell
-        # per (plan, fast path): the plan, positions in taken, specs
+        # per (plan, fast path): the plan, positions in taken, the rows of
+        # each generic cover
         batches: Dict[tuple, tuple] = {}
         for i in order:
             plan = self._plan(st.grads[i])
             if cv.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
-                count, spec = plan.n_pieces + 2, None
+                count, rows = plan.n_pieces + 2, None
             else:
-                spec = cv.generic_spec(st.verts[i], plan)
-                count = spec.child_count()
+                rows = cv.generic_spec(st.verts[i], plan)
+                count = cv.child_count(rows, plan)
             if n_final + count - 1 > target:
                 if not taken:
                     if n_final + count - 1 > cfg.cell_budget:
@@ -244,10 +251,10 @@ class Engine:
                 else:
                     break
             n_final += count - 1
-            batch = batches.setdefault((id(plan), spec is None),
+            batch = batches.setdefault((id(plan), rows is None),
                                        (plan, [], []))
             batch[1].append(len(taken))
-            batch[2].append(spec)
+            batch[2].append(rows)
             taken.append(int(i))
             counts.append(count)
         taken_idx = np.array(taken, dtype=np.int64)
@@ -272,17 +279,16 @@ class Engine:
         # per cover, in selection order: l1_chi, l1_grad and wl1 terms
         terms = np.zeros((len(taken) + 1, 3))
         wsup = 0.0
-        for (_, iso), (plan, pos, specs) in batches.items():
+        for (_, iso), (plan, pos, covers) in batches.items():
             cells = taken_idx[pos]
             if iso:
                 if np.any(st.stages[cells] + 1 != plan.stages.min()):
                     raise ConstructionFailureError("dyadic cover did not "
                                                    "advance the stage")
                 self.iso_fast_hits += len(pos)
-                res = cv.cover_isosceles(st.verts[cells], plan.M, self.delta,
-                                         plan=plan, offset=st.offs[cells])
+                res = cv.cover_isosceles(st.verts[cells], plan, st.offs[cells])
             else:
-                res = cv.emit_spec(specs, plan, st.offs[cells])
+                res = cv.emit_spec(covers, plan, st.offs[cells])
             at = cv.runs(first[pos], counts[pos])
             for c in COVER_COLUMNS:
                 getattr(new, c)[at] = getattr(res, c)
@@ -317,7 +323,7 @@ class Engine:
     def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area):
         cfg = self.config
         st = self.state
-        areas = st.areas()
+        areas = self._areas = st.areas()
         total = float(areas.sum())
         dists = mg.dist_to_wells_b(st.grads, self.wells).min(axis=1)
         hist = np.bincount(st.stages, weights=areas)
@@ -343,12 +349,10 @@ class Engine:
             sw = an.sweep_intervals(st.verts)
             row["bv_chi"] = an.bv_seminorm_cells(
                 st.verts, (st.phases == 1).astype(float), sweep=sw)
-            row["bv_grad"] = an.bv_seminorm(st, "grad", sweep=sw)
-        if checks in ("fast", "full"):
-            if row["partition_err"] > cfg.partition_tol * self.domain_area:
-                raise ConstructionFailureError(
-                    f"partition error {row['partition_err']:.3e} at step "
-                    f"{st.k}")
+            row["bv_grad"] = an.bv_seminorm(st, sweep=sw)
+        if row["partition_err"] > PARTITION_TOL * self.domain_area:
+            raise ConstructionFailureError(
+                f"partition error {row['partition_err']:.3e} at step {st.k}")
         if checks == "full":
             if sw.overlap_error:
                 raise ConstructionFailureError(f"overlapping cells at step "
@@ -356,15 +360,15 @@ class Engine:
             row["continuity_err"] = an.continuity_residual(
                 st.verts, st.grads, st.offs, sweep=sw)
             trace, stray = an.boundary_trace_residual(
-                st.verts, st.grads, st.offs, self.M, sweep=sw,
-                hull_segments=self.hull_segments)
+                st.verts, st.grads, st.offs, self.M, self.hull_segments,
+                sweep=sw)
             row["trace_err"] = trace
             row["stray_boundary_len"] = stray
-            if row["continuity_err"] > cfg.continuity_tol:
+            if row["continuity_err"] > CONTINUITY_TOL:
                 raise ConstructionFailureError(
                     f"continuity residual {row['continuity_err']:.3e} at "
                     f"step {st.k}")
-            if trace > cfg.trace_tol:
+            if trace > TRACE_TOL:
                 raise ConstructionFailureError(
                     f"boundary trace residual {trace:.3e} at step {st.k}")
         self.metrics.append(row, hist)

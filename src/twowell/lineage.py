@@ -6,7 +6,7 @@ no explicit mesh reaches the generations a regularity fit needs.  Every
 area integral in a metrics row is an expectation over a uniform point of
 the domain, however, and the cell containing such a point can be followed
 down the generations without building anything else: the cover of one
-cell is its right triangles (covering.generic_rows) or the twelve-child
+cell is its right triangles (covering.generic_spec) or the twelve-child
 isosceles template.  The child containing a point is found on that
 geometry directly; of a generic cover, only the square holding the point
 is laid, by the covering.lay_squares that emit_spec calls on a batch.
@@ -70,7 +70,7 @@ class Node:
 class Cover:
     """One cover in the covered cell's local frame, plus its totals.
 
-    A generic cover is kept as its RightRows (covering.generic_rows);
+    A generic cover is kept as its RightRows (covering.generic_spec);
     locate lays only the square holding a point, by covering.lay_squares
     as emit_spec lays all squares of a batch.  leftovers[i] holds row i's
     medial and residual triangles.  The isosceles fast path is one
@@ -135,7 +135,7 @@ def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
     The squares of a row are translates of each other, so the totals are
     m times those of the first square, laid by covering.lay_squares.
     """
-    rows = cv.generic_rows(tri, plan)
+    rows = cv.generic_spec(tri, plan)
     leftovers = []
     tot = np.zeros(5)       # sum r, r^2, r^3, perimeter, max r
     for row in rows:

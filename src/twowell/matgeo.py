@@ -4,9 +4,10 @@ Wells SO(2)F0 and SO(2)F0inv with F0 = [[1, d],[0, 1]], the two rank-one
 coordinate systems on the lamination hull, hull membership in Cauchy-Green
 coordinates, and the gap-splitting lemma that drives the refinement engine.
 
-All operations are pure and deterministic.  Scalar entry points are the
-public API; a few module-private batch helpers (suffix _b) back the fuzzing
-and sampling utilities where throughput matters.
+All operations are pure and deterministic.  The closed forms of the
+coordinate maps take a scalar lam/mu or arrays of them (results gain the
+broadcast leading axes); dist_to_wells_b and phases work on stacks of
+gradients.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     InvalidTargetError,
 )
 
-ALG_TOL = 1e-12       # closed-form identity residuals
 PIPE_TOL = 1e-9       # accumulated pipeline checks
 
 _EYE = np.eye(2)
@@ -62,10 +62,6 @@ class WellPair:
     dbar: float
     tilde_plus: np.ndarray
     tilde_minus: np.ndarray
-
-    @property
-    def separation_sq(self) -> float:
-        return well_distance_sq(self.delta)
 
 
 def make_wells(delta: float) -> WellPair:
@@ -107,14 +103,11 @@ def rotation_distance_sq(F: np.ndarray, G: np.ndarray) -> float:
 def dist_to_wells(F: np.ndarray, wells: WellPair) -> tuple[float, int]:
     """Distance from F to the union of the wells and which well is closer.
 
-    Returns (dist, phase) with phase 1 for SO(2)F0, 2 for SO(2)F0inv.
-    Ties go to phase 1.
+    Returns (dist, phase) with the phase as in phases.
     """
-    d1 = rotation_distance_sq(F, wells.F0)
-    d2 = rotation_distance_sq(F, wells.F0inv)
-    if d1 <= d2:
-        return math.sqrt(d1), 1
-    return math.sqrt(d2), 2
+    Fs = np.asarray(F, dtype=float)[None]
+    phase = int(phases(Fs, wells)[0])
+    return float(dist_to_wells_b(Fs, wells)[0, phase - 1]), phase
 
 
 def dist_to_wells_b(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
@@ -130,6 +123,13 @@ def dist_to_wells_b(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
     return out
 
 
+def phases(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
+    """Phase of each gradient of Fs (n,2,2) as uint8: 1 where SO(2)F0 is
+    at least as close as SO(2)F0inv (ties go to phase 1), else 2."""
+    d = dist_to_wells_b(Fs, wells)
+    return np.where(d[:, 0] <= d[:, 1], 1, 2).astype(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # the two rank-one coordinate systems
 # ---------------------------------------------------------------------------
@@ -138,55 +138,73 @@ def dist_to_wells_b(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
 # Both segments are parametrized by lam in [0,1]; mu in [0,1] runs along the
 # rank-one line A(lam) + mu * w(lam) (x) u.
 
-def base_matrix(branch: int, lam: float, delta: float) -> np.ndarray:
+def base_matrix(branch: int, lam, delta: float) -> np.ndarray:
+    """A(lam), shape lam.shape + (2,2)."""
     d = delta
+    lam = np.asarray(lam, dtype=float)
+    A = np.empty(lam.shape + (2, 2))
+    A[...] = _EYE
     if branch == 1:
-        return np.array([[1.0, d * (1.0 - 2.0 * lam)], [0.0, 1.0]])
-    if branch == 2:
+        A[..., 0, 1] = d * (1.0 - 2.0 * lam)
+    elif branch == 2:
         s = 1.0 + d * d
-        return np.array([[1.0 - 2.0 * lam * d * d / s, d], [-2.0 * lam * d / s, 1.0]])
-    raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
+        A[..., 0, 0] = 1.0 - 2.0 * lam * d * d / s
+        A[..., 0, 1] = d
+        A[..., 1, 0] = -2.0 * lam * d / s
+    else:
+        raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
+    return A
 
 
-def rank_one_params(branch: int, lam: float, delta: float):
+def rank_one_params(branch: int, lam, delta: float):
     """(Q, w, u, gamma) with Q @ A(1-lam) = A(lam) + w (x) u exactly."""
     d = delta
+    lam = np.asarray(lam, dtype=float)
     dt = d * (1.0 - 2.0 * lam)
     gamma = 2.0 * d * (2.0 * lam - 1.0) / (1.0 + dt * dt)
+    w = np.empty(lam.shape + (2,))
     if branch == 1:
-        w = gamma * np.array([dt, 1.0])
+        w[..., 0] = gamma * dt
+        w[..., 1] = gamma
         u = np.array([1.0, 0.0])
     elif branch == 2:
-        w = gamma * np.array([(1.0 - 2.0 * lam) * d * d + 1.0, -2.0 * lam * d])
+        w[..., 0] = gamma * ((1.0 - 2.0 * lam) * d * d + 1.0)
+        w[..., 1] = gamma * (-2.0 * lam * d)
         u = np.array([0.0, 1.0])
     else:
         raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    lhs = base_matrix(branch, lam, delta) + np.outer(w, u)
+    lhs = base_matrix(branch, lam, delta) + w[..., :, None] * u
     Q = lhs @ np.linalg.inv(base_matrix(branch, 1.0 - lam, delta))
     return Q, w, u, gamma
 
 
-def laminate_matrix(branch: int, mu: float, lam: float, delta: float) -> np.ndarray:
+def laminate_matrix(branch: int, mu, lam, delta: float) -> np.ndarray:
     _, w, u, _ = rank_one_params(branch, lam, delta)
-    return base_matrix(branch, lam, delta) + mu * np.outer(w, u)
+    mu = np.asarray(mu, dtype=float)
+    return (base_matrix(branch, lam, delta)
+            + mu[..., None, None] * w[..., :, None] * u)
 
 
-def laminate_gram(branch: int, mu: float, lam: float, delta: float) -> np.ndarray:
+def laminate_gram(branch: int, mu, lam, delta: float) -> np.ndarray:
     """Closed-form Cauchy-Green tensor of laminate_matrix (printed formulas)."""
     d = delta
+    mu = np.asarray(mu, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     dt = d * (1.0 - 2.0 * lam)
-    c12 = dt * (1.0 - 2.0 * mu)
     g1 = 4.0 * dt * dt / (1.0 + dt * dt)
+    c12 = dt * (1.0 - 2.0 * mu)
+    C = np.empty(np.shape(c12) + (2, 2))
+    C[..., 0, 1] = C[..., 1, 0] = c12
     if branch == 1:
-        c11 = 1.0 - g1 * mu * (1.0 - mu)
-        c22 = 1.0 + dt * dt
+        C[..., 0, 0] = 1.0 - g1 * mu * (1.0 - mu)
+        C[..., 1, 1] = 1.0 + dt * dt
     elif branch == 2:
         s = 1.0 + d * d
-        c11 = 1.0 - 4.0 * d * d * lam * (1.0 - lam) / s
-        c22 = s - s * g1 * mu * (1.0 - mu)
+        C[..., 0, 0] = 1.0 - 4.0 * d * d * lam * (1.0 - lam) / s
+        C[..., 1, 1] = s - s * g1 * mu * (1.0 - mu)
     else:
         raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    return np.array([[c11, c12], [c12, c22]])
+    return C
 
 
 def gap_coefficient(branch: int, lam: float, delta: float) -> float:
@@ -206,10 +224,6 @@ class LaminateCoords:
 
 def coords_to_matrix(c: LaminateCoords, delta: float) -> np.ndarray:
     return c.rotation @ laminate_matrix(c.branch, c.mu, c.lam, delta)
-
-
-def coords_to_cg(c: LaminateCoords, delta: float) -> np.ndarray:
-    return laminate_gram(c.branch, c.mu, c.lam, delta)
 
 
 def gram(F: np.ndarray) -> np.ndarray:
@@ -348,62 +362,8 @@ def split(F: np.ndarray, branch: int, eps: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# batch helpers and the lemma-level verification suite
+# the lemma-level verification suite
 # ---------------------------------------------------------------------------
-
-def _base_b(branch: int, lams: np.ndarray, delta: float) -> np.ndarray:
-    n = lams.shape[0]
-    d = delta
-    A = np.tile(_EYE, (n, 1, 1))
-    if branch == 1:
-        A[:, 0, 1] = d * (1.0 - 2.0 * lams)
-    else:
-        s = 1.0 + d * d
-        A[:, 0, 0] = 1.0 - 2.0 * lams * d * d / s
-        A[:, 0, 1] = d
-        A[:, 1, 0] = -2.0 * lams * d / s
-    return A
-
-
-def _wu_b(branch: int, lams: np.ndarray, delta: float):
-    d = delta
-    dt = d * (1.0 - 2.0 * lams)
-    gamma = 2.0 * d * (2.0 * lams - 1.0) / (1.0 + dt * dt)
-    w = np.empty((lams.shape[0], 2))
-    if branch == 1:
-        w[:, 0] = gamma * dt
-        w[:, 1] = gamma
-        u = np.array([1.0, 0.0])
-    else:
-        w[:, 0] = gamma * ((1.0 - 2.0 * lams) * d * d + 1.0)
-        w[:, 1] = gamma * (-2.0 * lams * d)
-        u = np.array([0.0, 1.0])
-    return w, u, gamma
-
-
-def laminate_matrix_b(branch: int, mus: np.ndarray, lams: np.ndarray,
-                      delta: float) -> np.ndarray:
-    A = _base_b(branch, lams, delta)
-    w, u, _ = _wu_b(branch, lams, delta)
-    return A + mus[:, None, None] * w[:, :, None] * u[None, None, :]
-
-
-def laminate_gram_b(branch: int, mus: np.ndarray, lams: np.ndarray,
-                    delta: float) -> np.ndarray:
-    d = delta
-    dt = d * (1.0 - 2.0 * lams)
-    g1 = 4.0 * dt * dt / (1.0 + dt * dt)
-    C = np.empty((lams.shape[0], 2, 2))
-    C[:, 0, 1] = C[:, 1, 0] = dt * (1.0 - 2.0 * mus)
-    if branch == 1:
-        C[:, 0, 0] = 1.0 - g1 * mus * (1.0 - mus)
-        C[:, 1, 1] = 1.0 + dt * dt
-    else:
-        s = 1.0 + d * d
-        C[:, 0, 0] = 1.0 - 4.0 * d * d * lams * (1.0 - lams) / s
-        C[:, 1, 1] = s - s * g1 * mus * (1.0 - mus)
-    return C
-
 
 def verify_identities(delta: float, samples: int = 10_000, seed: int = 0) -> dict:
     """Residual suite for the closed forms; all entries should sit at ~1e-15.
@@ -419,16 +379,12 @@ def verify_identities(delta: float, samples: int = 10_000, seed: int = 0) -> dic
     for branch in (1, 2):
         lams = rng.uniform(0.0, 1.0, samples)
         mus = rng.uniform(0.0, 1.0, samples)
-        A = _base_b(branch, lams, delta)
-        A1m = _base_b(branch, 1.0 - lams, delta)
-        w, u, _ = _wu_b(branch, lams, delta)
-        lhs = A + w[:, :, None] * u[None, None, :]
-        Q = lhs @ np.linalg.inv(A1m)
+        Q, _, _, _ = rank_one_params(branch, lams, delta)
         ortho = np.einsum("nji,njk->nik", Q, Q) - _EYE
         res["rank_one"] = max(res["rank_one"], float(np.abs(ortho).max()))
-        F = laminate_matrix_b(branch, mus, lams, delta)
+        F = laminate_matrix(branch, mus, lams, delta)
         CF = np.einsum("nji,njk->nik", F, F)
-        Cc = laminate_gram_b(branch, mus, lams, delta)
+        Cc = laminate_gram(branch, mus, lams, delta)
         res["gram_closed_form"] = max(res["gram_closed_form"],
                                       float(np.abs(CF - Cc).max()))
         dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]

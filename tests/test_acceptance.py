@@ -347,7 +347,7 @@ def _iso_pair():
     m0 = np.array([0.15, -0.4])
     tri = cov._fix_ccw(np.stack([m0 + 0.37 * d, m0 - plan.h * 0.37 * p,
                                  m0 + plan.h * 0.37 * p])[None])[0]
-    res = cov.cover_isosceles(tri, M, DELTA, plan=plan)
+    res = cov.cover_isosceles(tri, plan)
     coarse = _chi_state(tri[None], [plan.parent_phase])
     coarse.grads = M[None].copy()
     fine = SimpleNamespace(verts=res.verts, phases=res.phases,

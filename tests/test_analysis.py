@@ -54,7 +54,7 @@ def cover_mesh():
     M = ia.stage_representative(2, DELTA)
     plan = cl.replace_dyadic_stage(M, DELTA, h0)
     T = np.array([[0.0, 0.0], [0.9, 0.15], [0.25, 0.8]])
-    return cov.cover_generic(T, plan.M, DELTA, plan=plan)
+    return cov.cover_generic(T, plan)
 
 
 class TestBVSeminorm:

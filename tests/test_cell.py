@@ -220,7 +220,7 @@ class TestPlans:
         w = 2.0 * p.h * r * np.array([-d[1], d[0]])
         m = y0 - r * d
         tri = np.stack([m + w, m - w, y0 + r * d])
-        res = cov.cover_isosceles(tri, p.M, self.delta, plan=p)
+        res = cov.cover_isosceles(tri, p)
         return res.verts[:p.n_pieces], res.offs[:p.n_pieces]
 
     def test_place_matches_direct_construction(self):

@@ -100,7 +100,7 @@ class TestIsosceles:
         base = np.array([[-h, 0.0], [h, 0.0], [0.0, -1.0]])
         T = base @ Rot.T * 0.25
         M = plan.M
-        res = cov.cover_isosceles(T, M, DELTA, plan=plan)
+        res = cov.cover_isosceles(T, plan)
         assert res.n_children == 12
         assert res.kind == "iso"
         area = cov.tri_areas(T[None])[0]
@@ -132,7 +132,7 @@ class TestIsosceles:
         d = plan.dhat
         Rot = np.column_stack([np.array([-d[1], d[0]]), d])
         T = np.array([[-h, 0.0], [h, 0.0], [0.0, -1.0]]) @ Rot.T
-        res = cov.cover_isosceles(T, plan.M, DELTA, plan=plan)
+        res = cov.cover_isosceles(T, plan)
         per_parent = cov.tri_perimeters(T[None])[0]
         assert (cov.tri_perimeters(res.verts) <= per_parent + 1e-12).all()
         sums = cov.perimeter_ledger(res)
@@ -145,9 +145,9 @@ class TestIsosceles:
         d = plan.dhat
         Rot = np.column_stack([np.array([-d[1], d[0]]), d])
         T = np.array([[-h, 0.0], [h, 0.0], [0.0, -1.0]]) @ Rot.T
-        res = cov.cover_isosceles(T, plan.M, DELTA, plan=plan)
+        res = cov.cover_isosceles(T, plan)
         left = res.verts[~res.good][0]
-        res2 = cov.cover_isosceles(left, plan.M, DELTA, plan=plan)
+        res2 = cov.cover_isosceles(left, plan)
         assert res2.n_children == 12
         assert res2.good_area() == pytest.approx(
             cov.tri_areas(left[None])[0] / 2, rel=1e-12)
@@ -155,7 +155,7 @@ class TestIsosceles:
     def test_rejects_non_member(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(WrongEntryPointError):
-            cov.cover_isosceles(T, plan.M, DELTA, plan=plan)
+            cov.cover_isosceles(T, plan)
 
     def test_rejects_mismatched_axis(self, plan):
         # member of the class, but apex axis perpendicular to the frame
@@ -165,22 +165,20 @@ class TestIsosceles:
         Rot = np.column_stack([d, perp])  # axis lands on dhat-perp
         T = np.array([[-h, 0.0], [h, 0.0], [0.0, -1.0]]) @ Rot.T
         with pytest.raises(WrongEntryPointError):
-            cov.cover_isosceles(T, plan.M, DELTA, plan=plan)
+            cov.cover_isosceles(T, plan)
 
 
 class TestRectangle:
     def test_child_counts(self, plan):
         corner = np.array([0.1, 0.2])
         for n, want in ((1, 14), (3, 38)):
-            res = cov.cover_rectangle(corner, plan.dhat, 0.125, n,
-                                      plan.M, DELTA, plan=plan)
+            res = cov.cover_rectangle(corner, plan.dhat, 0.125, n, plan)
             assert res.n_children == want
 
     def test_partition_and_trace(self, plan):
         corner = np.array([-0.3, 0.05])
         r, n = 0.0625, 4
-        res = cov.cover_rectangle(corner, plan.dhat, r, n, plan.M, DELTA,
-                                  plan=plan)
+        res = cov.cover_rectangle(corner, plan.dhat, r, n, plan)
         box_area = r * (n * plan.h * r)
         assert res.areas().sum() == pytest.approx(box_area, rel=1e-12)
         sweep = an.sweep_intervals(res.verts)
@@ -197,8 +195,7 @@ class TestRectangle:
         d = plan.dhat
         off_axis = np.array([-d[1], d[0]])
         with pytest.raises(WrongEntryPointError):
-            cov.cover_rectangle(np.zeros(2), off_axis, 0.1, 2, plan.M,
-                                DELTA, plan=plan)
+            cov.cover_rectangle(np.zeros(2), off_axis, 0.1, 2, plan)
 
 
 class TestGeneric:
@@ -208,12 +205,12 @@ class TestGeneric:
         for branch in BRANCHES:
             T, rotated = right_triangle(plan, branch)
             spec = cov.generic_spec(T, plan)
-            assert [row.m for row in spec.rows] == [3], branch
-            rows, corners = cov.lay_squares(spec.rows, [0, 0, 0],
-                                            [0, 1, 2], plan)
+            assert [row.m for row in spec] == [3], branch
+            rows, corners = cov.lay_squares(spec, [0, 0, 0], [0, 1, 2],
+                                            plan)
             assert np.abs(rows[1] - plan.dhat).max() < 1e-12, branch
             assert corners.shape == (12 if rotated else 0, 3, 2), branch
-            res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+            res = cov.cover_generic(T, plan)
             area = abs(cov.tri_areas(T[None])[0])
             cover_checks(res, T, plan.M, area)
             assert res.good_area() >= cov.GOOD_FRACTION * area, branch
@@ -224,7 +221,7 @@ class TestGeneric:
         rng = np.random.default_rng(5)
         tris = [right_triangle(plan, branch)[0] for branch in BRANCHES]
         tris += [rng.uniform(-1, 1, (3, 2)) for _ in range(20)]
-        rows = [row for T in tris for row in cov.generic_rows(T, plan)]
+        rows = [row for T in tris for row in cov.generic_spec(T, plan)]
         ri = np.repeat(np.arange(len(rows)), [row.m for row in rows])
         i = np.concatenate([np.arange(row.m) for row in rows])
         laid, corners = cov.lay_squares(rows, ri, i, plan)
@@ -240,7 +237,7 @@ class TestGeneric:
 
     def test_equilateral_altitude_split(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+        res = cov.cover_generic(T, plan)
         area = cov.tri_areas(T[None])[0]
         cover_checks(res, T, plan.M, area)
         assert res.good_area() >= cov.GOOD_FRACTION * area
@@ -253,7 +250,7 @@ class TestGeneric:
             if abs(cov.tri_areas(T[None])[0]) < 0.1:
                 continue
             area = abs(cov.tri_areas(T[None])[0])
-            res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+            res = cov.cover_generic(T, plan)
             cover_checks(res, T, plan.M, area)
             assert res.good_area() >= cov.GOOD_FRACTION * area
 
@@ -264,13 +261,13 @@ class TestGeneric:
         tris += [right_triangle(plan, branch)[0] for branch in BRANCHES]
         for T in tris:
             spec = cov.generic_spec(T, plan)
-            res = cov.emit_spec(spec, plan, np.zeros(2), 1.0)
-            assert res.n_children == spec.child_count(), T
+            res = cov.emit_spec([spec], plan, np.zeros(2), 1.0)
+            assert res.n_children == cov.child_count(spec, plan), T
             cover_checks(res, T, plan.M, abs(cov.tri_areas(T[None])[0]))
 
     def test_perimeter_ledger_bounds(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
-        res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+        res = cov.cover_generic(T, plan)
         good, iso, gen = cov.perimeter_ledger(res)
         per = cov.tri_perimeters(T[None])[0]
         c0 = cov.c0_constant(plan.h)
@@ -280,7 +277,7 @@ class TestGeneric:
 
     def test_good_children_advance_stage(self, plan):
         T = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
-        res = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+        res = cov.cover_generic(T, plan)
         assert (res.stages[res.good] == plan.stage + 1).all()
         assert (res.stages[~res.good] == plan.stage).all()
         # leftovers keep the parent's affine map
@@ -289,27 +286,29 @@ class TestGeneric:
 
     def test_deterministic(self, plan):
         T = np.array([[0.1, 0.1], [0.8, 0.25], [0.3, 0.9]])
-        a = cov.cover_generic(T, plan.M, DELTA, plan=plan)
-        b = cov.cover_generic(T, plan.M, DELTA, plan=plan)
+        a = cov.cover_generic(T, plan)
+        b = cov.cover_generic(T, plan)
         assert np.array_equal(a.verts, b.verts)
         assert np.array_equal(a.offs, b.offs)
 
-    def test_stage_rule_entry_points(self):
+    def test_stage_rule_entry_points(self, plan):
+        # a cover takes the plan of its cell; each rule refuses the
+        # stages of the other
         z0 = ia.zeta0(DELTA)
         M0 = ia.matrix_from_gaps(0.75 * z0, 0.75 * z0, DELTA, 1)
-        T = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(WrongEntryPointError):
-            cov.cover_generic(T, M0, DELTA, stage_rule="A4")
+            cl.replace_dyadic_stage(M0, DELTA, plan.h)
         M2 = ia.stage_representative(2, DELTA)
         with pytest.raises(WrongEntryPointError):
-            cov.cover_generic(T, M2, DELTA, stage_rule="A3")
+            cl.replace_low_stage(M2, DELTA)
 
     def test_low_stage_rule_runs(self):
-        # A3 on a stage-0 gradient: children strictly above stage 0
+        # the low-stage plan of a stage-0 gradient: children strictly
+        # above stage 0
         z0 = ia.zeta0(DELTA)
         M0 = ia.matrix_from_gaps(0.75 * z0, 0.75 * z0, DELTA, 1)
         T = np.array([[0.0, 0.0], [0.5, 0.0], [0.1, 0.4]])
-        res = cov.cover_generic(T, M0, DELTA, stage_rule="A3")
+        res = cov.cover_generic(T, cl.replace_low_stage(M0, DELTA))
         area = cov.tri_areas(T[None])[0]
         assert res.areas().sum() == pytest.approx(area, rel=1e-12)
         assert (res.stages[res.good] > 0).all()
@@ -338,18 +337,17 @@ class TestBatches:
                 np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]),
                 rng.uniform(-1, 1, (3, 2))]
         specs = [cov.generic_spec(T, plan) for T in tris]
-        assert len({sum(row.m for row in sp.rows) for sp in specs}) > 1
+        assert len({sum(row.m for row in sp) for sp in specs}) > 1
         self.check(cov.emit_spec(specs, plan, offs),
-                   [cov.emit_spec(sp, plan, o) for sp, o in zip(specs, offs)])
+                   [cov.emit_spec([sp], plan, o)
+                    for sp, o in zip(specs, offs)])
         d = plan.dhat
         Rot = np.column_stack([np.array([-d[1], d[0]]), d])
         T = np.array([[-plan.h, 0.0], [plan.h, 0.0], [0.0, -1.0]]) @ Rot.T
         # both apex directions along the frame, several scales and places
         isos = np.stack([T, -0.5 * T + 1.0, 0.25 * T - 2.0, -T + 0.3])
-        self.check(cov.cover_isosceles(isos, plan.M, DELTA, plan=plan,
-                                       offset=offs),
-                   [cov.cover_isosceles(v, plan.M, DELTA, plan=plan,
-                                        offset=o)
+        self.check(cov.cover_isosceles(isos, plan, offset=offs),
+                   [cov.cover_isosceles(v, plan, offset=o)
                     for v, o in zip(isos, offs)])
 
 

@@ -8,7 +8,7 @@ from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import (ConstructionFailureError, InvalidDomainError,
-                            WrongEntryPointError)
+                            InvalidParameterError, WrongEntryPointError)
 
 DELTA = 0.5
 
@@ -49,6 +49,18 @@ class TestValidation:
             en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
                       wells=NotWells())
         assert "NotWells" in str(err.value)
+
+    def test_rejects_shear_wells_of_another_delta(self):
+        with pytest.raises(WrongEntryPointError) as err:
+            en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
+                      wells=mg.make_wells(3.0))
+        assert "3.0" in str(err.value) and "0.5" in str(err.value)
+
+    def test_rejects_unknown_checks(self):
+        cfg = en.EngineConfig(checks="ful")
+        with pytest.raises(InvalidParameterError) as err:
+            en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        assert "'ful'" in str(err.value)
 
     def test_rejects_overlapping_domain(self):
         dom = np.array([

@@ -19,6 +19,7 @@ from twowell import covering as cov
 from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import lineage as lin
+from twowell import matgeo as mg
 
 DELTA = 0.5
 AREA_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
@@ -55,11 +56,11 @@ def _generation2_reference(eng):
     """Row 2 and its stage measure, summed over all 776 covers.
 
     One cover at a time: the isosceles cells through the engine's own
-    cover_isosceles, the generic ones through covering.generic_rows with
+    cover_isosceles, the generic ones through covering.generic_spec with
     each row's squares counted as m translates of its first (the totals
     lineage.generic_cover reports, checked against emitted covers by
     test_generic_totals_match_every_generation1_geometry).  Laying all ~10^6 squares with
-    generic_spec instead takes about a minute.
+    emit_spec instead takes about a minute.
     """
     st = eng.state
     tot = dict.fromkeys(AREA_COLUMNS, 0.0)
@@ -69,8 +70,7 @@ def _generation2_reference(eng):
     for i in range(st.n):
         plan = eng._plan(st.grads[i])
         if cov.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
-            res = cov.cover_isosceles(st.verts[i], st.grads[i], DELTA,
-                                      plan=plan, offset=st.offs[i])
+            res = cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
             r2 = float(np.sum(res.diam_scales ** 2))
             r3 = float(np.sum(res.diam_scales ** 3))
             per = float(cov.tri_perimeters(res.verts).sum())
@@ -155,9 +155,8 @@ def _emitted(eng, i, st=None):
     st = eng.state if st is None else st
     plan = eng._plan(st.grads[i])
     if cov.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
-        return cov.cover_isosceles(st.verts[i], st.grads[i], DELTA,
-                                   plan=plan, offset=st.offs[i])
-    return cov.emit_spec(cov.generic_spec(st.verts[i], plan), plan,
+        return cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
+    return cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
                          st.offs[i], 1.0)
 
 
@@ -230,7 +229,7 @@ def _stepped(run):
     assert ia.classify(other, DELTA) == 2
     st = eng.state
     st.grads[1::2] = other
-    st.phases[1::2] = eng._phase_of(other)
+    st.phases[1::2] = mg.phases(other[None], eng.wells)[0]
     st.offs[:] = np.random.default_rng(0).normal(size=(4, 2))
     eng.step()
     assert eng.state.k == 1 and len(eng._plans) == 2
@@ -334,7 +333,7 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
         plan = gen1._plan(st.grads[i])
         node = _node_of(gen1, i)
         cover = cache.cover(node)
-        res = cov.emit_spec(cov.generic_spec(st.verts[i], plan), plan,
+        res = cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
                             st.offs[i], 1.0)
         r = res.diam_scales
         sums = [np.sum(r * r), np.sum(r ** 3),

@@ -85,6 +85,17 @@ class TestWells:
         assert batch[1, 0] == pytest.approx(mg.well_distance(0.5), abs=1e-12)
 
 
+    def test_phase_ties_go_to_phase_one(self):
+        # F = Id is equidistant from both wells
+        w = mg.make_wells(0.5)
+        d = mg.dist_to_wells_b(np.eye(2)[None], w)[0]
+        assert d[0] == d[1]
+        assert mg.phases(np.eye(2)[None], w).tolist() == [1]
+        assert mg.dist_to_wells(np.eye(2), w)[1] == 1
+        got = mg.phases(np.stack([w.F0, np.eye(2), w.F0inv]), w)
+        assert got.dtype == np.uint8 and got.tolist() == [1, 1, 2]
+
+
 class TestRankOneFrame:
     def test_endpoints(self):
         # branch 1 runs F0 -> F0inv, branch 2 runs F0 -> (rotation) F0inv
@@ -128,6 +139,28 @@ class TestRankOneFrame:
         rhs = mg.base_matrix(branch, lam, delta) + np.outer(w, u)
         assert np.abs(lhs - rhs).max() < 1e-12
         assert mg.is_rotation(Q, 1e-12)
+
+
+class TestArrayArguments:
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_arrays_equal_stacked_scalar_calls(self, branch):
+        # every closed form called with arrays of lam/mu returns the
+        # stacked results of the scalar calls, bit for bit
+        rng = np.random.default_rng(branch)
+        lams = rng.uniform(0.0, 1.0, 1000)
+        mus = rng.uniform(0.0, 1.0, 1000)
+        d = 0.5
+        Q, w, u, g = mg.rank_one_params(branch, lams, d)
+        scalar = [mg.rank_one_params(branch, lam, d) for lam in lams]
+        assert np.array_equal(Q, np.stack([s[0] for s in scalar]))
+        assert np.array_equal(w, np.stack([s[1] for s in scalar]))
+        assert all(np.array_equal(u, s[2]) for s in scalar)
+        assert np.array_equal(g, np.array([s[3] for s in scalar]))
+        assert np.array_equal(mg.base_matrix(branch, lams, d), np.stack(
+            [mg.base_matrix(branch, lam, d) for lam in lams]))
+        for form in (mg.laminate_matrix, mg.laminate_gram):
+            assert np.array_equal(form(branch, mus, lams, d), np.stack(
+                [form(branch, mu, lam, d) for mu, lam in zip(mus, lams)]))
 
 
 class TestGram:
