@@ -14,6 +14,14 @@ owners of every subinterval, so jumps across partially overlapping
 child/neighbor edges are integrated exactly without any pairwise
 matching.
 
+Across a refinement step the sweep is incremental.  Every kept cell is
+frozen, so a line that carries no edge of a new cell or of a covered one
+holds the same edges as before and decomposes into the same intervals.
+sweep_intervals takes the previous state's sweep, sweeps only the dirty
+lines and merges their intervals with the carried clean ones (owners
+renumbered through prev_index) in the order of a full sweep, which it
+equals element for element.
+
 Line grouping works in bbox-normalized coordinates and tolerates
 coordinate noise up to ~1e-10 of the mesh diameter, with features down
 to ~1e-6 of it.  Meshes stored with a large translation relative to
@@ -49,43 +57,46 @@ LINE_QUANTUM = 1e-9
 def _frame(verts: np.ndarray):
     """Normalizing frame (center, diameter) so line quantization is
     invariant under translation and scaling of the mesh."""
-    flat = verts.reshape(-1, 2)
-    lo = flat.min(axis=0)
-    hi = flat.max(axis=0)
+    x, y = verts[..., 0], verts[..., 1]
+    lo = np.array([x.min(), y.min()])
+    hi = np.array([x.max(), y.max()])
     diam = max(float(hi[0] - lo[0]), float(hi[1] - lo[1]))
     if diam <= 0:
         raise InvalidParameterError("degenerate mesh extent")
     return 0.5 * (lo + hi), diam
 
 
-def _edge_table(verts: np.ndarray):
-    """Per-edge line keys and interval data for all 3N directed edges.
+def _edge_table(verts: np.ndarray, frame, eid: np.ndarray):
+    """Line keys and interval data of the edges eid of verts.
 
-    Works in normalized coordinates (bbox center and diameter divided
-    out).  Returns (line_key (E,3) int64, tlo, thi, left (bool: owning
-    cell lies left of the canonical tangent), owner, canonical frames
-    (nx, ny, c) in normalized coords, and (center, diam)).
+    Edge 3i + j runs from vertex j to vertex j + 1 (mod 3) of cell i.
+    Zero-length edges are dropped.  Works in normalized coordinates (the
+    frame's center and diameter divided out); every value of an edge
+    depends on that edge and the frame only.  Returns (eid, line key (E,3)
+    int32, tlo, thi, left (bool: owning cell lies left of the canonical
+    tangent), and the endpoints in absolute coordinates ordered by t).
     """
-    n = verts.shape[0]
-    center, diam = _frame(verts)
-    w = (verts - center) / diam
-    p0 = w.reshape(-1, 2)
-    p1 = np.roll(w, -1, axis=1).reshape(-1, 2)
-    owner = np.repeat(np.arange(n), 3)
+    center, diam = frame
+    flat = verts.reshape(-1, 2)
+    p0 = (flat[eid] - center) / diam
+    p1 = (flat[eid + 1 - 3 * (eid % 3 == 2)] - center) / diam
     d = p1 - p0
     length = np.linalg.norm(d, axis=1)
     good = length > 0
-    p0, p1, d, length, owner = p0[good], p1[good], d[good], length[good], owner[good]
+    eid, p0, p1, d, length = eid[good], p0[good], p1[good], d[good], \
+        length[good]
     dh = d / length[:, None]
     nx, ny = -dh[:, 1], dh[:, 0]
-    qnx = np.round(nx / LINE_QUANTUM).astype(np.int64)
-    qny = np.round(ny / LINE_QUANTUM).astype(np.int64)
+    # |qnx|, |qny| <= 1e9 and, with every point within 0.5 of the center
+    # per axis, |qc| <= 0.71e9: int32 holds the keys
+    qnx = np.round(nx / LINE_QUANTUM).astype(np.int32)
+    qny = np.round(ny / LINE_QUANTUM).astype(np.int32)
     flip = (qnx < 0) | ((qnx == 0) & (qny < 0))
     s = np.where(flip, -1.0, 1.0)
     nx, ny = nx * s, ny * s
-    qnx, qny = qnx * np.where(flip, -1, 1), qny * np.where(flip, -1, 1)
+    qnx, qny = np.where(flip, -qnx, qnx), np.where(flip, -qny, qny)
     c = nx * p0[:, 0] + ny * p0[:, 1]
-    qc = np.round(c / LINE_QUANTUM).astype(np.int64)
+    qc = np.round(c / LINE_QUANTUM).astype(np.int32)
     # tangent = perp of canonical normal; the CCW cell lies left of p0->p1
     t0 = ny * p0[:, 0] - nx * p0[:, 1]
     t1 = ny * p1[:, 0] - nx * p1[:, 1]
@@ -100,30 +111,16 @@ def _edge_table(verts: np.ndarray):
     plo_abs = np.where(swap, a1, a0)
     phi_abs = np.where(swap, a0, a1)
     key = np.stack([qnx, qny, qc], axis=1)
-    return key, tlo, thi, left, owner, (plo_abs, phi_abs), (center, diam)
+    return eid, key, tlo, thi, left, plo_abs, phi_abs
 
 
-@dataclass
-class SweepAccumulator:
-    """Subinterval decomposition of all coincident-edge lines.
-
-    For every maximal subinterval on every line: dt (length), the owning
-    cell on each side (-1 when uncovered) and the endpoints in absolute
-    coordinates.  Payload integrals are evaluated by the callers through
-    the owners.
-    """
-    dt: np.ndarray
-    left_owner: np.ndarray
-    right_owner: np.ndarray
-    point_lo: np.ndarray
-    point_hi: np.ndarray
-    overlap_error: bool
-
-
-def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
-    """Decompose all edges into subintervals with per-side owners."""
-    key, tlo, thi, left, owner, (plo_abs, phi_abs), (center, diam) = \
-        _edge_table(verts)
+def _sweep(edges, diam: float):
+    """Subintervals of the lines of an edge table, in the order line key
+    (lexicographic), then t.  Every line's result depends on its own edges
+    only, so a table holding all edges of some lines sweeps exactly those
+    lines.  Returns ((dt, left owner, right owner, point_lo, point_hi,
+    line key), overlap)."""
+    eid, key, tlo, thi, left, plo_abs, phi_abs = edges
     e = tlo.shape[0]
     # two events per edge (event i belongs to edge i >> 1), sorted by line
     # key (qnx, qny, qc), then t; closers sort before openers at equal t
@@ -137,9 +134,7 @@ def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
     ev_open = ev_open[order]
     ev_edge = order >> 1
     ev_left = left[ev_edge]
-    ev_key = key[ev_edge]
-    same_line = (ev_key[1:] == ev_key[:-1]).all(axis=1)
-    del ev_key              # 24 bytes per event, not needed below
+    same_line = ~_line_changes(key[ev_edge])
     # both events of an edge carry its line key, so every running sum
     # below returns to exactly 0 at the end of each line and plain cumsums
     # are per-line sums; with counts in {0,1}, the running sum of
@@ -154,6 +149,8 @@ def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
     # makes sliver subintervals with transiently wrong coverage counts;
     # they carry no measure and are dropped
     keep = dt > 1e-12
+    line = key[ev_edge[:-1][keep]]
+    owner = eid // 3
     eL = np.clip(el[:-1][keep] - 1, -1, e - 1)
     eR = np.clip(er[:-1][keep] - 1, -1, e - 1)
     lo = np.where(eL >= 0, owner[np.maximum(eL, 0)], -1)
@@ -162,17 +159,167 @@ def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
     # interval endpoints in absolute coordinates, reconstructed on the
     # active edge's own stored segment: the quantized frame only groups
     # lines, so points must not be rebuilt from it (thin pieces sit
-    # closer together than the quantum)
+    # closer together than the quantum); a gap (no edge on either side)
+    # has no segment and gets NaN endpoints
     tl = ev_t[:-1][keep]
     th = ev_t[1:][keep]
     src = np.where(eL >= 0, eL, eR)
+    gap = src < 0
+    src = np.maximum(src, 0)
     span = np.maximum(thi[src] - tlo[src], 1e-300)
     s0 = np.clip((tl - tlo[src]) / span, 0.0, 1.0)
     s1 = np.clip((th - tlo[src]) / span, 0.0, 1.0)
     seg = phi_abs[src] - plo_abs[src]
     plo = plo_abs[src] + s0[:, None] * seg
     phi = plo_abs[src] + s1[:, None] * seg
-    return SweepAccumulator(dt[keep] * diam, lo, ro, plo, phi, overlap)
+    plo[gap] = np.nan
+    phi[gap] = np.nan
+    return (dt[keep] * diam, lo, ro, plo, phi, line), overlap
+
+
+def _buckets(key: np.ndarray, bits: int) -> np.ndarray:
+    """Bucket in [0, 2**bits) of each line key (rows of (qnx, qny, qc)): a
+    multiplicative hash, so equal keys share a bucket.  Distinct lines may
+    share one too; a line is dirty when its bucket is, so a shared bucket
+    only re-sweeps a clean line."""
+    k = key.astype(np.int64).view(np.uint64)
+    m = np.uint64(0x9E3779B97F4A7C15)
+    h = ((k[:, 0] * m + k[:, 1]) * m + k[:, 2]) * m
+    return (h >> np.uint64(64 - bits)).astype(np.intp)
+
+
+def _line_changes(line: np.ndarray) -> np.ndarray:
+    """Whether each row of line keys differs from the row before it."""
+    a, b = line[1:], line[:-1]
+    return (a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1]) | (a[:, 2] != b[:, 2])
+
+
+def _line_starts(line: np.ndarray) -> np.ndarray:
+    """First index of every run of equal line keys."""
+    head = np.ones(line.shape[0], dtype=bool)
+    head[1:] = _line_changes(line)
+    return np.flatnonzero(head)
+
+
+def _merge(a, b):
+    """Interleave two interval sets, each in (line key, t) order and on
+    disjoint lines, into that order: whole lines move, by line key."""
+    sa, sb = _line_starts(a[-1]), _line_starts(b[-1])
+    na, nb = a[-1].shape[0], b[-1].shape[0]
+    starts = np.concatenate([sa, sb])
+    size = np.concatenate([np.diff(sa, append=na), np.diff(sb, append=nb)])
+    heads = np.concatenate([a[-1][sa], b[-1][sb]])
+    order = np.lexsort(heads.T[::-1])
+    dest = np.empty_like(size)
+    dest[order] = np.cumsum(size[order]) - size[order]
+    shift = np.repeat(dest - starts, size)
+    at_a = np.arange(na) + shift[:na]
+    at_b = np.arange(nb) + shift[na:]
+    out = []
+    for fa, fb in zip(a, b):
+        f = np.empty((na + nb,) + fa.shape[1:], dtype=fa.dtype)
+        f[at_a] = fa
+        f[at_b] = fb
+        out.append(f)
+    return out
+
+
+@dataclass
+class SweepAccumulator:
+    """Subinterval decomposition of all coincident-edge lines.
+
+    For every maximal subinterval on every line, in the order line key,
+    then position along the line: dt (length), the owning cell on each
+    side (-1 when uncovered) and the endpoints in absolute coordinates.
+    A gap interval (no cell on either side, e.g. between two edges of one
+    line that do not meet) has NaN endpoints; it stays in place with its
+    dt, so sums over dt keep their bits.  Payload integrals are evaluated
+    by the callers through the owners.
+
+    line (the line key of every interval), cell_lines (the line keys of
+    every cell's three edges, (n,3,3) int32, -1 for a zero-length edge)
+    and frame (the normalizing (center, diam)) are what the next state's
+    sweep carries over; see sweep_intervals.
+    """
+    dt: np.ndarray
+    left_owner: np.ndarray
+    right_owner: np.ndarray
+    point_lo: np.ndarray
+    point_hi: np.ndarray
+    line: np.ndarray
+    overlap_error: bool
+    cell_lines: np.ndarray
+    frame: tuple
+
+
+def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
+                 prev_index: np.ndarray, n_kept: int):
+    """What a refinement step changed, for sweep_intervals: (cell_lines of
+    verts, the edge table of every edge on a dirty line, positions of the
+    old intervals on clean lines)."""
+    n = verts.shape[0]
+    kept = prev_index[:n_kept]
+    new = _edge_table(verts, frame, np.arange(3 * n_kept, 3 * n))
+    cell_lines = np.full((n, 3, 3), -1, dtype=np.int32)
+    cell_lines[:n_kept] = old.cell_lines[kept]
+    flat = cell_lines.reshape(-1, 3)
+    flat[new[0]] = new[1]
+    # a parent edge and its children's edges need not share a key, so the
+    # lines of both are dirty
+    covered = np.ones(old.cell_lines.shape[0], dtype=bool)
+    covered[kept] = False
+    bits = (3 * n).bit_length() + 2         # 4 to 8 buckets per edge
+    dirty = np.zeros(1 << bits, dtype=bool)
+    dirty[_buckets(new[1], bits)] = True
+    dirty[_buckets(old.cell_lines[covered].reshape(-1, 3), bits)] = True
+    # kept edges on dirty lines; a zero-length one (key -1) is dropped by
+    # the edge table
+    redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
+    edges = [np.concatenate(f) for f in
+             zip(_edge_table(verts, frame, redo), new)]
+    starts = _line_starts(old.line)
+    size = np.diff(starts, append=old.line.shape[0])
+    clean = np.flatnonzero(np.repeat(
+        ~dirty[_buckets(old.line[starts], bits)], size))
+    return cell_lines, edges, clean
+
+
+def sweep_intervals(verts: np.ndarray, prev=None) -> SweepAccumulator:
+    """Decompose all edges into subintervals with per-side owners.
+
+    prev = (sweep, prev_index, n_kept) carries the sweep of the previous
+    state when verts are its cells prev_index[:n_kept], kept bit for bit,
+    followed by new cells (a refinement step: the state's prev_index).
+    Only dirty lines are swept again, the lines that carry an edge of a new
+    cell or of a previous cell not kept; the intervals of the other lines
+    are carried over with their owners renumbered.  The result equals the
+    sweep of verts alone element for element.  Every line is swept when the
+    frame's bits changed, and when either sweep finds an overlap: owners
+    of overlapping intervals depend on the numbering of all edges.
+    """
+    frame = _frame(verts)
+    n = verts.shape[0]
+    if prev is not None and not prev[0].overlap_error \
+            and prev[0].frame[1] == frame[1] \
+            and prev[0].frame[0].tobytes() == frame[0].tobytes():
+        old, prev_index, n_kept = prev
+        cell_lines, edges, clean = _dirty_lines(verts, frame, *prev)
+        fresh, overlap = _sweep(edges, frame[1])
+        if not overlap:
+            # owners renumbered to the new state; index -1 (no owner)
+            # reads the last entry, which no kept cell maps to
+            renum = np.full(old.cell_lines.shape[0] + 1, -1, dtype=np.int64)
+            renum[prev_index[:n_kept]] = np.arange(n_kept)
+            carried = (old.dt[clean], renum[old.left_owner[clean]],
+                       renum[old.right_owner[clean]], old.point_lo[clean],
+                       old.point_hi[clean], old.line[clean])
+            return SweepAccumulator(*_merge(carried, fresh), False,
+                                    cell_lines, frame)
+    edges = _edge_table(verts, frame, np.arange(3 * n))
+    cell_lines = np.full((n, 3, 3), -1, dtype=np.int32)
+    cell_lines.reshape(-1, 3)[edges[0]] = edges[1]
+    fields, overlap = _sweep(edges, frame[1])
+    return SweepAccumulator(*fields, overlap, cell_lines, frame)
 
 
 def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,

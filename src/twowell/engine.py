@@ -12,8 +12,10 @@ exponential stage advance.
 All metrics are streamed during emission: the L1 step differences and
 the displacement bounds are exact sums of per-diamond contributions
 precomputed on the unit diamond, and the BV/perimeter/continuity numbers
-come from one shared edge sweep per state.  Everything is deterministic;
-there is no randomness anywhere in the pipeline.
+come from one shared edge sweep per state.  That sweep re-sweeps only the
+lines a step changed and carries the rest over from the previous state's.
+Everything is deterministic; there is no randomness anywhere in the
+pipeline.
 """
 
 from __future__ import annotations
@@ -159,6 +161,7 @@ class Engine:
         self.iso_fast_hits = 0
         self.restarts = 0
         self.stalled = False
+        self._sweep: Optional[an.SweepAccumulator] = None
         self._record(l1_chi=0.0, l1_grad=0.0, wsup=0.0, wl1=0.0,
                      refined_area=0.0)
         if self.config.keep_states:
@@ -307,7 +310,7 @@ class Engine:
         self._next_id += src.shape[0] - n_kept
         self.state = new
         refined_area = float(areas[taken_idx].sum()) if len(taken) else 0.0
-        self._record(l1_chi, l1_grad, wsup, wl1, refined_area)
+        self._record(l1_chi, l1_grad, wsup, wl1, refined_area, n_kept)
         if cfg.keep_states:
             self.states.append(self.state)
         return self.metrics.rows[-1]
@@ -320,7 +323,11 @@ class Engine:
 
     # -- metrics and certification ----------------------------------------
 
-    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area):
+    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area,
+                n_kept: Optional[int] = None):
+        """Append the state's metric row and run its checks.  n_kept is
+        given when the state was stepped from the one recorded last, whose
+        sweep is then carried over."""
         cfg = self.config
         st = self.state
         areas = self._areas = st.areas()
@@ -346,7 +353,12 @@ class Engine:
         checks = cfg.checks
         sw = None
         if cfg.track_bv or checks == "full":
-            sw = an.sweep_intervals(st.verts)
+            prev = (None if self._sweep is None or n_kept is None
+                    else (self._sweep, st.prev_index, n_kept))
+            # hold the previous state's sweep no longer than needed
+            self._sweep = None
+            sw = self._sweep = an.sweep_intervals(st.verts, prev)
+            del prev
             row["bv_chi"] = an.bv_seminorm_cells(
                 st.verts, (st.phases == 1).astype(float), sweep=sw)
             row["bv_grad"] = an.bv_seminorm(st, sweep=sw)

@@ -118,7 +118,9 @@ class PlanData:
         vr = ind[np.maximum(sw.right_owner, 0)]
         inner = float(np.sum(np.where(both, np.abs(vl - vr), 0.0) * sw.dt))
         own = np.where(sw.left_owner >= 0, sw.left_owner, sw.right_owner)
-        rim = np.where(both, 0.0, np.abs(ind[own] - par) * sw.dt)
+        # a gap interval (own = -1) lies outside the cover on both sides
+        rim = np.where(both | (own < 0), 0.0,
+                       np.abs(ind[own] - par) * sw.dt)
         # rim jumps on the two edges at each tip (+dhat, -dhat): the
         # isosceles cover lays the apex-side edges on the cell boundary
         along = (sw.point_lo + sw.point_hi) @ plan.dhat

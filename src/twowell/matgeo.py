@@ -6,8 +6,9 @@ coordinates, and the gap-splitting lemma that drives the refinement engine.
 
 All operations are pure and deterministic.  The closed forms of the
 coordinate maps take a scalar lam/mu or arrays of them (results gain the
-broadcast leading axes); dist_to_wells_b and phases work on stacks of
-gradients.
+broadcast leading axes); rotation_distance_sq, dist_to_wells_b and phases
+work on stacks of gradients, and dist_to_wells_b is rotation_distance_sq
+to each well.
 """
 
 from __future__ import annotations
@@ -90,14 +91,17 @@ def well_distance(delta: float) -> float:
     return math.sqrt(well_distance_sq(delta))
 
 
-def rotation_distance_sq(F: np.ndarray, G: np.ndarray) -> float:
-    """dist^2(F, SO(2)G) in closed form via the polar maximum over rotations."""
-    M = F @ G.T
-    tr = M[0, 0] + M[1, 1]
-    skew = M[1, 0] - M[0, 1]
-    nF = float(np.sum(F * F))
-    nG = float(np.sum(G * G))
-    return max(nF + nG - 2.0 * math.hypot(tr, skew), 0.0)
+def rotation_distance_sq(F: np.ndarray, G: np.ndarray):
+    """dist^2(F, SO(2)G) in closed form via the polar maximum over
+    rotations; F is one matrix or a stack (...,2,2), G one matrix."""
+    F = np.asarray(F, dtype=float)
+    Fs = F.reshape(-1, 2, 2)
+    M = np.einsum("nij,kj->nik", Fs, G)
+    tr = M[:, 0, 0] + M[:, 1, 1]
+    skew = M[:, 1, 0] - M[:, 0, 1]
+    d2 = (np.einsum("nij,nij->n", Fs, Fs) + np.sum(G * G)
+          - 2.0 * np.hypot(tr, skew))
+    return np.maximum(d2, 0.0).reshape(F.shape[:-2])[()]
 
 
 def dist_to_wells(F: np.ndarray, wells: WellPair) -> tuple[float, int]:
@@ -112,15 +116,9 @@ def dist_to_wells(F: np.ndarray, wells: WellPair) -> tuple[float, int]:
 
 def dist_to_wells_b(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
     """Batch distances to both wells; Fs (n,2,2) -> (n,2) array."""
-    out = np.empty((Fs.shape[0], 2))
-    nF = np.einsum("nij,nij->n", Fs, Fs)
-    for col, G in ((0, wells.F0), (1, wells.F0inv)):
-        M = np.einsum("nij,kj->nik", Fs, G)
-        tr = M[:, 0, 0] + M[:, 1, 1]
-        skew = M[:, 1, 0] - M[:, 0, 1]
-        d2 = nF + np.sum(G * G) - 2.0 * np.hypot(tr, skew)
-        out[:, col] = np.sqrt(np.maximum(d2, 0.0))
-    return out
+    d = np.stack([rotation_distance_sq(Fs, wells.F0),
+                  rotation_distance_sq(Fs, wells.F0inv)], axis=1)
+    return np.sqrt(d, out=d)
 
 
 def phases(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
@@ -156,8 +154,8 @@ def base_matrix(branch: int, lam, delta: float) -> np.ndarray:
     return A
 
 
-def rank_one_params(branch: int, lam, delta: float):
-    """(Q, w, u, gamma) with Q @ A(1-lam) = A(lam) + w (x) u exactly."""
+def _rank_one_vector(branch: int, lam, delta: float):
+    """(w, u, gamma) of the rank-one line A(lam) + mu * w (x) u."""
     d = delta
     lam = np.asarray(lam, dtype=float)
     dt = d * (1.0 - 2.0 * lam)
@@ -173,13 +171,20 @@ def rank_one_params(branch: int, lam, delta: float):
         u = np.array([0.0, 1.0])
     else:
         raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
+    return w, u, gamma
+
+
+def rank_one_params(branch: int, lam, delta: float):
+    """(Q, w, u, gamma) with Q @ A(1-lam) = A(lam) + w (x) u exactly."""
+    lam = np.asarray(lam, dtype=float)
+    w, u, gamma = _rank_one_vector(branch, lam, delta)
     lhs = base_matrix(branch, lam, delta) + w[..., :, None] * u
     Q = lhs @ np.linalg.inv(base_matrix(branch, 1.0 - lam, delta))
     return Q, w, u, gamma
 
 
 def laminate_matrix(branch: int, mu, lam, delta: float) -> np.ndarray:
-    _, w, u, _ = rank_one_params(branch, lam, delta)
+    w, u, _ = _rank_one_vector(branch, lam, delta)
     mu = np.asarray(mu, dtype=float)
     return (base_matrix(branch, lam, delta)
             + mu[..., None, None] * w[..., :, None] * u)

@@ -150,6 +150,100 @@ class TestBVSeminorm:
         assert np.abs(cov.tri_areas(nested)).sum() > hull_area + 0.01
 
 
+def stepped(verts, kept, children):
+    """A refinement step's state and its prev_index: the kept cells of
+    verts first, then each covered cell's children (parent -> triangles)."""
+    parents = [p for p, tris in children.items() for _ in tris]
+    new = [t for tris in children.values() for t in tris]
+    out = np.concatenate([verts[kept],
+                          np.array(new, dtype=float).reshape(-1, 3, 2)])
+    return out, np.array(list(kept) + parents, dtype=np.int64)
+
+
+class TestIncrementalSweep:
+    """sweep_intervals(verts, (sweep, prev_index, n_kept)) equals the sweep
+    of verts alone, whichever lines it carries over."""
+
+    def carried(self, verts, kept, children):
+        old = an.sweep_intervals(verts)
+        new, prev_index = stepped(verts, kept, children)
+        return new, an.sweep_intervals(new, (old, prev_index, len(kept)))
+
+    def test_gap_interval_has_nan_endpoints(self):
+        # two cells with edges on y = 0 that do not meet: [1, 2] is a gap
+        verts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                          [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]])
+        sw = an.sweep_intervals(verts)
+        gap = (sw.left_owner < 0) & (sw.right_owner < 0)
+        assert gap.sum() == 1
+        assert sw.dt[gap][0] == pytest.approx(1.0, rel=1e-12)
+        assert np.isnan(sw.point_lo[gap]).all()
+        assert np.isnan(sw.point_hi[gap]).all()
+        owned = ~gap
+        assert np.isfinite(sw.point_lo[owned]).all()
+        assert np.isfinite(sw.point_hi[owned]).all()
+        # no cell borders the gap, so no jump is counted on it
+        assert an.bv_seminorm_cells(verts, np.ones(2),
+                                    include_boundary=True) == \
+            pytest.approx(2.0 * (2.0 + np.sqrt(2.0)), rel=1e-12)
+
+    def test_step_carries_clean_lines(self, assert_same_sweep):
+        # refine one stripe of nine: most lines keep their intervals
+        verts, _ = stripe_mesh(9)
+        a, b, c = verts[8]
+        m = (a + b + c) / 3.0
+        new, sw = self.carried(verts, [i for i in range(18) if i != 8],
+                               {8: [[a, b, m], [b, c, m], [c, a, m]]})
+        assert_same_sweep(sw, an.sweep_intervals(new))
+        assert sw.left_owner.max() == new.shape[0] - 1
+
+    def test_step_without_new_cells(self, assert_same_sweep):
+        verts, _ = stripe_mesh(3)
+        new, sw = self.carried(verts, list(range(6)), {})
+        assert_same_sweep(sw, an.sweep_intervals(verts))
+
+    @pytest.mark.parametrize("cell, moved", [
+        ([[0.0, 0.0], [2.0, 1.0], [-1.0, 1.0]], (True, True)),
+        ([[0.0, 0.0], [2.0, 1.0], [0.0, 1.5]], (True, False)),
+        ([[0.0, -1.0], [2.0, 1.0], [0.0, 2.0]], (False, True))])
+    def test_frame_change_sweeps_every_line(self, cell, moved,
+                                            assert_same_sweep):
+        # the new cell reaches past the old bounding box: the normalized
+        # frame's center, diameter or both move, every line key changes
+        # and nothing can be carried
+        verts = square_mesh() * [2.0, 1.0]
+        new, sw = self.carried(verts, [0], {1: [cell]})
+        old = an._frame(verts)
+        assert (sw.frame[0].tobytes() != old[0].tobytes(),
+                sw.frame[1] != old[1]) == moved
+        assert not sw.overlap_error
+        assert_same_sweep(sw, an.sweep_intervals(new))
+
+    def test_child_edge_off_parent_key(self, assert_same_sweep):
+        # the covered cell's edge on y = 0 is longer than its neighbour's;
+        # its children's top edges sit 1e-8 above that line, so they carry
+        # other line keys and only the parent's edge makes y = 0 dirty
+        verts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
+                          [[2.0, 0.0], [0.0, 0.0], [1.0, -1.0]]])
+        top = [1.0, 1e-8]
+        new, sw = self.carried(verts, [0], {1: [
+            [[2.0, 0.0], top, [1.0, -1.0]], [top, [0.0, 0.0], [1.0, -1.0]]]})
+        a = an._edge_table(verts, an._frame(verts), np.array([3]))[1]
+        b = an._edge_table(new, an._frame(new), np.array([3, 4]))[1]
+        assert not (b == a).all(axis=1).any()
+        assert_same_sweep(sw, an.sweep_intervals(new))
+
+    def test_overlap_sweeps_every_line(self, assert_same_sweep):
+        # a child laid on top of a kept cell's edge: owners of overlapping
+        # intervals depend on the numbering of every edge
+        verts = square_mesh()
+        new, sw = self.carried(verts, [0], {1: [
+            [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+            [[0.2, 0.0], [0.8, 0.0], [0.5, 0.3]]]})
+        assert sw.overlap_error
+        assert_same_sweep(sw, an.sweep_intervals(new))
+
+
 class TestFieldResiduals:
     def test_affine_field_is_continuous(self, cover_mesh):
         M = np.array([[1.3, 0.2], [-0.4, 0.9]])

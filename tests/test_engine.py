@@ -239,6 +239,74 @@ class TestRestarts:
                                 config=cfg)
 
 
+FULL_SWEEP = an.sweep_intervals
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every sweep_intervals call the engine makes: (verts, prev, result)."""
+    calls = []
+
+    def recorded(verts, prev=None):
+        sw = FULL_SWEEP(verts, prev)
+        calls.append((verts, prev, sw))
+        return sw
+
+    monkeypatch.setattr(an, "sweep_intervals", recorded)
+    return calls
+
+
+class TestIncrementalSweep:
+    """The engine carries each state's sweep into the next one's; the
+    result equals the sweep of the state alone."""
+
+    def test_every_state_matches_full_sweep(self, sweeps, assert_same_sweep):
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=5, checks="full",
+                              track_bv=True, keep_states=True)
+        eng = en.run_construction(en.unit_square_domain(), rep_datum(),
+                                  DELTA, config=cfg)
+        # the domain check, then one sweep per state, carried from step 1
+        assert len(eng.states) == 6 and len(sweeps) == 7
+        assert [prev is None for _, prev, _ in sweeps] == [True] * 2 \
+            + [False] * 5
+        for k, (verts, prev, sw) in enumerate(sweeps[1:]):
+            st = eng.states[k]
+            assert verts is st.verts
+            if prev is not None:
+                last, prev_index, n_kept = prev
+                assert last is sweeps[k][2]
+                assert prev_index is st.prev_index
+                # kept cells first, then the children of covered ones
+                kept = prev_index[:n_kept]
+                assert np.array_equal(verts[:n_kept],
+                                      eng.states[k - 1].verts[kept])
+                assert not np.isin(prev_index[n_kept:], kept).any()
+            assert_same_sweep(sw, FULL_SWEEP(verts))
+        assert eng._sweep is sweeps[-1][2]
+
+    def test_restart_starts_from_full_sweep(self, sweeps, assert_same_sweep):
+        # h0 = 1/16 fails at step 1 before its state is recorded; the
+        # retry's engine starts from a full sweep again
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="full",
+                              track_bv=True, h0=1 / 16, max_restarts=2)
+        eng = en.run_construction(en.unit_square_domain(), rep_datum(),
+                                  DELTA, config=cfg)
+        assert eng.restarts == 1
+        assert [prev is None for _, prev, _ in sweeps] == [True] * 4 \
+            + [False] * 3
+        for verts, prev, sw in sweeps[4:]:
+            assert_same_sweep(sw, FULL_SWEEP(verts))
+
+    def test_fast_run_carries_no_line_keys(self, sweeps):
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
+                              track_bv=False)
+        eng = en.run_construction(en.unit_square_domain(), rep_datum(),
+                                  DELTA, config=cfg)
+        assert eng.state.k == 3
+        assert len(sweeps) == 1             # the domain check only
+        assert eng._sweep is None
+
+
 class TestLowStageEntry:
     def test_stage_zero_datum_runs(self):
         # interior stage-0 datum exercises the verify-and-shrink rule

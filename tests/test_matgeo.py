@@ -161,6 +161,33 @@ class TestArrayArguments:
         for form in (mg.laminate_matrix, mg.laminate_gram):
             assert np.array_equal(form(branch, mus, lams, d), np.stack(
                 [form(branch, mu, lam, d) for mu, lam in zip(mus, lams)]))
+        # the laminate lies on the rank-one line of rank_one_params
+        assert np.array_equal(
+            mg.laminate_matrix(branch, mus, lams, d),
+            mg.base_matrix(branch, lams, d)
+            + mus[:, None, None] * w[:, :, None] * u)
+
+    def test_rotation_distance_stacks(self):
+        # one matrix, a stack of any shape and dist_to_wells_b agree bit
+        # for bit, and dist_to_wells_b keeps its expression order
+        rng = np.random.default_rng(11)
+        w = mg.make_wells(0.5)
+        Fs = rng.normal(size=(6, 5, 2, 2))
+        for G in (w.F0, w.F0inv):
+            d2 = mg.rotation_distance_sq(Fs, G)
+            assert d2.shape == (6, 5)
+            assert np.array_equal(d2, np.array(
+                [[mg.rotation_distance_sq(F, G) for F in row] for row in Fs]))
+        flat = Fs.reshape(-1, 2, 2)
+        ref = np.empty((flat.shape[0], 2))
+        nF = np.einsum("nij,nij->n", flat, flat)
+        for col, G in ((0, w.F0), (1, w.F0inv)):
+            M = np.einsum("nij,kj->nik", flat, G)
+            tr = M[:, 0, 0] + M[:, 1, 1]
+            skew = M[:, 1, 0] - M[:, 0, 1]
+            ref[:, col] = np.sqrt(np.maximum(
+                nF + np.sum(G * G) - 2.0 * np.hypot(tr, skew), 0.0))
+        assert np.array_equal(mg.dist_to_wells_b(flat, w), ref)
 
 
 class TestGram:

@@ -10,6 +10,11 @@ For every input seed it prints:
 - ``big_run`` and ``refine_fast``: the SHA-256 prefix of the 11
   ``TwoWellState`` arrays (their bytes concatenated in field order) after
   each step, k = 0, 1, ..., and of the pickled ``MetricsSeries.rows``;
+  on a second line, one digest per ``analysis.sweep_intervals`` call of
+  the run (the domain check, then the sweep of every recorded state) over
+  ``dt``, both owner arrays, the overlap flag and the endpoints of the
+  intervals with an owner (a gap interval, with no owner on either side,
+  has no edge to take endpoints from);
 - ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt`` and
   ``phases.svg`` written by ``twowell run`` with the benchmark's arguments.
 
@@ -55,15 +60,26 @@ def rows_digest(rows) -> str:
     return _hex(pickle.dumps(rows))
 
 
+def sweep_digest(sw) -> str:
+    owned = (sw.left_owner >= 0) | (sw.right_owner >= 0)
+    return _hex(b"".join((sw.dt.tobytes(), sw.left_owner.tobytes(),
+                          sw.right_owner.tobytes(),
+                          bytes([sw.overlap_error]),
+                          sw.point_lo[owned].tobytes(),
+                          sw.point_hi[owned].tobytes())))
+
+
 def engine_digests(name: str, seed: int):
-    """(per-step state digests, rows digest) of one benchmark engine run;
-    the steps of a restarted attempt are dropped with it."""
-    steps = []
+    """(per-step state digests, per-call sweep digests, rows digest) of
+    one benchmark engine run; a restarted attempt's are dropped with it."""
+    steps, sweeps = [], []
     init, step = en.Engine.__init__, en.Engine.step
+    sweep = an.sweep_intervals
 
     def traced_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
         steps.clear()
+        sweeps.clear()
+        init(self, *args, **kwargs)
         steps.append(state_digest(self.state))
 
     def traced_step(self):
@@ -71,14 +87,21 @@ def engine_digests(name: str, seed: int):
         steps.append(state_digest(self.state))
         return row
 
+    def traced_sweep(*args, **kwargs):
+        sw = sweep(*args, **kwargs)
+        sweeps.append(sweep_digest(sw))
+        return sw
+
     en.Engine.__init__, en.Engine.step = traced_init, traced_step
+    an.sweep_intervals = traced_sweep
     try:
         eng = en.run_construction(en.unit_square_domain(),
                                   wl.make_input(name, seed), wl.DELTA,
                                   wl.engine_config(name, toy=False))
     finally:
         en.Engine.__init__, en.Engine.step = init, step
-    return steps, rows_digest(eng.metrics.rows)
+        an.sweep_intervals = sweep
+    return steps, sweeps, rows_digest(eng.metrics.rows)
 
 
 def cli_digests(seed: int):
@@ -127,9 +150,11 @@ def main(argv=None) -> int:
     for seed in args.input:
         for name in ("big_run", "refine_fast"):
             if name in args.only:
-                steps, rows = engine_digests(name, seed)
+                steps, sweeps, rows = engine_digests(name, seed)
                 print(f"{name} input {seed}: rows {rows} states "
                       + " ".join(steps), flush=True)
+                print(f"{name} input {seed}: sweeps " + " ".join(sweeps),
+                      flush=True)
         if "cli_pipeline" in args.only:
             mesh, svg = cli_digests(seed)
             print(f"cli_pipeline input {seed}: mesh.txt {mesh} "
