@@ -202,8 +202,9 @@ def _line_starts(line: np.ndarray) -> np.ndarray:
 
 
 def _merge(a, b):
-    """Interleave two interval sets, each in (line key, t) order and on
-    disjoint lines, into that order: whole lines move, by line key."""
+    """Interleave two interval sets (tuples of per-interval arrays as
+    _sweep returns them, line keys last), each in (line key, t) order and
+    on disjoint lines, into that order: whole lines move, by line key."""
     sa, sb = _line_starts(a[-1]), _line_starts(b[-1])
     na, nb = a[-1].shape[0], b[-1].shape[0]
     starts = np.concatenate([sa, sb])
