@@ -402,8 +402,7 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
     nrm = np.stack([-d[:, 1], d[:, 0]], axis=1)
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     cs = np.einsum("mj,mj->m", nrm, a)
-    _, diam = _frame(verts)
-    tol = 1e-8 * diam
+    tol = 1e-8 * sw.frame[1]
     dist_lo = np.abs(p_lo @ nrm.T - cs[None, :])
     dist_hi = np.abs(p_hi @ nrm.T - cs[None, :])
     on = np.any((dist_lo <= tol) & (dist_hi <= tol), axis=1)
@@ -675,6 +674,9 @@ def box_dimension(segments: np.ndarray,
     if eps_list is None:
         eps_list = [2.0 ** -j for j in range(4, 11)]
     eps_list = sorted(float(e) for e in eps_list)
+    if len(set(eps_list)) < 2:
+        raise InvalidParameterError("the fit needs at least two distinct "
+                                    f"eps values, got {eps_list}")
     for e in eps_list:
         j = np.log2(1.0 / e)
         if abs(j - round(j)) > 1e-9:

@@ -15,7 +15,8 @@ have determinant-one gradients and the boundary trace is Cx exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
+import itertools
+from typing import Optional
 
 import numpy as np
 
@@ -329,7 +330,6 @@ class RefinePlan:
     stage: int
     lam_cell: float
     h: float
-    retries: int
     S: np.ndarray
     unit_verts: np.ndarray      # (n,3,2)
     grads: np.ndarray           # (n,2,2) per piece (expanded, not slots)
@@ -396,27 +396,45 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
     w_l1 = float(np.sum(cc.areas * wn[cc.template.tris].mean(axis=1)))
     edges = unit_verts - np.roll(unit_verts, 1, axis=1)
     perim = float(np.linalg.norm(edges, axis=2).sum())
-    return RefinePlan(M, stage, lam_cell, h, 0, cc.frame, unit_verts,
+    return RefinePlan(M, stage, lam_cell, h, cc.frame, unit_verts,
                       grads, bvec, stages, phases, cc.areas,
                       cc.gradient_error(), A_cell, B_cell,
                       parent_phase, flip_area, grad_l1, wsup, w_l1, perim)
+
+
+def _aspects():
+    """The aspect ladder H_MAX, H_MAX/2, ... down to H_FLOOR."""
+    h = H_MAX
+    while h >= H_FLOOR:
+        yield h
+        h *= 0.5
+
+
+def _dyadic_plan(M: np.ndarray, stage: int, h: float, delta: float,
+                 wells: mg.WellPair) -> Optional[RefinePlan]:
+    """The dyadic rule: the plan of a stage >= 2 matrix at aspect h when
+    every piece classifies to stage + 1, else None."""
+    branch, eps = ia.dyadic_split_target(stage, delta)
+    sr = mg.split(M, branch, eps, delta)
+    plan = _plan_from_split(M, stage, sr, h, delta, wells)
+    return plan if np.all(plan.stages == stage + 1) else None
 
 
 def replace_dyadic_stage(M: np.ndarray, delta: float,
                          h0: float) -> RefinePlan:
     """Replacement plan for a stage >= 2 gradient at uniform aspect h0.
 
-    All five cell gradients must classify to stage + 1, which a calibrated
-    h0 guarantees; otherwise ConstructionFailureError (run_construction
-    then restarts the whole run at h0 / 2, keeping one aspect per run).
+    This is where the dyadic stage rule holds (_dyadic_plan): every piece
+    classifies to stage + 1, which a calibrated h0 guarantees; otherwise
+    ConstructionFailureError (run_construction then restarts the whole
+    run at h0 / 2, keeping one aspect per run).  Covers take the plan's
+    stages as they are.
     """
     stage = ia.classify(M, delta)
     if stage < 2:
         raise WrongEntryPointError(f"stage {stage} needs the low-stage rule")
-    branch, eps = ia.dyadic_split_target(stage, delta)
-    sr = mg.split(M, branch, eps, delta)
-    plan = _plan_from_split(M, stage, sr, h0, delta, mg.make_wells(delta))
-    if not np.all(plan.stages == stage + 1):
+    plan = _dyadic_plan(M, stage, h0, delta, mg.make_wells(delta))
+    if plan is None:
         raise ConstructionFailureError(
             f"stage {stage} cell does not advance cleanly at h = {h0:.2e}")
     return plan
@@ -425,8 +443,11 @@ def replace_dyadic_stage(M: np.ndarray, delta: float,
 def replace_low_stage(M: np.ndarray, delta: float) -> RefinePlan:
     """Replacement plan for stage-0/1 gradients; h by verify-and-shrink.
 
-    The aspect is halved until every cell gradient classifies strictly
-    above the input stage; h underflow raises ConstructionFailureError.
+    This is where the low-stage rule holds: the first aspect of the
+    ladder at which every piece classifies strictly above the input
+    stage wins (a piece may jump several stages); none down to H_FLOOR
+    raises ConstructionFailureError.  Covers take the plan's stages as
+    they are.
     """
     stage = ia.classify(M, delta)
     if stage >= 2:
@@ -434,15 +455,10 @@ def replace_low_stage(M: np.ndarray, delta: float) -> RefinePlan:
     target = ia.low_stage_split_target(M, delta)
     sr = mg.split(M, target.branch, target.eps, delta)
     wells = mg.make_wells(delta)
-    h = H_MAX
-    retry = 0
-    while h >= H_FLOOR:
+    for h in _aspects():
         plan = _plan_from_split(M, stage, sr, h, delta, wells)
         if np.all(plan.stages > stage):
-            plan.retries = retry
             return plan
-        h *= 0.5
-        retry += 1
     raise ConstructionFailureError(
         f"no admissible aspect above {H_FLOOR:.1e} for stage {stage} input")
 
@@ -468,33 +484,21 @@ def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
     if key in _H0_CACHE:
         return _H0_CACHE[key]
     wells = mg.make_wells(delta)
-    h = H_MAX
-    while h >= H_FLOOR:
-        ok = True
+
+    def advances(h):
         for k in CALIBRATION_STAGES:
-            branch, eps = ia.dyadic_split_target(k, delta)
             (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
-            for f1 in fracs:
-                for f2 in fracs:
-                    for sign in (1.0, -1.0):
-                        F = ia.matrix_from_gaps(lo1 + f1 * (hi1 - lo1),
-                                                lo2 + f2 * (hi2 - lo2),
-                                                delta, sign)
-                        sr = mg.split(F, branch, eps, delta)
-                        plan = _plan_from_split(F, k, sr, h, delta, wells)
-                        if not np.all(plan.stages == k + 1):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+            for f1, f2, sign in itertools.product(fracs, fracs, (1.0, -1.0)):
+                F = ia.matrix_from_gaps(lo1 + f1 * (hi1 - lo1),
+                                        lo2 + f2 * (hi2 - lo2), delta, sign)
+                if _dyadic_plan(F, k, h, delta, wells) is None:
+                    return False
+        return True
+
+    for h in _aspects():
+        if advances(h):
             _H0_CACHE[key] = h
             return h
-        h *= 0.5
     raise ConstructionFailureError(f"no uniform aspect calibrates for delta={delta}")
 
 

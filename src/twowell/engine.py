@@ -285,9 +285,6 @@ class Engine:
         for (_, iso), (plan, pos, covers) in batches.items():
             cells = taken_idx[pos]
             if iso:
-                if np.any(st.stages[cells] + 1 != plan.stages.min()):
-                    raise ConstructionFailureError("dyadic cover did not "
-                                                   "advance the stage")
                 self.iso_fast_hits += len(pos)
                 res = cv.cover_isosceles(st.verts[cells], plan, st.offs[cells])
             else:
@@ -301,6 +298,8 @@ class Engine:
                  plan.w_l1_unit * r3], axis=1)
             wsup = max(wsup, plan.wsup_unit
                        * float(res.diam_scales.max(initial=0.0)))
+        # the plan builders put every piece above its parent's stage, so
+        # this holds while they do; it checks what the step wrote
         low = np.flatnonzero(new.stages < st.stages[src])
         if low.size:
             raise ConstructionFailureError("stage regressed under cover of "
@@ -454,7 +453,7 @@ def sample_generations(domain, M, delta: float, n_samples: int = 2000,
     lower bound that is exact when every cell of a generation is visited;
     wsup_max_se is NaN.  frozen_measure is |domain| times the fraction of
     lineages stopped by ConstructionFailureError or NotClassifiableError
-    while building their cover; a stopped lineage keeps its cell, which
+    while building their cell's plan; a stopped lineage keeps its cell, which
     then counts in perimeter_sum and the stage measure only.
 
     Rows also carry n_samples; the series' meta holds the aspects used

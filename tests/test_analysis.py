@@ -406,6 +406,9 @@ class TestBoxDimension:
         seg = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         with pytest.raises(InvalidParameterError):
             an.box_dimension(seg, eps_list=[0.1, 0.05])   # not dyadic
+        for one_scale in ([], [0.25], [0.25, 0.25]):
+            with pytest.raises(InvalidParameterError):
+                an.box_dimension(seg, eps_list=one_scale)
         far = np.array([[[0.0, 0.0], [1e-3, 0.0]],
                         [[1e7, 1e7], [1e7, 1e7 + 1e-3]]])
         with pytest.raises(InvalidParameterError):

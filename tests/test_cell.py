@@ -190,7 +190,6 @@ class TestPlans:
             p = cl.replace_dyadic_stage(M, self.delta, self.h0)
             assert p.stage == k
             assert (p.stages == k + 1).all()
-            assert p.retries == 0
             assert set(np.unique(p.phases)) <= {1, 2}
             assert (p.areas_unit > 0).all()
             assert p.areas_unit.sum() == pytest.approx(2 * p.h, rel=1e-12)

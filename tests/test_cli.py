@@ -194,6 +194,17 @@ class TestDim:
         assert code == 1
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pmin, pmax", [(6, 5), (5, 5)])
+    def test_fewer_than_two_scales(self, tmp_path, capsys, pmin, pmax):
+        mesh = tmp_path / "mesh.txt"
+        write_two_cell_mesh(mesh)
+        code = run_cli(["dim", str(mesh), "--pmin", str(pmin),
+                        "--pmax", str(pmax)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "slope" not in captured.out
+
     def test_unreadable_mesh(self, tmp_path):
         assert run_cli(["dim", str(tmp_path / "ghost.txt")]) == 1
 

@@ -17,6 +17,11 @@ def rep_datum(stage=2):
     return ia.stage_representative(stage, DELTA)
 
 
+def stage_one_datum():
+    return np.array([[0.9973157602026531, 0.48745354630644433],
+                     [1.0536712127723509e-08, 1.0026914694830042]])
+
+
 @pytest.fixture(scope="module")
 def small_run():
     cfg = en.EngineConfig(cell_budget=60_000, max_steps=3, checks="full",
@@ -320,3 +325,16 @@ class TestLowStageEntry:
         assert rows[0]["min_stage"] == 0
         assert rows[-1]["max_stage"] >= 1
         assert rows[-1]["continuity_err"] < 1e-9
+
+    def test_stage_one_datum_takes_the_fast_path(self):
+        # a stage-1 datum: its low-stage plan lifts pieces more than one
+        # stage, and the isosceles leftovers of that cover later take
+        # the fast path under the same plan
+        M1 = stage_one_datum()
+        assert ia.classify(M1, DELTA) == 1
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=4, checks="full")
+        eng = en.Engine(en.unit_square_domain(), M1, DELTA, cfg)
+        eng.run()
+        assert eng.state.k == 4
+        assert eng.iso_fast_hits > 0
+        assert all(r["continuity_err"] < 1e-9 for r in eng.metrics.rows[1:])

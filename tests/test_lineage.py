@@ -362,3 +362,14 @@ def test_uncalibrated_aspect_freezes_lineages():
                                    config=en.EngineConfig(h0=0.125))
     assert [r["frozen_measure"] for r in series.rows] == [0.0, 1.0, 1.0, 1.0]
     assert all(r["l1_chi_diff"] == 0.0 for r in series.rows)
+
+
+def test_stage_one_datum_freezes_no_lineage():
+    # the sampler takes the low-stage plan's stages as the engine does,
+    # so no lineage of a stage-1 datum stops
+    M1 = np.array([[0.9973157602026531, 0.48745354630644433],
+                   [1.0536712127723509e-08, 1.0026914694830042]])
+    series = en.sample_generations(en.unit_square_domain(), M1, DELTA,
+                                   n_samples=200, generations=3, seed=0)
+    assert len(series.rows) == 4
+    assert all(r["frozen_measure"] == 0.0 for r in series.rows)
