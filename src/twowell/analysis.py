@@ -536,12 +536,6 @@ def fit_geometric(series: Sequence[float],
 # metrics over a run
 # ---------------------------------------------------------------------------
 
-COLUMNS = ("k", "n_cells", "n_active", "l1_chi_diff", "l1_grad_diff",
-           "bv_chi", "bv_grad", "perimeter_sum", "frozen_measure",
-           "mean_dist", "energy", "refined_area", "wsup_max", "w_l1_bound",
-           "min_stage", "max_stage")
-
-
 @dataclass
 class MetricsSeries:
     """Per-step metric rows; columns() gives plain arrays for fitting."""
@@ -599,38 +593,34 @@ class RegularityReport:
 
 FROZEN_WINDOW_CAP = 0.01   # fits exclude steps frozen beyond this fraction
 TRANSIENT_STEPS = 2        # and the low-stage transient k <= 2
+SOBOLEV_P = 2.0            # the p of the W^{s,p} interpolation
 
 
-def regularity_report(metrics: MetricsSeries, growth_constant: float,
-                      window: Optional[Tuple[int, int]] = None,
-                      p: float = 2.0,
-                      frozen_cap: float = FROZEN_WINDOW_CAP) -> RegularityReport:
+def regularity_report(metrics: MetricsSeries,
+                      growth_constant: float) -> RegularityReport:
     """Threshold and interpolation-decay report from run metrics.
 
     Window rule over the step-difference series (index i is the
     transition into state i+1): the transient into states k <= 2 is
     dropped and so is every step whose frozen measure exceeds
-    frozen_cap * |domain|.  When fewer than three transitions survive,
-    the fit falls back to the longest tail that supports one so the
-    rates are still reported; window_compliant records the violation
-    and ok() fails on it.
+    FROZEN_WINDOW_CAP * |domain|.  When fewer than three transitions
+    survive, the fit falls back to the longest tail that supports one so
+    the rates are still reported; window_compliant records the violation
+    and ok() fails on it.  The W^{s,p} series is taken at p = SOBOLEV_P.
     """
     l1 = metrics.diffs("l1_chi_diff")
     bv = metrics.column("bv_chi")[1:]
     total_area = metrics.rows[0].get("domain_area", np.nan)
     frozen = metrics.column("frozen_measure")[1:]
     n = len(l1)
-    lo_rule = TRANSIENT_STEPS
-    if window is None:
-        under_cap = frozen <= frozen_cap * total_area
-        hi = lo_rule - 1
-        while hi + 1 < n and under_cap[hi + 1]:
-            hi += 1
-        lo = lo_rule
-        if hi - lo < 2:                     # no compliant window exists
-            lo, hi = min(lo_rule, max(n - 3, 0)), n - 1
-        window = (lo, hi)
-    lo, hi = window
+    under_cap = frozen <= FROZEN_WINDOW_CAP * total_area
+    hi = TRANSIENT_STEPS - 1
+    while hi + 1 < n and under_cap[hi + 1]:
+        hi += 1
+    lo = TRANSIENT_STEPS
+    if hi - lo < 2:                     # no compliant window exists
+        lo, hi = min(TRANSIENT_STEPS, max(n - 3, 0)), n - 1
+    window = (lo, hi)
     fit_l1 = fit_geometric(l1, window)
     fit_bv = fit_geometric(bv, window)
     c_tilde = fit_l1.rate
@@ -640,16 +630,16 @@ def regularity_report(metrics: MetricsSeries, growth_constant: float,
     theta0_const = solve_theta0(c_tilde, growth_constant) \
         if 0 < c_tilde < 1 else float("nan")
     if np.isfinite(theta0):
-        s = theta0 / (2.0 * p)
-        fit_w = fit_geometric(metrics.wsp_series(s, p), window)
+        s = theta0 / (2.0 * SOBOLEV_P)
+        fit_w = fit_geometric(metrics.wsp_series(s, SOBOLEV_P), window)
         alpha = float(-np.log2(fit_w.rate))
         r2_w, rate_w = fit_w.r_squared, fit_w.rate
     else:
         s = alpha = r2_w = rate_w = float("nan")
     fmax = float(frozen[lo:hi + 1].max() / total_area)
-    compliant = lo >= TRANSIENT_STEPS and fmax <= frozen_cap
+    compliant = lo >= TRANSIENT_STEPS and fmax <= FROZEN_WINDOW_CAP
     return RegularityReport(c_tilde, rho, theta0, theta0_const,
-                            alpha, s, p, fit_l1.r_squared, r2_w,
+                            alpha, s, SOBOLEV_P, fit_l1.r_squared, r2_w,
                             window, fmax, rate_w, compliant)
 
 

@@ -522,8 +522,11 @@ class CellCheckReport:
         return self.failures == 0
 
 
-def verify_cells(delta: float, samples: int = 1_000, seed: int = 0,
-                 trace_points: int = 24) -> CellCheckReport:
+VERIFY_TRACE_POINTS = 24   # boundary points per cell in verify_cells
+
+
+def verify_cells(delta: float, samples: int = 1_000,
+                 seed: int = 0) -> CellCheckReport:
     """Exactness sweep over random admissible (A, B, lam, h).
 
     Pairs come from dyadic splits of random band matrices, so they are
@@ -551,7 +554,7 @@ def verify_cells(delta: float, samples: int = 1_000, seed: int = 0,
         scale = float(2.0 ** rng.uniform(-8, 1))
         cc = build_cell(A, B, F, lam, h, center=center, scale=scale)
         part = abs(cc.areas.sum() - cc.area) / cc.area
-        ts = rng.uniform(0.0, 4.0, trace_points)
+        ts = rng.uniform(0.0, 4.0, VERIFY_TRACE_POINTS)
         pts, vals = cc.boundary_values(ts)
         tr = float(np.abs(vals - pts @ F.T).max()) / cc.scale
         det = float(np.abs(np.linalg.det(cc.grads) - 1.0).max())

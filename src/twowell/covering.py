@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -108,23 +108,16 @@ def iso_membership(v: np.ndarray, h: float, tol: float = ISO_TOL):
         return member, (a - m) / height[..., None]
 
 
-def iso_fast_path(iso_h: float, iso_axis: np.ndarray,
-                  plan: cl.RefinePlan) -> bool:
-    """Whether a cell takes the inscribed-diamond cover: it is tagged with
-    the plan's aspect and its apex axis lies on the diamond axis."""
-    return (iso_h == plan.h
-            and abs(float(np.dot(iso_axis, plan.dhat))) >= 1.0 - ISO_TOL)
-
-
 @dataclass
 class CoverResult:
     """Children of one cover, or of a batch of covers of one plan laid
     cover after cover, classed for the perimeter ledger.
 
     good marks the pieces of replaced diamonds (new gradients); leftovers
-    keep the parent's affine map.  iso_h > 0 tags leftover isosceles
-    children with their class aspect and apex axis, making them eligible
-    for the inscribed-diamond fast path later.
+    keep the parent's affine map.  iso marks the leftovers in the
+    isosceles class of the plan (base/height = 2 plan.h, apex axis along
+    plan.dhat): they keep the parent's gradient, so they get the same plan
+    again and take its inscribed-diamond cover.
     """
     verts: np.ndarray        # (n,3,2), counterclockwise
     grads: np.ndarray        # (n,2,2)
@@ -132,8 +125,7 @@ class CoverResult:
     stages: np.ndarray       # (n,) int16
     phases: np.ndarray       # (n,) uint8, 1 or 2
     good: np.ndarray         # (n,) bool
-    iso_h: np.ndarray        # (n,) float, 0 for untagged children
-    iso_axis: np.ndarray     # (n,2)
+    iso: np.ndarray          # (n,) bool, in the isosceles class of the plan
     diam_scales: np.ndarray  # (m,) scale of every placed diamond, in order
     diam_counts: np.ndarray  # (covers,) diamonds placed by each cover
     parent_perimeter: float  # of the covered cells; NaN when not given
@@ -152,9 +144,8 @@ class CoverResult:
     def perimeters(self):
         """(good, leftover-iso, leftover-generic) sums of child perimeters."""
         per = tri_perimeters(self.verts)
-        iso = self.iso_h > 0
-        return (float(per[self.good].sum()), float(per[iso].sum()),
-                float(per[~self.good & ~iso].sum()))
+        return (float(per[self.good].sum()), float(per[self.iso].sum()),
+                float(per[~self.good & ~self.iso].sum()))
 
     def cover_sums(self, power: int) -> np.ndarray:
         """Per cover, np.sum(r ** power) over its diamonds, with the bits
@@ -182,19 +173,19 @@ def runs(starts, counts) -> np.ndarray:
 def _emit(plan: cl.RefinePlan, kind: str, n: int, pieces_at: np.ndarray,
           centers: np.ndarray, r: np.ndarray, dia_off: np.ndarray,
           left_at: np.ndarray, left: np.ndarray, left_off: np.ndarray,
-          axes: np.ndarray, diam_counts: np.ndarray,
+          n_iso: int, diam_counts: np.ndarray,
           parent_perimeter: float) -> CoverResult:
     """The n children of a batch of covers of one plan.
 
     Diamond d (center centers[d], scale r[d], parent offset dia_off[d])
     puts the plan's P pieces at pieces_at[d*P:(d+1)*P]; leftover k keeps
-    its parent's map at left_at[k], and the first len(axes) leftovers are
-    tagged for the isosceles class with apex axes axes.
+    its parent's map at left_at[k], and the first n_iso leftovers are in
+    the isosceles class of the plan.
     """
     res = CoverResult(np.empty((n, 3, 2)), np.empty((n, 2, 2)),
                       np.empty((n, 2)), np.empty(n, dtype=np.int16),
                       np.empty(n, dtype=np.uint8), np.zeros(n, dtype=bool),
-                      np.zeros(n), np.zeros((n, 2)), r, diam_counts,
+                      np.zeros(n, dtype=bool), r, diam_counts,
                       parent_perimeter, kind)
     at = pieces_at.reshape(centers.shape[0], plan.n_pieces)
     res.verts[at] = (centers[:, None, None, :]
@@ -211,9 +202,7 @@ def _emit(plan: cl.RefinePlan, kind: str, n: int, pieces_at: np.ndarray,
     res.offs[left_at] = left_off
     res.stages[left_at] = plan.stage
     res.phases[left_at] = plan.parent_phase
-    tagged = left_at[:axes.shape[0]]
-    res.iso_h[tagged] = plan.h
-    res.iso_axis[tagged] = axes
+    res.iso[left_at[:n_iso]] = True
     return res
 
 
@@ -433,7 +422,7 @@ def _emit_rows(plan: cl.RefinePlan, kind: str, rows, cell: np.ndarray,
                  stack_centers(rows, plan.h, s, runs(np.zeros_like(n), n)),
                  0.5 * rows[3][s], off[cell[s]], left_at,
                  np.concatenate([upper, lower, ends.reshape(-1, 3, 2), tris]),
-                 off[left_cell], np.concatenate([-rows[1][sg], rows[1][sg]]),
+                 off[left_cell], 2 * sg.shape[0],
                  np.bincount(cell, n, m).astype(np.int64), parent_perimeter)
 
 
@@ -485,13 +474,13 @@ def cover_isosceles(tri: np.ndarray, plan: cl.RefinePlan,
     if np.any(np.abs(np.vecdot(axis, plan.dhat)) < 1.0 - ISO_TOL):
         raise WrongEntryPointError("isosceles axis does not match the "
                                    "diamond frame")
-    center, r, leftovers, axis, sides = iso_layout(v)
+    center, r, leftovers, _, sides = iso_layout(v)
     n, P = v.shape[0], plan.n_pieces
     at = np.arange(n) * (P + 2)
     off = np.broadcast_to(np.asarray(offset, dtype=float), (n, 2))
     return _emit(plan, "iso", n * (P + 2), runs(at, P), center, r, off,
                  runs(at + P, 2), leftovers.reshape(-1, 3, 2),
-                 np.repeat(off, 2, axis=0), np.repeat(axis, 2, axis=0),
+                 np.repeat(off, 2, axis=0), 2 * n,
                  np.ones(n, dtype=np.int64), float(sides.sum()))
 
 
@@ -526,24 +515,23 @@ def cover_generic(tri: np.ndarray, plan: cl.RefinePlan,
                      float(tri_perimeters(v[None])[0]))
 
 
-def perimeter_ledger(result: CoverResult):
+def perimeter_ledger(result: CoverResult, h: float):
     """(sum_good, sum_iso, sum_generic); asserts the per-cover bounds.
 
     Isosceles covers obey total <= C2 * Per(T); generic covers obey
     good <= C0 * Per(T), leftover-iso <= C0 * Per(T) and leftover-generic
-    <= C2 * Per(T), with C0 = 10*floor(1/h) and C2 = 42.
+    <= C2 * Per(T), with C0 = 10*floor(1/h) for the plan's aspect h and
+    C2 = 42.
     """
     if result.n_children == 0:
         return (0.0, 0.0, 0.0)
     sums = result.perimeters()
     per = result.parent_perimeter
-    h = result.iso_h.max() if np.any(result.iso_h > 0) else None
     if result.kind == "iso":
         assert sum(sums) <= C2_UNIFORM * per, "iso cover perimeter bound"
     else:
-        if h is not None:
-            assert sums[1] <= c0_constant(h) * per, "iso-part perimeter bound"
-            assert sums[0] <= c0_constant(h) * per, "good perimeter bound"
+        assert sums[1] <= c0_constant(h) * per, "iso-part perimeter bound"
+        assert sums[0] <= c0_constant(h) * per, "good perimeter bound"
         assert sums[2] <= C2_UNIFORM * per, "generic-part perimeter bound"
     return sums
 
@@ -569,7 +557,7 @@ class CoveringCheckReport:
         return self.failures == 0
 
 
-def _check_cover(res: CoverResult, tri: np.ndarray, M: np.ndarray,
+def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
                  report: CoveringCheckReport, label: str):
     from . import analysis as an
     area = abs(tri_areas(np.asarray(tri, dtype=float)[None])[0])
@@ -578,40 +566,45 @@ def _check_cover(res: CoverResult, tri: np.ndarray, M: np.ndarray,
     v = np.asarray(tri, dtype=float)
     hull = np.stack([v, np.roll(v, -1, axis=0)], axis=1)
     trace, stray = an.boundary_trace_residual(res.verts, res.grads, res.offs,
-                                              M, hull_segments=hull)
+                                              plan.M, hull_segments=hull)
     report.max_partition_err = max(report.max_partition_err, part)
     report.max_continuity_err = max(report.max_continuity_err, cont)
     report.max_trace_err = max(report.max_trace_err, trace)
     report.max_stray_len = max(report.max_stray_len, stray)
     ledger_ok = True
     try:
-        perimeter_ledger(res)
+        perimeter_ledger(res, plan.h)
     except AssertionError:
         ledger_ok = False
+    # every placed diamond carries the plan's pieces, in the plan's order
+    layout_ok = np.array_equal(res.stages[res.good],
+                               np.tile(plan.stages, len(res.diam_scales)))
     scale = math.sqrt(area)
     if (part > 1e-12 or cont > 1e-10 or trace > 1e-10 * max(scale, 1.0)
-            or stray > 1e-8 * scale or not ledger_ok):
+            or stray > 1e-8 * scale or not ledger_ok or not layout_ok):
         report.failures += 1
         if len(report.failure_examples) < 5:
             report.failure_examples.append(
-                (label, part, cont, trace, stray, ledger_ok))
+                (label, part, cont, trace, stray, ledger_ok, layout_ok))
 
 
-def verify_covering(delta: float, stages: tuple = (2, 3),
-                    h0: Optional[float] = None) -> CoveringCheckReport:
-    """Partition/continuity/trace/ledger sweep over all cover kinds.
+VERIFY_STAGES = (2, 3)
 
-    For each stage: the matching isosceles cover, a diamond row over a
-    box, and generic covers of a scalene triangle in two placements; plus
-    one low-stage cover.  Everything must partition exactly, glue
-    continuously, match the affine datum on the parent boundary, keep
-    interface segments off the parent boundary, and respect the
-    perimeter ledger.
+
+def verify_covering(delta: float) -> CoveringCheckReport:
+    """Partition/continuity/trace/ledger/layout sweep over all cover kinds.
+
+    For each of VERIFY_STAGES, at the calibrated aspect: the matching
+    isosceles cover, a diamond row over a box, and generic covers of a
+    scalene triangle in two placements; plus one low-stage cover.
+    Everything must partition exactly, glue continuously, match the
+    affine datum on the parent boundary, keep interface segments off the
+    parent boundary, respect the perimeter ledger and give every diamond
+    the plan's pieces.
     """
     report = CoveringCheckReport(delta, 0, 0, [], 0.0, 0.0, 0.0, 0.0, 1.0)
-    if h0 is None:
-        h0 = cl.calibrate_h0(delta)
-    for stage in stages:
+    h0 = cl.calibrate_h0(delta)
+    for stage in VERIFY_STAGES:
         M = ia.stage_representative(stage, delta)
         plan = cl.replace_dyadic_stage(M, delta, h0)
         d, p = plan.dhat, _perp(plan.dhat)
@@ -623,7 +616,7 @@ def verify_covering(delta: float, stages: tuple = (2, 3),
         report.cases += 1
         if res.n_children != 12:
             report.failures += 1
-        _check_cover(res, iso_tri, M, report, f"iso@{stage}")
+        _check_cover(res, iso_tri, plan, report, f"iso@{stage}")
         res = cover_rectangle(np.zeros(2), d, 0.2, 3, plan)
         corner_box = np.stack([np.zeros(2), 0.2 * d,
                                0.2 * d + 3 * plan.h * 0.2 * p,
@@ -640,21 +633,18 @@ def verify_covering(delta: float, stages: tuple = (2, 3),
                     np.array([[1.0, 1.0], [1.2, 1.9], [0.3, 1.5]])):
             res = cover_generic(tri, plan)
             report.cases += 1
-            _check_cover(res, tri, M, report, f"gen@{stage}")
+            _check_cover(res, tri, plan, report, f"gen@{stage}")
             good_frac = float(tri_areas(res.verts[res.good]).sum()
                               / abs(tri_areas(tri[None])[0]))
             report.min_good_fraction = min(report.min_good_fraction,
                                            good_frac)
             if good_frac < GOOD_FRACTION:
                 report.failures += 1
-            if np.any(res.stages[res.good] != plan.stage + 1):
-                report.failures += 1
     z0 = ia.zeta0(delta)
     M0 = ia.matrix_from_gaps(0.75 * z0, 0.75 * z0, delta, 1.0)
     tri = np.array([[0.0, 0.0], [0.5, 0.1], [0.1, 0.45]])
-    res = cover_generic(tri, cl.replace_low_stage(M0, delta))
+    plan = cl.replace_low_stage(M0, delta)
+    res = cover_generic(tri, plan)
     report.cases += 1
-    _check_cover(res, tri, M0, report, "low-stage")
-    if res.good.any() and res.stages[res.good].min() < 1:
-        report.failures += 1
+    _check_cover(res, tri, plan, report, "low-stage")
     return report

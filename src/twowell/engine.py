@@ -41,13 +41,18 @@ CONTINUITY_TOL = 1e-9
 TRACE_TOL = 1e-10
 CHECKS = ("fast", "full")
 # state columns a cover fills; the lineage columns are the engine's
-COVER_COLUMNS = ("verts", "grads", "offs", "stages", "phases", "iso_h",
-                 "iso_axis")
+COVER_COLUMNS = ("verts", "grads", "offs", "stages", "phases", "iso")
 
 
 @dataclass
 class TwoWellState:
-    """One triangulated affine state u(x) = grads[i] x + offs[i] on cell i."""
+    """One triangulated affine state u(x) = grads[i] x + offs[i] on cell i.
+
+    iso[i] marks a leftover in the isosceles class of its plan (see
+    covering.CoverResult): it kept its parent's gradient, so its plan is
+    the cached one of its parent, and the next step covers it with the
+    inscribed diamond.
+    """
     delta: float
     k: int
     verts: np.ndarray        # (n,3,2) counterclockwise
@@ -58,8 +63,7 @@ class TwoWellState:
     frozen: np.ndarray       # (n,) bool
     ids: np.ndarray          # (n,) int64
     parents: np.ndarray      # (n,) int64, -1 for roots
-    iso_h: np.ndarray        # (n,) float, 0 when not in the iso class
-    iso_axis: np.ndarray     # (n,2)
+    iso: np.ndarray          # (n,) bool, in the isosceles class of its plan
     prev_index: np.ndarray   # (n,) position of the source cell one step back
 
     @property
@@ -148,7 +152,7 @@ class Engine:
             np.zeros(n, dtype=bool),
             np.arange(n, dtype=np.int64),
             np.full(n, -1, dtype=np.int64),
-            np.zeros(n), np.zeros((n, 2)),
+            np.zeros(n, dtype=bool),
             np.arange(n, dtype=np.int64))
         self._next_id = n
         self.h0 = (self.config.h0 if self.config.h0 is not None
@@ -227,9 +231,9 @@ class Engine:
         target = int(round(self._target(k)))
         areas = self._areas          # of st, from its _record
         floor = cfg.min_area_rel * self.domain_area
-        tiny = (~st.frozen) & (areas < floor)
-        st.frozen[tiny] = True
-        cand = np.flatnonzero(~st.frozen)
+        # cells below the floor are not taken, so they are frozen in the
+        # next state; st is recorded already and stays as recorded
+        cand = np.flatnonzero(~st.frozen & (areas >= floor))
         order = cand[np.lexsort((st.ids[cand], -areas[cand]))]
         n_final = st.n
         taken: List[int] = []       # covered cells, in selection order
@@ -239,7 +243,7 @@ class Engine:
         batches: Dict[tuple, tuple] = {}
         for i in order:
             plan = self._plan(st.grads[i])
-            if cv.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
+            if st.iso[i]:
                 count, rows = plan.n_pieces + 2, None
             else:
                 rows = cv.generic_spec(st.verts[i], plan)
@@ -264,8 +268,7 @@ class Engine:
         counts = np.array(counts, dtype=np.int64)
         keep = np.ones(st.n, dtype=bool)
         keep[taken_idx] = False
-        st.frozen[keep & ~st.frozen] = True   # smallest first, permanently
-        # the next state: kept cells (all frozen by now) first, then each
+        # the next state: kept cells first, frozen for good, then each
         # covered cell's children as one block, blocks in selection order;
         # a child's columns start as its parent's until its cover is laid
         kept = np.flatnonzero(keep)

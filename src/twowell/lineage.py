@@ -47,13 +47,16 @@ ACROSS_FLOOR = 1e-13  # smallest outward offset in an ancestor's units
 
 @dataclass
 class Node:
-    """One cell in its local frame: y_parent = rel_c + rel_s * y."""
+    """One cell in its local frame: y_parent = rel_c + rel_s * y.
+
+    iso marks a leftover in the isosceles class of its plan, as
+    TwoWellState.iso does: its cover is the inscribed diamond.
+    """
     verts: np.ndarray        # (3,2) counterclockwise, local coordinates
     grad: np.ndarray         # (2,2)
     stage: int
     phase: int
-    iso_h: float             # > 0: tagged for the isosceles fast path
-    iso_axis: np.ndarray     # (2,)
+    iso: bool                # in the isosceles class of its plan
     key: Optional[tuple]     # identifies the local geometry; None: uncached
     rel_c: np.ndarray        # (2,) frame origin in the parent frame
     rel_s: float             # frame scale relative to the parent frame
@@ -198,13 +201,13 @@ def locate(node: Node, cover: Cover, y: np.ndarray):
     """
     plan = cover.plan
     if cover.iso is not None:
-        center, r, left, axis = cover.iso
+        center, r, left, _ = cover.iso
         j, mj = _piece(plan, center, r, y)
         ml = _margins(left, y)
         i = int(np.argmax(ml))
         if mj * r >= ml[i]:
             return _piece_child(node, plan, center, r, j, y)
-        return _leftover(node, left[i], y, plan.h, axis, None)
+        return _leftover(node, left[i], y, True, None)
     best = (-np.inf, None, 0, 0)        # (margin, kind, row, index)
     for ri, row in enumerate(cover.rows):
         ml = _margins(cover.leftovers[ri], y)
@@ -219,14 +222,14 @@ def locate(node: Node, cover: Cover, y: np.ndarray):
     _, kind, ri, i = best
     key = None if node.key is None else (node.key, ri, i)
     if kind == "tri":
-        return _leftover(node, cover.leftovers[ri][i], y, 0.0, None,
+        return _leftover(node, cover.leftovers[ri][i], y, False,
                          key and key + ("tri",))
     stack, corners = cv.lay_squares([cover.rows[ri]], [0], [i], plan)
     if corners.shape[0]:
         mc = _margins(corners, y)
         c = int(np.argmax(mc))
         if mc[c] > _box_margin(stack, plan, y):
-            return _leftover(node, corners[c], y, 0.0, None,
+            return _leftover(node, corners[c], y, False,
                              key and key + ("corner", c))
     return _in_stack(node, plan, stack, y, key)
 
@@ -249,7 +252,7 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
     emit_spec lays it: only diamond q next to y, its two gaps and, at
     either end of the row, the end triangles.
     """
-    p0, e_len, e_w, length, n = (x[0] for x in stack)
+    p0, _, e_w, length, n = (x[0] for x in stack)
     w, r = plan.h * length, 0.5 * length
     t = float((y - p0) @ e_w)
     q = min(max(int(np.floor(t / w)), 0), n - 1)
@@ -261,34 +264,31 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
     upper, lower, ends = cv.stack_leftovers(stack, plan.h,
                                             np.zeros_like(gaps), gaps)
     tri_l = [upper, lower]
-    iso_l = [-e_len] * len(gaps) + [e_len] * len(gaps)
-    tag_l = [None] * (2 * len(gaps))
     if q == 0 or q == n - 1:
         tri_l.append(ends[0])
-        iso_l += [None] * 4
-        tag_l += [0, 1, 2, 3]
     tl = _fix_ccw(np.concatenate(tri_l))
     k = int(np.argmax(_margins(tl, y)))
-    if iso_l[k] is not None:
-        return _leftover(node, tl[k], y, plan.h, iso_l[k], None)
-    return _leftover(node, tl[k], y, 0.0, None,
-                     key and key + ("end", tag_l[k]))
+    # the 2 len(gaps) gap triangles come first, then the end triangles
+    n_gaps = 2 * len(gaps)
+    if k < n_gaps:
+        return _leftover(node, tl[k], y, True, None)
+    return _leftover(node, tl[k], y, False,
+                     key and key + ("end", k - n_gaps))
 
 
 def _piece_child(node: Node, plan: cl.RefinePlan, center: np.ndarray,
                  r: float, j: int, y: np.ndarray):
     child = Node(plan.unit_verts[j], plan.grads[j], int(plan.stages[j]),
-                 int(plan.phases[j]), 0.0, np.zeros(2),
-                 ("piece", plan.M.tobytes(), j), center, r, node.abs_s * r)
+                 int(plan.phases[j]), False, ("piece", plan.M.tobytes(), j),
+                 center, r, node.abs_s * r)
     return child, (y - center) / r
 
 
-def _leftover(node: Node, tri: np.ndarray, y: np.ndarray, iso_h: float,
-              axis, key: Optional[tuple]):
+def _leftover(node: Node, tri: np.ndarray, y: np.ndarray, iso: bool,
+              key: Optional[tuple]):
     c, s = _frame_of(tri)
-    child = Node((tri - c) / s, node.grad, node.stage, node.phase, iso_h,
-                 np.zeros(2) if axis is None else np.asarray(axis),
-                 key, c, s, node.abs_s * s)
+    child = Node((tri - c) / s, node.grad, node.stage, node.phase, iso, key,
+                 c, s, node.abs_s * s)
     return child, (y - c) / s
 
 
@@ -305,8 +305,8 @@ def root_nodes(verts: np.ndarray, grad: np.ndarray, stage: int,
     nodes = []
     for i, tri in enumerate(verts):
         c, s = _frame_of(tri)
-        nodes.append(Node((tri - c) / s, grad, stage, phase, 0.0,
-                          np.zeros(2), ("root", i), c, s, s))
+        nodes.append(Node((tri - c) / s, grad, stage, phase, False,
+                          ("root", i), c, s, s))
     return nodes
 
 
@@ -331,7 +331,7 @@ class CoverCache:
         cell.replace_low_stage); the plan's stages are taken as they are."""
         plan = self.plan_of(node.grad)
         pd = self.plan_data(plan)
-        if cv.iso_fast_path(node.iso_h, node.iso_axis, plan):
+        if node.iso:
             return iso_cover(node.verts, plan, pd)
         cov = self.covers.get(node.key) if node.key is not None else None
         if cov is None:

@@ -123,9 +123,11 @@ class QcBoundsReport:
         return self.violations == 0 and self.laminate_failures == 0
 
 
+LAMINATE_SAMPLES = 1_000   # rank-one hull pairs in verify_qc_bounds
+
+
 def verify_qc_bounds(delta: float, samples: int = 100_000,
-                     seed: int = 0, tol: float = QC_TOL,
-                     laminate_samples: int = 1_000) -> QcBoundsReport:
+                     seed: int = 0, tol: float = QC_TOL) -> QcBoundsReport:
     """Sample the hull uniformly in (lam, theta) and test every bound.
 
     Checks per sample: det F within [1-delta, 1+delta], |F e1| <= 1,
@@ -182,7 +184,7 @@ def verify_qc_bounds(delta: float, samples: int = 100_000,
                 report.violation_examples.append((lam_end, th, "endpoint"))
     # barycenters of rank-one connected hull pairs: same rotation,
     # different lam; the mixture must recover the interpolated lam
-    for _ in range(laminate_samples):
+    for _ in range(LAMINATE_SAMPLES):
         l1, l2, mu = rng.uniform(0.0, 1.0, 3)
         Q = mg.rot(rng.uniform(0.0, 2.0 * math.pi))
         F = mu * hull_point(l1, Q, delta) + (1 - mu) * hull_point(l2, Q, delta)

@@ -122,9 +122,11 @@ class TestIsosceles:
 
         hits = sum(match(left[i], w) for i in range(2) for w in (want1, want2))
         assert hits == 2
-        # leftovers are tagged members with the parent's apex axis
-        assert (res.iso_h[~res.good] == h).all()
-        ax = res.iso_axis[~res.good]
+        # leftovers are tagged, and by their geometry they are members
+        # with the parent's apex axis
+        assert res.iso[~res.good].all()
+        member, ax = cov.iso_membership(left, h)
+        assert member.all()
         assert np.abs(ax @ Rot @ np.array([0.0, -1.0]) - 1.0).max() < 1e-9
 
     def test_child_perimeters_bounded_by_parent(self, plan):
@@ -135,7 +137,7 @@ class TestIsosceles:
         res = cov.cover_isosceles(T, plan)
         per_parent = cov.tri_perimeters(T[None])[0]
         assert (cov.tri_perimeters(res.verts) <= per_parent + 1e-12).all()
-        sums = cov.perimeter_ledger(res)
+        sums = cov.perimeter_ledger(res, h)
         assert sum(sums) <= 42 * per_parent
 
     def test_leftover_reenters_cover(self, plan):
@@ -185,11 +187,13 @@ class TestRectangle:
         assert not sweep.overlap_error
         assert an.continuity_residual(res.verts, res.grads, res.offs,
                                       sweep=sweep) < 1e-10
-        # gap triangles are tagged for the fast path
-        gaps = res.iso_h > 0
+        # gap triangles are tagged for the fast path, and by their
+        # geometry they are members with their apex axis along dhat
+        gaps = res.iso
         assert gaps.sum() == 2 * (n - 1)
-        assert (res.iso_h[gaps] == plan.h).all()
-        assert (np.abs(res.iso_axis[gaps] @ plan.dhat) > 1 - 1e-9).all()
+        member, axis = cov.iso_membership(res.verts[gaps], plan.h)
+        assert member.all()
+        assert (np.abs(axis @ plan.dhat) > 1 - 1e-9).all()
 
     def test_rejects_mismatched_axis(self, plan):
         d = plan.dhat
@@ -268,7 +272,7 @@ class TestGeneric:
     def test_perimeter_ledger_bounds(self, plan):
         T = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
         res = cov.cover_generic(T, plan)
-        good, iso, gen = cov.perimeter_ledger(res)
+        good, iso, gen = cov.perimeter_ledger(res, plan.h)
         per = cov.tri_perimeters(T[None])[0]
         c0 = cov.c0_constant(plan.h)
         assert good <= c0 * per
@@ -316,8 +320,8 @@ class TestGeneric:
 
 
 class TestBatches:
-    COLUMNS = ("verts", "grads", "offs", "stages", "phases", "good",
-               "iso_h", "iso_axis", "diam_scales")
+    COLUMNS = ("verts", "grads", "offs", "stages", "phases", "good", "iso",
+               "diam_scales")
 
     def check(self, batch, singles):
         for name in self.COLUMNS:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twowell import analysis as an
+from twowell import covering as cv
 from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import matgeo as mg
@@ -20,6 +21,24 @@ def rep_datum(stage=2):
 def stage_one_datum():
     return np.array([[0.9973157602026531, 0.48745354630644433],
                      [1.0536712127723509e-08, 1.0026914694830042]])
+
+
+@pytest.fixture(scope="module")
+def ramp_run():
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
+                          track_bv=False, keep_states=True)
+    eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+    eng.run()
+    return eng
+
+
+@pytest.fixture(scope="module")
+def stage_one_run():
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=4, checks="full",
+                          keep_states=True)
+    eng = en.Engine(en.unit_square_domain(), stage_one_datum(), DELTA, cfg)
+    eng.run()
+    return eng
 
 
 @pytest.fixture(scope="module")
@@ -326,15 +345,42 @@ class TestLowStageEntry:
         assert rows[-1]["max_stage"] >= 1
         assert rows[-1]["continuity_err"] < 1e-9
 
-    def test_stage_one_datum_takes_the_fast_path(self):
+    def test_stage_one_datum_takes_the_fast_path(self, stage_one_run):
         # a stage-1 datum: its low-stage plan lifts pieces more than one
         # stage, and the isosceles leftovers of that cover later take
         # the fast path under the same plan
-        M1 = stage_one_datum()
-        assert ia.classify(M1, DELTA) == 1
-        cfg = en.EngineConfig(cell_budget=20_000, max_steps=4, checks="full")
-        eng = en.Engine(en.unit_square_domain(), M1, DELTA, cfg)
-        eng.run()
+        eng = stage_one_run
+        assert ia.classify(eng.M, DELTA) == 1
         assert eng.state.k == 4
         assert eng.iso_fast_hits > 0
         assert all(r["continuity_err"] < 1e-9 for r in eng.metrics.rows[1:])
+
+
+class TestRecordedStates:
+    def test_states_match_their_rows(self, ramp_run):
+        # a state is not written after its row is recorded
+        rows = ramp_run.metrics.rows
+        assert len(ramp_run.states) == len(rows) == 4
+        for st, row in zip(ramp_run.states, rows):
+            assert st.k == row["k"]
+            assert float(st.areas()[st.frozen].sum()) == row["frozen_measure"]
+            assert int(np.count_nonzero(~st.frozen)) == row["n_active"]
+
+    @pytest.mark.parametrize("run", ["ramp_run", "stage_one_run"])
+    def test_iso_cells_are_members_of_their_plan_class(self, run, request):
+        # st.iso records that the cell is an isosceles triangle of its
+        # plan's aspect with its apex axis along the plan's diamond axis
+        eng = request.getfixturevalue(run)
+        tagged = 0
+        for st in eng.states:
+            cells = np.flatnonzero(st.iso)
+            tagged += cells.size
+            grads, which = np.unique(st.grads[cells], axis=0,
+                                     return_inverse=True)
+            for g, G in enumerate(grads):
+                plan = eng._plan(G)
+                member, axis = cv.iso_membership(
+                    st.verts[cells[which == g]], plan.h)
+                assert member.all()
+                assert (np.abs(axis @ plan.dhat) >= 1 - cv.ISO_TOL).all()
+        assert tagged > 0

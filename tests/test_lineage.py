@@ -69,7 +69,7 @@ def _generation2_reference(eng):
     cache = lin.CoverCache(eng._plan, [])
     for i in range(st.n):
         plan = eng._plan(st.grads[i])
-        if cov.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
+        if st.iso[i]:
             res = cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
             r2 = float(np.sum(res.diam_scales ** 2))
             r3 = float(np.sum(res.diam_scales ** 3))
@@ -145,8 +145,8 @@ def _node_of(eng, i):
     st = eng.state
     c, s = lin._frame_of(st.verts[i])
     return lin.Node((st.verts[i] - c) / s, st.grads[i], int(st.stages[i]),
-                    int(st.phases[i]), float(st.iso_h[i]), st.iso_axis[i],
-                    ("cell", i), c, s, s)
+                    int(st.phases[i]), bool(st.iso[i]), ("cell", i), c, s,
+                    s)
 
 
 def _emitted(eng, i, st=None):
@@ -154,7 +154,7 @@ def _emitted(eng, i, st=None):
     laid by the same cover Engine.step chooses."""
     st = eng.state if st is None else st
     plan = eng._plan(st.grads[i])
-    if cov.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
+    if st.iso[i]:
         return cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
     return cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
                          st.offs[i], 1.0)
@@ -166,10 +166,10 @@ def _cell(eng, which):
     st = eng.state
     areas = st.areas()
     if which == "iso":
-        return int(np.flatnonzero(st.iso_h > 0)[0])
+        return int(np.flatnonzero(st.iso)[0])
     if which == "piece":
         return int(np.argmin(areas))
-    gen = (st.iso_h == 0) & (st.stages == st.stages.min())
+    gen = ~st.iso & (st.stages == st.stages.min())
     return int(np.flatnonzero(gen)[np.argmax(areas[gen])])
 
 
@@ -195,7 +195,7 @@ def test_located_children_are_emitted_children(gen1, which):
         assert child.phase == res.phases[k]
         assert child.stage == res.stages[k]
         assert np.array_equal(child.grad, res.grads[k])
-        assert child.iso_h == res.iso_h[k]
+        assert child.iso == res.iso[k]
         np.testing.assert_allclose(lin._margins(child.verts[None], yc),
                                    lin._margins(verts[None], x) / (
                                        s * child.rel_s), atol=1e-9)
@@ -313,9 +313,9 @@ def _generic_geometries(eng):
     st = eng.state
     cells = {}
     for i in range(st.n):
-        plan = eng._plan(st.grads[i])
-        if cov.iso_fast_path(st.iso_h[i], st.iso_axis[i], plan):
+        if st.iso[i]:
             continue
+        plan = eng._plan(st.grads[i])
         c, s = lin._frame_of(st.verts[i])
         shape = np.round((st.verts[i] - c) / s, 9)
         cells.setdefault((id(plan), shape.tobytes()), i)

@@ -7,9 +7,12 @@ Run from the root of a source checkout (the package is imported from
 ``src``, the benchmark inputs and configs from ``perfbench/workloads.py``).
 For every input seed it prints:
 
-- ``big_run`` and ``refine_fast``: the SHA-256 prefix of the 11
+- ``big_run`` and ``refine_fast``: the SHA-256 prefix of the 10
   ``TwoWellState`` arrays (their bytes concatenated in field order) after
   each step, k = 0, 1, ..., and of the pickled ``MetricsSeries.rows``;
+  the isosceles tag is hashed as one bool per cell, ``iso``, or
+  ``iso_h > 0`` for a state that tags with an aspect and an axis instead,
+  so checkouts from before and after that change print comparable lines;
   on a second line, one digest per ``analysis.sweep_intervals`` call of
   the run (the domain check, then the sweep of every recorded state) over
   ``dt``, both owner arrays, the overlap flag and the endpoints of the
@@ -44,7 +47,7 @@ from twowell import engine as en  # noqa: E402
 from twowell import inapprox as ia  # noqa: E402
 
 STATE_FIELDS = ("verts", "grads", "offs", "stages", "phases", "frozen",
-                "ids", "parents", "iso_h", "iso_axis", "prev_index")
+                "ids", "parents", "iso", "prev_index")
 SAMPLED = dict(n_samples=4000, generations=7, seed=0)
 
 
@@ -52,8 +55,14 @@ def _hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _column(st, name: str):
+    if name == "iso" and not hasattr(st, "iso"):
+        return st.iso_h > 0
+    return getattr(st, name)
+
+
 def state_digest(st) -> str:
-    return _hex(b"".join(getattr(st, f).tobytes() for f in STATE_FIELDS))
+    return _hex(b"".join(_column(st, f).tobytes() for f in STATE_FIELDS))
 
 
 def rows_digest(rows) -> str:
