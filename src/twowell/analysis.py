@@ -495,7 +495,6 @@ def solve_theta0(c_tilde: float, growth: float) -> float:
 @dataclass
 class GeometricFit:
     rate: float
-    amplitude: float
     r_squared: float
     window: Tuple[int, int]
     skipped: int              # nonpositive entries dropped from the window
@@ -528,8 +527,7 @@ def fit_geometric(series: Sequence[float],
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     w = (int(x[0]), int(x[-1]))
-    return GeometricFit(float(np.exp(slope)), float(np.exp(intercept)),
-                        r2, w, skipped)
+    return GeometricFit(float(np.exp(slope)), r2, w, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class CellTemplate:
     """Normalized cell: C = Id, interfaces normal to e2, unit diamond."""
     lam: float
     h: float
-    g0: float
     q: float                 # inner-shear coefficient of the E/F factors
     mu_geom: float           # geometric interface height (1-lam) h
     points: np.ndarray       # (8,2): top, bottom, right, left, xa, xb, xc, xd
@@ -77,19 +76,18 @@ def _trivial_template(lam: float, h: float) -> CellTemplate:
     pts = _diamond_points(h)
     tris = np.array([[3, 1, 2], [3, 2, 0]])
     areas = np.full(2, h)
-    tpl = CellTemplate(lam, h, 0.0, 0.0, (1.0 - lam) * h, pts, pts.copy(),
+    tpl = CellTemplate(lam, h, 0.0, (1.0 - lam) * h, pts, pts.copy(),
                        tris, np.eye(2)[None], np.zeros((2, 2)), areas,
                        trivial=True)
     return tpl
 
 
-def build_template(lam: float, h: float, g0: float,
-                   tol: float = mg.PIPE_TOL) -> CellTemplate:
+def build_template(lam: float, h: float, g0: float) -> CellTemplate:
     """The normalized ten-piece cell; see module docstring.
 
     Raises ConstructionFailureError if the closed-form gradients disagree
-    with the affine interpolation of the corner values beyond tol, or the
-    pieces fail to tile the diamond.
+    with the affine interpolation of the corner values beyond PIPE_TOL,
+    or the pieces fail to tile the diamond.
     """
     if not (0.0 <= lam <= 1.0):
         raise InvalidParameterError(f"lam must be in [0,1], got {lam}")
@@ -147,18 +145,18 @@ def build_template(lam: float, h: float, g0: float,
     for i, t in enumerate(tris):
         Mi = grads[GRAD_INDEX[i]]
         interp = _affine_gradient(pts[t], vals[t])
-        if np.abs(interp - Mi).max() > tol:
+        if np.abs(interp - Mi).max() > mg.PIPE_TOL:
             raise ConstructionFailureError(
                 f"piece {i}: closed-form gradient disagrees with corner "
                 f"interpolation by {np.abs(interp - Mi).max():.2e}")
         resid = vals[t] - pts[t] @ Mi.T
-        if np.abs(resid - resid[0]).max() > tol:
+        if np.abs(resid - resid[0]).max() > mg.PIPE_TOL:
             raise ConstructionFailureError(f"piece {i} is not affine")
         offs[i] = resid[0]
         e1, e2 = pts[t[1]] - pts[t[0]], pts[t[2]] - pts[t[0]]
         areas[i] = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
 
-    tpl = CellTemplate(lam, h, g0, q, mu_g, pts, vals, tris, grads, offs, areas)
+    tpl = CellTemplate(lam, h, q, mu_g, pts, vals, tris, grads, offs, areas)
     if abs(areas.sum() - tpl.area) > 1e-12 * tpl.area:
         raise ConstructionFailureError("pieces do not tile the diamond")
     dets = np.linalg.det(grads)
@@ -171,10 +169,14 @@ def build_template(lam: float, h: float, g0: float,
 # physical cells
 # ---------------------------------------------------------------------------
 
-def rank_one_factors(D: np.ndarray, tol: float = 1e-9):
-    """D = rho0 a (x) n with |a| = |n| = 1, a oriented to a1 >= 0."""
+def rank_one_factors(D: np.ndarray):
+    """D = rho0 a (x) n with |a| = |n| = 1, a oriented to a1 >= 0.
+
+    Rank one means the singular values s0 > PIPE_TOL and
+    s1 <= PIPE_TOL max(s0, 1); otherwise InvalidPairError.
+    """
     U, s, Vt = np.linalg.svd(D)
-    if s[0] <= tol or s[1] > tol * max(s[0], 1.0):
+    if s[0] <= mg.PIPE_TOL or s[1] > mg.PIPE_TOL * max(s[0], 1.0):
         raise InvalidPairError(f"A - B must have rank one, singular values {s}")
     a, n = U[:, 0], Vt[0]
     if a[0] < 0 or (a[0] == 0 and a[1] < 0):
@@ -190,10 +192,8 @@ class CellConstruction:
     C: np.ndarray
     lam: float
     h: float
-    g0: float
     q: float
     mu_geom: float
-    center: np.ndarray
     scale: float
     frame: np.ndarray          # rotation S with S e1 = n, S e2 = n_perp
     diamond: np.ndarray        # (4,2) physical diamond vertices
@@ -254,8 +254,8 @@ def _point_in_tri(y, tri, tol):
 
 
 def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
-               h: float, center=(0.0, 0.0), scale: float = 1.0,
-               tol: float = mg.PIPE_TOL) -> CellConstruction:
+               h: float, center=(0.0, 0.0),
+               scale: float = 1.0) -> CellConstruction:
     """Place the replacement cell for the pair (A, B) on a diamond.
 
     Preconditions: det A = det B = 1, rank(A - B) = 1 and
@@ -268,12 +268,12 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
     for M, name in ((A, "A"), (B, "B")):
         if abs(np.linalg.det(M) - 1.0) > 1e-9:
             raise InvalidPairError(f"det {name} = {np.linalg.det(M):.12f}, need 1")
-    if np.abs(lam * A + (1.0 - lam) * B - C).max() > 100 * tol:
+    if np.abs(lam * A + (1.0 - lam) * B - C).max() > 100 * mg.PIPE_TOL:
         raise InvalidPairError("C is not the lam-barycenter of (A, B)")
     center = np.asarray(center, float)
 
     D = A - B
-    if np.abs(D).max() <= tol or lam in (0.0, 1.0):
+    if np.abs(D).max() <= mg.PIPE_TOL or lam in (0.0, 1.0):
         tpl = _trivial_template(lam, h)
         S = np.eye(2)
         tris = center + scale * tpl.points[tpl.tris]
@@ -281,8 +281,8 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
         offs = np.tile(C @ center - C @ center, (2, 1))   # zero: u = Cy
         areas = tpl.areas * scale * scale
         diamond = center + scale * _diamond_points(h)
-        return CellConstruction(A, B, C, lam, h, 0.0, 0.0, (1 - lam) * h,
-                                center, scale, S, diamond, tris, grads,
+        return CellConstruction(A, B, C, lam, h, 0.0, (1 - lam) * h,
+                                scale, S, diamond, tris, grads,
                                 tpl.tris[:, 0] * 0, offs, areas, tpl)
 
     rho0, a_hat, n_hat = rank_one_factors(D)
@@ -295,7 +295,7 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
         raise InvalidPairError("degenerate shear")
     S = np.column_stack([n_hat, n_perp])
 
-    tpl = build_template(lam, h, g0, tol=tol)
+    tpl = build_template(lam, h, g0)
     CS = C @ S
     # exactness of the frame transport: A = C S Abar S^T etc.
     Abar = S.T @ np.linalg.solve(C, A) @ S
@@ -309,8 +309,8 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
             + scale * tpl.offs @ CS.T)
     areas = tpl.areas * scale * scale
     diamond = center + scale * (_diamond_points(h) @ S.T)
-    return CellConstruction(A, B, C, lam, h, g0, tpl.q, tpl.mu_geom, center,
-                            scale, S, diamond, tris, grads, GRAD_INDEX.copy(),
+    return CellConstruction(A, B, C, lam, h, tpl.q, tpl.mu_geom, scale,
+                            S, diamond, tris, grads, GRAD_INDEX.copy(),
                             offs, areas, tpl)
 
 

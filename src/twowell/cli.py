@@ -216,8 +216,9 @@ def write_report(path: str, eng, cfg: RunConfig):
         rr = an.regularity_report(eng.metrics, growth_constant=growth)
         fit_note = "ok"
     except TwoWellError as err:
-        rr = an.RegularityReport(nan, nan, nan, nan, nan, nan, 2.0, nan,
-                                 nan, (0, 0), nan, nan, False)
+        rr = an.RegularityReport(nan, nan, nan, nan, nan, nan,
+                                 an.SOBOLEV_P, nan, nan, (0, 0), nan, nan,
+                                 False)
         fit_note = f"unavailable ({err})"
     pairs += [("regularity_fit", fit_note),
               ("c_tilde", _fmt(rr.c_tilde)),

@@ -3,18 +3,20 @@
 A refinement step replaces a triangle by diamond-carrying cells plus
 controlled leftovers.  Matching isosceles triangles receive one inscribed
 diamond (half the area; two leftovers similar to the parent at ratio 1/2);
-aligned boxes receive a row of diamonds with isosceles gap triangles
-between them and four end triangles; generic triangles go through
-altitude split -> medial rectangle -> square packing -> rotated inner
-squares -> diamond rows.  A generic cover is its list of right
-triangles (RightRow, from generic_spec), its children counted in closed
-form by child_count; lay_squares lays the squares of any set of rows at
-once, a whole batch of covers for emit_spec.  Every cover takes the
-replacement plan of its cell; choosing that plan is the engine's job.
+generic triangles go through altitude split -> medial rectangle -> square
+packing -> rotated inner squares -> diamond rows, each row of 1/h
+diamonds with isosceles gap triangles between them and four end
+triangles.  A generic cover is its list of right triangles (RightRow,
+from generic_spec), its children counted in closed form by child_count;
+lay_squares lays the squares of any set of rows at once, a whole batch
+of covers for emit_spec.  Every cover takes the replacement plan of its
+cell; choosing that plan is the engine's job.  A cover carries its
+children and the scales of its diamonds, nothing more.
 
-Child perimeters are summed per class (good / leftover-isosceles /
-leftover-generic) for the BV growth ledger; the good area fraction of a
-generic cover is at least 2^-5 of the parent.
+perimeter_ledger sums the child perimeters of a cover per class (good /
+leftover-isosceles / leftover-generic) and checks them against the
+perimeter of the covered triangles for the BV growth ledger; the good
+area fraction of a generic cover is at least 2^-5 of the parent.
 """
 
 from __future__ import annotations
@@ -79,28 +81,28 @@ def iso_parts(v: np.ndarray):
 
 
 def iso_layout(v: np.ndarray):
-    """(center, scale, leftovers (...,2,3,2), apex axis, sides) of the
+    """(center, scale, leftovers (...,2,3,2), apex axis) of the
     inscribed-diamond covers of v (...,3,2): the diamond spans the base
     midpoint to the apex, and the two leftovers hold the base halves."""
-    sides, a, b1, b2, m, height = iso_parts(v)
+    _, a, b1, b2, m, height = iso_parts(v)
     leftovers = np.stack([np.stack([m, b1, 0.5 * (a + b1)], axis=-2),
                           np.stack([m, 0.5 * (a + b2), b2], axis=-2)],
                          axis=-3)
     return (0.5 * (a + m), 0.5 * height, leftovers,
-            (a - m) / height[..., None], sides)
+            (a - m) / height[..., None])
 
 
-def iso_membership(v: np.ndarray, h: float, tol: float = ISO_TOL):
+def iso_membership(v: np.ndarray, h: float):
     """(member, apex_direction) of triangles v (...,3,2) against the
     base/height = 2h class.
 
     The base is the short side; the axis runs from the base midpoint to
-    the apex.  Membership requires a height above tol, base/height = 2h
-    and the two legs to match, all within tol relative to the triangle
-    scale.
+    the apex.  Membership requires a height above ISO_TOL, base/height =
+    2h and the two legs to match, all within ISO_TOL relative to the
+    triangle scale.
     """
     sides, a, b1, b2, m, height = iso_parts(v)
-    scale = tol * sides.max(axis=-1)
+    scale = ISO_TOL * sides.max(axis=-1)
     member = ((height > scale)
               & (np.abs(_norm(a - b1) - _norm(a - b2)) <= scale)
               & (np.abs(sides.min(axis=-1) - 2.0 * h * height) <= scale))
@@ -111,7 +113,7 @@ def iso_membership(v: np.ndarray, h: float, tol: float = ISO_TOL):
 @dataclass
 class CoverResult:
     """Children of one cover, or of a batch of covers of one plan laid
-    cover after cover, classed for the perimeter ledger.
+    cover after cover, and the scales of their diamonds.
 
     good marks the pieces of replaced diamonds (new gradients); leftovers
     keep the parent's affine map.  iso marks the leftovers in the
@@ -128,8 +130,6 @@ class CoverResult:
     iso: np.ndarray          # (n,) bool, in the isosceles class of the plan
     diam_scales: np.ndarray  # (m,) scale of every placed diamond, in order
     diam_counts: np.ndarray  # (covers,) diamonds placed by each cover
-    parent_perimeter: float  # of the covered cells; NaN when not given
-    kind: str                # "iso" | "rect" | "generic"
 
     @property
     def n_children(self) -> int:
@@ -170,11 +170,10 @@ def runs(starts, counts) -> np.ndarray:
     return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
 
 
-def _emit(plan: cl.RefinePlan, kind: str, n: int, pieces_at: np.ndarray,
+def _emit(plan: cl.RefinePlan, n: int, pieces_at: np.ndarray,
           centers: np.ndarray, r: np.ndarray, dia_off: np.ndarray,
           left_at: np.ndarray, left: np.ndarray, left_off: np.ndarray,
-          n_iso: int, diam_counts: np.ndarray,
-          parent_perimeter: float) -> CoverResult:
+          n_iso: int, diam_counts: np.ndarray) -> CoverResult:
     """The n children of a batch of covers of one plan.
 
     Diamond d (center centers[d], scale r[d], parent offset dia_off[d])
@@ -185,8 +184,7 @@ def _emit(plan: cl.RefinePlan, kind: str, n: int, pieces_at: np.ndarray,
     res = CoverResult(np.empty((n, 3, 2)), np.empty((n, 2, 2)),
                       np.empty((n, 2)), np.empty(n, dtype=np.int16),
                       np.empty(n, dtype=np.uint8), np.zeros(n, dtype=bool),
-                      np.zeros(n, dtype=bool), r, diam_counts,
-                      parent_perimeter, kind)
+                      np.zeros(n, dtype=bool), r, diam_counts)
     at = pieces_at.reshape(centers.shape[0], plan.n_pieces)
     res.verts[at] = (centers[:, None, None, :]
                      + r[:, None, None, None] * plan.unit_verts[None])
@@ -392,9 +390,8 @@ def child_count(rows: List[RightRow], plan: cl.RefinePlan) -> int:
                + row.m * (square + 4 * row.rotated) for row in rows)
 
 
-def _emit_rows(plan: cl.RefinePlan, kind: str, rows, cell: np.ndarray,
-               nt: np.ndarray, tris: np.ndarray, offset,
-               parent_perimeter: float) -> CoverResult:
+def _emit_rows(plan: cl.RefinePlan, rows, cell: np.ndarray,
+               nt: np.ndarray, tris: np.ndarray, offset) -> CoverResult:
     """Children of the covers k = 0..len(nt)-1 of one plan, cover after
     cover: cover k lists its diamond rows (rows, the tuple of lay_squares,
     those with cell == k in order; each row's diamonds, its upper and
@@ -418,16 +415,16 @@ def _emit_rows(plan: cl.RefinePlan, kind: str, rows, cell: np.ndarray,
                               runs(rows_upto + tris_before, nt)])
     left_cell = np.concatenate([cell[sg], cell[sg], np.repeat(cell, 4),
                                 np.repeat(np.arange(m), nt)])
-    return _emit(plan, kind, int(size.sum() + nt.sum()), runs(start, P * n),
+    return _emit(plan, int(size.sum() + nt.sum()), runs(start, P * n),
                  stack_centers(rows, plan.h, s, runs(np.zeros_like(n), n)),
                  0.5 * rows[3][s], off[cell[s]], left_at,
                  np.concatenate([upper, lower, ends.reshape(-1, 3, 2), tris]),
                  off[left_cell], 2 * sg.shape[0],
-                 np.bincount(cell, n, m).astype(np.int64), parent_perimeter)
+                 np.bincount(cell, n, m).astype(np.int64))
 
 
-def emit_spec(covers: List[List[RightRow]], plan: cl.RefinePlan, offset,
-              parent_perimeter: float = math.nan) -> CoverResult:
+def emit_spec(covers: List[List[RightRow]], plan: cl.RefinePlan,
+              offset) -> CoverResult:
     """Children of the generic covers of cells of one plan, cover after
     cover.
 
@@ -450,9 +447,9 @@ def emit_spec(covers: List[List[RightRow]], plan: cl.RefinePlan, offset,
     tris[runs(first + 2, ncorner)] = corners
     tris[runs(first + 2 + ncorner, nres)] = np.concatenate(
         [row.residual for row in rows])
-    return _emit_rows(plan, "generic", stacks, cell[ri],
+    return _emit_rows(plan, stacks, cell[ri],
                       np.bincount(cell, nt, len(covers)).astype(np.int64),
-                      tris, offset, parent_perimeter)
+                      tris, offset)
 
 
 def cover_isosceles(tri: np.ndarray, plan: cl.RefinePlan,
@@ -474,60 +471,39 @@ def cover_isosceles(tri: np.ndarray, plan: cl.RefinePlan,
     if np.any(np.abs(np.vecdot(axis, plan.dhat)) < 1.0 - ISO_TOL):
         raise WrongEntryPointError("isosceles axis does not match the "
                                    "diamond frame")
-    center, r, leftovers, _, sides = iso_layout(v)
+    center, r, leftovers, _ = iso_layout(v)
     n, P = v.shape[0], plan.n_pieces
     at = np.arange(n) * (P + 2)
     off = np.broadcast_to(np.asarray(offset, dtype=float), (n, 2))
-    return _emit(plan, "iso", n * (P + 2), runs(at, P), center, r, off,
+    return _emit(plan, n * (P + 2), runs(at, P), center, r, off,
                  runs(at + P, 2), leftovers.reshape(-1, 3, 2),
                  np.repeat(off, 2, axis=0), 2 * n,
-                 np.ones(n, dtype=np.int64), float(sides.sum()))
-
-
-def cover_rectangle(corner: np.ndarray, axis: np.ndarray, r: float, n: int,
-                    plan: cl.RefinePlan, offset=(0.0, 0.0)) -> CoverResult:
-    """Diamond row across the box corner + [0,r]*axis x [0,n*h*r]*perp.
-
-    n diamonds of scale r/2, 2(n-1) gap triangles in the isosceles class,
-    and four end triangles.
-    """
-    axis = np.asarray(axis, dtype=float)
-    nrm = np.linalg.norm(axis)
-    if not (nrm > 0) or n < 1:
-        raise InvalidDomainError("bad box spec")
-    axis = axis / nrm
-    if abs(abs(float(np.dot(axis, plan.dhat))) - 1.0) > ISO_TOL:
-        raise WrongEntryPointError("box axis does not match the diamond "
-                                   "frame")
-    row = (np.asarray(corner, dtype=float)[None], axis[None],
-           _perp(axis)[None], np.array([r], dtype=float),
-           np.array([n], dtype=np.int64))
-    return _emit_rows(plan, "rect", row, np.zeros(1, dtype=np.int64),
-                      np.zeros(1, dtype=np.int64), np.zeros((0, 3, 2)),
-                      offset, 2.0 * (r + n * plan.h * r))
+                 np.ones(n, dtype=np.int64))
 
 
 def cover_generic(tri: np.ndarray, plan: cl.RefinePlan,
                   offset=(0.0, 0.0)) -> CoverResult:
     """Full generic-triangle cover; good area is at least 2^-5 of the parent."""
-    v = np.asarray(tri, dtype=float)
-    return emit_spec([generic_spec(v, plan)], plan, offset,
-                     float(tri_perimeters(v[None])[0]))
+    return emit_spec([generic_spec(tri, plan)], plan, offset)
 
 
-def perimeter_ledger(result: CoverResult, h: float):
+def perimeter_ledger(result: CoverResult, tri: np.ndarray, h: float,
+                     iso: bool):
     """(sum_good, sum_iso, sum_generic); asserts the per-cover bounds.
 
-    Isosceles covers obey total <= C2 * Per(T); generic covers obey
-    good <= C0 * Per(T), leftover-iso <= C0 * Per(T) and leftover-generic
-    <= C2 * Per(T), with C0 = 10*floor(1/h) for the plan's aspect h and
-    C2 = 42.
+    result covers the triangles tri ((3,2) or (n,3,2)), with Per(T)
+    their total perimeter; iso says whether it is their inscribed-diamond
+    cover.  Isosceles covers obey total <= C2 * Per(T); generic covers
+    obey good <= C0 * Per(T), leftover-iso <= C0 * Per(T) and
+    leftover-generic <= C2 * Per(T), with C0 = 10*floor(1/h) for the
+    plan's aspect h and C2 = 42.
     """
     if result.n_children == 0:
         return (0.0, 0.0, 0.0)
     sums = result.perimeters()
-    per = result.parent_perimeter
-    if result.kind == "iso":
+    per = float(tri_perimeters(
+        np.asarray(tri, dtype=float).reshape(-1, 3, 2)).sum())
+    if iso:
         assert sum(sums) <= C2_UNIFORM * per, "iso cover perimeter bound"
     else:
         assert sums[1] <= c0_constant(h) * per, "iso-part perimeter bound"
@@ -558,7 +534,7 @@ class CoveringCheckReport:
 
 
 def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
-                 report: CoveringCheckReport, label: str):
+                 iso: bool, report: CoveringCheckReport, label: str):
     from . import analysis as an
     area = abs(tri_areas(np.asarray(tri, dtype=float)[None])[0])
     part = abs(float(tri_areas(res.verts).sum()) - area) / area
@@ -573,7 +549,7 @@ def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
     report.max_stray_len = max(report.max_stray_len, stray)
     ledger_ok = True
     try:
-        perimeter_ledger(res, plan.h)
+        perimeter_ledger(res, tri, plan.h, iso)
     except AssertionError:
         ledger_ok = False
     # every placed diamond carries the plan's pieces, in the plan's order
@@ -595,9 +571,9 @@ def verify_covering(delta: float) -> CoveringCheckReport:
     """Partition/continuity/trace/ledger/layout sweep over all cover kinds.
 
     For each of VERIFY_STAGES, at the calibrated aspect: the matching
-    isosceles cover, a diamond row over a box, and generic covers of a
-    scalene triangle in two placements; plus one low-stage cover.
-    Everything must partition exactly, glue continuously, match the
+    isosceles cover and generic covers of a scalene triangle in two
+    placements (their squares are the diamond rows); plus one low-stage
+    cover.  Everything must partition exactly, glue continuously, match the
     affine datum on the parent boundary, keep interface segments off the
     parent boundary, respect the perimeter ledger and give every diamond
     the plan's pieces.
@@ -616,24 +592,12 @@ def verify_covering(delta: float) -> CoveringCheckReport:
         report.cases += 1
         if res.n_children != 12:
             report.failures += 1
-        _check_cover(res, iso_tri, plan, report, f"iso@{stage}")
-        res = cover_rectangle(np.zeros(2), d, 0.2, 3, plan)
-        corner_box = np.stack([np.zeros(2), 0.2 * d,
-                               0.2 * d + 3 * plan.h * 0.2 * p,
-                               3 * plan.h * 0.2 * p])
-        box_tris = np.stack([corner_box[[0, 1, 2]], corner_box[[0, 2, 3]]])
-        area_box = float(tri_areas(box_tris).sum())
-        part = abs(float(tri_areas(res.verts).sum()) - area_box) / area_box
-        report.cases += 1
-        report.max_partition_err = max(report.max_partition_err, part)
-        if part > 1e-12 or res.n_children != 10 * 3 + 2 * 2 + 4:
-            report.failures += 1
-            report.failure_examples.append((f"rect@{stage}", part))
+        _check_cover(res, iso_tri, plan, True, report, f"iso@{stage}")
         for tri in (np.array([[0.0, 0.0], [0.9, 0.15], [0.25, 0.8]]),
                     np.array([[1.0, 1.0], [1.2, 1.9], [0.3, 1.5]])):
             res = cover_generic(tri, plan)
             report.cases += 1
-            _check_cover(res, tri, plan, report, f"gen@{stage}")
+            _check_cover(res, tri, plan, False, report, f"gen@{stage}")
             good_frac = float(tri_areas(res.verts[res.good]).sum()
                               / abs(tri_areas(tri[None])[0]))
             report.min_good_fraction = min(report.min_good_fraction,
@@ -646,5 +610,5 @@ def verify_covering(delta: float) -> CoveringCheckReport:
     plan = cl.replace_low_stage(M0, delta)
     res = cover_generic(tri, plan)
     report.cases += 1
-    _check_cover(res, tri, plan, report, "low-stage")
+    _check_cover(res, tri, plan, False, report, "low-stage")
     return report

@@ -251,9 +251,9 @@ class Engine:
             if n_final + count - 1 > target:
                 if not taken:
                     if n_final + count - 1 > cfg.cell_budget:
+                        # not one cover fits: the run ends at st, which
+                        # stays as recorded
                         self.stalled = True
-                        st.frozen[:] = True
-                        self._record(0.0, 0.0, 0.0, 0.0, 0.0)
                         return self.metrics.rows[-1]
                 else:
                     break

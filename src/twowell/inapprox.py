@@ -90,21 +90,16 @@ def _classify_gaps(d1: np.ndarray, d2: np.ndarray, z0: float) -> np.ndarray:
     return out
 
 
-def classify(F: np.ndarray, delta: float, tol: float = mg.PIPE_TOL) -> int:
+def classify(F: np.ndarray, delta: float) -> int:
     """The unique stage of an interior matrix."""
     C = mg.gram(F)
-    if mg.cg_membership(C, delta, margin=0.0, tol=tol) != "interior":
+    if mg.cg_membership(C, delta, margin=0.0) != "interior":
         raise NotClassifiableError("stage classification needs an interior matrix")
     d1, d2 = mg.face_gaps(C, delta)
     k = _classify_gaps(np.array([d1]), np.array([d2]), zeta0(delta))[0]
     if k < 0:
         raise NotClassifiableError("gaps are not positive")
     return int(k)
-
-
-def dist_to_wells(F: np.ndarray, delta: float) -> float:
-    """Distance from F to the union of the two wells."""
-    return mg.dist_to_wells(F, mg.make_wells(delta))[0]
 
 
 # ---------------------------------------------------------------------------

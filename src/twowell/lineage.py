@@ -164,7 +164,7 @@ def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
 
 def iso_cover(v: np.ndarray, plan: cl.RefinePlan, pdata: PlanData) -> Cover:
     """The inscribed-diamond cover, laid by covering.iso_layout."""
-    center, r, left, axis, _ = cv.iso_layout(v)
+    center, r, left, axis = cv.iso_layout(v)
     left = _fix_ccw(left)
     perimeter = float(r * plan.perim_unit + cv.tri_perimeters(left).sum())
     return Cover(plan, [], [], (center, r, left, axis), r, r * r, r ** 3, r,

@@ -240,68 +240,68 @@ def face_gaps(C: np.ndarray, delta: float) -> tuple[float, float]:
     return 1.0 - C[0, 0], 1.0 + delta * delta - C[1, 1]
 
 
-def cg_membership(C: np.ndarray, delta: float, margin: float = 0.0,
-                  tol: float = PIPE_TOL) -> str:
+def cg_membership(C: np.ndarray, delta: float, margin: float = 0.0) -> str:
     """Classify a Cauchy-Green tensor against the hull conditions.
 
     The hull in C-coordinates: c11 <= 1, c22 <= 1 + delta^2, c11 c22 >= 1,
     det C = 1.  'interior' requires all three inequalities strict by at
-    least `margin`; 'boundary' allows slack tol; anything else (including
-    det C far from 1) is 'outside'.
+    least `margin`; 'boundary' allows slack PIPE_TOL; anything else
+    (including det C farther than PIPE_TOL from 1) is 'outside'.
     """
-    if C.shape != (2, 2) or abs(C[0, 1] - C[1, 0]) > tol:
+    if C.shape != (2, 2) or abs(C[0, 1] - C[1, 0]) > PIPE_TOL:
         raise InvalidParameterError("C must be a symmetric 2x2 matrix")
     if C[0, 0] <= 0 or C[1, 1] <= 0 or np.linalg.det(C) <= 0:
         raise InvalidParameterError("C must be positive definite")
-    if abs(float(np.linalg.det(C)) - 1.0) > tol:
+    if abs(float(np.linalg.det(C)) - 1.0) > PIPE_TOL:
         return "outside"
     d1, d2 = face_gaps(C, delta)
     prod = C[0, 0] * C[1, 1] - 1.0
     if d1 > margin and d2 > margin and prod > margin:
         return "interior"
-    if d1 >= -tol and d2 >= -tol and prod >= -tol:
+    if d1 >= -PIPE_TOL and d2 >= -PIPE_TOL and prod >= -PIPE_TOL:
         return "boundary"
     return "outside"
 
 
-def matrix_to_coords(F: np.ndarray, branch: int, delta: float,
-                     tol: float = PIPE_TOL) -> LaminateCoords:
+def matrix_to_coords(F: np.ndarray, branch: int,
+                     delta: float) -> LaminateCoords:
     """Invert the coordinate map on the hull for the requested branch.
 
     lam is read from the mu-independent diagonal entry of C = F^T F and
     brought to the canonical half [0, 1/2]; mu from the off-diagonal entry;
-    the rotation is whatever is left over (and is checked to be one).
+    the rotation is whatever is left over (and is checked to be one).  The
+    walls and ranges are checked with slack PIPE_TOL.
     """
     C = gram(F)
-    loc = cg_membership(C, delta, margin=0.0, tol=tol)
+    loc = cg_membership(C, delta, margin=0.0)
     if loc == "outside":
         raise NotAttainableError("F is not in the lamination hull")
     d = delta
     if branch == 1:
         t = C[1, 1] - 1.0
-        if t <= tol:
+        if t <= PIPE_TOL:
             raise DegenerateCoordinatesError("c22 = 1: branch-1 lam = 1/2 wall")
         dt = math.sqrt(t)                      # = d*(1-2lam) >= 0
         lam = 0.5 * (1.0 - dt / d)
     elif branch == 2:
         prod = (1.0 - C[0, 0]) * (1.0 + d * d) / (4.0 * d * d)   # lam(1-lam)
         disc = 1.0 - 4.0 * prod
-        if disc <= tol:
+        if disc <= PIPE_TOL:
             raise DegenerateCoordinatesError("c11 at the branch-2 lam = 1/2 wall")
         lam = 0.5 * (1.0 - math.sqrt(disc))
         dt = d * (1.0 - 2.0 * lam)
     else:
         raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    if not (-tol <= lam <= 0.5):
+    if not (-PIPE_TOL <= lam <= 0.5):
         raise NotAttainableError(f"no admissible lam on branch {branch}")
     lam = min(max(lam, 0.0), 0.5)
     mu = 0.5 * (1.0 - C[0, 1] / dt)
-    if not (-tol <= mu <= 1.0 + tol):
+    if not (-PIPE_TOL <= mu <= 1.0 + PIPE_TOL):
         raise NotAttainableError(f"no admissible mu on branch {branch}")
     mu = min(max(mu, 0.0), 1.0)
     base = laminate_matrix(branch, mu, lam, delta)
     R = F @ np.linalg.inv(base)
-    if not is_rotation(R, 100.0 * tol):
+    if not is_rotation(R, 100.0 * PIPE_TOL):
         raise NotAttainableError("residual factor is not a rotation")
     return LaminateCoords(branch, mu, lam, R)
 
@@ -313,7 +313,6 @@ def matrix_to_coords(F: np.ndarray, branch: int, delta: float,
 @dataclass(frozen=True)
 class SplitResult:
     rho: float
-    mu_star: float
     Fplus: np.ndarray          # child at mu*
     Fminus: np.ndarray         # child at 1 - mu*
     chi: int
@@ -321,7 +320,6 @@ class SplitResult:
     eps0: float
     branch: int
     normal_axis: int           # 0: interfaces normal to e1, 1: normal to e2
-    coords: LaminateCoords
 
 
 def lipschitz_bound_constant(delta: float) -> float:
@@ -329,8 +327,8 @@ def lipschitz_bound_constant(delta: float) -> float:
     return 2.0 * math.sqrt(2.0 + delta * delta)
 
 
-def split(F: np.ndarray, branch: int, eps: float, delta: float,
-          tol: float = PIPE_TOL) -> SplitResult:
+def split(F: np.ndarray, branch: int, eps: float,
+          delta: float) -> SplitResult:
     """Split F into two rank-one-connected children with gap exactly eps.
 
     The improved diagonal Cauchy-Green entry of both children moves to
@@ -338,10 +336,10 @@ def split(F: np.ndarray, branch: int, eps: float, delta: float,
     diagonal entry is inherited unchanged.  F = rho Fplus + (1-rho) Fminus.
     """
     C = gram(F)
-    loc = cg_membership(C, delta, margin=0.0, tol=tol)
+    loc = cg_membership(C, delta, margin=0.0)
     if loc == "boundary":
         raise NotSplittableError("F lies on the hull boundary")
-    coords = matrix_to_coords(F, branch, delta, tol=tol)
+    coords = matrix_to_coords(F, branch, delta)
     mu, lam, R = coords.mu, coords.lam, coords.rotation
     d1, d2 = face_gaps(C, delta)
     eps0 = d1 if branch == 1 else d2
@@ -362,8 +360,8 @@ def split(F: np.ndarray, branch: int, eps: float, delta: float,
     chi = 1 if (0.5 - mu) * (0.5 - mu_star) >= 0 else -1
     Fp = R @ laminate_matrix(branch, mu_star, lam, delta)
     Fm = R @ laminate_matrix(branch, 1.0 - mu_star, lam, delta)
-    return SplitResult(rho, mu_star, Fp, Fm, chi, eps, eps0, branch,
-                       0 if branch == 1 else 1, coords)
+    return SplitResult(rho, Fp, Fm, chi, eps, eps0, branch,
+                       0 if branch == 1 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -47,45 +47,43 @@ def hull_point(lam: float, Q: np.ndarray, delta: float) -> np.ndarray:
     return np.asarray(Q) @ np.diag([1.0, 1.0 - delta + 2.0 * lam * delta])
 
 
-def lc_membership(F: np.ndarray, delta: float,
-                  tol: float = QC_TOL) -> tuple[bool, float, np.ndarray]:
+def lc_membership(F: np.ndarray,
+                  delta: float) -> tuple[bool, float, np.ndarray]:
     """Test F in the lamination hull; recover (lam, Q) regardless.
 
     Membership means F^T F = diag(1, b) with b between (1-delta)^2 and
-    (1+delta)^2 and det F > 0.  The returned lam solves
+    (1+delta)^2 and det F > 0, each within QC_TOL relative to the largest
+    entry of F^T F (at least 1).  The returned lam solves
     1 - delta + 2 lam delta = sqrt(b) and Q = F diag(1, sqrt(b))^{-1};
     both are best-effort values when member is False.
     """
     F = np.asarray(F, dtype=float)
     C = F.T @ F
-    scale = max(1.0, float(np.abs(C).max()))
     b = float(C[1, 1])
     sb = math.sqrt(max(b, 0.0))
     lam = (sb - (1.0 - delta)) / (2.0 * delta)
     Q = F @ np.diag([1.0, 1.0 / sb]) if sb > 0 else F.copy()
     b_lo, b_hi = sorted(((1.0 - delta) ** 2, (1.0 + delta) ** 2))
-    member = (abs(C[0, 1]) <= tol * scale
-              and abs(C[0, 0] - 1.0) <= tol * scale
-              and b_lo - tol * scale <= b <= b_hi + tol * scale
+    slack = QC_TOL * max(1.0, float(np.abs(C).max()))
+    member = (abs(C[0, 1]) <= slack
+              and abs(C[0, 0] - 1.0) <= slack
+              and b_lo - slack <= b <= b_hi + slack
               and np.linalg.det(F) > 0.0)
     return bool(member), float(lam), Q
 
 
-def polyconvex_witness(F: np.ndarray, delta: float) -> float:
+def polyconvex_witness(F: np.ndarray, delta: float):
     """f(F): 1/det above det = 1-delta, its tangent line below.
 
+    F is one matrix (a float comes back) or a stack (...,2,2) (an array).
     The tangent continuation keeps f convex in det (hence polyconvex)
     while preserving the value (1-delta)^{-1} on the lower well.
     """
-    d = float(np.linalg.det(np.asarray(F, dtype=float)))
-    if d > 1.0 - delta:
-        return 1.0 / d
-    return -d / (1.0 - delta) ** 2 + 2.0 / (1.0 - delta)
-
-
-def _witness_of_dets(dets: np.ndarray, delta: float) -> np.ndarray:
+    d = np.linalg.det(np.asarray(F, dtype=float))
     lo = 1.0 - delta
-    return np.where(dets > lo, 1.0 / dets, -dets / lo ** 2 + 2.0 / lo)
+    # np.where takes 1/d also where the tangent line is used (d = 0, tiny)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(d > lo, 1.0 / d, -d / lo ** 2 + 2.0 / lo)[()]
 
 
 def connection_scan(delta: float, n: int = 720) -> dict:
@@ -127,11 +125,12 @@ LAMINATE_SAMPLES = 1_000   # rank-one hull pairs in verify_qc_bounds
 
 
 def verify_qc_bounds(delta: float, samples: int = 100_000,
-                     seed: int = 0, tol: float = QC_TOL) -> QcBoundsReport:
+                     seed: int = 0) -> QcBoundsReport:
     """Sample the hull uniformly in (lam, theta) and test every bound.
 
-    Checks per sample: det F within [1-delta, 1+delta], |F e1| <= 1,
-    |F^{-T} e1| <= 1, F^T F e1 = e1, and f(F) <= (1-delta)^{-1}.  The
+    Checks per sample, each with slack QC_TOL: det F within
+    [1-delta, 1+delta], |F e1| <= 1, |F^{-T} e1| <= 1, F^T F e1 = e1, and
+    f(F) <= (1-delta)^{-1}.  The
     endpoint laminates lam in {0, 1} land on the wells exactly, and
     barycenters of random rank-one connected hull pairs stay in the hull
     with the interpolated lam (no second-order growth).
@@ -159,12 +158,12 @@ def verify_qc_bounds(delta: float, samples: int = 100_000,
     inv_col1 = np.hypot(Fs[:, 1, 1], Fs[:, 0, 1]) / dets
     CG1 = np.einsum("nji,nj->ni", Fs, Fs[:, :, 0])    # F^T (F e1)
     iso_defect = np.hypot(CG1[:, 0] - 1.0, CG1[:, 1])
-    fvals = _witness_of_dets(dets, delta)
+    fvals = polyconvex_witness(Fs, delta)
     lo, hi = sorted((1.0 - delta, 1.0 + delta))
     fcap = 1.0 / (1.0 - delta)
-    bad = ((dets < lo - tol) | (dets > hi + tol)
-           | (col1 > 1.0 + tol) | (inv_col1 > 1.0 + tol)
-           | (iso_defect > tol) | (fvals > fcap + tol))
+    bad = ((dets < lo - QC_TOL) | (dets > hi + QC_TOL)
+           | (col1 > 1.0 + QC_TOL) | (inv_col1 > 1.0 + QC_TOL)
+           | (iso_defect > QC_TOL) | (fvals > fcap + QC_TOL))
     idx = np.flatnonzero(bad)
     report = QcBoundsReport(
         delta=delta, samples=samples, violations=int(idx.size),
@@ -179,7 +178,7 @@ def verify_qc_bounds(delta: float, samples: int = 100_000,
     for lam_end, well in ((0.0, wells.F2), (1.0, wells.F1)):
         for th in (0.0, 1.0, 2.5, 4.0):
             F = hull_point(lam_end, mg.rot(th), delta)
-            if mg.rotation_distance_sq(F, well) > tol:
+            if mg.rotation_distance_sq(F, well) > QC_TOL:
                 report.violations += 1
                 report.violation_examples.append((lam_end, th, "endpoint"))
     # barycenters of rank-one connected hull pairs: same rotation,
@@ -188,7 +187,7 @@ def verify_qc_bounds(delta: float, samples: int = 100_000,
         l1, l2, mu = rng.uniform(0.0, 1.0, 3)
         Q = mg.rot(rng.uniform(0.0, 2.0 * math.pi))
         F = mu * hull_point(l1, Q, delta) + (1 - mu) * hull_point(l2, Q, delta)
-        member, lam_bar, Qr = lc_membership(F, delta, tol)
+        member, lam_bar, Qr = lc_membership(F, delta)
         target = mu * l1 + (1 - mu) * l2
         if (not member or abs(lam_bar - target) > 1e-7
                 or np.abs(Qr - Q).max() > 1e-7):

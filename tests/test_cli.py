@@ -112,6 +112,24 @@ class TestRun:
                 if ln and not ln.startswith("#")]
         assert len(rows) == 1 + 3         # flag wins over the file
 
+    def test_domain_file(self, tmp_path):
+        # the unit square's two triangles, read from a file, give the
+        # cells of the built-in domain; the "#" lines differ because the
+        # config digest includes the domain string
+        domain = tmp_path / "square.txt"
+        domain.write_text("0 0 1 0 1 1\n0 0 1 1 0 1\n")
+        cells = {}
+        for name, spec in (("file", str(domain)), ("builtin", "unit-square")):
+            out = tmp_path / name
+            code = run_cli(["run", "--domain", spec, "--budget", "5000",
+                            "--steps", "2", "--outdir", str(out)])
+            assert code == 0
+            cells[name] = [ln for ln in
+                           (out / "mesh.txt").read_text().splitlines()
+                           if not ln.startswith("#")]
+        assert len(cells["builtin"]) > 2
+        assert cells["file"] == cells["builtin"]
+
 
 class TestRunErrors:
     def test_malformed_boundary_triple(self):
@@ -132,6 +150,12 @@ class TestRunErrors:
     def test_unreadable_domain(self, tmp_path):
         assert run_cli(["run", "--domain", str(tmp_path / "nope.txt")]) == 1
 
+    def test_domain_file_without_six_reals(self, tmp_path):
+        domain = tmp_path / "bad.txt"
+        domain.write_text("0 0 1 0 1\n")
+        assert run_cli(["run", "--domain", str(domain),
+                        "--outdir", str(tmp_path)]) == 1
+
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("stepz = 3\n")
@@ -145,6 +169,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "matgeo\tpass" in out
+
+    def test_all_suites(self, capsys):
+        code = run_cli(["verify", "all", "--delta", "0.5",
+                        "--samples", "200"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        fields = {ln.split("\t")[0]: ln.split("\t")[1:] for ln in lines}
+        assert list(fields) == list(cli.SUITES) + ["verify"]
+        assert all(status == "pass" for status, _ in fields.values())
+        assert "cases=7" in fields["covering"][1].split()
 
     def test_unknown_suite(self):
         assert run_cli(["verify", "nosuch"]) == 2

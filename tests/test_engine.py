@@ -42,6 +42,17 @@ def stage_one_run():
 
 
 @pytest.fixture(scope="module")
+def stall_run():
+    # no cover of either root cell fits under this budget: the first
+    # step stalls
+    cfg = en.EngineConfig(cell_budget=50, max_steps=3, checks="fast",
+                          track_bv=False, keep_states=True)
+    eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+    eng.run()
+    return eng
+
+
+@pytest.fixture(scope="module")
 def small_run():
     cfg = en.EngineConfig(cell_budget=60_000, max_steps=3, checks="full",
                           track_bv=True, keep_states=True)
@@ -183,17 +194,21 @@ class TestBudgetPressure:
         assert eng.state.n == 2
         assert len(eng.metrics.rows) == 1
 
-    def test_stall_freezes_everything(self):
-        cfg = en.EngineConfig(cell_budget=50, max_steps=3, checks="fast",
-                              track_bv=False)
-        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
-                        config=cfg)
-        eng.run()
-        assert eng.stalled
-        assert eng.state.frozen.all()
-        last = eng.metrics.rows[-1]
-        assert last["frozen_measure"] == pytest.approx(eng.domain_area)
-        assert last["n_cells"] == 2
+    def test_stall_leaves_the_recorded_state(self, stall_run):
+        # a stalled step ends the run: it writes nothing to the state
+        # and records no row
+        assert stall_run.stalled
+        assert [row["k"] for row in stall_run.metrics.rows] == [0]
+        assert stall_run.states == [stall_run.state]
+        fresh = en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
+                          stall_run.config)
+        for name in en.COVER_COLUMNS + ("frozen", "ids", "parents",
+                                        "prev_index"):
+            assert np.array_equal(getattr(stall_run.state, name),
+                                  getattr(fresh.state, name)), name
+        assert stall_run.metrics.rows == fresh.metrics.rows
+        with pytest.raises(ConstructionFailureError):
+            stall_run.step()
 
     def test_largest_cells_refined_first(self):
         cfg = en.EngineConfig(cell_budget=25_000, max_steps=3, checks="fast",
@@ -357,14 +372,17 @@ class TestLowStageEntry:
 
 
 class TestRecordedStates:
-    def test_states_match_their_rows(self, ramp_run):
-        # a state is not written after its row is recorded
-        rows = ramp_run.metrics.rows
-        assert len(ramp_run.states) == len(rows) == 4
-        for st, row in zip(ramp_run.states, rows):
-            assert st.k == row["k"]
-            assert float(st.areas()[st.frozen].sum()) == row["frozen_measure"]
-            assert int(np.count_nonzero(~st.frozen)) == row["n_active"]
+    def test_states_match_their_rows(self, ramp_run, stall_run):
+        # a state is not written after its row is recorded, also when a
+        # step stalls
+        for eng, n in ((ramp_run, 4), (stall_run, 1)):
+            rows = eng.metrics.rows
+            assert len(eng.states) == len(rows) == n
+            for st, row in zip(eng.states, rows):
+                assert st.k == row["k"]
+                assert (float(st.areas()[st.frozen].sum())
+                        == row["frozen_measure"])
+                assert int(np.count_nonzero(~st.frozen)) == row["n_active"]
 
     @pytest.mark.parametrize("run", ["ramp_run", "stage_one_run"])
     def test_iso_cells_are_members_of_their_plan_class(self, run, request):

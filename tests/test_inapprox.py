@@ -121,11 +121,12 @@ class TestBands:
         # sup over stage k of dist-to-wells obeys C 2^(-k/2)
         sups = {}
         rng = np.random.default_rng(0)
+        wells = mg.make_wells(0.5)
         for k in range(2, 13):
             best = 0.0
             for _ in range(200):
                 F = ia.sample_stage(k, 0.5, rng)
-                best = max(best, ia.dist_to_wells(F, 0.5))
+                best = max(best, mg.dist_to_wells(F, wells)[0])
             sups[k] = best
         consts = [sups[k] * 2.0 ** (k / 2) for k in sups]
         assert max(consts) < 10.0 * min(max(consts[0], 1e-9), consts[0] + 1)

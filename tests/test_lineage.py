@@ -157,7 +157,7 @@ def _emitted(eng, i, st=None):
     if st.iso[i]:
         return cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
     return cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
-                         st.offs[i], 1.0)
+                         st.offs[i])
 
 
 def _cell(eng, which):
@@ -259,7 +259,7 @@ def _check_blocks(eng, want_kinds):
         at = n_kept
         for i in covered:
             res = _emitted(eng, i, prev)
-            kinds.append(res.kind)
+            kinds.append("iso" if prev.iso[i] else "generic")
             block = slice(at, at + res.n_children)
             assert (st.parents[block] == prev.ids[i]).all()
             assert (st.prev_index[block] == i).all()
@@ -334,7 +334,7 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
         node = _node_of(gen1, i)
         cover = cache.cover(node)
         res = cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
-                            st.offs[i], 1.0)
+                            st.offs[i])
         r = res.diam_scales
         sums = [np.sum(r * r), np.sum(r ** 3),
                 cov.tri_perimeters(res.verts).sum(),
