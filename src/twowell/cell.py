@@ -192,8 +192,6 @@ class CellConstruction:
     C: np.ndarray
     lam: float
     h: float
-    q: float
-    mu_geom: float
     scale: float
     frame: np.ndarray          # rotation S with S e1 = n, S e2 = n_perp
     diamond: np.ndarray        # (4,2) physical diamond vertices
@@ -281,9 +279,8 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
         offs = np.tile(C @ center - C @ center, (2, 1))   # zero: u = Cy
         areas = tpl.areas * scale * scale
         diamond = center + scale * _diamond_points(h)
-        return CellConstruction(A, B, C, lam, h, 0.0, (1 - lam) * h,
-                                scale, S, diamond, tris, grads,
-                                tpl.tris[:, 0] * 0, offs, areas, tpl)
+        return CellConstruction(A, B, C, lam, h, scale, S, diamond, tris,
+                                grads, tpl.tris[:, 0] * 0, offs, areas, tpl)
 
     rho0, a_hat, n_hat = rank_one_factors(D)
     Cinv_a = np.linalg.solve(C, a_hat)
@@ -309,9 +306,8 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
             + scale * tpl.offs @ CS.T)
     areas = tpl.areas * scale * scale
     diamond = center + scale * (_diamond_points(h) @ S.T)
-    return CellConstruction(A, B, C, lam, h, tpl.q, tpl.mu_geom, scale,
-                            S, diamond, tris, grads, GRAD_INDEX.copy(),
-                            offs, areas, tpl)
+    return CellConstruction(A, B, C, lam, h, scale, S, diamond, tris,
+                            grads, GRAD_INDEX.copy(), offs, areas, tpl)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ triangles.  A generic cover is its list of right triangles (RightRow,
 from generic_spec), its children counted in closed form by child_count;
 lay_squares lays the squares of any set of rows at once, a whole batch
 of covers for emit_spec.  Every cover takes the replacement plan of its
-cell; choosing that plan is the engine's job.  A cover carries its
-children and the scales of its diamonds, nothing more.
+cell; choosing that plan is the engine's job.  A cover carries its plan,
+its children and the scales of its diamonds, nothing more: a child names
+its gradient by its plan piece, or -1 for a leftover that keeps its
+parent's (the engine maps pieces to rows of its gradient table).
 
 perimeter_ledger sums the child perimeters of a cover per class (good /
 leftover-isosceles / leftover-generic) and checks them against the
@@ -115,18 +117,18 @@ class CoverResult:
     """Children of one cover, or of a batch of covers of one plan laid
     cover after cover, and the scales of their diamonds.
 
-    good marks the pieces of replaced diamonds (new gradients); leftovers
-    keep the parent's affine map.  iso marks the leftovers in the
-    isosceles class of the plan (base/height = 2 plan.h, apex axis along
-    plan.dhat): they keep the parent's gradient, so they get the same plan
-    again and take its inscribed-diamond cover.
+    A child names its gradient by piece: the index of its plan piece in a
+    replaced diamond (good, a new gradient), or -1 for a leftover, which
+    keeps the parent's affine map.  grads, stages and phases gather the
+    plan's values.  iso marks the leftovers in the isosceles class of the
+    plan (base/height = 2 plan.h, apex axis along plan.dhat): they keep the
+    parent's gradient, so they get the same plan again and take its
+    inscribed-diamond cover.
     """
+    plan: cl.RefinePlan
     verts: np.ndarray        # (n,3,2), counterclockwise
-    grads: np.ndarray        # (n,2,2)
     offs: np.ndarray         # (n,2)
-    stages: np.ndarray       # (n,) int16
-    phases: np.ndarray       # (n,) uint8, 1 or 2
-    good: np.ndarray         # (n,) bool
+    piece: np.ndarray        # (n,) plan piece index, -1 for a leftover
     iso: np.ndarray          # (n,) bool, in the isosceles class of the plan
     diam_scales: np.ndarray  # (m,) scale of every placed diamond, in order
     diam_counts: np.ndarray  # (covers,) diamonds placed by each cover
@@ -134,6 +136,23 @@ class CoverResult:
     @property
     def n_children(self) -> int:
         return self.verts.shape[0]
+
+    @property
+    def good(self) -> np.ndarray:
+        return self.piece >= 0
+
+    # a plan column with the parent's value appended: piece -1 reads it
+    @property
+    def grads(self) -> np.ndarray:
+        return np.concatenate([self.plan.grads, self.plan.M[None]])[self.piece]
+
+    @property
+    def stages(self) -> np.ndarray:
+        return np.append(self.plan.stages, self.plan.stage)[self.piece]
+
+    @property
+    def phases(self) -> np.ndarray:
+        return np.append(self.plan.phases, self.plan.parent_phase)[self.piece]
 
     def areas(self) -> np.ndarray:
         return tri_areas(self.verts)
@@ -181,9 +200,8 @@ def _emit(plan: cl.RefinePlan, n: int, pieces_at: np.ndarray,
     its parent's map at left_at[k], and the first n_iso leftovers are in
     the isosceles class of the plan.
     """
-    res = CoverResult(np.empty((n, 3, 2)), np.empty((n, 2, 2)),
-                      np.empty((n, 2)), np.empty(n, dtype=np.int16),
-                      np.empty(n, dtype=np.uint8), np.zeros(n, dtype=bool),
+    res = CoverResult(plan, np.empty((n, 3, 2)), np.empty((n, 2)),
+                      np.full(n, -1, dtype=np.int16),
                       np.zeros(n, dtype=bool), r, diam_counts)
     at = pieces_at.reshape(centers.shape[0], plan.n_pieces)
     res.verts[at] = (centers[:, None, None, :]
@@ -191,15 +209,9 @@ def _emit(plan: cl.RefinePlan, n: int, pieces_at: np.ndarray,
     res.offs[at] = (np.einsum("jkl,il->ijk", plan.M[None] - plan.grads,
                               centers)
                     + r[:, None, None] * plan.bvec[None] + dia_off[:, None])
-    res.grads[at] = plan.grads
-    res.stages[at] = plan.stages
-    res.phases[at] = plan.phases
-    res.good[at] = True
+    res.piece[at] = np.arange(plan.n_pieces)
     res.verts[left_at] = _fix_ccw(left)
-    res.grads[left_at] = plan.M
     res.offs[left_at] = left_off
-    res.stages[left_at] = plan.stage
-    res.phases[left_at] = plan.parent_phase
     res.iso[left_at[:n_iso]] = True
     return res
 
@@ -553,8 +565,9 @@ def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
     except AssertionError:
         ledger_ok = False
     # every placed diamond carries the plan's pieces, in the plan's order
-    layout_ok = np.array_equal(res.stages[res.good],
-                               np.tile(plan.stages, len(res.diam_scales)))
+    layout_ok = np.array_equal(res.piece[res.good],
+                               np.tile(np.arange(plan.n_pieces),
+                                       len(res.diam_scales)))
     scale = math.sqrt(area)
     if (part > 1e-12 or cont > 1e-10 or trace > 1e-10 * max(scale, 1.0)
             or stray > 1e-8 * scale or not ledger_ok or not layout_ok):

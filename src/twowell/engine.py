@@ -9,6 +9,10 @@ children.  Cells that do not fit the capacity slice are frozen for good,
 so the mesh stays within budget while the refined region keeps its
 exponential stage advance.
 
+A cell names its gradient by its row in the run's GradientTable, which
+holds each distinct gradient once with its stage and phase; building a
+plan appends its pieces' gradients, and a leftover keeps its parent's row.
+
 All metrics are streamed during emission: the L1 step differences and
 the displacement bounds are exact sums of per-diamond contributions
 precomputed on the unit diamond, and the BV/perimeter/continuity numbers
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,26 +44,34 @@ PARTITION_TOL = 1e-10    # |total area - domain area| / domain area
 CONTINUITY_TOL = 1e-9
 TRACE_TOL = 1e-10
 CHECKS = ("fast", "full")
-# state columns a cover fills; the lineage columns are the engine's
-COVER_COLUMNS = ("verts", "grads", "offs", "stages", "phases", "iso")
+# state columns a cover fills besides gid; the lineage columns are the engine's
+COVER_COLUMNS = ("verts", "offs", "iso")
+
+
+class GradientTable(NamedTuple):
+    """Each distinct gradient of a run once, with its stage and phase;
+    rows are only appended, so a state keeps the table it was built with."""
+    grads: np.ndarray        # (r,2,2)
+    stages: np.ndarray       # (r,) int16, ia.classify of the gradient
+    phases: np.ndarray       # (r,) uint8, mg.phases of the gradient
 
 
 @dataclass
 class TwoWellState:
     """One triangulated affine state u(x) = grads[i] x + offs[i] on cell i.
 
-    iso[i] marks a leftover in the isosceles class of its plan (see
-    covering.CoverResult): it kept its parent's gradient, so its plan is
-    the cached one of its parent, and the next step covers it with the
-    inscribed diamond.
+    Cell i has the gradient of row gid[i] of table; grads, stages and
+    phases gather it.  iso[i] marks a leftover in the isosceles class of
+    its plan (see covering.CoverResult): it kept its parent's gradient, so
+    its plan is the cached one of its parent, and the next step covers it
+    with the inscribed diamond.
     """
     delta: float
     k: int
     verts: np.ndarray        # (n,3,2) counterclockwise
-    grads: np.ndarray        # (n,2,2)
     offs: np.ndarray         # (n,2)
-    stages: np.ndarray       # (n,) int16
-    phases: np.ndarray       # (n,) uint8
+    gid: np.ndarray          # (n,) int32, row of the cell's gradient
+    table: GradientTable
     frozen: np.ndarray       # (n,) bool
     ids: np.ndarray          # (n,) int64
     parents: np.ndarray      # (n,) int64, -1 for roots
@@ -69,6 +81,18 @@ class TwoWellState:
     @property
     def n(self) -> int:
         return self.verts.shape[0]
+
+    @property
+    def grads(self) -> np.ndarray:
+        return self.table.grads[self.gid]
+
+    @property
+    def stages(self) -> np.ndarray:
+        return self.table.stages[self.gid]
+
+    @property
+    def phases(self) -> np.ndarray:
+        return self.table.phases[self.gid]
 
     def areas(self) -> np.ndarray:
         return cv.tri_areas(self.verts)
@@ -142,13 +166,14 @@ class Engine:
             [verts.reshape(-1, 2),
              np.roll(verts, -1, axis=1).reshape(-1, 2)], axis=1)
         n = verts.shape[0]
-        stage = ia.classify(self.M, self.delta)
+        self.table = GradientTable(np.empty((0, 2, 2)),
+                                   np.empty(0, dtype=np.int16),
+                                   np.empty(0, dtype=np.uint8))
+        self._row_of: Dict[bytes, int] = {}
+        self._row(self.M)                       # row 0, the datum's
         self.state = TwoWellState(
-            self.delta, 0, verts,
-            np.broadcast_to(self.M, (n, 2, 2)).copy(),
-            np.zeros((n, 2)),
-            np.full(n, stage, dtype=np.int16),
-            np.repeat(mg.phases(self.M[None], self.wells), n),
+            self.delta, 0, verts, np.zeros((n, 2)),
+            np.zeros(n, dtype=np.int32), self.table,
             np.zeros(n, dtype=bool),
             np.arange(n, dtype=np.int64),
             np.full(n, -1, dtype=np.int64),
@@ -158,7 +183,9 @@ class Engine:
         self.h0 = (self.config.h0 if self.config.h0 is not None
                    else cl.calibrate_h0(self.delta,
                                         fracs=(0.25, 0.5, 0.75)))
-        self._plans: Dict[bytes, cl.RefinePlan] = {}
+        self._plans: Dict[int, cl.RefinePlan] = {}      # by table row
+        # by id of plan: the row of each piece, then the row of plan.M
+        self.piece_rows: Dict[int, np.ndarray] = {}
         self.metrics = an.MetricsSeries()
         self.states: List[TwoWellState] = []
         self.h_dyadic_used: set = set()
@@ -206,17 +233,31 @@ class Engine:
 
     # -- plans ------------------------------------------------------------
 
-    def _plan(self, G: np.ndarray) -> cl.RefinePlan:
+    def _row(self, G: np.ndarray) -> int:
+        """The table row of G, appended with its stage and phase if new."""
         key = G.tobytes()
-        plan = self._plans.get(key)
+        if key not in self._row_of:
+            t = self.table
+            self.table = GradientTable(
+                np.concatenate([t.grads, G[None]]),
+                np.append(t.stages, np.int16(ia.classify(G, self.delta))),
+                np.append(t.phases, mg.phases(G[None], self.wells)))
+            self._row_of[key] = len(self._row_of)
+        return self._row_of[key]
+
+    def _plan(self, row: int) -> cl.RefinePlan:
+        """The plan of table row `row`; building it adds its pieces' rows."""
+        plan = self._plans.get(row)
         if plan is None:
-            stage = int(ia.classify(G, self.delta))
-            if stage >= 2:
+            G = self.table.grads[row]
+            if self.table.stages[row] >= 2:
                 plan = cl.replace_dyadic_stage(G, self.delta, self.h0)
                 self.h_dyadic_used.add(plan.h)
             else:
                 plan = cl.replace_low_stage(G, self.delta)
-            self._plans[key] = plan
+            self.piece_rows[id(plan)] = np.array(
+                [self._row(g) for g in plan.grads] + [row])
+            self._plans[row] = plan
         return plan
 
     # -- stepping ---------------------------------------------------------
@@ -242,7 +283,7 @@ class Engine:
         # each generic cover
         batches: Dict[tuple, tuple] = {}
         for i in order:
-            plan = self._plan(st.grads[i])
+            plan = self._plan(int(st.gid[i]))
             if st.iso[i]:
                 count, rows = plan.n_pieces + 2, None
             else:
@@ -276,6 +317,7 @@ class Engine:
         src = np.concatenate([kept, np.repeat(taken_idx, counts)])
         new = TwoWellState(
             st.delta, k, **{c: getattr(st, c)[src] for c in COVER_COLUMNS},
+            gid=st.gid[src], table=self.table,
             frozen=np.arange(src.shape[0]) < n_kept,
             ids=np.concatenate([st.ids[kept], self._next_id
                                 + np.arange(src.shape[0] - n_kept)]),
@@ -295,6 +337,8 @@ class Engine:
             at = cv.runs(first[pos], counts[pos])
             for c in COVER_COLUMNS:
                 getattr(new, c)[at] = getattr(res, c)
+            # piece -1 (a leftover) picks the last row, the parent's
+            new.gid[at] = self.piece_rows[id(plan)][res.piece]
             r2, r3 = res.cover_sums(2), res.cover_sums(3)
             terms[np.asarray(pos) + 1] = np.stack(
                 [plan.flip_area_unit * r2, plan.grad_l1_unit * r2,
@@ -334,8 +378,10 @@ class Engine:
         st = self.state
         areas = self._areas = st.areas()
         total = float(areas.sum())
-        dists = mg.dist_to_wells_b(st.grads, self.wells).min(axis=1)
-        hist = np.bincount(st.stages, weights=areas)
+        stages = st.stages
+        dists = mg.dist_to_wells_b(st.table.grads,
+                                   self.wells).min(axis=1)[st.gid]
+        hist = np.bincount(stages, weights=areas)
         row = {
             "k": st.k, "n_cells": st.n,
             "n_active": int(np.count_nonzero(~st.frozen)),
@@ -345,12 +391,12 @@ class Engine:
             "frozen_measure": float(areas[st.frozen].sum()),
             "mean_dist": float(np.sum(areas * dists) / total),
             "energy": float(np.sum(areas * 2.0 **
-                                   (-0.5 * st.stages.astype(float)))),
+                                   (-0.5 * stages.astype(float)))),
             "refined_area": refined_area,
             "domain_area": self.domain_area,
             "partition_err": abs(total - self.domain_area),
-            "min_stage": int(st.stages.min()),
-            "max_stage": int(st.stages.max()),
+            "min_stage": int(stages.min()),
+            "max_stage": int(stages.max()),
         }
         checks = cfg.checks
         sw = None
@@ -468,9 +514,8 @@ def sample_generations(domain, M, delta: float, n_samples: int = 2000,
                                     ">= 1")
     eng = Engine(domain, M, delta, config)
     st = eng.state
-    roots = lin.root_nodes(st.verts, eng.M, int(st.stages[0]),
-                           int(st.phases[0]))
-    cache = lin.CoverCache(eng._plan, roots)
+    roots = lin.root_nodes(st.verts, int(st.gid[0]))
+    cache = lin.CoverCache(eng, roots)
     root_areas = st.areas()
     omega = eng.domain_area
     rng = np.random.default_rng(seed)
@@ -487,13 +532,14 @@ def sample_generations(domain, M, delta: float, n_samples: int = 2000,
         for k in range(generations):
             T = lineage[-1]
             area = T.area()
+            stage = int(eng.table.stages[T.gid])
             try:
                 cover = cache.cover(T)
             except (ConstructionFailureError, NotClassifiableError):
                 frozen[k:, i] = True
                 dens[k:, i, 3] = T.perimeter() / (area * T.abs_s)
                 for j in range(k, generations):
-                    hists[j].append(_stage_vec(T.stage, 1.0))
+                    hists[j].append(_stage_vec(stage, 1.0))
                 break
             plan = cover.plan
             pd = cache.plan_data(plan)
@@ -506,7 +552,7 @@ def sample_generations(domain, M, delta: float, n_samples: int = 2000,
                              / (area * T.abs_s))
             wsup[k] = max(wsup[k], plan.wsup_unit * cover.max_r * T.abs_s)
             hist = cover.diamond_stage_area / area
-            hists[k].append(_stage_vec(T.stage, 1.0 - float(hist.sum()),
+            hists[k].append(_stage_vec(stage, 1.0 - float(hist.sum()),
                                        hist))
             child, y = lin.locate(T, cover, y)
             lineage.append(child)
@@ -572,7 +618,8 @@ def _boundary_jump(cache: "lin.CoverCache", lineage, cover,
     yb = v[j] + t * e[j]
     nrm = np.array([e[j, 1], -e[j, 0]]) / lens[j]
     inner, _ = lin.locate(T, cover, yb - lin.INSIDE_EPS * nrm)
-    outer = lin.far_phase(cache, lineage, yb, nrm)
-    if outer is None or outer == inner.phase:
+    outer = lin.far_cell(cache, lineage, yb, nrm)
+    phases = cache.eng.table.phases
+    if outer is None or phases[outer.gid] == phases[inner.gid]:
         return 0.0
     return total

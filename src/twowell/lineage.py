@@ -49,13 +49,12 @@ ACROSS_FLOOR = 1e-13  # smallest outward offset in an ancestor's units
 class Node:
     """One cell in its local frame: y_parent = rel_c + rel_s * y.
 
-    iso marks a leftover in the isosceles class of its plan, as
-    TwoWellState.iso does: its cover is the inscribed diamond.
+    gid is the row of the cell's gradient in the engine's GradientTable,
+    as TwoWellState.gid is; iso marks a leftover in the isosceles class of
+    its plan, as TwoWellState.iso does: its cover is the inscribed diamond.
     """
     verts: np.ndarray        # (3,2) counterclockwise, local coordinates
-    grad: np.ndarray         # (2,2)
-    stage: int
-    phase: int
+    gid: int                 # row of the cell's gradient in the table
     iso: bool                # in the isosceles class of its plan
     key: Optional[tuple]     # identifies the local geometry; None: uncached
     rel_c: np.ndarray        # (2,) frame origin in the parent frame
@@ -80,6 +79,7 @@ class Cover:
     diamond (iso) with two tagged leftovers.
     """
     plan: cl.RefinePlan
+    gids: np.ndarray                # table row of each plan piece
     rows: List[cv.RightRow]
     leftovers: List[np.ndarray]     # per row: (k,3,2) counterclockwise
     iso: Optional[tuple]            # (center, r, leftovers (2,3,2), axis)
@@ -109,9 +109,10 @@ def _frame_of(tri: np.ndarray) -> Tuple[np.ndarray, float]:
 
 
 class PlanData:
-    """Unit-diamond facts of one plan: jumps and stage areas."""
+    """Unit-diamond facts of one plan: jumps, stage areas, piece rows."""
 
-    def __init__(self, plan: cl.RefinePlan):
+    def __init__(self, plan: cl.RefinePlan, gids: np.ndarray):
+        self.gids = gids     # table row of each piece (Engine.piece_rows)
         uv = plan.unit_verts
         ind = (plan.phases == 1).astype(float)
         par = float(plan.parent_phase == 1)
@@ -157,8 +158,8 @@ def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
                + float(cv.tri_perimeters(corners).sum()))
         tot += row.m * np.array([n * r, n * r * r, n * r ** 3, per, 0.0])
         tot[4] = max(tot[4], r)
-    return Cover(plan, rows, leftovers, None, float(tot[0]), float(tot[1]),
-                 float(tot[2]), float(tot[4]), float(tot[3]),
+    return Cover(plan, pdata.gids, rows, leftovers, None, float(tot[0]),
+                 float(tot[1]), float(tot[2]), float(tot[4]), float(tot[3]),
                  pdata.stage_area * float(tot[1]))
 
 
@@ -167,8 +168,8 @@ def iso_cover(v: np.ndarray, plan: cl.RefinePlan, pdata: PlanData) -> Cover:
     center, r, left, axis = cv.iso_layout(v)
     left = _fix_ccw(left)
     perimeter = float(r * plan.perim_unit + cv.tri_perimeters(left).sum())
-    return Cover(plan, [], [], (center, r, left, axis), r, r * r, r ** 3, r,
-                 perimeter, pdata.stage_area * r * r)
+    return Cover(plan, pdata.gids, [], [], (center, r, left, axis), r, r * r,
+                 r ** 3, r, perimeter, pdata.stage_area * r * r)
 
 
 def bv_inside(cover: Cover, pdata: PlanData) -> float:
@@ -206,7 +207,7 @@ def locate(node: Node, cover: Cover, y: np.ndarray):
         ml = _margins(left, y)
         i = int(np.argmax(ml))
         if mj * r >= ml[i]:
-            return _piece_child(node, plan, center, r, j, y)
+            return _piece_child(node, cover, center, r, j, y)
         return _leftover(node, left[i], y, True, None)
     best = (-np.inf, None, 0, 0)        # (margin, kind, row, index)
     for ri, row in enumerate(cover.rows):
@@ -231,7 +232,7 @@ def locate(node: Node, cover: Cover, y: np.ndarray):
         if mc[c] > _box_margin(stack, plan, y):
             return _leftover(node, corners[c], y, False,
                              key and key + ("corner", c))
-    return _in_stack(node, plan, stack, y, key)
+    return _in_stack(node, cover, stack, y, key)
 
 
 def _box_margin(stack, plan: cl.RefinePlan, y: np.ndarray) -> float:
@@ -243,7 +244,7 @@ def _box_margin(stack, plan: cl.RefinePlan, y: np.ndarray) -> float:
     return min(s, length - s, t, wt - t)
 
 
-def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
+def _in_stack(node: Node, cover: Cover, stack, y: np.ndarray,
               key: Optional[tuple]):
     """The child of the one diamond row stack (covering.lay_squares)
     holding y.
@@ -252,6 +253,7 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
     emit_spec lays it: only diamond q next to y, its two gaps and, at
     either end of the row, the end triangles.
     """
+    plan = cover.plan
     p0, _, e_w, length, n = (x[0] for x in stack)
     w, r = plan.h * length, 0.5 * length
     t = float((y - p0) @ e_w)
@@ -259,7 +261,7 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
     center = cv.stack_centers(stack, plan.h, [0], np.array([q]))[0]
     j, mj = _piece(plan, center, r, y)
     if mj >= 0.0:
-        return _piece_child(node, plan, center, r, j, y)
+        return _piece_child(node, cover, center, r, j, y)
     gaps = np.arange(max(q - 1, 0), min(q + 1, n - 1))
     upper, lower, ends = cv.stack_leftovers(stack, plan.h,
                                             np.zeros_like(gaps), gaps)
@@ -276,19 +278,18 @@ def _in_stack(node: Node, plan: cl.RefinePlan, stack, y: np.ndarray,
                      key and key + ("end", k - n_gaps))
 
 
-def _piece_child(node: Node, plan: cl.RefinePlan, center: np.ndarray,
+def _piece_child(node: Node, cover: Cover, center: np.ndarray,
                  r: float, j: int, y: np.ndarray):
-    child = Node(plan.unit_verts[j], plan.grads[j], int(plan.stages[j]),
-                 int(plan.phases[j]), False, ("piece", plan.M.tobytes(), j),
-                 center, r, node.abs_s * r)
+    plan = cover.plan
+    child = Node(plan.unit_verts[j], int(cover.gids[j]), False,
+                 ("piece", plan.M.tobytes(), j), center, r, node.abs_s * r)
     return child, (y - center) / r
 
 
 def _leftover(node: Node, tri: np.ndarray, y: np.ndarray, iso: bool,
               key: Optional[tuple]):
     c, s = _frame_of(tri)
-    child = Node((tri - c) / s, node.grad, node.stage, node.phase, iso, key,
-                 c, s, node.abs_s * s)
+    child = Node((tri - c) / s, node.gid, iso, key, c, s, node.abs_s * s)
     return child, (y - c) / s
 
 
@@ -299,22 +300,21 @@ def uniform_in(tri: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return tri[0] + u * (tri[1] - tri[0]) + v * (tri[2] - tri[0])
 
 
-def root_nodes(verts: np.ndarray, grad: np.ndarray, stage: int,
-               phase: int):
-    """Root cells in frames of unit size; rel_c/rel_s are absolute."""
+def root_nodes(verts: np.ndarray, gid: int):
+    """Root cells of table row gid in frames of unit size; rel_c/rel_s are
+    absolute."""
     nodes = []
     for i, tri in enumerate(verts):
         c, s = _frame_of(tri)
-        nodes.append(Node((tri - c) / s, grad, stage, phase, False,
-                          ("root", i), c, s, s))
+        nodes.append(Node((tri - c) / s, gid, False, ("root", i), c, s, s))
     return nodes
 
 
 class CoverCache:
-    """Covers by node key and unit-diamond facts by plan."""
+    """Covers by node key and unit-diamond facts by plan of one engine."""
 
-    def __init__(self, plan_of, roots):
-        self.plan_of = plan_of      # gradient -> RefinePlan (may raise)
+    def __init__(self, eng, roots):
+        self.eng = eng              # engine.Engine: its plans and table
         self.roots = roots          # root Nodes, for far-side descents
         self.covers: Dict[tuple, Cover] = {}
         self.pdata: Dict[int, PlanData] = {}
@@ -322,14 +322,15 @@ class CoverCache:
     def plan_data(self, plan: cl.RefinePlan) -> PlanData:
         pd = self.pdata.get(id(plan))
         if pd is None:
-            pd = self.pdata[id(plan)] = PlanData(plan)
+            pd = self.pdata[id(plan)] = PlanData(
+                plan, self.eng.piece_rows[id(plan)])
         return pd
 
     def cover(self, node: Node) -> Cover:
         """The cover Engine.step would lay on node.  The only errors are
         those of building node's plan (see cell.replace_dyadic_stage and
         cell.replace_low_stage); the plan's stages are taken as they are."""
-        plan = self.plan_of(node.grad)
+        plan = self.eng._plan(node.gid)
         pd = self.plan_data(plan)
         if node.iso:
             return iso_cover(node.verts, plan, pd)
@@ -356,9 +357,9 @@ def descend(cache: CoverCache, node: Node, y: np.ndarray,
     return node
 
 
-def far_phase(cache: CoverCache, lineage, yb: np.ndarray,
-              nrm: np.ndarray) -> Optional[int]:
-    """Phase one generation below lineage[-1], just across its boundary.
+def far_cell(cache: CoverCache, lineage, yb: np.ndarray,
+             nrm: np.ndarray) -> Optional[Node]:
+    """The cell one generation below lineage[-1], just across its boundary.
 
     yb lies on the boundary of T = lineage[-1] (T's frame) and nrm is the
     outward normal there.  The point yb + eps nrm is carried up T's
@@ -379,11 +380,11 @@ def far_phase(cache: CoverCache, lineage, yb: np.ndarray,
         yp = y + max(ACROSS_EPS * ratio, ACROSS_FLOOR) * nrm
         parent = lineage[j - 1]
         if _margins(parent.verts[None], yp)[0] > 0.0:
-            return descend(cache, parent, yp, gen - j + 1).phase
+            return descend(cache, parent, yp, gen - j + 1)
     # y is absolute now; the roots' own frames hold the far point
     for root in cache.roots:
         yr = (y - root.rel_c) / root.rel_s
         yr = yr + max(ACROSS_EPS * ratio / root.rel_s, ACROSS_FLOOR) * nrm
         if _margins(root.verts[None], yr)[0] > 0.0:
-            return descend(cache, root, yr, gen).phase
+            return descend(cache, root, yr, gen)
     return None

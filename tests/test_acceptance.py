@@ -210,8 +210,9 @@ def test_07_regularity_threshold(big_run, sampled_run):
 
 def test_08_stage_saturation(big_run):
     eng, _ = big_run
-    # after m*4 steps the measure at stage >= 4 must beat the refresh
-    # bound (1 - (1 - v^4)^m)|O| - frozen with v = 2^-20 per step, m = 1
+    # after 4 steps the measure at stage >= 4 must reach the bound
+    # (1 - (1 - v)^m)|O| - frozen with v = 2^-20 and m = 1; the budgeted
+    # run freezes far more than v|O|, so the bound is negative here
     hist = eng.metrics.stage_hists[4]
     sat = float(hist[4:].sum()) if hist.shape[0] > 4 else 0.0
     area = eng.metrics.rows[4]["domain_area"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twowell import analysis as an
+from twowell import cli
 from twowell import covering as cv
 from twowell import engine as en
 from twowell import inapprox as ia
@@ -202,7 +203,8 @@ class TestBudgetPressure:
         assert stall_run.states == [stall_run.state]
         fresh = en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
                           stall_run.config)
-        for name in en.COVER_COLUMNS + ("frozen", "ids", "parents",
+        for name in en.COVER_COLUMNS + ("gid", "grads", "stages", "phases",
+                                        "frozen", "ids", "parents",
                                         "prev_index"):
             assert np.array_equal(getattr(stall_run.state, name),
                                   getattr(fresh.state, name)), name
@@ -393,12 +395,69 @@ class TestRecordedStates:
         for st in eng.states:
             cells = np.flatnonzero(st.iso)
             tagged += cells.size
-            grads, which = np.unique(st.grads[cells], axis=0,
-                                     return_inverse=True)
-            for g, G in enumerate(grads):
-                plan = eng._plan(G)
+            rows, which = np.unique(st.gid[cells], return_inverse=True)
+            for g, row in enumerate(rows):
+                plan = eng._plan(int(row))
                 member, axis = cv.iso_membership(
                     st.verts[cells[which == g]], plan.h)
                 assert member.all()
                 assert (np.abs(axis @ plan.dhat) >= 1 - cv.ISO_TOL).all()
         assert tagged > 0
+
+
+@pytest.fixture(scope="module", params=["stage_two", "cli_default"])
+def table_run(request):
+    """A three-step run with keep_states on a stage-2 datum or on the CLI's
+    default (stage-0) boundary, and copies of the grads, stages and phases
+    of each state taken right after it was recorded."""
+    if request.param == "stage_two":
+        M, delta, stage = rep_datum(), DELTA, 2
+    else:
+        run = cli.RunConfig()
+        M, delta = cli.parse_boundary(run.boundary, run.delta), run.delta
+        stage = 0
+    assert ia.classify(M, delta) == stage
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
+                          track_bv=False, keep_states=True)
+    eng = en.Engine(en.unit_square_domain(), M, delta, cfg)
+    copies = []
+    while True:
+        st = eng.state
+        copies.append((st.grads.copy(), st.stages.copy(), st.phases.copy()))
+        if st.k == cfg.max_steps:
+            return eng, copies
+        eng.step()
+
+
+class TestGradientTable:
+    def test_rows_are_distinct_gradients(self, table_run):
+        eng, _ = table_run
+        grads = eng.table.grads
+        assert len({G.tobytes() for G in grads}) == grads.shape[0]
+        # each plan's piece rows hold its pieces' gradients, then its own
+        assert len(eng.piece_rows) == len(eng._plans) > 0
+        for row, plan in eng._plans.items():
+            rows = eng.piece_rows[id(plan)]
+            assert rows[-1] == row
+            assert np.array_equal(grads[rows], np.concatenate(
+                [plan.grads, plan.M[None]]))
+
+    def test_stage_and_phase_of_each_row(self, table_run):
+        eng, _ = table_run
+        t = eng.table
+        assert t.stages.dtype == np.int16 and t.phases.dtype == np.uint8
+        assert t.stages.tolist() == [ia.classify(G, eng.delta)
+                                     for G in t.grads]
+        assert np.array_equal(t.phases, mg.phases(t.grads, eng.wells))
+
+    def test_kept_states_read_what_was_recorded(self, table_run):
+        # later steps append rows; a kept state still gathers its own
+        eng, copies = table_run
+        assert len(eng.states) == len(copies) == 4
+        assert eng.states[0].table.grads.shape[0] == 1
+        assert eng.table.grads.shape[0] > 1
+        for st, (grads, stages, phases) in zip(eng.states, copies):
+            for got, want in ((st.grads, grads), (st.stages, stages),
+                              (st.phases, phases)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -19,7 +19,6 @@ from twowell import covering as cov
 from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import lineage as lin
-from twowell import matgeo as mg
 
 DELTA = 0.5
 AREA_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
@@ -66,9 +65,9 @@ def _generation2_reference(eng):
     tot = dict.fromkeys(AREA_COLUMNS, 0.0)
     hist = np.zeros(8)
     areas = st.areas()
-    cache = lin.CoverCache(eng._plan, [])
+    cache = lin.CoverCache(eng, [])
     for i in range(st.n):
-        plan = eng._plan(st.grads[i])
+        plan = eng._plan(int(st.gid[i]))
         if st.iso[i]:
             res = cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
             r2 = float(np.sum(res.diam_scales ** 2))
@@ -144,16 +143,15 @@ def _node_of(eng, i):
     """Generation-1 cell i of the explicit state as a lineage node."""
     st = eng.state
     c, s = lin._frame_of(st.verts[i])
-    return lin.Node((st.verts[i] - c) / s, st.grads[i], int(st.stages[i]),
-                    int(st.phases[i]), bool(st.iso[i]), ("cell", i), c, s,
-                    s)
+    return lin.Node((st.verts[i] - c) / s, int(st.gid[i]), bool(st.iso[i]),
+                    ("cell", i), c, s, s)
 
 
 def _emitted(eng, i, st=None):
     """The one-cover result of cell i of st (default: the engine's state),
     laid by the same cover Engine.step chooses."""
     st = eng.state if st is None else st
-    plan = eng._plan(st.grads[i])
+    plan = eng._plan(int(st.gid[i]))
     if st.iso[i]:
         return cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
     return cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
@@ -178,7 +176,7 @@ def test_located_children_are_emitted_children(gen1, which):
     i = _cell(gen1, which)
     res = _emitted(gen1, i)
     node = _node_of(gen1, i)
-    cache = lin.CoverCache(gen1._plan, [])
+    cache = lin.CoverCache(gen1, [])
     cover = cache.cover(node)
     rng = np.random.default_rng(0)
     c, s = node.rel_c, node.rel_s
@@ -192,9 +190,10 @@ def test_located_children_are_emitted_children(gen1, which):
                  if np.abs(res.verts[k] - verts).max() <= 1e-9 * s]
         assert len(match) == 1, (which, x)
         k = match[0]
-        assert child.phase == res.phases[k]
-        assert child.stage == res.stages[k]
-        assert np.array_equal(child.grad, res.grads[k])
+        table = gen1.table
+        assert table.phases[child.gid] == res.phases[k]
+        assert table.stages[child.gid] == res.stages[k]
+        assert np.array_equal(table.grads[child.gid], res.grads[k])
         assert child.iso == res.iso[k]
         np.testing.assert_allclose(lin._margins(child.verts[None], yc),
                                    lin._margins(verts[None], x) / (
@@ -228,8 +227,8 @@ def _stepped(run):
     other = ia.sample_stage(2, DELTA, np.random.default_rng(3))
     assert ia.classify(other, DELTA) == 2
     st = eng.state
-    st.grads[1::2] = other
-    st.phases[1::2] = mg.phases(other[None], eng.wells)[0]
+    st.gid[1::2] = eng._row(other)
+    st.table = eng.table
     st.offs[:] = np.random.default_rng(0).normal(size=(4, 2))
     eng.step()
     assert eng.state.k == 1 and len(eng._plans) == 2
@@ -263,7 +262,7 @@ def _check_blocks(eng, want_kinds):
             block = slice(at, at + res.n_children)
             assert (st.parents[block] == prev.ids[i]).all()
             assert (st.prev_index[block] == i).all()
-            for name in en.COVER_COLUMNS:
+            for name in en.COVER_COLUMNS + ("grads", "stages", "phases"):
                 assert np.array_equal(getattr(st, name)[block],
                                       getattr(res, name)), (i, name)
             at += res.n_children
@@ -276,7 +275,7 @@ def test_cover_totals_match_emitted_cover(gen1, which):
     i = _cell(gen1, which)
     res = _emitted(gen1, i)
     node = _node_of(gen1, i)
-    cache = lin.CoverCache(gen1._plan, [])
+    cache = lin.CoverCache(gen1, [])
     cover = cache.cover(node)
     pd = cache.plan_data(cover.plan)
     s = node.rel_s
@@ -315,7 +314,7 @@ def _generic_geometries(eng):
     for i in range(st.n):
         if st.iso[i]:
             continue
-        plan = eng._plan(st.grads[i])
+        plan = eng._plan(int(st.gid[i]))
         c, s = lin._frame_of(st.verts[i])
         shape = np.round((st.verts[i] - c) / s, 9)
         cells.setdefault((id(plan), shape.tobytes()), i)
@@ -328,9 +327,9 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
     st = gen1.state
     cells = _generic_geometries(gen1)
     assert len(cells) >= 10
-    cache = lin.CoverCache(gen1._plan, [])
+    cache = lin.CoverCache(gen1, [])
     for i in cells:
-        plan = gen1._plan(st.grads[i])
+        plan = gen1._plan(int(st.gid[i]))
         node = _node_of(gen1, i)
         cover = cache.cover(node)
         res = cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,

@@ -1,18 +1,21 @@
 """Bit-identity digests of the engine, the CLI artifacts and the sampler.
 
-    python3 tools/digests.py --input 0 3
+    python3 tools/digests.py
     python3 tools/digests.py --input 3 --only refine_fast cli_pipeline
 
 Run from the root of a source checkout (the package is imported from
 ``src``, the benchmark inputs and configs from ``perfbench/workloads.py``).
-For every input seed it prints:
+For every input seed (default: 0, 3 and 5) it prints:
 
-- ``big_run`` and ``refine_fast``: the SHA-256 prefix of the 10
-  ``TwoWellState`` arrays (their bytes concatenated in field order) after
-  each step, k = 0, 1, ..., and of the pickled ``MetricsSeries.rows``;
-  the isosceles tag is hashed as one bool per cell, ``iso``, or
-  ``iso_h > 0`` for a state that tags with an aspect and an axis instead,
-  so checkouts from before and after that change print comparable lines;
+- ``big_run`` and ``refine_fast``: the SHA-256 prefix of 10 per-cell
+  ``TwoWellState`` arrays (their bytes concatenated in the order of
+  ``STATE_FIELDS``) after each step, k = 0, 1, ..., and of the pickled
+  ``MetricsSeries.rows``; ``grads``, ``stages`` and ``phases`` are hashed
+  as the state reads them, gathered from its gradient table where the
+  state stores a table row per cell, and the isosceles tag as one bool
+  per cell, ``iso``, or ``iso_h > 0`` for a state that tags with an
+  aspect and an axis instead, so checkouts from before and after either
+  change print comparable lines;
   on a second line, one digest per ``analysis.sweep_intervals`` call of
   the run (the domain check, then the sweep of every recorded state) over
   ``dt``, both owner arrays, the overlap flag and the endpoints of the
@@ -150,8 +153,8 @@ def sampled_digest():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--input", type=int, nargs="+", default=[0, 3],
-                        help="benchmark input seeds (default: 0 3)")
+    parser.add_argument("--input", type=int, nargs="+", default=[0, 3, 5],
+                        help="benchmark input seeds (default: 0 3 5)")
     parser.add_argument("--only", nargs="+",
                         choices=wl.NAMES + ("sampled",),
                         default=wl.NAMES + ("sampled",))
