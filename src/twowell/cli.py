@@ -155,12 +155,17 @@ def write_mesh(path: str, state, cfg: RunConfig):
     head = _provenance(cfg) + [
         "# columns: id parent stage frozen v1x v1y v2x v2y v3x v3y"
         " g11 g12 g21 g22 o1 o2"]
-    reals = np.concatenate([state.verts.reshape(-1, 6),
-                            state.grads.reshape(-1, 4), state.offs], axis=1)
+    # a gradient is formatted once per table row and gathered per cell
+    # (as references to the row's string, not as copies of it)
+    grads = np.array(["%.17g %.17g %.17g %.17g" % tuple(G)
+                      for G in state.table.grads.reshape(-1, 4).tolist()],
+                     dtype=object)
+    real = " ".join(["%.17g"] * 6)
     with open(path, "w") as f:
-        _write_rows(f, head, "%d %d %d %d " + " ".join(["%.17g"] * 12) + "\n",
+        _write_rows(f, head, f"%d %d %d %d {real} %s %.17g %.17g\n",
                     [state.ids, state.parents, state.stages, state.frozen,
-                     *reals.T])
+                     *state.verts.reshape(-1, 6).T, grads[state.gid],
+                     *state.offs.T])
 
 
 PHASE_FILL = {0: "#b9b9b9", 1: "#3b6fb8", 2: "#d97130"}

@@ -18,6 +18,8 @@ the displacement bounds are exact sums of per-diamond contributions
 precomputed on the unit diamond, and the BV/perimeter/continuity numbers
 come from one shared edge sweep per state.  That sweep re-sweeps only the
 lines a step changed and carries the rest over from the previous state's.
+The per-cell areas and perimeters are carried the same way: a kept cell
+takes its values through prev_index, and only the children are measured.
 Everything is deterministic; there is no randomness anywhere in the
 pipeline.
 """
@@ -266,6 +268,19 @@ class Engine:
         if self.stalled:
             raise ConstructionFailureError("engine is stalled at the cell "
                                            "budget")
+        sums = self._advance()
+        if sums is not None:
+            # _advance has returned, so nothing holds the previous state
+            # (unless keep_states does) while its successor is recorded
+            self._record(*sums)
+            if self.config.keep_states:
+                self.states.append(self.state)
+        return self.metrics.rows[-1]
+
+    def _advance(self):
+        """Cover the selected cells of the state into the next one, which
+        becomes self.state; returns the arguments of its _record, or None
+        if the run stalls at the budget."""
         cfg = self.config
         st = self.state
         k = st.k + 1
@@ -295,7 +310,7 @@ class Engine:
                         # not one cover fits: the run ends at st, which
                         # stays as recorded
                         self.stalled = True
-                        return self.metrics.rows[-1]
+                        return None
                 else:
                     break
             n_final += count - 1
@@ -356,10 +371,7 @@ class Engine:
         self._next_id += src.shape[0] - n_kept
         self.state = new
         refined_area = float(areas[taken_idx].sum()) if len(taken) else 0.0
-        self._record(l1_chi, l1_grad, wsup, wl1, refined_area, n_kept)
-        if cfg.keep_states:
-            self.states.append(self.state)
-        return self.metrics.rows[-1]
+        return l1_chi, l1_grad, wsup, wl1, refined_area, n_kept
 
     def _target(self, k: int) -> float:
         cfg = self.config
@@ -372,26 +384,36 @@ class Engine:
     def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area,
                 n_kept: Optional[int] = None):
         """Append the state's metric row and run its checks.  n_kept is
-        given when the state was stepped from the one recorded last, whose
-        sweep is then carried over."""
+        given when the state was stepped from the one recorded last: its
+        kept cells take their areas, perimeters and sweep over from that
+        state through prev_index, and only its children are measured."""
         cfg = self.config
         st = self.state
-        areas = self._areas = st.areas()
+        if n_kept is None:
+            areas = cv.tri_areas(st.verts)
+            perims = cv.tri_perimeters(st.verts)
+        else:
+            kept = st.prev_index[:n_kept]
+            areas = np.concatenate([self._areas[kept],
+                                    cv.tri_areas(st.verts[n_kept:])])
+            perims = np.concatenate([self._perims[kept],
+                                     cv.tri_perimeters(st.verts[n_kept:])])
+        self._areas, self._perims = areas, perims
         total = float(areas.sum())
         stages = st.stages
-        dists = mg.dist_to_wells_b(st.table.grads,
-                                   self.wells).min(axis=1)[st.gid]
+        # per table row, gathered per cell by gid
+        dists = mg.dist_to_wells_b(st.table.grads, self.wells).min(axis=1)
+        weights = 2.0 ** (-0.5 * st.table.stages.astype(float))
         hist = np.bincount(stages, weights=areas)
         row = {
             "k": st.k, "n_cells": st.n,
             "n_active": int(np.count_nonzero(~st.frozen)),
             "l1_chi_diff": l1_chi, "l1_grad_diff": l1_grad,
             "wsup_max": wsup, "w_l1_bound": wl1,
-            "perimeter_sum": float(cv.tri_perimeters(st.verts).sum()),
+            "perimeter_sum": float(perims.sum()),
             "frozen_measure": float(areas[st.frozen].sum()),
-            "mean_dist": float(np.sum(areas * dists) / total),
-            "energy": float(np.sum(areas * 2.0 **
-                                   (-0.5 * stages.astype(float)))),
+            "mean_dist": float(np.sum(areas * dists[st.gid]) / total),
+            "energy": float(np.sum(areas * weights[st.gid])),
             "refined_area": refined_area,
             "domain_area": self.domain_area,
             "partition_err": abs(total - self.domain_area),

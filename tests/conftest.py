@@ -1,10 +1,14 @@
 """Shared pytest hooks: print the acceptance certificate after the run;
-the sweep comparison shared by the analysis and engine tests."""
+the sweep comparison shared by the analysis and engine tests; the stepped
+engines shared by the lineage and engine tests."""
 
 import sys
 
 import numpy as np
 import pytest
+
+from twowell import engine as en
+from twowell import inapprox as ia
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -36,3 +40,46 @@ def _assert_same_sweep(a, b):
 @pytest.fixture
 def assert_same_sweep():
     return _assert_same_sweep
+
+
+def _stepped(run):
+    """An engine with keep_states after its steps, and the cover kinds
+    they must use.
+
+    "ramp": three steps of the capacity ramp at a 20k budget, one plan and
+    one parent offset per batch.  "two-plans": four cells of a square
+    carrying two stage-2 gradients (two cells each) at distinct nonzero
+    offsets, all covered by one step, so each of its two generic batches
+    mixes offsets.  Its state 0 is rewritten after its row is recorded.
+    """
+    delta = 0.5
+    datum = ia.stage_representative(2, delta)
+    if run == "ramp":
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3,
+                              checks="fast", track_bv=False,
+                              keep_states=True)
+        eng = en.Engine(en.unit_square_domain(), datum, delta, cfg)
+        eng.run()
+        assert eng.state.k == 3
+        return eng, {"iso", "generic"}
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    domain = np.stack([[sq[k], sq[(k + 1) % 4], [0.5, 0.5]]
+                       for k in range(4)])
+    cfg = en.EngineConfig(cell_budget=100_000, max_steps=1, checks="fast",
+                          track_bv=False, keep_states=True)
+    eng = en.Engine(domain, datum, delta, cfg)
+    other = ia.sample_stage(2, delta, np.random.default_rng(3))
+    assert ia.classify(other, delta) == 2
+    st = eng.state
+    st.gid[1::2] = eng._row(other)
+    st.table = eng.table
+    st.offs[:] = np.random.default_rng(0).normal(size=(4, 2))
+    eng.step()
+    assert eng.state.k == 1 and len(eng._plans) == 2
+    assert not np.isin(st.ids, eng.state.ids).any()
+    return eng, {"generic"}
+
+
+@pytest.fixture
+def stepped():
+    return _stepped

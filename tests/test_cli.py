@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twowell import cli
+from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import matgeo as mg
 
@@ -64,6 +65,28 @@ class TestRun:
         # reproduce the triangulated area of the unit square
         from twowell import covering as cv
         assert cv.tri_areas(verts).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_mesh_bytes_per_cell(self, tmp_path):
+        # gradients are formatted per table row; the file holds the bytes
+        # of formatting every cell's sixteen columns on its own
+        cfg = en.EngineConfig(cell_budget=5_000, max_steps=2,
+                              track_bv=False)
+        eng = en.Engine(en.unit_square_domain(),
+                        ia.stage_representative(2, 0.5), 0.5, cfg)
+        eng.run()
+        st = eng.state
+        assert eng.table.grads.shape[0] > 2
+        path = tmp_path / "mesh.txt"
+        cli.write_mesh(str(path), st, cli.RunConfig())
+        reals = np.concatenate([st.verts.reshape(-1, 6),
+                                st.grads.reshape(-1, 4), st.offs], axis=1)
+        fmt = "%d %d %d %d " + " ".join(["%.17g"] * 12) + "\n"
+        body = "".join(fmt % (i, p, s, f, *r) for i, p, s, f, r in zip(
+            st.ids, st.parents, st.stages, st.frozen, reals))
+        text = path.read_text()
+        head = text[:len(text) - len(body)]
+        assert text.endswith(body)
+        assert all(ln.startswith("#") for ln in head.splitlines())
 
     def test_svg_structure(self, run_dir):
         svg = (run_dir / "phases.svg").read_text()

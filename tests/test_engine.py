@@ -1,5 +1,8 @@
 """Refinement driver: soundness, determinism, budget and restart behavior."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -461,3 +464,114 @@ class TestGradientTable:
                               (st.phases, phases)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+
+
+CARRIED = ("perimeter_sum", "frozen_measure", "mean_dist", "energy",
+           "partition_err")
+
+
+def measured(eng, st):
+    """The carried columns of st's row, measured on st alone."""
+    areas = cv.tri_areas(st.verts)
+    total = float(areas.sum())
+    dists = mg.dist_to_wells_b(st.grads, eng.wells).min(axis=1)
+    return {"perimeter_sum": float(cv.tri_perimeters(st.verts).sum()),
+            "frozen_measure": float(areas[st.frozen].sum()),
+            "mean_dist": float(np.sum(areas * dists) / total),
+            "energy": float(np.sum(areas * 2.0 ** (-0.5 * st.stages.astype(
+                float)))),
+            "partition_err": abs(total - eng.domain_area)}
+
+
+def restarted_run():
+    # h0 = 1/16 fails at step 1 before its state is recorded; the retry
+    # records every state
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
+                          track_bv=False, h0=1 / 16, max_restarts=2,
+                          keep_states=True)
+    eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
+                              config=cfg)
+    assert eng.restarts == 1 and eng.state.k == 3
+    return eng
+
+
+@pytest.fixture
+def measure_calls(monkeypatch):
+    """The cells Engine._record passes to tri_areas and tri_perimeters."""
+    calls = {"tri_areas": [], "tri_perimeters": []}
+    for name, log in calls.items():
+        def spy(verts, full=getattr(cv, name), log=log):
+            if sys._getframe(1).f_code is en.Engine._record.__code__:
+                log.append(verts)
+            return full(verts)
+        monkeypatch.setattr(cv, name, spy)
+    return calls
+
+
+class TestCarriedColumns:
+    """_record carries each kept cell's area and perimeter from the state
+    before and measures only the children; the rows keep their bits."""
+
+    @pytest.mark.parametrize("run", ["ramp_run", "two-plans",
+                                     "stage_one_run", "stall_run",
+                                     "restarted"])
+    def test_rows_equal_a_measure_of_the_state(self, run, request, stepped):
+        if run == "two-plans":
+            eng = stepped(run)[0]
+        elif run == "restarted":
+            eng = restarted_run()
+        else:
+            eng = request.getfixturevalue(run)
+        states, rows = eng.states, eng.metrics.rows
+        assert len(states) == len(rows) == eng.state.k + 1
+        # the two-plans state 0 was rewritten after its row was recorded
+        first = 1 if run == "two-plans" else 0
+        for st, row in zip(states[first:], rows[first:]):
+            want = measured(eng, st)
+            assert {c: row[c] for c in CARRIED} == want, st.k
+
+    def test_only_children_are_measured(self, measure_calls):
+        eng = restarted_run()
+        states = eng.states
+        for name, log in measure_calls.items():
+            # the failed attempt's row 0, then the retry's row 0, both
+            # whole states; then the children of each step
+            assert [v.shape[0] for v in log[:2]] == [2, 2], name
+            assert len(log) == 2 + len(states) - 1, name
+            carried = 0
+            for prev, st, verts in zip(states, states[1:], log[2:]):
+                n_kept = int(np.count_nonzero(np.isin(st.ids, prev.ids)))
+                carried += n_kept
+                assert np.array_equal(verts, st.verts[n_kept:]), name
+            assert carried > 0
+
+    def test_previous_state_released_before_the_sweep(self, monkeypatch):
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
+                              track_bv=True)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        last = []            # a weak reference to the state before a step
+        released = []
+
+        def sweep(verts, prev=None):
+            released.append(last[-1]() is None)
+            return FULL_SWEEP(verts, prev)
+
+        monkeypatch.setattr(an, "sweep_intervals", sweep)
+        for _ in range(cfg.max_steps):
+            last.append(weakref.ref(eng.state))
+            eng.step()
+        assert eng.state.k == 3
+        assert released == [True] * 3
+
+    def test_step_that_covers_nothing(self):
+        # no cell reaches the area floor: every step keeps every cell
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=2,
+                              min_area_rel=1.0, checks="full",
+                              keep_states=True)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        eng.run()
+        rows = eng.metrics.rows
+        assert [r["n_cells"] for r in rows] == [2, 2, 2]
+        assert rows[2]["frozen_measure"] == 1.0
+        for st, row in zip(eng.states, rows):
+            assert {c: row[c] for c in CARRIED} == measured(eng, st)

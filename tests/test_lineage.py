@@ -200,49 +200,13 @@ def test_located_children_are_emitted_children(gen1, which):
                                        s * child.rel_s), atol=1e-9)
 
 
-def _stepped(run):
-    """An engine with keep_states after its steps, and the cover kinds
-    they must use.
-
-    "ramp": three steps of the capacity ramp at a 20k budget, one plan and
-    one parent offset per batch.  "two-plans": four cells of a square
-    carrying two stage-2 gradients (two cells each) at distinct nonzero
-    offsets, all covered by one step, so each of its two generic batches
-    mixes offsets.
-    """
-    if run == "ramp":
-        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3,
-                              checks="fast", track_bv=False,
-                              keep_states=True)
-        eng = en.Engine(en.unit_square_domain(), _datum(), DELTA, cfg)
-        eng.run()
-        assert eng.state.k == 3
-        return eng, {"iso", "generic"}
-    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    domain = np.stack([[sq[k], sq[(k + 1) % 4], [0.5, 0.5]]
-                       for k in range(4)])
-    cfg = en.EngineConfig(cell_budget=100_000, max_steps=1, checks="fast",
-                          track_bv=False, keep_states=True)
-    eng = en.Engine(domain, _datum(), DELTA, cfg)
-    other = ia.sample_stage(2, DELTA, np.random.default_rng(3))
-    assert ia.classify(other, DELTA) == 2
-    st = eng.state
-    st.gid[1::2] = eng._row(other)
-    st.table = eng.table
-    st.offs[:] = np.random.default_rng(0).normal(size=(4, 2))
-    eng.step()
-    assert eng.state.k == 1 and len(eng._plans) == 2
-    assert not np.isin(st.ids, eng.state.ids).any()
-    return eng, {"generic"}
-
-
-def test_state_blocks_are_one_cover_results():
+def test_state_blocks_are_one_cover_results(stepped):
     # Engine.step lays all covers of a plan at once; the next state must
     # still hold the kept cells first, then every covered cell's children
     # as one block in selection order, each block equal to the cell's own
     # one-cover result, column by column and child by child
     for run in ("ramp", "two-plans"):
-        _check_blocks(*_stepped(run))
+        _check_blocks(*stepped(run))
 
 
 def _check_blocks(eng, want_kinds):
