@@ -25,6 +25,7 @@ from . import inapprox as ia
 from .errors import (
     InvalidParameterError,
     InvalidPairError,
+    AspectFailureError,
     ConstructionFailureError,
     WrongEntryPointError,
     NotClassifiableError,
@@ -85,9 +86,9 @@ def _trivial_template(lam: float, h: float) -> CellTemplate:
 def build_template(lam: float, h: float, g0: float) -> CellTemplate:
     """The normalized ten-piece cell; see module docstring.
 
-    Raises ConstructionFailureError if the closed-form gradients disagree
-    with the affine interpolation of the corner values beyond PIPE_TOL,
-    or the pieces fail to tile the diamond.
+    Raises AspectFailureError if the shear is too strong for the aspect
+    h, and ConstructionFailureError if a closed-form gradient disagrees
+    with the corner interpolation beyond PIPE_TOL or the pieces fail to tile.
     """
     if not (0.0 <= lam <= 1.0):
         raise InvalidParameterError(f"lam must be in [0,1], got {lam}")
@@ -96,8 +97,8 @@ def build_template(lam: float, h: float, g0: float) -> CellTemplate:
     if lam == 0.0 or lam == 1.0 or g0 == 0.0:
         return _trivial_template(lam, h)
     if h * (1.0 + abs(g0) * max(lam, 1.0 - lam)) >= 1.0:
-        raise ConstructionFailureError("shear too strong for this aspect: "
-                                       f"h(1+|g0|) = {h * (1 + abs(g0)):.3f}")
+        raise AspectFailureError("shear too strong for this aspect: "
+                                 f"h(1+|g0|) = {h * (1 + abs(g0)):.3f}")
 
     mu_g = (1.0 - lam) * h
     P = g0 * lam * (1.0 - lam) * h
@@ -358,15 +359,16 @@ class RefinePlan:
 
 
 def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
-                     delta: float, wells: mg.WellPair) -> RefinePlan:
+                     delta: float, wells: mg.WellPair) -> Optional[RefinePlan]:
     # normalize so the cell's A side is the minority child
     if sr.rho >= 0.5:
-        lam_cell = 1.0 - sr.rho
-        A_cell, B_cell = sr.Fminus, sr.Fplus
+        lam_cell, A_cell, B_cell = 1.0 - sr.rho, sr.Fminus, sr.Fplus
     else:
-        lam_cell = sr.rho
-        A_cell, B_cell = sr.Fplus, sr.Fminus
-    cc = build_cell(A_cell, B_cell, M, lam_cell, h)
+        lam_cell, A_cell, B_cell = sr.rho, sr.Fplus, sr.Fminus
+    try:
+        cc = build_cell(A_cell, B_cell, M, lam_cell, h)
+    except AspectFailureError:      # the template does not fit h
+        return None
     grads = cc.grads[cc.gidx]
     # hull exit of a corrector gradient counts as a failed attempt (-1),
     # prompting the callers' verify-and-shrink loop to reduce h
@@ -399,7 +401,9 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
 
 
 def _aspects():
-    """The aspect ladder H_MAX, H_MAX/2, ... down to H_FLOOR."""
+    """The aspect ladder H_MAX, H_MAX/2, ... H_FLOOR.  A rung fails when the
+    template does not fit h (AspectFailureError) or the plan does not
+    advance; every search on it, run_construction's too, takes the next."""
     h = H_MAX
     while h >= H_FLOOR:
         yield h
@@ -408,30 +412,31 @@ def _aspects():
 
 def _dyadic_plan(M: np.ndarray, stage: int, h: float, delta: float,
                  wells: mg.WellPair) -> Optional[RefinePlan]:
-    """The dyadic rule: the plan of a stage >= 2 matrix at aspect h when
-    every piece classifies to stage + 1, else None."""
+    """The dyadic rule: the plan of a stage >= 2 matrix at aspect h when it
+    fits h and every piece classifies to stage + 1, else None."""
     branch, eps = ia.dyadic_split_target(stage, delta)
     sr = mg.split(M, branch, eps, delta)
     plan = _plan_from_split(M, stage, sr, h, delta, wells)
-    return plan if np.all(plan.stages == stage + 1) else None
+    return (plan if plan is not None and np.all(plan.stages == stage + 1)
+            else None)
 
 
 def replace_dyadic_stage(M: np.ndarray, delta: float,
                          h0: float) -> RefinePlan:
     """Replacement plan for a stage >= 2 gradient at uniform aspect h0.
 
-    This is where the dyadic stage rule holds (_dyadic_plan): every piece
-    classifies to stage + 1, which a calibrated h0 guarantees; otherwise
-    ConstructionFailureError (run_construction then restarts the whole
-    run at h0 / 2, keeping one aspect per run).  Covers take the plan's
-    stages as they are.
+    This is where the dyadic stage rule holds (_dyadic_plan): the template
+    fits h0 and every piece classifies to stage + 1, which a calibrated h0
+    guarantees; otherwise AspectFailureError, the one failure on which
+    run_construction restarts (at h0 / 2, see _aspects).  Covers take the
+    plan's stages as they are.
     """
     stage = ia.classify(M, delta)
     if stage < 2:
         raise WrongEntryPointError(f"stage {stage} needs the low-stage rule")
     plan = _dyadic_plan(M, stage, h0, delta, mg.make_wells(delta))
     if plan is None:
-        raise ConstructionFailureError(
+        raise AspectFailureError(
             f"stage {stage} cell does not advance cleanly at h = {h0:.2e}")
     return plan
 
@@ -439,11 +444,11 @@ def replace_dyadic_stage(M: np.ndarray, delta: float,
 def replace_low_stage(M: np.ndarray, delta: float) -> RefinePlan:
     """Replacement plan for stage-0/1 gradients; h by verify-and-shrink.
 
-    This is where the low-stage rule holds: the first aspect of the
-    ladder at which every piece classifies strictly above the input
-    stage wins (a piece may jump several stages); none down to H_FLOOR
-    raises ConstructionFailureError.  Covers take the plan's stages as
-    they are.
+    This is where the low-stage rule holds: the first rung of the aspect
+    ladder (_aspects) at which every piece classifies strictly above the
+    input stage wins (a piece may jump several stages); none down to
+    H_FLOOR raises ConstructionFailureError, which is not retried.  Covers
+    take the plan's stages as they are.
     """
     stage = ia.classify(M, delta)
     if stage >= 2:
@@ -453,7 +458,7 @@ def replace_low_stage(M: np.ndarray, delta: float) -> RefinePlan:
     wells = mg.make_wells(delta)
     for h in _aspects():
         plan = _plan_from_split(M, stage, sr, h, delta, wells)
-        if np.all(plan.stages > stage):
+        if plan is not None and np.all(plan.stages > stage):
             return plan
     raise ConstructionFailureError(
         f"no admissible aspect above {H_FLOOR:.1e} for stage {stage} input")
@@ -468,7 +473,8 @@ CALIBRATION_STAGES = range(2, 17)
 
 
 def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
-    """Largest h in {1/8, 1/16, ...} whose cells advance every stage.
+    """Largest h of the aspect ladder (_aspects) at which the dyadic plan of
+    every grid matrix fits and advances; ConstructionFailureError if none.
 
     Stress grid: CALIBRATION_STAGES (2..16), band positions at the given
     fractions of each band, both off-diagonal signs.  The default pushes
@@ -480,19 +486,16 @@ def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
     if key in _H0_CACHE:
         return _H0_CACHE[key]
     wells = mg.make_wells(delta)
-
-    def advances(h):
-        for k in CALIBRATION_STAGES:
-            (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
-            for f1, f2, sign in itertools.product(fracs, fracs, (1.0, -1.0)):
-                F = ia.matrix_from_gaps(lo1 + f1 * (hi1 - lo1),
-                                        lo2 + f2 * (hi2 - lo2), delta, sign)
-                if _dyadic_plan(F, k, h, delta, wells) is None:
-                    return False
-        return True
-
+    grid = []
+    for k in CALIBRATION_STAGES:
+        (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
+        grid += [(k, ia.matrix_from_gaps(lo1 + f1 * (hi1 - lo1),
+                                         lo2 + f2 * (hi2 - lo2), delta, sign))
+                 for f1, f2, sign in itertools.product(fracs, fracs,
+                                                       (1.0, -1.0))]
     for h in _aspects():
-        if advances(h):
+        if all(_dyadic_plan(F, k, h, delta, wells) is not None
+               for k, F in grid):
             _H0_CACHE[key] = h
             return h
     raise ConstructionFailureError(f"no uniform aspect calibrates for delta={delta}")

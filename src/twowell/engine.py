@@ -38,8 +38,9 @@ from . import covering as cv
 from . import inapprox as ia
 from . import lineage as lin
 from . import matgeo as mg
-from .errors import ConstructionFailureError, InvalidDomainError, \
-    InvalidParameterError, NotClassifiableError, WrongEntryPointError
+from .errors import AspectFailureError, ConstructionFailureError, \
+    InvalidDomainError, InvalidParameterError, NotClassifiableError, \
+    WrongEntryPointError
 
 INTERIOR_MARGIN = 1e-8
 PARTITION_TOL = 1e-10    # |total area - domain area| / domain area
@@ -68,7 +69,6 @@ class TwoWellState:
     its plan is the cached one of its parent, and the next step covers it
     with the inscribed diamond.
     """
-    delta: float
     k: int
     verts: np.ndarray        # (n,3,2) counterclockwise
     offs: np.ndarray         # (n,2)
@@ -109,7 +109,6 @@ class EngineConfig:
     checks: str = "fast"          # one of CHECKS
     track_bv: bool = True
     keep_states: bool = False
-    max_restarts: int = 3
 
 
 def _as_domain(domain) -> np.ndarray:
@@ -174,7 +173,7 @@ class Engine:
         self._row_of: Dict[bytes, int] = {}
         self._row(self.M)                       # row 0, the datum's
         self.state = TwoWellState(
-            self.delta, 0, verts, np.zeros((n, 2)),
+            0, verts, np.zeros((n, 2)),
             np.zeros(n, dtype=np.int32), self.table,
             np.zeros(n, dtype=bool),
             np.arange(n, dtype=np.int64),
@@ -195,10 +194,9 @@ class Engine:
         self.restarts = 0
         self.stalled = False
         self._sweep: Optional[an.SweepAccumulator] = None
+        self._areas = self._perims = np.empty(0)
         self._record(l1_chi=0.0, l1_grad=0.0, wsup=0.0, wl1=0.0,
-                     refined_area=0.0)
-        if self.config.keep_states:
-            self.states.append(self.state)
+                     refined_area=0.0, n_kept=0)
 
     # -- validation -------------------------------------------------------
 
@@ -226,12 +224,12 @@ class Engine:
         if M.shape != (2, 2) or not np.all(np.isfinite(M)):
             raise WrongEntryPointError("boundary datum must be a finite "
                                        "2x2 matrix")
-        report = hull_report(M, self.delta)
         if abs(float(np.linalg.det(M)) - 1.0) > mg.PIPE_TOL \
-                or not report.startswith("membership=interior"):
+                or mg.cg_membership(mg.gram(M), self.delta,
+                                    margin=INTERIOR_MARGIN) != "interior":
             raise WrongEntryPointError(
                 "boundary datum is not in the interior of the lamination "
-                "hull: " + report)
+                "hull: " + hull_report(M, self.delta))
 
     # -- plans ------------------------------------------------------------
 
@@ -273,8 +271,6 @@ class Engine:
             # _advance has returned, so nothing holds the previous state
             # (unless keep_states does) while its successor is recorded
             self._record(*sums)
-            if self.config.keep_states:
-                self.states.append(self.state)
         return self.metrics.rows[-1]
 
     def _advance(self):
@@ -331,7 +327,7 @@ class Engine:
         n_kept = kept.shape[0]
         src = np.concatenate([kept, np.repeat(taken_idx, counts)])
         new = TwoWellState(
-            st.delta, k, **{c: getattr(st, c)[src] for c in COVER_COLUMNS},
+            k, **{c: getattr(st, c)[src] for c in COVER_COLUMNS},
             gid=st.gid[src], table=self.table,
             frozen=np.arange(src.shape[0]) < n_kept,
             ids=np.concatenate([st.ids[kept], self._next_id
@@ -375,30 +371,24 @@ class Engine:
 
     def _target(self, k: int) -> float:
         cfg = self.config
-        n0 = self.metrics.rows[0]["n_cells"] if self.metrics.rows else 2
+        n0 = self.metrics.rows[0]["n_cells"]
         frac = min(k / cfg.max_steps, 1.0) if cfg.max_steps > 0 else 1.0
         return n0 + (cfg.cell_budget - n0) * frac
 
     # -- metrics and certification ----------------------------------------
 
-    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area,
-                n_kept: Optional[int] = None):
-        """Append the state's metric row and run its checks.  n_kept is
-        given when the state was stepped from the one recorded last: its
-        kept cells take their areas, perimeters and sweep over from that
-        state through prev_index, and only its children are measured."""
+    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area, n_kept: int):
+        """Append the state's metric row, run its checks, keep the state
+        with keep_states.  Its n_kept kept cells take their areas,
+        perimeters and sweep over from the state recorded last (row 0
+        keeps none) through prev_index; only its children are measured."""
         cfg = self.config
         st = self.state
-        if n_kept is None:
-            areas = cv.tri_areas(st.verts)
-            perims = cv.tri_perimeters(st.verts)
-        else:
-            kept = st.prev_index[:n_kept]
-            areas = np.concatenate([self._areas[kept],
-                                    cv.tri_areas(st.verts[n_kept:])])
-            perims = np.concatenate([self._perims[kept],
-                                     cv.tri_perimeters(st.verts[n_kept:])])
-        self._areas, self._perims = areas, perims
+        kept, children = st.prev_index[:n_kept], st.verts[n_kept:]
+        areas = self._areas = np.concatenate(
+            [self._areas[kept], cv.tri_areas(children)])
+        perims = self._perims = np.concatenate(
+            [self._perims[kept], cv.tri_perimeters(children)])
         total = float(areas.sum())
         stages = st.stages
         # per table row, gathered per cell by gid
@@ -423,7 +413,7 @@ class Engine:
         checks = cfg.checks
         sw = None
         if cfg.track_bv or checks == "full":
-            prev = (None if self._sweep is None or n_kept is None
+            prev = (None if self._sweep is None
                     else (self._sweep, st.prev_index, n_kept))
             # hold the previous state's sweep no longer than needed
             self._sweep = None
@@ -454,6 +444,8 @@ class Engine:
                 raise ConstructionFailureError(
                     f"boundary trace residual {trace:.3e} at step {st.k}")
         self.metrics.append(row, hist)
+        if cfg.keep_states:
+            self.states.append(st)
 
     def run(self):
         while self.state.k < self.config.max_steps and not self.stalled:
@@ -466,24 +458,25 @@ def run_construction(domain, M, delta: float,
                      wells=None) -> Engine:
     """Run to completion; on a failed uniform aspect, halve h0 and restart.
 
-    Restarting (rather than shrinking one cell's aspect in place) keeps
-    the single-aspect property of the dyadic sub-run intact.
+    Only AspectFailureError restarts, down the aspect ladder while
+    h0 / 2 >= cell.H_FLOOR; every other failure is raised by the first
+    engine.  Restarting keeps the dyadic sub-run at one aspect, as
+    shrinking one cell's aspect would not.
     """
     cfg = config or EngineConfig()
-    h0 = cfg.h0
-    last_err: Optional[Exception] = None
-    for attempt in range(cfg.max_restarts + 1):
+    h0, restarts = cfg.h0, 0
+    while True:
         eng = Engine(domain, M, delta, replace(cfg, h0=h0), wells)
         try:
             eng.run()
-            eng.restarts = attempt
+            eng.restarts = restarts
             return eng
-        except ConstructionFailureError as err:
-            last_err = err
-            h0 = eng.h0 * 0.5
-    raise ConstructionFailureError(
-        f"construction failed after {cfg.max_restarts + 1} attempts: "
-        f"{last_err}")
+        except AspectFailureError as err:
+            h0, restarts = eng.h0 * 0.5, restarts + 1
+            if h0 < cl.H_FLOOR:
+                raise ConstructionFailureError(
+                    f"construction failed after {restarts} attempts: "
+                    f"{err}") from err
 
 
 SAMPLED_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",

@@ -46,6 +46,10 @@ class ConstructionFailureError(TwoWellError):
     """An internal consistency check failed while building a cell."""
 
 
+class AspectFailureError(ConstructionFailureError):
+    """The aspect h is too large for a cell: the one failure retried."""
+
+
 class InvalidDomainError(TwoWellError):
     """A triangulation is empty, degenerate, or self-overlapping."""
 

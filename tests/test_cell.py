@@ -211,6 +211,21 @@ class TestPlans:
         assert p.stage == 0
         assert (p.stages > 0).all()
 
+    def test_low_stage_skips_a_rung_the_template_does_not_fit(self):
+        # a stage-1 datum at delta = 4 whose shear is too strong for the
+        # top rung: the ladder goes on to a lower one
+        delta = 4.0
+        z0 = ia.zeta0(delta)
+        M = ia.matrix_from_gaps(0.05 * z0, 0.2 * z0, delta, 1.0)
+        assert ia.classify(M, delta) == 1
+        target = ia.low_stage_split_target(M, delta)
+        sr = mg.split(M, target.branch, target.eps, delta)
+        assert cl._plan_from_split(M, 1, sr, cl.H_MAX, delta,
+                                   mg.make_wells(delta)) is None
+        p = cl.replace_low_stage(M, delta)
+        assert p.h == 2.0 ** -7
+        assert (p.stages > 1).all()
+
     def placed(self, p, y0, r):
         """(verts, offsets) of the pieces the engine lays for a diamond at
         center y0, scale r: the first n_pieces children of the isosceles
@@ -290,6 +305,12 @@ class TestCalibration:
         assert cl.calibrate_h0(0.25, fracs=corridor) == 1 / 64
         # band-edge entries need one more halving
         assert cl.calibrate_h0(0.5) == 1 / 64
+
+    def test_large_delta_skips_rungs_the_template_does_not_fit(self):
+        # the top rung's shear bound fails at delta >= 4
+        corridor = (0.25, 0.5, 0.75)
+        assert cl.calibrate_h0(4.0, fracs=corridor) == 1 / 64
+        assert cl.calibrate_h0(8.0, fracs=corridor) == 1 / 128
 
     def test_cache_hit_is_fast(self):
         import time

@@ -123,6 +123,12 @@ class TestRun:
                         "--budget", "15000", "--outdir", str(tmp_path)])
         assert code == 0
 
+    def test_large_delta(self, tmp_path):
+        # the calibrated aspect sits below the ladder's top rung
+        assert run_cli(["run", "--delta", "4", "--outdir",
+                        str(tmp_path)]) == 0
+        assert (tmp_path / "report.txt").exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("steps = 1   # overridden below\nbudget = 15000\n"
@@ -202,6 +208,12 @@ class TestVerify:
         assert list(fields) == list(cli.SUITES) + ["verify"]
         assert all(status == "pass" for status, _ in fields.values())
         assert "cases=7" in fields["covering"][1].split()
+
+    def test_covering_at_large_delta(self, capsys):
+        code = run_cli(["verify", "covering", "--delta", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("covering\tpass\tfailures=0 cases=7 ")
 
     def test_unknown_suite(self):
         assert run_cli(["verify", "nosuch"]) == 2

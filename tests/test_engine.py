@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from twowell import analysis as an
+from twowell import cell as cl
 from twowell import cli
 from twowell import covering as cv
 from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import matgeo as mg
-from twowell.errors import (ConstructionFailureError, InvalidDomainError,
-                            InvalidParameterError, WrongEntryPointError)
+from twowell.errors import (AspectFailureError, ConstructionFailureError,
+                            InvalidDomainError, InvalidParameterError,
+                            WrongEntryPointError)
 
 DELTA = 0.5
 
@@ -253,12 +255,38 @@ class TestBudgetPressure:
             assert np.isin(fr, st.ids[kept & st.frozen]).all()
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """Every Engine built, in order."""
+    built = []
+    init = en.Engine.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(en.Engine, "__init__", counted)
+    return built
+
+
+def failing_above(h_max):
+    """replace_dyadic_stage failing the aspect of every h0 above h_max."""
+    full = cl.replace_dyadic_stage
+
+    def replace(M, delta, h0):
+        if h0 > h_max:
+            raise AspectFailureError(f"forced failure at h = {h0:.2e}")
+        return full(M, delta, h0)
+
+    return replace
+
+
 class TestRestarts:
     def test_uncalibrated_aspect_restarts(self):
         # h0 = 1/16 fails stage advancement for delta = 0.5; the runner
         # halves the aspect and the retry succeeds at 1/32
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=1, checks="fast",
-                              track_bv=False, h0=1 / 16, max_restarts=2)
+                              track_bv=False, h0=1 / 16)
         eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
                                   config=cfg)
         assert eng.restarts == 1
@@ -275,12 +303,67 @@ class TestRestarts:
         eng.run()
         assert eng.restarts == 0
 
-    def test_no_retries_raises(self):
+    def test_restarts_down_the_ladder(self, monkeypatch, engines):
+        # every aspect above 2^-9 fails: four restarts from 1/32, where
+        # the parent's default of three restarts gave up
+        monkeypatch.setattr(cl, "replace_dyadic_stage",
+                            failing_above(2.0 ** -9))
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=1, checks="fast",
-                              track_bv=False, h0=1 / 16, max_restarts=0)
-        with pytest.raises(ConstructionFailureError):
+                              track_bv=False, h0=1 / 32)
+        eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
+                                  config=cfg)
+        assert [e.h0 for e in engines] == [2.0 ** -j for j in range(5, 10)]
+        assert eng.restarts == 4
+        assert eng.h0 == 2.0 ** -9
+        assert eng.h_dyadic_used == {2.0 ** -9}
+
+    def test_restarts_end_at_the_floor(self, monkeypatch, engines):
+        monkeypatch.setattr(cl, "replace_dyadic_stage", failing_above(0.0))
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=1, checks="fast",
+                              track_bv=False, h0=1 / 32)
+        with pytest.raises(ConstructionFailureError,
+                           match="after 16 attempts") as err:
             en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
                                 config=cfg)
+        assert not isinstance(err.value, AspectFailureError)
+        assert [e.h0 for e in engines] == [2.0 ** -j for j in range(5, 21)]
+        assert engines[-1].h0 == cl.H_FLOOR
+
+    def test_other_failures_are_not_retried(self, monkeypatch, engines):
+        full = an.continuity_residual
+
+        def forced(verts, *args, **kwargs):
+            if verts.shape[0] > 5_000:
+                return 1.0
+            return full(verts, *args, **kwargs)
+
+        monkeypatch.setattr(an, "continuity_residual", forced)
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="full",
+                              track_bv=False)
+        first = r"^continuity residual 1\.000e\+00 at step"
+        with pytest.raises(ConstructionFailureError, match=first) as err:
+            en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
+                                config=cfg)
+        assert not isinstance(err.value, AspectFailureError)
+        assert len(engines) == 1
+
+
+class TestLargeDelta:
+    def test_full_checks_certify(self):
+        # at delta = 4 the template does not fit the top rung of the
+        # aspect ladder; calibration takes a lower one
+        delta = 4.0
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="full",
+                              track_bv=False)
+        eng = en.run_construction(en.unit_square_domain(),
+                                  ia.stage_representative(2, delta), delta,
+                                  config=cfg)
+        assert eng.state.k == 3
+        assert eng.restarts == 0
+        assert eng.h0 == 1 / 64
+        for row in eng.metrics.rows[1:]:
+            assert row["continuity_err"] <= en.CONTINUITY_TOL
+            assert row["trace_err"] <= en.TRACE_TOL
 
 
 FULL_SWEEP = an.sweep_intervals
@@ -332,7 +415,7 @@ class TestIncrementalSweep:
         # h0 = 1/16 fails at step 1 before its state is recorded; the
         # retry's engine starts from a full sweep again
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="full",
-                              track_bv=True, h0=1 / 16, max_restarts=2)
+                              track_bv=True, h0=1 / 16)
         eng = en.run_construction(en.unit_square_domain(), rep_datum(),
                                   DELTA, config=cfg)
         assert eng.restarts == 1
@@ -487,8 +570,7 @@ def restarted_run():
     # h0 = 1/16 fails at step 1 before its state is recorded; the retry
     # records every state
     cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
-                          track_bv=False, h0=1 / 16, max_restarts=2,
-                          keep_states=True)
+                          track_bv=False, h0=1 / 16, keep_states=True)
     eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
                               config=cfg)
     assert eng.restarts == 1 and eng.state.k == 3

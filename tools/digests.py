@@ -5,7 +5,8 @@
 
 Run from the root of a source checkout (the package is imported from
 ``src``, the benchmark inputs and configs from ``perfbench/workloads.py``).
-For every input seed (default: 0, 3 and 5) it prints:
+For every input seed (default: 0, 1, 3 and 5; input 1 restarts once in
+both engine workloads, so the default covers a restarted run) it prints:
 
 - ``big_run`` and ``refine_fast``: the SHA-256 prefix of 10 per-cell
   ``TwoWellState`` arrays (their bytes concatenated in the order of
@@ -153,8 +154,8 @@ def sampled_digest():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--input", type=int, nargs="+", default=[0, 3, 5],
-                        help="benchmark input seeds (default: 0 3 5)")
+    parser.add_argument("--input", type=int, nargs="+", default=[0, 1, 3, 5],
+                        help="benchmark input seeds (default: 0 1 3 5)")
     parser.add_argument("--only", nargs="+",
                         choices=wl.NAMES + ("sampled",),
                         default=wl.NAMES + ("sampled",))
