@@ -650,11 +650,15 @@ def box_dimension(segments: np.ndarray,
                   d_report: float = 1.0):
     """Box-counting estimate over a dyadic grid family.
 
-    segments: (m,2,2) interface segments.  One point sample at spacing
-    eps_min/3 is reused for every eps, and the grids are nested dyadic
-    refinements of a common origin, which makes N_eps monotone by
-    construction.  Returns (estimate, table) where table rows are
-    (eps, N_eps, m_d = N_eps * eps^d_report).
+    segments: (m,2,2) interface segments; eps_list: exact powers of two.
+    One point sample at spacing eps_min/3 is reused for every eps, and the
+    grids are nested dyadic refinements of a common origin, which makes
+    N_eps monotone by construction.  The boxes are taken once, on the
+    finest grid, and the box of a point at e = eps_min 2^k is its finest
+    box shifted right by k bits: floor(floor(x)/2^k) = floor(x/2^k), and
+    dividing by 2^k is exact, so N_eps equals the count of floor(pts / e)
+    on every grid whenever no pts / e is subnormal.  Returns (estimate,
+    table) where table rows are (eps, N_eps, m_d = N_eps * eps^d_report).
     """
     segments = np.asarray(segments, dtype=float)
     if segments.size == 0:
@@ -665,10 +669,8 @@ def box_dimension(segments: np.ndarray,
     if len(set(eps_list)) < 2:
         raise InvalidParameterError("the fit needs at least two distinct "
                                     f"eps values, got {eps_list}")
-    for e in eps_list:
-        j = np.log2(1.0 / e)
-        if abs(j - round(j)) > 1e-9:
-            raise InvalidParameterError("eps values must be dyadic")
+    if any(np.frexp(e)[0] != 0.5 for e in eps_list):
+        raise InvalidParameterError("eps values must be dyadic")
     lo = segments.reshape(-1, 2).min(axis=0)
     eps_min = eps_list[0]
     a = segments[:, 0]
@@ -685,19 +687,28 @@ def box_dimension(segments: np.ndarray,
     pts += a[seg]
     pts -= lo
     del seg, f              # per-point arrays the count loop does not need
+    pts /= eps_min
+    boxes = np.floor(pts, out=pts).astype(np.int64)
+    del pts
+    # a point an ulp below lo floors to -1: pack from the least box, then
+    # unpack, so that the shifts below act on the unshifted boxes
+    least = boxes.min(axis=0)
+    boxes -= least
+    span = boxes.max(axis=0) + 1
+    if int(span[0]) * int(span[1]) >= 2 ** 63:
+        raise InvalidParameterError("grid too fine for the extent of "
+                                    "the segments")
+    packed = np.unique(boxes[:, 0] * span[1] + boxes[:, 1])
+    del boxes
+    bx = packed // span[1] + least[0]
+    by = packed % span[1] + least[1]
     table = []
-    for e in sorted(eps_list, reverse=True):
-        cells = pts / e
-        cells = np.floor(cells, out=cells).astype(np.int64)
-        # a point an ulp below lo floors to -1: shift to 0 before packing
-        cells -= cells.min(axis=0)
-        span = cells.max(axis=0) + 1
-        if int(span[0]) * int(span[1]) >= 2 ** 63:
-            raise InvalidParameterError("grid too fine for the extent of "
-                                        "the segments")
-        count = np.unique(cells[:, 0] * span[1] + cells[:, 1]).shape[0]
+    for e in eps_list:
+        k = int(np.frexp(e)[1] - np.frexp(eps_min)[1])
+        cx, cy = bx >> k, by >> k
+        count = np.unique((cx - cx.min()) * span[1] + (cy - cy.min())
+                          ).shape[0]
         table.append((e, count, count * e ** d_report))
-    table.reverse()
     ns = np.array([row[1] for row in table], dtype=float)
     js = np.log2(1.0 / np.array([row[0] for row in table]))
     slope = np.polyfit(js, np.log2(ns), 1)[0]

@@ -96,9 +96,10 @@ def build_template(lam: float, h: float, g0: float) -> CellTemplate:
         raise InvalidParameterError(f"h must be in (0, {H_MAX}], got {h}")
     if lam == 0.0 or lam == 1.0 or g0 == 0.0:
         return _trivial_template(lam, h)
-    if h * (1.0 + abs(g0) * max(lam, 1.0 - lam)) >= 1.0:
+    fit = h * (1.0 + abs(g0) * max(lam, 1.0 - lam))
+    if fit >= 1.0:
         raise AspectFailureError("shear too strong for this aspect: "
-                                 f"h(1+|g0|) = {h * (1 + abs(g0)):.3f}")
+                                 f"h(1+|g0|max(lam,1-lam)) = {fit:.3f}")
 
     mu_g = (1.0 - lam) * h
     P = g0 * lam * (1.0 - lam) * h
@@ -183,6 +184,21 @@ def rank_one_factors(D: np.ndarray):
     if a[0] < 0 or (a[0] == 0 and a[1] < 0):
         a, n = -a, -n
     return float(s[0]), a, n
+
+
+def pair_shear(D: np.ndarray, C: np.ndarray):
+    """(g0, S) of the pair with A - B = D about C: S = [n, n_perp] and
+    the signed shear g0 of C^-1 D along n_perp; InvalidPairError when
+    the pair does not transport to a shear of det-1 matrices."""
+    rho0, a_hat, n_hat = rank_one_factors(D)
+    Cinv_a = np.linalg.solve(C, a_hat)
+    if abs(n_hat @ Cinv_a) > 1e-7:
+        raise InvalidPairError("pair is inconsistent with det-1 transport")
+    n_perp = np.array([-n_hat[1], n_hat[0]])
+    g0 = float(n_perp @ Cinv_a) * rho0
+    if g0 == 0.0:
+        raise InvalidPairError("degenerate shear")
+    return g0, np.column_stack([n_hat, n_perp])
 
 
 @dataclass
@@ -283,16 +299,7 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
         return CellConstruction(A, B, C, lam, h, scale, S, diamond, tris,
                                 grads, tpl.tris[:, 0] * 0, offs, areas, tpl)
 
-    rho0, a_hat, n_hat = rank_one_factors(D)
-    Cinv_a = np.linalg.solve(C, a_hat)
-    if abs(n_hat @ Cinv_a) > 1e-7:
-        raise InvalidPairError("pair is inconsistent with det-1 transport")
-    n_perp = np.array([-n_hat[1], n_hat[0]])
-    g0 = float(n_perp @ Cinv_a) * rho0
-    if g0 == 0.0:
-        raise InvalidPairError("degenerate shear")
-    S = np.column_stack([n_hat, n_perp])
-
+    g0, S = pair_shear(D, C)
     tpl = build_template(lam, h, g0)
     CS = C @ S
     # exactness of the frame transport: A = C S Abar S^T etc.
@@ -530,10 +537,10 @@ def verify_cells(delta: float, samples: int = 1_000,
 
     Pairs come from dyadic splits of random band matrices, so they are
     genuinely rank-one connected with unit determinants; h runs over the
-    admissible aspect range and the placement over random centers and
-    scales.  Per cell: exact partition of the diamond, affine boundary
-    trace, unimodular piece gradients, majority fraction
-    lam (1 + (1 - lam) h).
+    admissible aspect range below the pair's shear bound, the placement
+    over random centers and scales.  Per cell: exact partition of the
+    diamond, affine boundary trace, unimodular piece gradients, majority
+    fraction lam (1 + (1 - lam) h).
     """
     rng = np.random.default_rng(seed)
     failures = 0
@@ -548,7 +555,10 @@ def verify_cells(delta: float, samples: int = 1_000,
             lam, A, B = 1.0 - sr.rho, sr.Fminus, sr.Fplus
         else:
             lam, A, B = sr.rho, sr.Fplus, sr.Fminus
-        h = float(rng.uniform(2.0 ** -10, H_MAX))
+        # h below the pair's shear bound, which build_template requires
+        g0, _ = pair_shear(A - B, F)
+        h = float(rng.uniform(2.0 ** -10, min(
+            H_MAX, 1.0 / (1.0 + abs(g0) * max(lam, 1.0 - lam)))))
         center = rng.uniform(-2.0, 2.0, 2)
         scale = float(2.0 ** rng.uniform(-8, 1))
         cc = build_cell(A, B, F, lam, h, center=center, scale=scale)

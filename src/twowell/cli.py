@@ -7,7 +7,9 @@ Subcommands
 
 Every output file embeds the config hash and seed, outputs are plain
 text with 17-significant-digit reals, and a rerun with the same config
-is byte-identical.
+is byte-identical.  The mesh and SVG writers format each distinct real
+once and gather the strings per cell; the bytes are those of formatting
+every value on its own.
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ def _provenance(cfg: RunConfig) -> List[str]:
             f"# delta {_fmt(cfg.delta)}"]
 
 
+def _strings(values: np.ndarray, fmt: str) -> np.ndarray:
+    """fmt % v for every float64 v of values, as an object array of the
+    same shape.  Each distinct bit pattern is formatted once (bits, not
+    float equality: -0.0 prints "-0" and 0.0 prints "0")."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    keys, at = np.unique(bits.ravel(), return_inverse=True)
+    text = np.array([fmt % v for v in keys.view(np.float64).tolist()],
+                    dtype=object)
+    return text[at].reshape(values.shape)
+
+
 def _write_rows(f, head: List[str], fmt: str, columns, tail=()):
     """The head lines, one line fmt % row per row of the equal-length
     columns (formatted a block of rows at a time), then the tail lines."""
@@ -160,12 +173,12 @@ def write_mesh(path: str, state, cfg: RunConfig):
     grads = np.array(["%.17g %.17g %.17g %.17g" % tuple(G)
                       for G in state.table.grads.reshape(-1, 4).tolist()],
                      dtype=object)
-    real = " ".join(["%.17g"] * 6)
+    reals = _strings(np.concatenate([state.verts.reshape(-1, 6),
+                                     state.offs], axis=1), "%.17g")
     with open(path, "w") as f:
-        _write_rows(f, head, f"%d %d %d %d {real} %s %.17g %.17g\n",
+        _write_rows(f, head, "%d %d %d %d " + " ".join(["%s"] * 9) + "\n",
                     [state.ids, state.parents, state.stages, state.frozen,
-                     *state.verts.reshape(-1, 6).T, grads[state.gid],
-                     *state.offs.T])
+                     *reals[:, :6].T, grads[state.gid], *reals[:, 6:].T])
 
 
 PHASE_FILL = {0: "#b9b9b9", 1: "#3b6fb8", 2: "#d97130"}
@@ -192,11 +205,12 @@ def write_phase_svg(path: str, state, cfg: RunConfig):
     fill = np.array([PHASE_FILL.get(p, "#b9b9b9") for p in phases.tolist()])
     tint = np.array(["#" + "%02x" % (32 + int(round(176 * k / smax))) * 3
                      for k in stages.tolist()])
-    polygon = ('<polygon points="%.8g,%.8g %.8g,%.8g %.8g,%.8g" fill="%s" '
+    polygon = ('<polygon points="%s,%s %s,%s %s,%s" fill="%s" '
                f'stroke="%s" stroke-width="{_g(stroke)}"/>\n')
     with open(path, "w") as f:
-        _write_rows(f, head, polygon, [*verts.reshape(-1, 6).T,
-                                       fill[phase_at], tint[stage_at]],
+        _write_rows(f, head, polygon,
+                    [*_strings(verts.reshape(-1, 6), "%.8g").T,
+                     fill[phase_at], tint[stage_at]],
                     ["</g>", "</svg>"])
 
 

@@ -400,6 +400,27 @@ class TestBoxDimension:
             assert [row[1] for row in table] == box_counts_reference(seg,
                                                                      eps)
 
+    def test_nested_counts_match_reference(self):
+        # every grid's count comes from the finest grid's boxes shifted
+        # right by k bits; it equals the count of that grid on its own,
+        # for any order of eps_list and on a grid of one box
+        top, bottom = 0.2307702229625077, -0.22384795711443314
+        ulp_pair = np.array([[[0.5, top], [0.5, bottom]],
+                             [[0.43, 0.23], [0.43, top]]])
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-2.0, -0.5, (150, 2))
+        negative = np.stack([a, a + rng.normal(0, 0.2, (150, 2))], axis=1)
+        scales = [2.0 ** -p for p in range(2, 9)]
+        shuffled = [scales[i] for i in rng.permutation(len(scales))]
+        assert shuffled != sorted(shuffled)
+        for seg in (ulp_pair, negative):
+            for eps in (scales, shuffled, [4.0] + scales):
+                _, table = an.box_dimension(seg, eps)
+                assert [row[0] for row in table] == sorted(eps)
+                assert [row[1] for row in table] == box_counts_reference(
+                    seg, sorted(eps))
+        assert table[-1][:2] == (4.0, 1)    # extent below 4: one box
+
     def test_validation(self):
         with pytest.raises(UndefinedDimensionError):
             an.box_dimension(np.zeros((0, 2, 2)))

@@ -1,5 +1,6 @@
 """Front-end: parsing, artifact formats, exit codes, reproducibility."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,6 +29,22 @@ def run_dir(tmp_path_factory):
                     "--budget", "15000", "--outdir", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def signed_zero_state():
+    """A small run's state whose vertices and offsets hold both 0.0 and
+    -0.0, which compare equal but print as "0" and "-0"."""
+    cfg = en.EngineConfig(cell_budget=5_000, max_steps=2, track_bv=False)
+    eng = en.Engine(en.unit_square_domain(),
+                    ia.stage_representative(2, 0.5), 0.5, cfg)
+    eng.run()
+    st = eng.state
+    verts, offs = st.verts.copy(), st.offs.copy()
+    corner = np.flatnonzero((verts.reshape(-1, 2) == 0.0).all(axis=1))[0]
+    verts.reshape(-1, 2)[corner] = -0.0
+    offs[0], offs[1] = (-0.0, 0.0), (0.0, -0.0)
+    return dataclasses.replace(st, verts=verts, offs=offs)
 
 
 class TestRun:
@@ -66,16 +83,12 @@ class TestRun:
         from twowell import covering as cv
         assert cv.tri_areas(verts).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_mesh_bytes_per_cell(self, tmp_path):
-        # gradients are formatted per table row; the file holds the bytes
-        # of formatting every cell's sixteen columns on its own
-        cfg = en.EngineConfig(cell_budget=5_000, max_steps=2,
-                              track_bv=False)
-        eng = en.Engine(en.unit_square_domain(),
-                        ia.stage_representative(2, 0.5), 0.5, cfg)
-        eng.run()
-        st = eng.state
-        assert eng.table.grads.shape[0] > 2
+    def test_mesh_bytes_per_cell(self, signed_zero_state, tmp_path):
+        # each distinct real is formatted once (gradients once per table
+        # row); the file holds the bytes of formatting every cell's
+        # sixteen columns on its own, "-0" for -0.0 and "0" for 0.0
+        st = signed_zero_state
+        assert st.table.grads.shape[0] > 2
         path = tmp_path / "mesh.txt"
         cli.write_mesh(str(path), st, cli.RunConfig())
         reals = np.concatenate([st.verts.reshape(-1, 6),
@@ -87,6 +100,18 @@ class TestRun:
         head = text[:len(text) - len(body)]
         assert text.endswith(body)
         assert all(ln.startswith("#") for ln in head.splitlines())
+        assert " -0 " in body and " 0 " in body
+
+    def test_svg_bytes_per_cell(self, signed_zero_state, tmp_path):
+        st = signed_zero_state
+        path = tmp_path / "phases.svg"
+        cli.write_phase_svg(str(path), st, cli.RunConfig())
+        polygons = [ln for ln in path.read_text().splitlines()
+                    if ln.startswith("<polygon")]
+        points = [ln.split('"')[1] for ln in polygons]
+        assert points == ["%.8g,%.8g %.8g,%.8g %.8g,%.8g" % tuple(row)
+                          for row in st.verts.reshape(-1, 6)]
+        assert any("-0," in p for p in points)
 
     def test_svg_structure(self, run_dir):
         svg = (run_dir / "phases.svg").read_text()
@@ -208,6 +233,14 @@ class TestVerify:
         assert list(fields) == list(cli.SUITES) + ["verify"]
         assert all(status == "pass" for status, _ in fields.values())
         assert "cases=7" in fields["covering"][1].split()
+
+    def test_cell_at_large_delta(self, capsys):
+        # h is drawn below each pair's shear bound, which binds at delta 4
+        code = run_cli(["verify", "cell", "--delta", "4",
+                        "--samples", "50"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("cell\tpass\tfailures=0 ")
 
     def test_covering_at_large_delta(self, capsys):
         code = run_cli(["verify", "covering", "--delta", "4"])

@@ -22,8 +22,10 @@ both engine workloads, so the default covers a restarted run) it prints:
   ``dt``, both owner arrays, the overlap flag and the endpoints of the
   intervals with an owner (a gap interval, with no owner on either side,
   has no edge to take endpoints from);
-- ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt`` and
-  ``phases.svg`` written by ``twowell run`` with the benchmark's arguments.
+- ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt``, ``phases.svg``,
+  ``metrics.tsv`` and ``report.txt`` written by ``twowell run`` with the
+  benchmark's arguments, and of the standard output of the benchmark's
+  ``twowell dim <mesh> --pmax 8`` on that mesh (its box table and slope).
 
 ``sampled`` prints the rows digest of ``sample_generations`` at the
 ``test_07`` config (4000 lineages, 7 generations, seed 0) and the fitted
@@ -34,7 +36,9 @@ when their states, rows and artifacts are equal bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import pickle
 import sys
@@ -117,24 +121,29 @@ def engine_digests(name: str, seed: int):
     return steps, sweeps, rows_digest(eng.metrics.rows)
 
 
+CLI_ARTIFACTS = ("mesh.txt", "phases.svg", "metrics.tsv", "report.txt")
+
+
 def cli_digests(seed: int):
+    """{name: digest} of the four artifacts of the benchmark's twowell run
+    and, under "dim", of the stdout of its twowell dim."""
     from twowell import cli
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        run, _ = wl.cli_argv(wl.make_input("cli_pipeline", seed), out,
-                             toy=False)
-        with open(os.devnull, "w") as null:
-            saved, sys.stdout = sys.stdout, null
-            try:
-                rc = cli.main(run)
-            finally:
-                sys.stdout = saved
-        if rc != 0:
-            raise SystemExit(f"twowell run exited {rc}")
-        digests = []
-        for name in ("mesh.txt", "phases.svg"):
+        run, dim = wl.cli_argv(wl.make_input("cli_pipeline", seed), out,
+                               toy=False)
+        stdout = {}
+        for name, argv in (("run", run), ("dim", dim)):
+            stdout[name] = io.StringIO()
+            with contextlib.redirect_stdout(stdout[name]):
+                rc = cli.main(argv)
+            if rc != 0:
+                raise SystemExit(f"twowell {name} exited {rc}")
+        digests = {}
+        for name in CLI_ARTIFACTS:
             with open(os.path.join(out, name), "rb") as f:
-                digests.append(_hex(f.read()))
+                digests[name] = _hex(f.read())
+    digests["dim"] = _hex(stdout["dim"].getvalue().encode())
     return digests
 
 
@@ -169,9 +178,10 @@ def main(argv=None) -> int:
                 print(f"{name} input {seed}: sweeps " + " ".join(sweeps),
                       flush=True)
         if "cli_pipeline" in args.only:
-            mesh, svg = cli_digests(seed)
-            print(f"cli_pipeline input {seed}: mesh.txt {mesh} "
-                  f"phases.svg {svg}", flush=True)
+            digests = cli_digests(seed)
+            print(f"cli_pipeline input {seed}: " + " ".join(
+                f"{name} {digests[name]}"
+                for name in CLI_ARTIFACTS + ("dim",)), flush=True)
     if "sampled" in args.only:
         rows, line = sampled_digest()
         print(f"sampled test_07: rows {rows} ({line})", flush=True)
