@@ -23,12 +23,12 @@ import numpy as np
 from . import matgeo as mg
 from . import inapprox as ia
 from .errors import (
+    TwoWellError,
     InvalidParameterError,
     InvalidPairError,
     AspectFailureError,
     ConstructionFailureError,
     WrongEntryPointError,
-    NotClassifiableError,
 )
 
 H_MAX = 0.125           # diamond aspect bound; calibration grid starts here
@@ -39,10 +39,26 @@ GRAD_NAMES = ("a_core", "b_flank", "a_cap", "corr_ne", "corr_nw")
 GRAD_INDEX = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
 
 
-def _affine_gradient(tri: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    P = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    V = np.column_stack([vals[1] - vals[0], vals[2] - vals[0]])
-    return V @ np.linalg.inv(P)
+def _fail(errors: list, bad, make, rows=None) -> None:
+    """Give row rows[j] (row j without rows) the error make(j) for every j
+    with bad[j], unless an earlier check already failed that row: a stack
+    keeps each row's first failing check, in the order in which the
+    one-cell construction makes its checks."""
+    for j in np.flatnonzero(bad):
+        i = j if rows is None else rows[j]
+        if errors[i] is None:
+            errors[i] = make(j)
+
+
+def _clean(errors: list) -> np.ndarray:
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _mats(n: int, m00, m01, m10, m11) -> np.ndarray:
+    """n 2x2 matrices from their entries (scalars or (n,) arrays)."""
+    out = np.empty((n, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = m00, m01, m10, m11
+    return out
 
 
 @dataclass
@@ -50,8 +66,6 @@ class CellTemplate:
     """Normalized cell: C = Id, interfaces normal to e2, unit diamond."""
     lam: float
     h: float
-    q: float                 # inner-shear coefficient of the E/F factors
-    mu_geom: float           # geometric interface height (1-lam) h
     points: np.ndarray       # (8,2): top, bottom, right, left, xa, xb, xc, xd
     values: np.ndarray       # (8,2) boundary-compatible displacement values
     tris: np.ndarray         # (10,3) indices into points, CCW
@@ -77,10 +91,141 @@ def _trivial_template(lam: float, h: float) -> CellTemplate:
     pts = _diamond_points(h)
     tris = np.array([[3, 1, 2], [3, 2, 0]])
     areas = np.full(2, h)
-    tpl = CellTemplate(lam, h, 0.0, (1.0 - lam) * h, pts, pts.copy(),
-                       tris, np.eye(2)[None], np.zeros((2, 2)), areas,
-                       trivial=True)
-    return tpl
+    return CellTemplate(lam, h, pts, pts.copy(), tris, np.eye(2)[None],
+                        np.zeros((2, 2)), areas, trivial=True)
+
+
+#                  blue            green          orange        red        yellow
+_TRIS = np.array([
+    [4, 7, 6], [4, 6, 5],          # core quad xa xd xc / xa xc xb
+    [5, 2, 6], [7, 3, 4],          # flanks at the right/left tips
+    [4, 5, 0], [6, 7, 1],          # caps toward top/bottom
+    [5, 2, 0], [7, 3, 1],          # corrector NE / SW
+    [4, 0, 3], [6, 1, 2],          # corrector NW / SE
+])
+
+
+def _template_grads(lam: np.ndarray, h: float, g0: np.ndarray,
+                    mu_g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The five closed-form gradients (n,5,2,2) of n normalized cells."""
+    n = lam.shape[0]
+    Abar = _mats(n, 1.0, 0.0, (1.0 - lam) * g0, 1.0)
+    Bbar = _mats(n, 1.0, 0.0, -lam * g0, 1.0)
+    E = _mats(n, 1.0, -q * (1.0 - mu_g), 0.0, 1.0)
+    Fcap = _mats(n, 1.0, q * mu_g, 0.0, 1.0)
+    sG = -(1.0 - lam) * h * (1.0 - h - g0 * lam * h)
+    G = np.eye(2) + ((g0 * lam * (1.0 - lam) * h / sG)[:, None, None]
+                     * np.outer([-h, 1.0], [1.0, h]))
+    sH = h * (1.0 - lam) * (1.0 - h + g0 * lam * h)
+    H = np.eye(2) - ((g0 * lam * (1.0 - lam) * h / sH)[:, None, None]
+                     * np.outer([h, 1.0], [1.0, -h]))
+    return np.stack([Abar @ E, Bbar @ E, Abar @ Fcap, G, H], axis=1)
+
+
+@dataclass
+class _Templates:
+    """The normalized cells of a stack of (lam, g0) at one aspect h.
+
+    errors[i] is what build_template raises for row i, or None.  The
+    arrays hold the rows in `rows`: those that are not trivial and pass
+    the parameter and fit checks (a built row may fail a later check).
+    """
+    errors: list
+    trivial: np.ndarray      # (b,) lam in {0, 1} or g0 = 0
+    rows: np.ndarray         # (n,)
+    points: np.ndarray       # (n,8,2)
+    values: np.ndarray       # (n,8,2)
+    tris: np.ndarray         # (n,10,3)
+    grads: np.ndarray        # (n,5,2,2)
+    offs: np.ndarray         # (n,10,2)
+    areas: np.ndarray        # (n,10)
+
+    def template(self, j: int, lam: float, h: float) -> CellTemplate:
+        return CellTemplate(lam, h, self.points[j], self.values[j],
+                            self.tris[j], self.grads[j], self.offs[j],
+                            self.areas[j])
+
+
+def _templates(lam: np.ndarray, h: float, g0: np.ndarray) -> _Templates:
+    """build_template for a stack of (lam, g0) at one aspect h.
+
+    Row by row these are build_template's closed forms in its expression
+    order, so every bit agrees, and its checks as array checks with the
+    same tolerances, exception classes and messages.
+    """
+    b = lam.shape[0]
+    errors = [None] * b
+    _fail(errors, ~((0.0 <= lam) & (lam <= 1.0)), lambda i:
+          InvalidParameterError(f"lam must be in [0,1], got {lam[i]}"))
+    if not (0.0 < h <= H_MAX + 1e-15):
+        _fail(errors, np.ones(b, dtype=bool), lambda i:
+              InvalidParameterError(f"h must be in (0, {H_MAX}], got {h}"))
+    trivial = (lam == 0.0) | (lam == 1.0) | (g0 == 0.0)
+    fit = h * (1.0 + np.abs(g0) * np.maximum(lam, 1.0 - lam))
+    _fail(errors, ~trivial & (fit >= 1.0), lambda i: AspectFailureError(
+        "shear too strong for this aspect: "
+        f"h(1+|g0|max(lam,1-lam)) = {fit[i]:.3f}"))
+    rows = np.flatnonzero(_clean(errors) & ~trivial)
+    lam, g0 = lam[rows], g0[rows]
+    n = rows.shape[0]
+
+    mu_g = (1.0 - lam) * h
+    P = g0 * lam * (1.0 - lam) * h
+    kk = P * h
+    q = kk / (mu_g * (1.0 - mu_g))
+
+    pts = np.empty((n, 8, 2))
+    pts[:, :4] = _diamond_points(h)
+    pts[:, 4, 0], pts[:, 4, 1] = -lam * h + kk, mu_g
+    pts[:, 5, 0], pts[:, 5, 1] = lam * h + kk, mu_g
+    pts[:, 6:] = -pts[:, 4:6]                      # xc, xd = -xa, -xb
+    vals = pts.copy()
+    vals[:, 4, 0], vals[:, 4, 1] = -lam * h, mu_g - P
+    vals[:, 5, 0], vals[:, 5, 1] = lam * h, mu_g + P
+    vals[:, 6:] = -vals[:, 4:6]
+
+    # fix orientation: all pieces CCW
+    at = np.arange(n)[:, None, None]
+    tris = np.repeat(_TRIS[None], n, axis=0)
+    tp = pts[at, tris]
+    e1, e2 = tp[:, :, 1] - tp[:, :, 0], tp[:, :, 2] - tp[:, :, 0]
+    flip = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0] < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+
+    grads = _template_grads(lam, h, g0, mu_g, q)
+    gtri = grads[:, GRAD_INDEX]
+    tp, tv = pts[at, tris], vals[at, tris]
+    e1, e2 = tp[:, :, 1] - tp[:, :, 0], tp[:, :, 2] - tp[:, :, 0]
+    # the affine interpolation of each piece's corner values
+    interp = (np.stack([tv[:, :, 1] - tv[:, :, 0], tv[:, :, 2] - tv[:, :, 0]],
+                       axis=-1)
+              @ np.linalg.inv(np.stack([e1, e2], axis=-1)))
+    dev = np.abs(interp - gtri).max(axis=(2, 3))
+    resid = tv - tp @ np.swapaxes(gtri, 2, 3)
+    skew = np.abs(resid - resid[:, :, :1]).max(axis=(2, 3))
+    offs = resid[:, :, 0].copy()
+    areas = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+
+    bad = (dev > mg.PIPE_TOL) | (skew > mg.PIPE_TOL)
+    first = np.argmax(bad, axis=1)
+
+    def piece_error(j):
+        i = first[j]
+        if dev[j, i] > mg.PIPE_TOL:
+            return ConstructionFailureError(
+                f"piece {i}: closed-form gradient disagrees with corner "
+                f"interpolation by {dev[j, i]:.2e}")
+        return ConstructionFailureError(f"piece {i} is not affine")
+
+    _fail(errors, bad.any(axis=1), piece_error, rows)
+    _fail(errors, np.abs(areas.sum(axis=1) - 2.0 * h) > 1e-12 * (2.0 * h),
+          lambda j: ConstructionFailureError("pieces do not tile the diamond"),
+          rows)
+    _fail(errors, np.abs(np.linalg.det(grads) - 1.0).max(axis=1) > 1e-10,
+          lambda j: ConstructionFailureError("gradient determinant drift"),
+          rows)
+    return _Templates(errors, trivial, rows, pts, vals, tris, grads, offs,
+                      areas)
 
 
 def build_template(lam: float, h: float, g0: float) -> CellTemplate:
@@ -90,86 +235,31 @@ def build_template(lam: float, h: float, g0: float) -> CellTemplate:
     h, and ConstructionFailureError if a closed-form gradient disagrees
     with the corner interpolation beyond PIPE_TOL or the pieces fail to tile.
     """
-    if not (0.0 <= lam <= 1.0):
-        raise InvalidParameterError(f"lam must be in [0,1], got {lam}")
-    if not (0.0 < h <= H_MAX + 1e-15):
-        raise InvalidParameterError(f"h must be in (0, {H_MAX}], got {h}")
-    if lam == 0.0 or lam == 1.0 or g0 == 0.0:
+    t = _templates(np.array([lam], dtype=float), h,
+                   np.array([g0], dtype=float))
+    if t.errors[0] is not None:
+        raise t.errors[0]
+    if t.trivial[0]:
         return _trivial_template(lam, h)
-    fit = h * (1.0 + abs(g0) * max(lam, 1.0 - lam))
-    if fit >= 1.0:
-        raise AspectFailureError("shear too strong for this aspect: "
-                                 f"h(1+|g0|max(lam,1-lam)) = {fit:.3f}")
-
-    mu_g = (1.0 - lam) * h
-    P = g0 * lam * (1.0 - lam) * h
-    kk = P * h
-    q = kk / (mu_g * (1.0 - mu_g))
-
-    top, bot = np.array([0.0, 1.0]), np.array([0.0, -1.0])
-    rgt, lft = np.array([h, 0.0]), np.array([-h, 0.0])
-    xa = np.array([-lam * h + kk, mu_g])
-    xb = np.array([lam * h + kk, mu_g])
-    xc, xd = -xa, -xb
-    pts = np.stack([top, bot, rgt, lft, xa, xb, xc, xd])
-
-    vals = pts.copy()
-    vals[4] = [-lam * h, mu_g - P]
-    vals[5] = [lam * h, mu_g + P]
-    vals[6], vals[7] = -vals[4], -vals[5]
-
-    #           blue            green          orange        red        yellow
-    tris = np.array([
-        [4, 7, 6], [4, 6, 5],          # core quad xa xd xc / xa xc xb
-        [5, 2, 6], [7, 3, 4],          # flanks at the right/left tips
-        [4, 5, 0], [6, 7, 1],          # caps toward top/bottom
-        [5, 2, 0], [7, 3, 1],          # corrector NE / SW
-        [4, 0, 3], [6, 1, 2],          # corrector NW / SE
-    ])
-    # fix orientation: all pieces CCW
-    for t in tris:
-        e1, e2 = pts[t[1]] - pts[t[0]], pts[t[2]] - pts[t[0]]
-        if e1[0] * e2[1] - e1[1] * e2[0] < 0:
-            t[1], t[2] = t[2], t[1]
-
-    Abar = np.array([[1.0, 0.0], [(1.0 - lam) * g0, 1.0]])
-    Bbar = np.array([[1.0, 0.0], [-lam * g0, 1.0]])
-    E = np.array([[1.0, -q * (1.0 - mu_g)], [0.0, 1.0]])
-    Fcap = np.array([[1.0, q * mu_g], [0.0, 1.0]])
-    sG = -(1.0 - lam) * h * (1.0 - h - g0 * lam * h)
-    G = np.eye(2) + (g0 * lam * (1.0 - lam) * h / sG) * np.outer([-h, 1.0], [1.0, h])
-    sH = h * (1.0 - lam) * (1.0 - h + g0 * lam * h)
-    H = np.eye(2) - (g0 * lam * (1.0 - lam) * h / sH) * np.outer([h, 1.0], [1.0, -h])
-    grads = np.stack([Abar @ E, Bbar @ E, Abar @ Fcap, G, H])
-
-    offs = np.empty((10, 2))
-    areas = np.empty(10)
-    for i, t in enumerate(tris):
-        Mi = grads[GRAD_INDEX[i]]
-        interp = _affine_gradient(pts[t], vals[t])
-        if np.abs(interp - Mi).max() > mg.PIPE_TOL:
-            raise ConstructionFailureError(
-                f"piece {i}: closed-form gradient disagrees with corner "
-                f"interpolation by {np.abs(interp - Mi).max():.2e}")
-        resid = vals[t] - pts[t] @ Mi.T
-        if np.abs(resid - resid[0]).max() > mg.PIPE_TOL:
-            raise ConstructionFailureError(f"piece {i} is not affine")
-        offs[i] = resid[0]
-        e1, e2 = pts[t[1]] - pts[t[0]], pts[t[2]] - pts[t[0]]
-        areas[i] = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-
-    tpl = CellTemplate(lam, h, q, mu_g, pts, vals, tris, grads, offs, areas)
-    if abs(areas.sum() - tpl.area) > 1e-12 * tpl.area:
-        raise ConstructionFailureError("pieces do not tile the diamond")
-    dets = np.linalg.det(grads)
-    if np.abs(dets - 1.0).max() > 1e-10:
-        raise ConstructionFailureError("gradient determinant drift")
-    return tpl
+    return t.template(0, lam, h)
 
 
 # ---------------------------------------------------------------------------
 # physical cells
 # ---------------------------------------------------------------------------
+
+def _rank_one(D: np.ndarray):
+    """rank_one_factors of a stack (b,2,2): (rho0, a, n, errors)."""
+    U, s, Vt = np.linalg.svd(D)
+    errors = [None] * D.shape[0]
+    _fail(errors, (s[:, 0] <= mg.PIPE_TOL)
+          | (s[:, 1] > mg.PIPE_TOL * np.maximum(s[:, 0], 1.0)),
+          lambda i: InvalidPairError(
+              f"A - B must have rank one, singular values {s[i]}"))
+    a, n = U[:, :, 0], Vt[:, 0]
+    flip = ((a[:, 0] < 0) | ((a[:, 0] == 0) & (a[:, 1] < 0)))[:, None]
+    return s[:, 0], np.where(flip, -a, a), np.where(flip, -n, n), errors
+
 
 def rank_one_factors(D: np.ndarray):
     """D = rho0 a (x) n with |a| = |n| = 1, a oriented to a1 >= 0.
@@ -177,28 +267,102 @@ def rank_one_factors(D: np.ndarray):
     Rank one means the singular values s0 > PIPE_TOL and
     s1 <= PIPE_TOL max(s0, 1); otherwise InvalidPairError.
     """
-    U, s, Vt = np.linalg.svd(D)
-    if s[0] <= mg.PIPE_TOL or s[1] > mg.PIPE_TOL * max(s[0], 1.0):
-        raise InvalidPairError(f"A - B must have rank one, singular values {s}")
-    a, n = U[:, 0], Vt[0]
-    if a[0] < 0 or (a[0] == 0 and a[1] < 0):
-        a, n = -a, -n
-    return float(s[0]), a, n
+    rho0, a, n, errors = _rank_one(np.asarray(D, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(rho0[0]), a[0], n[0]
+
+
+def _shears(D: np.ndarray, C: np.ndarray):
+    """pair_shear of a stack: (g0, S, errors)."""
+    rho0, a, n, errors = _rank_one(D)
+    Cinv_a = np.linalg.solve(C, a[:, :, None])
+    _fail(errors, np.abs((n[:, None] @ Cinv_a)[:, 0, 0]) > 1e-7, lambda i:
+          InvalidPairError("pair is inconsistent with det-1 transport"))
+    n_perp = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    g0 = (n_perp[:, None] @ Cinv_a)[:, 0, 0] * rho0
+    _fail(errors, g0 == 0.0, lambda i: InvalidPairError("degenerate shear"))
+    return g0, np.stack([n, n_perp], axis=2), errors
 
 
 def pair_shear(D: np.ndarray, C: np.ndarray):
     """(g0, S) of the pair with A - B = D about C: S = [n, n_perp] and
     the signed shear g0 of C^-1 D along n_perp; InvalidPairError when
     the pair does not transport to a shear of det-1 matrices."""
-    rho0, a_hat, n_hat = rank_one_factors(D)
-    Cinv_a = np.linalg.solve(C, a_hat)
-    if abs(n_hat @ Cinv_a) > 1e-7:
-        raise InvalidPairError("pair is inconsistent with det-1 transport")
-    n_perp = np.array([-n_hat[1], n_hat[0]])
-    g0 = float(n_perp @ Cinv_a) * rho0
-    if g0 == 0.0:
-        raise InvalidPairError("degenerate shear")
-    return g0, np.column_stack([n_hat, n_perp])
+    g0, S, errors = _shears(np.asarray(D, dtype=float)[None],
+                            np.asarray(C, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(g0[0]), S[0]
+
+
+@dataclass
+class _Pairs:
+    """build_cell's data for a stack of cells, with what does not depend on
+    the aspect: the shear g0 and frame S of each pair (zero where they were
+    not made) and each row's first failing check so far."""
+    A: np.ndarray              # (b,2,2)
+    C: np.ndarray
+    lam: np.ndarray            # (b,)
+    trivial: np.ndarray        # (b,) A = B or lam in {0, 1}
+    g0: np.ndarray             # (b,)
+    S: np.ndarray              # (b,2,2)
+    errors: list
+
+
+def _pairs(A: np.ndarray, B: np.ndarray, C: np.ndarray,
+           lam: np.ndarray) -> _Pairs:
+    b = lam.shape[0]
+    errors = [None] * b
+    for M, name in ((A, "A"), (B, "B")):
+        det = np.linalg.det(M)
+        _fail(errors, np.abs(det - 1.0) > 1e-9, lambda i:
+              InvalidPairError(f"det {name} = {det[i]:.12f}, need 1"))
+    w = lam[:, None, None]
+    _fail(errors, np.abs(w * A + (1.0 - w) * B - C).max(axis=(1, 2))
+          > 100 * mg.PIPE_TOL,
+          lambda i: InvalidPairError("C is not the lam-barycenter of (A, B)"))
+    trivial = ((np.abs(A - B).max(axis=(1, 2)) <= mg.PIPE_TOL)
+               | (lam == 0.0) | (lam == 1.0))
+    g0, S = np.zeros(b), np.zeros((b, 2, 2))
+    live = np.flatnonzero(_clean(errors) & ~trivial)
+    g0[live], S[live], shear_errors = _shears(A[live] - B[live], C[live])
+    _fail(errors, ~_clean(shear_errors), lambda j: shear_errors[j], live)
+    return _Pairs(A, C, lam, trivial, g0, S, errors)
+
+
+@dataclass
+class _Cells:
+    """The cells of a stack of pairs at one aspect h.
+
+    grads holds every row's five physical slot gradients: C in each slot
+    of a trivial row, zero in a row that failed.  errors[i] is what
+    build_cell raises for row i, or None.
+    """
+    pairs: _Pairs
+    templates: _Templates      # of the rows that were built
+    grads: np.ndarray          # (b,5,2,2)
+    errors: list
+
+
+def _cells(p: _Pairs, h: float) -> _Cells:
+    """The stacked construction behind build_cell and calibrate_h0."""
+    errors = list(p.errors)
+    live = np.flatnonzero(_clean(errors) & ~p.trivial)
+    t = _templates(p.lam[live], h, p.g0[live])
+    _fail(errors, ~_clean(t.errors), lambda j: t.errors[j], live)
+    rows = live[t.rows]
+    S, C = p.S[rows], p.C[rows]
+    grads = np.zeros((len(errors), 5, 2, 2))
+    grads[rows] = np.einsum("bij,bnjk,blk->bnil", C @ S, t.grads, S)
+    # exactness of the frame transport: A = C S Abar S^T etc.
+    Abar = np.swapaxes(S, 1, 2) @ np.linalg.solve(C, p.A[rows]) @ S
+    want = _mats(rows.shape[0], 1, 0, (1 - p.lam[rows]) * p.g0[rows], 1)
+    _fail(errors, np.abs(Abar - want).max(axis=(1, 2)) > 1e-7, lambda j:
+          InvalidPairError("frame transport failed to normalize A"), rows)
+    trivial = np.flatnonzero(_clean(p.errors) & p.trivial)
+    grads[trivial] = p.C[trivial, None]
+    return _Cells(p, t, grads, errors)
 
 
 @dataclass
@@ -235,12 +399,6 @@ class CellConstruction:
         dB = np.linalg.norm(self.grads - self.B, axis=(1, 2))
         return float(np.minimum(dA, dB).max())
 
-    def displacement_sup(self) -> float:
-        """sup over the diamond of |u - (Cx + offset)|; attained at vertices."""
-        dev = (self.template.values - self.template.points)
-        dev = dev @ (self.C @ self.frame).T
-        return self.scale * float(np.abs(np.hypot(dev[:, 0], dev[:, 1])).max())
-
     def boundary_values(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(points, u(points)) along the diamond boundary, ts in [0,4)."""
         pts, vals = [], []
@@ -275,20 +433,19 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
 
     Preconditions: det A = det B = 1, rank(A - B) = 1 and
     C = lam A + (1 - lam) B.  lam in {0, 1} or A = B give the trivial
-    single-gradient cell.
+    single-gradient cell.  This is one row of the stacked construction
+    (_cells) that calibrate_h0 runs on its whole grid.
     """
     A = np.asarray(A, float)
     B = np.asarray(B, float)
     C = np.asarray(C, float)
-    for M, name in ((A, "A"), (B, "B")):
-        if abs(np.linalg.det(M) - 1.0) > 1e-9:
-            raise InvalidPairError(f"det {name} = {np.linalg.det(M):.12f}, need 1")
-    if np.abs(lam * A + (1.0 - lam) * B - C).max() > 100 * mg.PIPE_TOL:
-        raise InvalidPairError("C is not the lam-barycenter of (A, B)")
+    cells = _cells(_pairs(A[None], B[None], C[None],
+                          np.array([lam], dtype=float)), h)
+    if cells.errors[0] is not None:
+        raise cells.errors[0]
     center = np.asarray(center, float)
 
-    D = A - B
-    if np.abs(D).max() <= mg.PIPE_TOL or lam in (0.0, 1.0):
+    if cells.pairs.trivial[0]:
         tpl = _trivial_template(lam, h)
         S = np.eye(2)
         tris = center + scale * tpl.points[tpl.tris]
@@ -299,16 +456,11 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
         return CellConstruction(A, B, C, lam, h, scale, S, diamond, tris,
                                 grads, tpl.tris[:, 0] * 0, offs, areas, tpl)
 
-    g0, S = pair_shear(D, C)
-    tpl = build_template(lam, h, g0)
+    tpl = cells.templates.template(0, lam, h)
+    S = cells.pairs.S[0]
     CS = C @ S
-    # exactness of the frame transport: A = C S Abar S^T etc.
-    Abar = S.T @ np.linalg.solve(C, A) @ S
-    if np.abs(Abar - np.array([[1, 0], [(1 - lam) * g0, 1]])).max() > 1e-7:
-        raise InvalidPairError("frame transport failed to normalize A")
-
     tris = center + scale * (tpl.points[tpl.tris] @ S.T)
-    grads = np.einsum("ij,njk,lk->nil", CS, tpl.grads, S)
+    grads = cells.grads[0]
     gtri = grads[GRAD_INDEX]
     offs = (center @ C.T - np.einsum("nij,j->ni", gtri, center)
             + scale * tpl.offs @ CS.T)
@@ -365,13 +517,16 @@ class RefinePlan:
         return self.S[:, 1]
 
 
+def _cell_pair(sr: mg.SplitResult):
+    """(lam, A, B) of a split, the cell's A side the minority child."""
+    if sr.rho >= 0.5:
+        return 1.0 - sr.rho, sr.Fminus, sr.Fplus
+    return sr.rho, sr.Fplus, sr.Fminus
+
+
 def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
                      delta: float, wells: mg.WellPair) -> Optional[RefinePlan]:
-    # normalize so the cell's A side is the minority child
-    if sr.rho >= 0.5:
-        lam_cell, A_cell, B_cell = 1.0 - sr.rho, sr.Fminus, sr.Fplus
-    else:
-        lam_cell, A_cell, B_cell = sr.rho, sr.Fplus, sr.Fminus
+    lam_cell, A_cell, B_cell = _cell_pair(sr)
     try:
         cc = build_cell(A_cell, B_cell, M, lam_cell, h)
     except AspectFailureError:      # the template does not fit h
@@ -379,13 +534,7 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
     grads = cc.grads[cc.gidx]
     # hull exit of a corrector gradient counts as a failed attempt (-1),
     # prompting the callers' verify-and-shrink loop to reduce h
-    slot_stages = []
-    for g in cc.grads:
-        try:
-            slot_stages.append(ia.classify(g, delta))
-        except NotClassifiableError:
-            slot_stages.append(-1)
-    stages = np.asarray(slot_stages)[cc.gidx]
+    stages = ia.classify_stack(cc.grads, delta)[cc.gidx]
     phases = mg.phases(grads, wells)
     unit_verts = cc.tris.copy()
     bvec = cc.template.offs @ (M @ cc.frame).T if not cc.template.trivial \
@@ -417,15 +566,20 @@ def _aspects():
         h *= 0.5
 
 
+def _advances(stages: np.ndarray, stage):
+    """The dyadic rule: every piece (or slot) of a stage >= 2 plan
+    classifies to stage + 1; over the last axis of stages."""
+    return np.all(stages == stage + 1, axis=-1)
+
+
 def _dyadic_plan(M: np.ndarray, stage: int, h: float, delta: float,
                  wells: mg.WellPair) -> Optional[RefinePlan]:
-    """The dyadic rule: the plan of a stage >= 2 matrix at aspect h when it
-    fits h and every piece classifies to stage + 1, else None."""
+    """The plan of a stage >= 2 matrix at aspect h when it fits h and
+    advances (_advances), else None."""
     branch, eps = ia.dyadic_split_target(stage, delta)
     sr = mg.split(M, branch, eps, delta)
     plan = _plan_from_split(M, stage, sr, h, delta, wells)
-    return (plan if plan is not None and np.all(plan.stages == stage + 1)
-            else None)
+    return plan if plan is not None and _advances(plan.stages, stage) else None
 
 
 def replace_dyadic_stage(M: np.ndarray, delta: float,
@@ -488,23 +642,50 @@ def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
     2% inside the edges (worst case); engine runs calibrate on the
     narrower corridor their gradients actually visit (improved entries
     land mid-band).  The result is cached per (delta, fracs).
+
+    The splits and cell frames do not depend on h and are made once; a
+    rung is then one pass of the stacked construction (_cells) and of the
+    slot classification over the whole grid.  The rung is decided by the
+    first grid matrix, in grid order, whose plan does not fit and advance,
+    as in a search one matrix at a time: when that plan is None
+    (_dyadic_plan) the next rung is taken, when a check failed its error
+    is raised.  Failures at later matrices are not looked at.
     """
     key = (round(delta, 12), fracs)
     if key in _H0_CACHE:
         return _H0_CACHE[key]
-    wells = mg.make_wells(delta)
-    grid = []
+    ks, d1, d2, signs = [], [], [], []
     for k in CALIBRATION_STAGES:
         (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
-        grid += [(k, ia.matrix_from_gaps(lo1 + f1 * (hi1 - lo1),
-                                         lo2 + f2 * (hi2 - lo2), delta, sign))
-                 for f1, f2, sign in itertools.product(fracs, fracs,
-                                                       (1.0, -1.0))]
+        for f1, f2, sign in itertools.product(fracs, fracs, (1.0, -1.0)):
+            ks.append(k)
+            d1.append(lo1 + f1 * (hi1 - lo1))
+            d2.append(lo2 + f2 * (hi2 - lo2))
+            signs.append(sign)
+    Fs = ia.matrices_from_gaps(d1, d2, delta, signs)
+    sides, split_errors = [], [None] * len(Fs)
+    for i, (k, F) in enumerate(zip(ks, Fs)):
+        try:
+            sides.append(_cell_pair(
+                mg.split(F, *ia.dyadic_split_target(k, delta), delta)))
+        except TwoWellError as err:
+            split_errors[i] = err
+            sides.append((0.5, F, F))       # a trivial row; its error is first
+    lam, A, B = zip(*sides)
+    pairs = _pairs(np.stack(A), np.stack(B), np.stack(Fs), np.array(lam))
+    pairs.errors = [pe if se is None else se
+                    for se, pe in zip(split_errors, pairs.errors)]
+    stage = np.array(ks)[:, None]
     for h in _aspects():
-        if all(_dyadic_plan(F, k, h, delta, wells) is not None
-               for k, F in grid):
+        cells = _cells(pairs, h)
+        ok = _clean(cells.errors) & _advances(
+            ia.classify_stack(cells.grads, delta), stage)
+        if ok.all():
             _H0_CACHE[key] = h
             return h
+        first = cells.errors[int(np.argmin(ok))]
+        if first is not None and not isinstance(first, AspectFailureError):
+            raise first
     raise ConstructionFailureError(f"no uniform aspect calibrates for delta={delta}")
 
 
@@ -551,10 +732,7 @@ def verify_cells(delta: float, samples: int = 1_000,
         F = ia.sample_stage(stage, delta, rng)
         branch, eps = ia.dyadic_split_target(stage, delta)
         sr = mg.split(F, branch, eps, delta)
-        if sr.rho >= 0.5:
-            lam, A, B = 1.0 - sr.rho, sr.Fminus, sr.Fplus
-        else:
-            lam, A, B = sr.rho, sr.Fplus, sr.Fminus
+        lam, A, B = _cell_pair(sr)
         # h below the pair's shear bound, which build_template requires
         g0, _ = pair_shear(A - B, F)
         h = float(rng.uniform(2.0 ** -10, min(

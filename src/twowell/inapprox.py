@@ -102,6 +102,23 @@ def classify(F: np.ndarray, delta: float) -> int:
     return int(k)
 
 
+def classify_stack(Fs: np.ndarray, delta: float) -> np.ndarray:
+    """classify over a stack (..., 2, 2); -1 where classify raises.
+
+    The checks are classify's on the same Gram entries: det C within
+    PIPE_TOL of 1 and the three hull gaps strictly positive.  A Gram
+    matrix that is not positive definite, on which classify raises
+    InvalidParameterError, fails the det check and reads -1 too.
+    """
+    Fs = np.asarray(Fs, dtype=float)
+    C = np.swapaxes(Fs, -1, -2) @ Fs
+    c11, c22 = C[..., 0, 0], C[..., 1, 1]
+    d1, d2 = 1.0 - c11, 1.0 + delta * delta - c22
+    interior = ((np.abs(np.linalg.det(C) - 1.0) <= mg.PIPE_TOL)
+                & (d1 > 0.0) & (d2 > 0.0) & (c11 * c22 - 1.0 > 0.0))
+    return np.where(interior, _classify_gaps(d1, d2, zeta0(delta)), -1)
+
+
 # ---------------------------------------------------------------------------
 # split targets
 # ---------------------------------------------------------------------------
@@ -178,11 +195,21 @@ def matrix_from_gaps(d1: float, d2: float, delta: float,
     that the sum of squares does.
     """
     if not angle:
-        c11, c22 = _grid_targets(d1, d2, delta)
-        U, c12 = _upper_root(c11, c22, c12_sign)
-        return _round_trip_root(U, c11, c22, c12)
+        return matrices_from_gaps([d1], [d2], delta, [c12_sign])[0]
     U, _ = _upper_root(1.0 - d1, 1.0 + delta * delta - d2, c12_sign)
     return mg.rot(angle) @ U
+
+
+def matrices_from_gaps(d1, d2, delta: float, c12_sign) -> list:
+    """matrix_from_gaps, unrotated, of each (d1[i], d2[i], c12_sign[i]);
+    the grid targets of all of them are classified in one pass."""
+    c11, c22 = _grid_targets(np.asarray(d1, dtype=float),
+                             np.asarray(d2, dtype=float), delta)
+    out = []
+    for a, b, sign in zip(c11.tolist(), c22.tolist(), c12_sign):
+        U, c12 = _upper_root(a, b, sign)
+        out.append(_round_trip_root(U, a, b, c12))
+    return out
 
 
 def _upper_root(c11: float, c22: float, c12_sign: float):
@@ -195,8 +222,9 @@ def _upper_root(c11: float, c22: float, c12_sign: float):
     return np.array([[r11, c12 / r11], [0.0, 1.0 / r11]]), c12
 
 
-def _grid_targets(d1: float, d2: float, delta: float):
-    """Gram diagonal targets whose computed gaps classify as (d1, d2).
+def _grid_targets(d1: np.ndarray, d2: np.ndarray, delta: float):
+    """Gram diagonal targets (c11, c22) whose computed gaps classify as
+    (d1, d2), for arrays of gaps.
 
     c = fl(top - d) gives the nearest grid gap; when that lands across a
     band edge from d, one of the grid neighbours of c does not.  The
@@ -205,16 +233,20 @@ def _grid_targets(d1: float, d2: float, delta: float):
     """
     top2 = 1.0 + delta * delta
     c11, c22 = 1.0 - d1, top2 - d2
-    cand1 = [c11, math.nextafter(c11, -math.inf),
-             math.nextafter(c11, math.inf)]
-    cand2 = [c22, math.nextafter(c22, -math.inf),
-             math.nextafter(c22, math.inf)]
-    pairs = [(a, b) for a in cand1 for b in cand2]
-    g1 = np.array([d1] + [1.0 - a for a, _ in pairs])
-    g2 = np.array([d2] + [top2 - b for _, b in pairs])
-    stages = _classify_gaps(g1, g2, zeta0(delta))
-    hit = np.flatnonzero(stages[1:] == stages[0])
-    return pairs[int(hit[0])] if hit.shape[0] else (c11, c22)
+    cand1 = np.stack([c11, np.nextafter(c11, -np.inf),
+                      np.nextafter(c11, np.inf)])
+    cand2 = np.stack([c22, np.nextafter(c22, -np.inf),
+                      np.nextafter(c22, np.inf)])
+    # the nine pairs (a, b), a from cand1 and b from cand2, a slowest
+    a, b = np.repeat(cand1, 3, axis=0), np.tile(cand2, (3, 1))
+    stages = _classify_gaps(np.concatenate([d1[None], 1.0 - a]),
+                            np.concatenate([d2[None], top2 - b]),
+                            zeta0(delta))
+    hit = stages[1:] == stages[0]
+    first, cols = np.argmax(hit, axis=0), np.arange(d1.shape[0])
+    found = hit.any(axis=0)
+    return (np.where(found, a[first, cols], c11),
+            np.where(found, b[first, cols], c22))
 
 
 _ULP_STEPS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)

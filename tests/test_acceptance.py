@@ -30,6 +30,8 @@ from twowell import analysis as an
 from twowell import onewell as ow
 from twowell.errors import WrongEntryPointError
 
+from raster_oracle import l1_diff, raster_bv, raster_l1, rasterize_cells
+
 DELTA = 0.5
 
 # the conftest terminal-summary hook replays these after the test table
@@ -379,14 +381,14 @@ def _raster_case(coarse, fine, n=512, bv_two_sided=True):
     pad = 4.0 * span / n          # keep zero pixels outside the mesh
     bounds = (lo[0] - pad, lo[1] - pad,
               lo[0] + span + pad, lo[1] + span + pad)
-    gc, px = an.rasterize_cells(coarse.verts,
-                                (coarse.phases == 1).astype(float),
-                                n=n, bounds=bounds)
-    gf, _ = an.rasterize_cells(fine.verts,
-                               (fine.phases == 1).astype(float),
-                               n=n, bounds=bounds)
-    r_l1 = an.raster_l1(gc, gf, px)
-    e_l1 = an.l1_diff(coarse, fine, "chi1")
+    gc, px = rasterize_cells(coarse.verts,
+                             (coarse.phases == 1).astype(float),
+                             n=n, bounds=bounds)
+    gf, _ = rasterize_cells(fine.verts,
+                            (fine.phases == 1).astype(float),
+                            n=n, bounds=bounds)
+    r_l1 = raster_l1(gc, gf, px)
+    e_l1 = l1_diff(coarse, fine, "chi1")
     per = (cov.tri_perimeters(coarse.verts).sum()
            + cov.tri_perimeters(fine.verts).sum())
     edges = 3 * (coarse.verts.shape[0] + fine.verts.shape[0])
@@ -396,7 +398,7 @@ def _raster_case(coarse, fine, n=512, bv_two_sided=True):
     e_bv = an.bv_seminorm_cells(fine.verts,
                                 (fine.phases == 1).astype(float),
                                 include_boundary=True)
-    r_bv = an.raster_bv(gf, px)
+    r_bv = raster_bv(gf, px)
     slop = 8.0 * px * 3 * fine.verts.shape[0]
     assert r_bv <= np.sqrt(2.0) * e_bv + slop
     if bv_two_sided:

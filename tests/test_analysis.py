@@ -11,6 +11,8 @@ from twowell import covering as cov
 from twowell import inapprox as ia
 from twowell.errors import (InvalidParameterError, UndefinedDimensionError)
 
+from raster_oracle import raster_bv, raster_l1, rasterize_cells
+
 DELTA = 0.5
 
 
@@ -448,8 +450,8 @@ class TestRaster:
     def test_rasterize_half_square(self):
         verts = square_mesh()
         vals = np.array([1.0, 0.0])
-        grid, px = an.rasterize_cells(verts, vals, n=128,
-                                      bounds=(0.0, 0.0, 1.0, 1.0))
+        grid, px = rasterize_cells(verts, vals, n=128,
+                                   bounds=(0.0, 0.0, 1.0, 1.0))
         assert grid.shape == (128, 128)
         assert px == pytest.approx(1 / 128)
         # diagonal split: half the pixels are 1
@@ -457,14 +459,14 @@ class TestRaster:
 
     def test_raster_l1_and_bv(self):
         verts, vals = stripe_mesh(2)
-        grid, px = an.rasterize_cells(verts, vals, n=128,
-                                      bounds=(0.0, 0.0, 1.0, 1.0))
-        zero, _ = an.rasterize_cells(verts, np.zeros(4), n=128,
-                                     bounds=(0.0, 0.0, 1.0, 1.0))
+        grid, px = rasterize_cells(verts, vals, n=128,
+                                   bounds=(0.0, 0.0, 1.0, 1.0))
+        zero, _ = rasterize_cells(verts, np.zeros(4), n=128,
+                                  bounds=(0.0, 0.0, 1.0, 1.0))
         # the value-1 stripe has area 1/2
-        assert an.raster_l1(grid, zero, px) == pytest.approx(0.5, abs=0.01)
+        assert raster_l1(grid, zero, px) == pytest.approx(0.5, abs=0.01)
         # one vertical interface of length 1
-        assert an.raster_bv(grid, px) == pytest.approx(1.0, abs=0.02)
+        assert raster_bv(grid, px) == pytest.approx(1.0, abs=0.02)
 
 
 class TestMetricsSeries:

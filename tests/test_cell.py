@@ -1,5 +1,7 @@
 """Replacement cells: template geometry, placement, stage-driven plans."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,9 @@ from twowell import analysis as an
 from twowell import covering as cov
 from twowell import inapprox as ia
 from twowell import matgeo as mg
-from twowell.errors import (ConstructionFailureError, InvalidPairError,
-                            InvalidParameterError, WrongEntryPointError)
+from twowell.errors import (AspectFailureError, ConstructionFailureError,
+                            InvalidPairError, InvalidParameterError,
+                            WrongEntryPointError)
 
 
 def oracle_piece_gradients(tpl: cl.CellTemplate) -> np.ndarray:
@@ -27,10 +30,13 @@ def oracle_piece_gradients(tpl: cl.CellTemplate) -> np.ndarray:
 
 class TestTemplate:
     def test_inner_shear_frozen(self):
-        # kk / (mu (1 - mu)) with kk = g0 lam (1-lam) h^2, mu = (1-lam) h
+        # the interface height mu = (1-lam) h, and the inner shear
+        # q = kk / (mu (1 - mu)) = 1/37 with kk = g0 lam (1-lam) h^2 enters
+        # the core gradient as -q (1 - mu)
         tpl = cl.build_template(0.25, 0.1, 1.0)
-        assert tpl.q == pytest.approx(1 / 37, rel=1e-14)
-        assert tpl.mu_geom == pytest.approx(0.075)
+        assert tpl.points[4, 1] == pytest.approx(0.075)
+        assert tpl.grads[0][0, 1] == pytest.approx(-(1 - 0.075) / 37,
+                                                   rel=1e-14)
 
     def test_majority_fraction_formula(self):
         tpl = cl.build_template(0.25, 0.1, 1.0)
@@ -118,6 +124,13 @@ class TestRankOneFactors:
             cl.rank_one_factors(np.zeros((2, 2)))
 
 
+def displacement_sup(cc: cl.CellConstruction) -> float:
+    """sup over the diamond of |u - (Cx + offset)|; attained at vertices."""
+    dev = (cc.template.values - cc.template.points)
+    dev = dev @ (cc.C @ cc.frame).T
+    return cc.scale * float(np.abs(np.hypot(dev[:, 0], dev[:, 1])).max())
+
+
 def _shear_pair(delta=0.5, lam=0.3):
     wells = mg.make_wells(delta)
     A, B = wells.F0, wells.F0inv
@@ -158,7 +171,7 @@ class TestBuildCell:
             for y in tri:
                 w = cc.grads[gi] @ y + off - C @ y
                 worst = max(worst, float(np.hypot(*w)))
-        assert cc.displacement_sup() == pytest.approx(worst, rel=1e-9)
+        assert displacement_sup(cc) == pytest.approx(worst, rel=1e-9)
 
     def test_invalid_pairs(self):
         A, B, C, lam = _shear_pair()
@@ -274,8 +287,8 @@ class TestPlans:
         M = ia.stage_representative(2, self.delta)
         p = cl.replace_dyadic_stage(M, self.delta, self.h0)
         cc = cl.build_cell(p.A_cell, p.B_cell, M, p.lam_cell, p.h, scale=0.5)
-        assert cc.displacement_sup() == pytest.approx(0.5 * p.wsup_unit,
-                                                      rel=1e-12)
+        assert displacement_sup(cc) == pytest.approx(0.5 * p.wsup_unit,
+                                                     rel=1e-12)
 
     def test_gradient_error_decays_dyadically(self):
         # distance to the wells halves every two stages (one dyadic level)
@@ -319,6 +332,158 @@ class TestCalibration:
         for _ in range(100):
             cl.calibrate_h0(0.5, fracs=(0.25, 0.5, 0.75))
         assert time.time() - t0 < 0.05
+
+
+CORRIDOR = (0.25, 0.5, 0.75)
+DEFAULT_FRACS = (0.02, 0.5, 0.98)
+# delta -> log2 of the calibrated aspect, corridor | default fractions
+ASPECT_TABLE = {0.01: (-10, -11), 0.05: (-8, -8), 0.1: (-7, -7),
+                0.25: (-6, -6), 0.5: (-5, -6), 1.0: (-5, -5), 2.0: (-5, -6),
+                4.0: (-6, -6), 6.0: (-6, -7), 8.0: (-7, -7), 10.0: (-7, -7)}
+INTERP = "piece 0: closed-form gradient disagrees with corner interpolation by "
+REFUSALS = [(CORRIDOR, 16.0, INTERP + "1.63e-09"),
+            (CORRIDOR, 32.0, INTERP + "1.56e-09"),
+            (DEFAULT_FRACS, 12.0, INTERP + "1.57e-09"),
+            (DEFAULT_FRACS, 32.0, INTERP + "1.06e-09")]
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    monkeypatch.setattr(cl, "_H0_CACHE", {})
+
+
+class TestCalibrationTable:
+    @pytest.mark.parametrize("delta", sorted(ASPECT_TABLE))
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_aspect(self, cold_cache, delta, side):
+        fracs = (CORRIDOR, DEFAULT_FRACS)[side]
+        assert cl.calibrate_h0(delta, fracs=fracs) == \
+            2.0 ** ASPECT_TABLE[delta][side]
+
+    def test_the_other_two_large_deltas_calibrate(self, cold_cache):
+        assert cl.calibrate_h0(12.0, fracs=CORRIDOR) == 2.0 ** -7
+        assert cl.calibrate_h0(16.0, fracs=DEFAULT_FRACS) == 2.0 ** -8
+
+    @pytest.mark.parametrize("fracs, delta, message", REFUSALS)
+    def test_refusal(self, cold_cache, fracs, delta, message):
+        with pytest.raises(ConstructionFailureError) as info:
+            cl.calibrate_h0(delta, fracs=fracs)
+        assert type(info.value) is ConstructionFailureError
+        assert str(info.value) == message
+
+
+def stress_grid(delta, fracs):
+    """calibrate_h0's grid, (stage, matrix) in grid order, one at a time."""
+    grid = []
+    for k in cl.CALIBRATION_STAGES:
+        (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
+        grid += [(k, ia.matrix_from_gaps(lo1 + f1 * (hi1 - lo1),
+                                         lo2 + f2 * (hi2 - lo2), delta, s))
+                 for f1, f2, s in itertools.product(fracs, fracs, (1.0, -1.0))]
+    return grid
+
+
+def calibrate_one_at_a_time(delta, fracs):
+    """The reference search: every grid matrix's dyadic plan on its own,
+    rung by rung, stopping at the first one that is None."""
+    wells = mg.make_wells(delta)
+    grid = stress_grid(delta, fracs)
+    for h in cl._aspects():
+        if all(cl._dyadic_plan(F, k, h, delta, wells) is not None
+               for k, F in grid):
+            return h
+    raise ConstructionFailureError("no aspect")
+
+
+def _perturb_last_template(monkeypatch, when=lambda h: True):
+    """Scale the (0, 0) entry of the core gradient of the last template of
+    every stack built at an aspect h with when(h) by 1 + 1e-8."""
+    closed_form = cl._template_grads
+
+    def perturbed(lam, h, g0, mu_g, q):
+        grads = closed_form(lam, h, g0, mu_g, q)
+        if when(h) and grads.shape[0]:
+            grads[-1, 0, 0, 0] *= 1.0 + 1e-8
+        return grads
+
+    monkeypatch.setattr(cl, "_template_grads", perturbed)
+
+
+class TestArrayChecks:
+    @pytest.mark.parametrize("delta", [0.5, 8.0])
+    def test_perturbed_gradient_fails_the_stack(self, cold_cache,
+                                                monkeypatch, delta):
+        _perturb_last_template(monkeypatch)
+        with pytest.raises(ConstructionFailureError,
+                           match="closed-form gradient disagrees"):
+            cl.calibrate_h0(delta, fracs=CORRIDOR)
+
+    @pytest.mark.parametrize("delta", [0.5, 8.0])
+    def test_perturbed_gradient_fails_one_plan(self, monkeypatch, delta):
+        h0 = cl.calibrate_h0(delta, fracs=CORRIDOR)
+        _perturb_last_template(monkeypatch)
+        M = ia.stage_representative(2, delta)
+        with pytest.raises(ConstructionFailureError,
+                           match="closed-form gradient disagrees"):
+            cl.replace_dyadic_stage(M, delta, h0)
+
+    def test_first_failure_decides_the_rung(self, cold_cache, monkeypatch):
+        # at delta 8 and h = 1/16 the first grid matrix does not fit; a
+        # later template that fails its checks there is not looked at
+        delta, h = 8.0, 2.0 ** -4
+        _perturb_last_template(monkeypatch, when=lambda a: a == h)
+        stacks = []
+        cells = cl._cells
+
+        def traced(pairs, a):
+            out = cells(pairs, a)
+            stacks.append((a, out))
+            return out
+
+        monkeypatch.setattr(cl, "_cells", traced)
+        assert cl.calibrate_h0(delta, fracs=CORRIDOR) == 2.0 ** -7
+        errors = dict(stacks)[h].errors
+        assert isinstance(errors[0], AspectFailureError)
+        raised = [e for e in errors
+                  if type(e) is ConstructionFailureError]
+        assert raised and "closed-form gradient" in str(raised[0])
+
+
+class TestStackedConstruction:
+    @pytest.mark.parametrize("delta", [8.0, 16.0])
+    def test_calibration_equals_the_one_at_a_time_search(self, cold_cache,
+                                                         delta):
+        try:
+            want = calibrate_one_at_a_time(delta, CORRIDOR)
+        except ConstructionFailureError as err:
+            with pytest.raises(ConstructionFailureError) as info:
+                cl.calibrate_h0(delta, fracs=CORRIDOR)
+            assert str(info.value) == str(err)
+        else:
+            assert cl.calibrate_h0(delta, fracs=CORRIDOR) == want
+
+    def test_stack_rows_equal_one_row_builds(self):
+        # at delta 8 and h = 1/16 the grid mixes rows that do not fit with
+        # rows that build; each row is what build_cell gives, bit for bit
+        delta, h = 8.0, 2.0 ** -4
+        grid = stress_grid(delta, CORRIDOR)
+        sides = [cl._cell_pair(mg.split(F, *ia.dyadic_split_target(k, delta),
+                                        delta)) for k, F in grid]
+        lam, A, B = (np.array(x) for x in zip(*sides))
+        C = np.stack([F for _, F in grid])
+        cells = cl._cells(cl._pairs(A, B, C, lam), h)
+        built = 0
+        for i in range(len(grid)):
+            try:
+                cc = cl.build_cell(A[i], B[i], C[i], lam[i], h)
+            except ConstructionFailureError as err:
+                assert type(cells.errors[i]) is type(err)
+                assert str(cells.errors[i]) == str(err)
+            else:
+                built += 1
+                assert cells.errors[i] is None
+                assert cells.grads[i].tobytes() == cc.grads.tobytes()
+        assert 0 < built < len(grid)
 
 
 class TestVerifySweep:

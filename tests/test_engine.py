@@ -17,6 +17,8 @@ from twowell.errors import (AspectFailureError, ConstructionFailureError,
                             InvalidDomainError, InvalidParameterError,
                             WrongEntryPointError)
 
+from raster_oracle import l1_diff
+
 DELTA = 0.5
 
 
@@ -148,7 +150,7 @@ class TestRunSoundness:
         states = small_run.states
         rows = small_run.metrics.rows
         for k in range(1, len(states)):
-            direct = an.l1_diff(states[k - 1], states[k], "chi1")
+            direct = l1_diff(states[k - 1], states[k], "chi1")
             assert direct == pytest.approx(rows[k]["l1_chi_diff"],
                                            rel=1e-9, abs=1e-15)
 

@@ -29,14 +29,22 @@ both engine workloads, so the default covers a restarted run) it prints:
 
 ``sampled`` prints the rows digest of ``sample_generations`` at the
 ``test_07`` config (4000 lineages, 7 generations, seed 0) and the fitted
-numbers of its certificate line.  Two checkouts print equal lines exactly
-when their states, rows and artifacts are equal bit for bit.
+numbers of its certificate line.  ``plans`` prints three digests of the
+replacement plans: the calibrated aspect table (``calibrate_h0`` with a
+cold cache at the deltas of ``PLAN_DELTAS`` and both fraction sets, an
+aspect or the class and message of the refusal), every field of
+``replace_dyadic_stage(stage_representative(k), DELTA, h0)`` for
+k = 2..16 at the engine's calibrated h0, and every field of
+``replace_low_stage`` of the ten ``cli_pipeline`` boundary data.  Two
+checkouts print equal lines exactly when their states, rows, artifacts
+and plans are equal bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -48,12 +56,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from twowell import analysis as an  # noqa: E402
+from twowell import cell as cl  # noqa: E402
 from twowell import covering as cv  # noqa: E402
 from twowell import engine as en  # noqa: E402
 from twowell import inapprox as ia  # noqa: E402
+from twowell.errors import TwoWellError  # noqa: E402
 
+PLAN_DELTAS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0,
+               12.0, 16.0, 32.0)
+CORRIDOR = (0.25, 0.5, 0.75)
 STATE_FIELDS = ("verts", "grads", "offs", "stages", "phases", "frozen",
                 "ids", "parents", "iso", "prev_index")
 SAMPLED = dict(n_samples=4000, generations=7, seed=0)
@@ -161,13 +175,42 @@ def sampled_digest():
         f"{rep.frozen_fraction_max:.3f}, window {rep.window}")
 
 
+def plan_digest(plan) -> str:
+    return _hex(b"".join(
+        v.tobytes() if isinstance(v, np.ndarray) else repr(v).encode()
+        for v in (getattr(plan, f.name) for f in dataclasses.fields(plan))))
+
+
+def plans_digests():
+    """(aspect table, dyadic plans, low-stage plans) digests."""
+    from twowell import cli
+    table = []
+    for fracs in (CORRIDOR, (0.02, 0.5, 0.98)):
+        for delta in PLAN_DELTAS:
+            cl._H0_CACHE.clear()
+            try:
+                table.append(repr(cl.calibrate_h0(delta, fracs=fracs)))
+            except TwoWellError as err:
+                table.append(f"{type(err).__name__}: {err}")
+    cl._H0_CACHE.clear()
+    h0 = cl.calibrate_h0(wl.DELTA, fracs=CORRIDOR)
+    dyadic = [plan_digest(cl.replace_dyadic_stage(
+        ia.stage_representative(k, wl.DELTA), wl.DELTA, h0))
+        for k in range(2, 17)]
+    low = [plan_digest(cl.replace_low_stage(cli.parse_boundary(
+        wl.make_input("cli_pipeline", seed), wl.DELTA), wl.DELTA))
+        for seed in range(wl.N_INPUTS)]
+    return (_hex("\n".join(table).encode()), _hex(" ".join(dyadic).encode()),
+            _hex(" ".join(low).encode()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--input", type=int, nargs="+", default=[0, 1, 3, 5],
                         help="benchmark input seeds (default: 0 1 3 5)")
     parser.add_argument("--only", nargs="+",
-                        choices=wl.NAMES + ("sampled",),
-                        default=wl.NAMES + ("sampled",))
+                        choices=wl.NAMES + ("sampled", "plans"),
+                        default=wl.NAMES + ("sampled", "plans"))
     args = parser.parse_args(argv)
     for seed in args.input:
         for name in ("big_run", "refine_fast"):
@@ -182,6 +225,9 @@ def main(argv=None) -> int:
             print(f"cli_pipeline input {seed}: " + " ".join(
                 f"{name} {digests[name]}"
                 for name in CLI_ARTIFACTS + ("dim",)), flush=True)
+    if "plans" in args.only:
+        table, dyadic, low = plans_digests()
+        print(f"plans: table {table} dyadic {dyadic} low {low}", flush=True)
     if "sampled" in args.only:
         rows, line = sampled_digest()
         print(f"sampled test_07: rows {rows} ({line})", flush=True)
