@@ -14,6 +14,11 @@ owners of every subinterval, so jumps across partially overlapping
 child/neighbor edges are integrated exactly without any pairwise
 matching.
 
+Lines are independent, so the sweep runs on pieces of whole lines of
+about SWEEP_CHUNK edges (the edge table stably sorted by line key, then
+cut at line starts) and joins the results: the same arrays as one sweep
+of the whole table, with temporaries bounded by the piece.
+
 Across a refinement step the sweep is incremental.  Every kept cell is
 frozen, so a line that carries no edge of a new cell or of a covered one
 holds the same edges as before and decomposes into the same intervals.
@@ -21,6 +26,17 @@ sweep_intervals takes the previous state's sweep, sweeps only the dirty
 lines and merges their intervals with the carried clean ones (owners
 renumbered through prev_index) in the order of a full sweep, which it
 equals element for element.
+
+The engine's checks are split into a per-interval term and a reduction.
+jump_terms (phase jump x length), grad_jump_terms (Frobenius norm of the
+gradient jump x length) and continuity_terms (affine mismatch at both
+endpoints) give one entry per interval; bv_seminorm_cells, bv_seminorm
+and continuity_residual are their np.sum or max.  Given the cells'
+fields (CellFields), sweep_intervals holds these terms as columns of the
+sweep, evaluates them on the fresh intervals only and carries the
+others, whose owners kept their gradient, phase and offset.  A sum over
+the merged column has the bits of a sum over a full sweep's, since the
+two arrays are equal element for element.
 
 Line grouping works in bbox-normalized coordinates and tolerates
 coordinate noise up to ~1e-10 of the mesh diameter, with features down
@@ -39,7 +55,7 @@ guard for that case and is checked by the engine on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +63,8 @@ from . import covering
 from .errors import InvalidParameterError, UndefinedDimensionError
 
 LINE_QUANTUM = 1e-9
+SWEEP_CHUNK = 1 << 16    # edges per piece of the edge table and the sweep
+BOX_POINTS = 1 << 18     # sample points per run of box_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +89,21 @@ def _edge_table(verts: np.ndarray, frame, eid: np.ndarray):
     Edge 3i + j runs from vertex j to vertex j + 1 (mod 3) of cell i.
     Zero-length edges are dropped.  Works in normalized coordinates (the
     frame's center and diameter divided out); every value of an edge
-    depends on that edge and the frame only.  Returns (eid, line key (E,3)
-    int32, tlo, thi, left (bool: owning cell lies left of the canonical
-    tangent), and the endpoints in absolute coordinates ordered by t).
+    depends on that edge and the frame only, so the table is built
+    SWEEP_CHUNK edges at a time and its temporaries stay that small.
+    Returns (eid, line key (E,3) int32, tlo, thi, left (bool: owning cell
+    lies left of the canonical tangent), and the endpoints in absolute
+    coordinates ordered by t).
     """
+    parts = [_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK])
+             for i in range(0, max(eid.shape[0], 1), SWEEP_CHUNK)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(f) for f in zip(*parts))
+
+
+def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
+    """_edge_table of one chunk of edges."""
     center, diam = frame
     flat = verts.reshape(-1, 2)
     p0 = (flat[eid] - center) / diam
@@ -200,28 +229,95 @@ def _line_starts(line: np.ndarray) -> np.ndarray:
     return np.flatnonzero(head)
 
 
-def _merge(a, b):
-    """Interleave two interval sets (tuples of per-interval arrays as
-    _sweep returns them, line keys last), each in (line key, t) order and
-    on disjoint lines, into that order: whole lines move, by line key."""
-    sa, sb = _line_starts(a[-1]), _line_starts(b[-1])
-    na, nb = a[-1].shape[0], b[-1].shape[0]
+def _merge_index(la: np.ndarray, lb: np.ndarray):
+    """Where two interval sets land when interleaved into (line key, t)
+    order: (at_a, at_b), positions of the intervals of line keys la and lb,
+    each set in that order and the two on disjoint lines.  Whole lines
+    move, by line key."""
+    sa, sb = _line_starts(la), _line_starts(lb)
+    na, nb = la.shape[0], lb.shape[0]
     starts = np.concatenate([sa, sb])
     size = np.concatenate([np.diff(sa, append=na), np.diff(sb, append=nb)])
-    heads = np.concatenate([a[-1][sa], b[-1][sb]])
+    heads = np.concatenate([la[sa], lb[sb]])
     order = np.lexsort(heads.T[::-1])
     dest = np.empty_like(size)
     dest[order] = np.cumsum(size[order]) - size[order]
     shift = np.repeat(dest - starts, size)
-    at_a = np.arange(na) + shift[:na]
-    at_b = np.arange(nb) + shift[na:]
-    out = []
-    for fa, fb in zip(a, b):
-        f = np.empty((na + nb,) + fa.shape[1:], dtype=fa.dtype)
-        f[at_a] = fa
-        f[at_b] = fb
-        out.append(f)
-    return out
+    return np.arange(na) + shift[:na], np.arange(nb) + shift[na:]
+
+
+class CellFields(NamedTuple):
+    """The fields of a state's cells that the sweep's term columns read.
+    Cell i has the gradient grads[gid[i]] and the phase indicator
+    chi[gid[i]] (both per gradient-table row) and the affine offset
+    offs[i]; offs None leaves out the continuity column."""
+    grads: np.ndarray        # (r,2,2)
+    gid: np.ndarray          # (n,)
+    chi: np.ndarray          # (r,) float
+    offs: Optional[np.ndarray] = None    # (n,2)
+
+
+INTERVAL_COLUMNS = ("dt", "left_owner", "right_owner", "point_lo",
+                    "point_hi", "line")
+TERM_COLUMNS = ("bv_chi", "bv_grad", "continuity")
+
+
+def _term_names(cells: Optional[CellFields]) -> tuple:
+    if cells is None:
+        return ()
+    return TERM_COLUMNS if cells.offs is not None else TERM_COLUMNS[:2]
+
+
+def _terms(fields, cells: Optional[CellFields]) -> tuple:
+    """The term columns (_term_names) of cells over the intervals fields
+    (as _sweep returns them)."""
+    if cells is None:
+        return ()
+    dt, lo, ro, p_lo, p_hi, _ = fields
+    out = (jump_terms(cells.chi, lo, ro, dt, gid=cells.gid),
+           grad_jump_terms(cells.grads, lo, ro, dt, gid=cells.gid))
+    if cells.offs is None:
+        return out
+    return out + (continuity_terms(cells.grads, cells.offs, lo, ro, p_lo,
+                                   p_hi, gid=cells.gid),)
+
+
+def _sweep_lines(edges, diam: float, cells: Optional[CellFields]):
+    """_sweep followed by the term columns of cells, a chunk of whole lines
+    at a time: the table is stably sorted by line key and cut at line
+    starts into pieces of about SWEEP_CHUNK edges.  A line keeps its edge
+    order, so a piece sweeps its lines as the whole table does, and the
+    pieces joined equal the whole sweep element for element; only their
+    temporaries are smaller.  When a piece finds an overlap the whole table
+    is swept instead, since owners of overlapping intervals depend on the
+    numbering of every edge.  Returns (columns: INTERVAL_COLUMNS, then
+    _term_names(cells), overlap)."""
+    key = edges[1]
+    order = np.lexsort(key.T[::-1])
+    starts = _line_starts(key[order])
+    at = np.searchsorted(starts, np.arange(SWEEP_CHUNK, order.shape[0],
+                                           SWEEP_CHUNK))
+    cuts = np.concatenate([[0], starts[at[at < starts.shape[0]]],
+                           [order.shape[0]]])
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]      # ascending, no repeats
+    if cuts.shape[0] > 2:
+        parts = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            fields, overlap = _sweep(
+                [np.take(f, order[a:b], axis=0) for f in edges], diam)
+            if overlap:
+                break
+            parts.append(list(fields + _terms(fields, cells)))
+        else:
+            # column by column, each piece's copy freed once joined
+            cols = []
+            for i in range(len(parts[0])):
+                cols.append(np.concatenate([p[i] for p in parts]))
+                for p in parts:
+                    p[i] = None
+            return cols, False
+    fields, overlap = _sweep(edges, diam)
+    return list(fields + _terms(fields, cells)), overlap
 
 
 @dataclass
@@ -233,13 +329,19 @@ class SweepAccumulator:
     side (-1 when uncovered) and the endpoints in absolute coordinates.
     A gap interval (no cell on either side, e.g. between two edges of one
     line that do not meet) has NaN endpoints; it stays in place with its
-    dt, so sums over dt keep their bits.  Payload integrals are evaluated
-    by the callers through the owners.
+    dt, so sums over dt keep their bits.
+
+    A sweep given the cells' fields (CellFields) also holds the term
+    columns of the engine's checks, one entry per interval: bv_chi
+    (jump_terms of the phase indicator), bv_grad (grad_jump_terms) and,
+    with offsets, continuity (continuity_terms).  The row values are their
+    np.sum and max.  Other integrals are evaluated by the callers through
+    the owners.
 
     line (the line key of every interval), cell_lines (the line keys of
-    every cell's three edges, (n,3,3) int32, -1 for a zero-length edge)
-    and frame (the normalizing (center, diam)) are what the next state's
-    sweep carries over; see sweep_intervals.
+    every cell's three edges, (n,3,3) int32, -1 for a zero-length edge),
+    frame (the normalizing (center, diam)) and the term columns are what
+    the next state's sweep carries over; see sweep_intervals.
     """
     dt: np.ndarray
     left_owner: np.ndarray
@@ -250,6 +352,9 @@ class SweepAccumulator:
     overlap_error: bool
     cell_lines: np.ndarray
     frame: tuple
+    bv_chi: Optional[np.ndarray] = None
+    bv_grad: Optional[np.ndarray] = None
+    continuity: Optional[np.ndarray] = None
 
 
 def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
@@ -284,42 +389,122 @@ def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
     return cell_lines, edges, clean
 
 
-def sweep_intervals(verts: np.ndarray, prev=None) -> SweepAccumulator:
-    """Decompose all edges into subintervals with per-side owners.
+def sweep_intervals(verts: np.ndarray, prev=None,
+                    cells: Optional[CellFields] = None) -> SweepAccumulator:
+    """Decompose all edges into subintervals with per-side owners, and
+    with cells, the term columns of their fields.
 
     prev = (sweep, prev_index, n_kept) carries the sweep of the previous
     state when verts are its cells prev_index[:n_kept], kept bit for bit,
     followed by new cells (a refinement step: the state's prev_index).
     Only dirty lines are swept again, the lines that carry an edge of a new
     cell or of a previous cell not kept; the intervals of the other lines
-    are carried over with their owners renumbered.  The result equals the
-    sweep of verts alone element for element.  Every line is swept when the
-    frame's bits changed, and when either sweep finds an overlap: owners
-    of overlapping intervals depend on the numbering of all edges.
+    are carried over with their owners renumbered, and so are their term
+    columns: a kept cell keeps its gradient, phase and offset, so a clean
+    interval keeps its terms.  Terms are evaluated on the fresh intervals
+    only.  The result equals the sweep of verts alone element for element.
+    Every line is swept when the frame's bits changed, when either sweep
+    finds an overlap (owners of overlapping intervals depend on the
+    numbering of all edges), and when the previous sweep lacks a term
+    column that cells asks for.
     """
     frame = _frame(verts)
     n = verts.shape[0]
+    names = INTERVAL_COLUMNS + _term_names(cells)
     if prev is not None and not prev[0].overlap_error \
             and prev[0].frame[1] == frame[1] \
-            and prev[0].frame[0].tobytes() == frame[0].tobytes():
+            and prev[0].frame[0].tobytes() == frame[0].tobytes() \
+            and all(getattr(prev[0], t) is not None
+                    for t in _term_names(cells)):
         old, prev_index, n_kept = prev
         cell_lines, edges, clean = _dirty_lines(verts, frame, *prev)
-        fresh, overlap = _sweep(edges, frame[1])
+        fresh, overlap = _sweep_lines(edges, frame[1], cells)
+        del edges
         if not overlap:
             # owners renumbered to the new state; index -1 (no owner)
             # reads the last entry, which no kept cell maps to
             renum = np.full(old.cell_lines.shape[0] + 1, -1, dtype=np.int64)
             renum[prev_index[:n_kept]] = np.arange(n_kept)
-            carried = (old.dt[clean], renum[old.left_owner[clean]],
-                       renum[old.right_owner[clean]], old.point_lo[clean],
-                       old.point_hi[clean], old.line[clean])
-            return SweepAccumulator(*_merge(carried, fresh), False,
-                                    cell_lines, frame)
+            line = np.take(old.line, clean, axis=0)
+            at_a, at_b = _merge_index(line, fresh[names.index("line")])
+            cols = {}
+            # one column at a time, each freed once merged
+            for i, name in enumerate(names):
+                f = np.empty((at_a.shape[0] + at_b.shape[0],)
+                             + fresh[i].shape[1:], dtype=fresh[i].dtype)
+                f[at_b] = fresh[i]
+                fresh[i] = None
+                if name == "line":
+                    f[at_a] = line
+                elif name.endswith("_owner"):
+                    f[at_a] = renum[getattr(old, name)[clean]]
+                else:
+                    f[at_a] = np.take(getattr(old, name), clean, axis=0)
+                cols[name] = f
+            return SweepAccumulator(**cols, overlap_error=False,
+                                    cell_lines=cell_lines, frame=frame)
     edges = _edge_table(verts, frame, np.arange(3 * n))
     cell_lines = np.full((n, 3, 3), -1, dtype=np.int32)
     cell_lines.reshape(-1, 3)[edges[0]] = edges[1]
-    fields, overlap = _sweep(edges, frame[1])
-    return SweepAccumulator(*fields, overlap, cell_lines, frame)
+    cols, overlap = _sweep_lines(edges, frame[1], cells)
+    del edges
+    return SweepAccumulator(**dict(zip(names, cols)), overlap_error=overlap,
+                            cell_lines=cell_lines, frame=frame)
+
+
+# ---------------------------------------------------------------------------
+# certification terms: one entry per interval, and their reductions
+# ---------------------------------------------------------------------------
+
+def _rows(owner: np.ndarray, gid: Optional[np.ndarray]) -> np.ndarray:
+    """Where a per-row field is read for each owner: the owner itself, or
+    its gid.  Owner -1 reads some row; callers mask it out."""
+    return owner if gid is None else gid[owner]
+
+
+def jump_terms(values: np.ndarray, lo: np.ndarray, ro: np.ndarray,
+               dt: np.ndarray, include_boundary: bool = False,
+               gid: Optional[np.ndarray] = None) -> np.ndarray:
+    """|jump| * dt per interval of a piecewise-constant scalar field:
+    values[lo] against values[ro] (through gid when given), 0 on a side
+    with no cell.  Without include_boundary an interval with a side
+    outside the mesh gets 0."""
+    vl = np.where(lo >= 0, values[_rows(lo, gid)], 0.0)
+    vr = np.where(ro >= 0, values[_rows(ro, gid)], 0.0)
+    jump = np.abs(vl - vr)
+    if include_boundary:
+        return jump * dt
+    return np.where((lo >= 0) & (ro >= 0), jump, 0.0) * dt
+
+
+def grad_jump_terms(grads: np.ndarray, lo: np.ndarray, ro: np.ndarray,
+                    dt: np.ndarray,
+                    gid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Frobenius norm of the gradient jump * dt per interior interval
+    (gradients grads[lo], grads[ro], through gid when given), 0 on the
+    others."""
+    both = (lo >= 0) & (ro >= 0)
+    jump = np.linalg.norm(grads[_rows(lo, gid)] - grads[_rows(ro, gid)],
+                          axis=(1, 2))
+    return np.where(both, jump, 0.0) * dt
+
+
+def continuity_terms(grads: np.ndarray, offs: np.ndarray, lo: np.ndarray,
+                     ro: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray,
+                     gid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Affine-value mismatch per interior interval: the largest component
+    of |(G_l - G_r) p + (o_l - o_r)| over both endpoints p (an affine
+    difference attains its maximum there), with G = grads (through gid
+    when given) and o = offs of the two owners; 0 on the others."""
+    both = (lo >= 0) & (ro >= 0)
+    out = np.zeros(lo.shape[0])
+    lo, ro = lo[both], ro[both]
+    dg = grads[_rows(lo, gid)] - grads[_rows(ro, gid)]
+    do = offs[lo] - offs[ro]
+    out[both] = np.maximum(*(
+        np.abs(np.einsum("nij,nj->ni", dg, pts[both]) + do).max(axis=1)
+        for pts in (p_lo, p_hi)))
+    return out
 
 
 def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,
@@ -331,24 +516,17 @@ def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,
     include_boundary the field is extended by zero outside the mesh.
     """
     sw = sweep if sweep is not None else sweep_intervals(verts)
-    vl = np.where(sw.left_owner >= 0, values[sw.left_owner], 0.0)
-    vr = np.where(sw.right_owner >= 0, values[sw.right_owner], 0.0)
-    both = (sw.left_owner >= 0) & (sw.right_owner >= 0)
-    jump = np.abs(vl - vr)
-    if include_boundary:
-        return float(np.sum(jump * sw.dt))
-    return float(np.sum(np.where(both, jump, 0.0) * sw.dt))
+    return float(np.sum(jump_terms(values, sw.left_owner, sw.right_owner,
+                                   sw.dt, include_boundary)))
 
 
 def bv_seminorm(state, sweep: Optional[SweepAccumulator] = None) -> float:
     """BV seminorm of a state's gradient field: the Frobenius norm of the
     gradient jump summed over interior subintervals."""
     sw = sweep if sweep is not None else sweep_intervals(state.verts)
-    both = (sw.left_owner >= 0) & (sw.right_owner >= 0)
-    gl = state.grads[np.maximum(sw.left_owner, 0)]
-    gr = state.grads[np.maximum(sw.right_owner, 0)]
-    jump = np.linalg.norm(gl - gr, axis=(1, 2))
-    return float(np.sum(np.where(both, jump, 0.0) * sw.dt))
+    return float(np.sum(grad_jump_terms(state.table.grads, sw.left_owner,
+                                        sw.right_owner, sw.dt,
+                                        gid=state.gid)))
 
 
 def continuity_residual(verts: np.ndarray, grads: np.ndarray,
@@ -357,22 +535,11 @@ def continuity_residual(verts: np.ndarray, grads: np.ndarray,
     """Sup of the affine-value mismatch across interior subintervals.
 
     The induced map is continuous iff this vanishes; evaluated at both
-    endpoints of every shared subinterval (affine differences attain
-    their maximum there).
+    endpoints of every shared subinterval (continuity_terms).
     """
     sw = sweep if sweep is not None else sweep_intervals(verts)
-    both = (sw.left_owner >= 0) & (sw.right_owner >= 0)
-    if not np.any(both):
-        return 0.0
-    lo = sw.left_owner[both]
-    ro = sw.right_owner[both]
-    dg = grads[lo] - grads[ro]
-    do = offs[lo] - offs[ro]
-    res = 0.0
-    for pts in (sw.point_lo[both], sw.point_hi[both]):
-        mis = np.einsum("nij,nj->ni", dg, pts) + do
-        res = max(res, float(np.abs(mis).max()))
-    return res
+    return float(continuity_terms(grads, offs, sw.left_owner, sw.right_owner,
+                                  sw.point_lo, sw.point_hi).max(initial=0.0))
 
 
 def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
@@ -614,6 +781,39 @@ def regularity_report(metrics: MetricsSeries,
 # box-counting dimension
 # ---------------------------------------------------------------------------
 
+def _distinct_boxes(boxes: np.ndarray):
+    """(bx, by, span) of the distinct rows of int64 boxes (k,2): packed
+    from the least box, so that a box an ulp below lo (at -1) packs too,
+    and unpacked again; span is the extent of the boxes per axis."""
+    least = boxes.min(axis=0)
+    boxes = boxes - least
+    span = boxes.max(axis=0) + 1
+    if int(span[0]) * int(span[1]) >= 2 ** 63:
+        raise InvalidParameterError("grid too fine for the extent of "
+                                    "the segments")
+    packed = np.unique(boxes[:, 0] * span[1] + boxes[:, 1])
+    return packed // span[1] + least[0], packed % span[1] + least[1], span
+
+
+def _boxes(a, b, npts, lo, eps_min) -> np.ndarray:
+    """The distinct finest boxes (k,2) int64 of the point samples of the
+    segments a -> b, npts[i] points on segment i."""
+    # every segment's np.linspace(0, 1, k) at once, with linspace's own
+    # operations: j * (1 / (k - 1)), last point set to exactly 1
+    seg = np.repeat(np.arange(len(npts)), npts)
+    f = covering.runs(np.zeros(len(npts)), npts) * (1.0 / (npts - 1))[seg]
+    f[np.cumsum(npts) - 1] = 1.0
+    pts = (b - a)[seg]
+    pts *= f[:, None]
+    pts += a[seg]
+    pts -= lo
+    del seg, f              # per-point arrays the box count does not need
+    pts /= eps_min
+    boxes = np.floor(pts, out=pts).astype(np.int64)
+    del pts
+    return np.stack(_distinct_boxes(boxes)[:2], axis=1)
+
+
 def box_dimension(segments: np.ndarray,
                   eps_list: Optional[Sequence[float]] = None,
                   d_report: float = 1.0):
@@ -626,8 +826,11 @@ def box_dimension(segments: np.ndarray,
     finest grid, and the box of a point at e = eps_min 2^k is its finest
     box shifted right by k bits: floor(floor(x)/2^k) = floor(x/2^k), and
     dividing by 2^k is exact, so N_eps equals the count of floor(pts / e)
-    on every grid whenever no pts / e is subnormal.  Returns (estimate,
-    table) where table rows are (eps, N_eps, m_d = N_eps * eps^d_report).
+    on every grid whenever no pts / e is subnormal.  The points are
+    sampled and boxed in runs of whole segments of about BOX_POINTS
+    points, and the runs' distinct boxes merged, so the point arrays stay
+    that small.  Returns (estimate, table) where table rows are (eps,
+    N_eps, m_d = N_eps * eps^d_report).
     """
     segments = np.asarray(segments, dtype=float)
     if segments.size == 0:
@@ -646,31 +849,16 @@ def box_dimension(segments: np.ndarray,
     b = segments[:, 1]
     lens = np.linalg.norm(b - a, axis=1)
     npts = np.maximum(2, np.ceil(lens / (eps_min / 3.0)).astype(np.int64) + 1)
-    # every segment's np.linspace(0, 1, k) at once, with linspace's own
-    # operations: j * (1 / (k - 1)), last point set to exactly 1
-    seg = np.repeat(np.arange(len(npts)), npts)
-    f = covering.runs(np.zeros(len(npts)), npts) * (1.0 / (npts - 1))[seg]
-    f[np.cumsum(npts) - 1] = 1.0
-    pts = (b - a)[seg]
-    pts *= f[:, None]
-    pts += a[seg]
-    pts -= lo
-    del seg, f              # per-point arrays the count loop does not need
-    pts /= eps_min
-    boxes = np.floor(pts, out=pts).astype(np.int64)
-    del pts
-    # a point an ulp below lo floors to -1: pack from the least box, then
-    # unpack, so that the shifts below act on the unshifted boxes
-    least = boxes.min(axis=0)
-    boxes -= least
-    span = boxes.max(axis=0) + 1
-    if int(span[0]) * int(span[1]) >= 2 ** 63:
-        raise InvalidParameterError("grid too fine for the extent of "
-                                    "the segments")
-    packed = np.unique(boxes[:, 0] * span[1] + boxes[:, 1])
-    del boxes
-    bx = packed // span[1] + least[0]
-    by = packed % span[1] + least[1]
+    # the boxes of a run of segments with about BOX_POINTS points at a
+    # time: a segment's points depend on it alone, and the union of the
+    # runs' distinct boxes is the set of distinct boxes of all points
+    ends = np.cumsum(npts)
+    cuts = np.searchsorted(ends, np.arange(BOX_POINTS, ends[-1], BOX_POINTS))
+    cuts = np.concatenate([[0], cuts, [len(npts)]])
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
+    bx, by, span = _distinct_boxes(np.concatenate(
+        [_boxes(a[i:j], b[i:j], npts[i:j], lo, eps_min)
+         for i, j in zip(cuts[:-1], cuts[1:])]))
     table = []
     for e in eps_list:
         k = int(np.frexp(e)[1] - np.frexp(eps_min)[1])

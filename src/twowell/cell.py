@@ -631,6 +631,9 @@ def replace_low_stage(M: np.ndarray, delta: float) -> RefinePlan:
 
 _H0_CACHE: dict = {}
 CALIBRATION_STAGES = range(2, 17)
+# the band fractions of the engine's stress grid: the corridor its
+# gradients visit, improved entries landing mid-band
+CORRIDOR = (0.25, 0.5, 0.75)
 
 
 def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
@@ -639,9 +642,10 @@ def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
 
     Stress grid: CALIBRATION_STAGES (2..16), band positions at the given
     fractions of each band, both off-diagonal signs.  The default pushes
-    2% inside the edges (worst case); engine runs calibrate on the
-    narrower corridor their gradients actually visit (improved entries
-    land mid-band).  The result is cached per (delta, fracs).
+    2% inside the edges (worst case); engine runs and the covering
+    verifier calibrate on the narrower CORRIDOR their gradients actually
+    visit (improved entries land mid-band).  The result is cached per
+    (delta, fracs).
 
     The splits and cell frames do not depend on h and are made once; a
     rung is then one pass of the stacked construction (_cells) and of the

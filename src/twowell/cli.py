@@ -345,6 +345,7 @@ def _run_suite(name: str, delta: float, samples: Optional[int]):
     if name == "covering":
         rep = cv.verify_covering(delta)
         return rep.ok, (f"failures={rep.failures} cases={rep.cases} "
+                        f"h0={rep.h0!r} "
                         f"partition={rep.max_partition_err:.3e} "
                         f"continuity={rep.max_continuity_err:.3e} "
                         f"good_fraction={rep.min_good_fraction:.4f}")

@@ -157,9 +157,6 @@ class CoverResult:
     def areas(self) -> np.ndarray:
         return tri_areas(self.verts)
 
-    def good_area(self) -> float:
-        return float(tri_areas(self.verts[self.good]).sum())
-
     def perimeters(self):
         """(good, leftover-iso, leftover-generic) sums of child perimeters."""
         per = tri_perimeters(self.verts)
@@ -531,6 +528,7 @@ def perimeter_ledger(result: CoverResult, tri: np.ndarray, h: float,
 @dataclass
 class CoveringCheckReport:
     delta: float
+    h0: float                   # the aspect of the dyadic covers checked
     cases: int
     failures: int
     failure_examples: list
@@ -583,7 +581,8 @@ VERIFY_STAGES = (2, 3)
 def verify_covering(delta: float) -> CoveringCheckReport:
     """Partition/continuity/trace/ledger/layout sweep over all cover kinds.
 
-    For each of VERIFY_STAGES, at the calibrated aspect: the matching
+    For each of VERIFY_STAGES, at the aspect an engine calibrates (the
+    CORRIDOR fractions of cell.calibrate_h0): the matching
     isosceles cover and generic covers of a scalene triangle in two
     placements (their squares are the diamond rows); plus one low-stage
     cover.  Everything must partition exactly, glue continuously, match the
@@ -591,8 +590,9 @@ def verify_covering(delta: float) -> CoveringCheckReport:
     parent boundary, respect the perimeter ledger and give every diamond
     the plan's pieces.
     """
-    report = CoveringCheckReport(delta, 0, 0, [], 0.0, 0.0, 0.0, 0.0, 1.0)
-    h0 = cl.calibrate_h0(delta)
+    h0 = cl.calibrate_h0(delta, fracs=cl.CORRIDOR)
+    report = CoveringCheckReport(delta, h0, 0, 0, [], 0.0, 0.0, 0.0, 0.0,
+                                 1.0)
     for stage in VERIFY_STAGES:
         M = ia.stage_representative(stage, delta)
         plan = cl.replace_dyadic_stage(M, delta, h0)

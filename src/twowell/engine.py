@@ -17,7 +17,9 @@ All metrics are streamed during emission: the L1 step differences and
 the displacement bounds are exact sums of per-diamond contributions
 precomputed on the unit diamond, and the BV/perimeter/continuity numbers
 come from one shared edge sweep per state.  That sweep re-sweeps only the
-lines a step changed and carries the rest over from the previous state's.
+lines a step changed and carries the rest over from the previous state's,
+with the BV and continuity terms of their intervals; a row value is a sum
+or a max over the sweep's term columns.
 The per-cell areas and perimeters are carried the same way: a kept cell
 takes its values through prev_index, and only the children are measured.
 Everything is deterministic; there is no randomness anywhere in the
@@ -182,8 +184,7 @@ class Engine:
             np.arange(n, dtype=np.int64))
         self._next_id = n
         self.h0 = (self.config.h0 if self.config.h0 is not None
-                   else cl.calibrate_h0(self.delta,
-                                        fracs=(0.25, 0.5, 0.75)))
+                   else cl.calibrate_h0(self.delta, fracs=cl.CORRIDOR))
         self._plans: Dict[int, cl.RefinePlan] = {}      # by table row
         # by id of plan: the row of each piece, then the row of plan.M
         self.piece_rows: Dict[int, np.ndarray] = {}
@@ -417,11 +418,16 @@ class Engine:
                     else (self._sweep, st.prev_index, n_kept))
             # hold the previous state's sweep no longer than needed
             self._sweep = None
-            sw = self._sweep = an.sweep_intervals(st.verts, prev)
+            # the sweep evaluates the term columns on its fresh intervals
+            # and carries the others; a row value is their sum or max
+            t = st.table
+            cells = an.CellFields(t.grads, st.gid,
+                                  (t.phases == 1).astype(float),
+                                  st.offs if checks == "full" else None)
+            sw = self._sweep = an.sweep_intervals(st.verts, prev, cells)
             del prev
-            row["bv_chi"] = an.bv_seminorm_cells(
-                st.verts, (st.phases == 1).astype(float), sweep=sw)
-            row["bv_grad"] = an.bv_seminorm(st, sweep=sw)
+            row["bv_chi"] = float(np.sum(sw.bv_chi))
+            row["bv_grad"] = float(np.sum(sw.bv_grad))
         if row["partition_err"] > PARTITION_TOL * self.domain_area:
             raise ConstructionFailureError(
                 f"partition error {row['partition_err']:.3e} at step {st.k}")
@@ -429,8 +435,7 @@ class Engine:
             if sw.overlap_error:
                 raise ConstructionFailureError(f"overlapping cells at step "
                                                f"{st.k}")
-            row["continuity_err"] = an.continuity_residual(
-                st.verts, st.grads, st.offs, sweep=sw)
+            row["continuity_err"] = float(sw.continuity.max(initial=0.0))
             trace, stray = an.boundary_trace_residual(
                 st.verts, st.grads, st.offs, self.M, self.hull_segments,
                 sweep=sw)

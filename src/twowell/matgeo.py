@@ -87,10 +87,6 @@ def well_distance_sq(delta: float) -> float:
     return 4.0 + 2.0 * d2 - 2.0 * math.sqrt(d2 * d2 + 4.0)
 
 
-def well_distance(delta: float) -> float:
-    return math.sqrt(well_distance_sq(delta))
-
-
 def rotation_distance_sq(F: np.ndarray, G: np.ndarray):
     """dist^2(F, SO(2)G) in closed form via the polar maximum over
     rotations; F is one matrix or a stack (...,2,2), G one matrix."""
@@ -212,13 +208,6 @@ def laminate_gram(branch: int, mu, lam, delta: float) -> np.ndarray:
     return C
 
 
-def gap_coefficient(branch: int, lam: float, delta: float) -> float:
-    """g_b(lam): the improvable diagonal gap equals g_b * mu * (1 - mu)."""
-    dt = delta * (1.0 - 2.0 * lam)
-    g1 = 4.0 * dt * dt / (1.0 + dt * dt)
-    return g1 if branch == 1 else (1.0 + delta * delta) * g1
-
-
 @dataclass(frozen=True)
 class LaminateCoords:
     branch: int
@@ -320,11 +309,6 @@ class SplitResult:
     eps0: float
     branch: int
     normal_axis: int           # 0: interfaces normal to e1, 1: normal to e2
-
-
-def lipschitz_bound_constant(delta: float) -> float:
-    """Lipschitz constant of C(.) on the hull: 2 sqrt(2 + delta^2)."""
-    return 2.0 * math.sqrt(2.0 + delta * delta)
 
 
 def split(F: np.ndarray, branch: int, eps: float,

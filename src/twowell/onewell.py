@@ -7,9 +7,10 @@ oscillating construction exists.  The shear pair handled by the rest of
 this package has two rank-one connections; this pair has one, and the
 refinement engine refuses it at the door.  What this module does provide
 is numerical certification of the inequalities that rigidity rests on:
-the polyconvex witness f stays below (1-delta)^{-1} on the hull, the
-first column of any hull matrix is isometric (F^T F e1 = e1), and no
-rotation other than the identity rank-one connects the two wells.
+the polyconvex witness f stays below (1-delta)^{-1} on the hull and the
+first column of any hull matrix is isometric (F^T F e1 = e1).  That no
+rotation other than the identity rank-one connects the two wells is
+scanned by the tests.
 """
 
 from __future__ import annotations
@@ -84,23 +85,6 @@ def polyconvex_witness(F: np.ndarray, delta: float):
     # np.where takes 1/d also where the tangent line is used (d = 0, tiny)
     with np.errstate(divide="ignore", over="ignore"):
         return np.where(d > lo, 1.0 / d, -d / lo ** 2 + 2.0 / lo)[()]
-
-
-def connection_scan(delta: float, n: int = 720) -> dict:
-    """Scan Q = R(theta) for rank-one connections F1 - Q F2.
-
-    det(F1 - R(theta) F2) = 2(1 - cos theta) independently of delta, so
-    the only root is theta = 0, where F1 - F2 = 2 delta e2 x e2.  Returns
-    the grid, the determinants, and the smallest singular values.
-    """
-    wells = make_diagonal_wells(delta)
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    c, s = np.cos(thetas), np.sin(thetas)
-    R = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
-    D = wells.F1[None] - R @ wells.F2
-    dets = np.linalg.det(D)
-    smin = np.linalg.svd(D, compute_uv=False)[:, -1]
-    return {"thetas": thetas, "dets": dets, "sigma_min": smin}
 
 
 @dataclass

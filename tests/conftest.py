@@ -23,12 +23,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 SWEEP_ARRAYS = ("dt", "left_owner", "right_owner", "point_lo", "point_hi",
                 "line", "cell_lines")
+TERM_ARRAYS = ("bv_chi", "bv_grad", "continuity")
 
 
 def _assert_same_sweep(a, b):
     """Two SweepAccumulators are equal bit for bit (NaN equals NaN, so gap
-    endpoints compare equal)."""
-    for name in SWEEP_ARRAYS:
+    endpoints compare equal), term columns included; a term column is
+    either absent from both or present in both."""
+    for name in TERM_ARRAYS:
+        assert (getattr(a, name) is None) == (getattr(b, name) is None), name
+    for name in SWEEP_ARRAYS + tuple(t for t in TERM_ARRAYS
+                                     if getattr(a, t) is not None):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name

@@ -1,0 +1,54 @@
+"""Closed forms and scans that only the tests read.
+
+They check the package from outside: the rank-one connection scan of the
+diagonal pair, the well separation, the gap coefficient and the
+Lipschitz constant of the Gram map, and the area of a cover's diamond
+pieces.
+"""
+
+import math
+
+import numpy as np
+
+from twowell import covering as cv
+from twowell import matgeo as mg
+from twowell import onewell as ow
+
+
+def connection_scan(delta: float, n: int = 720) -> dict:
+    """Scan Q = R(theta) for rank-one connections F1 - Q F2 of the
+    diagonal pair.
+
+    det(F1 - R(theta) F2) = 2(1 - cos theta) independently of delta, so
+    the only root is theta = 0, where F1 - F2 = 2 delta e2 x e2.  Returns
+    the grid, the determinants, and the smallest singular values.
+    """
+    wells = ow.make_diagonal_wells(delta)
+    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    c, s = np.cos(thetas), np.sin(thetas)
+    R = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+    D = wells.F1[None] - R @ wells.F2
+    dets = np.linalg.det(D)
+    smin = np.linalg.svd(D, compute_uv=False)[:, -1]
+    return {"thetas": thetas, "dets": dets, "sigma_min": smin}
+
+
+def good_area(res: cv.CoverResult) -> float:
+    """Total area of the diamond pieces of a cover."""
+    return float(cv.tri_areas(res.verts[res.good]).sum())
+
+
+def well_distance(delta: float) -> float:
+    return math.sqrt(mg.well_distance_sq(delta))
+
+
+def gap_coefficient(branch: int, lam: float, delta: float) -> float:
+    """g_b(lam): the improvable diagonal gap equals g_b * mu * (1 - mu)."""
+    dt = delta * (1.0 - 2.0 * lam)
+    g1 = 4.0 * dt * dt / (1.0 + dt * dt)
+    return g1 if branch == 1 else (1.0 + delta * delta) * g1
+
+
+def lipschitz_bound_constant(delta: float) -> float:
+    """Lipschitz constant of C(.) on the hull: 2 sqrt(2 + delta^2)."""
+    return 2.0 * math.sqrt(2.0 + delta * delta)

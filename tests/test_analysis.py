@@ -163,13 +163,28 @@ def stepped(verts, kept, children):
 
 
 class TestIncrementalSweep:
-    """sweep_intervals(verts, (sweep, prev_index, n_kept)) equals the sweep
-    of verts alone, whichever lines it carries over."""
+    """sweep_intervals(verts, (sweep, prev_index, n_kept), cells) equals
+    the sweep of verts alone, whichever lines it carries over, term columns
+    included."""
 
     def carried(self, verts, kept, children):
-        old = an.sweep_intervals(verts)
+        """The step's state, its carried sweep and its CellFields: a kept
+        cell keeps its gradient row and offset, each child gets a new row
+        and offset (random ones, drawn per row)."""
+        n = verts.shape[0]
         new, prev_index = stepped(verts, kept, children)
-        return new, an.sweep_intervals(new, (old, prev_index, len(kept)))
+        rows = n + new.shape[0] - len(kept)
+        rng = np.random.default_rng(0)
+        grads = rng.normal(size=(rows, 2, 2))
+        chi = rng.integers(0, 2, rows).astype(float)
+        offs = rng.normal(size=(rows, 2))
+        old = an.sweep_intervals(verts, None, an.CellFields(
+            grads, np.arange(n), chi, offs[:n]))
+        gid = np.concatenate([kept, np.arange(n, rows)]).astype(np.int64)
+        cells = an.CellFields(grads, gid, chi, offs[gid])
+        sw = an.sweep_intervals(new, (old, prev_index, len(kept)), cells)
+        assert sw.continuity is not None
+        return new, sw, cells
 
     def test_gap_interval_has_nan_endpoints(self):
         # two cells with edges on y = 0 that do not meet: [1, 2] is a gap
@@ -194,15 +209,16 @@ class TestIncrementalSweep:
         verts, _ = stripe_mesh(9)
         a, b, c = verts[8]
         m = (a + b + c) / 3.0
-        new, sw = self.carried(verts, [i for i in range(18) if i != 8],
-                               {8: [[a, b, m], [b, c, m], [c, a, m]]})
-        assert_same_sweep(sw, an.sweep_intervals(new))
+        new, sw, cells = self.carried(
+            verts, [i for i in range(18) if i != 8],
+            {8: [[a, b, m], [b, c, m], [c, a, m]]})
+        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
         assert sw.left_owner.max() == new.shape[0] - 1
 
     def test_step_without_new_cells(self, assert_same_sweep):
         verts, _ = stripe_mesh(3)
-        new, sw = self.carried(verts, list(range(6)), {})
-        assert_same_sweep(sw, an.sweep_intervals(verts))
+        new, sw, cells = self.carried(verts, list(range(6)), {})
+        assert_same_sweep(sw, an.sweep_intervals(verts, cells=cells))
 
     @pytest.mark.parametrize("cell, moved", [
         ([[0.0, 0.0], [2.0, 1.0], [-1.0, 1.0]], (True, True)),
@@ -214,12 +230,12 @@ class TestIncrementalSweep:
         # frame's center, diameter or both move, every line key changes
         # and nothing can be carried
         verts = square_mesh() * [2.0, 1.0]
-        new, sw = self.carried(verts, [0], {1: [cell]})
+        new, sw, cells = self.carried(verts, [0], {1: [cell]})
         old = an._frame(verts)
         assert (sw.frame[0].tobytes() != old[0].tobytes(),
                 sw.frame[1] != old[1]) == moved
         assert not sw.overlap_error
-        assert_same_sweep(sw, an.sweep_intervals(new))
+        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
 
     def test_child_edge_off_parent_key(self, assert_same_sweep):
         # the covered cell's edge on y = 0 is longer than its neighbour's;
@@ -228,22 +244,73 @@ class TestIncrementalSweep:
         verts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
                           [[2.0, 0.0], [0.0, 0.0], [1.0, -1.0]]])
         top = [1.0, 1e-8]
-        new, sw = self.carried(verts, [0], {1: [
+        new, sw, cells = self.carried(verts, [0], {1: [
             [[2.0, 0.0], top, [1.0, -1.0]], [top, [0.0, 0.0], [1.0, -1.0]]]})
         a = an._edge_table(verts, an._frame(verts), np.array([3]))[1]
         b = an._edge_table(new, an._frame(new), np.array([3, 4]))[1]
         assert not (b == a).all(axis=1).any()
-        assert_same_sweep(sw, an.sweep_intervals(new))
+        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
 
     def test_overlap_sweeps_every_line(self, assert_same_sweep):
         # a child laid on top of a kept cell's edge: owners of overlapping
         # intervals depend on the numbering of every edge
         verts = square_mesh()
-        new, sw = self.carried(verts, [0], {1: [
+        new, sw, cells = self.carried(verts, [0], {1: [
             [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
             [[0.2, 0.0], [0.8, 0.0], [0.5, 0.3]]]})
         assert sw.overlap_error
-        assert_same_sweep(sw, an.sweep_intervals(new))
+        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
+
+
+class TestChunkedSweep:
+    """A sweep in pieces of whole lines, and an edge table built in pieces,
+    equal the sweep of the whole table, term columns included."""
+
+    def fields(self, res):
+        n = res.verts.shape[0]
+        return an.CellFields(res.grads, np.arange(n),
+                             (res.phases == 1).astype(float), res.offs)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_pieces_equal_the_whole(self, cover_mesh, chunk, monkeypatch,
+                                    assert_same_sweep):
+        cells = self.fields(cover_mesh)
+        verts = cover_mesh.verts
+        assert 3 * verts.shape[0] < an.SWEEP_CHUNK
+        whole = an.sweep_intervals(verts, cells=cells)
+        monkeypatch.setattr(an, "SWEEP_CHUNK", chunk)
+        assert_same_sweep(an.sweep_intervals(verts, cells=cells), whole)
+
+    def test_carried_pieces_equal_the_whole(self, cover_mesh, monkeypatch,
+                                            assert_same_sweep):
+        # refine the largest child of the cover into three
+        cells = self.fields(cover_mesh)
+        verts = cover_mesh.verts
+        big = int(np.argmax(cov.tri_areas(verts)))
+        a, b, c = verts[big]
+        m = (a + b + c) / 3.0
+        kept = [i for i in range(verts.shape[0]) if i != big]
+        new, prev_index = stepped(verts, kept,
+                                  {big: [[a, b, m], [b, c, m], [c, a, m]]})
+        pick = np.concatenate([kept, [big] * 3])
+        step = cells._replace(gid=pick, offs=cells.offs[pick])
+        whole = an.sweep_intervals(new, cells=step)
+        monkeypatch.setattr(an, "SWEEP_CHUNK", 5)
+        old = an.sweep_intervals(verts, cells=cells)
+        assert_same_sweep(an.sweep_intervals(
+            new, (old, prev_index, len(kept)), step), whole)
+
+    def test_overlap_sweeps_the_whole_table(self, monkeypatch,
+                                            assert_same_sweep):
+        # one piece holds the doubly covered line; the owners of its
+        # intervals are those of the whole table's sweep
+        verts, _ = stripe_mesh(4)
+        verts = np.concatenate([verts, [[[0.05, 0.0], [0.2, 0.0],
+                                         [0.1, -0.3]]]])
+        whole = an.sweep_intervals(verts)
+        assert whole.overlap_error
+        monkeypatch.setattr(an, "SWEEP_CHUNK", 2)
+        assert_same_sweep(an.sweep_intervals(verts), whole)
 
 
 class TestFieldResiduals:
@@ -401,6 +468,22 @@ class TestBoxDimension:
             eps = [row[0] for row in table]
             assert [row[1] for row in table] == box_counts_reference(seg,
                                                                      eps)
+
+    @pytest.mark.parametrize("run_points", [1, 500])
+    def test_runs_of_segments_count_the_same(self, run_points, monkeypatch):
+        # boxed a few points at a time, the segments meet the same boxes;
+        # the first pair puts a sample an ulp below the bbox minimum
+        top, bottom = 0.2307702229625077, -0.22384795711443314
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1, 1, (200, 2))
+        segs = np.concatenate([
+            [[[0.5, top], [0.5, bottom]], [[0.43, 0.23], [0.43, top]]],
+            np.stack([a, a + rng.normal(0, 0.1, (200, 2))], axis=1)])
+        whole = an.box_dimension(segs)
+        assert 3 * np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1).sum() \
+            / 2.0 ** -10 < an.BOX_POINTS
+        monkeypatch.setattr(an, "BOX_POINTS", run_points)
+        assert an.box_dimension(segs) == whole
 
     def test_nested_counts_match_reference(self):
         # every grid's count comes from the finest grid's boxes shifted

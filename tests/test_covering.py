@@ -6,9 +6,12 @@ import pytest
 import twowell.cell as cl
 from twowell import analysis as an
 from twowell import covering as cov
+from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import WrongEntryPointError
+
+from oracles import good_area
 
 DELTA = 0.5
 
@@ -105,7 +108,7 @@ class TestIsosceles:
         area = cov.tri_areas(T[None])[0]
         cover_checks(res, T, M, area)
         # the diamond takes exactly half of the parent
-        assert res.good_area() == pytest.approx(area / 2, rel=1e-12)
+        assert good_area(res) == pytest.approx(area / 2, rel=1e-12)
         # leftovers: the pinned similar copies at ratio 1/2
         want1 = np.array([[-h, 0.0], [0.0, 0.0], [-h / 2, -0.5]]) @ Rot.T * 0.25
         want2 = np.array([[h, 0.0], [0.0, 0.0], [h / 2, -0.5]]) @ Rot.T * 0.25
@@ -150,7 +153,7 @@ class TestIsosceles:
         left = res.verts[~res.good][0]
         res2 = cov.cover_isosceles(left, plan)
         assert res2.n_children == 12
-        assert res2.good_area() == pytest.approx(
+        assert good_area(res2) == pytest.approx(
             cov.tri_areas(left[None])[0] / 2, rel=1e-12)
 
     def test_rejects_non_member(self, plan):
@@ -184,7 +187,7 @@ class TestGeneric:
             res = cov.cover_generic(T, plan)
             area = abs(cov.tri_areas(T[None])[0])
             cover_checks(res, T, plan.M, area)
-            assert res.good_area() >= cov.GOOD_FRACTION * area, branch
+            assert good_area(res) >= cov.GOOD_FRACTION * area, branch
 
     def test_squares_match_scalar_reference(self, plan):
         # every square of a batch of rows, laid at once, has the bits of
@@ -211,7 +214,7 @@ class TestGeneric:
         res = cov.cover_generic(T, plan)
         area = cov.tri_areas(T[None])[0]
         cover_checks(res, T, plan.M, area)
-        assert res.good_area() >= cov.GOOD_FRACTION * area
+        assert good_area(res) >= cov.GOOD_FRACTION * area
 
     def test_rotated_frames(self, plan):
         # no triangle side parallel to dhat: inner rotated squares appear
@@ -223,7 +226,7 @@ class TestGeneric:
             area = abs(cov.tri_areas(T[None])[0])
             res = cov.cover_generic(T, plan)
             cover_checks(res, T, plan.M, area)
-            assert res.good_area() >= cov.GOOD_FRACTION * area
+            assert good_area(res) >= cov.GOOD_FRACTION * area
 
     def test_spec_count_matches_emission(self, plan):
         # the closed-form count of a spec against its emitted children, on
@@ -283,7 +286,7 @@ class TestGeneric:
         area = cov.tri_areas(T[None])[0]
         assert res.areas().sum() == pytest.approx(area, rel=1e-12)
         assert (res.stages[res.good] > 0).all()
-        assert res.good_area() >= cov.GOOD_FRACTION * area
+        assert good_area(res) >= cov.GOOD_FRACTION * area
 
 
 class TestBatches:
@@ -328,3 +331,13 @@ class TestVerifySweep:
         assert rep.ok
         assert rep.cases == 7
         assert rep.min_good_fraction >= cov.GOOD_FRACTION
+
+    @pytest.mark.parametrize("delta", [0.5, 2.0, 4.0, 6.0, 8.0])
+    def test_checks_the_aspect_the_engine_lays(self, delta):
+        # at 0.5, 2 and 6 the default fractions calibrate a smaller aspect
+        # than the engine's corridor
+        rep = cov.verify_covering(delta)
+        eng = en.Engine(en.unit_square_domain(),
+                        ia.stage_representative(2, delta), delta)
+        assert rep.h0 == eng.h0
+        assert rep.ok and rep.cases == 7

@@ -332,14 +332,15 @@ class TestRestarts:
         assert engines[-1].h0 == cl.H_FLOOR
 
     def test_other_failures_are_not_retried(self, monkeypatch, engines):
-        full = an.continuity_residual
+        full = an.continuity_terms
 
-        def forced(verts, *args, **kwargs):
-            if verts.shape[0] > 5_000:
-                return 1.0
-            return full(verts, *args, **kwargs)
+        def forced(grads, offs, *args, **kwargs):
+            terms = full(grads, offs, *args, **kwargs)
+            if offs.shape[0] > 5_000:
+                return np.ones_like(terms)
+            return terms
 
-        monkeypatch.setattr(an, "continuity_residual", forced)
+        monkeypatch.setattr(an, "continuity_terms", forced)
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="full",
                               track_bv=False)
         first = r"^continuity residual 1\.000e\+00 at step"
@@ -373,12 +374,13 @@ FULL_SWEEP = an.sweep_intervals
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Every sweep_intervals call the engine makes: (verts, prev, result)."""
+    """Every sweep_intervals call the engine makes: (verts, prev, result,
+    cells)."""
     calls = []
 
-    def recorded(verts, prev=None):
-        sw = FULL_SWEEP(verts, prev)
-        calls.append((verts, prev, sw))
+    def recorded(verts, prev=None, cells=None):
+        sw = FULL_SWEEP(verts, prev, cells)
+        calls.append((verts, prev, sw, cells))
         return sw
 
     monkeypatch.setattr(an, "sweep_intervals", recorded)
@@ -396,9 +398,9 @@ class TestIncrementalSweep:
                                   DELTA, config=cfg)
         # the domain check, then one sweep per state, carried from step 1
         assert len(eng.states) == 6 and len(sweeps) == 7
-        assert [prev is None for _, prev, _ in sweeps] == [True] * 2 \
+        assert [prev is None for _, prev, _, _ in sweeps] == [True] * 2 \
             + [False] * 5
-        for k, (verts, prev, sw) in enumerate(sweeps[1:]):
+        for k, (verts, prev, sw, cells) in enumerate(sweeps[1:]):
             st = eng.states[k]
             assert verts is st.verts
             if prev is not None:
@@ -410,8 +412,32 @@ class TestIncrementalSweep:
                 assert np.array_equal(verts[:n_kept],
                                       eng.states[k - 1].verts[kept])
                 assert not np.isin(prev_index[n_kept:], kept).any()
-            assert_same_sweep(sw, FULL_SWEEP(verts))
+            # the term columns too: every state carries all three
+            assert cells.gid is st.gid and cells.offs is st.offs
+            assert sw.continuity is not None
+            assert_same_sweep(sw, FULL_SWEEP(verts, None, cells))
         assert eng._sweep is sweeps[-1][2]
+
+    @pytest.mark.parametrize("run", ["ramp", "stage_one_run"])
+    def test_rows_equal_the_public_checks(self, run, request):
+        # the row values reduce the carried term columns; each equals the
+        # public function evaluated on its state alone, bit for bit
+        if run == "ramp":
+            cfg = en.EngineConfig(cell_budget=20_000, max_steps=4,
+                                  checks="full", keep_states=True)
+            eng = en.run_construction(en.unit_square_domain(), rep_datum(),
+                                      DELTA, config=cfg)
+        else:
+            eng = request.getfixturevalue(run)
+        assert eng.config.checks == "full" and eng.config.keep_states
+        assert len(eng.states) == len(eng.metrics.rows) == 5
+        for st, row in zip(eng.states, eng.metrics.rows):
+            sw = FULL_SWEEP(st.verts)
+            assert row["bv_chi"] == an.bv_seminorm_cells(
+                st.verts, (st.phases == 1).astype(float), sweep=sw), st.k
+            assert row["bv_grad"] == an.bv_seminorm(st, sweep=sw), st.k
+            assert row["continuity_err"] == an.continuity_residual(
+                st.verts, st.grads, st.offs, sweep=sw), st.k
 
     def test_restart_starts_from_full_sweep(self, sweeps, assert_same_sweep):
         # h0 = 1/16 fails at step 1 before its state is recorded; the
@@ -421,10 +447,10 @@ class TestIncrementalSweep:
         eng = en.run_construction(en.unit_square_domain(), rep_datum(),
                                   DELTA, config=cfg)
         assert eng.restarts == 1
-        assert [prev is None for _, prev, _ in sweeps] == [True] * 4 \
+        assert [prev is None for _, prev, _, _ in sweeps] == [True] * 4 \
             + [False] * 3
-        for verts, prev, sw in sweeps[4:]:
-            assert_same_sweep(sw, FULL_SWEEP(verts))
+        for verts, prev, sw, cells in sweeps[4:]:
+            assert_same_sweep(sw, FULL_SWEEP(verts, None, cells))
 
     def test_fast_run_carries_no_line_keys(self, sweeps):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
@@ -636,9 +662,9 @@ class TestCarriedColumns:
         last = []            # a weak reference to the state before a step
         released = []
 
-        def sweep(verts, prev=None):
+        def sweep(verts, prev=None, cells=None):
             released.append(last[-1]() is None)
-            return FULL_SWEEP(verts, prev)
+            return FULL_SWEEP(verts, prev, cells)
 
         monkeypatch.setattr(an, "sweep_intervals", sweep)
         for _ in range(cfg.max_steps):

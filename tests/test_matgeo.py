@@ -19,6 +19,8 @@ from twowell.errors import (
     InvalidTargetError,
 )
 
+from oracles import gap_coefficient, lipschitz_bound_constant, well_distance
+
 DELTAS = (0.25, 0.5, 1.0)
 
 
@@ -82,7 +84,7 @@ class TestWells:
         assert d == pytest.approx(0.0, abs=1e-7) and phase == 2
         batch = mg.dist_to_wells_b(np.stack([w.F0, w.F0inv]), w)
         assert batch[0, 0] == pytest.approx(0.0, abs=1e-7)
-        assert batch[1, 0] == pytest.approx(mg.well_distance(0.5), abs=1e-12)
+        assert batch[1, 0] == pytest.approx(well_distance(0.5), abs=1e-12)
 
 
     def test_phase_ties_go_to_phase_one(self):
@@ -333,10 +335,10 @@ class TestSplit:
         # dyadic grid 2^-5 z0 .. 2^-12 z0; Gram map is C_L-Lipschitz.
         d = 0.5
         z0 = 2.0 ** -4 * min(d * d, 1.0)
-        CL = mg.lipschitz_bound_constant(d)
+        CL = lipschitz_bound_constant(d)
         for branch in (1, 2):
             for lam in (0.05, 0.2):
-                g = mg.gap_coefficient(branch, lam, d)
+                g = gap_coefficient(branch, lam, d)
                 eps0s, devs = [], []
                 for j in range(5, 13):
                     eps0 = z0 * 2.0 ** -j
@@ -353,4 +355,4 @@ class TestSplit:
                 assert slope >= 1.0 - 1e-3
 
     def test_lipschitz_constant_value(self):
-        assert mg.lipschitz_bound_constant(0.5) == pytest.approx(3.0, abs=1e-15)
+        assert lipschitz_bound_constant(0.5) == pytest.approx(3.0, abs=1e-15)

