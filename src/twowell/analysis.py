@@ -8,16 +8,16 @@ of interface edge sets.
 
 The line sweep keys every triangle edge by its carrying line (the
 quantized normal form (nx, ny, c)) and sorts the interval endpoints of
-all edges with one lexsort, by line key, then position along the line.
-Running sums of per-side coverage counts and active edges then give the
-owners of every subinterval, so jumps across partially overlapping
-child/neighbor edges are integrated exactly without any pairwise
-matching.
-
-Lines are independent, so the sweep runs on pieces of whole lines of
-about SWEEP_CHUNK edges (the edge table stably sorted by line key, then
-cut at line starts) and joins the results: the same arrays as one sweep
-of the whole table, with temporaries bounded by the piece.
+all edges by line, then position along the line.  Running sums of
+per-side coverage counts and active edges then give the owners of every
+subinterval, so jumps across partially overlapping child/neighbor edges
+are integrated exactly without any pairwise matching.  A side covered by
+exactly one edge is owned by its cell; by none or by more than one (an
+overlap), it has owner -1.  So a line's owners depend on its own edges
+only, and the sweep runs on pieces of whole lines of about SWEEP_CHUNK
+edges (the table stably sorted by line key, then cut at line starts) and
+joins the results: one sweep of the whole table, with temporaries
+bounded by the piece.
 
 Across a refinement step the sweep is incremental.  Every kept cell is
 frozen, so a line that carries no edge of a new cell or of a covered one
@@ -142,53 +142,53 @@ def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
     return eid, key, tlo, thi, left, plo_abs, phi_abs
 
 
-def _sweep(edges, diam: float):
-    """Subintervals of the lines of an edge table, in the order line key
-    (lexicographic), then t.  Every line's result depends on its own edges
-    only, so a table holding all edges of some lines sweeps exactly those
-    lines.  Returns ((dt, left owner, right owner, point_lo, point_hi,
-    line key), overlap)."""
+def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
+    """Subintervals of a run of whole lines of an edge table, in the order
+    line, then t: rows are the table rows of the run's edges, line their
+    ascending line numbers.  Edges are numbered by table row.  A side
+    covered by exactly one edge is owned by that edge's cell; a side
+    covered by none or by more than one gets owner -1, and more than one
+    sets overlap.  So a line's result depends on its own edges only, and
+    any run of lines sweeps them as the whole table does.  Returns ((dt,
+    left owner, right owner, point_lo, point_hi, line key), overlap)."""
     eid, key, tlo, thi, left, plo_abs, phi_abs = edges
-    e = tlo.shape[0]
-    # two events per edge (event i belongs to edge i >> 1), sorted by line
-    # key (qnx, qny, qc), then t; closers sort before openers at equal t
-    ev_t = np.empty(2 * e)
-    ev_t[0::2], ev_t[1::2] = tlo, thi
-    ev_open = np.empty(2 * e, dtype=np.int8)
-    ev_open[0::2], ev_open[1::2] = 1, -1
-    order = np.lexsort((ev_open, ev_t)
-                       + tuple(np.repeat(key, 2, axis=0).T[::-1]))
+    # two events per edge (event i belongs to row rows[i >> 1]), sorted by
+    # line, then t; events at equal t bound only zero-length intervals,
+    # which are dropped, so their order among themselves does not matter
+    ev_t = np.empty(2 * rows.shape[0])
+    ev_t[0::2], ev_t[1::2] = tlo[rows], thi[rows]
+    ev_line = np.repeat(line, 2)            # ascending, so also sorted
+    order = np.lexsort((ev_t, ev_line))
     ev_t = ev_t[order]
-    ev_open = ev_open[order]
-    ev_edge = order >> 1
+    ev_open = 1 - 2 * (order & 1)
+    ev_edge = rows[order >> 1]
     ev_left = left[ev_edge]
-    same_line = ~_line_changes(key[ev_edge])
-    # both events of an edge carry its line key, so every running sum
-    # below returns to exactly 0 at the end of each line and plain cumsums
-    # are per-line sums; with counts in {0,1}, the running sum of
-    # (edge+1)*sign is the active edge + 1
+    # both events of an edge carry its line, so every running sum below
+    # returns to exactly 0 at the end of each line and plain cumsums are
+    # per-line sums; where a side's count is 1, the running sum of
+    # (row+1)*sign on that side is the active row + 1
     contrib = (ev_edge + 1) * ev_open
     el = np.cumsum(np.where(ev_left, contrib, 0))
     er = np.cumsum(np.where(ev_left, 0, contrib))
-    nl = np.cumsum(np.where(ev_left, ev_open, 0).astype(np.int64))
-    nr = np.cumsum(np.where(ev_left, 0, ev_open).astype(np.int64))
-    dt = np.where(same_line, ev_t[1:] - ev_t[:-1], 0.0)
+    nl = np.cumsum(np.where(ev_left, ev_open, 0))
+    nr = np.cumsum(np.where(ev_left, 0, ev_open))
+    dt = np.where(ev_line[1:] == ev_line[:-1], ev_t[1:] - ev_t[:-1], 0.0)
     # event t values that should tie differ by float noise ~1e-16, which
     # makes sliver subintervals with transiently wrong coverage counts;
     # they carry no measure and are dropped
     keep = dt > 1e-12
-    line = key[ev_edge[:-1][keep]]
-    owner = eid // 3
-    eL = np.clip(el[:-1][keep] - 1, -1, e - 1)
-    eR = np.clip(er[:-1][keep] - 1, -1, e - 1)
-    lo = np.where(eL >= 0, owner[np.maximum(eL, 0)], -1)
-    ro = np.where(eR >= 0, owner[np.maximum(eR, 0)], -1)
-    overlap = bool(np.any(nl[:-1][keep] > 1) or np.any(nr[:-1][keep] > 1))
+    nl, nr = nl[:-1][keep], nr[:-1][keep]
+    eL = np.where(nl == 1, el[:-1][keep] - 1, -1)
+    eR = np.where(nr == 1, er[:-1][keep] - 1, -1)
+    overlap = bool(np.any(nl > 1) or np.any(nr > 1))
+    # row -1 reads the last row; its owner is masked
+    lo = np.where(eL >= 0, eid[eL] // 3, -1)
+    ro = np.where(eR >= 0, eid[eR] // 3, -1)
     # interval endpoints in absolute coordinates, reconstructed on the
-    # active edge's own stored segment: the quantized frame only groups
+    # owning edge's own stored segment: the quantized frame only groups
     # lines, so points must not be rebuilt from it (thin pieces sit
-    # closer together than the quantum); a gap (no edge on either side)
-    # has no segment and gets NaN endpoints
+    # closer together than the quantum); an interval with no owner on
+    # either side has no segment and gets NaN endpoints
     tl = ev_t[:-1][keep]
     th = ev_t[1:][keep]
     src = np.where(eL >= 0, eL, eR)
@@ -202,7 +202,8 @@ def _sweep(edges, diam: float):
     phi = plo_abs[src] + s1[:, None] * seg
     plo[gap] = np.nan
     phi[gap] = np.nan
-    return (dt[keep] * diam, lo, ro, plo, phi, line), overlap
+    return (dt[keep] * diam, lo, ro, plo, phi,
+            key[ev_edge[:-1][keep]]), overlap
 
 
 def _buckets(key: np.ndarray, bits: int) -> np.ndarray:
@@ -216,16 +217,12 @@ def _buckets(key: np.ndarray, bits: int) -> np.ndarray:
     return (h >> np.uint64(64 - bits)).astype(np.intp)
 
 
-def _line_changes(line: np.ndarray) -> np.ndarray:
-    """Whether each row of line keys differs from the row before it."""
-    a, b = line[1:], line[:-1]
-    return (a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1]) | (a[:, 2] != b[:, 2])
-
-
 def _line_starts(line: np.ndarray) -> np.ndarray:
     """First index of every run of equal line keys."""
     head = np.ones(line.shape[0], dtype=bool)
-    head[1:] = _line_changes(line)
+    a, b = line[1:], line[:-1]
+    head[1:] = (a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1]) \
+        | (a[:, 2] != b[:, 2])
     return np.flatnonzero(head)
 
 
@@ -283,41 +280,33 @@ def _terms(fields, cells: Optional[CellFields]) -> tuple:
 
 
 def _sweep_lines(edges, diam: float, cells: Optional[CellFields]):
-    """_sweep followed by the term columns of cells, a chunk of whole lines
-    at a time: the table is stably sorted by line key and cut at line
-    starts into pieces of about SWEEP_CHUNK edges.  A line keeps its edge
-    order, so a piece sweeps its lines as the whole table does, and the
-    pieces joined equal the whole sweep element for element; only their
-    temporaries are smaller.  When a piece finds an overlap the whole table
-    is swept instead, since owners of overlapping intervals depend on the
-    numbering of every edge.  Returns (columns: INTERVAL_COLUMNS, then
+    """_sweep followed by the term columns of cells, a piece of whole lines
+    at a time: the table is stably sorted by line key, its lines numbered
+    in that order, and cut at line starts into pieces of about SWEEP_CHUNK
+    edges (a small table is one piece, an empty one one empty piece).  A
+    line's owners depend on its own edges only, so the pieces joined equal
+    one sweep of the whole table element for element; only their
+    temporaries are smaller.  Returns (columns: INTERVAL_COLUMNS, then
     _term_names(cells), overlap)."""
-    key = edges[1]
-    order = np.lexsort(key.T[::-1])
-    starts = _line_starts(key[order])
-    at = np.searchsorted(starts, np.arange(SWEEP_CHUNK, order.shape[0],
-                                           SWEEP_CHUNK))
-    cuts = np.concatenate([[0], starts[at[at < starts.shape[0]]],
-                           [order.shape[0]]])
-    cuts = cuts[np.diff(cuts, prepend=-1) > 0]      # ascending, no repeats
-    if cuts.shape[0] > 2:
-        parts = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            fields, overlap = _sweep(
-                [np.take(f, order[a:b], axis=0) for f in edges], diam)
-            if overlap:
-                break
-            parts.append(list(fields + _terms(fields, cells)))
-        else:
-            # column by column, each piece's copy freed once joined
-            cols = []
-            for i in range(len(parts[0])):
-                cols.append(np.concatenate([p[i] for p in parts]))
-                for p in parts:
-                    p[i] = None
-            return cols, False
-    fields, overlap = _sweep(edges, diam)
-    return list(fields + _terms(fields, cells)), overlap
+    order = np.lexsort(edges[1].T[::-1])
+    n = order.shape[0]
+    starts = _line_starts(edges[1][order])
+    line = np.repeat(np.arange(starts.shape[0]), np.diff(starts, append=n))
+    at = np.searchsorted(starts, np.arange(SWEEP_CHUNK, n, SWEEP_CHUNK))
+    inner = starts[at[at < starts.shape[0]]]        # ascending, all > 0
+    cuts = np.concatenate([[0], inner[np.diff(inner, prepend=0) > 0], [n]])
+    parts, overlap = [], False
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        fields, piece_overlap = _sweep(edges, order[a:b], line[a:b], diam)
+        overlap |= piece_overlap
+        parts.append(list(fields + _terms(fields, cells)))
+    # column by column, each piece's copy freed once joined
+    cols = []
+    for i in range(len(parts[0])):
+        cols.append(np.concatenate([p[i] for p in parts]))
+        for p in parts:
+            p[i] = None
+    return cols, overlap
 
 
 @dataclass
@@ -326,10 +315,13 @@ class SweepAccumulator:
 
     For every maximal subinterval on every line, in the order line key,
     then position along the line: dt (length), the owning cell on each
-    side (-1 when uncovered) and the endpoints in absolute coordinates.
-    A gap interval (no cell on either side, e.g. between two edges of one
-    line that do not meet) has NaN endpoints; it stays in place with its
-    dt, so sums over dt keep their bits.
+    side and the endpoints in absolute coordinates.  A side covered by
+    exactly one edge is owned by that edge's cell; a side covered by none
+    or by more than one has owner -1, and more than one sets
+    overlap_error.  An interval with no owner on either side (a gap
+    between two edges of one line that do not meet, or a doubly covered
+    interval) has NaN endpoints; it stays in place with its dt, so sums
+    over dt keep their bits.
 
     A sweep given the cells' fields (CellFields) also holds the term
     columns of the engine's checks, one entry per interval: bv_chi
@@ -402,11 +394,13 @@ def sweep_intervals(verts: np.ndarray, prev=None,
     are carried over with their owners renumbered, and so are their term
     columns: a kept cell keeps its gradient, phase and offset, so a clean
     interval keeps its terms.  Terms are evaluated on the fresh intervals
-    only.  The result equals the sweep of verts alone element for element.
-    Every line is swept when the frame's bits changed, when either sweep
-    finds an overlap (owners of overlapping intervals depend on the
-    numbering of all edges), and when the previous sweep lacks a term
-    column that cells asks for.
+    only.  The result equals the sweep of verts alone element for element,
+    overlap_error included: a line's owners depend on its own edges only
+    (see _sweep), and the clean lines held no overlap before.  Every line
+    is swept when the frame's bits changed, when the previous sweep found
+    an overlap (a clean line's overlap is not seen again without sweeping
+    it), and when the previous sweep lacks a term column that cells asks
+    for.
     """
     frame = _frame(verts)
     n = verts.shape[0]
@@ -420,29 +414,28 @@ def sweep_intervals(verts: np.ndarray, prev=None,
         cell_lines, edges, clean = _dirty_lines(verts, frame, *prev)
         fresh, overlap = _sweep_lines(edges, frame[1], cells)
         del edges
-        if not overlap:
-            # owners renumbered to the new state; index -1 (no owner)
-            # reads the last entry, which no kept cell maps to
-            renum = np.full(old.cell_lines.shape[0] + 1, -1, dtype=np.int64)
-            renum[prev_index[:n_kept]] = np.arange(n_kept)
-            line = np.take(old.line, clean, axis=0)
-            at_a, at_b = _merge_index(line, fresh[names.index("line")])
-            cols = {}
-            # one column at a time, each freed once merged
-            for i, name in enumerate(names):
-                f = np.empty((at_a.shape[0] + at_b.shape[0],)
-                             + fresh[i].shape[1:], dtype=fresh[i].dtype)
-                f[at_b] = fresh[i]
-                fresh[i] = None
-                if name == "line":
-                    f[at_a] = line
-                elif name.endswith("_owner"):
-                    f[at_a] = renum[getattr(old, name)[clean]]
-                else:
-                    f[at_a] = np.take(getattr(old, name), clean, axis=0)
-                cols[name] = f
-            return SweepAccumulator(**cols, overlap_error=False,
-                                    cell_lines=cell_lines, frame=frame)
+        # owners renumbered to the new state; index -1 (no owner) reads the
+        # last entry, which no kept cell maps to
+        renum = np.full(old.cell_lines.shape[0] + 1, -1, dtype=np.int64)
+        renum[prev_index[:n_kept]] = np.arange(n_kept)
+        line = np.take(old.line, clean, axis=0)
+        at_a, at_b = _merge_index(line, fresh[names.index("line")])
+        cols = {}
+        # one column at a time, each freed once merged
+        for i, name in enumerate(names):
+            f = np.empty((at_a.shape[0] + at_b.shape[0],)
+                         + fresh[i].shape[1:], dtype=fresh[i].dtype)
+            f[at_b] = fresh[i]
+            fresh[i] = None
+            if name == "line":
+                f[at_a] = line
+            elif name.endswith("_owner"):
+                f[at_a] = renum[getattr(old, name)[clean]]
+            else:
+                f[at_a] = np.take(getattr(old, name), clean, axis=0)
+            cols[name] = f
+        return SweepAccumulator(**cols, overlap_error=overlap,
+                                cell_lines=cell_lines, frame=frame)
     edges = _edge_table(verts, frame, np.arange(3 * n))
     cell_lines = np.full((n, 3, 3), -1, dtype=np.int32)
     cell_lines.reshape(-1, 3)[edges[0]] = edges[1]
@@ -545,9 +538,11 @@ def continuity_residual(verts: np.ndarray, grads: np.ndarray,
 def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
                             offs: np.ndarray, M: np.ndarray,
                             hull_segments: np.ndarray,
-                            sweep: Optional[SweepAccumulator] = None):
+                            sweep: Optional[SweepAccumulator] = None,
+                            gid: Optional[np.ndarray] = None):
     """(residual, stray_length): sup of |u - Mx| over the outer edge
-    subintervals that lie on the domain boundary.
+    subintervals that lie on the domain boundary, with u the affine map of
+    the owning cell: gradient grads (through gid when given), offset offs.
 
     The single-sided (outer) intervals are matched geometrically against
     the boundary lines of hull_segments (m,2,2); intervals that sit on
@@ -577,7 +572,7 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
     p_lo, p_hi = p_lo[on], p_hi[on]
     if own.size == 0:
         return 0.0, stray
-    dg = grads[own] - M[None]
+    dg = grads[_rows(own, gid)] - M[None]
     do = offs[own]
     res = 0.0
     for pts in (p_lo, p_hi):

@@ -437,8 +437,8 @@ class Engine:
                                                f"{st.k}")
             row["continuity_err"] = float(sw.continuity.max(initial=0.0))
             trace, stray = an.boundary_trace_residual(
-                st.verts, st.grads, st.offs, self.M, self.hull_segments,
-                sweep=sw)
+                st.verts, st.table.grads, st.offs, self.M,
+                self.hull_segments, sweep=sw, gid=st.gid)
             row["trace_err"] = trace
             row["stray_boundary_len"] = stray
             if row["continuity_err"] > CONTINUITY_TOL:

@@ -79,14 +79,6 @@ def make_wells(delta: float) -> WellPair:
     return WellPair(d, F0, F0inv, dbar, tp, tm)
 
 
-def well_distance_sq(delta: float) -> float:
-    """Squared distance between the two wells, 4 + 2d^2 - 2 sqrt(d^4 + 4)."""
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
-    d2 = delta * delta
-    return 4.0 + 2.0 * d2 - 2.0 * math.sqrt(d2 * d2 + 4.0)
-
-
 def rotation_distance_sq(F: np.ndarray, G: np.ndarray):
     """dist^2(F, SO(2)G) in closed form via the polar maximum over
     rotations; F is one matrix or a stack (...,2,2), G one matrix."""

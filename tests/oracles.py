@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from twowell import covering as cv
-from twowell import matgeo as mg
 from twowell import onewell as ow
+from twowell.errors import InvalidParameterError
 
 
 def connection_scan(delta: float, n: int = 720) -> dict:
@@ -38,8 +38,16 @@ def good_area(res: cv.CoverResult) -> float:
     return float(cv.tri_areas(res.verts[res.good]).sum())
 
 
+def well_distance_sq(delta: float) -> float:
+    """Squared distance between the two wells, 4 + 2d^2 - 2 sqrt(d^4 + 4)."""
+    if delta <= 0:
+        raise InvalidParameterError("delta must be positive")
+    d2 = delta * delta
+    return 4.0 + 2.0 * d2 - 2.0 * math.sqrt(d2 * d2 + 4.0)
+
+
 def well_distance(delta: float) -> float:
-    return math.sqrt(mg.well_distance_sq(delta))
+    return math.sqrt(well_distance_sq(delta))
 
 
 def gap_coefficient(branch: int, lam: float, delta: float) -> float:

