@@ -25,7 +25,13 @@ holds the same edges as before and decomposes into the same intervals.
 sweep_intervals takes the previous state's sweep, sweeps only the dirty
 lines and merges their intervals with the carried clean ones (owners
 renumbered through prev_index) in the order of a full sweep, which it
-equals element for element.
+equals element for element.  Dirty lines are found through a 32-bit
+hash of every cell edge's line key (edge_hash), carried with the kept
+cells: a line's bucket is the top bits of its hash, and a bucket shared
+by two lines only re-sweeps a clean one.  The call takes ownership of
+the previous sweep and releases it column by column as it merges, so the
+two are never both whole in memory; a sweep so consumed cannot be given
+again.
 
 The engine's checks are split into a per-interval term and a reduction.
 jump_terms (phase jump x length), grad_jump_terms (Frobenius norm of the
@@ -95,11 +101,20 @@ def _edge_table(verts: np.ndarray, frame, eid: np.ndarray):
     lies left of the canonical tangent), and the endpoints in absolute
     coordinates ordered by t).
     """
-    parts = [_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK])
+    parts = [list(_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK]))
              for i in range(0, max(eid.shape[0], 1), SWEEP_CHUNK)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(f) for f in zip(*parts))
+    return parts[0] if len(parts) == 1 else _join(parts)
+
+
+def _join(parts: list) -> list:
+    """The columns of parts (lists of columns) concatenated, column by
+    column, each part's copy set to None once joined."""
+    cols = []
+    for i in range(len(parts[0])):
+        cols.append(np.concatenate([p[i] for p in parts]))
+        for p in parts:
+            p[i] = None
+    return cols
 
 
 def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
@@ -206,15 +221,21 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
             key[ev_edge[:-1][keep]]), overlap
 
 
-def _buckets(key: np.ndarray, bits: int) -> np.ndarray:
-    """Bucket in [0, 2**bits) of each line key (rows of (qnx, qny, qc)): a
-    multiplicative hash, so equal keys share a bucket.  Distinct lines may
-    share one too; a line is dirty when its bucket is, so a shared bucket
-    only re-sweeps a clean line."""
+def _line_hash(key: np.ndarray) -> np.ndarray:
+    """32-bit multiplicative hash of each line key (rows of (qnx, qny,
+    qc)), uint32: equal keys hash equal, distinct keys may collide."""
     k = key.astype(np.int64).view(np.uint64)
     m = np.uint64(0x9E3779B97F4A7C15)
     h = ((k[:, 0] * m + k[:, 1]) * m + k[:, 2]) * m
-    return (h >> np.uint64(64 - bits)).astype(np.intp)
+    return (h >> np.uint64(32)).astype(np.uint32)
+
+
+def _buckets(h: np.ndarray, bits: int) -> np.ndarray:
+    """Bucket in [0, 2**bits) of each line hash (_line_hash), bits <= 32:
+    its top bits.  Equal lines share a bucket; distinct lines may share one
+    too, and a line is dirty when its bucket is, so a shared bucket only
+    re-sweeps a clean line."""
+    return (h >> np.uint32(32 - bits)).astype(np.intp)
 
 
 def _line_starts(line: np.ndarray) -> np.ndarray:
@@ -226,21 +247,28 @@ def _line_starts(line: np.ndarray) -> np.ndarray:
     return np.flatnonzero(head)
 
 
-def _merge_index(la: np.ndarray, lb: np.ndarray):
-    """Where two interval sets land when interleaved into (line key, t)
-    order: (at_a, at_b), positions of the intervals of line keys la and lb,
-    each set in that order and the two on disjoint lines.  Whole lines
-    move, by line key."""
-    sa, sb = _line_starts(la), _line_starts(lb)
-    na, nb = la.shape[0], lb.shape[0]
-    starts = np.concatenate([sa, sb])
-    size = np.concatenate([np.diff(sa, append=na), np.diff(sb, append=nb)])
-    heads = np.concatenate([la[sa], lb[sb]])
+def _merge_rows(old_line: np.ndarray, clean, fresh_line: np.ndarray):
+    """How the clean lines of an old sweep and the lines of a fresh one
+    interleave in (line key, t) order, whole lines moving by line key:
+    (src, at_b).  Merged row i is old row src[i], except at the positions
+    at_b, which take the fresh rows in their order (src reads row 0
+    there).  clean = (start, size) of the clean old lines, ascending; the
+    two sets hold disjoint lines."""
+    start_a, size_a = clean
+    start_b = _line_starts(fresh_line)
+    size_b = np.diff(start_b, append=fresh_line.shape[0])
+    size = np.concatenate([size_a, size_b])
+    heads = np.concatenate([old_line[start_a], fresh_line[start_b]])
     order = np.lexsort(heads.T[::-1])
     dest = np.empty_like(size)
     dest[order] = np.cumsum(size[order]) - size[order]
-    shift = np.repeat(dest - starts, size)
-    return np.arange(na) + shift[:na], np.arange(nb) + shift[na:]
+    shift = np.concatenate([start_a, start_b]) - dest
+    src = np.repeat(shift[order], size[order])
+    src += np.arange(src.shape[0])
+    at_b = np.repeat(dest[start_a.shape[0]:] - start_b, size_b)
+    at_b += np.arange(at_b.shape[0])
+    src[at_b] = 0
+    return src, at_b
 
 
 class CellFields(NamedTuple):
@@ -300,13 +328,7 @@ def _sweep_lines(edges, diam: float, cells: Optional[CellFields]):
         fields, piece_overlap = _sweep(edges, order[a:b], line[a:b], diam)
         overlap |= piece_overlap
         parts.append(list(fields + _terms(fields, cells)))
-    # column by column, each piece's copy freed once joined
-    cols = []
-    for i in range(len(parts[0])):
-        cols.append(np.concatenate([p[i] for p in parts]))
-        for p in parts:
-            p[i] = None
-    return cols, overlap
+    return _join(parts), overlap
 
 
 @dataclass
@@ -330,10 +352,11 @@ class SweepAccumulator:
     np.sum and max.  Other integrals are evaluated by the callers through
     the owners.
 
-    line (the line key of every interval), cell_lines (the line keys of
-    every cell's three edges, (n,3,3) int32, -1 for a zero-length edge),
+    line (the line key of every interval), edge_hash (the _line_hash of
+    every cell's three edges, (n,3) uint32, 0 for a zero-length edge),
     frame (the normalizing (center, diam)) and the term columns are what
-    the next state's sweep carries over; see sweep_intervals.
+    the next state's sweep carries over; see sweep_intervals.  That call
+    consumes the sweep: it sets every array field to None.
     """
     dt: np.ndarray
     left_owner: np.ndarray
@@ -342,7 +365,7 @@ class SweepAccumulator:
     point_hi: np.ndarray
     line: np.ndarray
     overlap_error: bool
-    cell_lines: np.ndarray
+    edge_hash: np.ndarray
     frame: tuple
     bv_chi: Optional[np.ndarray] = None
     bv_grad: Optional[np.ndarray] = None
@@ -351,34 +374,40 @@ class SweepAccumulator:
 
 def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
                  prev_index: np.ndarray, n_kept: int):
-    """What a refinement step changed, for sweep_intervals: (cell_lines of
-    verts, the edge table of every edge on a dirty line, positions of the
-    old intervals on clean lines)."""
+    """What a refinement step changed, for sweep_intervals: (edge_hash of
+    verts, the edge table of every edge on a dirty line, (start, size) of
+    the old sweep's clean lines).  A kept edge's hash is carried, not
+    computed again; only the new edges' keys are hashed."""
     n = verts.shape[0]
     kept = prev_index[:n_kept]
     new = _edge_table(verts, frame, np.arange(3 * n_kept, 3 * n))
-    cell_lines = np.full((n, 3, 3), -1, dtype=np.int32)
-    cell_lines[:n_kept] = old.cell_lines[kept]
-    flat = cell_lines.reshape(-1, 3)
-    flat[new[0]] = new[1]
+    new_hash = _line_hash(new[1])
+    edge_hash = np.zeros((n, 3), dtype=np.uint32)
+    edge_hash[:n_kept] = old.edge_hash[kept]
+    flat = edge_hash.reshape(-1)
+    flat[new[0]] = new_hash
     # a parent edge and its children's edges need not share a key, so the
     # lines of both are dirty
-    covered = np.ones(old.cell_lines.shape[0], dtype=bool)
+    covered = np.ones(old.edge_hash.shape[0], dtype=bool)
     covered[kept] = False
-    bits = (3 * n).bit_length() + 2         # 4 to 8 buckets per edge
+    bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
     dirty = np.zeros(1 << bits, dtype=bool)
-    dirty[_buckets(new[1], bits)] = True
-    dirty[_buckets(old.cell_lines[covered].reshape(-1, 3), bits)] = True
-    # kept edges on dirty lines; a zero-length one (key -1) is dropped by
+    dirty[_buckets(new_hash, bits)] = True
+    dirty[_buckets(old.edge_hash[covered].reshape(-1), bits)] = True
+    # kept edges on dirty lines; a zero-length one (hash 0) is dropped by
     # the edge table
     redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
-    edges = [np.concatenate(f) for f in
-             zip(_edge_table(verts, frame, redo), new)]
+    edges = _join([_edge_table(verts, frame, redo), new])
     starts = _line_starts(old.line)
     size = np.diff(starts, append=old.line.shape[0])
-    clean = np.flatnonzero(np.repeat(
-        ~dirty[_buckets(old.line[starts], bits)], size))
-    return cell_lines, edges, clean
+    clean = ~dirty[_buckets(_line_hash(old.line[starts]), bits)]
+    return edge_hash, edges, (starts[clean], size[clean])
+
+
+def _release(sweep: SweepAccumulator):
+    """Drop every array of a sweep handed to sweep_intervals as prev."""
+    for name in INTERVAL_COLUMNS + TERM_COLUMNS + ("edge_hash",):
+        setattr(sweep, name, None)
 
 
 def sweep_intervals(verts: np.ndarray, prev=None,
@@ -401,48 +430,63 @@ def sweep_intervals(verts: np.ndarray, prev=None,
     an overlap (a clean line's overlap is not seen again without sweeping
     it), and when the previous sweep lacks a term column that cells asks
     for.
+
+    The call takes ownership of prev's sweep: each of its columns is set to
+    None as soon as it is merged (so the previous and the next sweep are
+    never both whole in memory), and all of them by the time the call
+    returns, whichever path it took.  Given a sweep so consumed, it raises
+    InvalidParameterError.
     """
     frame = _frame(verts)
     n = verts.shape[0]
     names = INTERVAL_COLUMNS + _term_names(cells)
-    if prev is not None and not prev[0].overlap_error \
-            and prev[0].frame[1] == frame[1] \
-            and prev[0].frame[0].tobytes() == frame[0].tobytes() \
-            and all(getattr(prev[0], t) is not None
-                    for t in _term_names(cells)):
+    if prev is not None:
         old, prev_index, n_kept = prev
-        cell_lines, edges, clean = _dirty_lines(verts, frame, *prev)
-        fresh, overlap = _sweep_lines(edges, frame[1], cells)
-        del edges
-        # owners renumbered to the new state; index -1 (no owner) reads the
-        # last entry, which no kept cell maps to
-        renum = np.full(old.cell_lines.shape[0] + 1, -1, dtype=np.int64)
-        renum[prev_index[:n_kept]] = np.arange(n_kept)
-        line = np.take(old.line, clean, axis=0)
-        at_a, at_b = _merge_index(line, fresh[names.index("line")])
-        cols = {}
-        # one column at a time, each freed once merged
-        for i, name in enumerate(names):
-            f = np.empty((at_a.shape[0] + at_b.shape[0],)
-                         + fresh[i].shape[1:], dtype=fresh[i].dtype)
-            f[at_b] = fresh[i]
-            fresh[i] = None
-            if name == "line":
-                f[at_a] = line
-            elif name.endswith("_owner"):
-                f[at_a] = renum[getattr(old, name)[clean]]
-            else:
-                f[at_a] = np.take(getattr(old, name), clean, axis=0)
-            cols[name] = f
-        return SweepAccumulator(**cols, overlap_error=overlap,
-                                cell_lines=cell_lines, frame=frame)
+        if old.dt is None:
+            raise InvalidParameterError("the previous sweep was consumed by "
+                                        "an earlier sweep_intervals call")
+        if not old.overlap_error and old.frame[1] == frame[1] \
+                and old.frame[0].tobytes() == frame[0].tobytes() \
+                and all(getattr(old, t) is not None
+                        for t in _term_names(cells)):
+            return _carry(verts, frame, names, cells, old, prev_index,
+                          n_kept)
+        _release(old)
     edges = _edge_table(verts, frame, np.arange(3 * n))
-    cell_lines = np.full((n, 3, 3), -1, dtype=np.int32)
-    cell_lines.reshape(-1, 3)[edges[0]] = edges[1]
+    edge_hash = np.zeros((n, 3), dtype=np.uint32)
+    edge_hash.reshape(-1)[edges[0]] = _line_hash(edges[1])
     cols, overlap = _sweep_lines(edges, frame[1], cells)
     del edges
     return SweepAccumulator(**dict(zip(names, cols)), overlap_error=overlap,
-                            cell_lines=cell_lines, frame=frame)
+                            edge_hash=edge_hash, frame=frame)
+
+
+def _carry(verts, frame, names, cells, old, prev_index, n_kept):
+    """sweep_intervals of a refinement step from the previous sweep old,
+    which it consumes column by column."""
+    n_old = old.edge_hash.shape[0]
+    edge_hash, edges, clean = _dirty_lines(verts, frame, old, prev_index,
+                                           n_kept)
+    old.edge_hash = None
+    fresh, overlap = _sweep_lines(edges, frame[1], cells)
+    del edges
+    src, at_b = _merge_rows(old.line, clean, fresh[names.index("line")])
+    # owners renumbered to the new state; index -1 (no owner) wraps to the
+    # last entry, which no kept cell maps to
+    renum = np.full(n_old + 1, -1, dtype=np.int64)
+    renum[prev_index[:n_kept]] = np.arange(n_kept)
+    cols = {}
+    for i, name in enumerate(names):
+        f = np.take(getattr(old, name), src, axis=0)
+        setattr(old, name, None)
+        if name.endswith("_owner"):
+            np.take(renum, f, out=f, mode="wrap")
+        f[at_b] = fresh[i]
+        fresh[i] = None
+        cols[name] = f
+    _release(old)
+    return SweepAccumulator(**cols, overlap_error=overlap,
+                            edge_hash=edge_hash, frame=frame)
 
 
 # ---------------------------------------------------------------------------

@@ -548,11 +548,14 @@ def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
     from . import analysis as an
     area = abs(tri_areas(np.asarray(tri, dtype=float)[None])[0])
     part = abs(float(tri_areas(res.verts).sum()) - area) / area
-    cont = an.continuity_residual(res.verts, res.grads, res.offs)
+    sweep = an.sweep_intervals(res.verts)
+    cont = an.continuity_residual(res.verts, res.grads, res.offs,
+                                  sweep=sweep)
     v = np.asarray(tri, dtype=float)
     hull = np.stack([v, np.roll(v, -1, axis=0)], axis=1)
     trace, stray = an.boundary_trace_residual(res.verts, res.grads, res.offs,
-                                              plan.M, hull_segments=hull)
+                                              plan.M, hull_segments=hull,
+                                              sweep=sweep)
     report.max_partition_err = max(report.max_partition_err, part)
     report.max_continuity_err = max(report.max_continuity_err, cont)
     report.max_trace_err = max(report.max_trace_err, trace)

@@ -22,7 +22,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 SWEEP_ARRAYS = ("dt", "left_owner", "right_owner", "point_lo", "point_hi",
-                "line", "cell_lines")
+                "line", "edge_hash")
 TERM_ARRAYS = ("bv_chi", "bv_grad", "continuity")
 
 

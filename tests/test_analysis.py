@@ -277,6 +277,25 @@ class TestIncrementalSweep:
         assert not (b == a).all(axis=1).any()
         assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
 
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_previous_sweep_is_handed_over(self, carried):
+        # the call consumes prev's sweep, on the carried path and on the
+        # full sweep a frame change forces; a consumed sweep is refused
+        verts, _ = stripe_mesh(9)
+        a, b, c = verts[8]
+        m = (a + b + c) / 3.0 if carried else [0.5, 1.5]
+        kept = [i for i in range(18) if i != 8]
+        new, prev_index = stepped(verts, kept, {8: [[a, b, m], [b, c, m],
+                                                    [c, a, m]]})
+        old = an.sweep_intervals(verts)
+        prev = (old, prev_index, len(kept))
+        sw = an.sweep_intervals(new, prev)
+        assert (sw.frame[1] == old.frame[1]) == carried
+        for name in an.INTERVAL_COLUMNS + an.TERM_COLUMNS + ("edge_hash",):
+            assert getattr(old, name) is None, name
+        with pytest.raises(InvalidParameterError, match="consumed"):
+            an.sweep_intervals(new, prev)
+
     def test_overlap_sweeps_every_line(self, assert_same_sweep):
         # a child laid on top of a kept cell's edge: the carried sweep
         # flags the overlap and equals the full sweep, owners included
@@ -307,9 +326,10 @@ class TestChunkedSweep:
         monkeypatch.setattr(an, "SWEEP_CHUNK", chunk)
         assert_same_sweep(an.sweep_intervals(verts, cells=cells), whole)
 
-    def test_carried_pieces_equal_the_whole(self, cover_mesh, monkeypatch,
-                                            assert_same_sweep):
-        # refine the largest child of the cover into three
+    def refined(self, cover_mesh):
+        """The cover with its largest child refined into three: (cells of
+        the cover, the step's verts, prev, and its cells), prev missing
+        its sweep."""
         cells = self.fields(cover_mesh)
         verts = cover_mesh.verts
         big = int(np.argmax(cov.tri_areas(verts)))
@@ -320,11 +340,36 @@ class TestChunkedSweep:
                                   {big: [[a, b, m], [b, c, m], [c, a, m]]})
         pick = np.concatenate([kept, [big] * 3])
         step = cells._replace(gid=pick, offs=cells.offs[pick])
+        return cells, new, (prev_index, len(kept)), step
+
+    def test_carried_pieces_equal_the_whole(self, cover_mesh, monkeypatch,
+                                            assert_same_sweep):
+        cells, new, prev, step = self.refined(cover_mesh)
         whole = an.sweep_intervals(new, cells=step)
         monkeypatch.setattr(an, "SWEEP_CHUNK", 5)
-        old = an.sweep_intervals(verts, cells=cells)
-        assert_same_sweep(an.sweep_intervals(
-            new, (old, prev_index, len(kept)), step), whole)
+        old = an.sweep_intervals(cover_mesh.verts, cells=cells)
+        assert_same_sweep(an.sweep_intervals(new, (old, *prev), step),
+                          whole)
+
+    @pytest.mark.parametrize("bucket", ["zero", "coarse"])
+    def test_colliding_buckets_sweep_the_same(self, cover_mesh, bucket,
+                                              monkeypatch, assert_same_sweep):
+        # distinct lines sharing a bucket: every line in bucket 0 (all of
+        # them dirty), or 2^8 times fewer buckets (clean lines re-swept
+        # with dirty ones, the others still carried)
+        cells, new, prev, step = self.refined(cover_mesh)
+        whole = an.sweep_intervals(new, cells=step)
+        old = an.sweep_intervals(cover_mesh.verts, cells=cells)
+        if bucket == "zero":
+            monkeypatch.setattr(an, "_buckets", lambda h, bits: np.zeros(
+                h.shape[0], dtype=np.intp))
+        else:
+            monkeypatch.setattr(an, "_buckets", lambda h, bits: (
+                h >> np.uint32(40 - bits)).astype(np.intp))
+        start, _ = an._dirty_lines(new, old.frame, old, *prev)[2]
+        assert (start.shape[0] > 0) == (bucket == "coarse")
+        assert_same_sweep(an.sweep_intervals(new, (old, *prev), step),
+                          whole)
 
     def test_overlap_sweeps_the_whole_table(self, monkeypatch,
                                             assert_same_sweep):

@@ -1,5 +1,6 @@
 """Refinement driver: soundness, determinism, budget and restart behavior."""
 
+import copy
 import sys
 import weakref
 
@@ -375,12 +376,14 @@ FULL_SWEEP = an.sweep_intervals
 @pytest.fixture
 def sweeps(monkeypatch):
     """Every sweep_intervals call the engine makes: (verts, prev, result,
-    cells)."""
+    cells, arrays).  The next call consumes the result's arrays, so arrays,
+    a deep copy of the result taken when it is returned, is what a test
+    compares."""
     calls = []
 
     def recorded(verts, prev=None, cells=None):
         sw = FULL_SWEEP(verts, prev, cells)
-        calls.append((verts, prev, sw, cells))
+        calls.append((verts, prev, sw, cells, copy.deepcopy(sw)))
         return sw
 
     monkeypatch.setattr(an, "sweep_intervals", recorded)
@@ -398,14 +401,16 @@ class TestIncrementalSweep:
                                   DELTA, config=cfg)
         # the domain check, then one sweep per state, carried from step 1
         assert len(eng.states) == 6 and len(sweeps) == 7
-        assert [prev is None for _, prev, _, _ in sweeps] == [True] * 2 \
+        assert [call[1] is None for call in sweeps] == [True] * 2 \
             + [False] * 5
-        for k, (verts, prev, sw, cells) in enumerate(sweeps[1:]):
+        for k, (verts, prev, sw, cells, arrays) in enumerate(sweeps[1:]):
             st = eng.states[k]
             assert verts is st.verts
             if prev is not None:
                 last, prev_index, n_kept = prev
                 assert last is sweeps[k][2]
+                # handed over: the carried sweep consumed it
+                assert last.dt is None and last.edge_hash is None
                 assert prev_index is st.prev_index
                 # kept cells first, then the children of covered ones
                 kept = prev_index[:n_kept]
@@ -414,9 +419,10 @@ class TestIncrementalSweep:
                 assert not np.isin(prev_index[n_kept:], kept).any()
             # the term columns too: every state carries all three
             assert cells.gid is st.gid and cells.offs is st.offs
-            assert sw.continuity is not None
-            assert_same_sweep(sw, FULL_SWEEP(verts, None, cells))
+            assert arrays.continuity is not None
+            assert_same_sweep(arrays, FULL_SWEEP(verts, None, cells))
         assert eng._sweep is sweeps[-1][2]
+        assert eng._sweep.dt is not None
 
     @pytest.mark.parametrize("run", ["ramp", "stage_one_run"])
     def test_rows_equal_the_public_checks(self, run, request):
@@ -447,10 +453,10 @@ class TestIncrementalSweep:
         eng = en.run_construction(en.unit_square_domain(), rep_datum(),
                                   DELTA, config=cfg)
         assert eng.restarts == 1
-        assert [prev is None for _, prev, _, _ in sweeps] == [True] * 4 \
+        assert [call[1] is None for call in sweeps] == [True] * 4 \
             + [False] * 3
-        for verts, prev, sw, cells in sweeps[4:]:
-            assert_same_sweep(sw, FULL_SWEEP(verts, None, cells))
+        for verts, prev, sw, cells, arrays in sweeps[4:]:
+            assert_same_sweep(arrays, FULL_SWEEP(verts, None, cells))
 
     def test_fast_run_carries_no_line_keys(self, sweeps):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
