@@ -44,6 +44,13 @@ others, whose owners kept their gradient, phase and offset.  A sum over
 the merged column has the bits of a sum over a full sweep's, since the
 two arrays are equal element for element.
 
+Rows of an array with more than one column (points, line keys,
+gradients) are gathered with np.take(a, idx, axis=0) and selected with
+np.compress(mask, a, axis=0), not with a[idx] or a[mask]: with numpy 2.4
+the indexing forms take 2-10 times as long on such arrays.  Both copy the
+same elements in the same order, so every result keeps its bits.  A 1-D
+array keeps a[idx], which is as fast there.
+
 Line grouping works in bbox-normalized coordinates and tolerates
 coordinate noise up to ~1e-10 of the mesh diameter, with features down
 to ~1e-6 of it.  Meshes stored with a large translation relative to
@@ -121,13 +128,14 @@ def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
     """_edge_table of one chunk of edges."""
     center, diam = frame
     flat = verts.reshape(-1, 2)
-    p0 = (flat[eid] - center) / diam
-    p1 = (flat[eid + 1 - 3 * (eid % 3 == 2)] - center) / diam
+    p0 = (np.take(flat, eid, axis=0) - center) / diam
+    p1 = (np.take(flat, eid + 1 - 3 * (eid % 3 == 2), axis=0)
+          - center) / diam
     d = p1 - p0
     length = np.linalg.norm(d, axis=1)
     good = length > 0
-    eid, p0, p1, d, length = eid[good], p0[good], p1[good], d[good], \
-        length[good]
+    eid, length = eid[good], length[good]
+    p0, p1, d = (np.compress(good, a, axis=0) for a in (p0, p1, d))
     dh = d / length[:, None]
     nx, ny = -dh[:, 1], dh[:, 0]
     # |qnx|, |qny| <= 1e9 and, with every point within 0.5 of the center
@@ -209,25 +217,37 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
     src = np.where(eL >= 0, eL, eR)
     gap = src < 0
     src = np.maximum(src, 0)
-    span = np.maximum(thi[src] - tlo[src], 1e-300)
-    s0 = np.clip((tl - tlo[src]) / span, 0.0, 1.0)
-    s1 = np.clip((th - tlo[src]) / span, 0.0, 1.0)
-    seg = phi_abs[src] - plo_abs[src]
-    plo = plo_abs[src] + s0[:, None] * seg
-    phi = plo_abs[src] + s1[:, None] * seg
+    t0 = tlo[src]
+    span = np.maximum(thi[src] - t0, 1e-300)
+    s0 = np.clip((tl - t0) / span, 0.0, 1.0)
+    s1 = np.clip((th - t0) / span, 0.0, 1.0)
+    p0 = np.take(plo_abs, src, axis=0)
+    seg = np.take(phi_abs, src, axis=0) - p0
+    plo = p0 + s0[:, None] * seg
+    phi = p0 + s1[:, None] * seg
     plo[gap] = np.nan
     phi[gap] = np.nan
     return (dt[keep] * diam, lo, ro, plo, phi,
-            key[ev_edge[:-1][keep]]), overlap
+            np.take(key, ev_edge[:-1][keep], axis=0)), overlap
 
 
-def _line_hash(key: np.ndarray) -> np.ndarray:
-    """32-bit multiplicative hash of each line key (rows of (qnx, qny,
-    qc)), uint32: equal keys hash equal, distinct keys may collide."""
-    k = key.astype(np.int64).view(np.uint64)
+def _line_hash(key: np.ndarray, rows: Optional[np.ndarray] = None
+               ) -> np.ndarray:
+    """32-bit multiplicative hash of the line keys key[rows] (rows of
+    (qnx, qny, qc); every row by default), uint32: equal keys hash equal,
+    distinct keys may collide.  A key's hash depends on that key only, so
+    the keys are gathered and hashed SWEEP_CHUNK rows at a time and the
+    64-bit temporaries stay that small."""
+    n = key.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(n, dtype=np.uint32)
     m = np.uint64(0x9E3779B97F4A7C15)
-    h = ((k[:, 0] * m + k[:, 1]) * m + k[:, 2]) * m
-    return (h >> np.uint64(32)).astype(np.uint32)
+    for i in range(0, n, SWEEP_CHUNK):
+        part = (key[i:i + SWEEP_CHUNK] if rows is None
+                else np.take(key, rows[i:i + SWEEP_CHUNK], axis=0))
+        k = part.astype(np.int64).view(np.uint64)
+        h = ((k[:, 0] * m + k[:, 1]) * m + k[:, 2]) * m
+        out[i:i + SWEEP_CHUNK] = h >> np.uint64(32)
+    return out
 
 
 def _buckets(h: np.ndarray, bits: int) -> np.ndarray:
@@ -258,7 +278,8 @@ def _merge_rows(old_line: np.ndarray, clean, fresh_line: np.ndarray):
     start_b = _line_starts(fresh_line)
     size_b = np.diff(start_b, append=fresh_line.shape[0])
     size = np.concatenate([size_a, size_b])
-    heads = np.concatenate([old_line[start_a], fresh_line[start_b]])
+    heads = np.concatenate([np.take(old_line, start_a, axis=0),
+                            np.take(fresh_line, start_b, axis=0)])
     order = np.lexsort(heads.T[::-1])
     dest = np.empty_like(size)
     dest[order] = np.cumsum(size[order]) - size[order]
@@ -318,7 +339,7 @@ def _sweep_lines(edges, diam: float, cells: Optional[CellFields]):
     _term_names(cells), overlap)."""
     order = np.lexsort(edges[1].T[::-1])
     n = order.shape[0]
-    starts = _line_starts(edges[1][order])
+    starts = _line_starts(np.take(edges[1], order, axis=0))
     line = np.repeat(np.arange(starts.shape[0]), np.diff(starts, append=n))
     at = np.searchsorted(starts, np.arange(SWEEP_CHUNK, n, SWEEP_CHUNK))
     inner = starts[at[at < starts.shape[0]]]        # ascending, all > 0
@@ -383,7 +404,7 @@ def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
     new = _edge_table(verts, frame, np.arange(3 * n_kept, 3 * n))
     new_hash = _line_hash(new[1])
     edge_hash = np.zeros((n, 3), dtype=np.uint32)
-    edge_hash[:n_kept] = old.edge_hash[kept]
+    edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
     flat = edge_hash.reshape(-1)
     flat[new[0]] = new_hash
     # a parent edge and its children's edges need not share a key, so the
@@ -393,14 +414,15 @@ def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
     bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
     dirty = np.zeros(1 << bits, dtype=bool)
     dirty[_buckets(new_hash, bits)] = True
-    dirty[_buckets(old.edge_hash[covered].reshape(-1), bits)] = True
+    dirty[_buckets(np.compress(covered, old.edge_hash, axis=0).reshape(-1),
+                   bits)] = True
     # kept edges on dirty lines; a zero-length one (hash 0) is dropped by
     # the edge table
     redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
     edges = _join([_edge_table(verts, frame, redo), new])
     starts = _line_starts(old.line)
     size = np.diff(starts, append=old.line.shape[0])
-    clean = ~dirty[_buckets(_line_hash(old.line[starts]), bits)]
+    clean = ~dirty[_buckets(_line_hash(old.line, starts), bits)]
     return edge_hash, edges, (starts[clean], size[clean])
 
 
@@ -521,7 +543,8 @@ def grad_jump_terms(grads: np.ndarray, lo: np.ndarray, ro: np.ndarray,
     (gradients grads[lo], grads[ro], through gid when given), 0 on the
     others."""
     both = (lo >= 0) & (ro >= 0)
-    jump = np.linalg.norm(grads[_rows(lo, gid)] - grads[_rows(ro, gid)],
+    jump = np.linalg.norm(np.take(grads, _rows(lo, gid), axis=0)
+                          - np.take(grads, _rows(ro, gid), axis=0),
                           axis=(1, 2))
     return np.where(both, jump, 0.0) * dt
 
@@ -536,10 +559,12 @@ def continuity_terms(grads: np.ndarray, offs: np.ndarray, lo: np.ndarray,
     both = (lo >= 0) & (ro >= 0)
     out = np.zeros(lo.shape[0])
     lo, ro = lo[both], ro[both]
-    dg = grads[_rows(lo, gid)] - grads[_rows(ro, gid)]
-    do = offs[lo] - offs[ro]
+    dg = (np.take(grads, _rows(lo, gid), axis=0)
+          - np.take(grads, _rows(ro, gid), axis=0))
+    do = np.take(offs, lo, axis=0) - np.take(offs, ro, axis=0)
     out[both] = np.maximum(*(
-        np.abs(np.einsum("nij,nj->ni", dg, pts[both]) + do).max(axis=1)
+        np.abs(np.einsum("nij,nj->ni", dg, np.compress(both, pts, axis=0))
+               + do).max(axis=1)
         for pts in (p_lo, p_hi)))
     return out
 
@@ -599,8 +624,8 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
     if not np.any(single):
         return 0.0, 0.0
     own = np.where(sw.left_owner >= 0, sw.left_owner, sw.right_owner)[single]
-    p_lo = sw.point_lo[single]
-    p_hi = sw.point_hi[single]
+    p_lo = np.compress(single, sw.point_lo, axis=0)
+    p_hi = np.compress(single, sw.point_hi, axis=0)
     hs = np.asarray(hull_segments, dtype=float)
     a = hs[:, 0]
     d = hs[:, 1] - hs[:, 0]
@@ -613,11 +638,11 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
     on = np.any((dist_lo <= tol) & (dist_hi <= tol), axis=1)
     stray = float(sw.dt[single][~on].sum())
     own = own[on]
-    p_lo, p_hi = p_lo[on], p_hi[on]
+    p_lo, p_hi = np.compress(on, p_lo, axis=0), np.compress(on, p_hi, axis=0)
     if own.size == 0:
         return 0.0, stray
-    dg = grads[_rows(own, gid)] - M[None]
-    do = offs[own]
+    dg = np.take(grads, _rows(own, gid), axis=0) - M[None]
+    do = np.take(offs, own, axis=0)
     res = 0.0
     for pts in (p_lo, p_hi):
         mis = np.einsum("nij,nj->ni", dg, pts) + do
@@ -632,7 +657,8 @@ def interface_segments(verts: np.ndarray, phases: np.ndarray,
     both = (sw.left_owner >= 0) & (sw.right_owner >= 0)
     jump = both & (phases[np.maximum(sw.left_owner, 0)]
                    != phases[np.maximum(sw.right_owner, 0)])
-    return np.stack([sw.point_lo[jump], sw.point_hi[jump]], axis=1)
+    return np.stack([np.compress(jump, sw.point_lo, axis=0),
+                     np.compress(jump, sw.point_hi, axis=0)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +868,9 @@ def _boxes(a, b, npts, lo, eps_min) -> np.ndarray:
     seg = np.repeat(np.arange(len(npts)), npts)
     f = covering.runs(np.zeros(len(npts)), npts) * (1.0 / (npts - 1))[seg]
     f[np.cumsum(npts) - 1] = 1.0
-    pts = (b - a)[seg]
+    pts = np.take(b - a, seg, axis=0)
     pts *= f[:, None]
-    pts += a[seg]
+    pts += np.take(a, seg, axis=0)
     pts -= lo
     del seg, f              # per-point arrays the box count does not need
     pts /= eps_min

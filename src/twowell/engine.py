@@ -328,7 +328,8 @@ class Engine:
         n_kept = kept.shape[0]
         src = np.concatenate([kept, np.repeat(taken_idx, counts)])
         new = TwoWellState(
-            k, **{c: getattr(st, c)[src] for c in COVER_COLUMNS},
+            k, **{c: np.take(getattr(st, c), src, axis=0)
+                  for c in COVER_COLUMNS},
             gid=st.gid[src], table=self.table,
             frozen=np.arange(src.shape[0]) < n_kept,
             ids=np.concatenate([st.ids[kept], self._next_id
@@ -343,9 +344,11 @@ class Engine:
             cells = taken_idx[pos]
             if iso:
                 self.iso_fast_hits += len(pos)
-                res = cv.cover_isosceles(st.verts[cells], plan, st.offs[cells])
+                res = cv.cover_isosceles(np.take(st.verts, cells, axis=0),
+                                         plan, np.take(st.offs, cells, axis=0))
             else:
-                res = cv.emit_spec(covers, plan, st.offs[cells])
+                res = cv.emit_spec(covers, plan,
+                                   np.take(st.offs, cells, axis=0))
             at = cv.runs(first[pos], counts[pos])
             for c in COVER_COLUMNS:
                 getattr(new, c)[at] = getattr(res, c)

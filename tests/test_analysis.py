@@ -383,6 +383,29 @@ class TestChunkedSweep:
         monkeypatch.setattr(an, "SWEEP_CHUNK", 2)
         assert_same_sweep(an.sweep_intervals(verts), whole)
 
+    def test_zero_length_chunk_sweeps_the_same(self, monkeypatch,
+                                               assert_same_sweep):
+        # a degenerate cell (its first two vertices equal) has a
+        # zero-length first edge; in pieces of one edge, that edge's piece
+        # of the edge table holds no row, and the sweep is the whole
+        # table's, term columns included
+        verts, vals = stripe_mesh(3)
+        a, b = np.array([0.2, 1.0]), np.array([0.3, 1.4])
+        verts = np.concatenate([verts, [[a, a, b]]])
+        n = verts.shape[0]
+        grads = np.random.default_rng(0).normal(size=(n, 2, 2))
+        offs = np.random.default_rng(1).normal(size=(n, 2))
+        cells = an.CellFields(grads, np.arange(n), np.append(vals, 1.0),
+                              offs)
+        whole = an.sweep_intervals(verts, cells=cells)
+        assert whole.edge_hash[-1, 0] == 0
+        assert np.all(whole.edge_hash[-1, 1:] != 0)
+        monkeypatch.setattr(an, "SWEEP_CHUNK", 1)
+        empty = an._edge_table(verts, whole.frame, np.array([3 * n - 3]))
+        assert [c.shape for c in empty] == [(0,), (0, 3), (0,), (0,), (0,),
+                                            (0, 2), (0, 2)]
+        assert_same_sweep(an.sweep_intervals(verts, cells=cells), whole)
+
     @pytest.mark.parametrize("mesh", ["cover", "overlap"])
     def test_reversed_rows_sweep_the_same(self, cover_mesh, mesh):
         # the table's rows reversed reverse each line's events at equal t
@@ -445,6 +468,27 @@ class TestFieldResiduals:
         segs = an.interface_segments(verts, np.array([1, 2], dtype=np.uint8))
         length = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1).sum()
         assert length == pytest.approx(np.sqrt(2), rel=1e-12)
+
+    def test_empty_selections_keep_their_shapes(self):
+        # one phase: no interface; one triangle: no interior interval, and
+        # a hull away from the mesh: every outer interval is stray
+        segs = an.interface_segments(square_mesh(),
+                                     np.array([1, 1], dtype=np.uint8))
+        assert segs.shape == (0, 2, 2)
+        tri = square_mesh()[:1]
+        sw = an.sweep_intervals(tri)
+        grads, offs = np.ones((1, 2, 2)), np.ones((1, 2))
+        terms = an.continuity_terms(grads, offs, sw.left_owner,
+                                    sw.right_owner, sw.point_lo, sw.point_hi)
+        assert terms.shape == sw.dt.shape
+        assert not terms.any()
+        assert an.continuity_residual(tri, grads, offs, sweep=sw) == 0.0
+        far = np.array([[[5.0, 5.0], [6.0, 5.0]]])
+        res = an.boundary_trace_residual(tri, grads, offs, np.eye(2), far,
+                                         sweep=sw)
+        single = (sw.left_owner >= 0) ^ (sw.right_owner >= 0)
+        assert single.all()
+        assert res == (0.0, float(sw.dt[single].sum()))
 
 
 class TestInterpolation:
