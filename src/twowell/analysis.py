@@ -51,12 +51,17 @@ the indexing forms take 2-10 times as long on such arrays.  Both copy the
 same elements in the same order, so every result keeps its bits.  A 1-D
 array keeps a[idx], which is as fast there.
 
-Line grouping works in bbox-normalized coordinates and tolerates
-coordinate noise up to ~1e-10 of the mesh diameter, with features down
-to ~1e-6 of it.  Meshes stored with a large translation relative to
-their feature size lose coincidence information in the float format
-itself; the sweep flags such inputs through overlap_error rather than
-guessing.
+Line grouping works in bbox-normalized coordinates: each edge's line
+(nx, ny, c) is rounded to LINE_QUANTUM = 1e-9, and the edges with equal
+rounded keys form one line.  Rounding has boundaries, so two edges of
+one line whose values differ in their last bits can fall on either side
+of one and get two keys, at any feature size and any noise level; their
+shared interval is then swept as two one-sided intervals.  ROADMAP item
+11 records it: big_run input 3 has stray_boundary_len 2.28e-4, and the
+engine's shortest edges on big_run inputs 0-9 are 3.1e-8 to 6.6e-8 long.
+Meshes stored with a large translation relative to their feature size
+lose coincidence information in the float format itself; the sweep flags
+such inputs through overlap_error rather than guessing.
 
 overlap_error detects collinear double coverage (two cells claiming the
 same side of the same edge interval), the failure mode of misplaced

@@ -22,14 +22,9 @@ import numpy as np
 
 from . import matgeo as mg
 from . import inapprox as ia
-from .errors import (
-    TwoWellError,
-    InvalidParameterError,
-    InvalidPairError,
-    AspectFailureError,
-    ConstructionFailureError,
-    WrongEntryPointError,
-)
+from .errors import (AspectFailureError, ConstructionFailureError,
+                     InvalidPairError, InvalidParameterError,
+                     WrongEntryPointError, clean, fail, raise_first)
 
 H_MAX = 0.125           # diamond aspect bound; calibration grid starts here
 H_FLOOR = 2.0 ** -20    # verify-and-shrink giving up threshold
@@ -37,28 +32,6 @@ H_FLOOR = 2.0 ** -20    # verify-and-shrink giving up threshold
 GRAD_NAMES = ("a_core", "b_flank", "a_cap", "corr_ne", "corr_nw")
 # triangle -> gradient slot (blue,blue,green,green,orange,orange,red,red,yel,yel)
 GRAD_INDEX = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-
-
-def _fail(errors: list, bad, make, rows=None) -> None:
-    """Give row rows[j] (row j without rows) the error make(j) for every j
-    with bad[j], unless an earlier check already failed that row: a stack
-    keeps each row's first failing check, in the order in which the
-    one-cell construction makes its checks."""
-    for j in np.flatnonzero(bad):
-        i = j if rows is None else rows[j]
-        if errors[i] is None:
-            errors[i] = make(j)
-
-
-def _clean(errors: list) -> np.ndarray:
-    return np.array([e is None for e in errors], dtype=bool)
-
-
-def _mats(n: int, m00, m01, m10, m11) -> np.ndarray:
-    """n 2x2 matrices from their entries (scalars or (n,) arrays)."""
-    out = np.empty((n, 2, 2))
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = m00, m01, m10, m11
-    return out
 
 
 @dataclass
@@ -108,11 +81,10 @@ _TRIS = np.array([
 def _template_grads(lam: np.ndarray, h: float, g0: np.ndarray,
                     mu_g: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The five closed-form gradients (n,5,2,2) of n normalized cells."""
-    n = lam.shape[0]
-    Abar = _mats(n, 1.0, 0.0, (1.0 - lam) * g0, 1.0)
-    Bbar = _mats(n, 1.0, 0.0, -lam * g0, 1.0)
-    E = _mats(n, 1.0, -q * (1.0 - mu_g), 0.0, 1.0)
-    Fcap = _mats(n, 1.0, q * mu_g, 0.0, 1.0)
+    Abar = mg.mat2(1.0, 0.0, (1.0 - lam) * g0, 1.0)
+    Bbar = mg.mat2(1.0, 0.0, -lam * g0, 1.0)
+    E = mg.mat2(1.0, -q * (1.0 - mu_g), 0.0, 1.0)
+    Fcap = mg.mat2(1.0, q * mu_g, 0.0, 1.0)
     sG = -(1.0 - lam) * h * (1.0 - h - g0 * lam * h)
     G = np.eye(2) + ((g0 * lam * (1.0 - lam) * h / sG)[:, None, None]
                      * np.outer([-h, 1.0], [1.0, h]))
@@ -155,17 +127,17 @@ def _templates(lam: np.ndarray, h: float, g0: np.ndarray) -> _Templates:
     """
     b = lam.shape[0]
     errors = [None] * b
-    _fail(errors, ~((0.0 <= lam) & (lam <= 1.0)), lambda i:
-          InvalidParameterError(f"lam must be in [0,1], got {lam[i]}"))
+    fail(errors, ~((0.0 <= lam) & (lam <= 1.0)), lambda i:
+         InvalidParameterError(f"lam must be in [0,1], got {lam[i]}"))
     if not (0.0 < h <= H_MAX + 1e-15):
-        _fail(errors, np.ones(b, dtype=bool), lambda i:
-              InvalidParameterError(f"h must be in (0, {H_MAX}], got {h}"))
+        fail(errors, np.ones(b, dtype=bool), lambda i:
+             InvalidParameterError(f"h must be in (0, {H_MAX}], got {h}"))
     trivial = (lam == 0.0) | (lam == 1.0) | (g0 == 0.0)
     fit = h * (1.0 + np.abs(g0) * np.maximum(lam, 1.0 - lam))
-    _fail(errors, ~trivial & (fit >= 1.0), lambda i: AspectFailureError(
+    fail(errors, ~trivial & (fit >= 1.0), lambda i: AspectFailureError(
         "shear too strong for this aspect: "
         f"h(1+|g0|max(lam,1-lam)) = {fit[i]:.3f}"))
-    rows = np.flatnonzero(_clean(errors) & ~trivial)
+    rows = np.flatnonzero(clean(errors) & ~trivial)
     lam, g0 = lam[rows], g0[rows]
     n = rows.shape[0]
 
@@ -217,13 +189,13 @@ def _templates(lam: np.ndarray, h: float, g0: np.ndarray) -> _Templates:
                 f"interpolation by {dev[j, i]:.2e}")
         return ConstructionFailureError(f"piece {i} is not affine")
 
-    _fail(errors, bad.any(axis=1), piece_error, rows)
-    _fail(errors, np.abs(areas.sum(axis=1) - 2.0 * h) > 1e-12 * (2.0 * h),
-          lambda j: ConstructionFailureError("pieces do not tile the diamond"),
-          rows)
-    _fail(errors, np.abs(np.linalg.det(grads) - 1.0).max(axis=1) > 1e-10,
-          lambda j: ConstructionFailureError("gradient determinant drift"),
-          rows)
+    fail(errors, bad.any(axis=1), piece_error, rows)
+    fail(errors, np.abs(areas.sum(axis=1) - 2.0 * h) > 1e-12 * (2.0 * h),
+         lambda j: ConstructionFailureError("pieces do not tile the diamond"),
+         rows)
+    fail(errors, np.abs(np.linalg.det(grads) - 1.0).max(axis=1) > 1e-10,
+         lambda j: ConstructionFailureError("gradient determinant drift"),
+         rows)
     return _Templates(errors, trivial, rows, pts, vals, tris, grads, offs,
                       areas)
 
@@ -237,8 +209,7 @@ def build_template(lam: float, h: float, g0: float) -> CellTemplate:
     """
     t = _templates(np.array([lam], dtype=float), h,
                    np.array([g0], dtype=float))
-    if t.errors[0] is not None:
-        raise t.errors[0]
+    raise_first(t.errors)
     if t.trivial[0]:
         return _trivial_template(lam, h)
     return t.template(0, lam, h)
@@ -249,39 +220,29 @@ def build_template(lam: float, h: float, g0: float) -> CellTemplate:
 # ---------------------------------------------------------------------------
 
 def _rank_one(D: np.ndarray):
-    """rank_one_factors of a stack (b,2,2): (rho0, a, n, errors)."""
+    """D = rho0 a (x) n with |a| = |n| = 1 and a1 >= 0 for a stack D (b,2,2):
+    (rho0, a, n, errors); InvalidPairError unless D has rank one, singular
+    values s0 > PIPE_TOL and s1 <= PIPE_TOL max(s0, 1)."""
     U, s, Vt = np.linalg.svd(D)
     errors = [None] * D.shape[0]
-    _fail(errors, (s[:, 0] <= mg.PIPE_TOL)
-          | (s[:, 1] > mg.PIPE_TOL * np.maximum(s[:, 0], 1.0)),
-          lambda i: InvalidPairError(
-              f"A - B must have rank one, singular values {s[i]}"))
+    fail(errors, (s[:, 0] <= mg.PIPE_TOL)
+         | (s[:, 1] > mg.PIPE_TOL * np.maximum(s[:, 0], 1.0)),
+         lambda i: InvalidPairError(
+             f"A - B must have rank one, singular values {s[i]}"))
     a, n = U[:, :, 0], Vt[:, 0]
     flip = ((a[:, 0] < 0) | ((a[:, 0] == 0) & (a[:, 1] < 0)))[:, None]
     return s[:, 0], np.where(flip, -a, a), np.where(flip, -n, n), errors
-
-
-def rank_one_factors(D: np.ndarray):
-    """D = rho0 a (x) n with |a| = |n| = 1, a oriented to a1 >= 0.
-
-    Rank one means the singular values s0 > PIPE_TOL and
-    s1 <= PIPE_TOL max(s0, 1); otherwise InvalidPairError.
-    """
-    rho0, a, n, errors = _rank_one(np.asarray(D, dtype=float)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return float(rho0[0]), a[0], n[0]
 
 
 def _shears(D: np.ndarray, C: np.ndarray):
     """pair_shear of a stack: (g0, S, errors)."""
     rho0, a, n, errors = _rank_one(D)
     Cinv_a = np.linalg.solve(C, a[:, :, None])
-    _fail(errors, np.abs((n[:, None] @ Cinv_a)[:, 0, 0]) > 1e-7, lambda i:
-          InvalidPairError("pair is inconsistent with det-1 transport"))
+    fail(errors, np.abs((n[:, None] @ Cinv_a)[:, 0, 0]) > 1e-7, lambda i:
+         InvalidPairError("pair is inconsistent with det-1 transport"))
     n_perp = np.stack([-n[:, 1], n[:, 0]], axis=1)
     g0 = (n_perp[:, None] @ Cinv_a)[:, 0, 0] * rho0
-    _fail(errors, g0 == 0.0, lambda i: InvalidPairError("degenerate shear"))
+    fail(errors, g0 == 0.0, lambda i: InvalidPairError("degenerate shear"))
     return g0, np.stack([n, n_perp], axis=2), errors
 
 
@@ -291,8 +252,7 @@ def pair_shear(D: np.ndarray, C: np.ndarray):
     the pair does not transport to a shear of det-1 matrices."""
     g0, S, errors = _shears(np.asarray(D, dtype=float)[None],
                             np.asarray(C, dtype=float)[None])
-    if errors[0] is not None:
-        raise errors[0]
+    raise_first(errors)
     return float(g0[0]), S[0]
 
 
@@ -316,18 +276,18 @@ def _pairs(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     errors = [None] * b
     for M, name in ((A, "A"), (B, "B")):
         det = np.linalg.det(M)
-        _fail(errors, np.abs(det - 1.0) > 1e-9, lambda i:
-              InvalidPairError(f"det {name} = {det[i]:.12f}, need 1"))
+        fail(errors, np.abs(det - 1.0) > 1e-9, lambda i:
+             InvalidPairError(f"det {name} = {det[i]:.12f}, need 1"))
     w = lam[:, None, None]
-    _fail(errors, np.abs(w * A + (1.0 - w) * B - C).max(axis=(1, 2))
-          > 100 * mg.PIPE_TOL,
-          lambda i: InvalidPairError("C is not the lam-barycenter of (A, B)"))
+    fail(errors, np.abs(w * A + (1.0 - w) * B - C).max(axis=(1, 2))
+         > 100 * mg.PIPE_TOL,
+         lambda i: InvalidPairError("C is not the lam-barycenter of (A, B)"))
     trivial = ((np.abs(A - B).max(axis=(1, 2)) <= mg.PIPE_TOL)
                | (lam == 0.0) | (lam == 1.0))
     g0, S = np.zeros(b), np.zeros((b, 2, 2))
-    live = np.flatnonzero(_clean(errors) & ~trivial)
+    live = np.flatnonzero(clean(errors) & ~trivial)
     g0[live], S[live], shear_errors = _shears(A[live] - B[live], C[live])
-    _fail(errors, ~_clean(shear_errors), lambda j: shear_errors[j], live)
+    fail(errors, ~clean(shear_errors), lambda j: shear_errors[j], live)
     return _Pairs(A, C, lam, trivial, g0, S, errors)
 
 
@@ -348,19 +308,19 @@ class _Cells:
 def _cells(p: _Pairs, h: float) -> _Cells:
     """The stacked construction behind build_cell and calibrate_h0."""
     errors = list(p.errors)
-    live = np.flatnonzero(_clean(errors) & ~p.trivial)
+    live = np.flatnonzero(clean(errors) & ~p.trivial)
     t = _templates(p.lam[live], h, p.g0[live])
-    _fail(errors, ~_clean(t.errors), lambda j: t.errors[j], live)
+    fail(errors, ~clean(t.errors), lambda j: t.errors[j], live)
     rows = live[t.rows]
     S, C = p.S[rows], p.C[rows]
     grads = np.zeros((len(errors), 5, 2, 2))
     grads[rows] = np.einsum("bij,bnjk,blk->bnil", C @ S, t.grads, S)
     # exactness of the frame transport: A = C S Abar S^T etc.
     Abar = np.swapaxes(S, 1, 2) @ np.linalg.solve(C, p.A[rows]) @ S
-    want = _mats(rows.shape[0], 1, 0, (1 - p.lam[rows]) * p.g0[rows], 1)
-    _fail(errors, np.abs(Abar - want).max(axis=(1, 2)) > 1e-7, lambda j:
-          InvalidPairError("frame transport failed to normalize A"), rows)
-    trivial = np.flatnonzero(_clean(p.errors) & p.trivial)
+    want = mg.mat2(1, 0, (1 - p.lam[rows]) * p.g0[rows], 1)
+    fail(errors, np.abs(Abar - want).max(axis=(1, 2)) > 1e-7, lambda j:
+         InvalidPairError("frame transport failed to normalize A"), rows)
+    trivial = np.flatnonzero(clean(p.errors) & p.trivial)
     grads[trivial] = p.C[trivial, None]
     return _Cells(p, t, grads, errors)
 
@@ -401,29 +361,23 @@ class CellConstruction:
 
     def boundary_values(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(points, u(points)) along the diamond boundary, ts in [0,4)."""
-        pts, vals = [], []
         corners = self.diamond[[0, 2, 1, 3]]      # cyclic: top right bottom left
-        for t in ts:
-            i = int(t) % 4
-            frac = t - int(t)
-            y = corners[i] * (1 - frac) + corners[(i + 1) % 4] * frac
-            pts.append(y)
-            vals.append(self.evaluate(y))
-        return np.array(pts), np.array(vals)
+        i = ts.astype(int)
+        frac = (ts - i)[:, None]
+        y = corners[i % 4] * (1 - frac) + corners[(i + 1) % 4] * frac
+        return y, self.evaluate(y)
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
-        for tri, gi, off in zip(self.tris, self.gidx, self.offsets):
-            if _point_in_tri(y, tri, 1e-12 * max(self.scale, 1.0)):
-                return self.grads[gi] @ y + off
-        raise InvalidParameterError("point is outside the cell")
-
-
-def _point_in_tri(y, tri, tol):
-    for i in range(3):
-        e = tri[(i + 1) % 3] - tri[i]
-        if e[0] * (y[1] - tri[i][1]) - e[1] * (y[0] - tri[i][0]) < -tol:
-            return False
-    return True
+        """u at the points y (n,2), each on the first piece holding it."""
+        e = np.roll(self.tris, -1, axis=1) - self.tris
+        r = y[:, None, None] - self.tris
+        inside = np.all(e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
+                        >= -1e-12 * max(self.scale, 1.0), axis=2)
+        if not inside.any(axis=1).all():
+            raise InvalidParameterError("point is outside the cell")
+        k = np.argmax(inside, axis=1)
+        return ((self.grads[self.gidx[k]] @ y[:, :, None])[:, :, 0]
+                + self.offsets[k])
 
 
 def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
@@ -441,8 +395,7 @@ def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
     C = np.asarray(C, float)
     cells = _cells(_pairs(A[None], B[None], C[None],
                           np.array([lam], dtype=float)), h)
-    if cells.errors[0] is not None:
-        raise cells.errors[0]
+    raise_first(cells.errors)
     center = np.asarray(center, float)
 
     if cells.pairs.trivial[0]:
@@ -518,10 +471,13 @@ class RefinePlan:
 
 
 def _cell_pair(sr: mg.SplitResult):
-    """(lam, A, B) of a split, the cell's A side the minority child."""
-    if sr.rho >= 0.5:
-        return 1.0 - sr.rho, sr.Fminus, sr.Fplus
-    return sr.rho, sr.Fplus, sr.Fminus
+    """(lam, A, B) of a split, the cell's A side the minority child; of
+    each row for the SplitResult of a stack."""
+    flip = np.asarray(sr.rho >= 0.5)
+    lam = np.where(flip, 1.0 - sr.rho, sr.rho)[()]
+    flip = flip[..., None, None]
+    return (lam, np.where(flip, sr.Fminus, sr.Fplus),
+            np.where(flip, sr.Fplus, sr.Fminus))
 
 
 def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
@@ -647,9 +603,10 @@ def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
     visit (improved entries land mid-band).  The result is cached per
     (delta, fracs).
 
-    The splits and cell frames do not depend on h and are made once; a
-    rung is then one pass of the stacked construction (_cells) and of the
-    slot classification over the whole grid.  The rung is decided by the
+    The splits (one stacked split of the grid) and cell frames do not
+    depend on h and are made once; a rung is then one pass of the stacked
+    construction (_cells) and of the slot classification over the whole
+    grid.  The rung is decided by the
     first grid matrix, in grid order, whose plan does not fit and advance,
     as in a search one matrix at a time: when that plan is None
     (_dyadic_plan) the next rung is taken, when a check failed its error
@@ -658,31 +615,25 @@ def calibrate_h0(delta: float, fracs: tuple = (0.02, 0.5, 0.98)) -> float:
     key = (round(delta, 12), fracs)
     if key in _H0_CACHE:
         return _H0_CACHE[key]
-    ks, d1, d2, signs = [], [], [], []
+    rows = []
     for k in CALIBRATION_STAGES:
         (lo1, hi1), (lo2, hi2) = ia.stage_band(k, delta)
-        for f1, f2, sign in itertools.product(fracs, fracs, (1.0, -1.0)):
-            ks.append(k)
-            d1.append(lo1 + f1 * (hi1 - lo1))
-            d2.append(lo2 + f2 * (hi2 - lo2))
-            signs.append(sign)
+        target = ia.dyadic_split_target(k, delta)
+        rows += [(k, *target, lo1 + f1 * (hi1 - lo1),
+                  lo2 + f2 * (hi2 - lo2), sign)
+                 for f1, f2, sign in itertools.product(fracs, fracs,
+                                                       (1.0, -1.0))]
+    ks, branch, eps, d1, d2, signs = (np.array(c) for c in zip(*rows))
     Fs = ia.matrices_from_gaps(d1, d2, delta, signs)
-    sides, split_errors = [], [None] * len(Fs)
-    for i, (k, F) in enumerate(zip(ks, Fs)):
-        try:
-            sides.append(_cell_pair(
-                mg.split(F, *ia.dyadic_split_target(k, delta), delta)))
-        except TwoWellError as err:
-            split_errors[i] = err
-            sides.append((0.5, F, F))       # a trivial row; its error is first
-    lam, A, B = zip(*sides)
-    pairs = _pairs(np.stack(A), np.stack(B), np.stack(Fs), np.array(lam))
+    sr, split_errors = mg.split_stack(Fs, branch, eps, delta)
+    lam, A, B = _cell_pair(sr)
+    pairs = _pairs(A, B, Fs, lam)
     pairs.errors = [pe if se is None else se
                     for se, pe in zip(split_errors, pairs.errors)]
-    stage = np.array(ks)[:, None]
+    stage = ks[:, None]
     for h in _aspects():
         cells = _cells(pairs, h)
-        ok = _clean(cells.errors) & _advances(
+        ok = clean(cells.errors) & _advances(
             ia.classify_stack(cells.grads, delta), stage)
         if ok.all():
             _H0_CACHE[key] = h

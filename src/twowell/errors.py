@@ -5,9 +5,16 @@ callers can catch the whole family at once.  The subclasses mirror the
 failure modes of the pipeline stages: bad parameters, points outside the
 reachable set, degenerate coordinates, covering geometry that cannot be
 refined, and so on.
+
+The stacked constructions check many rows at once.  They keep a list
+with one entry per row, None or the error that row's one-row call would
+raise: fail records a check, clean reads which rows passed, and
+raise_first raises what the one-row call raises.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class TwoWellError(Exception):
@@ -60,3 +67,25 @@ class InvalidPairError(TwoWellError):
 
 class UndefinedDimensionError(TwoWellError):
     """Box-counting requested on an empty point set or empty scale range."""
+
+
+def fail(errors: list, bad, make, rows=None) -> None:
+    """Give row rows[j] (row j without rows) the error make(j) for every j
+    with bad[j], unless an earlier check already failed that row: a stack
+    keeps each row's first failing check, in the order in which the
+    one-row construction makes its checks."""
+    for j in np.flatnonzero(bad):
+        i = j if rows is None else rows[j]
+        if errors[i] is None:
+            errors[i] = make(j)
+
+
+def clean(errors: list) -> np.ndarray:
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def raise_first(errors: list) -> None:
+    """Raise the error of the first failing row, if any."""
+    for err in errors:
+        if err is not None:
+            raise err

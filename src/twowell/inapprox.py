@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from . import matgeo as mg
-from .errors import InvalidParameterError, NotClassifiableError
+from .errors import (InvalidParameterError, NotClassifiableError, clean,
+                     fail, raise_first)
 
 M_CAP = 60      # dyadic exponents beyond this are numerically meaningless
 
@@ -90,33 +91,29 @@ def _classify_gaps(d1: np.ndarray, d2: np.ndarray, z0: float) -> np.ndarray:
     return out
 
 
+def _stages(Fs: np.ndarray, delta: float):
+    """(stage, d1, d2, errors) of a stack Fs (n,2,2): classify's checks
+    on the Gram stack, its face gaps, and stage -1 on a row that fails."""
+    C = mg.gram(Fs)
+    loc, errors = mg.membership_stack(C, delta)
+    fail(errors, loc != mg.INTERIOR, lambda i: NotClassifiableError(
+        "stage classification needs an interior matrix"))
+    d1, d2 = mg.face_gaps(C, delta)
+    stage = np.where(clean(errors), _classify_gaps(d1, d2, zeta0(delta)), -1)
+    return stage, d1, d2, errors
+
+
 def classify(F: np.ndarray, delta: float) -> int:
     """The unique stage of an interior matrix."""
-    C = mg.gram(F)
-    if mg.cg_membership(C, delta, margin=0.0) != "interior":
-        raise NotClassifiableError("stage classification needs an interior matrix")
-    d1, d2 = mg.face_gaps(C, delta)
-    k = _classify_gaps(np.array([d1]), np.array([d2]), zeta0(delta))[0]
-    if k < 0:
-        raise NotClassifiableError("gaps are not positive")
-    return int(k)
+    stage, _, _, errors = _stages(np.asarray(F, dtype=float)[None], delta)
+    raise_first(errors)
+    return int(stage[0])
 
 
 def classify_stack(Fs: np.ndarray, delta: float) -> np.ndarray:
-    """classify over a stack (..., 2, 2); -1 where classify raises.
-
-    The checks are classify's on the same Gram entries: det C within
-    PIPE_TOL of 1 and the three hull gaps strictly positive.  A Gram
-    matrix that is not positive definite, on which classify raises
-    InvalidParameterError, fails the det check and reads -1 too.
-    """
+    """classify over a stack (..., 2, 2); -1 where classify raises."""
     Fs = np.asarray(Fs, dtype=float)
-    C = np.swapaxes(Fs, -1, -2) @ Fs
-    c11, c22 = C[..., 0, 0], C[..., 1, 1]
-    d1, d2 = 1.0 - c11, 1.0 + delta * delta - c22
-    interior = ((np.abs(np.linalg.det(C) - 1.0) <= mg.PIPE_TOL)
-                & (d1 > 0.0) & (d2 > 0.0) & (c11 * c22 - 1.0 > 0.0))
-    return np.where(interior, _classify_gaps(d1, d2, zeta0(delta)), -1)
+    return _stages(Fs.reshape(-1, 2, 2), delta)[0].reshape(Fs.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +152,15 @@ def low_stage_split_target(F: np.ndarray, delta: float) -> LowStageTarget:
     higher, which is fine: stages only need to increase).
     """
     z0 = zeta0(delta)
-    stage = classify(F, delta)
-    d1, d2 = mg.face_gaps(mg.gram(F), delta)
+    stage, d1, d2, errors = _stages(np.asarray(F, dtype=float)[None], delta)
+    raise_first(errors)
+    stage, d1, d2 = stage[0], d1[0], d2[0]
     if stage == 1:
-        m = None
-        for cand in range(1, M_CAP + 1):
-            base = math.ldexp(z0, -(cand + 1))
-            if base < d1 < 2.0 * base and d2 >= 7.0 * math.ldexp(z0, -(cand + 3)):
-                m = cand
-                break
-        if m is None:
-            raise NotClassifiableError("stage-1 witness exponent not found")
+        # the level of _classify_gaps' catch-all band that holds (d1, d2)
+        m = np.arange(1, M_CAP + 1)
+        base = np.ldexp(z0, -(m + 1))
+        m = int(m[np.argmax((base < d1) & (d1 < 2.0 * base)
+                            & (d2 >= 7.0 * np.ldexp(z0, -(m + 3))))])
         return LowStageTarget(2, 0.75 * math.ldexp(z0, -m), m, 2 * m + 1)
     if stage == 0:
         mbar = max(math.ceil(math.log2(z0 / d1)), math.ceil(math.log2(z0 / d2)))
@@ -178,48 +173,53 @@ def low_stage_split_target(F: np.ndarray, delta: float) -> LowStageTarget:
 # constructing representatives and samples
 # ---------------------------------------------------------------------------
 
+def matrices_from_gaps(d1, d2, delta: float, c12_sign,
+                       angle=0.0) -> np.ndarray:
+    """Interior matrices (n,2,2) with prescribed face gaps d1[i], d2[i]:
+    the det-1 upper-triangular square root of C with the sign c12_sign[i]
+    of its off-diagonal entry, rotated by angle[i] (one angle or one per
+    row).
+
+    Unrotated (angle 0), F is built so that face_gaps(gram(F)) classifies
+    exactly as (d1, d2) do.  The computed gaps 1 - c11 and
+    1 + delta^2 - c22 live on the float grid near 1; a gap on that grid
+    comes back exactly, and a gap between two grid points comes back as a
+    neighbour that classifies as (d1, d2) do.  (A band edge that is itself
+    off the grid, as for a z0 that is not dyadic, cannot be hit exactly.)
+    The root's entries are moved by a few ulps until the computed Gram
+    diagonal equals the targets; when no float squares to c11, the first
+    column gains a second entry of order 1e-8 (a rotation of that order)
+    so that the sum of squares does.  A rotated row is the plain root,
+    rotated.
+    """
+    d1, d2, sign, angle = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (d1, d2, c12_sign, angle)))
+    rotated = angle != 0.0
+    plain = ~rotated
+    c11, c22 = 1.0 - d1, 1.0 + delta * delta - d2
+    c11[plain], c22[plain] = _grid_targets(d1[plain], d2[plain], delta)
+    U, c12 = _upper_root(c11, c22, sign)
+    for i in np.flatnonzero(plain):
+        U[i] = _round_trip_root(U[i], c11[i], c22[i], c12[i])
+    U[rotated] = mg.rot(angle[rotated]) @ U[rotated]
+    return U
+
+
 def matrix_from_gaps(d1: float, d2: float, delta: float,
                      c12_sign: float = 1.0, angle: float = 0.0) -> np.ndarray:
-    """Interior matrix with prescribed face gaps (det-1 upper-triangular
-    square root of C, optionally rotated).
-
-    Unrotated, F is built so that face_gaps(gram(F)) classifies exactly
-    as (d1, d2) do.  The computed gaps 1 - c11 and 1 + delta^2 - c22 live
-    on the float grid near 1; a gap on that grid comes back exactly, and
-    a gap between two grid points comes back as a neighbour that
-    classifies as (d1, d2) do.  (A band edge that is itself off the grid,
-    as for a z0 that is not dyadic, cannot be hit exactly.)  The root's
-    entries are moved by a few ulps until the computed Gram diagonal
-    equals the targets; when no float squares to c11, the first column
-    gains a second entry of order 1e-8 (a rotation of that order) so
-    that the sum of squares does.
-    """
-    if not angle:
-        return matrices_from_gaps([d1], [d2], delta, [c12_sign])[0]
-    U, _ = _upper_root(1.0 - d1, 1.0 + delta * delta - d2, c12_sign)
-    return mg.rot(angle) @ U
+    """The one-row case of matrices_from_gaps."""
+    return matrices_from_gaps([d1], [d2], delta, [c12_sign], [angle])[0]
 
 
-def matrices_from_gaps(d1, d2, delta: float, c12_sign) -> list:
-    """matrix_from_gaps, unrotated, of each (d1[i], d2[i], c12_sign[i]);
-    the grid targets of all of them are classified in one pass."""
-    c11, c22 = _grid_targets(np.asarray(d1, dtype=float),
-                             np.asarray(d2, dtype=float), delta)
-    out = []
-    for a, b, sign in zip(c11.tolist(), c22.tolist(), c12_sign):
-        U, c12 = _upper_root(a, b, sign)
-        out.append(_round_trip_root(U, a, b, c12))
-    return out
-
-
-def _upper_root(c11: float, c22: float, c12_sign: float):
-    """(U, c12): the rounded upper-triangular det-1 root of C."""
+def _upper_root(c11, c22, c12_sign):
+    """(U, c12): the rounded upper-triangular det-1 roots of the Gram
+    matrices with diagonals (c11, c22), scalars or arrays."""
     prod = c11 * c22 - 1.0
-    if c11 <= 0.0 or prod < 0.0:
+    if np.any((c11 <= 0.0) | (prod < 0.0)):
         raise InvalidParameterError("gaps are not realizable in the hull")
-    c12 = c12_sign * math.sqrt(prod)
-    r11 = math.sqrt(c11)
-    return np.array([[r11, c12 / r11], [0.0, 1.0 / r11]]), c12
+    c12 = c12_sign * np.sqrt(prod)
+    r11 = np.sqrt(c11)
+    return mg.mat2(r11, c12 / r11, 0.0, 1.0 / r11), c12
 
 
 def _grid_targets(d1: np.ndarray, d2: np.ndarray, delta: float):
@@ -375,33 +375,33 @@ def verify_in_approximation(delta: float, samples: int = 10_000,
         d2 = rng.uniform(lo2, hi2, samples)
         # vectorized children gaps: the improved entry moves to exactly eps,
         # the other is inherited, so child stages follow from gap arithmetic;
-        # a scalar spot-check below keeps the full split path honest.
-        if branch == 1:
-            ch1 = np.full(samples, eps)
-            ch2 = d2
-        else:
-            ch1 = d1
-            ch2 = np.full(samples, eps)
-        kid_stage = _classify_gaps(ch1, ch2, z0)
+        # spot checks below keep the full split path honest.
+        improved = np.full(samples, eps)
+        kid_stage = (_classify_gaps(improved, d2, z0) if branch == 1
+                     else _classify_gaps(d1, improved, z0))
         bad = np.nonzero(kid_stage != k + 1)[0]
         failures += bad.size
         for i in bad[:3]:
             examples.append((k, float(d1[i]), float(d2[i]), int(kid_stage[i])))
-        # full-pipeline spot checks through split() and classify()
-        for i in rng.integers(0, samples, size=min(25, samples)):
-            F = matrix_from_gaps(d1[i], d2[i], delta,
-                                 1.0 if rng.uniform() < 0.5 else -1.0,
-                                 rng.uniform(0, 2 * math.pi))
-            sr = mg.split(F, branch, eps, delta)
-            for ch in (sr.Fplus, sr.Fminus):
-                got = classify(ch, delta)
-                if got != k + 1:
-                    failures += 1
-                    examples.append((k, float(d1[i]), float(d2[i]), got))
-        corners = mg.dist_to_wells_b(
-            np.stack([matrix_from_gaps(a, b, delta)
-                      for a in (lo1 * 1.0000001, hi1 * 0.9999999)
-                      for b in (lo2 * 1.0000001, hi2 * 0.9999999)]), wells)
+        # full-pipeline spot checks through the split and the classification
+        idx = rng.integers(0, samples, size=min(25, samples))
+        draws = np.array([(rng.uniform(), rng.uniform(0, 2 * math.pi))
+                          for _ in idx]).reshape(-1, 2)
+        F = matrices_from_gaps(d1[idx], d2[idx], delta,
+                               np.where(draws[:, 0] < 0.5, 1.0, -1.0),
+                               draws[:, 1])
+        sr, errors = mg.split_stack(F, branch, eps, delta)
+        raise_first(errors)
+        got, _, _, errors = _stages(
+            np.stack([sr.Fplus, sr.Fminus], axis=1).reshape(-1, 2, 2), delta)
+        raise_first(errors)
+        for j in np.flatnonzero(got != k + 1):
+            failures += 1
+            i = idx[j // 2]
+            examples.append((k, float(d1[i]), float(d2[i]), int(got[j])))
+        corners = mg.dist_to_wells_b(matrices_from_gaps(
+            np.repeat([lo1 * 1.0000001, hi1 * 0.9999999], 2),
+            np.tile([lo2 * 1.0000001, hi2 * 0.9999999], 2), delta, 1.0), wells)
         sup_dist[k] = float(corners.min(axis=1).max())
     const = max(s * 2.0 ** (k / 2.0) for k, s in sup_dist.items())
     return InApproxReport(delta, samples, tuple(stages), failures, examples,

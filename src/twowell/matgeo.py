@@ -4,27 +4,26 @@ Wells SO(2)F0 and SO(2)F0inv with F0 = [[1, d],[0, 1]], the two rank-one
 coordinate systems on the lamination hull, hull membership in Cauchy-Green
 coordinates, and the gap-splitting lemma that drives the refinement engine.
 
-All operations are pure and deterministic.  The closed forms of the
-coordinate maps take a scalar lam/mu or arrays of them (results gain the
-broadcast leading axes); rotation_distance_sq, dist_to_wells_b and phases
-work on stacks of gradients, and dist_to_wells_b is rotation_distance_sq
-to each well.
+All operations are pure and deterministic, and each formula has one
+stacked implementation.  rot and the closed forms of the coordinate maps
+take scalars or arrays (results gain the broadcast leading axes); gram,
+face_gaps, is_rotation, rotation_distance_sq, dist_to_wells_b and phases
+take stacks of matrices.  membership_stack, coords_stack and split_stack
+take stacks (n,2,2) and return each row's first failing check
+(errors.fail); cg_membership, matrix_to_coords and split are their
+one-row cases and raise it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    NotAttainableError,
-    DegenerateCoordinatesError,
-    NotSplittableError,
-    InvalidTargetError,
-)
+from .errors import (DegenerateCoordinatesError, InvalidParameterError,
+                     InvalidTargetError, NotAttainableError,
+                     NotSplittableError, clean, fail, raise_first)
 
 PIPE_TOL = 1e-9       # accumulated pipeline checks
 
@@ -35,17 +34,26 @@ _EYE = np.eye(2)
 # rotations and wells
 # ---------------------------------------------------------------------------
 
-def rot(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def mat2(m00, m01, m10, m11) -> np.ndarray:
+    """2x2 matrices from their entries, scalars or arrays: shape
+    broadcast shape + (2,2)."""
+    m = np.broadcast_arrays(m00, m01, m10, m11)
+    out = np.empty(m[0].shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m
+    return out
 
 
-def is_rotation(R: np.ndarray, tol: float = PIPE_TOL) -> bool:
-    return (
-        abs(R[0, 0] - R[1, 1]) <= tol
-        and abs(R[0, 1] + R[1, 0]) <= tol
-        and abs(R[0, 0] ** 2 + R[1, 0] ** 2 - 1.0) <= tol
-    )
+def rot(angle) -> np.ndarray:
+    """R(angle), shape angle.shape + (2,2)."""
+    c, s = np.cos(angle), np.sin(angle)
+    return mat2(c, -s, s, c)
+
+
+def is_rotation(R: np.ndarray, tol: float = PIPE_TOL):
+    """Whether R, or each matrix of a stack (...,2,2), is a rotation."""
+    return ((np.abs(R[..., 0, 0] - R[..., 1, 1]) <= tol)
+            & (np.abs(R[..., 0, 1] + R[..., 1, 0]) <= tol)
+            & (np.abs(R[..., 0, 0] ** 2 + R[..., 1, 0] ** 2 - 1.0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -92,16 +100,6 @@ def rotation_distance_sq(F: np.ndarray, G: np.ndarray):
     return np.maximum(d2, 0.0).reshape(F.shape[:-2])[()]
 
 
-def dist_to_wells(F: np.ndarray, wells: WellPair) -> tuple[float, int]:
-    """Distance from F to the union of the wells and which well is closer.
-
-    Returns (dist, phase) with the phase as in phases.
-    """
-    Fs = np.asarray(F, dtype=float)[None]
-    phase = int(phases(Fs, wells)[0])
-    return float(dist_to_wells_b(Fs, wells)[0, phase - 1]), phase
-
-
 def dist_to_wells_b(Fs: np.ndarray, wells: WellPair) -> np.ndarray:
     """Batch distances to both wells; Fs (n,2,2) -> (n,2) array."""
     d = np.stack([rotation_distance_sq(Fs, wells.F0),
@@ -128,18 +126,12 @@ def base_matrix(branch: int, lam, delta: float) -> np.ndarray:
     """A(lam), shape lam.shape + (2,2)."""
     d = delta
     lam = np.asarray(lam, dtype=float)
-    A = np.empty(lam.shape + (2, 2))
-    A[...] = _EYE
     if branch == 1:
-        A[..., 0, 1] = d * (1.0 - 2.0 * lam)
-    elif branch == 2:
+        return mat2(1.0, d * (1.0 - 2.0 * lam), 0.0, 1.0)
+    if branch == 2:
         s = 1.0 + d * d
-        A[..., 0, 0] = 1.0 - 2.0 * lam * d * d / s
-        A[..., 0, 1] = d
-        A[..., 1, 0] = -2.0 * lam * d / s
-    else:
-        raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    return A
+        return mat2(1.0 - 2.0 * lam * d * d / s, d, -2.0 * lam * d / s, 1.0)
+    raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
 
 
 def _rank_one_vector(branch: int, lam, delta: float):
@@ -148,18 +140,15 @@ def _rank_one_vector(branch: int, lam, delta: float):
     lam = np.asarray(lam, dtype=float)
     dt = d * (1.0 - 2.0 * lam)
     gamma = 2.0 * d * (2.0 * lam - 1.0) / (1.0 + dt * dt)
-    w = np.empty(lam.shape + (2,))
     if branch == 1:
-        w[..., 0] = gamma * dt
-        w[..., 1] = gamma
-        u = np.array([1.0, 0.0])
+        w, u = (gamma * dt, gamma), np.array([1.0, 0.0])
     elif branch == 2:
-        w[..., 0] = gamma * ((1.0 - 2.0 * lam) * d * d + 1.0)
-        w[..., 1] = gamma * (-2.0 * lam * d)
+        w = (gamma * ((1.0 - 2.0 * lam) * d * d + 1.0),
+             gamma * (-2.0 * lam * d))
         u = np.array([0.0, 1.0])
     else:
         raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    return w, u, gamma
+    return np.stack(w, axis=-1), u, gamma
 
 
 def rank_one_params(branch: int, lam, delta: float):
@@ -178,6 +167,14 @@ def laminate_matrix(branch: int, mu, lam, delta: float) -> np.ndarray:
             + mu[..., None, None] * w[..., :, None] * u)
 
 
+def _laminates(branch: np.ndarray, mu, lam, delta: float) -> np.ndarray:
+    """laminate_matrix with a branch per row ((n,) arrays); branch 2's
+    formula where the branch is not 1."""
+    return np.where((branch == 1)[:, None, None],
+                    laminate_matrix(1, mu, lam, delta),
+                    laminate_matrix(2, mu, lam, delta))
+
+
 def laminate_gram(branch: int, mu, lam, delta: float) -> np.ndarray:
     """Closed-form Cauchy-Green tensor of laminate_matrix (printed formulas)."""
     d = delta
@@ -186,18 +183,13 @@ def laminate_gram(branch: int, mu, lam, delta: float) -> np.ndarray:
     dt = d * (1.0 - 2.0 * lam)
     g1 = 4.0 * dt * dt / (1.0 + dt * dt)
     c12 = dt * (1.0 - 2.0 * mu)
-    C = np.empty(np.shape(c12) + (2, 2))
-    C[..., 0, 1] = C[..., 1, 0] = c12
     if branch == 1:
-        C[..., 0, 0] = 1.0 - g1 * mu * (1.0 - mu)
-        C[..., 1, 1] = 1.0 + dt * dt
-    elif branch == 2:
+        return mat2(1.0 - g1 * mu * (1.0 - mu), c12, c12, 1.0 + dt * dt)
+    if branch == 2:
         s = 1.0 + d * d
-        C[..., 0, 0] = 1.0 - 4.0 * d * d * lam * (1.0 - lam) / s
-        C[..., 1, 1] = s - s * g1 * mu * (1.0 - mu)
-    else:
-        raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    return C
+        return mat2(1.0 - 4.0 * d * d * lam * (1.0 - lam) / s, c12, c12,
+                    s - s * g1 * mu * (1.0 - mu))
+    raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
 
 
 @dataclass(frozen=True)
@@ -213,12 +205,36 @@ def coords_to_matrix(c: LaminateCoords, delta: float) -> np.ndarray:
 
 
 def gram(F: np.ndarray) -> np.ndarray:
-    return F.T @ F
+    """F^T F of one matrix or of a stack (...,2,2)."""
+    return np.swapaxes(F, -1, -2) @ F
 
 
-def face_gaps(C: np.ndarray, delta: float) -> tuple[float, float]:
+def face_gaps(C: np.ndarray, delta: float):
     """Gaps to the two hull faces: (1 - c11, 1 + delta^2 - c22)."""
-    return 1.0 - C[0, 0], 1.0 + delta * delta - C[1, 1]
+    return 1.0 - C[..., 0, 0], 1.0 + delta * delta - C[..., 1, 1]
+
+
+INTERIOR, BOUNDARY, OUTSIDE = range(3)
+LOCATIONS = ("interior", "boundary", "outside")
+
+
+def membership_stack(C: np.ndarray, delta: float, margin: float = 0.0):
+    """cg_membership of a stack C (n,2,2): (loc, errors), loc (n,) the
+    index of each row's location in LOCATIONS."""
+    errors = [None] * C.shape[0]
+    c11, c22 = C[:, 0, 0], C[:, 1, 1]
+    fail(errors, np.abs(C[:, 0, 1] - C[:, 1, 0]) > PIPE_TOL, lambda i:
+         InvalidParameterError("C must be a symmetric 2x2 matrix"))
+    det = np.linalg.det(C)
+    fail(errors, (c11 <= 0) | (c22 <= 0) | (det <= 0), lambda i:
+         InvalidParameterError("C must be positive definite"))
+    d1, d2 = face_gaps(C, delta)
+    prod = c11 * c22 - 1.0
+    loc = np.where((d1 > margin) & (d2 > margin) & (prod > margin), INTERIOR,
+                   np.where((d1 >= -PIPE_TOL) & (d2 >= -PIPE_TOL)
+                            & (prod >= -PIPE_TOL), BOUNDARY, OUTSIDE))
+    loc[np.abs(det - 1.0) > PIPE_TOL] = OUTSIDE
+    return loc, errors
 
 
 def cg_membership(C: np.ndarray, delta: float, margin: float = 0.0) -> str:
@@ -229,19 +245,57 @@ def cg_membership(C: np.ndarray, delta: float, margin: float = 0.0) -> str:
     least `margin`; 'boundary' allows slack PIPE_TOL; anything else
     (including det C farther than PIPE_TOL from 1) is 'outside'.
     """
-    if C.shape != (2, 2) or abs(C[0, 1] - C[1, 0]) > PIPE_TOL:
+    C = np.asarray(C, dtype=float)
+    if C.shape != (2, 2):
         raise InvalidParameterError("C must be a symmetric 2x2 matrix")
-    if C[0, 0] <= 0 or C[1, 1] <= 0 or np.linalg.det(C) <= 0:
-        raise InvalidParameterError("C must be positive definite")
-    if abs(float(np.linalg.det(C)) - 1.0) > PIPE_TOL:
-        return "outside"
-    d1, d2 = face_gaps(C, delta)
-    prod = C[0, 0] * C[1, 1] - 1.0
-    if d1 > margin and d2 > margin and prod > margin:
-        return "interior"
-    if d1 >= -PIPE_TOL and d2 >= -PIPE_TOL and prod >= -PIPE_TOL:
-        return "boundary"
-    return "outside"
+    loc, errors = membership_stack(C[None], delta, margin)
+    raise_first(errors)
+    return LOCATIONS[loc[0]]
+
+
+def _coords(F: np.ndarray, C: np.ndarray, loc: np.ndarray, errors: list,
+            branch: np.ndarray, delta: float):
+    """(mu, lam, R) of a stack F (n,2,2) with Gram stack C, locations loc
+    and a branch per row; the checks of matrix_to_coords that follow the
+    membership fill errors."""
+    d = delta
+    one, two = branch == 1, branch == 2
+    fail(errors, loc == OUTSIDE, lambda i:
+         NotAttainableError("F is not in the lamination hull"))
+    t = C[:, 1, 1] - 1.0
+    prod = (1.0 - C[:, 0, 0]) * (1.0 + d * d) / (4.0 * d * d)   # lam(1-lam)
+    disc = 1.0 - 4.0 * prod
+    fail(errors, one & (t <= PIPE_TOL), lambda i:
+         DegenerateCoordinatesError("c22 = 1: branch-1 lam = 1/2 wall"))
+    fail(errors, two & (disc <= PIPE_TOL), lambda i:
+         DegenerateCoordinatesError("c11 at the branch-2 lam = 1/2 wall"))
+    fail(errors, ~(one | two), lambda i:
+         InvalidParameterError(f"branch must be 1 or 2, got {branch[i]}"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt = np.sqrt(t)                        # branch 1: = d*(1-2lam) >= 0
+        lam = np.where(one, 0.5 * (1.0 - dt / d),
+                       0.5 * (1.0 - np.sqrt(disc)))
+        dt = np.where(one, dt, d * (1.0 - 2.0 * lam))
+        fail(errors, ~((-PIPE_TOL <= lam) & (lam <= 0.5)), lambda i:
+             NotAttainableError(f"no admissible lam on branch {branch[i]}"))
+        lam = np.clip(lam, 0.0, 0.5)
+        mu = 0.5 * (1.0 - C[:, 0, 1] / dt)
+        fail(errors, ~((-PIPE_TOL <= mu) & (mu <= 1.0 + PIPE_TOL)), lambda i:
+             NotAttainableError(f"no admissible mu on branch {branch[i]}"))
+        mu = np.clip(mu, 0.0, 1.0)
+        R = F @ np.linalg.inv(_laminates(branch, mu, lam, delta))
+    fail(errors, ~is_rotation(R, 100.0 * PIPE_TOL), lambda i:
+         NotAttainableError("residual factor is not a rotation"))
+    return mu, lam, R
+
+
+def coords_stack(F: np.ndarray, branch, delta: float):
+    """matrix_to_coords of a stack F (n,2,2), one branch or a branch per
+    row: (mu, lam, R, errors)."""
+    C = gram(F)
+    loc, errors = membership_stack(C, delta)
+    branch = np.broadcast_to(branch, F.shape[:1])
+    return (*_coords(F, C, loc, errors, branch, delta), errors)
 
 
 def matrix_to_coords(F: np.ndarray, branch: int,
@@ -253,38 +307,10 @@ def matrix_to_coords(F: np.ndarray, branch: int,
     the rotation is whatever is left over (and is checked to be one).  The
     walls and ranges are checked with slack PIPE_TOL.
     """
-    C = gram(F)
-    loc = cg_membership(C, delta, margin=0.0)
-    if loc == "outside":
-        raise NotAttainableError("F is not in the lamination hull")
-    d = delta
-    if branch == 1:
-        t = C[1, 1] - 1.0
-        if t <= PIPE_TOL:
-            raise DegenerateCoordinatesError("c22 = 1: branch-1 lam = 1/2 wall")
-        dt = math.sqrt(t)                      # = d*(1-2lam) >= 0
-        lam = 0.5 * (1.0 - dt / d)
-    elif branch == 2:
-        prod = (1.0 - C[0, 0]) * (1.0 + d * d) / (4.0 * d * d)   # lam(1-lam)
-        disc = 1.0 - 4.0 * prod
-        if disc <= PIPE_TOL:
-            raise DegenerateCoordinatesError("c11 at the branch-2 lam = 1/2 wall")
-        lam = 0.5 * (1.0 - math.sqrt(disc))
-        dt = d * (1.0 - 2.0 * lam)
-    else:
-        raise InvalidParameterError(f"branch must be 1 or 2, got {branch}")
-    if not (-PIPE_TOL <= lam <= 0.5):
-        raise NotAttainableError(f"no admissible lam on branch {branch}")
-    lam = min(max(lam, 0.0), 0.5)
-    mu = 0.5 * (1.0 - C[0, 1] / dt)
-    if not (-PIPE_TOL <= mu <= 1.0 + PIPE_TOL):
-        raise NotAttainableError(f"no admissible mu on branch {branch}")
-    mu = min(max(mu, 0.0), 1.0)
-    base = laminate_matrix(branch, mu, lam, delta)
-    R = F @ np.linalg.inv(base)
-    if not is_rotation(R, 100.0 * PIPE_TOL):
-        raise NotAttainableError("residual factor is not a rotation")
-    return LaminateCoords(branch, mu, lam, R)
+    mu, lam, R, errors = coords_stack(np.asarray(F, dtype=float)[None],
+                                      branch, delta)
+    raise_first(errors)
+    return LaminateCoords(branch, mu[0], lam[0], R[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +319,8 @@ def matrix_to_coords(F: np.ndarray, branch: int,
 
 @dataclass(frozen=True)
 class SplitResult:
+    """One split; in split_stack's result every field is an array over
+    the rows of the stack."""
     rho: float
     Fplus: np.ndarray          # child at mu*
     Fminus: np.ndarray         # child at 1 - mu*
@@ -303,6 +331,43 @@ class SplitResult:
     normal_axis: int           # 0: interfaces normal to e1, 1: normal to e2
 
 
+def split_stack(F: np.ndarray, branch, eps, delta: float):
+    """split of a stack F (n,2,2), with one (branch, eps) or one per row:
+    (SplitResult, errors).  A row that fails holds the trivial split of
+    its F: rho = 1/2 and F as both children."""
+    n = F.shape[0]
+    branch = np.broadcast_to(branch, n)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), n)
+    C = gram(F)
+    loc, errors = membership_stack(C, delta)
+    fail(errors, loc == BOUNDARY, lambda i:
+         NotSplittableError("F lies on the hull boundary"))
+    mu, lam, R = _coords(F, C, loc, errors, branch, delta)
+    d1, d2 = face_gaps(C, delta)
+    eps0 = np.where(branch == 1, d1, d2)
+    fail(errors, ~((0.0 < eps) & (eps <= eps0 * (1.0 + 1e-12))), lambda i:
+         InvalidTargetError(
+             f"eps must be in (0, eps0={eps0[i]:.3e}], got {eps[i]:.3e}"))
+    eps = np.minimum(eps, eps0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = eps / eps0
+        target = beta * mu * (1.0 - mu)
+        root = np.sqrt(np.maximum(1.0 - 4.0 * target, 0.0))
+        # mu* on mu's side of 1/2 keeps the heavier child near F (chi=+1)
+        mu_star = np.where(mu <= 0.5, 0.5 * (1.0 - root), 0.5 * (1.0 + root))
+        # root = 0 is eps = eps0 at mu = 1/2: the split is F itself twice
+        rho = np.where(root == 0.0, 0.5,
+                       (mu + mu_star - 1.0) / (2.0 * mu_star - 1.0))
+    ok = clean(errors)
+    rho = np.where(ok, np.clip(rho, 0.0, 1.0), 0.5)
+    chi = np.where((0.5 - mu) * (0.5 - mu_star) >= 0, 1, -1)
+    Fp = R @ _laminates(branch, mu_star, lam, delta)
+    Fm = R @ _laminates(branch, 1.0 - mu_star, lam, delta)
+    ok = ok[:, None, None]
+    return SplitResult(rho, np.where(ok, Fp, F), np.where(ok, Fm, F), chi,
+                       eps, eps0, branch, np.where(branch == 1, 0, 1)), errors
+
+
 def split(F: np.ndarray, branch: int, eps: float,
           delta: float) -> SplitResult:
     """Split F into two rank-one-connected children with gap exactly eps.
@@ -311,33 +376,10 @@ def split(F: np.ndarray, branch: int, eps: float,
     1 - eps (branch 1) resp. 1 + delta^2 - eps (branch 2); the other
     diagonal entry is inherited unchanged.  F = rho Fplus + (1-rho) Fminus.
     """
-    C = gram(F)
-    loc = cg_membership(C, delta, margin=0.0)
-    if loc == "boundary":
-        raise NotSplittableError("F lies on the hull boundary")
-    coords = matrix_to_coords(F, branch, delta)
-    mu, lam, R = coords.mu, coords.lam, coords.rotation
-    d1, d2 = face_gaps(C, delta)
-    eps0 = d1 if branch == 1 else d2
-    if not (0.0 < eps <= eps0 * (1.0 + 1e-12)):
-        raise InvalidTargetError(f"eps must be in (0, eps0={eps0:.3e}], got {eps:.3e}")
-    eps = min(eps, eps0)
-    beta = eps / eps0
-    target = beta * mu * (1.0 - mu)
-    disc = max(1.0 - 4.0 * target, 0.0)
-    root = math.sqrt(disc)
-    # keep mu* on mu's side of 1/2 so the heavier child stays near F (chi=+1)
-    mu_star = 0.5 * (1.0 - root) if mu <= 0.5 else 0.5 * (1.0 + root)
-    if root == 0.0:
-        rho = 0.5           # eps = eps0 at mu = 1/2: the split is F itself twice
-    else:
-        rho = (mu + mu_star - 1.0) / (2.0 * mu_star - 1.0)
-    rho = min(max(rho, 0.0), 1.0)
-    chi = 1 if (0.5 - mu) * (0.5 - mu_star) >= 0 else -1
-    Fp = R @ laminate_matrix(branch, mu_star, lam, delta)
-    Fm = R @ laminate_matrix(branch, 1.0 - mu_star, lam, delta)
-    return SplitResult(rho, Fp, Fm, chi, eps, eps0, branch,
-                       0 if branch == 1 else 1)
+    sr, errors = split_stack(np.asarray(F, dtype=float)[None], branch, eps,
+                             delta)
+    raise_first(errors)
+    return SplitResult(*(getattr(sr, f.name)[0] for f in fields(sr)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +418,27 @@ def verify_identities(delta: float, samples: int = 10_000, seed: int = 0) -> dic
         mus = rng.uniform(0.02, 0.98, m)
         angs = rng.uniform(0.0, 2.0 * math.pi, m)
         fracs = rng.uniform(0.05, 1.0, m)
-        for i in range(m):
-            F = rot(angs[i]) @ laminate_matrix(branch, mus[i], lams[i], delta)
-            C = gram(F)
-            d1, d2 = face_gaps(C, delta)
-            eps0 = d1 if branch == 1 else d2
-            sr = split(F, branch, fracs[i] * eps0, delta)
-            recon = sr.rho * sr.Fplus + (1.0 - sr.rho) * sr.Fminus
-            res["split_decomp"] = max(res["split_decomp"],
-                                      float(np.abs(recon - F).max()))
-            for child in (sr.Fplus, sr.Fminus):
-                Cc = gram(child)
-                gap = (1.0 - Cc[0, 0]) if branch == 1 else (1 + delta ** 2 - Cc[1, 1])
-                keep = Cc[1, 1] - C[1, 1] if branch == 1 else Cc[0, 0] - C[0, 0]
-                res["split_children"] = max(res["split_children"],
-                                            abs(gap - sr.eps), abs(keep))
-            back = matrix_to_coords(F, branch, delta)
-            F2 = coords_to_matrix(back, delta)
-            res["roundtrip"] = max(res["roundtrip"], float(np.abs(F2 - F).max()))
+        F = rot(angs) @ laminate_matrix(branch, mus, lams, delta)
+        C = gram(F)
+        d1, d2 = face_gaps(C, delta)
+        eps0 = d1 if branch == 1 else d2
+        sr, errors = split_stack(F, branch, fracs * eps0, delta)
+        raise_first(errors)
+        rho = sr.rho[:, None, None]
+        recon = rho * sr.Fplus + (1.0 - rho) * sr.Fminus
+        res["split_decomp"] = max(res["split_decomp"],
+                                  float(np.abs(recon - F).max()))
+        for child in (sr.Fplus, sr.Fminus):
+            Cc = gram(child)
+            gap = ((1.0 - Cc[:, 0, 0]) if branch == 1
+                   else (1 + delta ** 2 - Cc[:, 1, 1]))
+            keep = (Cc[:, 1, 1] - C[:, 1, 1] if branch == 1
+                    else Cc[:, 0, 0] - C[:, 0, 0])
+            res["split_children"] = max(res["split_children"],
+                                        float(np.abs(gap - sr.eps).max()),
+                                        float(np.abs(keep).max()))
+        mu, lam, R, errors = coords_stack(F, branch, delta)
+        raise_first(errors)
+        F2 = R @ laminate_matrix(branch, mu, lam, delta)
+        res["roundtrip"] = max(res["roundtrip"], float(np.abs(F2 - F).max()))
     return res

@@ -1,6 +1,7 @@
 """Shared pytest hooks: print the acceptance certificate after the run;
 the sweep comparison shared by the analysis and engine tests; the stepped
-engines shared by the lineage and engine tests."""
+engines shared by the lineage and engine tests; the row comparison shared
+by the stacked-geometry tests."""
 
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from twowell import engine as en
 from twowell import inapprox as ia
+from twowell.errors import TwoWellError
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -45,6 +47,30 @@ def _assert_same_sweep(a, b):
 @pytest.fixture
 def assert_same_sweep():
     return _assert_same_sweep
+
+
+def _assert_same_rows(errors, row, calls):
+    """A stack's rows against their one-row calls.  Where calls[i]() raises,
+    errors[i] is an error of its class with its message; where it returns a
+    tuple, errors[i] is None and row(i), the stack's fields at row i,
+    equals it bit for bit.  The stack must hold rows of both kinds."""
+    for i, call in enumerate(calls):
+        try:
+            want = call()
+        except TwoWellError as err:
+            assert type(errors[i]) is type(err), (i, errors[i], err)
+            assert str(errors[i]) == str(err), i
+        else:
+            assert errors[i] is None, (i, errors[i])
+            for got, exp in zip(row(i), want, strict=True):
+                assert (np.asarray(got).tobytes()
+                        == np.asarray(exp).tobytes()), (i, got, exp)
+    assert 0 < sum(e is None for e in errors) < len(errors)
+
+
+@pytest.fixture
+def assert_same_rows():
+    return _assert_same_rows
 
 
 def _stepped(run):

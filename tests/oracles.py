@@ -3,16 +3,20 @@
 They check the package from outside: the rank-one connection scan of the
 diagonal pair, the well separation, the gap coefficient and the
 Lipschitz constant of the Gram map, and the area of a cover's diamond
-pieces.
+pieces.  dist_to_wells and rank_one_factors are the one-matrix cases of
+matgeo.dist_to_wells_b / phases and of the stacked rank-one factorization
+of the cell construction.
 """
 
 import math
 
 import numpy as np
 
+from twowell import cell as cl
 from twowell import covering as cv
+from twowell import matgeo as mg
 from twowell import onewell as ow
-from twowell.errors import InvalidParameterError
+from twowell.errors import InvalidParameterError, raise_first
 
 
 def connection_scan(delta: float, n: int = 720) -> dict:
@@ -60,3 +64,21 @@ def gap_coefficient(branch: int, lam: float, delta: float) -> float:
 def lipschitz_bound_constant(delta: float) -> float:
     """Lipschitz constant of C(.) on the hull: 2 sqrt(2 + delta^2)."""
     return 2.0 * math.sqrt(2.0 + delta * delta)
+
+
+def dist_to_wells(F: np.ndarray, wells: mg.WellPair) -> tuple[float, int]:
+    """Distance from F to the union of the wells and which well is closer.
+
+    Returns (dist, phase) with the phase as in matgeo.phases.
+    """
+    Fs = np.asarray(F, dtype=float)[None]
+    phase = int(mg.phases(Fs, wells)[0])
+    return float(mg.dist_to_wells_b(Fs, wells)[0, phase - 1]), phase
+
+
+def rank_one_factors(D: np.ndarray):
+    """D = rho0 a (x) n with |a| = |n| = 1, a oriented to a1 >= 0;
+    InvalidPairError unless D has rank one."""
+    rho0, a, n, errors = cl._rank_one(np.asarray(D, dtype=float)[None])
+    raise_first(errors)
+    return float(rho0[0]), a[0], n[0]

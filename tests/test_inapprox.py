@@ -10,6 +10,8 @@ from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import InvalidParameterError, NotClassifiableError
 
+from oracles import dist_to_wells
+
 
 def oracle_stage(d1: float, d2: float, z0: float) -> int:
     """Literal scan of the band definition, written independently of the
@@ -126,7 +128,7 @@ class TestBands:
             best = 0.0
             for _ in range(200):
                 F = ia.sample_stage(k, 0.5, rng)
-                best = max(best, mg.dist_to_wells(F, wells)[0])
+                best = max(best, dist_to_wells(F, wells)[0])
             sups[k] = best
         consts = [sups[k] * 2.0 ** (k / 2) for k in sups]
         assert max(consts) < 10.0 * min(max(consts[0], 1e-9), consts[0] + 1)
@@ -194,3 +196,62 @@ class TestSplitTargets:
         assert rep.dist_constant < 1.0
         ks = sorted(rep.sup_dist)
         assert rep.sup_dist[ks[-1]] < rep.sup_dist[ks[0]]
+
+
+class TestStacks:
+    """classify_stack and matrices_from_gaps on mixed stacks: a good row
+    is bit-equal to its one-row call, a failing row carries the class and
+    message the one-row call raises."""
+
+    def test_classify_stack(self, assert_same_rows):
+        # the rows of test_not_classifiable among interior rows of stages
+        # 0, 1, 3, 6 and 11, a c22 = 1 boundary row and a singular matrix
+        d = 0.5
+        rng = np.random.default_rng(11)
+        Fs = np.array([ia.stage_representative(0, d), mg.make_wells(d).F0,
+                       ia.sample_stage(3, d, rng), np.diag([1.3, 1 / 1.3]),
+                       ia.stage_representative(1, d), np.zeros((2, 2)),
+                       ia.sample_stage(6, d, rng), mg.rot(0.4),
+                       ia.sample_stage(11, d, rng)])
+        stage, _, _, errors = ia._stages(Fs, d)
+        assert ia.classify_stack(Fs.reshape(3, 3, 2, 2), d).tobytes() \
+            == stage.tobytes()
+        assert all((k == -1) == (e is not None) for k, e in zip(stage, errors))
+        assert_same_rows(errors, lambda i: (int(stage[i]),),
+                         [lambda F=F: (ia.classify(F, d),) for F in Fs])
+
+    @pytest.mark.parametrize("rotated", ["none", "all", "every other"])
+    def test_matrices_from_gaps(self, rotated):
+        # the band-edge examples of test_total_and_unique and band centers
+        d = 0.5
+        z0 = ia.zeta0(d)
+        rng = np.random.default_rng(5)
+        gaps = [(z0 * 2.0 ** e1, z0 * 2.0 ** e2) for e1, e2 in
+                ((-1.0, 0.0), (-2.0, 0.0), (-1.0, -1.0), (0.0, 0.0),
+                 (-2.9999999999999964, 0.0))]
+        for k in (2, 5, 9, 14):
+            (lo1, hi1), (lo2, hi2) = ia.stage_band(k, d)
+            gaps.append((0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)))
+        d1, d2 = np.array(gaps).T
+        n = d1.size
+        sign = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        angle = {"none": np.zeros(n), "all": angle, "every other":
+                 np.where(np.arange(n) % 2, angle, 0.0)}[rotated]
+        got = ia.matrices_from_gaps(d1, d2, d, sign, angle)
+        for i in range(n):
+            want = ia.matrix_from_gaps(d1[i], d2[i], d, sign[i], angle[i])
+            assert got[i].tobytes() == want.tobytes(), i
+            if angle[i]:
+                # the rotated path is the plain root, rotated
+                U, _ = ia._upper_root(1.0 - d1[i], 1.0 + d * d - d2[i],
+                                      sign[i])
+                assert got[i].tobytes() == (mg.rot(angle[i]) @ U).tobytes()
+        # a row whose gaps are not realizable fails the stack as it fails
+        # its one-row call
+        with pytest.raises(InvalidParameterError) as one:
+            ia.matrix_from_gaps(1.5, d2[0], d, 1.0)
+        with pytest.raises(InvalidParameterError) as stack:
+            ia.matrices_from_gaps(np.append(d1, 1.5), np.append(d2, d2[0]), d,
+                                  np.append(sign, 1.0), np.append(angle, 0.0))
+        assert str(stack.value) == str(one.value)

@@ -4,12 +4,14 @@ Oracle values in this file were computed independently of the library
 (brute-force rotation grids, direct matrix arithmetic) and then frozen.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import (
     InvalidParameterError,
@@ -19,8 +21,8 @@ from twowell.errors import (
     InvalidTargetError,
 )
 
-from oracles import (gap_coefficient, lipschitz_bound_constant, well_distance,
-                     well_distance_sq)
+from oracles import (dist_to_wells, gap_coefficient, lipschitz_bound_constant,
+                     well_distance, well_distance_sq)
 
 DELTAS = (0.25, 0.5, 1.0)
 
@@ -79,9 +81,9 @@ class TestWells:
     def test_dist_to_wells_phase(self):
         # cancellation in the closed form caps near-zero accuracy at ~1e-8
         w = mg.make_wells(0.5)
-        d, phase = mg.dist_to_wells(mg.rot(0.3) @ w.F0, w)
+        d, phase = dist_to_wells(mg.rot(0.3) @ w.F0, w)
         assert d == pytest.approx(0.0, abs=1e-7) and phase == 1
-        d, phase = mg.dist_to_wells(mg.rot(-1.1) @ w.F0inv, w)
+        d, phase = dist_to_wells(mg.rot(-1.1) @ w.F0inv, w)
         assert d == pytest.approx(0.0, abs=1e-7) and phase == 2
         batch = mg.dist_to_wells_b(np.stack([w.F0, w.F0inv]), w)
         assert batch[0, 0] == pytest.approx(0.0, abs=1e-7)
@@ -94,7 +96,7 @@ class TestWells:
         d = mg.dist_to_wells_b(np.eye(2)[None], w)[0]
         assert d[0] == d[1]
         assert mg.phases(np.eye(2)[None], w).tolist() == [1]
-        assert mg.dist_to_wells(np.eye(2), w)[1] == 1
+        assert dist_to_wells(np.eye(2), w)[1] == 1
         got = mg.phases(np.stack([w.F0, np.eye(2), w.F0inv]), w)
         assert got.dtype == np.uint8 and got.tolist() == [1, 1, 2]
 
@@ -357,3 +359,69 @@ class TestSplit:
 
     def test_lipschitz_constant_value(self):
         assert lipschitz_bound_constant(0.5) == pytest.approx(3.0, abs=1e-15)
+
+
+def mixed_rows(d):
+    """(F, branch, eps) rows of a mixed stack: interior rows at stages 1,
+    2, 5, 8 and 13 with their split targets, between them the failure
+    cases of TestSplit.test_errors (eps = 2 eps0 and eps = 0, the boundary
+    row F0 and the branch-2 lam = 1/2 wall row), an outside row, a c22 = 1
+    wall row, a branch that does not exist, and eps = eps0 at mu = 1/2."""
+    rng = np.random.default_rng(7)
+    F = mg.laminate_matrix(1, 0.3, 0.2, d)
+    eps0 = 1.0 - mg.gram(F)[0, 0]
+    half = mg.laminate_matrix(1, 0.5, 0.2, d)
+    low = ia.stage_representative(1, d)
+    t = ia.low_stage_split_target(low, d)
+    good = [(ia.sample_stage(k, d, rng), *ia.dyadic_split_target(k, d))
+            for k in (2, 5, 8, 13)]
+    return [good[0], (F, 1, 2 * eps0), (F, 1, 0.0), good[1],
+            (mg.make_wells(d).F0, 1, 1e-3), (np.diag([1.3, 1 / 1.3]), 1, 1e-3),
+            good[2], (mg.base_matrix(2, 0.5, d), 2, 1e-3),
+            (mg.rot(0.4), 1, 1e-3), (F, 3, 1e-3), (low, t.branch, t.eps),
+            (half, 1, 1.0 - mg.gram(half)[0, 0]), (F, 1, 0.5 * eps0), good[3]]
+
+
+class TestStacks:
+    """Each stacked entry point on a mixed stack: a good row is bit-equal
+    to its one-row call, a failing row carries the class and message the
+    one-row call raises."""
+
+    @pytest.mark.parametrize("d", DELTAS)
+    def test_split(self, assert_same_rows, d):
+        rows = mixed_rows(d)
+        F, branch, eps = (np.array(c) for c in zip(*rows))
+        sr, errors = mg.split_stack(F, branch, eps, d)
+        names = [f.name for f in dataclasses.fields(sr)]
+        assert_same_rows(
+            errors, lambda i: [getattr(sr, n)[i] for n in names],
+            [lambda r=r: dataclasses.astuple(mg.split(*r, d)) for r in rows])
+
+    @pytest.mark.parametrize("d", DELTAS)
+    def test_matrix_to_coords(self, assert_same_rows, d):
+        rows = mixed_rows(d)
+        F, branch = np.array([r[0] for r in rows]), [r[1] for r in rows]
+        mu, lam, R, errors = mg.coords_stack(F, np.array(branch), d)
+
+        def one_row(F, branch):
+            c = mg.matrix_to_coords(F, branch, d)
+            return c.mu, c.lam, c.rotation
+
+        assert_same_rows(errors, lambda i: (mu[i], lam[i], R[i]),
+                         [lambda r=r: one_row(*r[:2]) for r in rows])
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-3])
+    def test_membership(self, assert_same_rows, margin):
+        # the rows of test_membership_boundary_and_outside and
+        # test_membership_margin, and an interior one
+        d = 0.5
+        Cs = [mg.laminate_gram(1, 0.3, 0.2, d),
+              mg.gram(mg.make_wells(d).F0), np.eye(2),
+              np.diag([1 / (1 + d * d), 1 + d * d]), np.diag([0.5, 2.0]),
+              np.array([[1.0, 0.5], [0.0, 1.0]]), np.diag([1.1, 1 / 1.1]),
+              np.diag([2.0, 2.0]), np.diag([-1.0, -1.0]),
+              mg.laminate_gram(1, 1e-6, 0.2, d)]
+        loc, errors = mg.membership_stack(np.array(Cs), d, margin)
+        assert_same_rows(errors, lambda i: (mg.LOCATIONS[loc[i]],),
+                         [lambda C=C: (mg.cg_membership(C, d, margin),)
+                          for C in Cs])

@@ -1,4 +1,5 @@
-"""tools/peak_probe.py: per-call traced memory of the sweep's layers."""
+"""tools/peak_probe.py: per-call traced memory of the sweep's layers;
+tools/digests.py: the plans' bit-identity digests."""
 
 import importlib.util
 import os
@@ -6,17 +7,23 @@ import os
 import pytest
 
 from twowell import analysis as an
+from twowell import cell as cl
 
-PROBE = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tools", "peak_probe.py")
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(TOOLS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def peak_probe():
-    spec = importlib.util.spec_from_file_location("peak_probe", PROBE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("peak_probe")
 
 
 def test_probe_reports_every_call_and_unwraps(peak_probe, capsys):
@@ -43,3 +50,16 @@ def test_probe_reports_every_call_and_unwraps(peak_probe, capsys):
     assert lines[-2].startswith("traced peak of the run")
     assert float(lines[-2].split()[-2]) >= max(float(r[2]) for r in rows)
     assert lines[-1].startswith("peak resident set")
+
+
+def test_plans_digests_are_pinned(monkeypatch):
+    """The calibrated aspect table, the dyadic plans of stages 2..16 and
+    the low-stage plans of the ten cli_pipeline boundary data are the same
+    bit for bit.  The digests are pinned for numpy 2.4.6 (OpenBLAS 0.3.31)
+    on the x86-64 host they were recorded on; another numpy, BLAS or CPU
+    may round a 2x2 product differently and print other values."""
+    digests = _load("digests")
+    monkeypatch.setattr(cl, "_H0_CACHE", {})     # it clears the cache
+    table, dyadic, low = digests.plans_digests()
+    assert f"table {table} dyadic {dyadic} low {low}" == (
+        "table a9880a3b3be7316d dyadic a4166c8037207c98 low 0ae665abf4eb311a")
