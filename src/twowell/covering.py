@@ -31,7 +31,8 @@ import numpy as np
 
 from . import cell as cl
 from . import inapprox as ia
-from .errors import InvalidDomainError, WrongEntryPointError
+from .errors import ConstructionFailureError, InvalidDomainError, \
+    WrongEntryPointError
 
 ISO_TOL = 1e-9           # aspect/axis tolerance for isosceles membership
 GOOD_FRACTION = 2.0 ** -5
@@ -498,7 +499,8 @@ def cover_generic(tri: np.ndarray, plan: cl.RefinePlan,
 
 def perimeter_ledger(result: CoverResult, tri: np.ndarray, h: float,
                      iso: bool):
-    """(sum_good, sum_iso, sum_generic); asserts the per-cover bounds.
+    """(sum_good, sum_iso, sum_generic); ConstructionFailureError when a
+    per-cover bound fails.
 
     result covers the triangles tri ((3,2) or (n,3,2)), with Per(T)
     their total perimeter; iso says whether it is their inscribed-diamond
@@ -513,11 +515,15 @@ def perimeter_ledger(result: CoverResult, tri: np.ndarray, h: float,
     per = float(tri_perimeters(
         np.asarray(tri, dtype=float).reshape(-1, 3, 2)).sum())
     if iso:
-        assert sum(sums) <= C2_UNIFORM * per, "iso cover perimeter bound"
+        bounds = [("iso cover", sum(sums), C2_UNIFORM)]
     else:
-        assert sums[1] <= c0_constant(h) * per, "iso-part perimeter bound"
-        assert sums[0] <= c0_constant(h) * per, "good perimeter bound"
-        assert sums[2] <= C2_UNIFORM * per, "generic-part perimeter bound"
+        bounds = [("iso-part", sums[1], c0_constant(h)),
+                  ("good", sums[0], c0_constant(h)),
+                  ("generic-part", sums[2], C2_UNIFORM)]
+    for name, total, c in bounds:
+        if not total <= c * per:
+            raise ConstructionFailureError(f"{name} perimeter bound: "
+                                           f"{total:.6g} > {c} * {per:.6g}")
     return sums
 
 
@@ -563,7 +569,7 @@ def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
     ledger_ok = True
     try:
         perimeter_ledger(res, tri, plan.h, iso)
-    except AssertionError:
+    except ConstructionFailureError:
         ledger_ok = False
     # every placed diamond carries the plan's pieces, in the plan's order
     layout_ok = np.array_equal(res.piece[res.good],

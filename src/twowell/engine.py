@@ -28,8 +28,7 @@ pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-import math
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -38,11 +37,9 @@ from . import analysis as an
 from . import cell as cl
 from . import covering as cv
 from . import inapprox as ia
-from . import lineage as lin
 from . import matgeo as mg
 from .errors import AspectFailureError, ConstructionFailureError, \
-    InvalidDomainError, InvalidParameterError, NotClassifiableError, \
-    WrongEntryPointError
+    InvalidDomainError, InvalidParameterError, WrongEntryPointError
 
 INTERIOR_MARGIN = 1e-8
 PARTITION_TOL = 1e-10    # |total area - domain area| / domain area
@@ -143,8 +140,7 @@ def hull_report(M: np.ndarray, delta: float) -> str:
 class Engine:
     """Stateful driver; the constructor validates the checks setting, the
     datum, the wells and the domain.  restarts counts the retried attempts
-    of run_construction that led to this engine (0 for one built
-    directly)."""
+    of restarting that led to this engine (0 for one built directly)."""
 
     def __init__(self, domain, M, delta: float,
                  config: Optional[EngineConfig] = None, wells=None):
@@ -165,9 +161,9 @@ class Engine:
         if sw.overlap_error:
             raise InvalidDomainError("domain triangles overlap")
         self.domain_area = float(areas.sum())
-        self.hull_segments = np.stack(
-            [verts.reshape(-1, 2),
-             np.roll(verts, -1, axis=1).reshape(-1, 2)], axis=1)
+        # the boundary is the sweep's single-sided intervals: no shared edge
+        single = (sw.left_owner >= 0) ^ (sw.right_owner >= 0)
+        self.hull_segments = np.stack([sw.point_lo, sw.point_hi], 1)[single]
         n = verts.shape[0]
         self.table = GradientTable(np.empty((0, 2, 2)),
                                    np.empty(0, dtype=np.int16),
@@ -186,7 +182,7 @@ class Engine:
         self.h0 = (self.config.h0 if self.config.h0 is not None
                    else cl.calibrate_h0(self.delta, fracs=cl.CORRIDOR))
         self._plans: Dict[int, cl.RefinePlan] = {}      # by table row
-        # by id of plan: the row of each piece, then the row of plan.M
+        # by table row: the row of each piece of its plan, then its own
         self.piece_rows: Dict[int, np.ndarray] = {}
         self.metrics = an.MetricsSeries()
         self.states: List[TwoWellState] = []
@@ -246,8 +242,9 @@ class Engine:
             self._row_of[key] = len(self._row_of)
         return self._row_of[key]
 
-    def _plan(self, row: int) -> cl.RefinePlan:
-        """The plan of table row `row`; building it adds its pieces' rows."""
+    def plan(self, row: int) -> cl.RefinePlan:
+        """The plan of table row `row`; building it adds its pieces' rows
+        to the table and to piece_rows[row]."""
         plan = self._plans.get(row)
         if plan is None:
             G = self.table.grads[row]
@@ -256,7 +253,7 @@ class Engine:
                 self.h_dyadic_used.add(plan.h)
             else:
                 plan = cl.replace_low_stage(G, self.delta)
-            self.piece_rows[id(plan)] = np.array(
+            self.piece_rows[row] = np.array(
                 [self._row(g) for g in plan.grads] + [row])
             self._plans[row] = plan
         return plan
@@ -291,11 +288,12 @@ class Engine:
         n_final = st.n
         taken: List[int] = []       # covered cells, in selection order
         counts: List[int] = []      # children of each covered cell
-        # per (plan, fast path): the plan, positions in taken, the rows of
-        # each generic cover
+        # per (table row, fast path): the row's plan, positions in taken,
+        # the rows of each generic cover
         batches: Dict[tuple, tuple] = {}
         for i in order:
-            plan = self._plan(int(st.gid[i]))
+            row = int(st.gid[i])
+            plan = self.plan(row)
             if st.iso[i]:
                 count, rows = plan.n_pieces + 2, None
             else:
@@ -311,7 +309,7 @@ class Engine:
                 else:
                     break
             n_final += count - 1
-            batch = batches.setdefault((id(plan), rows is None),
+            batch = batches.setdefault((row, rows is None),
                                        (plan, [], []))
             batch[1].append(len(taken))
             batch[2].append(rows)
@@ -340,7 +338,7 @@ class Engine:
         # per cover, in selection order: l1_chi, l1_grad and wl1 terms
         terms = np.zeros((len(taken) + 1, 3))
         wsup = 0.0
-        for (_, iso), (plan, pos, covers) in batches.items():
+        for (row, iso), (plan, pos, covers) in batches.items():
             cells = taken_idx[pos]
             if iso:
                 self.iso_fast_hits += len(pos)
@@ -353,7 +351,7 @@ class Engine:
             for c in COVER_COLUMNS:
                 getattr(new, c)[at] = getattr(res, c)
             # piece -1 (a leftover) picks the last row, the parent's
-            new.gid[at] = self.piece_rows[id(plan)][res.piece]
+            new.gid[at] = self.piece_rows[row][res.piece]
             r2, r3 = res.cover_sums(2), res.cover_sums(3)
             terms[np.asarray(pos) + 1] = np.stack(
                 [plan.flip_area_unit * r2, plan.grad_l1_unit * r2,
@@ -461,24 +459,22 @@ class Engine:
         return self.metrics
 
 
-def run_construction(domain, M, delta: float,
-                     config: Optional[EngineConfig] = None,
-                     wells=None) -> Engine:
-    """Run to completion; on a failed uniform aspect, halve h0 and restart.
+def restarting(attempt, domain, M, delta: float,
+               config: Optional[EngineConfig] = None, wells=None):
+    """(engine, attempt(engine)) of the first engine on which attempt
+    raises no AspectFailureError; after one, a fresh engine at h0 / 2.
 
-    Only AspectFailureError restarts, down the aspect ladder while
-    h0 / 2 >= cell.H_FLOOR; every other failure is raised by the first
-    engine.  Restarting keeps the dyadic sub-run at one aspect, as
-    shrinking one cell's aspect would not.
-    """
+    Only that error restarts, down the aspect ladder while h0 / 2 >=
+    cell.H_FLOOR; every other failure is raised by the first engine.
+    Restarting keeps the dyadic sub-run at one aspect, as shrinking one
+    cell's aspect would not."""
     cfg = config or EngineConfig()
     h0, restarts = cfg.h0, 0
     while True:
         eng = Engine(domain, M, delta, replace(cfg, h0=h0), wells)
+        eng.restarts = restarts
         try:
-            eng.run()
-            eng.restarts = restarts
-            return eng
+            return eng, attempt(eng)
         except AspectFailureError as err:
             h0, restarts = eng.h0 * 0.5, restarts + 1
             if h0 < cl.H_FLOOR:
@@ -487,162 +483,8 @@ def run_construction(domain, M, delta: float,
                     f"{err}") from err
 
 
-SAMPLED_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
-                   "perimeter_sum", "bv_chi")
-
-
-def sample_generations(domain, M, delta: float, n_samples: int = 2000,
-                       generations: int = 6, seed: int = 0,
-                       config: Optional[EngineConfig] = None
-                       ) -> an.MetricsSeries:
-    """Metrics of the full-coverage generations 0..generations, sampled.
-
-    Every cell of every generation is covered, as Engine.step covers it
-    when nothing is frozen: the same plans (the engine's own cache, built
-    at its calibrated or configured h0) and the same choice between the
-    isosceles fast path and generic_spec.  There is no capacity ramp and
-    no min_area_rel floor; cell scales fall far below that floor within a
-    few generations, which is why the descent runs in local frames (see
-    twowell.lineage).
-
-    Each of n_samples lineages starts at a uniform point of the domain
-    and follows the cell containing it.  At generation k its cell T adds
-    the exact contributions of T's cover divided by |T| (a conditional
-    expectation given T), and the row value is |domain| times the sample
-    mean, with the standard error in <column>_se:
-
-    - l1_chi_diff, l1_grad_diff, w_l1_bound: flip_area_unit r^2,
-      grad_l1_unit r^2 and w_l1_unit r^3 summed over T's diamonds;
-    - perimeter_sum: the perimeters of T's children;
-    - bv_chi: the exact phase-jump length inside T's cover, plus half of
-      |dT| times the jump indicator at one uniform point of dT (the far
-      side is found by descending a point just across dT), so shared
-      edges count once;
-    - stage_hists: the area of T's children per stage.
-
-    wsup_max is a sample maximum, not an estimate of the true maximum: it
-    is the largest wsup_unit r over the covers of the sampled cells, a
-    lower bound that is exact when every cell of a generation is visited;
-    wsup_max_se is NaN.  frozen_measure is |domain| times the fraction of
-    lineages stopped by ConstructionFailureError or NotClassifiableError
-    while building their cell's plan; a stopped lineage keeps its cell, which
-    then counts in perimeter_sum and the stage measure only.
-
-    Rows also carry n_samples; the series' meta holds the aspects used
-    (h_dyadic_used), h0, the seed, the cache sizes and the standard errors
-    of the stage measures (stage_hists_se).
-    """
-    if n_samples < 2 or generations < 1:
-        raise InvalidParameterError("need n_samples >= 2 and generations "
-                                    ">= 1")
-    eng = Engine(domain, M, delta, config)
-    st = eng.state
-    roots = lin.root_nodes(st.verts, int(st.gid[0]))
-    cache = lin.CoverCache(eng, roots)
-    root_areas = st.areas()
-    omega = eng.domain_area
-    rng = np.random.default_rng(seed)
-    ncol = len(SAMPLED_COLUMNS)
-    dens = np.zeros((generations, n_samples, ncol))
-    wsup = np.zeros(generations)
-    frozen = np.zeros((generations, n_samples), dtype=bool)
-    hists: List[List[np.ndarray]] = [[] for _ in range(generations)]
-    starts = rng.choice(len(roots), size=n_samples,
-                        p=root_areas / root_areas.sum())
-    for i in range(n_samples):
-        lineage = [roots[starts[i]]]
-        y = lin.uniform_in(lineage[0].verts, rng)
-        for k in range(generations):
-            T = lineage[-1]
-            area = T.area()
-            stage = int(eng.table.stages[T.gid])
-            try:
-                cover = cache.cover(T)
-            except (ConstructionFailureError, NotClassifiableError):
-                frozen[k:, i] = True
-                dens[k:, i, 3] = T.perimeter() / (area * T.abs_s)
-                for j in range(k, generations):
-                    hists[j].append(_stage_vec(stage, 1.0))
-                break
-            plan = cover.plan
-            pd = cache.plan_data(plan)
-            dens[k, i, 0] = plan.flip_area_unit * cover.sum_r2 / area
-            dens[k, i, 1] = plan.grad_l1_unit * cover.sum_r2 / area
-            dens[k, i, 2] = plan.w_l1_unit * cover.sum_r3 * T.abs_s / area
-            dens[k, i, 3] = cover.perimeter / (area * T.abs_s)
-            jump = _boundary_jump(cache, lineage, cover, rng)
-            dens[k, i, 4] = ((lin.bv_inside(cover, pd) + 0.5 * jump)
-                             / (area * T.abs_s))
-            wsup[k] = max(wsup[k], plan.wsup_unit * cover.max_r * T.abs_s)
-            hist = cover.diamond_stage_area / area
-            hists[k].append(_stage_vec(stage, 1.0 - float(hist.sum()),
-                                       hist))
-            child, y = lin.locate(T, cover, y)
-            lineage.append(child)
-            y = lin.uniform_in(child.verts, rng)
-    series = an.MetricsSeries()
-    row0 = eng.metrics.rows[0]
-    first = {"k": 0, "domain_area": omega, "n_samples": n_samples,
-             "frozen_measure": 0.0, "frozen_measure_se": 0.0,
-             "wsup_max": 0.0, "wsup_max_se": float("nan")}
-    for name in SAMPLED_COLUMNS:
-        first[name] = row0.get(name, 0.0)
-        first[name + "_se"] = 0.0
-    series.append(first, eng.metrics.stage_hists[0])
-    root_n = float(np.sqrt(n_samples))
-    hist_se = [np.zeros_like(series.stage_hists[0])]
-    for k in range(generations):
-        p = float(frozen[k].mean())
-        row = {"k": k + 1, "domain_area": omega, "n_samples": n_samples,
-               "frozen_measure": omega * p,
-               "frozen_measure_se": omega * math.sqrt(p * (1 - p)) / root_n,
-               "wsup_max": float(wsup[k]), "wsup_max_se": float("nan")}
-        for c, name in enumerate(SAMPLED_COLUMNS):
-            row[name] = omega * float(dens[k, :, c].mean())
-            row[name + "_se"] = omega * float(dens[k, :, c].std(ddof=1)) \
-                / root_n
-        top = max(h.shape[0] for h in hists[k])
-        per = np.stack([np.pad(h, (0, top - h.shape[0])) for h in hists[k]])
-        series.append(row, omega * per.mean(axis=0))
-        hist_se.append(omega * per.std(axis=0, ddof=1) / root_n)
-    series.meta.update(h_dyadic_used=set(eng.h_dyadic_used), h0=eng.h0,
-                       seed=seed, plans=len(eng._plans),
-                       covers=len(cache.covers), stage_hists_se=hist_se)
-    return series
-
-
-def _stage_vec(stage: int, value: float,
-               base: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stage-measure vector: base plus value at stage."""
-    top = max(stage + 1, 0 if base is None else base.shape[0])
-    out = np.zeros(top)
-    if base is not None:
-        out[:base.shape[0]] = base
-    out[stage] += value
-    return out
-
-
-def _boundary_jump(cache: "lin.CoverCache", lineage, cover,
-                   rng: np.random.Generator) -> float:
-    """|dT| times the phase-jump indicator at one uniform point of dT.
-
-    T = lineage[-1].  The inner phase is that of T's child next to the
-    point; the outer one that of the next generation's cell just across,
-    or no jump where the point lies on the domain boundary.
-    """
-    T = lineage[-1]
-    v = T.verts
-    e = np.roll(v, -1, axis=0) - v
-    lens = np.linalg.norm(e, axis=1)
-    total = float(lens.sum())
-    u, t = rng.random(2)
-    j = min(int(np.searchsorted(np.cumsum(lens) / total, u, side="right")),
-            2)
-    yb = v[j] + t * e[j]
-    nrm = np.array([e[j, 1], -e[j, 0]]) / lens[j]
-    inner, _ = lin.locate(T, cover, yb - lin.INSIDE_EPS * nrm)
-    outer = lin.far_cell(cache, lineage, yb, nrm)
-    phases = cache.eng.table.phases
-    if outer is None or phases[outer.gid] == phases[inner.gid]:
-        return 0.0
-    return total
+def run_construction(domain, M, delta: float,
+                     config: Optional[EngineConfig] = None,
+                     wells=None) -> Engine:
+    """Run to completion, restarting on a failed aspect (see restarting)."""
+    return restarting(Engine.run, domain, M, delta, config, wells)[0]

@@ -1,7 +1,7 @@
 """Lineage sampling of full-coverage generations.
 
 Full coverage multiplies the cell count by more than a thousand per
-generation (776 cells at generation 1, over 3*10^6 at generation 2), so
+generation (776 cells at generation 1, 387,536,112 at generation 2), so
 no explicit mesh reaches the generations a regularity fit needs.  Every
 area integral in a metrics row is an expectation over a uniform point of
 the domain, however, and the cell containing such a point can be followed
@@ -17,20 +17,12 @@ is the product of the scalings.  Diamond pieces use the frame of their
 diamond, so a piece is exactly plan.unit_verts[j] and its cover depends
 on (plan, j) only; covers of generic leftovers are keyed by their
 parent's cover and their index in it.  Both are cached.
-
-The per-cell quantities are the exact cover contributions the engine
-sums (flip_area_unit r^2, grad_l1_unit r^2, w_l1_unit r^3, children
-perimeters, stage areas, internal phase jumps), so a sample contributes
-the cover's value divided by its cell's area: the conditional expectation
-given the cell, not a point indicator.  The phase jump on the sampled
-cell's own boundary is estimated at one uniform boundary point, whose far
-side is found by descending a point just across the boundary from the
-deepest common ancestor (or from the root).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +30,9 @@ import numpy as np
 from . import analysis as an
 from . import cell as cl
 from . import covering as cv
-from .errors import ConstructionFailureError, NotClassifiableError
+from . import engine as en
+from .errors import AspectFailureError, ConstructionFailureError, \
+    InvalidParameterError, NotClassifiableError
 
 INSIDE_EPS = 1e-9     # inward offset of a boundary point, cell units
 ACROSS_EPS = 1e-9     # outward offset of the far-side point, cell units
@@ -60,12 +54,6 @@ class Node:
     rel_c: np.ndarray        # (2,) frame origin in the parent frame
     rel_s: float             # frame scale relative to the parent frame
     abs_s: float             # absolute length of one local unit
-
-    def area(self) -> float:
-        return float(cv.tri_areas(self.verts[None])[0])
-
-    def perimeter(self) -> float:
-        return float(cv.tri_perimeters(self.verts[None])[0])
 
 
 @dataclass
@@ -246,8 +234,7 @@ def _box_margin(stack, plan: cl.RefinePlan, y: np.ndarray) -> float:
 
 def _in_stack(node: Node, cover: Cover, stack, y: np.ndarray,
               key: Optional[tuple]):
-    """The child of the one diamond row stack (covering.lay_squares)
-    holding y.
+    """The child of the one diamond row stack (lay_squares) holding y.
 
     The row is laid by covering's stack_centers and stack_leftovers, as
     emit_spec lays it: only diamond q next to y, its two gaps and, at
@@ -311,27 +298,34 @@ def root_nodes(verts: np.ndarray, gid: int):
 
 
 class CoverCache:
-    """Covers by node key and unit-diamond facts by plan of one engine."""
+    """Covers by node key and PlanData by table row of one engine."""
 
-    def __init__(self, eng, roots):
-        self.eng = eng              # engine.Engine: its plans and table
+    def __init__(self, eng: en.Engine, roots):
+        self.eng = eng              # its plans and table
         self.roots = roots          # root Nodes, for far-side descents
         self.covers: Dict[tuple, Cover] = {}
         self.pdata: Dict[int, PlanData] = {}
 
-    def plan_data(self, plan: cl.RefinePlan) -> PlanData:
-        pd = self.pdata.get(id(plan))
+    def plan_data(self, row: int) -> PlanData:
+        """The unit-diamond facts of the plan of table row `row`."""
+        pd = self.pdata.get(row)
         if pd is None:
-            pd = self.pdata[id(plan)] = PlanData(
-                plan, self.eng.piece_rows[id(plan)])
+            pd = self.pdata[row] = PlanData(self.eng.plan(row),
+                                            self.eng.piece_rows[row])
         return pd
 
-    def cover(self, node: Node) -> Cover:
-        """The cover Engine.step would lay on node.  The only errors are
-        those of building node's plan (see cell.replace_dyadic_stage and
-        cell.replace_low_stage); the plan's stages are taken as they are."""
-        plan = self.eng._plan(node.gid)
-        pd = self.plan_data(plan)
+    def cover(self, node: Node) -> Optional[Cover]:
+        """The cover Engine.step would lay on node, or None when node's plan
+        fails (cell.replace_dyadic_stage, cell.replace_low_stage): the cell
+        stays as a frozen cell.  AspectFailureError is raised, as the whole
+        sample restarts on it.  The plan's stages are taken as they are."""
+        try:
+            plan = self.eng.plan(node.gid)
+        except AspectFailureError:
+            raise
+        except (ConstructionFailureError, NotClassifiableError):
+            return None
+        pd = self.plan_data(node.gid)
         if node.iso:
             return iso_cover(node.verts, plan, pd)
         cov = self.covers.get(node.key) if node.key is not None else None
@@ -349,9 +343,8 @@ def descend(cache: CoverCache, node: Node, y: np.ndarray,
     A cell whose cover cannot be built stays as it is, as a frozen cell.
     """
     for _ in range(levels):
-        try:
-            cover = cache.cover(node)
-        except (ConstructionFailureError, NotClassifiableError):
+        cover = cache.cover(node)
+        if cover is None:
             return node
         node, y = locate(node, cover, y)
     return node
@@ -388,3 +381,168 @@ def far_cell(cache: CoverCache, lineage, yb: np.ndarray,
         if _margins(root.verts[None], yr)[0] > 0.0:
             return descend(cache, root, yr, gen)
     return None
+
+
+SAMPLED_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
+                   "perimeter_sum", "bv_chi")
+
+
+def sample_generations(domain, M, delta: float, n_samples: int = 2000,
+                       generations: int = 6, seed: int = 0,
+                       config: Optional[en.EngineConfig] = None
+                       ) -> an.MetricsSeries:
+    """Metrics of the full-coverage generations 0..generations, sampled.
+
+    Every cell of every generation is covered, as Engine.step covers it
+    when nothing is frozen: the same plans (the engine's own cache, built
+    at its calibrated or configured h0) and the same choice between the
+    isosceles fast path and generic_spec.  There is no capacity ramp and
+    no min_area_rel floor.  A plan that fails its aspect restarts the
+    whole sample at h0 / 2 with the same seed, as run_construction
+    restarts a run (engine.restarting).
+
+    Each of n_samples lineages starts at a uniform point of the domain
+    and follows the cell containing it.  At generation k its cell T adds
+    the exact contributions of T's cover divided by |T| (a conditional
+    expectation given T), and the row value is |domain| times the sample
+    mean, with the standard error in <column>_se:
+
+    - l1_chi_diff, l1_grad_diff, w_l1_bound: flip_area_unit r^2,
+      grad_l1_unit r^2 and w_l1_unit r^3 summed over T's diamonds;
+    - perimeter_sum: the perimeters of T's children;
+    - bv_chi: the exact phase-jump length inside T's cover, plus half of
+      |dT| times the jump indicator at one uniform point of dT (the far
+      side is found by descending a point just across dT from the deepest
+      common ancestor, or from a root: far_cell), so shared edges count
+      once;
+    - stage_hists: the area of T's children per stage.
+
+    wsup_max is a sample maximum, not an estimate of the true maximum: it
+    is the largest wsup_unit r over the covers of the sampled cells, a
+    lower bound that is exact when every cell of a generation is visited;
+    wsup_max_se is NaN.  frozen_measure is |domain| times the fraction of
+    lineages stopped by any other failure to build their cell's plan
+    (CoverCache.cover); a stopped lineage keeps its cell, which then
+    counts in perimeter_sum and the stage measure only.
+
+    Rows also carry n_samples; the series' meta holds the aspects used
+    (h_dyadic_used), h0, the restarts before it, the seed, the cache sizes
+    and the standard errors of the stage measures (stage_hists_se).
+    """
+    if n_samples < 2 or generations < 1:
+        raise InvalidParameterError("need n_samples >= 2 and generations "
+                                    ">= 1")
+    return en.restarting(
+        lambda eng: _sample(eng, n_samples, generations, seed),
+        domain, M, delta, config)[1]
+
+
+def _sample(eng: en.Engine, n_samples: int, generations: int,
+            seed: int) -> an.MetricsSeries:
+    """sample_generations on the fresh engine eng."""
+    st = eng.state
+    roots = root_nodes(st.verts, int(st.gid[0]))
+    cache = CoverCache(eng, roots)
+    root_areas = st.areas()
+    omega = eng.domain_area
+    rng = np.random.default_rng(seed)
+    dens = np.zeros((generations, n_samples, len(SAMPLED_COLUMNS)))
+    wsup = np.zeros(generations)
+    frozen = np.zeros((generations, n_samples), dtype=bool)
+    hists: List[List[np.ndarray]] = [[] for _ in range(generations)]
+    starts = rng.choice(len(roots), size=n_samples,
+                        p=root_areas / root_areas.sum())
+    for i in range(n_samples):
+        lineage = [roots[starts[i]]]
+        y = uniform_in(lineage[0].verts, rng)
+        for k in range(generations):
+            T = lineage[-1]
+            area = float(cv.tri_areas(T.verts[None])[0])
+            stage = int(eng.table.stages[T.gid])
+            cover = cache.cover(T)
+            if cover is None:
+                frozen[k:, i] = True
+                dens[k:, i, 3] = float(cv.tri_perimeters(T.verts[None])[0]) \
+                    / (area * T.abs_s)
+                for j in range(k, generations):
+                    hists[j].append(_stage_vec(stage, 1.0))
+                break
+            plan = cover.plan
+            dens[k, i, 0] = plan.flip_area_unit * cover.sum_r2 / area
+            dens[k, i, 1] = plan.grad_l1_unit * cover.sum_r2 / area
+            dens[k, i, 2] = plan.w_l1_unit * cover.sum_r3 * T.abs_s / area
+            dens[k, i, 3] = cover.perimeter / (area * T.abs_s)
+            jump = _boundary_jump(cache, lineage, cover, rng)
+            dens[k, i, 4] = ((bv_inside(cover, cache.plan_data(T.gid))
+                              + 0.5 * jump) / (area * T.abs_s))
+            wsup[k] = max(wsup[k], plan.wsup_unit * cover.max_r * T.abs_s)
+            hist = cover.diamond_stage_area / area
+            hists[k].append(_stage_vec(stage, 1.0 - float(hist.sum()),
+                                       hist))
+            child, y = locate(T, cover, y)
+            lineage.append(child)
+            y = uniform_in(child.verts, rng)
+    series = an.MetricsSeries()
+    row0 = eng.metrics.rows[0]
+    first = {"k": 0, "domain_area": omega, "n_samples": n_samples,
+             "frozen_measure": 0.0, "frozen_measure_se": 0.0,
+             "wsup_max": 0.0, "wsup_max_se": float("nan")}
+    for name in SAMPLED_COLUMNS:
+        first[name] = row0.get(name, 0.0)
+        first[name + "_se"] = 0.0
+    series.append(first, eng.metrics.stage_hists[0])
+    root_n = float(np.sqrt(n_samples))
+    hist_se = [np.zeros_like(series.stage_hists[0])]
+    for k in range(generations):
+        p = float(frozen[k].mean())
+        row = {"k": k + 1, "domain_area": omega, "n_samples": n_samples,
+               "frozen_measure": omega * p,
+               "frozen_measure_se": omega * math.sqrt(p * (1 - p)) / root_n,
+               "wsup_max": float(wsup[k]), "wsup_max_se": float("nan")}
+        for c, name in enumerate(SAMPLED_COLUMNS):
+            row[name] = omega * float(dens[k, :, c].mean())
+            row[name + "_se"] = omega * float(dens[k, :, c].std(ddof=1)) \
+                / root_n
+        top = max(h.shape[0] for h in hists[k])
+        per = np.stack([np.pad(h, (0, top - h.shape[0])) for h in hists[k]])
+        series.append(row, omega * per.mean(axis=0))
+        hist_se.append(omega * per.std(axis=0, ddof=1) / root_n)
+    series.meta.update(h_dyadic_used=set(eng.h_dyadic_used), h0=eng.h0,
+                       restarts=eng.restarts, seed=seed,
+                       plans=len(eng.piece_rows), covers=len(cache.covers),
+                       stage_hists_se=hist_se)
+    return series
+
+
+def _stage_vec(stage: int, value: float,
+               base: np.ndarray = np.zeros(0)) -> np.ndarray:
+    """Stage-measure vector: base plus value at stage."""
+    out = np.zeros(max(stage + 1, base.shape[0]))
+    out[:base.shape[0]] = base
+    out[stage] += value
+    return out
+
+
+def _boundary_jump(cache: CoverCache, lineage, cover,
+                   rng: np.random.Generator) -> float:
+    """|dT| times the phase-jump indicator at one uniform point of dT.
+
+    T = lineage[-1].  The inner phase is that of T's child next to the
+    point; the outer one that of the next generation's cell just across,
+    or no jump where the point lies on the domain boundary.
+    """
+    T = lineage[-1]
+    v = T.verts
+    e = np.roll(v, -1, axis=0) - v
+    lens = np.linalg.norm(e, axis=1)
+    total = float(lens.sum())
+    u, t = rng.random(2)
+    j = min(int(np.searchsorted(np.cumsum(lens) / total, u, side="right")),
+            2)
+    yb = v[j] + t * e[j]
+    nrm = np.array([e[j, 1], -e[j, 0]]) / lens[j]
+    inner, _ = locate(T, cover, yb - INSIDE_EPS * nrm)
+    outer = far_cell(cache, lineage, yb, nrm)
+    phases = cache.eng.table.phases
+    jump = outer is not None and phases[outer.gid] != phases[inner.gid]
+    return total if jump else 0.0

@@ -10,7 +10,7 @@ The heavyweight construction (six steps at a one-million cell budget with
 full per-step certification) runs once as a module fixture and feeds the
 soundness, decay, growth and saturation checks.  The regularity check fits
 the full-coverage generations themselves, which no cell budget reaches:
-its series comes from lineage sampling (engine.sample_generations), run
+its series comes from lineage sampling (lineage.sample_generations), run
 once as a second module fixture on the same datum and aspect.
 """
 
@@ -26,6 +26,7 @@ from twowell import inapprox as ia
 from twowell import cell as cl
 from twowell import covering as cov
 from twowell import engine as en
+from twowell import lineage as lin
 from twowell import analysis as an
 from twowell import onewell as ow
 from twowell.errors import WrongEntryPointError
@@ -60,9 +61,9 @@ def big_run():
 def sampled_run():
     """Seven full-coverage generations, 4000 lineages, fixed seed."""
     t0 = time.time()
-    series = en.sample_generations(en.unit_square_domain(),
-                                   ia.stage_representative(2, DELTA), DELTA,
-                                   n_samples=4000, generations=7, seed=0)
+    series = lin.sample_generations(en.unit_square_domain(),
+                                    ia.stage_representative(2, DELTA), DELTA,
+                                    n_samples=4000, generations=7, seed=0)
     return series, time.time() - t0
 
 

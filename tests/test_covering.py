@@ -1,5 +1,9 @@
 """Triangle covers: inscribed diamonds and generic triangles (diamond rows)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -341,3 +345,19 @@ class TestVerifySweep:
                         ia.stage_representative(2, delta), delta)
         assert rep.h0 == eng.h0
         assert rep.ok and rep.cases == 7
+
+    def test_ledger_check_holds_under_optimize(self):
+        # with both perimeter constants forced to 0 every case fails the
+        # ledger; the ledger raises rather than asserts, so python -O
+        # keeps the check
+        code = ("from twowell import covering as cov\n"
+                "cov.C2_UNIFORM = 0.0\n"
+                "cov.c0_constant = lambda h: 0.0\n"
+                "print(cov.verify_covering(0.5).failures)\n")
+        pkg = os.path.abspath(cov.__file__)
+        src = os.path.dirname(os.path.dirname(pkg))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 7

@@ -119,6 +119,17 @@ class TestValidation:
         with pytest.raises(InvalidDomainError):
             en.Engine(dom, rep_datum(), DELTA)
 
+    def test_hull_is_the_domain_boundary(self):
+        # the unit square's diagonal is shared by its two triangles, so a
+        # single-sided interval on it is stray, not domain boundary
+        M = rep_datum()
+        eng = en.Engine(en.unit_square_domain(), M, DELTA)
+        assert eng.hull_segments.shape == (4, 2, 2)
+        lower = en.unit_square_domain()[:1]
+        _, stray = an.boundary_trace_residual(
+            lower, M[None], np.zeros((1, 2)), M, eng.hull_segments)
+        assert stray == pytest.approx(np.sqrt(2), rel=1e-12)
+
 
 class TestRunSoundness:
     def test_certified_every_step(self, small_run):
@@ -517,7 +528,7 @@ class TestRecordedStates:
             tagged += cells.size
             rows, which = np.unique(st.gid[cells], return_inverse=True)
             for g, row in enumerate(rows):
-                plan = eng._plan(int(row))
+                plan = eng.plan(int(row))
                 member, axis = cv.iso_membership(
                     st.verts[cells[which == g]], plan.h)
                 assert member.all()
@@ -557,7 +568,7 @@ class TestGradientTable:
         # each plan's piece rows hold its pieces' gradients, then its own
         assert len(eng.piece_rows) == len(eng._plans) > 0
         for row, plan in eng._plans.items():
-            rows = eng.piece_rows[id(plan)]
+            rows = eng.piece_rows[row]
             assert rows[-1] == row
             assert np.array_equal(grads[rows], np.concatenate(
                 [plan.grads, plan.M[None]]))

@@ -1,7 +1,7 @@
 """Lineage sampling of full-coverage generations against explicit covers.
 
 Generation 1 of full coverage is an explicit engine step (776 cells, no
-frozen cell).  Generation 2 (over 3*10^6 cells) is checked against an
+frozen cell).  Generation 2 (387,536,112 cells) is checked against an
 exhaustive cover-by-cover sum over the 776 generation-1 cells, one cover
 at a time: the isosceles cells through the engine's own cover_isosceles,
 the generic ones through the totals of lineage.generic_cover, which
@@ -43,8 +43,8 @@ def gen1():
 
 @pytest.fixture(scope="module")
 def sampled():
-    return en.sample_generations(en.unit_square_domain(), _datum(), DELTA,
-                                 n_samples=3000, generations=2, seed=0)
+    return lin.sample_generations(en.unit_square_domain(), _datum(), DELTA,
+                                  n_samples=3000, generations=2, seed=0)
 
 
 def _within(est, se, exact):
@@ -67,7 +67,8 @@ def _generation2_reference(eng):
     areas = st.areas()
     cache = lin.CoverCache(eng, [])
     for i in range(st.n):
-        plan = eng._plan(int(st.gid[i]))
+        row = int(st.gid[i])
+        plan = eng.plan(row)
         if st.iso[i]:
             res = cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
             r2 = float(np.sum(res.diam_scales ** 2))
@@ -77,7 +78,7 @@ def _generation2_reference(eng):
                                 minlength=8)
         else:
             cover = lin.generic_cover(st.verts[i], plan,
-                                      cache.plan_data(plan))
+                                      cache.plan_data(row))
             r2, r3, per = cover.sum_r2, cover.sum_r3, cover.perimeter
             good = cover.diamond_stage_area
             hist[:good.shape[0]] += good
@@ -130,9 +131,9 @@ def test_generation2_matches_enumeration(gen1, sampled):
 
 def test_same_seed_same_rows():
     def run(seed):
-        return en.sample_generations(en.unit_square_domain(), _datum(),
-                                     DELTA, n_samples=40, generations=3,
-                                     seed=seed)
+        return lin.sample_generations(en.unit_square_domain(), _datum(),
+                                      DELTA, n_samples=40, generations=3,
+                                      seed=seed)
     a, b, c = run(5), run(5), run(6)
     assert [repr(r) for r in a.rows] == [repr(r) for r in b.rows]
     assert [repr(r) for r in a.rows] != [repr(r) for r in c.rows]
@@ -151,7 +152,7 @@ def _emitted(eng, i, st=None):
     """The one-cover result of cell i of st (default: the engine's state),
     laid by the same cover Engine.step chooses."""
     st = eng.state if st is None else st
-    plan = eng._plan(int(st.gid[i]))
+    plan = eng.plan(int(st.gid[i]))
     if st.iso[i]:
         return cov.cover_isosceles(st.verts[i], plan, offset=st.offs[i])
     return cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
@@ -241,7 +242,7 @@ def test_cover_totals_match_emitted_cover(gen1, which):
     node = _node_of(gen1, i)
     cache = lin.CoverCache(gen1, [])
     cover = cache.cover(node)
-    pd = cache.plan_data(cover.plan)
+    pd = cache.plan_data(node.gid)
     s = node.rel_s
     r = res.diam_scales
     assert math.isclose(cover.sum_r2 * s * s, float(np.sum(r * r)),
@@ -278,7 +279,7 @@ def _generic_geometries(eng):
     for i in range(st.n):
         if st.iso[i]:
             continue
-        plan = eng._plan(int(st.gid[i]))
+        plan = eng.plan(int(st.gid[i]))
         c, s = lin._frame_of(st.verts[i])
         shape = np.round((st.verts[i] - c) / s, 9)
         cells.setdefault((id(plan), shape.tobytes()), i)
@@ -293,7 +294,7 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
     assert len(cells) >= 10
     cache = lin.CoverCache(gen1, [])
     for i in cells:
-        plan = gen1._plan(int(st.gid[i]))
+        plan = gen1.plan(int(st.gid[i]))
         node = _node_of(gen1, i)
         cover = cache.cover(node)
         res = cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
@@ -317,14 +318,35 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
                                    rtol=1e-9, atol=1e-18)
 
 
-def test_uncalibrated_aspect_freezes_lineages():
-    # at h0 = 1/8 the stage-2 cell does not advance every piece, so the
-    # engine's plan raises and every lineage stops at its root
-    series = en.sample_generations(en.unit_square_domain(), _datum(), DELTA,
-                                   n_samples=20, generations=3, seed=0,
-                                   config=en.EngineConfig(h0=0.125))
-    assert [r["frozen_measure"] for r in series.rows] == [0.0, 1.0, 1.0, 1.0]
-    assert all(r["l1_chi_diff"] == 0.0 for r in series.rows)
+def test_uncalibrated_aspect_restarts_the_sample():
+    # at h0 = 1/8 the stage-2 cell does not advance every piece, so its
+    # plan fails the aspect and the sample restarts at h0 / 2, as a run
+    # does, until no lineage stops
+    series = lin.sample_generations(en.unit_square_domain(), _datum(),
+                                    DELTA, n_samples=20, generations=3,
+                                    seed=0, config=en.EngineConfig(h0=0.125))
+    meta = series.meta
+    assert meta["restarts"] > 0
+    assert meta["h0"] == 0.125 / 2 ** meta["restarts"]
+    assert all(r["frozen_measure"] == 0.0 for r in series.rows)
+    assert all(r["l1_chi_diff"] > 0.0 for r in series.rows[1:])
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, h0=0.125)
+    eng = en.run_construction(en.unit_square_domain(), _datum(), DELTA, cfg)
+    assert (eng.h0, eng.restarts) == (meta["h0"], meta["restarts"])
+
+
+def test_benchmark_datum_samples_at_the_run_aspect():
+    # the datum of the benchmark's input 1 fails its dyadic plan at the
+    # calibrated h0 = 1/32; the sampler restarts once, as run_construction
+    # does, instead of stopping every lineage at its root
+    M = ia.sample_stage(2, DELTA, np.random.default_rng(1))
+    series = lin.sample_generations(en.unit_square_domain(), M, DELTA,
+                                    n_samples=200, generations=3, seed=0)
+    assert all(r["frozen_measure"] == 0.0 for r in series.rows)
+    assert series.meta["h0"] == 1 / 64 and series.meta["restarts"] == 1
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=3)
+    eng = en.run_construction(en.unit_square_domain(), M, DELTA, cfg)
+    assert eng.h0 == series.meta["h0"]
 
 
 def test_stage_one_datum_freezes_no_lineage():
@@ -332,7 +354,7 @@ def test_stage_one_datum_freezes_no_lineage():
     # so no lineage of a stage-1 datum stops
     M1 = np.array([[0.9973157602026531, 0.48745354630644433],
                    [1.0536712127723509e-08, 1.0026914694830042]])
-    series = en.sample_generations(en.unit_square_domain(), M1, DELTA,
-                                   n_samples=200, generations=3, seed=0)
+    series = lin.sample_generations(en.unit_square_domain(), M1, DELTA,
+                                    n_samples=200, generations=3, seed=0)
     assert len(series.rows) == 4
     assert all(r["frozen_measure"] == 0.0 for r in series.rows)

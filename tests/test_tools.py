@@ -1,5 +1,5 @@
 """tools/peak_probe.py: per-call traced memory of the sweep's layers;
-tools/digests.py: the plans' bit-identity digests."""
+tools/digests.py: the bit-identity digests of the plans and the sampler."""
 
 import importlib.util
 import os
@@ -8,6 +8,9 @@ import pytest
 
 from twowell import analysis as an
 from twowell import cell as cl
+from twowell import engine as en
+from twowell import inapprox as ia
+from twowell import lineage as lin
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools")
@@ -63,3 +66,16 @@ def test_plans_digests_are_pinned(monkeypatch):
     table, dyadic, low = digests.plans_digests()
     assert f"table {table} dyadic {dyadic} low {low}" == (
         "table a9880a3b3be7316d dyadic a4166c8037207c98 low 0ae665abf4eb311a")
+
+
+def test_sampled_rows_digest_is_pinned():
+    """The rows of lineage.sample_generations on the stage-2
+    representative (300 lineages, 4 generations, seed 0, no restart) are
+    the same bit for bit.  Like the plans digests, the value is pinned for
+    numpy 2.4.6 (OpenBLAS 0.3.31) on the x86-64 host it was recorded on."""
+    digests = _load("digests")
+    series = lin.sample_generations(en.unit_square_domain(),
+                                    ia.stage_representative(2, 0.5), 0.5,
+                                    n_samples=300, generations=4, seed=0)
+    assert series.meta["restarts"] == 0
+    assert digests.rows_digest(series.rows) == "946edd6fd729000c"

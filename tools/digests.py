@@ -28,9 +28,9 @@ both engine workloads, so the default covers a restarted run) it prints:
   benchmark's arguments, and of the standard output of the benchmark's
   ``twowell dim <mesh> --pmax 8`` on that mesh (its box table and slope).
 
-``sampled`` prints the rows digest of ``sample_generations`` at the
-``test_07`` config (4000 lineages, 7 generations, seed 0) and the fitted
-numbers of its certificate line.  ``plans`` prints three digests of the
+``sampled`` prints the rows digest of ``lineage.sample_generations`` at
+the ``test_07`` config (4000 lineages, 7 generations, seed 0) and the
+fitted numbers of its certificate line.  ``plans`` prints three digests of the
 replacement plans: the calibrated aspect table (``calibrate_h0`` with a
 cold cache at the deltas of ``PLAN_DELTAS`` and both fraction sets, an
 aspect or the class and message of the refusal), every field of
@@ -64,6 +64,7 @@ from twowell import cell as cl  # noqa: E402
 from twowell import covering as cv  # noqa: E402
 from twowell import engine as en  # noqa: E402
 from twowell import inapprox as ia  # noqa: E402
+from twowell import lineage as lin  # noqa: E402
 from twowell.errors import TwoWellError  # noqa: E402
 
 PLAN_DELTAS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0,
@@ -167,9 +168,9 @@ def cli_digests(seed: int):
 
 def sampled_digest():
     """(rows digest, certificate numbers) of the test_07 series."""
-    series = en.sample_generations(en.unit_square_domain(),
-                                   ia.stage_representative(2, wl.DELTA),
-                                   wl.DELTA, **SAMPLED)
+    series = lin.sample_generations(en.unit_square_domain(),
+                                    ia.stage_representative(2, wl.DELTA),
+                                    wl.DELTA, **SAMPLED)
     h = next(iter(series.meta["h_dyadic_used"]))
     growth = 3.0 * max(cv.c0_constant(h), cv.C2_UNIFORM)
     rep = an.regularity_report(series, growth_constant=growth)
