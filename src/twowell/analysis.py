@@ -113,9 +113,15 @@ def _edge_table(verts: np.ndarray, frame, eid: np.ndarray):
     lies left of the canonical tangent), and the endpoints in absolute
     coordinates ordered by t).
     """
-    parts = [list(_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK]))
-             for i in range(0, max(eid.shape[0], 1), SWEEP_CHUNK)]
+    parts = _edge_chunks(verts, frame, eid)
     return parts[0] if len(parts) == 1 else _join(parts)
+
+
+def _edge_chunks(verts: np.ndarray, frame, eid: np.ndarray) -> list:
+    """The _edge_table of eid as the tables of its chunks of SWEEP_CHUNK
+    edges (one chunk at least), to be joined by the caller."""
+    return [list(_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK]))
+            for i in range(0, max(eid.shape[0], 1), SWEEP_CHUNK)]
 
 
 def _join(parts: list) -> list:
@@ -403,28 +409,30 @@ def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
     """What a refinement step changed, for sweep_intervals: (edge_hash of
     verts, the edge table of every edge on a dirty line, (start, size) of
     the old sweep's clean lines).  A kept edge's hash is carried, not
-    computed again; only the new edges' keys are hashed."""
+    computed again; only the new edges' keys are hashed.  The chunks of
+    the re-swept kept edges and of the new ones are joined once."""
     n = verts.shape[0]
     kept = prev_index[:n_kept]
-    new = _edge_table(verts, frame, np.arange(3 * n_kept, 3 * n))
-    new_hash = _line_hash(new[1])
     edge_hash = np.zeros((n, 3), dtype=np.uint32)
     edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
     flat = edge_hash.reshape(-1)
-    flat[new[0]] = new_hash
+    bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
+    dirty = np.zeros(1 << bits, dtype=bool)
+    new = _edge_chunks(verts, frame, np.arange(3 * n_kept, 3 * n))
+    for part in new:
+        new_hash = _line_hash(part[1])
+        flat[part[0]] = new_hash
+        dirty[_buckets(new_hash, bits)] = True
     # a parent edge and its children's edges need not share a key, so the
     # lines of both are dirty
     covered = np.ones(old.edge_hash.shape[0], dtype=bool)
     covered[kept] = False
-    bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
-    dirty = np.zeros(1 << bits, dtype=bool)
-    dirty[_buckets(new_hash, bits)] = True
     dirty[_buckets(np.compress(covered, old.edge_hash, axis=0).reshape(-1),
                    bits)] = True
     # kept edges on dirty lines; a zero-length one (hash 0) is dropped by
     # the edge table
     redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
-    edges = _join([_edge_table(verts, frame, redo), new])
+    edges = _join(_edge_chunks(verts, frame, redo) + new)
     starts = _line_starts(old.line)
     size = np.diff(starts, append=old.line.shape[0])
     clean = ~dirty[_buckets(_line_hash(old.line, starts), bits)]
@@ -619,9 +627,12 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
     the owning cell: gradient grads (through gid when given), offset offs.
 
     The single-sided (outer) intervals are matched geometrically against
-    the boundary lines of hull_segments (m,2,2); intervals that sit on
-    none of them (partition gaps, or quantization splits of interior
-    lines) are excluded from the trace and their total length is
+    the boundary segments hull_segments (m,2,2): an interval matches a
+    segment when both its endpoints lie on the segment's line and project
+    into the segment, within the same tolerance, so an interior interval
+    collinear with a side of a non-convex domain does not match it.
+    Intervals that match none (partition gaps, or quantization splits of
+    interior lines) are excluded from the trace and their total length is
     stray_length.
     """
     sw = sweep if sweep is not None else sweep_intervals(verts)
@@ -634,13 +645,20 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
     hs = np.asarray(hull_segments, dtype=float)
     a = hs[:, 0]
     d = hs[:, 1] - hs[:, 0]
-    nrm = np.stack([-d[:, 1], d[:, 0]], axis=1)
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    length = np.linalg.norm(d, axis=1)
+    tang = d / length[:, None]
+    nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
     cs = np.einsum("mj,mj->m", nrm, a)
+    ts = np.einsum("mj,mj->m", tang, a)
     tol = 1e-8 * sw.frame[1]
-    dist_lo = np.abs(p_lo @ nrm.T - cs[None, :])
-    dist_hi = np.abs(p_hi @ nrm.T - cs[None, :])
-    on = np.any((dist_lo <= tol) & (dist_hi <= tol), axis=1)
+
+    def within(p):
+        """(k,m): p[i] on the line of segment j and projecting into it."""
+        t = p @ tang.T - ts[None, :]
+        return ((np.abs(p @ nrm.T - cs[None, :]) <= tol) & (t >= -tol)
+                & (t <= length[None, :] + tol))
+
+    on = np.any(within(p_lo) & within(p_hi), axis=1)
     stray = float(sw.dt[single][~on].sum())
     own = own[on]
     p_lo, p_hi = np.compress(on, p_lo, axis=0), np.compress(on, p_hi, axis=0)

@@ -235,7 +235,10 @@ def _rank_one(D: np.ndarray):
 
 
 def _shears(D: np.ndarray, C: np.ndarray):
-    """pair_shear of a stack: (g0, S, errors)."""
+    """(g0, S, errors) of the pairs with A - B = D (b,2,2) about C (b,2,2):
+    S = [n, n_perp] and the signed shear g0 of C^-1 D along n_perp, per
+    row; a row's error is an InvalidPairError when its pair does not
+    transport to a shear of det-1 matrices."""
     rho0, a, n, errors = _rank_one(D)
     Cinv_a = np.linalg.solve(C, a[:, :, None])
     fail(errors, np.abs((n[:, None] @ Cinv_a)[:, 0, 0]) > 1e-7, lambda i:
@@ -244,16 +247,6 @@ def _shears(D: np.ndarray, C: np.ndarray):
     g0 = (n_perp[:, None] @ Cinv_a)[:, 0, 0] * rho0
     fail(errors, g0 == 0.0, lambda i: InvalidPairError("degenerate shear"))
     return g0, np.stack([n, n_perp], axis=2), errors
-
-
-def pair_shear(D: np.ndarray, C: np.ndarray):
-    """(g0, S) of the pair with A - B = D about C: S = [n, n_perp] and
-    the signed shear g0 of C^-1 D along n_perp; InvalidPairError when
-    the pair does not transport to a shear of det-1 matrices."""
-    g0, S, errors = _shears(np.asarray(D, dtype=float)[None],
-                            np.asarray(C, dtype=float)[None])
-    raise_first(errors)
-    return float(g0[0]), S[0]
 
 
 @dataclass
@@ -689,9 +682,10 @@ def verify_cells(delta: float, samples: int = 1_000,
         sr = mg.split(F, branch, eps, delta)
         lam, A, B = _cell_pair(sr)
         # h below the pair's shear bound, which build_template requires
-        g0, _ = pair_shear(A - B, F)
+        g0, _, errors = _shears((A - B)[None], F[None])
+        raise_first(errors)
         h = float(rng.uniform(2.0 ** -10, min(
-            H_MAX, 1.0 / (1.0 + abs(g0) * max(lam, 1.0 - lam)))))
+            H_MAX, 1.0 / (1.0 + abs(g0[0]) * max(lam, 1.0 - lam)))))
         center = rng.uniform(-2.0, 2.0, 2)
         scale = float(2.0 ** rng.uniform(-8, 1))
         cc = build_cell(A, B, F, lam, h, center=center, scale=scale)

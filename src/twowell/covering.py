@@ -132,7 +132,6 @@ class CoverResult:
     piece: np.ndarray        # (n,) plan piece index, -1 for a leftover
     iso: np.ndarray          # (n,) bool, in the isosceles class of the plan
     diam_scales: np.ndarray  # (m,) scale of every placed diamond, in order
-    diam_counts: np.ndarray  # (covers,) diamonds placed by each cover
 
     @property
     def n_children(self) -> int:
@@ -164,20 +163,6 @@ class CoverResult:
         return (float(per[self.good].sum()), float(per[self.iso].sum()),
                 float(per[~self.good & ~self.iso].sum()))
 
-    def cover_sums(self, power: int) -> np.ndarray:
-        """Per cover, np.sum(r ** power) over its diamonds, with the bits
-        of a one-cover result: covers with equal diamond counts are summed
-        as the rows of one array, pairwise as np.sum adds (np.add.reduceat
-        would add sequentially)."""
-        x = self.diam_scales ** power
-        counts = self.diam_counts
-        first = np.cumsum(counts) - counts
-        out = np.zeros(counts.shape[0])
-        for c in np.unique(counts[counts > 0]):
-            sel = np.flatnonzero(counts == c)
-            out[sel] = x[first[sel, None] + np.arange(c)].sum(axis=1)
-        return out
-
 
 def runs(starts, counts) -> np.ndarray:
     """starts[k] + 0, 1, ..., counts[k] - 1 for every k, concatenated."""
@@ -190,7 +175,7 @@ def runs(starts, counts) -> np.ndarray:
 def _emit(plan: cl.RefinePlan, n: int, pieces_at: np.ndarray,
           centers: np.ndarray, r: np.ndarray, dia_off: np.ndarray,
           left_at: np.ndarray, left: np.ndarray, left_off: np.ndarray,
-          n_iso: int, diam_counts: np.ndarray) -> CoverResult:
+          n_iso: int) -> CoverResult:
     """The n children of a batch of covers of one plan.
 
     Diamond d (center centers[d], scale r[d], parent offset dia_off[d])
@@ -200,7 +185,7 @@ def _emit(plan: cl.RefinePlan, n: int, pieces_at: np.ndarray,
     """
     res = CoverResult(plan, np.empty((n, 3, 2)), np.empty((n, 2)),
                       np.full(n, -1, dtype=np.int16),
-                      np.zeros(n, dtype=bool), r, diam_counts)
+                      np.zeros(n, dtype=bool), r)
     at = pieces_at.reshape(centers.shape[0], plan.n_pieces)
     res.verts[at] = (centers[:, None, None, :]
                      + r[:, None, None, None] * plan.unit_verts[None])
@@ -429,8 +414,7 @@ def _emit_rows(plan: cl.RefinePlan, rows, cell: np.ndarray,
                  stack_centers(rows, plan.h, s, runs(np.zeros_like(n), n)),
                  0.5 * rows[3][s], off[cell[s]], left_at,
                  np.concatenate([upper, lower, ends.reshape(-1, 3, 2), tris]),
-                 off[left_cell], 2 * sg.shape[0],
-                 np.bincount(cell, n, m).astype(np.int64))
+                 off[left_cell], 2 * sg.shape[0])
 
 
 def emit_spec(covers: List[List[RightRow]], plan: cl.RefinePlan,
@@ -487,8 +471,7 @@ def cover_isosceles(tri: np.ndarray, plan: cl.RefinePlan,
     off = np.broadcast_to(np.asarray(offset, dtype=float), (n, 2))
     return _emit(plan, n * (P + 2), runs(at, P), center, r, off,
                  runs(at + P, 2), leftovers.reshape(-1, 3, 2),
-                 np.repeat(off, 2, axis=0), 2 * n,
-                 np.ones(n, dtype=np.int64))
+                 np.repeat(off, 2, axis=0), 2 * n)
 
 
 def cover_generic(tri: np.ndarray, plan: cl.RefinePlan,

@@ -7,7 +7,8 @@ diamond of its replacement plan (the dyadic rule at one uniform aspect
 for stages >= 2, the verify-and-shrink rule below), and appends the
 children.  Cells that do not fit the capacity slice are frozen for good,
 so the mesh stays within budget while the refined region keeps its
-exponential stage advance.
+exponential stage advance; a state holds its frozen cells first, and
+only the cells past them are candidates.
 
 A cell names its gradient by its row in the run's GradientTable, which
 holds each distinct gradient once with its stage and phase; building a
@@ -15,11 +16,12 @@ plan appends its pieces' gradients, and a leftover keeps its parent's row.
 
 All metrics are streamed during emission: the L1 step differences and
 the displacement bounds are exact sums of per-diamond contributions
-precomputed on the unit diamond, and the BV/perimeter/continuity numbers
-come from one shared edge sweep per state.  That sweep re-sweeps only the
-lines a step changed and carries the rest over from the previous state's,
-with the BV and continuity terms of their intervals; a row value is a sum
-or a max over the sweep's term columns.
+precomputed on the unit diamond, added once per batch of covers, and the
+BV/perimeter/continuity numbers come from one shared edge sweep per
+state.  That sweep re-sweeps only the lines a step changed and carries
+the rest over from the previous state's, with the BV and continuity
+terms of their intervals; a row value is a sum or a max over the sweep's
+term columns.
 The per-cell areas and perimeters are carried the same way: a kept cell
 takes its values through prev_index, and only the children are measured.
 Everything is deterministic; there is no randomness anywhere in the
@@ -66,14 +68,15 @@ class TwoWellState:
     phases gather it.  iso[i] marks a leftover in the isosceles class of
     its plan (see covering.CoverResult): it kept its parent's gradient, so
     its plan is the cached one of its parent, and the next step covers it
-    with the inscribed diamond.
+    with the inscribed diamond.  The first n_kept cells are frozen: the
+    step that made the state kept them, and no later step covers them.
     """
     k: int
     verts: np.ndarray        # (n,3,2) counterclockwise
     offs: np.ndarray         # (n,2)
     gid: np.ndarray          # (n,) int32, row of the cell's gradient
     table: GradientTable
-    frozen: np.ndarray       # (n,) bool
+    n_kept: int              # cells 0..n_kept-1 are frozen
     ids: np.ndarray          # (n,) int64
     parents: np.ndarray      # (n,) int64, -1 for roots
     iso: np.ndarray          # (n,) bool, in the isosceles class of its plan
@@ -82,6 +85,10 @@ class TwoWellState:
     @property
     def n(self) -> int:
         return self.verts.shape[0]
+
+    @property
+    def frozen(self) -> np.ndarray:
+        return np.arange(self.n) < self.n_kept
 
     @property
     def grads(self) -> np.ndarray:
@@ -107,7 +114,6 @@ class EngineConfig:
     h0: Optional[float] = None    # None: corridor-calibrated per delta
     checks: str = "fast"          # one of CHECKS
     track_bv: bool = True
-    keep_states: bool = False
 
 
 def _as_domain(domain) -> np.ndarray:
@@ -172,8 +178,7 @@ class Engine:
         self._row(self.M)                       # row 0, the datum's
         self.state = TwoWellState(
             0, verts, np.zeros((n, 2)),
-            np.zeros(n, dtype=np.int32), self.table,
-            np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=np.int32), self.table, 0,
             np.arange(n, dtype=np.int64),
             np.full(n, -1, dtype=np.int64),
             np.zeros(n, dtype=bool),
@@ -185,7 +190,6 @@ class Engine:
         # by table row: the row of each piece of its plan, then its own
         self.piece_rows: Dict[int, np.ndarray] = {}
         self.metrics = an.MetricsSeries()
-        self.states: List[TwoWellState] = []
         self.h_dyadic_used: set = set()
         self.iso_fast_hits = 0
         self.restarts = 0
@@ -193,7 +197,7 @@ class Engine:
         self._sweep: Optional[an.SweepAccumulator] = None
         self._areas = self._perims = np.empty(0)
         self._record(l1_chi=0.0, l1_grad=0.0, wsup=0.0, wl1=0.0,
-                     refined_area=0.0, n_kept=0)
+                     refined_area=0.0)
 
     # -- validation -------------------------------------------------------
 
@@ -267,7 +271,7 @@ class Engine:
         sums = self._advance()
         if sums is not None:
             # _advance has returned, so nothing holds the previous state
-            # (unless keep_states does) while its successor is recorded
+            # while its successor is recorded
             self._record(*sums)
         return self.metrics.rows[-1]
 
@@ -283,7 +287,7 @@ class Engine:
         floor = cfg.min_area_rel * self.domain_area
         # cells below the floor are not taken, so they are frozen in the
         # next state; st is recorded already and stays as recorded
-        cand = np.flatnonzero(~st.frozen & (areas >= floor))
+        cand = st.n_kept + np.flatnonzero(areas[st.n_kept:] >= floor)
         order = cand[np.lexsort((st.ids[cand], -areas[cand]))]
         n_final = st.n
         taken: List[int] = []       # covered cells, in selection order
@@ -328,16 +332,13 @@ class Engine:
         new = TwoWellState(
             k, **{c: np.take(getattr(st, c), src, axis=0)
                   for c in COVER_COLUMNS},
-            gid=st.gid[src], table=self.table,
-            frozen=np.arange(src.shape[0]) < n_kept,
+            gid=st.gid[src], table=self.table, n_kept=n_kept,
             ids=np.concatenate([st.ids[kept], self._next_id
                                 + np.arange(src.shape[0] - n_kept)]),
             parents=np.concatenate([st.parents[kept], st.ids[src[n_kept:]]]),
             prev_index=src)
         first = n_kept + np.cumsum(counts) - counts
-        # per cover, in selection order: l1_chi, l1_grad and wl1 terms
-        terms = np.zeros((len(taken) + 1, 3))
-        wsup = 0.0
+        l1_chi = l1_grad = wsup = wl1 = 0.0
         for (row, iso), (plan, pos, covers) in batches.items():
             cells = taken_idx[pos]
             if iso:
@@ -352,24 +353,23 @@ class Engine:
                 getattr(new, c)[at] = getattr(res, c)
             # piece -1 (a leftover) picks the last row, the parent's
             new.gid[at] = self.piece_rows[row][res.piece]
-            r2, r3 = res.cover_sums(2), res.cover_sums(3)
-            terms[np.asarray(pos) + 1] = np.stack(
-                [plan.flip_area_unit * r2, plan.grad_l1_unit * r2,
-                 plan.w_l1_unit * r3], axis=1)
-            wsup = max(wsup, plan.wsup_unit
-                       * float(res.diam_scales.max(initial=0.0)))
+            # the batch's diamonds, scaled from the unit diamond's terms
+            r = res.diam_scales
+            r2 = float(np.sum(r ** 2))
+            l1_chi += plan.flip_area_unit * r2
+            l1_grad += plan.grad_l1_unit * r2
+            wl1 += plan.w_l1_unit * float(np.sum(r ** 3))
+            wsup = max(wsup, plan.wsup_unit * float(r.max(initial=0.0)))
         # the plan builders put every piece above its parent's stage, so
         # this holds while they do; it checks what the step wrote
         low = np.flatnonzero(new.stages < st.stages[src])
         if low.size:
             raise ConstructionFailureError("stage regressed under cover of "
                                            f"cell {new.parents[low[0]]}")
-        # running sums in selection order, as cover-by-cover additions
-        l1_chi, l1_grad, wl1 = map(float, np.cumsum(terms, axis=0)[-1])
         self._next_id += src.shape[0] - n_kept
         self.state = new
         refined_area = float(areas[taken_idx].sum()) if len(taken) else 0.0
-        return l1_chi, l1_grad, wsup, wl1, refined_area, n_kept
+        return l1_chi, l1_grad, wsup, wl1, refined_area
 
     def _target(self, k: int) -> float:
         cfg = self.config
@@ -379,13 +379,14 @@ class Engine:
 
     # -- metrics and certification ----------------------------------------
 
-    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area, n_kept: int):
-        """Append the state's metric row, run its checks, keep the state
-        with keep_states.  Its n_kept kept cells take their areas,
-        perimeters and sweep over from the state recorded last (row 0
-        keeps none) through prev_index; only its children are measured."""
+    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area):
+        """Append the state's metric row and run its checks.  Its n_kept
+        kept cells take their areas, perimeters and sweep over from the
+        state recorded last (row 0 keeps none) through prev_index; only
+        its children are measured."""
         cfg = self.config
         st = self.state
+        n_kept = st.n_kept
         kept, children = st.prev_index[:n_kept], st.verts[n_kept:]
         areas = self._areas = np.concatenate(
             [self._areas[kept], cv.tri_areas(children)])
@@ -399,11 +400,11 @@ class Engine:
         hist = np.bincount(stages, weights=areas)
         row = {
             "k": st.k, "n_cells": st.n,
-            "n_active": int(np.count_nonzero(~st.frozen)),
+            "n_active": st.n - n_kept,
             "l1_chi_diff": l1_chi, "l1_grad_diff": l1_grad,
             "wsup_max": wsup, "w_l1_bound": wl1,
             "perimeter_sum": float(perims.sum()),
-            "frozen_measure": float(areas[st.frozen].sum()),
+            "frozen_measure": float(areas[:n_kept].sum()),
             "mean_dist": float(np.sum(areas * dists[st.gid]) / total),
             "energy": float(np.sum(areas * weights[st.gid])),
             "refined_area": refined_area,
@@ -450,8 +451,6 @@ class Engine:
                 raise ConstructionFailureError(
                     f"boundary trace residual {trace:.3e} at step {st.k}")
         self.metrics.append(row, hist)
-        if cfg.keep_states:
-            self.states.append(st)
 
     def run(self):
         while self.state.k < self.config.max_steps and not self.stalled:

@@ -1,7 +1,8 @@
 """Shared pytest hooks: print the acceptance certificate after the run;
-the sweep comparison shared by the analysis and engine tests; the stepped
-engines shared by the lineage and engine tests; the row comparison shared
-by the stacked-geometry tests."""
+the sweep comparison shared by the analysis and engine tests; the
+recorded states of a run and the stepped engines shared by the lineage
+and engine tests; the row comparison shared by the stacked-geometry
+tests."""
 
 import sys
 
@@ -73,9 +74,26 @@ def assert_same_rows():
     return _assert_same_rows
 
 
+def _record_states(eng):
+    """Step eng as Engine.run does and return the state each of its rows
+    recorded, row 0's first.  As an attempt of engine.restarting, a failed
+    attempt's states go with its engine."""
+    states = [eng.state]
+    while eng.state.k < eng.config.max_steps and not eng.stalled:
+        eng.step()
+        if not eng.stalled:
+            states.append(eng.state)
+    return states
+
+
+@pytest.fixture(scope="session")
+def record_states():
+    return _record_states
+
+
 def _stepped(run):
-    """An engine with keep_states after its steps, and the cover kinds
-    they must use.
+    """An engine after its steps, the state each of its rows recorded, and
+    the cover kinds the steps must use.
 
     "ramp": three steps of the capacity ramp at a 20k budget, one plan and
     one parent offset per batch.  "two-plans": four cells of a square
@@ -87,17 +105,16 @@ def _stepped(run):
     datum = ia.stage_representative(2, delta)
     if run == "ramp":
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3,
-                              checks="fast", track_bv=False,
-                              keep_states=True)
+                              checks="fast", track_bv=False)
         eng = en.Engine(en.unit_square_domain(), datum, delta, cfg)
-        eng.run()
+        states = _record_states(eng)
         assert eng.state.k == 3
-        return eng, {"iso", "generic"}
+        return eng, states, {"iso", "generic"}
     sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     domain = np.stack([[sq[k], sq[(k + 1) % 4], [0.5, 0.5]]
                        for k in range(4)])
     cfg = en.EngineConfig(cell_budget=100_000, max_steps=1, checks="fast",
-                          track_bv=False, keep_states=True)
+                          track_bv=False)
     eng = en.Engine(domain, datum, delta, cfg)
     other = ia.sample_stage(2, delta, np.random.default_rng(3))
     assert ia.classify(other, delta) == 2
@@ -105,10 +122,10 @@ def _stepped(run):
     st.gid[1::2] = eng._row(other)
     st.table = eng.table
     st.offs[:] = np.random.default_rng(0).normal(size=(4, 2))
-    eng.step()
+    states = _record_states(eng)
     assert eng.state.k == 1 and len(eng._plans) == 2
     assert not np.isin(st.ids, eng.state.ids).any()
-    return eng, {"generic"}
+    return eng, states, {"generic"}
 
 
 @pytest.fixture

@@ -301,9 +301,6 @@ class TestBatches:
         for name in self.COLUMNS:
             assert np.array_equal(getattr(batch, name), np.concatenate(
                 [getattr(res, name) for res in singles])), name
-        for power in (2, 3):
-            assert np.array_equal(batch.cover_sums(power), [
-                np.sum(res.diam_scales ** power) for res in singles])
 
     def test_batch_is_its_covers_in_order(self, plan):
         # a batch of cells with distinct maps (offsets) and covers of

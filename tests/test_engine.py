@@ -27,46 +27,49 @@ def rep_datum(stage=2):
     return ia.stage_representative(stage, DELTA)
 
 
+def unit_square_at(x, y):
+    """The unit square with lower-left corner (x, y) as two triangles."""
+    return en.unit_square_domain() + np.array([x, y], dtype=float)
+
+
 def stage_one_datum():
     return np.array([[0.9973157602026531, 0.48745354630644433],
                      [1.0536712127723509e-08, 1.0026914694830042]])
 
 
+# the run fixtures hold (engine, the state each of its rows recorded)
+
 @pytest.fixture(scope="module")
-def ramp_run():
+def ramp_run(record_states):
     cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
-                          track_bv=False, keep_states=True)
+                          track_bv=False)
     eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
-    eng.run()
-    return eng
+    return eng, record_states(eng)
 
 
 @pytest.fixture(scope="module")
-def stage_one_run():
-    cfg = en.EngineConfig(cell_budget=20_000, max_steps=4, checks="full",
-                          keep_states=True)
+def stage_one_run(record_states):
+    cfg = en.EngineConfig(cell_budget=20_000, max_steps=4, checks="full")
     eng = en.Engine(en.unit_square_domain(), stage_one_datum(), DELTA, cfg)
-    eng.run()
-    return eng
+    return eng, record_states(eng)
 
 
 @pytest.fixture(scope="module")
-def stall_run():
+def stall_run(record_states):
     # no cover of either root cell fits under this budget: the first
     # step stalls
     cfg = en.EngineConfig(cell_budget=50, max_steps=3, checks="fast",
-                          track_bv=False, keep_states=True)
+                          track_bv=False)
     eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
-    eng.run()
-    return eng
+    return eng, record_states(eng)
 
 
 @pytest.fixture(scope="module")
-def small_run():
+def small_run(record_states):
     cfg = en.EngineConfig(cell_budget=60_000, max_steps=3, checks="full",
-                          track_bv=True, keep_states=True)
-    return en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
-                               config=cfg)
+                          track_bv=True)
+    return en.restarting(record_states, en.unit_square_domain(),
+                         rep_datum(), DELTA, config=cfg)
 
 
 class TestValidation:
@@ -130,44 +133,60 @@ class TestValidation:
             lower, M[None], np.zeros((1, 2)), M, eng.hull_segments)
         assert stray == pytest.approx(np.sqrt(2), rel=1e-12)
 
+    def test_collinear_interior_side_is_stray(self):
+        # an L of three unit squares: the side x = 1, 0 <= y <= 1 of its
+        # two left squares is interior, though the line x = 1 carries the
+        # re-entrant boundary side 1 <= y <= 2
+        M = rep_datum()
+        squares = [unit_square_at(x, y) for x, y in ((0, 0), (1, 0), (0, 1))]
+        eng = en.Engine(np.concatenate(squares), M, DELTA)
+        left = np.concatenate([squares[0], squares[2]])
+        _, stray = an.boundary_trace_residual(
+            left, M[None], np.zeros((4, 2)), M, eng.hull_segments,
+            gid=np.zeros(4, dtype=np.int64))
+        assert stray == pytest.approx(1.0, rel=1e-12)
+
 
 class TestRunSoundness:
     def test_certified_every_step(self, small_run):
-        rows = small_run.metrics.rows
-        dom = small_run.domain_area
+        eng, _ = small_run
+        rows = eng.metrics.rows
+        dom = eng.domain_area
         assert rows[-1]["k"] == 3
         for r in rows:
             assert r["partition_err"] <= 1e-10 * dom
             if "continuity_err" in r:
                 assert r["continuity_err"] < 1e-9
                 assert r["trace_err"] < 1e-10
-        assert small_run.restarts == 0
+        assert eng.restarts == 0
 
     def test_stage_monotone_and_advancing(self, small_run):
-        mins = [r["min_stage"] for r in small_run.metrics.rows]
-        maxs = [r["max_stage"] for r in small_run.metrics.rows]
+        eng, states = small_run
+        mins = [r["min_stage"] for r in eng.metrics.rows]
+        maxs = [r["max_stage"] for r in eng.metrics.rows]
         assert all(a <= b for a, b in zip(mins, mins[1:]))
         assert maxs[-1] > maxs[0]
-        for st in small_run.states:
+        for st in states:
             # children never fall below the datum's stage
             assert st.stages.min() >= 2
 
     def test_mean_distance_non_increasing(self, small_run):
-        md = [r["mean_dist"] for r in small_run.metrics.rows]
+        md = [r["mean_dist"] for r in small_run[0].metrics.rows]
         assert all(b <= a + 1e-15 for a, b in zip(md, md[1:]))
 
     def test_streamed_l1_matches_state_pairs(self, small_run):
         # the step metric is accumulated from per-diamond plan units; the
         # sweep-free nested-partition integral must agree exactly
-        states = small_run.states
-        rows = small_run.metrics.rows
+        eng, states = small_run
+        rows = eng.metrics.rows
         for k in range(1, len(states)):
             direct = l1_diff(states[k - 1], states[k], "chi1")
             assert direct == pytest.approx(rows[k]["l1_chi_diff"],
                                            rel=1e-9, abs=1e-15)
 
     def test_parent_forest(self, small_run):
-        for prev, st in zip(small_run.states, small_run.states[1:]):
+        _, states = small_run
+        for prev, st in zip(states, states[1:]):
             assert st.prev_index.min() >= 0
             assert st.prev_index.max() < prev.n
             # every child's triangle sits inside its source cell's bbox
@@ -177,14 +196,16 @@ class TestRunSoundness:
             assert (st.verts.max(axis=1) <= hi).all()
 
     def test_iso_fast_path_used(self, small_run):
-        assert small_run.iso_fast_hits > 0
+        assert small_run[0].iso_fast_hits > 0
 
     def test_single_dyadic_aspect(self, small_run):
-        assert small_run.h_dyadic_used == {small_run.h0}
+        eng, _ = small_run
+        assert eng.h_dyadic_used == {eng.h0}
 
     def test_budget_respected(self, small_run):
-        for r in small_run.metrics.rows:
-            assert r["n_cells"] <= small_run.config.cell_budget
+        eng, _ = small_run
+        for r in eng.metrics.rows:
+            assert r["n_cells"] <= eng.config.cell_budget
 
 
 class TestDeterminism:
@@ -217,26 +238,26 @@ class TestBudgetPressure:
     def test_stall_leaves_the_recorded_state(self, stall_run):
         # a stalled step ends the run: it writes nothing to the state
         # and records no row
-        assert stall_run.stalled
-        assert [row["k"] for row in stall_run.metrics.rows] == [0]
-        assert stall_run.states == [stall_run.state]
+        eng, states = stall_run
+        assert eng.stalled
+        assert [row["k"] for row in eng.metrics.rows] == [0]
+        assert states == [eng.state]
         fresh = en.Engine(en.unit_square_domain(), rep_datum(), DELTA,
-                          stall_run.config)
+                          eng.config)
         for name in en.COVER_COLUMNS + ("gid", "grads", "stages", "phases",
                                         "frozen", "ids", "parents",
                                         "prev_index"):
-            assert np.array_equal(getattr(stall_run.state, name),
+            assert np.array_equal(getattr(eng.state, name),
                                   getattr(fresh.state, name)), name
-        assert stall_run.metrics.rows == fresh.metrics.rows
+        assert eng.metrics.rows == fresh.metrics.rows
         with pytest.raises(ConstructionFailureError):
-            stall_run.step()
+            eng.step()
 
-    def test_largest_cells_refined_first(self):
+    def test_largest_cells_refined_first(self, record_states):
         cfg = en.EngineConfig(cell_budget=25_000, max_steps=3, checks="fast",
-                              track_bv=False, keep_states=True)
-        eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
-                                  config=cfg)
-        states = eng.states
+                              track_bv=False)
+        eng, states = en.restarting(record_states, en.unit_square_domain(),
+                                    rep_datum(), DELTA, config=cfg)
         floor = eng.config.min_area_rel * eng.domain_area
         hit = 0
         for k in range(len(states) - 1):
@@ -256,12 +277,12 @@ class TestBudgetPressure:
                 assert areas[refined].min() >= areas[skipped].max() - 1e-15
         assert hit > 0
 
-    def test_frozen_cells_never_refined(self):
+    def test_frozen_cells_never_refined(self, record_states):
         cfg = en.EngineConfig(cell_budget=25_000, max_steps=3, checks="fast",
-                              track_bv=False, keep_states=True)
-        eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
-                                  config=cfg)
-        for prev, st in zip(eng.states, eng.states[1:]):
+                              track_bv=False)
+        _, states = en.restarting(record_states, en.unit_square_domain(),
+                                  rep_datum(), DELTA, config=cfg)
+        for prev, st in zip(states, states[1:]):
             # frozen ids of prev must survive verbatim into st
             fr = prev.ids[prev.frozen]
             assert np.isin(fr, st.ids).all()
@@ -405,17 +426,18 @@ class TestIncrementalSweep:
     """The engine carries each state's sweep into the next one's; the
     result equals the sweep of the state alone."""
 
-    def test_every_state_matches_full_sweep(self, sweeps, assert_same_sweep):
+    def test_every_state_matches_full_sweep(self, sweeps, assert_same_sweep,
+                                            record_states):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=5, checks="full",
-                              track_bv=True, keep_states=True)
-        eng = en.run_construction(en.unit_square_domain(), rep_datum(),
-                                  DELTA, config=cfg)
+                              track_bv=True)
+        eng, states = en.restarting(record_states, en.unit_square_domain(),
+                                    rep_datum(), DELTA, config=cfg)
         # the domain check, then one sweep per state, carried from step 1
-        assert len(eng.states) == 6 and len(sweeps) == 7
+        assert len(states) == 6 and len(sweeps) == 7
         assert [call[1] is None for call in sweeps] == [True] * 2 \
             + [False] * 5
         for k, (verts, prev, sw, cells, arrays) in enumerate(sweeps[1:]):
-            st = eng.states[k]
+            st = states[k]
             assert verts is st.verts
             if prev is not None:
                 last, prev_index, n_kept = prev
@@ -426,7 +448,7 @@ class TestIncrementalSweep:
                 # kept cells first, then the children of covered ones
                 kept = prev_index[:n_kept]
                 assert np.array_equal(verts[:n_kept],
-                                      eng.states[k - 1].verts[kept])
+                                      states[k - 1].verts[kept])
                 assert not np.isin(prev_index[n_kept:], kept).any()
             # the term columns too: every state carries all three
             assert cells.gid is st.gid and cells.offs is st.offs
@@ -436,19 +458,21 @@ class TestIncrementalSweep:
         assert eng._sweep.dt is not None
 
     @pytest.mark.parametrize("run", ["ramp", "stage_one_run"])
-    def test_rows_equal_the_public_checks(self, run, request):
+    def test_rows_equal_the_public_checks(self, run, request,
+                                          record_states):
         # the row values reduce the carried term columns; each equals the
         # public function evaluated on its state alone, bit for bit
         if run == "ramp":
             cfg = en.EngineConfig(cell_budget=20_000, max_steps=4,
-                                  checks="full", keep_states=True)
-            eng = en.run_construction(en.unit_square_domain(), rep_datum(),
-                                      DELTA, config=cfg)
+                                  checks="full")
+            eng, states = en.restarting(record_states,
+                                        en.unit_square_domain(), rep_datum(),
+                                        DELTA, config=cfg)
         else:
-            eng = request.getfixturevalue(run)
-        assert eng.config.checks == "full" and eng.config.keep_states
-        assert len(eng.states) == len(eng.metrics.rows) == 5
-        for st, row in zip(eng.states, eng.metrics.rows):
+            eng, states = request.getfixturevalue(run)
+        assert eng.config.checks == "full"
+        assert len(states) == len(eng.metrics.rows) == 5
+        for st, row in zip(states, eng.metrics.rows):
             sw = FULL_SWEEP(st.verts)
             assert row["bv_chi"] == an.bv_seminorm_cells(
                 st.verts, (st.phases == 1).astype(float), sweep=sw), st.k
@@ -497,7 +521,7 @@ class TestLowStageEntry:
         # a stage-1 datum: its low-stage plan lifts pieces more than one
         # stage, and the isosceles leftovers of that cover later take
         # the fast path under the same plan
-        eng = stage_one_run
+        eng, _ = stage_one_run
         assert ia.classify(eng.M, DELTA) == 1
         assert eng.state.k == 4
         assert eng.iso_fast_hits > 0
@@ -508,10 +532,10 @@ class TestRecordedStates:
     def test_states_match_their_rows(self, ramp_run, stall_run):
         # a state is not written after its row is recorded, also when a
         # step stalls
-        for eng, n in ((ramp_run, 4), (stall_run, 1)):
+        for (eng, states), n in ((ramp_run, 4), (stall_run, 1)):
             rows = eng.metrics.rows
-            assert len(eng.states) == len(rows) == n
-            for st, row in zip(eng.states, rows):
+            assert len(states) == len(rows) == n
+            for st, row in zip(states, rows):
                 assert st.k == row["k"]
                 assert (float(st.areas()[st.frozen].sum())
                         == row["frozen_measure"])
@@ -521,9 +545,9 @@ class TestRecordedStates:
     def test_iso_cells_are_members_of_their_plan_class(self, run, request):
         # st.iso records that the cell is an isosceles triangle of its
         # plan's aspect with its apex axis along the plan's diamond axis
-        eng = request.getfixturevalue(run)
+        eng, states = request.getfixturevalue(run)
         tagged = 0
-        for st in eng.states:
+        for st in states:
             cells = np.flatnonzero(st.iso)
             tagged += cells.size
             rows, which = np.unique(st.gid[cells], return_inverse=True)
@@ -538,9 +562,10 @@ class TestRecordedStates:
 
 @pytest.fixture(scope="module", params=["stage_two", "cli_default"])
 def table_run(request):
-    """A three-step run with keep_states on a stage-2 datum or on the CLI's
-    default (stage-0) boundary, and copies of the grads, stages and phases
-    of each state taken right after it was recorded."""
+    """A three-step run on a stage-2 datum or on the CLI's default
+    (stage-0) boundary, the state each of its rows recorded, and copies of
+    the grads, stages and phases of each state taken right after it was
+    recorded."""
     if request.param == "stage_two":
         M, delta, stage = rep_datum(), DELTA, 2
     else:
@@ -549,20 +574,21 @@ def table_run(request):
         stage = 0
     assert ia.classify(M, delta) == stage
     cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
-                          track_bv=False, keep_states=True)
+                          track_bv=False)
     eng = en.Engine(en.unit_square_domain(), M, delta, cfg)
-    copies = []
+    states, copies = [], []
     while True:
         st = eng.state
+        states.append(st)
         copies.append((st.grads.copy(), st.stages.copy(), st.phases.copy()))
         if st.k == cfg.max_steps:
-            return eng, copies
+            return eng, states, copies
         eng.step()
 
 
 class TestGradientTable:
     def test_rows_are_distinct_gradients(self, table_run):
-        eng, _ = table_run
+        eng, _, _ = table_run
         grads = eng.table.grads
         assert len({G.tobytes() for G in grads}) == grads.shape[0]
         # each plan's piece rows hold its pieces' gradients, then its own
@@ -574,7 +600,7 @@ class TestGradientTable:
                 [plan.grads, plan.M[None]]))
 
     def test_stage_and_phase_of_each_row(self, table_run):
-        eng, _ = table_run
+        eng, _, _ = table_run
         t = eng.table
         assert t.stages.dtype == np.int16 and t.phases.dtype == np.uint8
         assert t.stages.tolist() == [ia.classify(G, eng.delta)
@@ -583,11 +609,11 @@ class TestGradientTable:
 
     def test_kept_states_read_what_was_recorded(self, table_run):
         # later steps append rows; a kept state still gathers its own
-        eng, copies = table_run
-        assert len(eng.states) == len(copies) == 4
-        assert eng.states[0].table.grads.shape[0] == 1
+        eng, states, copies = table_run
+        assert len(states) == len(copies) == 4
+        assert states[0].table.grads.shape[0] == 1
         assert eng.table.grads.shape[0] > 1
-        for st, (grads, stages, phases) in zip(eng.states, copies):
+        for st, (grads, stages, phases) in zip(states, copies):
             for got, want in ((st.grads, grads), (st.stages, stages),
                               (st.phases, phases)):
                 assert got.dtype == want.dtype
@@ -611,15 +637,15 @@ def measured(eng, st):
             "partition_err": abs(total - eng.domain_area)}
 
 
-def restarted_run():
+def restarted_run(record_states):
     # h0 = 1/16 fails at step 1 before its state is recorded; the retry
     # records every state
     cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
-                          track_bv=False, h0=1 / 16, keep_states=True)
-    eng = en.run_construction(en.unit_square_domain(), rep_datum(), DELTA,
-                              config=cfg)
+                          track_bv=False, h0=1 / 16)
+    eng, states = en.restarting(record_states, en.unit_square_domain(),
+                                rep_datum(), DELTA, config=cfg)
     assert eng.restarts == 1 and eng.state.k == 3
-    return eng
+    return eng, states
 
 
 @pytest.fixture
@@ -642,14 +668,15 @@ class TestCarriedColumns:
     @pytest.mark.parametrize("run", ["ramp_run", "two-plans",
                                      "stage_one_run", "stall_run",
                                      "restarted"])
-    def test_rows_equal_a_measure_of_the_state(self, run, request, stepped):
+    def test_rows_equal_a_measure_of_the_state(self, run, request, stepped,
+                                               record_states):
         if run == "two-plans":
-            eng = stepped(run)[0]
+            eng, states, _ = stepped(run)
         elif run == "restarted":
-            eng = restarted_run()
+            eng, states = restarted_run(record_states)
         else:
-            eng = request.getfixturevalue(run)
-        states, rows = eng.states, eng.metrics.rows
+            eng, states = request.getfixturevalue(run)
+        rows = eng.metrics.rows
         assert len(states) == len(rows) == eng.state.k + 1
         # the two-plans state 0 was rewritten after its row was recorded
         first = 1 if run == "two-plans" else 0
@@ -657,9 +684,8 @@ class TestCarriedColumns:
             want = measured(eng, st)
             assert {c: row[c] for c in CARRIED} == want, st.k
 
-    def test_only_children_are_measured(self, measure_calls):
-        eng = restarted_run()
-        states = eng.states
+    def test_only_children_are_measured(self, measure_calls, record_states):
+        _, states = restarted_run(record_states)
         for name, log in measure_calls.items():
             # the failed attempt's row 0, then the retry's row 0, both
             # whole states; then the children of each step
@@ -690,15 +716,14 @@ class TestCarriedColumns:
         assert eng.state.k == 3
         assert released == [True] * 3
 
-    def test_step_that_covers_nothing(self):
+    def test_step_that_covers_nothing(self, record_states):
         # no cell reaches the area floor: every step keeps every cell
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=2,
-                              min_area_rel=1.0, checks="full",
-                              keep_states=True)
+                              min_area_rel=1.0, checks="full")
         eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
-        eng.run()
+        states = record_states(eng)
         rows = eng.metrics.rows
         assert [r["n_cells"] for r in rows] == [2, 2, 2]
         assert rows[2]["frozen_measure"] == 1.0
-        for st, row in zip(eng.states, rows):
+        for st, row in zip(states, rows):
             assert {c: row[c] for c in CARRIED} == measured(eng, st)

@@ -210,9 +210,9 @@ def test_state_blocks_are_one_cover_results(stepped):
         _check_blocks(*stepped(run))
 
 
-def _check_blocks(eng, want_kinds):
+def _check_blocks(eng, states, want_kinds):
     kinds = []
-    for prev, st in zip(eng.states, eng.states[1:]):
+    for prev, st in zip(states, states[1:]):
         covered = np.flatnonzero(~np.isin(prev.ids, st.ids))
         n_kept = prev.n - covered.shape[0]
         assert np.isin(st.ids[:n_kept], prev.ids).all()

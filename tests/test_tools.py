@@ -1,9 +1,11 @@
 """tools/peak_probe.py: per-call traced memory of the sweep's layers;
-tools/digests.py: the bit-identity digests of the plans and the sampler."""
+tools/digests.py: the bit-identity digests of the plans and the sampler,
+and the per-column digests of metric rows."""
 
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from twowell import analysis as an
@@ -79,3 +81,16 @@ def test_sampled_rows_digest_is_pinned():
                                     n_samples=300, generations=4, seed=0)
     assert series.meta["restarts"] == 0
     assert digests.rows_digest(series.rows) == "946edd6fd729000c"
+
+
+def test_column_digests_name_the_moved_column():
+    """Two row lists that differ in one column (here by one ulp) get
+    different digests for that column and equal ones for the others."""
+    digests = _load("digests")
+    rows = [{"k": k, "l1_chi_diff": 0.1 * k, "n_cells": 2 + k}
+            for k in range(3)]
+    moved = [dict(row) for row in rows]
+    moved[2]["l1_chi_diff"] = float(np.nextafter(0.2, 1.0))
+    a, b = digests.column_digests(rows), digests.column_digests(moved)
+    assert list(a) == list(b) == ["k", "l1_chi_diff", "n_cells"]
+    assert [name for name in a if a[name] != b[name]] == ["l1_chi_diff"]

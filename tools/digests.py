@@ -23,6 +23,9 @@ both engine workloads, so the default covers a restarted run) it prints:
   intervals with an owner (a gap interval, with no owner on either side,
   has no edge to take endpoints from), the line keys and every term
   column the sweep holds (``bv_chi``, ``bv_grad``, ``continuity``);
+  on a third line, one 8-digit digest per metric-row column (``name=``
+  digest, columns in the order of the first row that holds them), so a
+  change that moves the rows names the columns it moved;
 - ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt``, ``phases.svg``,
   ``metrics.tsv`` and ``report.txt`` written by ``twowell run`` with the
   benchmark's arguments, and of the standard output of the benchmark's
@@ -93,6 +96,14 @@ def rows_digest(rows) -> str:
     return _hex(pickle.dumps(rows))
 
 
+def column_digests(rows) -> dict:
+    """{column: 8-digit digest of its values down the rows}, a row that
+    lacks the column reading None."""
+    names = list(dict.fromkeys(name for row in rows for name in row))
+    return {name: _hex(pickle.dumps([row.get(name) for row in rows]))[:8]
+            for name in names}
+
+
 def sweep_digest(sw) -> str:
     owned = (sw.left_owner >= 0) | (sw.right_owner >= 0)
     terms = tuple(getattr(sw, t).tobytes() for t in an.TERM_COLUMNS
@@ -106,7 +117,7 @@ def sweep_digest(sw) -> str:
 
 
 def engine_digests(name: str, seed: int):
-    """(per-step state digests, per-call sweep digests, rows digest) of
+    """(per-step state digests, per-call sweep digests, metric rows) of
     one benchmark engine run; a restarted attempt's are dropped with it."""
     steps, sweeps = [], []
     init, step = en.Engine.__init__, en.Engine.step
@@ -137,7 +148,7 @@ def engine_digests(name: str, seed: int):
     finally:
         en.Engine.__init__, en.Engine.step = init, step
         an.sweep_intervals = sweep
-    return steps, sweeps, rows_digest(eng.metrics.rows)
+    return steps, sweeps, eng.metrics.rows
 
 
 CLI_ARTIFACTS = ("mesh.txt", "phases.svg", "metrics.tsv", "report.txt")
@@ -221,9 +232,12 @@ def main(argv=None) -> int:
         for name in ("big_run", "refine_fast"):
             if name in args.only:
                 steps, sweeps, rows = engine_digests(name, seed)
-                print(f"{name} input {seed}: rows {rows} states "
-                      + " ".join(steps), flush=True)
+                print(f"{name} input {seed}: rows {rows_digest(rows)} "
+                      "states " + " ".join(steps), flush=True)
                 print(f"{name} input {seed}: sweeps " + " ".join(sweeps),
+                      flush=True)
+                print(f"{name} input {seed}: columns " + " ".join(
+                    f"{c}={d}" for c, d in column_digests(rows).items()),
                       flush=True)
         if "cli_pipeline" in args.only:
             digests = cli_digests(seed)
