@@ -25,7 +25,9 @@ holds the same edges as before and decomposes into the same intervals.
 sweep_intervals takes the previous state's sweep, sweeps only the dirty
 lines and merges their intervals with the carried clean ones (owners
 renumbered through prev_index) in the order of a full sweep, which it
-equals element for element.  Dirty lines are found through a 32-bit
+equals element for element.  A full sweep is the same call carrying
+nothing (no previous sweep, or one that cannot be carried): every edge
+is new and every line dirty.  Dirty lines are found through a 32-bit
 hash of every cell edge's line key (edge_hash), carried with the kept
 cells: a line's bucket is the top bits of its hash, and a bucket shared
 by two lines only re-sweeps a clean one.  The call takes ownership of
@@ -101,25 +103,20 @@ def _frame(verts: np.ndarray):
     return 0.5 * (lo + hi), diam
 
 
-def _edge_table(verts: np.ndarray, frame, eid: np.ndarray):
-    """Line keys and interval data of the edges eid of verts.
+def _edge_chunks(verts: np.ndarray, frame, eid: np.ndarray) -> list:
+    """Line keys and interval data of the edges eid of verts, as the
+    tables of its chunks of SWEEP_CHUNK edges (one chunk at least), to be
+    joined by the caller (_join).
 
     Edge 3i + j runs from vertex j to vertex j + 1 (mod 3) of cell i.
     Zero-length edges are dropped.  Works in normalized coordinates (the
     frame's center and diameter divided out); every value of an edge
-    depends on that edge and the frame only, so the table is built
-    SWEEP_CHUNK edges at a time and its temporaries stay that small.
-    Returns (eid, line key (E,3) int32, tlo, thi, left (bool: owning cell
-    lies left of the canonical tangent), and the endpoints in absolute
+    depends on that edge and the frame only, so the table is built a chunk
+    at a time and its temporaries stay that small.  A table's columns are
+    (eid, line key (E,3) int32, tlo, thi, left (bool: owning cell lies
+    left of the canonical tangent), and the endpoints in absolute
     coordinates ordered by t).
     """
-    parts = _edge_chunks(verts, frame, eid)
-    return parts[0] if len(parts) == 1 else _join(parts)
-
-
-def _edge_chunks(verts: np.ndarray, frame, eid: np.ndarray) -> list:
-    """The _edge_table of eid as the tables of its chunks of SWEEP_CHUNK
-    edges (one chunk at least), to be joined by the caller."""
     return [list(_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK]))
             for i in range(0, max(eid.shape[0], 1), SWEEP_CHUNK)]
 
@@ -136,7 +133,7 @@ def _join(parts: list) -> list:
 
 
 def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
-    """_edge_table of one chunk of edges."""
+    """The table (_edge_chunks) of one chunk of edges."""
     center, diam = frame
     flat = verts.reshape(-1, 2)
     p0 = (np.take(flat, eid, axis=0) - center) / diam
@@ -404,25 +401,32 @@ class SweepAccumulator:
     continuity: Optional[np.ndarray] = None
 
 
-def _dirty_lines(verts: np.ndarray, frame, old: SweepAccumulator,
-                 prev_index: np.ndarray, n_kept: int):
+def _dirty_lines(verts: np.ndarray, frame, old: Optional[SweepAccumulator],
+                 prev_index: Optional[np.ndarray], n_kept: int):
     """What a refinement step changed, for sweep_intervals: (edge_hash of
     verts, the edge table of every edge on a dirty line, (start, size) of
     the old sweep's clean lines).  A kept edge's hash is carried, not
-    computed again; only the new edges' keys are hashed.  The chunks of
-    the re-swept kept edges and of the new ones are joined once."""
+    computed again; only the new edges' keys are hashed, a chunk at a
+    time.  The chunks of the re-swept kept edges and of the new ones are
+    joined once.  With nothing carried (old None, n_kept 0) every edge is
+    new and every line dirty: the table is the whole table, no bucket
+    bitmap is built, and the clean lines are None."""
     n = verts.shape[0]
-    kept = prev_index[:n_kept]
     edge_hash = np.zeros((n, 3), dtype=np.uint32)
-    edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
     flat = edge_hash.reshape(-1)
     bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
-    dirty = np.zeros(1 << bits, dtype=bool)
+    if old is not None:
+        kept = prev_index[:n_kept]
+        edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
+        dirty = np.zeros(1 << bits, dtype=bool)
     new = _edge_chunks(verts, frame, np.arange(3 * n_kept, 3 * n))
     for part in new:
         new_hash = _line_hash(part[1])
         flat[part[0]] = new_hash
-        dirty[_buckets(new_hash, bits)] = True
+        if old is not None:
+            dirty[_buckets(new_hash, bits)] = True
+    if old is None:
+        return edge_hash, _join(new), None
     # a parent edge and its children's edges need not share a key, so the
     # lines of both are dirty
     covered = np.ones(old.edge_hash.shape[0], dtype=bool)
@@ -460,67 +464,52 @@ def sweep_intervals(verts: np.ndarray, prev=None,
     interval keeps its terms.  Terms are evaluated on the fresh intervals
     only.  The result equals the sweep of verts alone element for element,
     overlap_error included: a line's owners depend on its own edges only
-    (see _sweep), and the clean lines held no overlap before.  Every line
-    is swept when the frame's bits changed, when the previous sweep found
-    an overlap (a clean line's overlap is not seen again without sweeping
-    it), and when the previous sweep lacks a term column that cells asks
-    for.
+    (see _sweep), and the clean lines held no overlap before.  Nothing is
+    carried without prev, nor when the previous sweep found an overlap (a
+    clean line's overlap is not seen again without sweeping it), has other
+    frame bits, or lacks a term column that cells asks for: then every
+    edge is new and every line dirty, the full sweep, and nothing merged.
 
     The call takes ownership of prev's sweep: each of its columns is set to
     None as soon as it is merged (so the previous and the next sweep are
     never both whole in memory), and all of them by the time the call
-    returns, whichever path it took.  Given a sweep so consumed, it raises
+    returns, carried or not.  Given a sweep so consumed, it raises
     InvalidParameterError.
     """
     frame = _frame(verts)
-    n = verts.shape[0]
     names = INTERVAL_COLUMNS + _term_names(cells)
-    if prev is not None:
-        old, prev_index, n_kept = prev
+    old, prev_index, n_kept = (None, None, 0) if prev is None else prev
+    if old is not None:
         if old.dt is None:
             raise InvalidParameterError("the previous sweep was consumed by "
                                         "an earlier sweep_intervals call")
-        if not old.overlap_error and old.frame[1] == frame[1] \
-                and old.frame[0].tobytes() == frame[0].tobytes() \
-                and all(getattr(old, t) is not None
-                        for t in _term_names(cells)):
-            return _carry(verts, frame, names, cells, old, prev_index,
-                          n_kept)
-        _release(old)
-    edges = _edge_table(verts, frame, np.arange(3 * n))
-    edge_hash = np.zeros((n, 3), dtype=np.uint32)
-    edge_hash.reshape(-1)[edges[0]] = _line_hash(edges[1])
-    cols, overlap = _sweep_lines(edges, frame[1], cells)
-    del edges
-    return SweepAccumulator(**dict(zip(names, cols)), overlap_error=overlap,
-                            edge_hash=edge_hash, frame=frame)
-
-
-def _carry(verts, frame, names, cells, old, prev_index, n_kept):
-    """sweep_intervals of a refinement step from the previous sweep old,
-    which it consumes column by column."""
-    n_old = old.edge_hash.shape[0]
+        if old.overlap_error or old.frame[1] != frame[1] \
+                or old.frame[0].tobytes() != frame[0].tobytes() \
+                or any(getattr(old, t) is None for t in _term_names(cells)):
+            _release(old)
+            old, n_kept = None, 0
     edge_hash, edges, clean = _dirty_lines(verts, frame, old, prev_index,
                                            n_kept)
-    old.edge_hash = None
-    fresh, overlap = _sweep_lines(edges, frame[1], cells)
+    if old is not None:
+        n_old = old.edge_hash.shape[0]
+        old.edge_hash = None
+    cols, overlap = _sweep_lines(edges, frame[1], cells)
     del edges
-    src, at_b = _merge_rows(old.line, clean, fresh[names.index("line")])
-    # owners renumbered to the new state; index -1 (no owner) wraps to the
-    # last entry, which no kept cell maps to
-    renum = np.full(n_old + 1, -1, dtype=np.int64)
-    renum[prev_index[:n_kept]] = np.arange(n_kept)
-    cols = {}
-    for i, name in enumerate(names):
-        f = np.take(getattr(old, name), src, axis=0)
-        setattr(old, name, None)
-        if name.endswith("_owner"):
-            np.take(renum, f, out=f, mode="wrap")
-        f[at_b] = fresh[i]
-        fresh[i] = None
-        cols[name] = f
-    _release(old)
-    return SweepAccumulator(**cols, overlap_error=overlap,
+    if old is not None:
+        src, at_b = _merge_rows(old.line, clean, cols[names.index("line")])
+        # owners renumbered to the new state; index -1 (no owner) wraps to
+        # the last entry, which no kept cell maps to
+        renum = np.full(n_old + 1, -1, dtype=np.int64)
+        renum[prev_index[:n_kept]] = np.arange(n_kept)
+        for i, name in enumerate(names):
+            f = np.take(getattr(old, name), src, axis=0)
+            setattr(old, name, None)
+            if name.endswith("_owner"):
+                np.take(renum, f, out=f, mode="wrap")
+            f[at_b] = cols[i]
+            cols[i] = f
+        _release(old)
+    return SweepAccumulator(**dict(zip(names, cols)), overlap_error=overlap,
                             edge_hash=edge_hash, frame=frame)
 
 

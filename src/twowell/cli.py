@@ -14,17 +14,9 @@ every value on its own.
 
 from __future__ import annotations
 
-import os
-
-# honor the thread cap before numpy spins up its pools
-_THREADS = os.environ.get("TWOWELL_THREADS")
-if _THREADS:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _THREADS)
-
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -228,8 +220,6 @@ def write_report(path: str, eng, cfg: RunConfig):
              ("h0", _fmt(eng.h0)), ("restarts", str(eng.restarts)),
              ("stalled", str(eng.stalled).lower()),
              ("growth_constant", _fmt(growth))]
-    if _THREADS:
-        pairs.append(("threads", _THREADS))
     nan = float("nan")
     try:
         rr = an.regularity_report(eng.metrics, growth_constant=growth)
@@ -260,6 +250,13 @@ def write_report(path: str, eng, cfg: RunConfig):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _checks(value: str) -> str:
+    """The config cast of checks: one of engine.CHECKS."""
+    if value not in en.CHECKS:
+        raise ValueError(value)
+    return value
+
+
 def cmd_run(args, parser) -> int:
     overrides = {}
     if args.config:
@@ -274,7 +271,7 @@ def cmd_run(args, parser) -> int:
     casts = {"delta": float, "boundary": str, "domain": str, "steps": int,
              "budget": int, "min_area": float, "seed": int,
              "h0": lambda v: None if v == "auto" else float(v),
-             "checks": str, "outdir": str}
+             "checks": _checks, "outdir": str}
     for key, val in overrides.items():
         if key not in casts:
             parser.error(f"unknown config key {key!r}")
@@ -439,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--min-area", dest="min_area", type=float)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--h0", type=float)
-    p_run.add_argument("--checks", choices=("fast", "full"))
+    p_run.add_argument("--checks", choices=en.CHECKS)
     p_run.add_argument("--outdir")
     p_run.set_defaults(func=cmd_run)
 

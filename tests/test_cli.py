@@ -1,9 +1,6 @@
 """Front-end: parsing, artifact formats, exit codes, reproducibility."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -210,10 +207,22 @@ class TestRunErrors:
         assert run_cli(["run", "--domain", str(domain),
                         "--outdir", str(tmp_path)]) == 1
 
-    def test_unknown_config_key(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("stepz = 3", "unknown config key 'stepz'"),
+        ("steps = two", "bad value for config key 'steps': 'two'"),
+        ("checks = bogus", "bad value for config key 'checks': 'bogus'")],
+        ids=["key", "value", "checks"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, line,
+                                       message):
+        # a config file is checked like the flags: a usage error, before
+        # the output directory is made
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("stepz = 3\n")
-        assert run_cli(["run", "--config", str(cfgfile)]) == 2
+        cfgfile.write_text(f"budget = 5000\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(cfgfile),
+                        "--outdir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -341,15 +350,3 @@ class TestDim:
             cli.read_mesh(str(mesh))
         assert run_cli(["dim", str(mesh)]) == 1
         assert "no cells" in capsys.readouterr().err
-
-
-class TestThreadEnv:
-    def test_thread_cap_recorded(self, tmp_path):
-        env = dict(os.environ, TWOWELL_THREADS="2")
-        env.pop("OMP_NUM_THREADS", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "twowell.cli", "run", "--steps", "1",
-             "--budget", "15000", "--outdir", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert "threads: 2" in (tmp_path / "report.txt").read_text()
