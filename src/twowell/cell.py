@@ -10,6 +10,8 @@ A - B is a vertical shear of signed size g0 across horizontal interfaces;
 the physical cell is the exact conjugation of that template by the
 rank-one frame of A - B and left-multiplication by C.  All ten pieces
 have determinant-one gradients and the boundary trace is Cx exactly.
+A plan (RefinePlan) holds one such cell on the unit diamond, and
+RefinePlan.place lays it at any center and scale.
 """
 
 from __future__ import annotations
@@ -29,43 +31,12 @@ from .errors import (AspectFailureError, ConstructionFailureError,
 H_MAX = 0.125           # diamond aspect bound; calibration grid starts here
 H_FLOOR = 2.0 ** -20    # verify-and-shrink giving up threshold
 
-GRAD_NAMES = ("a_core", "b_flank", "a_cap", "corr_ne", "corr_nw")
 # triangle -> gradient slot (blue,blue,green,green,orange,orange,red,red,yel,yel)
 GRAD_INDEX = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
 
 
-@dataclass
-class CellTemplate:
-    """Normalized cell: C = Id, interfaces normal to e2, unit diamond."""
-    lam: float
-    h: float
-    points: np.ndarray       # (8,2): top, bottom, right, left, xa, xb, xc, xd
-    values: np.ndarray       # (8,2) boundary-compatible displacement values
-    tris: np.ndarray         # (10,3) indices into points, CCW
-    grads: np.ndarray        # (5,2,2) distinct gradients
-    offs: np.ndarray         # (10,2) per-triangle affine offsets
-    areas: np.ndarray        # (10,)
-    trivial: bool = False
-
-    @property
-    def area(self) -> float:
-        return 2.0 * self.h
-
-    def a_fraction(self) -> float:
-        return float(self.areas[GRAD_INDEX == 0].sum()
-                     + self.areas[GRAD_INDEX == 2].sum()) / self.area
-
-
 def _diamond_points(h: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [0.0, -1.0], [h, 0.0], [-h, 0.0]])
-
-
-def _trivial_template(lam: float, h: float) -> CellTemplate:
-    pts = _diamond_points(h)
-    tris = np.array([[3, 1, 2], [3, 2, 0]])
-    areas = np.full(2, h)
-    return CellTemplate(lam, h, pts, pts.copy(), tris, np.eye(2)[None],
-                        np.zeros((2, 2)), areas, trivial=True)
 
 
 #                  blue            green          orange        red        yellow
@@ -98,32 +69,28 @@ def _template_grads(lam: np.ndarray, h: float, g0: np.ndarray,
 class _Templates:
     """The normalized cells of a stack of (lam, g0) at one aspect h.
 
-    errors[i] is what build_template raises for row i, or None.  The
-    arrays hold the rows in `rows`: those that are not trivial and pass
-    the parameter and fit checks (a built row may fail a later check).
+    errors[i] is row i's first failing check, or None.  The arrays hold
+    the rows in `rows`: those that pass the parameter and fit checks (a
+    built row may fail a later check).
     """
     errors: list
-    trivial: np.ndarray      # (b,) lam in {0, 1} or g0 = 0
     rows: np.ndarray         # (n,)
-    points: np.ndarray       # (n,8,2)
-    values: np.ndarray       # (n,8,2)
-    tris: np.ndarray         # (n,10,3)
-    grads: np.ndarray        # (n,5,2,2)
-    offs: np.ndarray         # (n,10,2)
+    points: np.ndarray       # (n,8,2): top, bottom, right, left, xa..xd
+    values: np.ndarray       # (n,8,2) boundary-compatible displacements
+    tris: np.ndarray         # (n,10,3) indices into points, CCW
+    grads: np.ndarray        # (n,5,2,2) the distinct gradients
+    offs: np.ndarray         # (n,10,2) per-triangle affine offsets
     areas: np.ndarray        # (n,10)
-
-    def template(self, j: int, lam: float, h: float) -> CellTemplate:
-        return CellTemplate(lam, h, self.points[j], self.values[j],
-                            self.tris[j], self.grads[j], self.offs[j],
-                            self.areas[j])
 
 
 def _templates(lam: np.ndarray, h: float, g0: np.ndarray) -> _Templates:
-    """build_template for a stack of (lam, g0) at one aspect h.
+    """The normalized ten-piece cells of a stack of non-trivial (lam, g0),
+    0 < lam < 1 and g0 != 0, at one aspect h; see module docstring.
 
-    Row by row these are build_template's closed forms in its expression
-    order, so every bit agrees, and its checks as array checks with the
-    same tolerances, exception classes and messages.
+    A row fails with AspectFailureError if its shear is too strong for
+    the aspect h, and with ConstructionFailureError if a closed-form
+    gradient disagrees with the corner interpolation beyond PIPE_TOL, a
+    piece is not affine, the pieces fail to tile or a determinant drifts.
     """
     b = lam.shape[0]
     errors = [None] * b
@@ -132,12 +99,11 @@ def _templates(lam: np.ndarray, h: float, g0: np.ndarray) -> _Templates:
     if not (0.0 < h <= H_MAX + 1e-15):
         fail(errors, np.ones(b, dtype=bool), lambda i:
              InvalidParameterError(f"h must be in (0, {H_MAX}], got {h}"))
-    trivial = (lam == 0.0) | (lam == 1.0) | (g0 == 0.0)
     fit = h * (1.0 + np.abs(g0) * np.maximum(lam, 1.0 - lam))
-    fail(errors, ~trivial & (fit >= 1.0), lambda i: AspectFailureError(
+    fail(errors, fit >= 1.0, lambda i: AspectFailureError(
         "shear too strong for this aspect: "
         f"h(1+|g0|max(lam,1-lam)) = {fit[i]:.3f}"))
-    rows = np.flatnonzero(clean(errors) & ~trivial)
+    rows = np.flatnonzero(clean(errors))
     lam, g0 = lam[rows], g0[rows]
     n = rows.shape[0]
 
@@ -196,23 +162,7 @@ def _templates(lam: np.ndarray, h: float, g0: np.ndarray) -> _Templates:
     fail(errors, np.abs(np.linalg.det(grads) - 1.0).max(axis=1) > 1e-10,
          lambda j: ConstructionFailureError("gradient determinant drift"),
          rows)
-    return _Templates(errors, trivial, rows, pts, vals, tris, grads, offs,
-                      areas)
-
-
-def build_template(lam: float, h: float, g0: float) -> CellTemplate:
-    """The normalized ten-piece cell; see module docstring.
-
-    Raises AspectFailureError if the shear is too strong for the aspect
-    h, and ConstructionFailureError if a closed-form gradient disagrees
-    with the corner interpolation beyond PIPE_TOL or the pieces fail to tile.
-    """
-    t = _templates(np.array([lam], dtype=float), h,
-                   np.array([g0], dtype=float))
-    raise_first(t.errors)
-    if t.trivial[0]:
-        return _trivial_template(lam, h)
-    return t.template(0, lam, h)
+    return _Templates(errors, rows, pts, vals, tris, grads, offs, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +201,8 @@ def _shears(D: np.ndarray, C: np.ndarray):
 
 @dataclass
 class _Pairs:
-    """build_cell's data for a stack of cells, with what does not depend on
-    the aspect: the shear g0 and frame S of each pair (zero where they were
+    """A stack of pairs (A, B) about C, with what does not depend on the
+    aspect: the shear g0 and frame S of each pair (zero where they were
     not made) and each row's first failing check so far."""
     A: np.ndarray              # (b,2,2)
     C: np.ndarray
@@ -289,8 +239,8 @@ class _Cells:
     """The cells of a stack of pairs at one aspect h.
 
     grads holds every row's five physical slot gradients: C in each slot
-    of a trivial row, zero in a row that failed.  errors[i] is what
-    build_cell raises for row i, or None.
+    of a trivial row, zero in a row that failed.  errors[i] is row i's
+    first failing check, or None.
     """
     pairs: _Pairs
     templates: _Templates      # of the rows that were built
@@ -299,7 +249,7 @@ class _Cells:
 
 
 def _cells(p: _Pairs, h: float) -> _Cells:
-    """The stacked construction behind build_cell and calibrate_h0."""
+    """The stacked construction behind every plan and calibrate_h0."""
     errors = list(p.errors)
     live = np.flatnonzero(clean(errors) & ~p.trivial)
     t = _templates(p.lam[live], h, p.g0[live])
@@ -318,104 +268,6 @@ def _cells(p: _Pairs, h: float) -> _Cells:
     return _Cells(p, t, grads, errors)
 
 
-@dataclass
-class CellConstruction:
-    """A placed cell: pieces u(y) = grads[gidx[i]] y + offsets[i] on tris[i]."""
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    lam: float
-    h: float
-    scale: float
-    frame: np.ndarray          # rotation S with S e1 = n, S e2 = n_perp
-    diamond: np.ndarray        # (4,2) physical diamond vertices
-    tris: np.ndarray           # (n,3,2) physical triangles
-    grads: np.ndarray          # (5,2,2) or (1,2,2) physical gradients
-    gidx: np.ndarray           # (n,) triangle -> gradient slot
-    offsets: np.ndarray        # (n,2)
-    areas: np.ndarray          # (n,)
-    template: CellTemplate
-
-    @property
-    def area(self) -> float:
-        return 2.0 * self.h * self.scale * self.scale
-
-    def a_fraction(self) -> float:
-        mask = (self.gidx == 0) | (self.gidx == 2)
-        if self.template.trivial:
-            return 1.0 if self.lam >= 0.5 else 0.0
-        return float(self.areas[mask].sum() / self.area)
-
-    def gradient_error(self) -> float:
-        """max over pieces of min(|grad - A|, |grad - B|), Frobenius."""
-        dA = np.linalg.norm(self.grads - self.A, axis=(1, 2))
-        dB = np.linalg.norm(self.grads - self.B, axis=(1, 2))
-        return float(np.minimum(dA, dB).max())
-
-    def boundary_values(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(points, u(points)) along the diamond boundary, ts in [0,4)."""
-        corners = self.diamond[[0, 2, 1, 3]]      # cyclic: top right bottom left
-        i = ts.astype(int)
-        frac = (ts - i)[:, None]
-        y = corners[i % 4] * (1 - frac) + corners[(i + 1) % 4] * frac
-        return y, self.evaluate(y)
-
-    def evaluate(self, y: np.ndarray) -> np.ndarray:
-        """u at the points y (n,2), each on the first piece holding it."""
-        e = np.roll(self.tris, -1, axis=1) - self.tris
-        r = y[:, None, None] - self.tris
-        inside = np.all(e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
-                        >= -1e-12 * max(self.scale, 1.0), axis=2)
-        if not inside.any(axis=1).all():
-            raise InvalidParameterError("point is outside the cell")
-        k = np.argmax(inside, axis=1)
-        return ((self.grads[self.gidx[k]] @ y[:, :, None])[:, :, 0]
-                + self.offsets[k])
-
-
-def build_cell(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: float,
-               h: float, center=(0.0, 0.0),
-               scale: float = 1.0) -> CellConstruction:
-    """Place the replacement cell for the pair (A, B) on a diamond.
-
-    Preconditions: det A = det B = 1, rank(A - B) = 1 and
-    C = lam A + (1 - lam) B.  lam in {0, 1} or A = B give the trivial
-    single-gradient cell.  This is one row of the stacked construction
-    (_cells) that calibrate_h0 runs on its whole grid.
-    """
-    A = np.asarray(A, float)
-    B = np.asarray(B, float)
-    C = np.asarray(C, float)
-    cells = _cells(_pairs(A[None], B[None], C[None],
-                          np.array([lam], dtype=float)), h)
-    raise_first(cells.errors)
-    center = np.asarray(center, float)
-
-    if cells.pairs.trivial[0]:
-        tpl = _trivial_template(lam, h)
-        S = np.eye(2)
-        tris = center + scale * tpl.points[tpl.tris]
-        grads = C[None]
-        offs = np.tile(C @ center - C @ center, (2, 1))   # zero: u = Cy
-        areas = tpl.areas * scale * scale
-        diamond = center + scale * _diamond_points(h)
-        return CellConstruction(A, B, C, lam, h, scale, S, diamond, tris,
-                                grads, tpl.tris[:, 0] * 0, offs, areas, tpl)
-
-    tpl = cells.templates.template(0, lam, h)
-    S = cells.pairs.S[0]
-    CS = C @ S
-    tris = center + scale * (tpl.points[tpl.tris] @ S.T)
-    grads = cells.grads[0]
-    gtri = grads[GRAD_INDEX]
-    offs = (center @ C.T - np.einsum("nij,j->ni", gtri, center)
-            + scale * tpl.offs @ CS.T)
-    areas = tpl.areas * scale * scale
-    diamond = center + scale * (_diamond_points(h) @ S.T)
-    return CellConstruction(A, B, C, lam, h, scale, S, diamond, tris,
-                            grads, GRAD_INDEX.copy(), offs, areas, tpl)
-
-
 # ---------------------------------------------------------------------------
 # stage-driven replacement plans (placement-free, cached by the engine)
 # ---------------------------------------------------------------------------
@@ -425,12 +277,12 @@ class RefinePlan:
     """Everything needed to refine cells sharing one gradient.
 
     Placement-independent: physical gradients depend only on (M, rule),
-    vertices and offsets are affine in the diamond (center, scale).
-    unit_verts live on the unit diamond (center 0, scale 1).
+    vertices and offsets are affine in the diamond (center, scale), and
+    place lays them.  unit_verts live on the unit diamond (center 0,
+    scale 1).
     """
     M: np.ndarray
     stage: int
-    lam_cell: float
     h: float
     S: np.ndarray
     unit_verts: np.ndarray      # (n,3,2)
@@ -439,19 +291,16 @@ class RefinePlan:
     stages: np.ndarray          # (n,)
     phases: np.ndarray          # (n,) 1 or 2
     areas_unit: np.ndarray      # (n,)
-    gradient_error: float
-    A_cell: np.ndarray = None
-    B_cell: np.ndarray = None
     # per-diamond metric contributions at unit scale; a placed diamond at
     # scale r adds r^2*flip_area_unit to the chi L1 step difference,
     # r^2*grad_l1_unit to the gradient L1 difference, and the displacement
     # w = u_new - u_old obeys sup|w| = r*wsup_unit, int|w| <= r^3*w_l1_unit
-    parent_phase: int = 1
-    flip_area_unit: float = 0.0
-    grad_l1_unit: float = 0.0
-    wsup_unit: float = 0.0
-    w_l1_unit: float = 0.0
-    perim_unit: float = 0.0
+    parent_phase: int
+    flip_area_unit: float
+    grad_l1_unit: float
+    wsup_unit: float
+    w_l1_unit: float
+    perim_unit: float
 
     @property
     def n_pieces(self) -> int:
@@ -461,6 +310,22 @@ class RefinePlan:
     def dhat(self) -> np.ndarray:
         """Diamond axis direction (the long direction of the stack)."""
         return self.S[:, 1]
+
+    def place(self, centers: np.ndarray, r: np.ndarray, off: np.ndarray):
+        """(verts (m,n,3,2), offs (m,n,2)): the pieces of m diamonds at
+        centers (m,2) and scales r (m,) in a parent whose map is
+        u = M y + off[d] (off (m,2)).  Piece i of diamond d has vertices
+        centers[d] + r[d] unit_verts[i] and offset
+        (M - G_i) centers[d] + r[d] bvec[i] + off[d]; its map agrees with
+        the parent's on the diamond's boundary."""
+        # sums in place: a batch's verts and offs are both live on return,
+        # so each is built with one temporary at most
+        verts = r[:, None, None, None] * self.unit_verts[None]
+        verts += centers[:, None, None, :]
+        offs = np.einsum("jkl,il->ijk", self.M[None] - self.grads, centers)
+        offs += r[:, None, None] * self.bvec[None]
+        offs += off[:, None]
+        return verts, offs
 
 
 def _cell_pair(sr: mg.SplitResult):
@@ -475,34 +340,42 @@ def _cell_pair(sr: mg.SplitResult):
 
 def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
                      delta: float, wells: mg.WellPair) -> Optional[RefinePlan]:
-    lam_cell, A_cell, B_cell = _cell_pair(sr)
+    """The plan of the cell of the split sr of M at aspect h: row 0 of the
+    stacked construction (_cells).  None when the template does not fit h
+    (AspectFailureError) or the pair is trivial (A = B or lam in {0, 1}),
+    whose every piece would keep M and so advance nothing; any other
+    failed check raises its error."""
+    lam, A, B = _cell_pair(sr)
+    cells = _cells(_pairs(A[None], B[None], M[None],
+                          np.array([lam], dtype=float)), h)
     try:
-        cc = build_cell(A_cell, B_cell, M, lam_cell, h)
-    except AspectFailureError:      # the template does not fit h
+        raise_first(cells.errors)
+    except AspectFailureError:
         return None
-    grads = cc.grads[cc.gidx]
+    if cells.pairs.trivial[0]:
+        return None
+    t, S = cells.templates, cells.pairs.S[0]
+    MS = M @ S
+    points, tris, areas = t.points[0], t.tris[0], t.areas[0]
+    grads = cells.grads[0][GRAD_INDEX]
     # hull exit of a corrector gradient counts as a failed attempt (-1),
     # prompting the callers' verify-and-shrink loop to reduce h
-    stages = ia.classify_stack(cc.grads, delta)[cc.gidx]
+    stages = ia.classify_stack(cells.grads[0], delta)[GRAD_INDEX]
     phases = mg.phases(grads, wells)
-    unit_verts = cc.tris.copy()
-    bvec = cc.template.offs @ (M @ cc.frame).T if not cc.template.trivial \
-        else np.zeros((cc.tris.shape[0], 2))
+    unit_verts = points[tris] @ S.T
     parent_phase = int(mg.phases(M[None], wells)[0])
-    flip_area = float(cc.areas[phases != parent_phase].sum())
-    grad_l1 = float(np.sum(cc.areas
-                           * np.linalg.norm(grads - M, axis=(1, 2))))
+    flip_area = float(areas[phases != parent_phase].sum())
+    grad_l1 = float(np.sum(areas * np.linalg.norm(grads - M, axis=(1, 2))))
     # vertex displacements in unit coords: w_j = (M S)(v_j - p_j)
-    w8 = (cc.template.values - cc.template.points) @ (M @ cc.frame).T
+    w8 = (t.values[0] - points) @ MS.T
     wn = np.linalg.norm(w8, axis=1)
     wsup = float(wn.max())
-    w_l1 = float(np.sum(cc.areas * wn[cc.template.tris].mean(axis=1)))
+    w_l1 = float(np.sum(areas * wn[tris].mean(axis=1)))
     edges = unit_verts - np.roll(unit_verts, 1, axis=1)
     perim = float(np.linalg.norm(edges, axis=2).sum())
-    return RefinePlan(M, stage, lam_cell, h, cc.frame, unit_verts,
-                      grads, bvec, stages, phases, cc.areas,
-                      cc.gradient_error(), A_cell, B_cell,
-                      parent_phase, flip_area, grad_l1, wsup, w_l1, perim)
+    return RefinePlan(M, stage, h, S, unit_verts, grads, t.offs[0] @ MS.T,
+                      stages, phases, areas, parent_phase, flip_area,
+                      grad_l1, wsup, w_l1, perim)
 
 
 def _aspects():
@@ -657,21 +530,24 @@ class CellCheckReport:
         return self.failures == 0
 
 
-VERIFY_TRACE_POINTS = 24   # boundary points per cell in verify_cells
-
-
 def verify_cells(delta: float, samples: int = 1_000,
                  seed: int = 0) -> CellCheckReport:
-    """Exactness sweep over random admissible (A, B, lam, h).
+    """Exactness sweep over the plans of random admissible (A, B, lam, h).
 
     Pairs come from dyadic splits of random band matrices, so they are
     genuinely rank-one connected with unit determinants; h runs over the
-    admissible aspect range below the pair's shear bound, the placement
-    over random centers and scales.  Per cell: exact partition of the
-    diamond, affine boundary trace, unimodular piece gradients, majority
-    fraction lam (1 + (1 - lam) h).
+    admissible aspect range below the pair's shear bound.  Each pair's
+    plan (_plan_from_split) is laid by RefinePlan.place, as the covers lay
+    it, at a random center and scale.  Per cell: exact partition of the
+    diamond, unimodular piece gradients, majority fraction
+    lam (1 + (1 - lam) h), and the affine boundary trace on the diamond's
+    four sides (analysis.boundary_trace_residual, the covers' check), with
+    no boundary interval off them.
     """
+    from . import analysis as an
     rng = np.random.default_rng(seed)
+    wells = mg.make_wells(delta)
+    a_slots = np.isin(GRAD_INDEX, (0, 2))
     failures = 0
     examples: list = []
     mp = mt = md = mf = 0.0
@@ -681,24 +557,33 @@ def verify_cells(delta: float, samples: int = 1_000,
         branch, eps = ia.dyadic_split_target(stage, delta)
         sr = mg.split(F, branch, eps, delta)
         lam, A, B = _cell_pair(sr)
-        # h below the pair's shear bound, which build_template requires
+        # h below the pair's shear bound, at which its template fits
         g0, _, errors = _shears((A - B)[None], F[None])
         raise_first(errors)
         h = float(rng.uniform(2.0 ** -10, min(
             H_MAX, 1.0 / (1.0 + abs(g0[0]) * max(lam, 1.0 - lam)))))
         center = rng.uniform(-2.0, 2.0, 2)
         scale = float(2.0 ** rng.uniform(-8, 1))
-        cc = build_cell(A, B, F, lam, h, center=center, scale=scale)
-        part = abs(cc.areas.sum() - cc.area) / cc.area
-        ts = rng.uniform(0.0, 4.0, VERIFY_TRACE_POINTS)
-        pts, vals = cc.boundary_values(ts)
-        tr = float(np.abs(vals - pts @ F.T).max()) / cc.scale
-        det = float(np.abs(np.linalg.det(cc.grads) - 1.0).max())
-        frac = abs(cc.a_fraction() - lam * (1.0 + (1.0 - lam) * h))
+        plan = _plan_from_split(F, stage, sr, h, delta, wells)
+        verts, offs = plan.place(center[None], np.array([scale]),
+                                 np.zeros((1, 2)))
+        corners = center + scale * (_diamond_points(h)[[0, 2, 1, 3]]
+                                    @ plan.S.T)
+        tr, stray = an.boundary_trace_residual(
+            verts[0], plan.grads, offs[0], F,
+            hull_segments=np.stack([corners, np.roll(corners, -1, axis=0)],
+                                   axis=1))
+        tr /= scale
+        part = abs(plan.areas_unit.sum() - 2.0 * h) / (2.0 * h)
+        det = float(np.abs(np.linalg.det(plan.grads) - 1.0).max())
+        frac = abs(plan.areas_unit[a_slots].sum() / (2.0 * h)
+                   - lam * (1.0 + (1.0 - lam) * h))
         mp, mt = max(mp, part), max(mt, tr)
         md, mf = max(md, det), max(mf, frac)
-        if part > 1e-12 or tr > 1e-10 or det > 1e-10 or frac > 1e-12:
+        if (part > 1e-12 or tr > 1e-10 or det > 1e-10 or frac > 1e-12
+                or stray > 1e-8 * scale):
             failures += 1
             if len(examples) < 5:
-                examples.append((stage, float(lam), h, part, tr, det, frac))
+                examples.append((stage, float(lam), h, part, tr, det, frac,
+                                 stray))
     return CellCheckReport(delta, samples, failures, examples, mp, mt, md, mf)

@@ -187,11 +187,7 @@ def _emit(plan: cl.RefinePlan, n: int, pieces_at: np.ndarray,
                       np.full(n, -1, dtype=np.int16),
                       np.zeros(n, dtype=bool), r)
     at = pieces_at.reshape(centers.shape[0], plan.n_pieces)
-    res.verts[at] = (centers[:, None, None, :]
-                     + r[:, None, None, None] * plan.unit_verts[None])
-    res.offs[at] = (np.einsum("jkl,il->ijk", plan.M[None] - plan.grads,
-                              centers)
-                    + r[:, None, None] * plan.bvec[None] + dia_off[:, None])
+    res.verts[at], res.offs[at] = plan.place(centers, r, dia_off)
     res.piece[at] = np.arange(plan.n_pieces)
     res.verts[left_at] = _fix_ccw(left)
     res.offs[left_at] = left_off

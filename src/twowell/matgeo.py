@@ -58,19 +58,11 @@ def is_rotation(R: np.ndarray, tol: float = PIPE_TOL):
 
 @dataclass(frozen=True)
 class WellPair:
-    """The two shear wells and the auxiliary transformed ("tilde") frame.
-
-    tilde_plus/tilde_minus are the lower-triangular shears [[1,0],[+-dbar,1]]
-    obtained by the normal-form transformation D @ Q @ F0; they are exposed
-    for verification only, the construction itself works on F0, F0inv.
-    """
+    """The two shear wells F0 = [[1,delta],[0,1]] and its inverse."""
 
     delta: float
     F0: np.ndarray
     F0inv: np.ndarray
-    dbar: float
-    tilde_plus: np.ndarray
-    tilde_minus: np.ndarray
 
 
 def make_wells(delta: float) -> WellPair:
@@ -79,12 +71,7 @@ def make_wells(delta: float) -> WellPair:
     d = float(delta)
     F0 = np.array([[1.0, d], [0.0, 1.0]])
     F0inv = np.array([[1.0, -d], [0.0, 1.0]])
-    dbar = d / (1.0 + d * d)
-    Q = np.array([[1.0, -d], [d, 1.0]])
-    D = np.diag([1.0, 1.0 / (1.0 + d * d)])
-    tp = D @ Q @ F0
-    tm = D @ Q.T @ F0inv
-    return WellPair(d, F0, F0inv, dbar, tp, tm)
+    return WellPair(d, F0, F0inv)
 
 
 def rotation_distance_sq(F: np.ndarray, G: np.ndarray):
@@ -198,10 +185,6 @@ class LaminateCoords:
     mu: float
     lam: float
     rotation: np.ndarray
-
-
-def coords_to_matrix(c: LaminateCoords, delta: float) -> np.ndarray:
-    return c.rotation @ laminate_matrix(c.branch, c.mu, c.lam, delta)
 
 
 def gram(F: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 They check the package from outside: the rank-one connection scan of the
 diagonal pair, the well separation, the gap coefficient and the
 Lipschitz constant of the Gram map, and the area of a cover's diamond
-pieces.  dist_to_wells and rank_one_factors are the one-matrix cases of
-matgeo.dist_to_wells_b / phases and of the stacked rank-one factorization
-of the cell construction.
+pieces, the normal form of the wells, and the names of the cell's five
+gradient slots.  dist_to_wells and rank_one_factors are the one-matrix
+cases of matgeo.dist_to_wells_b / phases and of the stacked rank-one
+factorization of the cell construction; coords_to_matrix inverts
+matgeo.matrix_to_coords.
 """
 
 import math
@@ -17,6 +19,25 @@ from twowell import covering as cv
 from twowell import matgeo as mg
 from twowell import onewell as ow
 from twowell.errors import InvalidParameterError, raise_first
+
+
+# the five gradient slots of a cell, indexed by cell.GRAD_INDEX
+GRAD_NAMES = ("a_core", "b_flank", "a_cap", "corr_ne", "corr_nw")
+
+
+def tilde_frame(delta: float):
+    """(dbar, tilde_plus, tilde_minus): the normal-form transformation
+    D Q F0 of the wells, the lower-triangular shears [[1,0],[+-dbar,1]]
+    with dbar = delta/(1 + delta^2)."""
+    wells = mg.make_wells(delta)
+    d = wells.delta
+    Q = np.array([[1.0, -d], [d, 1.0]])
+    D = np.diag([1.0, 1.0 / (1.0 + d * d)])
+    return d / (1.0 + d * d), D @ Q @ wells.F0, D @ Q.T @ wells.F0inv
+
+
+def coords_to_matrix(c: mg.LaminateCoords, delta: float) -> np.ndarray:
+    return c.rotation @ mg.laminate_matrix(c.branch, c.mu, c.lam, delta)
 
 
 def connection_scan(delta: float, n: int = 720) -> dict:

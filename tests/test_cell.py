@@ -13,17 +13,32 @@ from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import (AspectFailureError, ConstructionFailureError,
                             InvalidPairError, InvalidParameterError,
-                            WrongEntryPointError)
+                            WrongEntryPointError, clean, raise_first)
 
-from oracles import rank_one_factors
+from oracles import GRAD_NAMES, rank_one_factors
 
 
-def oracle_piece_gradients(tpl: cl.CellTemplate) -> np.ndarray:
-    """Affine interpolation of the stored corner values, one matrix per
-    triangle; written without the closed-form factorizations."""
-    out = np.empty((tpl.tris.shape[0], 2, 2))
-    for i, t in enumerate(tpl.tris):
-        p, v = tpl.points[t], tpl.values[t]
+def one_template(lam, h, g0):
+    """The stacked template builder on one row (lam, g0) at aspect h;
+    raises the row's error."""
+    t = cl._templates(np.array([lam], dtype=float), h,
+                      np.array([g0], dtype=float))
+    raise_first(t.errors)
+    return t
+
+
+def a_fraction(areas, h):
+    """Area fraction of the A slots (0 and 2) of a cell of aspect h."""
+    return float(areas[np.isin(cl.GRAD_INDEX, (0, 2))].sum()) / (2.0 * h)
+
+
+def oracle_piece_gradients(t) -> np.ndarray:
+    """Affine interpolation of the stored corner values of row 0 of a
+    template stack, one matrix per triangle; written without the
+    closed-form factorizations."""
+    out = np.empty((t.tris.shape[1], 2, 2))
+    for i, tri in enumerate(t.tris[0]):
+        p, v = t.points[0, tri], t.values[0, tri]
         P = np.column_stack([p[1] - p[0], p[2] - p[0]])
         V = np.column_stack([v[1] - v[0], v[2] - v[0]])
         out[i] = V @ np.linalg.inv(P)
@@ -35,67 +50,77 @@ class TestTemplate:
         # the interface height mu = (1-lam) h, and the inner shear
         # q = kk / (mu (1 - mu)) = 1/37 with kk = g0 lam (1-lam) h^2 enters
         # the core gradient as -q (1 - mu)
-        tpl = cl.build_template(0.25, 0.1, 1.0)
-        assert tpl.points[4, 1] == pytest.approx(0.075)
-        assert tpl.grads[0][0, 1] == pytest.approx(-(1 - 0.075) / 37,
-                                                   rel=1e-14)
+        t = one_template(0.25, 0.1, 1.0)
+        assert t.points[0, 4, 1] == pytest.approx(0.075)
+        assert t.grads[0, 0, 0, 1] == pytest.approx(-(1 - 0.075) / 37,
+                                                    rel=1e-14)
 
     def test_majority_fraction_formula(self):
-        tpl = cl.build_template(0.25, 0.1, 1.0)
-        assert tpl.a_fraction() == pytest.approx(0.26875, abs=1e-15)
+        t = one_template(0.25, 0.1, 1.0)
+        assert a_fraction(t.areas[0], 0.1) == pytest.approx(0.26875,
+                                                            abs=1e-15)
         for lam in (0.1, 0.3, 0.5, 0.8):
             for h in (0.02, 0.1):
-                tpl = cl.build_template(lam, h, 0.7)
-                assert tpl.a_fraction() == pytest.approx(
+                t = one_template(lam, h, 0.7)
+                assert a_fraction(t.areas[0], h) == pytest.approx(
                     lam * (1 + (1 - lam) * h), abs=1e-13)
 
     def test_boundary_is_identity(self):
         # the four diamond corners carry u = y; the perturbation is interior
-        tpl = cl.build_template(0.3, 0.05, 1.2)
-        assert np.array_equal(tpl.values[:4], tpl.points[:4])
+        t = one_template(0.3, 0.05, 1.2)
+        assert np.array_equal(t.values[0, :4], t.points[0, :4])
 
     def test_gradients_match_corner_interpolation(self):
-        tpl = cl.build_template(0.25, 0.1, 1.0)
-        interp = oracle_piece_gradients(tpl)
-        assert np.abs(interp - tpl.grads[cl.GRAD_INDEX]).max() < 1e-12
+        t = one_template(0.25, 0.1, 1.0)
+        interp = oracle_piece_gradients(t)
+        assert np.abs(interp - t.grads[0, cl.GRAD_INDEX]).max() < 1e-12
 
     def test_unimodular_pieces(self):
-        tpl = cl.build_template(0.4, 0.08, -0.9)
-        assert np.abs(np.linalg.det(tpl.grads) - 1.0).max() < 1e-12
+        t = one_template(0.4, 0.08, -0.9)
+        assert np.abs(np.linalg.det(t.grads[0]) - 1.0).max() < 1e-12
 
     def test_partition_no_overlap_no_gap(self):
-        tpl = cl.build_template(0.25, 0.1, 1.0)
-        assert tpl.areas.sum() == pytest.approx(tpl.area, rel=1e-14)
-        assert (tpl.areas > 0).all()
-        sweep = an.sweep_intervals(tpl.points[tpl.tris])
+        t = one_template(0.25, 0.1, 1.0)
+        assert t.areas[0].sum() == pytest.approx(2 * 0.1, rel=1e-14)
+        assert (t.areas[0] > 0).all()
+        sweep = an.sweep_intervals(t.points[0, t.tris[0]])
         assert not sweep.overlap_error
 
     def test_displacement_continuous_across_pieces(self):
-        tpl = cl.build_template(0.25, 0.1, 1.0)
-        verts = tpl.points[tpl.tris]
-        grads = tpl.grads[cl.GRAD_INDEX]
-        resid = an.continuity_residual(verts, grads, tpl.offs)
+        t = one_template(0.25, 0.1, 1.0)
+        verts = t.points[0, t.tris[0]]
+        grads = t.grads[0, cl.GRAD_INDEX]
+        resid = an.continuity_residual(verts, grads, t.offs[0])
         assert resid < 1e-12
 
     def test_slot_bookkeeping(self):
-        assert len(cl.GRAD_NAMES) == 5
+        assert len(GRAD_NAMES) == 5
         assert cl.GRAD_INDEX.shape == (10,)
         assert (np.bincount(cl.GRAD_INDEX) == 2).all()
 
     def test_trivial_cells(self):
-        for lam, g0 in ((0.0, 1.0), (1.0, 1.0), (0.5, 0.0)):
-            tpl = cl.build_template(lam, 0.1, g0)
-            assert tpl.trivial
-            assert tpl.tris.shape[0] == 2
-            assert tpl.areas.sum() == pytest.approx(0.2)
+        # lam in {0, 1} or A = B: no template is built, and every slot of
+        # the row holds C
+        A, B, C, lam = _shear_pair()
+        cells = cl._cells(cl._pairs(np.stack([A, A, B, A]),
+                                    np.stack([B, B, B, B]),
+                                    np.stack([B, A, B, C]),
+                                    np.array([0.0, 1.0, 0.5, lam])), 0.1)
+        assert cells.errors == [None] * 4
+        assert cells.pairs.trivial.tolist() == [True, True, True, False]
+        assert cells.templates.rows.tolist() == [0]
+        for i, want in enumerate((B, A, B)):
+            assert np.array_equal(cells.grads[i],
+                                  np.broadcast_to(want, (5, 2, 2)))
 
     def test_parameter_validation(self):
-        with pytest.raises(InvalidParameterError):
-            cl.build_template(-0.1, 0.1, 1.0)
-        with pytest.raises(InvalidParameterError):
-            cl.build_template(0.5, 0.3, 1.0)   # h above the aspect bound
-        with pytest.raises(ConstructionFailureError):
-            cl.build_template(0.5, 0.12, 20.0)  # shear too strong
+        def error(lam, h, g0):
+            return cl._templates(np.array([lam]), h, np.array([g0])).errors[0]
+        assert type(error(-0.1, 0.1, 1.0)) is InvalidParameterError
+        # h above the aspect bound
+        assert type(error(0.5, 0.3, 1.0)) is InvalidParameterError
+        # shear too strong
+        assert type(error(0.5, 0.12, 20.0)) is AspectFailureError
 
     @settings(max_examples=60, deadline=None)
     @given(lam=st.floats(0.01, 0.99), h=st.floats(1e-3, 0.125),
@@ -103,11 +128,11 @@ class TestTemplate:
     def test_template_fuzz(self, lam, h, g0):
         if abs(g0) < 1e-6 or h * (1 + abs(g0)) >= 0.99:
             return
-        tpl = cl.build_template(lam, h, g0)
-        assert (tpl.areas > 0).all()
-        assert tpl.areas.sum() == pytest.approx(2 * h, rel=1e-12)
-        assert np.array_equal(tpl.values[:4], tpl.points[:4])
-        assert np.abs(np.linalg.det(tpl.grads) - 1.0).max() < 1e-9
+        t = one_template(lam, h, g0)
+        assert (t.areas[0] > 0).all()
+        assert t.areas[0].sum() == pytest.approx(2 * h, rel=1e-12)
+        assert np.array_equal(t.values[0, :4], t.points[0, :4])
+        assert np.abs(np.linalg.det(t.grads[0]) - 1.0).max() < 1e-9
 
 
 class TestRankOneFactors:
@@ -126,13 +151,6 @@ class TestRankOneFactors:
             rank_one_factors(np.zeros((2, 2)))
 
 
-def displacement_sup(cc: cl.CellConstruction) -> float:
-    """sup over the diamond of |u - (Cx + offset)|; attained at vertices."""
-    dev = (cc.template.values - cc.template.points)
-    dev = dev @ (cc.C @ cc.frame).T
-    return cc.scale * float(np.abs(np.hypot(dev[:, 0], dev[:, 1])).max())
-
-
 def _shear_pair(delta=0.5, lam=0.3):
     wells = mg.make_wells(delta)
     A, B = wells.F0, wells.F0inv
@@ -140,58 +158,109 @@ def _shear_pair(delta=0.5, lam=0.3):
     return A, B, C, lam
 
 
+def pair_plan(A, B, C, lam, h, delta=0.5):
+    """The plan of the cell of (A, B) about C: _plan_from_split of the
+    split whose Fplus = A sits at rho = lam < 1/2."""
+    sr = mg.SplitResult(lam, A, B, 1, 0.0, 0.0, 1, 1)
+    return cl._plan_from_split(C, 0, sr, h, delta, mg.make_wells(delta))
+
+
+def place_one(p, center, r):
+    """(verts, offs) of the pieces of one diamond of the plan p in a parent
+    with u = M y."""
+    verts, offs = p.place(np.array([center], dtype=float), np.array([r]),
+                          np.zeros((1, 2)))
+    return verts[0], offs[0]
+
+
+def diamond_sides(p, center, r):
+    """The four sides (4,2,2) of the diamond of p at center, scale r."""
+    corners = (np.asarray(center, dtype=float)
+               + r * (np.array([[0.0, 1.0], [p.h, 0.0], [0.0, -1.0],
+                                [-p.h, 0.0]]) @ p.S.T))
+    return np.stack([corners, np.roll(corners, -1, axis=0)], axis=1)
+
+
+def vertex_displacement_sup(p, verts, offs):
+    """max over piece vertices y of |u(y) - M y|; u is piecewise affine,
+    so this is the sup over the diamond."""
+    w = np.einsum("nij,nkj->nki", p.grads - p.M, verts) + offs[:, None]
+    return float(np.hypot(w[..., 0], w[..., 1]).max())
+
+
 class TestBuildCell:
+    """The cell of one pair: its plan, placed by RefinePlan.place."""
+
     def test_boundary_trace_is_affine(self):
         A, B, C, lam = _shear_pair()
-        cc = cl.build_cell(A, B, C, lam, 0.0625,
-                           center=(0.3, -0.2), scale=0.05)
-        ts = np.linspace(0.0, 4.0, 257, endpoint=False)
-        pts, vals = cc.boundary_values(ts)
-        want = pts @ C.T
-        assert np.abs(vals - want).max() < 1e-10 * cc.scale
+        p = pair_plan(A, B, C, lam, 0.0625)
+        center, r = np.array([0.3, -0.2]), 0.05
+        verts, offs = place_one(p, center, r)
+        # every piece vertex on the diamond boundary carries u = Cy, and
+        # the sweep finds no boundary interval off the four sides
+        sides = diamond_sides(p, center, r)
+        d = sides[:, 1] - sides[:, 0]
+        y = verts.reshape(-1, 2)
+        cross = (d[:, 0] * (y[:, None, 1] - sides[:, 0, 1])
+                 - d[:, 1] * (y[:, None, 0] - sides[:, 0, 0]))
+        on = (np.abs(cross) <= 1e-12 * r).any(axis=1).reshape(-1, 3)
+        u = np.einsum("nij,nkj->nki", p.grads, verts) + offs[:, None]
+        assert on.sum() >= 8
+        assert np.abs((u - verts @ C.T)[on]).max() < 1e-10 * r
+        trace, stray = an.boundary_trace_residual(verts, p.grads, offs, C,
+                                                  hull_segments=sides)
+        assert trace < 1e-10 * r and stray == 0.0
 
     def test_gradient_error_equals_lamination_distance(self):
         # every piece gradient sits near A or B; the worst distance is small
         A, B, C, lam = _shear_pair()
-        cc = cl.build_cell(A, B, C, lam, 0.0625)
-        err = cc.gradient_error()
+        p = pair_plan(A, B, C, lam, 0.0625)
+        err = np.minimum(np.linalg.norm(p.grads - A, axis=(1, 2)),
+                         np.linalg.norm(p.grads - B, axis=(1, 2))).max()
         assert 0 < err < 0.25 * np.linalg.norm(A - B)
 
     def test_area_scaling(self):
         A, B, C, lam = _shear_pair()
-        cc = cl.build_cell(A, B, C, lam, 0.05, scale=0.125)
-        assert cc.area == pytest.approx(2 * 0.05 * 0.125 ** 2)
-        assert cc.areas.sum() == pytest.approx(cc.area, rel=1e-12)
+        p = pair_plan(A, B, C, lam, 0.05)
+        verts, _ = place_one(p, (0.4, 0.1), 0.125)
+        assert cov.tri_areas(verts).sum() == pytest.approx(
+            2 * 0.05 * 0.125 ** 2, rel=1e-12)
 
     def test_displacement_sup_matches_evaluate(self):
         A, B, C, lam = _shear_pair()
-        cc = cl.build_cell(A, B, C, lam, 0.0625, scale=0.25)
-        # sup of |u - Cy| over piece corners; u is piecewise affine so the
-        # sup over the diamond is attained at a vertex
-        worst = 0.0
-        for tri, gi, off in zip(cc.tris, cc.gidx, cc.offsets):
-            for y in tri:
-                w = cc.grads[gi] @ y + off - C @ y
-                worst = max(worst, float(np.hypot(*w)))
-        assert displacement_sup(cc) == pytest.approx(worst, rel=1e-9)
+        p = pair_plan(A, B, C, lam, 0.0625)
+        verts, offs = place_one(p, (0.0, 0.0), 0.25)
+        assert vertex_displacement_sup(p, verts, offs) == pytest.approx(
+            0.25 * p.wsup_unit, rel=1e-9)
 
     def test_invalid_pairs(self):
         A, B, C, lam = _shear_pair()
         with pytest.raises(InvalidPairError):
-            cl.build_cell(1.1 * A, B, C, lam, 0.05)      # det != 1
+            pair_plan(1.1 * A, B, C, lam, 0.05)      # det != 1
         with pytest.raises(InvalidPairError):
-            cl.build_cell(A, B, 0.5 * A + 0.5 * B, lam, 0.05)  # wrong barycenter
+            pair_plan(A, B, 0.5 * A + 0.5 * B, lam, 0.05)  # wrong barycenter
         R = mg.rot(0.3)
         with pytest.raises(InvalidPairError):
             # rank(A - B) = 2 for a generic rotation pair
-            cl.build_cell(R @ A, mg.rot(-0.3) @ B,
-                          lam * R @ A + (1 - lam) * mg.rot(-0.3) @ B, lam, 0.05)
+            pair_plan(R @ A, mg.rot(-0.3) @ B,
+                      lam * R @ A + (1 - lam) * mg.rot(-0.3) @ B, lam, 0.05)
 
     def test_equal_matrices_give_trivial_cell(self):
+        # the stack holds C in every slot of the row; as it would advance
+        # nothing, the pair has no plan
         A = np.array([[1.0, 0.3], [0.0, 1.0]])
-        cc = cl.build_cell(A, A, A, 0.5, 0.05)
-        assert cc.template.trivial
-        assert np.abs(cc.grads - A).max() < 1e-15
+        cells = cl._cells(cl._pairs(A[None], A[None], A[None],
+                                    np.array([0.5])), 0.05)
+        assert cells.errors == [None] and cells.pairs.trivial[0]
+        assert np.abs(cells.grads[0] - A).max() < 1e-15
+        assert pair_plan(A, A, A, 0.5, 0.05) is None
+
+    def test_trivial_split_gives_no_plan(self):
+        # Fplus = Fminus = M at rho 1/2: every piece would keep M
+        M = ia.stage_representative(2, 0.5)
+        sr = mg.SplitResult(0.5, M, M, 1, 0.0, 0.0, 1, 1)
+        assert cl._plan_from_split(M, 2, sr, 0.0625, 0.5,
+                                   mg.make_wells(0.5)) is None
 
 
 class TestPlans:
@@ -253,16 +322,24 @@ class TestPlans:
         return res.verts[:p.n_pieces], res.offs[:p.n_pieces]
 
     def test_place_matches_direct_construction(self):
+        # the template row of the plan's pair, conjugated by hand:
+        # y = y0 + r S z and u(y) = M y0 + r (M S) u_tpl(z)
         M = ia.stage_representative(2, self.delta)
         p = cl.replace_dyadic_stage(M, self.delta, self.h0)
         y0 = np.array([0.37, -1.2])
         r = 0.0125
         verts, offs = self.placed(p, y0, r)
-        cc = cl.build_cell(p.A_cell, p.B_cell, M, p.lam_cell, p.h,
-                           center=y0, scale=r)
-        assert np.abs(verts - cc.tris).max() < 1e-14
-        assert np.abs(offs - cc.offsets).max() < 1e-14
-        assert np.abs(p.grads - cc.grads[cc.gidx]).max() < 1e-14
+        lam, A, B = cl._cell_pair(mg.split(
+            M, *ia.dyadic_split_target(2, self.delta), self.delta))
+        cells = cl._cells(cl._pairs(A[None], B[None], M[None],
+                                    np.array([lam])), p.h)
+        t, S = cells.templates, cells.pairs.S[0]
+        G = M @ S @ t.grads[0, cl.GRAD_INDEX] @ S.T
+        assert np.abs(verts - (y0 + r * t.points[0, t.tris[0]] @ S.T)
+                      ).max() < 1e-14
+        assert np.abs(offs - (M @ y0 - G @ y0 + r * t.offs[0] @ (M @ S).T)
+                      ).max() < 1e-14
+        assert np.abs(p.grads - G).max() < 1e-14
 
     def test_placed_cell_is_watertight(self):
         M = ia.stage_representative(3, self.delta)
@@ -288,17 +365,21 @@ class TestPlans:
     def test_wsup_matches_placed_cell(self):
         M = ia.stage_representative(2, self.delta)
         p = cl.replace_dyadic_stage(M, self.delta, self.h0)
-        cc = cl.build_cell(p.A_cell, p.B_cell, M, p.lam_cell, p.h, scale=0.5)
-        assert displacement_sup(cc) == pytest.approx(0.5 * p.wsup_unit,
-                                                     rel=1e-12)
+        verts, offs = place_one(p, (0.0, 0.0), 0.5)
+        assert vertex_displacement_sup(p, verts, offs) == pytest.approx(
+            0.5 * p.wsup_unit, rel=1e-12)
 
     def test_gradient_error_decays_dyadically(self):
         # distance to the wells halves every two stages (one dyadic level)
         errs = []
         for k in range(2, 9):
             M = ia.stage_representative(k, self.delta)
-            errs.append(cl.replace_dyadic_stage(M, self.delta, self.h0)
-                        .gradient_error)
+            p = cl.replace_dyadic_stage(M, self.delta, self.h0)
+            _, A, B = cl._cell_pair(mg.split(
+                M, *ia.dyadic_split_target(k, self.delta), self.delta))
+            errs.append(np.minimum(
+                np.linalg.norm(p.grads - A, axis=(1, 2)),
+                np.linalg.norm(p.grads - B, axis=(1, 2))).max())
         r = np.array(errs)
         ratios = r[2:] / r[:-2]
         assert ((0.4 < ratios) & (ratios < 0.6)).all()
@@ -464,28 +545,32 @@ class TestStackedConstruction:
         else:
             assert cl.calibrate_h0(delta, fracs=CORRIDOR) == want
 
-    def test_stack_rows_equal_one_row_builds(self):
+    def test_stack_rows_equal_one_row_builds(self, assert_same_rows):
         # at delta 8 and h = 1/16 the grid mixes rows that do not fit with
-        # rows that build; each row is what build_cell gives, bit for bit
+        # rows that build; each row is what the construction on that row
+        # alone gives, bit for bit, and so is a built row's plan
         delta, h = 8.0, 2.0 ** -4
         grid = stress_grid(delta, CORRIDOR)
-        sides = [cl._cell_pair(mg.split(F, *ia.dyadic_split_target(k, delta),
-                                        delta)) for k, F in grid]
-        lam, A, B = (np.array(x) for x in zip(*sides))
+        splits = [mg.split(F, *ia.dyadic_split_target(k, delta), delta)
+                  for k, F in grid]
+        lam, A, B = (np.array(x) for x in zip(*map(cl._cell_pair, splits)))
         C = np.stack([F for _, F in grid])
         cells = cl._cells(cl._pairs(A, B, C, lam), h)
-        built = 0
-        for i in range(len(grid)):
-            try:
-                cc = cl.build_cell(A[i], B[i], C[i], lam[i], h)
-            except ConstructionFailureError as err:
-                assert type(cells.errors[i]) is type(err)
-                assert str(cells.errors[i]) == str(err)
-            else:
-                built += 1
-                assert cells.errors[i] is None
-                assert cells.grads[i].tobytes() == cc.grads.tobytes()
-        assert 0 < built < len(grid)
+
+        def one_row(i):
+            row = cl._cells(cl._pairs(A[i:i + 1], B[i:i + 1], C[i:i + 1],
+                                      lam[i:i + 1]), h)
+            raise_first(row.errors)
+            return (row.grads[0],)
+
+        assert_same_rows(cells.errors, lambda i: (cells.grads[i],),
+                         [lambda i=i: one_row(i) for i in range(len(grid))])
+        wells = mg.make_wells(delta)
+        for i in np.flatnonzero(clean(cells.errors)):
+            k, F = grid[i]
+            plan = cl._plan_from_split(F, k, splits[i], h, delta, wells)
+            assert (plan.grads.tobytes()
+                    == cells.grads[i][cl.GRAD_INDEX].tobytes())
 
 
 class TestVerifySweep:
@@ -496,3 +581,18 @@ class TestVerifySweep:
         assert rep.max_trace_err < 1e-10
         assert rep.max_det_err < 1e-10
         assert rep.max_fraction_err < 1e-12
+
+    def test_moved_boundary_offset_fails(self, monkeypatch):
+        # piece 6, the NE corrector, holds a side of the diamond: moving
+        # its offset by 1e-8 r moves the trace by 1e-8 of the scale
+        place = cl.RefinePlan.place
+
+        def moved(self, centers, r, off):
+            verts, offs = place(self, centers, r, off)
+            offs[:, 6] += 1e-8 * r[:, None]
+            return verts, offs
+
+        monkeypatch.setattr(cl.RefinePlan, "place", moved)
+        rep = cl.verify_cells(0.5, samples=20, seed=2)
+        assert rep.failures == 20
+        assert 0.5e-8 < rep.max_trace_err < 2e-8

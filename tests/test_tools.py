@@ -67,7 +67,7 @@ def test_plans_digests_are_pinned(monkeypatch):
     monkeypatch.setattr(cl, "_H0_CACHE", {})     # it clears the cache
     table, dyadic, low = digests.plans_digests()
     assert f"table {table} dyadic {dyadic} low {low}" == (
-        "table a9880a3b3be7316d dyadic a4166c8037207c98 low 0ae665abf4eb311a")
+        "table a9880a3b3be7316d dyadic a5cb5dbf7d5c2a6c low 468b99b093d1c90e")
 
 
 def test_sampled_rows_digest_is_pinned():

@@ -36,9 +36,9 @@ the ``test_07`` config (4000 lineages, 7 generations, seed 0) and the
 fitted numbers of its certificate line.  ``plans`` prints three digests of the
 replacement plans: the calibrated aspect table (``calibrate_h0`` with a
 cold cache at the deltas of ``PLAN_DELTAS`` and both fraction sets, an
-aspect or the class and message of the refusal), every field of
+aspect or the class and message of the refusal), the ``PLAN_FIELDS`` of
 ``replace_dyadic_stage(stage_representative(k), DELTA, h0)`` for
-k = 2..16 at the engine's calibrated h0, and every field of
+k = 2..16 at the engine's calibrated h0, and those of
 ``replace_low_stage`` of the ten ``cli_pipeline`` boundary data.  Two
 checkouts print equal lines exactly when their states, rows, artifacts
 and plans are equal bit for bit.
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -75,6 +74,11 @@ PLAN_DELTAS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0,
 CORRIDOR = (0.25, 0.5, 0.75)
 STATE_FIELDS = ("verts", "grads", "offs", "stages", "phases", "frozen",
                 "ids", "parents", "iso", "prev_index")
+# the RefinePlan fields that plan_digest hashes, in this order
+PLAN_FIELDS = ("M", "stage", "h", "S", "unit_verts", "grads", "bvec",
+               "stages", "phases", "areas_unit", "parent_phase",
+               "flip_area_unit", "grad_l1_unit", "wsup_unit", "w_l1_unit",
+               "perim_unit")
 SAMPLED = dict(n_samples=4000, generations=7, seed=0)
 
 
@@ -194,7 +198,7 @@ def sampled_digest():
 def plan_digest(plan) -> str:
     return _hex(b"".join(
         v.tobytes() if isinstance(v, np.ndarray) else repr(v).encode()
-        for v in (getattr(plan, f.name) for f in dataclasses.fields(plan))))
+        for v in (getattr(plan, f) for f in PLAN_FIELDS)))
 
 
 def plans_digests():
