@@ -15,36 +15,39 @@ are integrated exactly without any pairwise matching.  A side covered by
 exactly one edge is owned by its cell; by none or by more than one (an
 overlap), it has owner -1.  So a line's owners depend on its own edges
 only, and the sweep runs on pieces of whole lines of about SWEEP_CHUNK
-edges (the table stably sorted by line key, then cut at line starts) and
-joins the results: one sweep of the whole table, with temporaries
-bounded by the piece.
+edges (the table stably sorted by line key, then cut at line starts).
+The sweep has two readers.  sweep_intervals joins the pieces' intervals
+into one SweepAccumulator, the sweep of the whole table with temporaries
+bounded by the piece; the domain check, the cover and cell verifiers,
+the lineage's plan data and twowell dim read it.  sweep_totals, the
+engine's, reduces each piece per line as soon as it is swept and keeps
+only LineTotals: one row per line, so no interval outlives its piece.
 
-Across a refinement step the sweep is incremental.  Every kept cell is
+Across a refinement step the totals are incremental.  Every kept cell is
 frozen, so a line that carries no edge of a new cell or of a covered one
-holds the same edges as before and decomposes into the same intervals.
-sweep_intervals takes the previous state's sweep, sweeps only the dirty
-lines and merges their intervals with the carried clean ones (owners
-renumbered through prev_index) in the order of a full sweep, which it
-equals element for element.  A full sweep is the same call carrying
-nothing (no previous sweep, or one that cannot be carried): every edge
-is new and every line dirty.  Dirty lines are found through a 32-bit
-hash of every cell edge's line key (edge_hash), carried with the kept
-cells: a line's bucket is the top bits of its hash, and a bucket shared
-by two lines only re-sweeps a clean one.  The call takes ownership of
-the previous sweep and releases it column by column as it merges, so the
-two are never both whole in memory; a sweep so consumed cannot be given
-again.
+holds the same edges as before, and its totals do not change.
+sweep_totals takes the previous state's totals, sweeps only the dirty
+lines and merges their totals with the clean ones by line key; the two
+sets of keys are disjoint, and no owner is carried.  The result equals
+the totals of a full sweep element for element.  Nothing carried (no
+previous totals, or ones that cannot be carried), every edge is new and
+every line dirty.  Dirty lines are found through a 32-bit hash of every
+cell edge's line key (edge_hash), carried with the kept cells: a line's
+bucket is the top bits of its hash, and a bucket shared by two lines
+only re-sweeps a clean one.
 
 The engine's checks are split into a per-interval term and a reduction.
 jump_terms (phase jump x length), grad_jump_terms (Frobenius norm of the
-gradient jump x length) and continuity_terms (affine mismatch at both
-endpoints) give one entry per interval; bv_seminorm_cells, bv_seminorm
-and continuity_residual are their np.sum or max.  Given the cells'
-fields (CellFields), sweep_intervals holds these terms as columns of the
-sweep, evaluates them on the fresh intervals only and carries the
-others, whose owners kept their gradient, phase and offset.  A sum over
-the merged column has the bits of a sum over a full sweep's, since the
-two arrays are equal element for element.
+gradient jump x length), continuity_terms (affine mismatch at both
+endpoints) and trace_terms (the mismatch with the boundary datum on the
+domain boundary, and the stray length of outer intervals off it) give
+one entry per interval.  bv_seminorm_cells, bv_seminorm and the stray of
+boundary_trace_residual sum them per line, then over the lines in key
+order; continuity_residual and the trace are their max.  sweep_totals
+reduces the same terms of the cells' fields (CellFields) per line with
+np.add.reduceat and np.maximum.reduceat, so a row value, the np.sum or
+max of a totals column, has the bits of the public function on the
+state's full sweep.
 
 Rows of an array with more than one column (points, line keys,
 gradients) are gathered with np.take(a, idx, axis=0) and selected with
@@ -239,20 +242,15 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
             np.take(key, ev_edge[:-1][keep], axis=0)), overlap
 
 
-def _line_hash(key: np.ndarray, rows: Optional[np.ndarray] = None
-               ) -> np.ndarray:
-    """32-bit multiplicative hash of the line keys key[rows] (rows of
-    (qnx, qny, qc); every row by default), uint32: equal keys hash equal,
-    distinct keys may collide.  A key's hash depends on that key only, so
-    the keys are gathered and hashed SWEEP_CHUNK rows at a time and the
-    64-bit temporaries stay that small."""
-    n = key.shape[0] if rows is None else rows.shape[0]
-    out = np.empty(n, dtype=np.uint32)
+def _line_hash(key: np.ndarray) -> np.ndarray:
+    """32-bit multiplicative hash of the line keys key (rows of (qnx, qny,
+    qc)), uint32: equal keys hash equal, distinct keys may collide.  A
+    key's hash depends on that key only, so the keys are hashed SWEEP_CHUNK
+    rows at a time and the 64-bit temporaries stay that small."""
+    out = np.empty(key.shape[0], dtype=np.uint32)
     m = np.uint64(0x9E3779B97F4A7C15)
-    for i in range(0, n, SWEEP_CHUNK):
-        part = (key[i:i + SWEEP_CHUNK] if rows is None
-                else np.take(key, rows[i:i + SWEEP_CHUNK], axis=0))
-        k = part.astype(np.int64).view(np.uint64)
+    for i in range(0, key.shape[0], SWEEP_CHUNK):
+        k = key[i:i + SWEEP_CHUNK].astype(np.int64).view(np.uint64)
         h = ((k[:, 0] * m + k[:, 1]) * m + k[:, 2]) * m
         out[i:i + SWEEP_CHUNK] = h >> np.uint64(32)
     return out
@@ -262,7 +260,7 @@ def _buckets(h: np.ndarray, bits: int) -> np.ndarray:
     """Bucket in [0, 2**bits) of each line hash (_line_hash), bits <= 32:
     its top bits.  Equal lines share a bucket; distinct lines may share one
     too, and a line is dirty when its bucket is, so a shared bucket only
-    re-sweeps a clean line."""
+    re-sweeps a clean one."""
     return (h >> np.uint32(32 - bits)).astype(np.intp)
 
 
@@ -275,76 +273,66 @@ def _line_starts(line: np.ndarray) -> np.ndarray:
     return np.flatnonzero(head)
 
 
-def _merge_rows(old_line: np.ndarray, clean, fresh_line: np.ndarray):
-    """How the clean lines of an old sweep and the lines of a fresh one
-    interleave in (line key, t) order, whole lines moving by line key:
-    (src, at_b).  Merged row i is old row src[i], except at the positions
-    at_b, which take the fresh rows in their order (src reads row 0
-    there).  clean = (start, size) of the clean old lines, ascending; the
-    two sets hold disjoint lines."""
-    start_a, size_a = clean
-    start_b = _line_starts(fresh_line)
-    size_b = np.diff(start_b, append=fresh_line.shape[0])
-    size = np.concatenate([size_a, size_b])
-    heads = np.concatenate([np.take(old_line, start_a, axis=0),
-                            np.take(fresh_line, start_b, axis=0)])
-    order = np.lexsort(heads.T[::-1])
-    dest = np.empty_like(size)
-    dest[order] = np.cumsum(size[order]) - size[order]
-    shift = np.concatenate([start_a, start_b]) - dest
-    src = np.repeat(shift[order], size[order])
-    src += np.arange(src.shape[0])
-    at_b = np.repeat(dest[start_a.shape[0]:] - start_b, size_b)
-    at_b += np.arange(at_b.shape[0])
-    src[at_b] = 0
-    return src, at_b
-
-
 class CellFields(NamedTuple):
-    """The fields of a state's cells that the sweep's term columns read.
-    Cell i has the gradient grads[gid[i]] and the phase indicator
-    chi[gid[i]] (both per gradient-table row) and the affine offset
-    offs[i]; offs None leaves out the continuity column."""
+    """The fields of a state's cells that the engine's checks read.  Cell
+    i has the gradient grads[gid[i]] and the phase indicator chi[gid[i]]
+    (both per gradient-table row) and the affine offset offs[i].  offs
+    None leaves out the full check's terms (continuity, trace and stray);
+    with offs, M (the boundary datum) and hull_segments (the domain
+    boundary, as boundary_trace_residual takes it) are given too."""
     grads: np.ndarray        # (r,2,2)
     gid: np.ndarray          # (n,)
     chi: np.ndarray          # (r,) float
     offs: Optional[np.ndarray] = None    # (n,2)
+    M: Optional[np.ndarray] = None       # (2,2)
+    hull_segments: Optional[np.ndarray] = None    # (m,2,2)
 
 
-INTERVAL_COLUMNS = ("dt", "left_owner", "right_owner", "point_lo",
-                    "point_hi", "line")
-TERM_COLUMNS = ("bv_chi", "bv_grad", "continuity")
+# each term column and how LineTotals reduces it over a line's intervals
+TERM_REDUCTIONS = {"bv_chi": np.add, "bv_grad": np.add,
+                   "continuity": np.maximum, "trace": np.maximum,
+                   "stray": np.add}
+TERM_COLUMNS = tuple(TERM_REDUCTIONS)
 
 
-def _term_names(cells: Optional[CellFields]) -> tuple:
-    if cells is None:
-        return ()
+def _term_names(cells: CellFields) -> tuple:
     return TERM_COLUMNS if cells.offs is not None else TERM_COLUMNS[:2]
 
 
-def _terms(fields, cells: Optional[CellFields]) -> tuple:
+def _terms(fields, cells: CellFields, diam: float) -> tuple:
     """The term columns (_term_names) of cells over the intervals fields
-    (as _sweep returns them)."""
-    if cells is None:
-        return ()
+    (as _sweep returns them) of a mesh of diameter diam."""
     dt, lo, ro, p_lo, p_hi, _ = fields
     out = (jump_terms(cells.chi, lo, ro, dt, gid=cells.gid),
            grad_jump_terms(cells.grads, lo, ro, dt, gid=cells.gid))
     if cells.offs is None:
         return out
     return out + (continuity_terms(cells.grads, cells.offs, lo, ro, p_lo,
-                                   p_hi, gid=cells.gid),)
+                                   p_hi, gid=cells.gid),) \
+        + trace_terms(cells.grads, cells.offs, cells.M, cells.hull_segments,
+                      lo, ro, p_lo, p_hi, dt, diam, gid=cells.gid)
 
 
-def _sweep_lines(edges, diam: float, cells: Optional[CellFields]):
-    """_sweep followed by the term columns of cells, a piece of whole lines
-    at a time: the table is stably sorted by line key, its lines numbered
-    in that order, and cut at line starts into pieces of about SWEEP_CHUNK
-    edges (a small table is one piece, an empty one one empty piece).  A
-    line's owners depend on its own edges only, so the pieces joined equal
-    one sweep of the whole table element for element; only their
-    temporaries are smaller.  Returns (columns: INTERVAL_COLUMNS, then
-    _term_names(cells), overlap)."""
+def _line_totals(fields, cells: CellFields, diam: float) -> list:
+    """[line key of every line of the intervals fields (as _sweep returns
+    them), then each term column of cells reduced over the line's
+    intervals (TERM_REDUCTIONS)]."""
+    starts = _line_starts(fields[5])
+    return [np.take(fields[5], starts, axis=0)] + [
+        TERM_REDUCTIONS[name].reduceat(terms, starts)
+        for name, terms in zip(_term_names(cells),
+                               _terms(fields, cells, diam))]
+
+
+def _sweep_lines(edges, diam: float, piece=list):
+    """_sweep a piece of whole lines at a time, each piece's fields mapped
+    through piece to a list of columns as soon as it is swept: the table is
+    stably sorted by line key, its lines numbered in that order, and cut at
+    line starts into pieces of about SWEEP_CHUNK edges (a small table is
+    one piece, an empty one one empty piece).  A line's owners depend on
+    its own edges only, so the pieces' intervals joined equal one sweep of
+    the whole table element for element; only their temporaries are
+    smaller.  Returns (the pieces' columns joined, overlap)."""
     order = np.lexsort(edges[1].T[::-1])
     n = order.shape[0]
     starts = _line_starts(np.take(edges[1], order, axis=0))
@@ -356,7 +344,7 @@ def _sweep_lines(edges, diam: float, cells: Optional[CellFields]):
     for a, b in zip(cuts[:-1], cuts[1:]):
         fields, piece_overlap = _sweep(edges, order[a:b], line[a:b], diam)
         overlap |= piece_overlap
-        parts.append(list(fields + _terms(fields, cells)))
+        parts.append(piece(fields))
     return _join(parts), overlap
 
 
@@ -366,26 +354,14 @@ class SweepAccumulator:
 
     For every maximal subinterval on every line, in the order line key,
     then position along the line: dt (length), the owning cell on each
-    side and the endpoints in absolute coordinates.  A side covered by
-    exactly one edge is owned by that edge's cell; a side covered by none
-    or by more than one has owner -1, and more than one sets
-    overlap_error.  An interval with no owner on either side (a gap
+    side, the endpoints in absolute coordinates and the line key (line).  A
+    side covered by exactly one edge is owned by that edge's cell; a side
+    covered by none or by more than one has owner -1, and more than one
+    sets overlap_error.  An interval with no owner on either side (a gap
     between two edges of one line that do not meet, or a doubly covered
     interval) has NaN endpoints; it stays in place with its dt, so sums
-    over dt keep their bits.
-
-    A sweep given the cells' fields (CellFields) also holds the term
-    columns of the engine's checks, one entry per interval: bv_chi
-    (jump_terms of the phase indicator), bv_grad (grad_jump_terms) and,
-    with offsets, continuity (continuity_terms).  The row values are their
-    np.sum and max.  Other integrals are evaluated by the callers through
-    the owners.
-
-    line (the line key of every interval), edge_hash (the _line_hash of
-    every cell's three edges, (n,3) uint32, 0 for a zero-length edge),
-    frame (the normalizing (center, diam)) and the term columns are what
-    the next state's sweep carries over; see sweep_intervals.  That call
-    consumes the sweep: it sets every array field to None.
+    over dt keep their bits.  frame is the normalizing (center, diam).
+    Integrals are evaluated by the callers through the owners.
     """
     dt: np.ndarray
     left_owner: np.ndarray
@@ -394,23 +370,42 @@ class SweepAccumulator:
     point_hi: np.ndarray
     line: np.ndarray
     overlap_error: bool
+    frame: tuple
+
+
+@dataclass
+class LineTotals:
+    """The engine's checks per line of a state's sweep: line (the keys of
+    the lines with an interval, ascending) and per line bv_chi and bv_grad
+    (sums of jump_terms of the phase indicator and of grad_jump_terms), and
+    with offsets continuity and trace (maxima of continuity_terms and of
+    the trace terms of trace_terms) and stray (sums of its stray lengths).
+    A row value is the np.sum or max of a column.  overlap_error is the
+    sweep's; edge_hash (the _line_hash of every cell's three edges, (n,3)
+    uint32, 0 for a zero-length edge) and frame (the normalizing (center,
+    diam)) are what the next state's sweep_totals reads to carry the clean
+    lines."""
+    line: np.ndarray
+    bv_chi: np.ndarray
+    bv_grad: np.ndarray
+    overlap_error: bool
     edge_hash: np.ndarray
     frame: tuple
-    bv_chi: Optional[np.ndarray] = None
-    bv_grad: Optional[np.ndarray] = None
     continuity: Optional[np.ndarray] = None
+    trace: Optional[np.ndarray] = None
+    stray: Optional[np.ndarray] = None
 
 
-def _dirty_lines(verts: np.ndarray, frame, old: Optional[SweepAccumulator],
+def _dirty_lines(verts: np.ndarray, frame, old: Optional[LineTotals],
                  prev_index: Optional[np.ndarray], n_kept: int):
-    """What a refinement step changed, for sweep_intervals: (edge_hash of
-    verts, the edge table of every edge on a dirty line, (start, size) of
-    the old sweep's clean lines).  A kept edge's hash is carried, not
+    """What a refinement step changed, for sweep_totals: (edge_hash of
+    verts, the edge table of every edge on a dirty line, the clean lines of
+    old as a mask over old.line).  A kept edge's hash is carried, not
     computed again; only the new edges' keys are hashed, a chunk at a
     time.  The chunks of the re-swept kept edges and of the new ones are
     joined once.  With nothing carried (old None, n_kept 0) every edge is
     new and every line dirty: the table is the whole table, no bucket
-    bitmap is built, and the clean lines are None."""
+    bitmap is built, and the clean mask is None."""
     n = verts.shape[0]
     edge_hash = np.zeros((n, 3), dtype=np.uint32)
     flat = edge_hash.reshape(-1)
@@ -437,80 +432,66 @@ def _dirty_lines(verts: np.ndarray, frame, old: Optional[SweepAccumulator],
     # the edge table
     redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
     edges = _join(_edge_chunks(verts, frame, redo) + new)
-    starts = _line_starts(old.line)
-    size = np.diff(starts, append=old.line.shape[0])
-    clean = ~dirty[_buckets(_line_hash(old.line, starts), bits)]
-    return edge_hash, edges, (starts[clean], size[clean])
+    return edge_hash, edges, ~dirty[_buckets(_line_hash(old.line), bits)]
 
 
-def _release(sweep: SweepAccumulator):
-    """Drop every array of a sweep handed to sweep_intervals as prev."""
-    for name in INTERVAL_COLUMNS + TERM_COLUMNS + ("edge_hash",):
-        setattr(sweep, name, None)
+def _merge_lines(old: LineTotals, clean: np.ndarray, names: tuple,
+                 fresh: list) -> list:
+    """The columns names of the clean lines of old and of fresh (columns
+    in that order, line keys first), interleaved by line key.  The two
+    hold disjoint keys, so one sort of the keys orders them; a column is
+    joined and gathered one at a time."""
+    def joined(i):
+        return np.concatenate([np.compress(clean, getattr(old, names[i]),
+                                           axis=0), fresh[i]])
+    order = np.lexsort(joined(0).T[::-1])
+    return [np.take(joined(i), order, axis=0) for i in range(len(names))]
 
 
-def sweep_intervals(verts: np.ndarray, prev=None,
-                    cells: Optional[CellFields] = None) -> SweepAccumulator:
-    """Decompose all edges into subintervals with per-side owners, and
-    with cells, the term columns of their fields.
+def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
+    """Decompose all edges into subintervals with per-side owners."""
+    frame = _frame(verts)
+    edges = _dirty_lines(verts, frame, None, None, 0)[1]
+    cols, overlap = _sweep_lines(edges, frame[1])
+    return SweepAccumulator(*cols, overlap_error=overlap, frame=frame)
 
-    prev = (sweep, prev_index, n_kept) carries the sweep of the previous
+
+def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
+    """The LineTotals of the fields cells over the sweep of verts.
+
+    prev = (totals, prev_index, n_kept) carries the totals of the previous
     state when verts are its cells prev_index[:n_kept], kept bit for bit,
     followed by new cells (a refinement step: the state's prev_index).
     Only dirty lines are swept again, the lines that carry an edge of a new
-    cell or of a previous cell not kept; the intervals of the other lines
-    are carried over with their owners renumbered, and so are their term
-    columns: a kept cell keeps its gradient, phase and offset, so a clean
-    interval keeps its terms.  Terms are evaluated on the fresh intervals
-    only.  The result equals the sweep of verts alone element for element,
-    overlap_error included: a line's owners depend on its own edges only
-    (see _sweep), and the clean lines held no overlap before.  Nothing is
-    carried without prev, nor when the previous sweep found an overlap (a
-    clean line's overlap is not seen again without sweeping it), has other
-    frame bits, or lacks a term column that cells asks for: then every
-    edge is new and every line dirty, the full sweep, and nothing merged.
-
-    The call takes ownership of prev's sweep: each of its columns is set to
-    None as soon as it is merged (so the previous and the next sweep are
-    never both whole in memory), and all of them by the time the call
-    returns, carried or not.  Given a sweep so consumed, it raises
-    InvalidParameterError.
+    cell or of a previous cell not kept; each piece of them is reduced per
+    line as soon as it is swept.  The other lines keep their totals: a kept
+    cell keeps its gradient, phase and offset, and a clean line its edges.
+    The clean totals and the fresh ones hold disjoint keys, and one sort by
+    key interleaves them.  The result equals the totals of verts alone
+    element for element, overlap_error included: a line's owners depend on
+    its own edges only (see _sweep), and the clean lines held no overlap
+    before.  Nothing is carried without prev, nor when the previous sweep
+    found an overlap (a clean line's overlap is not seen again without
+    sweeping it), has other frame bits, or lacks a term column that cells
+    asks for: then every edge is new and every line dirty.
     """
     frame = _frame(verts)
-    names = INTERVAL_COLUMNS + _term_names(cells)
+    names = ("line",) + _term_names(cells)
     old, prev_index, n_kept = (None, None, 0) if prev is None else prev
-    if old is not None:
-        if old.dt is None:
-            raise InvalidParameterError("the previous sweep was consumed by "
-                                        "an earlier sweep_intervals call")
-        if old.overlap_error or old.frame[1] != frame[1] \
-                or old.frame[0].tobytes() != frame[0].tobytes() \
-                or any(getattr(old, t) is None for t in _term_names(cells)):
-            _release(old)
-            old, n_kept = None, 0
+    if old is not None and (
+            old.overlap_error or old.frame[1] != frame[1]
+            or old.frame[0].tobytes() != frame[0].tobytes()
+            or any(getattr(old, t) is None for t in names)):
+        old, n_kept = None, 0
     edge_hash, edges, clean = _dirty_lines(verts, frame, old, prev_index,
                                            n_kept)
-    if old is not None:
-        n_old = old.edge_hash.shape[0]
-        old.edge_hash = None
-    cols, overlap = _sweep_lines(edges, frame[1], cells)
+    cols, overlap = _sweep_lines(
+        edges, frame[1], lambda fields: _line_totals(fields, cells, frame[1]))
     del edges
     if old is not None:
-        src, at_b = _merge_rows(old.line, clean, cols[names.index("line")])
-        # owners renumbered to the new state; index -1 (no owner) wraps to
-        # the last entry, which no kept cell maps to
-        renum = np.full(n_old + 1, -1, dtype=np.int64)
-        renum[prev_index[:n_kept]] = np.arange(n_kept)
-        for i, name in enumerate(names):
-            f = np.take(getattr(old, name), src, axis=0)
-            setattr(old, name, None)
-            if name.endswith("_owner"):
-                np.take(renum, f, out=f, mode="wrap")
-            f[at_b] = cols[i]
-            cols[i] = f
-        _release(old)
-    return SweepAccumulator(**dict(zip(names, cols)), overlap_error=overlap,
-                            edge_hash=edge_hash, frame=frame)
+        cols = _merge_lines(old, clean, names, cols)
+    return LineTotals(**dict(zip(names, cols)), overlap_error=overlap,
+                      edge_hash=edge_hash, frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +552,61 @@ def continuity_terms(grads: np.ndarray, offs: np.ndarray, lo: np.ndarray,
     return out
 
 
+def trace_terms(grads: np.ndarray, offs: np.ndarray, M: np.ndarray,
+                hull_segments: np.ndarray, lo: np.ndarray, ro: np.ndarray,
+                p_lo: np.ndarray, p_hi: np.ndarray, dt: np.ndarray,
+                diam: float, gid: Optional[np.ndarray] = None):
+    """(trace, stray) per interval of a mesh of diameter diam.  An outer
+    interval (one side owned) on the domain boundary gets the trace term,
+    the largest component of |u - Mx| over both endpoints, with u the
+    affine map of the owner (gradient grads, through gid when given, and
+    offset offs); one on no boundary segment gets its length dt as stray.
+    Every other entry is 0.
+
+    The outer intervals are matched geometrically against the boundary
+    segments hull_segments (m,2,2): an interval matches a segment when
+    both its endpoints lie on the segment's line and project into the
+    segment, within 1e-8 diam, so an interior interval collinear with a
+    side of a non-convex domain does not match it.  Intervals that match
+    none are partition gaps, or quantization splits of interior lines.
+    """
+    trace, stray = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
+    at = np.flatnonzero((lo >= 0) ^ (ro >= 0))
+    own = np.where(lo >= 0, lo, ro)[at]
+    p_lo, p_hi = np.take(p_lo, at, axis=0), np.take(p_hi, at, axis=0)
+    hs = np.asarray(hull_segments, dtype=float)
+    a = hs[:, 0]
+    d = hs[:, 1] - hs[:, 0]
+    length = np.linalg.norm(d, axis=1)
+    tang = d / length[:, None]
+    nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+    cs = np.einsum("mj,mj->m", nrm, a)
+    ts = np.einsum("mj,mj->m", tang, a)
+    tol = 1e-8 * diam
+
+    def within(p):
+        """(k,m): p[i] on the line of segment j and projecting into it."""
+        t = p @ tang.T - ts[None, :]
+        return ((np.abs(p @ nrm.T - cs[None, :]) <= tol) & (t >= -tol)
+                & (t <= length[None, :] + tol))
+
+    on = np.any(within(p_lo) & within(p_hi), axis=1)
+    stray[at[~on]] = dt[at[~on]]
+    dg = np.take(grads, _rows(own[on], gid), axis=0) - M[None]
+    do = np.take(offs, own[on], axis=0)
+    trace[at[on]] = np.maximum(*(
+        np.abs(np.einsum("nij,nj->ni", dg, np.compress(on, pts, axis=0))
+               + do).max(axis=1)
+        for pts in (p_lo, p_hi)))
+    return trace, stray
+
+
+def _line_sum(terms: np.ndarray, sw: SweepAccumulator) -> float:
+    """A per-interval column of sw summed per line, then over the lines in
+    key order: the reduction of LineTotals and its row values."""
+    return float(np.sum(np.add.reduceat(terms, _line_starts(sw.line))))
+
+
 def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,
                       include_boundary: bool = False,
                       sweep: Optional[SweepAccumulator] = None) -> float:
@@ -580,17 +616,17 @@ def bv_seminorm_cells(verts: np.ndarray, values: np.ndarray,
     include_boundary the field is extended by zero outside the mesh.
     """
     sw = sweep if sweep is not None else sweep_intervals(verts)
-    return float(np.sum(jump_terms(values, sw.left_owner, sw.right_owner,
-                                   sw.dt, include_boundary)))
+    return _line_sum(jump_terms(values, sw.left_owner, sw.right_owner, sw.dt,
+                                include_boundary), sw)
 
 
 def bv_seminorm(state, sweep: Optional[SweepAccumulator] = None) -> float:
     """BV seminorm of a state's gradient field: the Frobenius norm of the
     gradient jump summed over interior subintervals."""
     sw = sweep if sweep is not None else sweep_intervals(state.verts)
-    return float(np.sum(grad_jump_terms(state.table.grads, sw.left_owner,
-                                        sw.right_owner, sw.dt,
-                                        gid=state.gid)))
+    return _line_sum(grad_jump_terms(state.table.grads, sw.left_owner,
+                                     sw.right_owner, sw.dt, gid=state.gid),
+                     sw)
 
 
 def continuity_residual(verts: np.ndarray, grads: np.ndarray,
@@ -612,54 +648,16 @@ def boundary_trace_residual(verts: np.ndarray, grads: np.ndarray,
                             sweep: Optional[SweepAccumulator] = None,
                             gid: Optional[np.ndarray] = None):
     """(residual, stray_length): sup of |u - Mx| over the outer edge
-    subintervals that lie on the domain boundary, with u the affine map of
-    the owning cell: gradient grads (through gid when given), offset offs.
-
-    The single-sided (outer) intervals are matched geometrically against
-    the boundary segments hull_segments (m,2,2): an interval matches a
-    segment when both its endpoints lie on the segment's line and project
-    into the segment, within the same tolerance, so an interior interval
-    collinear with a side of a non-convex domain does not match it.
-    Intervals that match none (partition gaps, or quantization splits of
-    interior lines) are excluded from the trace and their total length is
-    stray_length.
+    subintervals that lie on the domain boundary hull_segments, with u the
+    affine map of the owning cell: gradient grads (through gid when given),
+    offset offs; and the total length of the outer subintervals on no
+    boundary segment, which are excluded from the trace (trace_terms).
     """
     sw = sweep if sweep is not None else sweep_intervals(verts)
-    single = (sw.left_owner >= 0) ^ (sw.right_owner >= 0)
-    if not np.any(single):
-        return 0.0, 0.0
-    own = np.where(sw.left_owner >= 0, sw.left_owner, sw.right_owner)[single]
-    p_lo = np.compress(single, sw.point_lo, axis=0)
-    p_hi = np.compress(single, sw.point_hi, axis=0)
-    hs = np.asarray(hull_segments, dtype=float)
-    a = hs[:, 0]
-    d = hs[:, 1] - hs[:, 0]
-    length = np.linalg.norm(d, axis=1)
-    tang = d / length[:, None]
-    nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-    cs = np.einsum("mj,mj->m", nrm, a)
-    ts = np.einsum("mj,mj->m", tang, a)
-    tol = 1e-8 * sw.frame[1]
-
-    def within(p):
-        """(k,m): p[i] on the line of segment j and projecting into it."""
-        t = p @ tang.T - ts[None, :]
-        return ((np.abs(p @ nrm.T - cs[None, :]) <= tol) & (t >= -tol)
-                & (t <= length[None, :] + tol))
-
-    on = np.any(within(p_lo) & within(p_hi), axis=1)
-    stray = float(sw.dt[single][~on].sum())
-    own = own[on]
-    p_lo, p_hi = np.compress(on, p_lo, axis=0), np.compress(on, p_hi, axis=0)
-    if own.size == 0:
-        return 0.0, stray
-    dg = np.take(grads, _rows(own, gid), axis=0) - M[None]
-    do = np.take(offs, own, axis=0)
-    res = 0.0
-    for pts in (p_lo, p_hi):
-        mis = np.einsum("nij,nj->ni", dg, pts) + do
-        res = max(res, float(np.abs(mis).max()))
-    return res, stray
+    trace, stray = trace_terms(grads, offs, M, hull_segments, sw.left_owner,
+                               sw.right_owner, sw.point_lo, sw.point_hi,
+                               sw.dt, sw.frame[1], gid=gid)
+    return float(trace.max(initial=0.0)), _line_sum(stray, sw)
 
 
 def interface_segments(verts: np.ndarray, phases: np.ndarray,

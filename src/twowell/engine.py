@@ -17,11 +17,11 @@ plan appends its pieces' gradients, and a leftover keeps its parent's row.
 All metrics are streamed during emission: the L1 step differences and
 the displacement bounds are exact sums of per-diamond contributions
 precomputed on the unit diamond, added once per batch of covers, and the
-BV/perimeter/continuity numbers come from one shared edge sweep per
-state.  That sweep re-sweeps only the lines a step changed and carries
-the rest over from the previous state's, with the BV and continuity
-terms of their intervals; a row value is a sum or a max over the sweep's
-term columns.
+BV, continuity and trace numbers come from one edge sweep per state,
+reduced per line as it goes (analysis.sweep_totals).  That sweep
+re-sweeps only the lines a step changed and keeps the previous state's
+totals of the others; a row value is a sum or a max over the per-line
+totals.
 The per-cell areas and perimeters are carried the same way: a kept cell
 takes its values through prev_index, and only the children are measured.
 Everything is deterministic; there is no randomness anywhere in the
@@ -194,7 +194,7 @@ class Engine:
         self.iso_fast_hits = 0
         self.restarts = 0
         self.stalled = False
-        self._sweep: Optional[an.SweepAccumulator] = None
+        self._totals: Optional[an.LineTotals] = None
         self._areas = self._perims = np.empty(0)
         self._record(l1_chi=0.0, l1_grad=0.0, wsup=0.0, wl1=0.0,
                      refined_area=0.0)
@@ -381,8 +381,8 @@ class Engine:
 
     def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area):
         """Append the state's metric row and run its checks.  Its n_kept
-        kept cells take their areas, perimeters and sweep over from the
-        state recorded last (row 0 keeps none) through prev_index; only
+        kept cells take their areas, perimeters and line totals over from
+        the state recorded last (row 0 keeps none) through prev_index; only
         its children are measured."""
         cfg = self.config
         st = self.state
@@ -414,42 +414,38 @@ class Engine:
             "max_stage": int(stages.max()),
         }
         checks = cfg.checks
-        sw = None
         if cfg.track_bv or checks == "full":
-            prev = (None if self._sweep is None
-                    else (self._sweep, st.prev_index, n_kept))
-            # hold the previous state's sweep no longer than needed
-            self._sweep = None
-            # the sweep evaluates the term columns on its fresh intervals
-            # and carries the others; a row value is their sum or max
+            prev = (None if self._totals is None
+                    else (self._totals, st.prev_index, n_kept))
+            # hold the previous state's totals no longer than needed
+            self._totals = None
             t = st.table
+            full = (st.offs, self.M, self.hull_segments) \
+                if checks == "full" else ()
             cells = an.CellFields(t.grads, st.gid,
-                                  (t.phases == 1).astype(float),
-                                  st.offs if checks == "full" else None)
-            sw = self._sweep = an.sweep_intervals(st.verts, prev, cells)
+                                  (t.phases == 1).astype(float), *full)
+            tot = self._totals = an.sweep_totals(st.verts, prev, cells)
             del prev
-            row["bv_chi"] = float(np.sum(sw.bv_chi))
-            row["bv_grad"] = float(np.sum(sw.bv_grad))
+            row["bv_chi"] = float(np.sum(tot.bv_chi))
+            row["bv_grad"] = float(np.sum(tot.bv_grad))
         if row["partition_err"] > PARTITION_TOL * self.domain_area:
             raise ConstructionFailureError(
                 f"partition error {row['partition_err']:.3e} at step {st.k}")
         if checks == "full":
-            if sw.overlap_error:
+            if tot.overlap_error:
                 raise ConstructionFailureError(f"overlapping cells at step "
                                                f"{st.k}")
-            row["continuity_err"] = float(sw.continuity.max(initial=0.0))
-            trace, stray = an.boundary_trace_residual(
-                st.verts, st.table.grads, st.offs, self.M,
-                self.hull_segments, sweep=sw, gid=st.gid)
-            row["trace_err"] = trace
-            row["stray_boundary_len"] = stray
+            row["continuity_err"] = float(tot.continuity.max(initial=0.0))
+            row["trace_err"] = float(tot.trace.max(initial=0.0))
+            row["stray_boundary_len"] = float(np.sum(tot.stray))
             if row["continuity_err"] > CONTINUITY_TOL:
                 raise ConstructionFailureError(
                     f"continuity residual {row['continuity_err']:.3e} at "
                     f"step {st.k}")
-            if trace > TRACE_TOL:
+            if row["trace_err"] > TRACE_TOL:
                 raise ConstructionFailureError(
-                    f"boundary trace residual {trace:.3e} at step {st.k}")
+                    f"boundary trace residual {row['trace_err']:.3e} at step "
+                    f"{st.k}")
         self.metrics.append(row, hist)
 
     def run(self):

@@ -1,14 +1,15 @@
 """Shared pytest hooks: print the acceptance certificate after the run;
-the sweep comparison shared by the analysis and engine tests; the
-recorded states of a run and the stepped engines shared by the lineage
-and engine tests; the row comparison shared by the stacked-geometry
-tests."""
+the sweep and line-totals comparisons shared by the analysis and engine
+tests; the recorded states of a run and the stepped engines shared by the
+lineage and engine tests; the row comparison shared by the
+stacked-geometry tests."""
 
 import sys
 
 import numpy as np
 import pytest
 
+from twowell import analysis as an
 from twowell import engine as en
 from twowell import inapprox as ia
 from twowell.errors import TwoWellError
@@ -25,18 +26,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 SWEEP_ARRAYS = ("dt", "left_owner", "right_owner", "point_lo", "point_hi",
-                "line", "edge_hash")
-TERM_ARRAYS = ("bv_chi", "bv_grad", "continuity")
+                "line")
 
 
 def _assert_same_sweep(a, b):
     """Two SweepAccumulators are equal bit for bit (NaN equals NaN, so gap
-    endpoints compare equal), term columns included; a term column is
-    either absent from both or present in both."""
-    for name in TERM_ARRAYS:
-        assert (getattr(a, name) is None) == (getattr(b, name) is None), name
-    for name in SWEEP_ARRAYS + tuple(t for t in TERM_ARRAYS
-                                     if getattr(a, t) is not None):
+    endpoints compare equal)."""
+    for name in SWEEP_ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
@@ -48,6 +44,22 @@ def _assert_same_sweep(a, b):
 @pytest.fixture
 def assert_same_sweep():
     return _assert_same_sweep
+
+
+def _assert_same_totals(tot, want):
+    """LineTotals tot holds the columns of the dict want (oracles.
+    line_totals) bit for bit, and no term column that want lacks."""
+    for name in an.TERM_COLUMNS:
+        assert (getattr(tot, name) is None) == (name not in want), name
+    for name, y in want.items():
+        x = getattr(tot, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.fixture
+def assert_same_totals():
+    return _assert_same_totals
 
 
 def _assert_same_rows(errors, row, calls):

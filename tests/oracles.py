@@ -3,17 +3,19 @@
 They check the package from outside: the rank-one connection scan of the
 diagonal pair, the well separation, the gap coefficient and the
 Lipschitz constant of the Gram map, and the area of a cover's diamond
-pieces, the normal form of the wells, and the names of the cell's five
-gradient slots.  dist_to_wells and rank_one_factors are the one-matrix
-cases of matgeo.dist_to_wells_b / phases and of the stacked rank-one
-factorization of the cell construction; coords_to_matrix inverts
-matgeo.matrix_to_coords.
+pieces, the normal form of the wells, the names of the cell's five
+gradient slots, and the per-line reduction of a full interval sweep that
+analysis.sweep_totals must equal.  dist_to_wells and rank_one_factors
+are the one-matrix cases of matgeo.dist_to_wells_b / phases and of the
+stacked rank-one factorization of the cell construction; coords_to_matrix
+inverts matgeo.matrix_to_coords.
 """
 
 import math
 
 import numpy as np
 
+from twowell import analysis as an
 from twowell import cell as cl
 from twowell import covering as cv
 from twowell import matgeo as mg
@@ -103,3 +105,28 @@ def rank_one_factors(D: np.ndarray):
     rho0, a, n, errors = cl._rank_one(np.asarray(D, dtype=float)[None])
     raise_first(errors)
     return float(rho0[0]), a[0], n[0]
+
+
+def line_totals(sw: an.SweepAccumulator, cells: an.CellFields) -> dict:
+    """{column: array} of the LineTotals of cells over the full interval
+    sweep sw: the line keys of its runs of intervals, and each public term
+    function over sw, reduced over each run with np.add.reduceat, or
+    np.maximum.reduceat for continuity and trace."""
+    lo, ro, dt = sw.left_owner, sw.right_owner, sw.dt
+    head = np.ones(dt.shape[0], dtype=bool)
+    head[1:] = (sw.line[1:] != sw.line[:-1]).any(axis=1)
+    starts = np.flatnonzero(head)
+    terms = {"bv_chi": an.jump_terms(cells.chi, lo, ro, dt, gid=cells.gid),
+             "bv_grad": an.grad_jump_terms(cells.grads, lo, ro, dt,
+                                           gid=cells.gid)}
+    if cells.offs is not None:
+        terms["continuity"] = an.continuity_terms(
+            cells.grads, cells.offs, lo, ro, sw.point_lo, sw.point_hi,
+            gid=cells.gid)
+        terms["trace"], terms["stray"] = an.trace_terms(
+            cells.grads, cells.offs, cells.M, cells.hull_segments, lo, ro,
+            sw.point_lo, sw.point_hi, dt, sw.frame[1], gid=cells.gid)
+    add = ("bv_chi", "bv_grad", "stray")
+    return {"line": np.take(sw.line, starts, axis=0),
+            **{name: (np.add if name in add else np.maximum).reduceat(
+                t, starts) for name, t in terms.items()}}

@@ -11,6 +11,7 @@ from twowell import covering as cov
 from twowell import inapprox as ia
 from twowell.errors import (InvalidParameterError, UndefinedDimensionError)
 
+from oracles import line_totals
 from raster_oracle import raster_bv, raster_l1, rasterize_cells
 
 DELTA = 0.5
@@ -210,16 +211,38 @@ def stepped(verts, kept, children):
     return out, np.array(list(kept) + parents, dtype=np.int64)
 
 
+def boundary(verts):
+    """The outer intervals of the sweep of verts as (m,2,2) segments, as
+    the engine takes its domain's boundary."""
+    sw = an.sweep_intervals(verts)
+    single = (sw.left_owner >= 0) ^ (sw.right_owner >= 0)
+    return np.stack([sw.point_lo, sw.point_hi], 1)[single]
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The edge count of every table _sweep_lines sweeps, in call order."""
+    counts = []
+    sweep_lines = an._sweep_lines
+
+    def counted(edges, *args):
+        counts.append(edges[0].shape[0])
+        return sweep_lines(edges, *args)
+
+    monkeypatch.setattr(an, "_sweep_lines", counted)
+    return counts
+
+
 class TestIncrementalSweep:
-    """sweep_intervals(verts, (sweep, prev_index, n_kept), cells) equals
-    the sweep of verts alone, whichever lines it carries over, term columns
-    included."""
+    """sweep_totals(verts, (totals, prev_index, n_kept), cells) equals the
+    per-line reduction of the full interval sweep of verts, whichever
+    lines it carries over."""
 
     def fields(self, verts, kept, children):
         """The step's state, its prev_index and the CellFields of verts
         and of the step: a kept cell keeps its gradient row and offset,
         each child gets a new row and offset (random ones, drawn per
-        row)."""
+        row); both trace against the boundary of verts."""
         n = verts.shape[0]
         new, prev_index = stepped(verts, kept, children)
         rows = n + new.shape[0] - len(kept)
@@ -227,18 +250,19 @@ class TestIncrementalSweep:
         grads = rng.normal(size=(rows, 2, 2))
         chi = rng.integers(0, 2, rows).astype(float)
         offs = rng.normal(size=(rows, 2))
+        M, hull = rng.normal(size=(2, 2)), boundary(verts)
         gid = np.concatenate([kept, np.arange(n, rows)]).astype(np.int64)
         return (new, prev_index,
-                an.CellFields(grads, np.arange(n), chi, offs[:n]),
-                an.CellFields(grads, gid, chi, offs[gid]))
+                an.CellFields(grads, np.arange(n), chi, offs[:n], M, hull),
+                an.CellFields(grads, gid, chi, offs[gid], M, hull))
 
     def carried(self, verts, kept, children):
-        """The step's state, its carried sweep and its CellFields."""
+        """The step's state, its carried totals and its CellFields."""
         new, prev_index, before, cells = self.fields(verts, kept, children)
-        old = an.sweep_intervals(verts, None, before)
-        sw = an.sweep_intervals(new, (old, prev_index, len(kept)), cells)
-        assert sw.continuity is not None
-        return new, sw, cells
+        old = an.sweep_totals(verts, None, before)
+        tot = an.sweep_totals(new, (old, prev_index, len(kept)), cells)
+        assert tot.stray is not None
+        return new, tot, cells
 
     def test_gap_interval_has_nan_endpoints(self):
         # two cells with edges on y = 0 that do not meet: [1, 2] is a gap
@@ -258,82 +282,93 @@ class TestIncrementalSweep:
                                     include_boundary=True) == \
             pytest.approx(2.0 * (2.0 + np.sqrt(2.0)), rel=1e-12)
 
-    def test_step_carries_clean_lines(self, assert_same_sweep):
-        # refine one stripe of nine: most lines keep their intervals
+    def test_step_carries_clean_lines(self, assert_same_totals, swept):
+        # refine one stripe of nine: most lines keep their totals, and
+        # only the dirty lines' edges are swept again
         verts, _ = stripe_mesh(9)
         a, b, c = verts[8]
         m = (a + b + c) / 3.0
-        new, sw, cells = self.carried(
+        new, tot, cells = self.carried(
             verts, [i for i in range(18) if i != 8],
             {8: [[a, b, m], [b, c, m], [c, a, m]]})
-        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
-        assert sw.left_owner.max() == new.shape[0] - 1
+        assert 9 <= swept[-1] < 3 * 20
+        assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
 
-    def test_step_without_new_cells(self, assert_same_sweep):
+    def test_step_without_new_cells(self, assert_same_totals, swept):
         verts, _ = stripe_mesh(3)
-        new, sw, cells = self.carried(verts, list(range(6)), {})
-        assert_same_sweep(sw, an.sweep_intervals(verts, cells=cells))
+        new, tot, cells = self.carried(verts, list(range(6)), {})
+        assert swept[-1] == 0
+        assert_same_totals(tot, line_totals(an.sweep_intervals(verts),
+                                            cells))
 
     @pytest.mark.parametrize("cell, moved", [
         ([[0.0, 0.0], [2.0, 1.0], [-1.0, 1.0]], (True, True)),
         ([[0.0, 0.0], [2.0, 1.0], [0.0, 1.5]], (True, False)),
         ([[0.0, -1.0], [2.0, 1.0], [0.0, 2.0]], (False, True))])
     def test_frame_change_sweeps_every_line(self, cell, moved,
-                                            assert_same_sweep):
+                                            assert_same_totals, swept):
         # the new cell reaches past the old bounding box: the normalized
         # frame's center, diameter or both move, every line key changes
         # and nothing can be carried
         verts = square_mesh() * [2.0, 1.0]
-        new, sw, cells = self.carried(verts, [0], {1: [cell]})
+        new, tot, cells = self.carried(verts, [0], {1: [cell]})
         old = an._frame(verts)
-        assert (sw.frame[0].tobytes() != old[0].tobytes(),
-                sw.frame[1] != old[1]) == moved
-        assert not sw.overlap_error
-        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
+        assert (tot.frame[0].tobytes() != old[0].tobytes(),
+                tot.frame[1] != old[1]) == moved
+        assert not tot.overlap_error
+        assert swept[-1] == 6
+        assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
 
-    def test_child_edge_off_parent_key(self, assert_same_sweep):
+    def test_child_edge_off_parent_key(self, assert_same_totals):
         # the covered cell's edge on y = 0 is longer than its neighbour's;
         # its children's top edges sit 1e-8 above that line, so they carry
         # other line keys and only the parent's edge makes y = 0 dirty
         verts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
                           [[2.0, 0.0], [0.0, 0.0], [1.0, -1.0]]])
         top = [1.0, 1e-8]
-        new, sw, cells = self.carried(verts, [0], {1: [
+        new, tot, cells = self.carried(verts, [0], {1: [
             [[2.0, 0.0], top, [1.0, -1.0]], [top, [0.0, 0.0], [1.0, -1.0]]]})
         a = an._join(an._edge_chunks(verts, an._frame(verts),
                                      np.array([3])))[1]
         b = an._join(an._edge_chunks(new, an._frame(new),
                                      np.array([3, 4])))[1]
         assert not (b == a).all(axis=1).any()
-        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
+        assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
 
     @pytest.mark.parametrize("carried", [True, False])
-    def test_previous_sweep_is_handed_over(self, carried):
-        # the call consumes prev's sweep, on the carried path and on the
-        # full sweep a frame change forces; a consumed sweep is refused
+    def test_previous_sweep_is_handed_over(self, carried,
+                                           assert_same_totals, swept):
+        # the call reads prev's totals and leaves them as they were: on
+        # the carried path and on the full sweep a frame change forces,
+        # the same prev gives the same totals again
         verts, _ = stripe_mesh(9)
         a, b, c = verts[8]
         m = (a + b + c) / 3.0 if carried else [0.5, 1.5]
         kept = [i for i in range(18) if i != 8]
-        new, prev_index = stepped(verts, kept, {8: [[a, b, m], [b, c, m],
-                                                    [c, a, m]]})
-        old = an.sweep_intervals(verts)
+        new, prev_index, before, cells = self.fields(
+            verts, kept, {8: [[a, b, m], [b, c, m], [c, a, m]]})
+        old = an.sweep_totals(verts, None, before)
+        kept_cols = {name: getattr(old, name).copy()
+                     for name in ("line", "edge_hash") + an.TERM_COLUMNS}
         prev = (old, prev_index, len(kept))
-        sw = an.sweep_intervals(new, prev)
-        assert (sw.frame[1] == old.frame[1]) == carried
-        for name in an.INTERVAL_COLUMNS + an.TERM_COLUMNS + ("edge_hash",):
-            assert getattr(old, name) is None, name
-        with pytest.raises(InvalidParameterError, match="consumed"):
-            an.sweep_intervals(new, prev)
+        tot = an.sweep_totals(new, prev, cells)
+        assert (tot.frame[1] == old.frame[1]) == carried
+        assert (swept[-1] < 3 * 20) == carried
+        for name, col in kept_cols.items():
+            assert getattr(old, name).tobytes() == col.tobytes(), name
+        want = line_totals(an.sweep_intervals(new), cells)
+        assert_same_totals(tot, want)
+        assert_same_totals(an.sweep_totals(new, prev, cells), want)
 
     @pytest.mark.parametrize("had", ["none", "bv", "all"])
-    @pytest.mark.parametrize("asks", ["none", "bv", "all"])
-    def test_carry_across_term_columns(self, had, asks, monkeypatch,
-                                       assert_same_sweep):
-        # the previous sweep holds no term column, the two bv columns or
-        # all three, and so does the step: the step carries when the
-        # previous sweep holds every column it asks for and sweeps every
-        # line otherwise, equal to the full sweep either way
+    @pytest.mark.parametrize("asks", ["bv", "all"])
+    def test_carry_across_term_columns(self, had, asks, assert_same_totals,
+                                       swept):
+        # the previous totals hold no term column, the two bv columns or
+        # all five, and the step asks for the bv columns or all five: the
+        # step carries when the previous totals hold every column it asks
+        # for and sweeps every line otherwise, equal to the full sweep's
+        # reduction either way
         verts, _ = stripe_mesh(9)
         a, b, c = verts[8]
         m = (a + b + c) / 3.0
@@ -342,61 +377,63 @@ class TestIncrementalSweep:
             verts, kept, {8: [[a, b, m], [b, c, m], [c, a, m]]})
 
         def terms(f, which):
-            return {"none": None, "bv": f._replace(offs=None),
-                    "all": f}[which]
+            return f if which == "all" else f._replace(
+                offs=None, M=None, hull_segments=None)
 
-        merges = []
-        merge = an._merge_rows
-
-        def counted(*args):
-            merges.append(args)
-            return merge(*args)
-
-        monkeypatch.setattr(an, "_merge_rows", counted)
-        old = an.sweep_intervals(verts, None, terms(before, had))
-        sw = an.sweep_intervals(new, (old, prev_index, len(kept)),
-                                terms(cells, asks))
+        old = an.sweep_totals(verts, None, terms(before, had))
+        if had == "none":
+            old.bv_chi = old.bv_grad = None
+        tot = an.sweep_totals(new, (old, prev_index, len(kept)),
+                              terms(cells, asks))
         order = ["none", "bv", "all"]
-        assert len(merges) == (order.index(had) >= order.index(asks))
-        assert_same_sweep(sw, an.sweep_intervals(new,
-                                                 cells=terms(cells, asks)))
-        for name in an.INTERVAL_COLUMNS + an.TERM_COLUMNS + ("edge_hash",):
-            assert getattr(old, name) is None, name
+        carry = order.index(had) >= order.index(asks)
+        assert (swept[-1] < 3 * 20) == carry
+        assert_same_totals(tot, line_totals(an.sweep_intervals(new),
+                                            terms(cells, asks)))
 
-    def test_overlap_sweeps_every_line(self, assert_same_sweep):
-        # a child laid on top of a kept cell's edge: the carried sweep
-        # flags the overlap and equals the full sweep, owners included
+    def test_overlap_sweeps_every_line(self, assert_same_totals, swept):
+        # a child laid on top of a kept cell's edge: the carried totals
+        # flag the overlap and equal the full sweep's; the next step
+        # carries nothing
         verts = square_mesh()
-        new, sw, cells = self.carried(verts, [0], {1: [
+        new, tot, cells = self.carried(verts, [0], {1: [
             [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
             [[0.2, 0.0], [0.8, 0.0], [0.5, 0.3]]]})
-        assert sw.overlap_error
-        assert_same_sweep(sw, an.sweep_intervals(new, cells=cells))
+        assert tot.overlap_error
+        assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
+        again = an.sweep_totals(new, (tot, np.arange(3), 3), cells)
+        assert again.overlap_error and swept[-1] == 9
+        assert_same_totals(again, line_totals(an.sweep_intervals(new),
+                                              cells))
 
 
 class TestChunkedSweep:
     """A sweep in pieces of whole lines, and an edge table built in pieces,
-    equal the sweep of the whole table, term columns included."""
+    equal the sweep of the whole table; so do the per-line totals of the
+    pieces, carried or not."""
 
     def fields(self, res):
         n = res.verts.shape[0]
         return an.CellFields(res.grads, np.arange(n),
-                             (res.phases == 1).astype(float), res.offs)
+                             (res.phases == 1).astype(float), res.offs,
+                             res.grads[~res.good][0], boundary(res.verts))
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_pieces_equal_the_whole(self, cover_mesh, chunk, monkeypatch,
-                                    assert_same_sweep):
+                                    assert_same_sweep, assert_same_totals):
         cells = self.fields(cover_mesh)
         verts = cover_mesh.verts
         assert 3 * verts.shape[0] < an.SWEEP_CHUNK
-        whole = an.sweep_intervals(verts, cells=cells)
+        whole = an.sweep_intervals(verts)
         monkeypatch.setattr(an, "SWEEP_CHUNK", chunk)
-        assert_same_sweep(an.sweep_intervals(verts, cells=cells), whole)
+        assert_same_sweep(an.sweep_intervals(verts), whole)
+        assert_same_totals(an.sweep_totals(verts, None, cells),
+                           line_totals(whole, cells))
 
     def refined(self, cover_mesh):
         """The cover with its largest child refined into three: (cells of
         the cover, the step's verts, prev, and its cells), prev missing
-        its sweep."""
+        its totals."""
         cells = self.fields(cover_mesh)
         verts = cover_mesh.verts
         big = int(np.argmax(cov.tri_areas(verts)))
@@ -410,33 +447,32 @@ class TestChunkedSweep:
         return cells, new, (prev_index, len(kept)), step
 
     def test_carried_pieces_equal_the_whole(self, cover_mesh, monkeypatch,
-                                            assert_same_sweep):
+                                            assert_same_totals):
         cells, new, prev, step = self.refined(cover_mesh)
-        whole = an.sweep_intervals(new, cells=step)
+        want = line_totals(an.sweep_intervals(new), step)
         monkeypatch.setattr(an, "SWEEP_CHUNK", 5)
-        old = an.sweep_intervals(cover_mesh.verts, cells=cells)
-        assert_same_sweep(an.sweep_intervals(new, (old, *prev), step),
-                          whole)
+        old = an.sweep_totals(cover_mesh.verts, None, cells)
+        assert_same_totals(an.sweep_totals(new, (old, *prev), step), want)
 
     @pytest.mark.parametrize("bucket", ["zero", "coarse"])
     def test_colliding_buckets_sweep_the_same(self, cover_mesh, bucket,
-                                              monkeypatch, assert_same_sweep):
+                                              monkeypatch,
+                                              assert_same_totals):
         # distinct lines sharing a bucket: every line in bucket 0 (all of
         # them dirty), or 2^8 times fewer buckets (clean lines re-swept
         # with dirty ones, the others still carried)
         cells, new, prev, step = self.refined(cover_mesh)
-        whole = an.sweep_intervals(new, cells=step)
-        old = an.sweep_intervals(cover_mesh.verts, cells=cells)
+        want = line_totals(an.sweep_intervals(new), step)
+        old = an.sweep_totals(cover_mesh.verts, None, cells)
         if bucket == "zero":
             monkeypatch.setattr(an, "_buckets", lambda h, bits: np.zeros(
                 h.shape[0], dtype=np.intp))
         else:
             monkeypatch.setattr(an, "_buckets", lambda h, bits: (
                 h >> np.uint32(40 - bits)).astype(np.intp))
-        start, _ = an._dirty_lines(new, old.frame, old, *prev)[2]
-        assert (start.shape[0] > 0) == (bucket == "coarse")
-        assert_same_sweep(an.sweep_intervals(new, (old, *prev), step),
-                          whole)
+        clean = an._dirty_lines(new, old.frame, old, *prev)[2]
+        assert clean.any() == (bucket == "coarse")
+        assert_same_totals(an.sweep_totals(new, (old, *prev), step), want)
 
     def test_overlap_sweeps_the_whole_table(self, monkeypatch,
                                             assert_same_sweep):
@@ -451,11 +487,12 @@ class TestChunkedSweep:
         assert_same_sweep(an.sweep_intervals(verts), whole)
 
     def test_zero_length_chunk_sweeps_the_same(self, monkeypatch,
-                                               assert_same_sweep):
+                                               assert_same_sweep,
+                                               assert_same_totals):
         # a degenerate cell (its first two vertices equal) has a
         # zero-length first edge; in pieces of one edge, that edge's piece
         # of the edge table holds no row, and the sweep is the whole
-        # table's, term columns included
+        # table's, its per-line totals too
         verts, vals = stripe_mesh(3)
         a, b = np.array([0.2, 1.0]), np.array([0.3, 1.4])
         verts = np.concatenate([verts, [[a, a, b]]])
@@ -463,41 +500,49 @@ class TestChunkedSweep:
         grads = np.random.default_rng(0).normal(size=(n, 2, 2))
         offs = np.random.default_rng(1).normal(size=(n, 2))
         cells = an.CellFields(grads, np.arange(n), np.append(vals, 1.0),
-                              offs)
-        whole = an.sweep_intervals(verts, cells=cells)
-        assert whole.edge_hash[-1, 0] == 0
-        assert np.all(whole.edge_hash[-1, 1:] != 0)
+                              offs, np.eye(2), boundary(verts))
+        whole = an.sweep_intervals(verts)
+        tot = an.sweep_totals(verts, None, cells)
+        assert tot.edge_hash[-1, 0] == 0
+        assert np.all(tot.edge_hash[-1, 1:] != 0)
         monkeypatch.setattr(an, "SWEEP_CHUNK", 1)
         empty = an._join(an._edge_chunks(verts, whole.frame,
                                          np.array([3 * n - 3])))
         assert [c.shape for c in empty] == [(0,), (0, 3), (0,), (0,), (0,),
                                             (0, 2), (0, 2)]
-        assert_same_sweep(an.sweep_intervals(verts, cells=cells), whole)
+        assert_same_sweep(an.sweep_intervals(verts), whole)
+        assert_same_totals(an.sweep_totals(verts, None, cells),
+                           line_totals(whole, cells))
 
     @pytest.mark.parametrize("mesh", ["cover", "overlap"])
     def test_reversed_rows_sweep_the_same(self, cover_mesh, mesh):
         # the table's rows reversed reverse each line's events at equal t
-        # (the line-key sort and the event sort are stable); the sweep
-        # must not depend on their order, owners of doubly covered sides
-        # included
-        if mesh == "cover":
-            verts, cells = cover_mesh.verts, self.fields(cover_mesh)
-        else:
+        # (the line-key sort and the event sort are stable); the sweep and
+        # its per-line totals must not depend on their order, owners of
+        # doubly covered sides included
+        verts = cover_mesh.verts
+        if mesh == "overlap":
             verts, _ = stripe_mesh(4)
             verts = np.concatenate([verts, [[[0.05, 0.0], [0.2, 0.0],
                                              [0.1, -0.3]]]])
-            cells = None
+        n = verts.shape[0]
+        rng = np.random.default_rng(0)
+        cells = an.CellFields(rng.normal(size=(n, 2, 2)), np.arange(n),
+                              rng.integers(0, 2, n).astype(float),
+                              rng.normal(size=(n, 2)), np.eye(2),
+                              boundary(verts))
         frame = an._frame(verts)
         edges = an._join(an._edge_chunks(verts, frame,
-                                         np.arange(3 * verts.shape[0])))
-        cols, overlap = an._sweep_lines(edges, frame[1], cells)
-        back, overlap_back = an._sweep_lines([f[::-1] for f in edges],
-                                             frame[1], cells)
-        assert overlap == overlap_back == (mesh == "overlap")
-        assert len(cols) == len(back)
-        for x, y in zip(cols, back):
-            assert x.dtype == y.dtype
-            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+                                         np.arange(3 * n)))
+        for piece in (list, lambda f: an._line_totals(f, cells, frame[1])):
+            cols, overlap = an._sweep_lines(edges, frame[1], piece)
+            back, overlap_back = an._sweep_lines([f[::-1] for f in edges],
+                                                 frame[1], piece)
+            assert overlap == overlap_back == (mesh == "overlap")
+            assert len(cols) == len(back)
+            for x, y in zip(cols, back):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
 
 
 class TestFieldResiduals:
@@ -537,6 +582,33 @@ class TestFieldResiduals:
         segs = an.interface_segments(verts, np.array([1, 2], dtype=np.uint8))
         length = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1).sum()
         assert length == pytest.approx(np.sqrt(2), rel=1e-12)
+
+    def test_trace_terms_per_interval(self):
+        # the unit square's two cells against three of its four sides:
+        # the left side is stray with its length, and an offset on the
+        # upper cell shows on its outer intervals only
+        verts = square_mesh()
+        sw = an.sweep_intervals(verts)
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        hull = np.stack([corners[:3], corners[1:]], axis=1)
+        M = np.array([[1.2, 0.3], [-0.1, 0.9]])
+        grads = np.stack([M, M])
+        offs = np.array([[0.0, 0.0], [0.0, 0.02]])
+        lo, ro = sw.left_owner, sw.right_owner
+        trace, stray = an.trace_terms(grads, offs, M, hull, lo, ro,
+                                      sw.point_lo, sw.point_hi, sw.dt,
+                                      sw.frame[1])
+        outer = (lo >= 0) ^ (ro >= 0)
+        owner = np.where(lo >= 0, lo, ro)
+        left = outer & (sw.point_lo[:, 0] == 0.0) & (sw.point_hi[:, 0] == 0.0)
+        assert left.sum() == 1 and outer.sum() == 4
+        assert stray[left] == pytest.approx([1.0], rel=1e-12)
+        assert not stray[~left].any()
+        assert trace[outer & ~left] == pytest.approx(
+            np.where(owner == 1, 0.02, 0.0)[outer & ~left], abs=1e-15)
+        assert not trace[~outer | left].any()
+        assert an.boundary_trace_residual(verts, grads, offs, M, hull) == (
+            float(trace.max()), float(stray.sum()))
 
     def test_empty_selections_keep_their_shapes(self):
         # one phase: no interface; one triangle: no interior interval, and

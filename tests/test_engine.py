@@ -1,6 +1,5 @@
 """Refinement driver: soundness, determinism, budget and restart behavior."""
 
-import copy
 import sys
 import weakref
 
@@ -18,6 +17,7 @@ from twowell.errors import (AspectFailureError, ConstructionFailureError,
                             InvalidDomainError, InvalidParameterError,
                             WrongEntryPointError)
 
+from oracles import line_totals
 from raster_oracle import l1_diff
 
 DELTA = 0.5
@@ -403,64 +403,68 @@ class TestLargeDelta:
 
 
 FULL_SWEEP = an.sweep_intervals
+SWEEP_TOTALS = an.sweep_totals
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Every sweep_intervals call the engine makes: (verts, prev, result,
-    cells, arrays).  The next call consumes the result's arrays, so arrays,
-    a deep copy of the result taken when it is returned, is what a test
-    compares."""
+    """Every sweep_totals call the engine makes: (verts, prev, result,
+    cells)."""
     calls = []
 
-    def recorded(verts, prev=None, cells=None):
-        sw = FULL_SWEEP(verts, prev, cells)
-        calls.append((verts, prev, sw, cells, copy.deepcopy(sw)))
-        return sw
+    def recorded(verts, prev, cells):
+        tot = SWEEP_TOTALS(verts, prev, cells)
+        calls.append((verts, prev, tot, cells))
+        return tot
 
-    monkeypatch.setattr(an, "sweep_intervals", recorded)
+    monkeypatch.setattr(an, "sweep_totals", recorded)
     return calls
 
 
 class TestIncrementalSweep:
-    """The engine carries each state's sweep into the next one's; the
-    result equals the sweep of the state alone."""
+    """The engine carries each state's line totals into the next one's;
+    the result equals the per-line reduction of the state's full interval
+    sweep."""
 
-    def test_every_state_matches_full_sweep(self, sweeps, assert_same_sweep,
+    def test_every_state_matches_full_sweep(self, sweeps,
+                                            assert_same_totals,
                                             record_states):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=5, checks="full",
                               track_bv=True)
-        eng, states = en.restarting(record_states, en.unit_square_domain(),
-                                    rep_datum(), DELTA, config=cfg)
-        # the domain check, then one sweep per state, carried from step 1
-        assert len(states) == 6 and len(sweeps) == 7
-        assert [call[1] is None for call in sweeps] == [True] * 2 \
-            + [False] * 5
-        for k, (verts, prev, sw, cells, arrays) in enumerate(sweeps[1:]):
-            st = states[k]
-            assert verts is st.verts
-            if prev is not None:
-                last, prev_index, n_kept = prev
-                assert last is sweeps[k][2]
-                # handed over: the carried sweep consumed it
-                assert last.dt is None and last.edge_hash is None
-                assert prev_index is st.prev_index
-                # kept cells first, then the children of covered ones
-                kept = prev_index[:n_kept]
-                assert np.array_equal(verts[:n_kept],
-                                      states[k - 1].verts[kept])
-                assert not np.isin(prev_index[n_kept:], kept).any()
-            # the term columns too: every state carries all three
-            assert cells.gid is st.gid and cells.offs is st.offs
-            assert arrays.continuity is not None
-            assert_same_sweep(arrays, FULL_SWEEP(verts, None, cells))
-        assert eng._sweep is sweeps[-1][2]
-        assert eng._sweep.dt is not None
+        for seed in (0, 3):
+            # the datum of the benchmark's engine input seed
+            datum = ia.sample_stage(2, DELTA, np.random.default_rng(seed))
+            sweeps.clear()
+            eng, states = en.restarting(record_states,
+                                        en.unit_square_domain(), datum,
+                                        DELTA, config=cfg)
+            assert eng.restarts == 0
+            # one sweep per state, carried from step 1
+            assert len(states) == len(sweeps) == 6
+            assert [call[1] is None for call in sweeps] == \
+                [True] + [False] * 5
+            for k, (verts, prev, tot, cells) in enumerate(sweeps):
+                st = states[k]
+                assert verts is st.verts
+                if prev is not None:
+                    last, prev_index, n_kept = prev
+                    assert last is sweeps[k - 1][2]
+                    assert prev_index is st.prev_index
+                    # kept cells first, then the children of covered ones
+                    kept = prev_index[:n_kept]
+                    assert np.array_equal(verts[:n_kept],
+                                          states[k - 1].verts[kept])
+                    assert not np.isin(prev_index[n_kept:], kept).any()
+                # every state holds all five term columns
+                assert cells.gid is st.gid and cells.offs is st.offs
+                assert_same_totals(tot, line_totals(FULL_SWEEP(verts),
+                                                    cells))
+            assert eng._totals is sweeps[-1][2]
 
     @pytest.mark.parametrize("run", ["ramp", "stage_one_run"])
     def test_rows_equal_the_public_checks(self, run, request,
                                           record_states):
-        # the row values reduce the carried term columns; each equals the
+        # the row values reduce the per-line totals; each equals the
         # public function evaluated on its state alone, bit for bit
         if run == "ramp":
             cfg = en.EngineConfig(cell_budget=20_000, max_steps=4,
@@ -479,8 +483,13 @@ class TestIncrementalSweep:
             assert row["bv_grad"] == an.bv_seminorm(st, sweep=sw), st.k
             assert row["continuity_err"] == an.continuity_residual(
                 st.verts, st.grads, st.offs, sweep=sw), st.k
+            assert (row["trace_err"], row["stray_boundary_len"]) == \
+                an.boundary_trace_residual(
+                    st.verts, st.table.grads, st.offs, eng.M,
+                    eng.hull_segments, sweep=sw, gid=st.gid), st.k
 
-    def test_restart_starts_from_full_sweep(self, sweeps, assert_same_sweep):
+    def test_restart_starts_from_full_sweep(self, sweeps,
+                                            assert_same_totals):
         # h0 = 1/16 fails at step 1 before its state is recorded; the
         # retry's engine starts from a full sweep again
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="full",
@@ -488,10 +497,10 @@ class TestIncrementalSweep:
         eng = en.run_construction(en.unit_square_domain(), rep_datum(),
                                   DELTA, config=cfg)
         assert eng.restarts == 1
-        assert [call[1] is None for call in sweeps] == [True] * 4 \
+        assert [call[1] is None for call in sweeps] == [True] * 2 \
             + [False] * 3
-        for verts, prev, sw, cells, arrays in sweeps[4:]:
-            assert_same_sweep(arrays, FULL_SWEEP(verts, None, cells))
+        for verts, prev, tot, cells in sweeps[1:]:
+            assert_same_totals(tot, line_totals(FULL_SWEEP(verts), cells))
 
     def test_fast_run_carries_no_line_keys(self, sweeps):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
@@ -499,8 +508,42 @@ class TestIncrementalSweep:
         eng = en.run_construction(en.unit_square_domain(), rep_datum(),
                                   DELTA, config=cfg)
         assert eng.state.k == 3
-        assert len(sweeps) == 1             # the domain check only
-        assert eng._sweep is None
+        assert sweeps == []
+        assert eng._totals is None
+
+    @pytest.mark.parametrize("checks", ["fast", "full"])
+    def test_forced_overlap_sweeps_every_line(self, checks, sweeps,
+                                              monkeypatch):
+        # the sweep of step 1 reports an overlap: a full check fails the
+        # step, and a fast run carries nothing into step 2, which sweeps
+        # every edge of its state
+        sweep = an._sweep
+
+        def overlapping(edges, rows, line, diam):
+            fields, overlap = sweep(edges, rows, line, diam)
+            return fields, overlap or len(sweeps) == 1
+
+        monkeypatch.setattr(an, "_sweep", overlapping)
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=2, checks=checks,
+                              track_bv=True)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        if checks == "full":
+            with pytest.raises(ConstructionFailureError,
+                               match="overlapping cells at step 1"):
+                eng.step()
+            return
+        edges = []
+        sweep_lines = an._sweep_lines
+
+        def counted(table, *args):
+            edges.append(table[0].shape[0])
+            return sweep_lines(table, *args)
+
+        monkeypatch.setattr(an, "_sweep_lines", counted)
+        eng.run()
+        assert [call[2].overlap_error for call in sweeps] == \
+            [False, True, False]
+        assert edges[-1] == 3 * eng.state.n
 
 
 class TestLowStageEntry:
@@ -705,11 +748,11 @@ class TestCarriedColumns:
         last = []            # a weak reference to the state before a step
         released = []
 
-        def sweep(verts, prev=None, cells=None):
+        def sweep(verts, prev, cells):
             released.append(last[-1]() is None)
-            return FULL_SWEEP(verts, prev, cells)
+            return SWEEP_TOTALS(verts, prev, cells)
 
-        monkeypatch.setattr(an, "sweep_intervals", sweep)
+        monkeypatch.setattr(an, "sweep_totals", sweep)
         for _ in range(cfg.max_steps):
             last.append(weakref.ref(eng.state))
             eng.step()

@@ -41,13 +41,13 @@ def test_probe_reports_every_call_and_unwraps(peak_probe, capsys):
     calls = lines[2:-2]
     rows = [ln.split() for ln in calls]
     assert {r[0] for r in rows} == set(peak_probe.TARGETS)
-    # a carried sweep runs all three helpers: some call does
-    assert sum(r[0] == "_merge_rows" for r in rows) > 0
+    # a carried step merges its clean and fresh line totals: some does
+    assert sum(r[0] == "_merge_lines" for r in rows) > 0
     outer = None
     for row, line in zip(rows, calls):
         entry, peak, ret = map(float, row[1:])
         assert peak >= max(entry, ret)
-        if line.startswith("sweep_intervals"):
+        if line.startswith("sweep_"):
             outer = peak
         else:
             # a helper runs inside its sweep, whose peak covers it

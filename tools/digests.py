@@ -17,12 +17,11 @@ both engine workloads, so the default covers a restarted run) it prints:
   per cell, ``iso``, or ``iso_h > 0`` for a state that tags with an
   aspect and an axis instead, so checkouts from before and after either
   change print comparable lines;
-  on a second line, one digest per ``analysis.sweep_intervals`` call of
-  the run (the domain check, then the sweep of every recorded state) over
-  ``dt``, both owner arrays, the overlap flag, the endpoints of the
-  intervals with an owner (a gap interval, with no owner on either side,
-  has no edge to take endpoints from), the line keys and every term
-  column the sweep holds (``bv_chi``, ``bv_grad``, ``continuity``);
+  on a second line, one digest per ``analysis.sweep_totals`` call of the
+  run (the per-line totals of every recorded state; none in a run that
+  neither tracks BV nor runs full checks) over the line keys, every term
+  column the totals hold (``bv_chi``, ``bv_grad``, ``continuity``,
+  ``trace``, ``stray``) and the overlap flag;
   on a third line, one 8-digit digest per metric-row column (``name=``
   digest, columns in the order of the first row that holds them), so a
   change that moves the rows names the columns it moved;
@@ -108,24 +107,19 @@ def column_digests(rows) -> dict:
             for name in names}
 
 
-def sweep_digest(sw) -> str:
-    owned = (sw.left_owner >= 0) | (sw.right_owner >= 0)
-    terms = tuple(getattr(sw, t).tobytes() for t in an.TERM_COLUMNS
-                  if getattr(sw, t) is not None)
-    return _hex(b"".join((sw.dt.tobytes(), sw.left_owner.tobytes(),
-                          sw.right_owner.tobytes(),
-                          bytes([sw.overlap_error]),
-                          sw.point_lo[owned].tobytes(),
-                          sw.point_hi[owned].tobytes(),
-                          sw.line.tobytes()) + terms))
+def totals_digest(tot) -> str:
+    terms = tuple(getattr(tot, t).tobytes() for t in an.TERM_COLUMNS
+                  if getattr(tot, t) is not None)
+    return _hex(b"".join((tot.line.tobytes(),) + terms
+                         + (bytes([tot.overlap_error]),)))
 
 
 def engine_digests(name: str, seed: int):
-    """(per-step state digests, per-call sweep digests, metric rows) of
+    """(per-step state digests, per-call totals digests, metric rows) of
     one benchmark engine run; a restarted attempt's are dropped with it."""
     steps, sweeps = [], []
     init, step = en.Engine.__init__, en.Engine.step
-    sweep = an.sweep_intervals
+    sweep = an.sweep_totals
 
     def traced_init(self, *args, **kwargs):
         steps.clear()
@@ -139,19 +133,19 @@ def engine_digests(name: str, seed: int):
         return row
 
     def traced_sweep(*args, **kwargs):
-        sw = sweep(*args, **kwargs)
-        sweeps.append(sweep_digest(sw))
-        return sw
+        tot = sweep(*args, **kwargs)
+        sweeps.append(totals_digest(tot))
+        return tot
 
     en.Engine.__init__, en.Engine.step = traced_init, traced_step
-    an.sweep_intervals = traced_sweep
+    an.sweep_totals = traced_sweep
     try:
         eng = en.run_construction(en.unit_square_domain(),
                                   wl.make_input(name, seed), wl.DELTA,
                                   wl.engine_config(name, toy=False))
     finally:
         en.Engine.__init__, en.Engine.step = init, step
-        an.sweep_intervals = sweep
+        an.sweep_totals = sweep
     return steps, sweeps, eng.metrics.rows
 
 

@@ -6,13 +6,15 @@
 Run from the root of a source checkout (the package is imported from
 ``src``, the benchmark inputs and configs from ``perfbench/workloads.py``).
 It runs one workload input in this process with ``tracemalloc`` on and
-wraps ``analysis.sweep_intervals`` and its helpers ``_dirty_lines``,
-``_sweep_lines`` and ``_merge_rows``.  Every sweep runs ``_dirty_lines``
-and ``_sweep_lines``, a full sweep too (it carries nothing, and its
-``_dirty_lines`` builds the whole edge table); only a carried sweep runs
-``_merge_rows``.  For every call, in the order the calls began (a helper
-indented under its sweep), it prints in MB of traced allocations (2^20
-bytes, the unit of the benchmark's ``peak_rss_mb``):
+wraps ``analysis.sweep_intervals`` (the one-shot interval sweep: the
+domain check), ``analysis.sweep_totals`` (the engine's per-line totals)
+and their helpers ``_dirty_lines``, ``_sweep_lines`` and
+``_merge_lines``.  Every sweep runs ``_dirty_lines`` and ``_sweep_lines``,
+a full sweep too (it carries nothing, and its ``_dirty_lines`` builds the
+whole edge table); only a carried ``sweep_totals`` runs ``_merge_lines``.
+For every call, in the order the calls began (a helper indented under its
+sweep), it prints in MB of traced allocations (2^20 bytes, the unit of the
+benchmark's ``peak_rss_mb``):
 
 - ``entry``: live at entry
 - ``peak``: the most live at any moment of the call
@@ -44,7 +46,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads as wl  # noqa: E402
 from twowell import analysis as an  # noqa: E402
 
-TARGETS = ("sweep_intervals", "_dirty_lines", "_sweep_lines", "_merge_rows")
+TARGETS = ("sweep_intervals", "sweep_totals", "_dirty_lines",
+           "_sweep_lines", "_merge_lines")
 MB = float(1 << 20)
 
 
