@@ -17,24 +17,23 @@ overlap), it has owner -1.  So a line's owners depend on its own edges
 only, and the sweep runs on pieces of whole lines of about SWEEP_CHUNK
 edges (the table stably sorted by line key, then cut at line starts).
 The sweep has two readers.  sweep_intervals joins the pieces' intervals
-into one SweepAccumulator, the sweep of the whole table with temporaries
-bounded by the piece; the domain check, the cover and cell verifiers,
-the lineage's plan data and twowell dim read it.  sweep_totals, the
+into one SweepAccumulator (for the domain check, the cover and cell
+verifiers, the lineage's plan data and twowell dim).  sweep_totals, the
 engine's, reduces each piece per line as soon as it is swept and keeps
 only LineTotals: one row per line, so no interval outlives its piece.
 
 Across a refinement step the totals are incremental.  Every kept cell is
 frozen, so a line that carries no edge of a new cell or of a covered one
-holds the same edges as before, and its totals do not change.
-sweep_totals takes the previous state's totals, sweeps only the dirty
-lines and merges their totals with the clean ones by line key; the two
-sets of keys are disjoint, and no owner is carried.  The result equals
-the totals of a full sweep element for element.  Nothing carried (no
-previous totals, or ones that cannot be carried), every edge is new and
-every line dirty.  Dirty lines are found through a 32-bit hash of every
-cell edge's line key (edge_hash), carried with the kept cells: a line's
-bucket is the top bits of its hash, and a bucket shared by two lines
-only re-sweeps a clean one.
+holds the same edges as before, and its totals do not change.  Every
+state carries its predecessor's totals (a run's first state empty ones
+in its own frame) and keys its lines in their frame, so a run has one
+frame.  sweep_totals sweeps only the dirty lines and merges their totals
+with the clean ones by key; no owner is carried, and overlap is a
+per-line fact like the sums, so the result equals the per-line reduction
+of a full sweep in the run's frame.  Dirty lines are found through a
+32-bit hash of every cell edge's line key (edge_hash), carried with the
+kept cells: a line's bucket is the top bits of its hash, and a bucket
+shared by two lines only re-sweeps a clean one.
 
 The engine's checks are split into a per-interval term and a reduction.
 jump_terms (phase jump x length), grad_jump_terms (Frobenius norm of the
@@ -70,9 +69,12 @@ such inputs through overlap_error rather than guessing.
 
 overlap_error detects collinear double coverage (two cells claiming the
 same side of the same edge interval), the failure mode of misplaced
-refinement children.  A cell strictly inside another shares no edge
-line and is invisible to the sweep; total-area conservation is the
-guard for that case and is checked by the engine on every step.
+refinement children.  Off the axes it also fires on conforming meshes:
+two collinear edges that meet at a vertex take its t from their own
+normals, which can differ by more than the sliver cut (ROADMAP item 18).
+A cell strictly inside another shares no edge line and is invisible to
+the sweep; total-area conservation is the guard for that case and is
+checked by the engine on every step.
 """
 
 from __future__ import annotations
@@ -182,9 +184,10 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
     ascending line numbers.  Edges are numbered by table row.  A side
     covered by exactly one edge is owned by that edge's cell; a side
     covered by none or by more than one gets owner -1, and more than one
-    sets overlap.  So a line's result depends on its own edges only, and
-    any run of lines sweeps them as the whole table does.  Returns ((dt,
-    left owner, right owner, point_lo, point_hi, line key), overlap)."""
+    sets the interval's overlap flag.  So a line's result depends on its
+    own edges only, and any run of lines sweeps them as the whole table
+    does.  Returns (dt, left owner, right owner, point_lo, point_hi, line
+    key, overlap)."""
     eid, key, tlo, thi, left, plo_abs, phi_abs = edges
     # two events per edge (event i belongs to row rows[i >> 1]), sorted by
     # line, then t; events at equal t bound only zero-length intervals,
@@ -214,7 +217,7 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
     nl, nr = nl[:-1][keep], nr[:-1][keep]
     eL = np.where(nl == 1, el[:-1][keep] - 1, -1)
     eR = np.where(nr == 1, er[:-1][keep] - 1, -1)
-    overlap = bool(np.any(nl > 1) or np.any(nr > 1))
+    overlap = (nl > 1) | (nr > 1)
     # row -1 reads the last row; its owner is masked
     lo = np.where(eL >= 0, eid[eL] // 3, -1)
     ro = np.where(eR >= 0, eid[eR] // 3, -1)
@@ -239,7 +242,7 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
     plo[gap] = np.nan
     phi[gap] = np.nan
     return (dt[keep] * diam, lo, ro, plo, phi,
-            np.take(key, ev_edge[:-1][keep], axis=0)), overlap
+            np.take(key, ev_edge[:-1][keep], axis=0), overlap)
 
 
 def _line_hash(key: np.ndarray) -> np.ndarray:
@@ -302,7 +305,7 @@ def _term_names(cells: CellFields) -> tuple:
 def _terms(fields, cells: CellFields, diam: float) -> tuple:
     """The term columns (_term_names) of cells over the intervals fields
     (as _sweep returns them) of a mesh of diameter diam."""
-    dt, lo, ro, p_lo, p_hi, _ = fields
+    dt, lo, ro, p_lo, p_hi = fields[:5]
     out = (jump_terms(cells.chi, lo, ro, dt, gid=cells.gid),
            grad_jump_terms(cells.grads, lo, ro, dt, gid=cells.gid))
     if cells.offs is None:
@@ -315,10 +318,12 @@ def _terms(fields, cells: CellFields, diam: float) -> tuple:
 
 def _line_totals(fields, cells: CellFields, diam: float) -> list:
     """[line key of every line of the intervals fields (as _sweep returns
-    them), then each term column of cells reduced over the line's
-    intervals (TERM_REDUCTIONS)]."""
+    them), whether one of the line's intervals is doubly covered, then each
+    term column of cells reduced over the line's intervals
+    (TERM_REDUCTIONS)]."""
     starts = _line_starts(fields[5])
-    return [np.take(fields[5], starts, axis=0)] + [
+    return [np.take(fields[5], starts, axis=0),
+            np.logical_or.reduceat(fields[6], starts)] + [
         TERM_REDUCTIONS[name].reduceat(terms, starts)
         for name, terms in zip(_term_names(cells),
                                _terms(fields, cells, diam))]
@@ -332,7 +337,7 @@ def _sweep_lines(edges, diam: float, piece=list):
     one piece, an empty one one empty piece).  A line's owners depend on
     its own edges only, so the pieces' intervals joined equal one sweep of
     the whole table element for element; only their temporaries are
-    smaller.  Returns (the pieces' columns joined, overlap)."""
+    smaller.  Returns the pieces' columns joined."""
     order = np.lexsort(edges[1].T[::-1])
     n = order.shape[0]
     starts = _line_starts(np.take(edges[1], order, axis=0))
@@ -340,28 +345,28 @@ def _sweep_lines(edges, diam: float, piece=list):
     at = np.searchsorted(starts, np.arange(SWEEP_CHUNK, n, SWEEP_CHUNK))
     inner = starts[at[at < starts.shape[0]]]        # ascending, all > 0
     cuts = np.concatenate([[0], inner[np.diff(inner, prepend=0) > 0], [n]])
-    parts, overlap = [], False
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        fields, piece_overlap = _sweep(edges, order[a:b], line[a:b], diam)
-        overlap |= piece_overlap
-        parts.append(piece(fields))
-    return _join(parts), overlap
+    return _join([piece(_sweep(edges, order[a:b], line[a:b], diam))
+                  for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+class _Overlap:
+    @property
+    def overlap_error(self) -> bool:
+        return bool(self.overlap.any())
 
 
 @dataclass
-class SweepAccumulator:
+class SweepAccumulator(_Overlap):
     """Subinterval decomposition of all coincident-edge lines.
 
     For every maximal subinterval on every line, in the order line key,
     then position along the line: dt (length), the owning cell on each
-    side, the endpoints in absolute coordinates and the line key (line).  A
-    side covered by exactly one edge is owned by that edge's cell; a side
-    covered by none or by more than one has owner -1, and more than one
-    sets overlap_error.  An interval with no owner on either side (a gap
-    between two edges of one line that do not meet, or a doubly covered
-    interval) has NaN endpoints; it stays in place with its dt, so sums
-    over dt keep their bits.  frame is the normalizing (center, diam).
-    Integrals are evaluated by the callers through the owners.
+    side (-1 for a side covered by no edge or by more than one, which sets
+    overlap), the endpoints in absolute coordinates and the line key
+    (line).  An interval with no owner on either side (a gap between two
+    edges of one line, or a doubly covered interval) has NaN endpoints; it
+    stays in place, so sums over dt keep their bits.  frame is the
+    normalizing (center, diam) of the line keys.
     """
     dt: np.ndarray
     left_owner: np.ndarray
@@ -369,59 +374,60 @@ class SweepAccumulator:
     point_lo: np.ndarray
     point_hi: np.ndarray
     line: np.ndarray
-    overlap_error: bool
+    overlap: np.ndarray
     frame: tuple
 
 
 @dataclass
-class LineTotals:
+class LineTotals(_Overlap):
     """The engine's checks per line of a state's sweep: line (the keys of
-    the lines with an interval, ascending) and per line bv_chi and bv_grad
-    (sums of jump_terms of the phase indicator and of grad_jump_terms), and
-    with offsets continuity and trace (maxima of continuity_terms and of
-    the trace terms of trace_terms) and stray (sums of its stray lengths).
-    A row value is the np.sum or max of a column.  overlap_error is the
-    sweep's; edge_hash (the _line_hash of every cell's three edges, (n,3)
-    uint32, 0 for a zero-length edge) and frame (the normalizing (center,
-    diam)) are what the next state's sweep_totals reads to carry the clean
-    lines."""
+    the lines with an interval, ascending), overlap (a doubly covered
+    interval on the line), bv_chi and bv_grad (sums of jump_terms of the
+    phase indicator and of grad_jump_terms), and with offsets continuity
+    and trace (maxima of continuity_terms and of the trace terms of
+    trace_terms) and stray (sums of its stray lengths).  A row value is the
+    np.sum, max or any of a column.  The next state's sweep_totals carries
+    the clean lines through edge_hash (_line_hash of every cell's three
+    edges, (n,3) uint32, 0 for a zero-length edge) and frame (the run's
+    normalizing (center, diam), which every line key is taken in)."""
     line: np.ndarray
+    overlap: np.ndarray
     bv_chi: np.ndarray
     bv_grad: np.ndarray
-    overlap_error: bool
     edge_hash: np.ndarray
     frame: tuple
     continuity: Optional[np.ndarray] = None
     trace: Optional[np.ndarray] = None
     stray: Optional[np.ndarray] = None
 
+    @classmethod
+    def empty(cls, frame) -> "LineTotals":
+        """No line, every column, in frame: a run's first state's."""
+        z = np.empty(0)
+        return cls(np.empty((0, 3), np.int32), z.astype(bool), z, z,
+                   np.empty((0, 3), np.uint32), frame, z, z, z)
 
-def _dirty_lines(verts: np.ndarray, frame, old: Optional[LineTotals],
-                 prev_index: Optional[np.ndarray], n_kept: int):
+
+def _dirty_lines(verts: np.ndarray, old: LineTotals, prev_index: np.ndarray,
+                 n_kept: int):
     """What a refinement step changed, for sweep_totals: (edge_hash of
-    verts, the edge table of every edge on a dirty line, the clean lines of
-    old as a mask over old.line).  A kept edge's hash is carried, not
-    computed again; only the new edges' keys are hashed, a chunk at a
-    time.  The chunks of the re-swept kept edges and of the new ones are
-    joined once.  With nothing carried (old None, n_kept 0) every edge is
-    new and every line dirty: the table is the whole table, no bucket
-    bitmap is built, and the clean mask is None."""
+    verts, the edge table in old's frame of every edge on a dirty line, the
+    clean lines of old as a mask over old.line).  A kept edge's hash is
+    carried, not computed again; only the new edges' keys are hashed, a
+    chunk at a time.  The chunks of the re-swept kept edges and of the new
+    ones are joined once."""
     n = verts.shape[0]
+    kept = prev_index[:n_kept]
     edge_hash = np.zeros((n, 3), dtype=np.uint32)
+    edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
     flat = edge_hash.reshape(-1)
     bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
-    if old is not None:
-        kept = prev_index[:n_kept]
-        edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
-        dirty = np.zeros(1 << bits, dtype=bool)
-    new = _edge_chunks(verts, frame, np.arange(3 * n_kept, 3 * n))
+    dirty = np.zeros(1 << bits, dtype=bool)
+    new = _edge_chunks(verts, old.frame, np.arange(3 * n_kept, 3 * n))
     for part in new:
         new_hash = _line_hash(part[1])
         flat[part[0]] = new_hash
-        if old is not None:
-            dirty[_buckets(new_hash, bits)] = True
-    if old is None:
-        return edge_hash, _join(new), None
+        dirty[_buckets(new_hash, bits)] = True
     # a parent edge and its children's edges need not share a key, so the
     # lines of both are dirty
     covered = np.ones(old.edge_hash.shape[0], dtype=bool)
@@ -431,7 +437,7 @@ def _dirty_lines(verts: np.ndarray, frame, old: Optional[LineTotals],
     # kept edges on dirty lines; a zero-length one (hash 0) is dropped by
     # the edge table
     redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
-    edges = _join(_edge_chunks(verts, frame, redo) + new)
+    edges = _join(_edge_chunks(verts, old.frame, redo) + new)
     return edge_hash, edges, ~dirty[_buckets(_line_hash(old.line), bits)]
 
 
@@ -448,12 +454,12 @@ def _merge_lines(old: LineTotals, clean: np.ndarray, names: tuple,
     return [np.take(joined(i), order, axis=0) for i in range(len(names))]
 
 
-def sweep_intervals(verts: np.ndarray) -> SweepAccumulator:
-    """Decompose all edges into subintervals with per-side owners."""
-    frame = _frame(verts)
-    edges = _dirty_lines(verts, frame, None, None, 0)[1]
-    cols, overlap = _sweep_lines(edges, frame[1])
-    return SweepAccumulator(*cols, overlap_error=overlap, frame=frame)
+def sweep_intervals(verts: np.ndarray, frame=None) -> SweepAccumulator:
+    """Decompose all edges into subintervals with per-side owners, the
+    line keys taken in frame (the bounding box of verts by default)."""
+    frame = _frame(verts) if frame is None else frame
+    edges = _join(_edge_chunks(verts, frame, np.arange(3 * verts.shape[0])))
+    return SweepAccumulator(*_sweep_lines(edges, frame[1]), frame=frame)
 
 
 def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
@@ -461,37 +467,31 @@ def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
 
     prev = (totals, prev_index, n_kept) carries the totals of the previous
     state when verts are its cells prev_index[:n_kept], kept bit for bit,
-    followed by new cells (a refinement step: the state's prev_index).
-    Only dirty lines are swept again, the lines that carry an edge of a new
-    cell or of a previous cell not kept; each piece of them is reduced per
-    line as soon as it is swept.  The other lines keep their totals: a kept
-    cell keeps its gradient, phase and offset, and a clean line its edges.
-    The clean totals and the fresh ones hold disjoint keys, and one sort by
-    key interleaves them.  The result equals the totals of verts alone
-    element for element, overlap_error included: a line's owners depend on
-    its own edges only (see _sweep), and the clean lines held no overlap
-    before.  Nothing is carried without prev, nor when the previous sweep
-    found an overlap (a clean line's overlap is not seen again without
-    sweeping it), has other frame bits, or lacks a term column that cells
-    asks for: then every edge is new and every line dirty.
+    followed by new cells in their union (a refinement step: the state's
+    prev_index); prev None, a run's first state, carries LineTotals.empty
+    in the frame of verts.  The line keys are taken in the carried frame.
+    Only the dirty lines, which carry an edge of a new cell or of a
+    previous cell not kept, are swept again, each piece reduced per line as
+    soon as it is swept; a clean line keeps its edges and so its totals,
+    and one sort by key interleaves the two sets.  A line's owners and
+    overlap depend on its own edges only (see _sweep), so the result equals
+    the per-line reduction of sweep_intervals(verts, frame) element for
+    element.  Carried totals that lack a column cells asks for raise
+    InvalidParameterError.
     """
-    frame = _frame(verts)
-    names = ("line",) + _term_names(cells)
-    old, prev_index, n_kept = (None, None, 0) if prev is None else prev
-    if old is not None and (
-            old.overlap_error or old.frame[1] != frame[1]
-            or old.frame[0].tobytes() != frame[0].tobytes()
-            or any(getattr(old, t) is None for t in names)):
-        old, n_kept = None, 0
-    edge_hash, edges, clean = _dirty_lines(verts, frame, old, prev_index,
-                                           n_kept)
-    cols, overlap = _sweep_lines(
-        edges, frame[1], lambda fields: _line_totals(fields, cells, frame[1]))
+    names = ("line", "overlap") + _term_names(cells)
+    old, prev_index, n_kept = (prev if prev is not None else (
+        LineTotals.empty(_frame(verts)), np.empty(0, dtype=np.intp), 0))
+    if any(getattr(old, name) is None for name in names):
+        raise InvalidParameterError("the carried line totals lack a column "
+                                    "the cells ask for")
+    diam = old.frame[1]
+    edge_hash, edges, clean = _dirty_lines(verts, old, prev_index, n_kept)
+    cols = _sweep_lines(edges, diam, lambda f: _line_totals(f, cells, diam))
     del edges
-    if old is not None:
-        cols = _merge_lines(old, clean, names, cols)
-    return LineTotals(**dict(zip(names, cols)), overlap_error=overlap,
-                      edge_hash=edge_hash, frame=frame)
+    cols = _merge_lines(old, clean, names, cols)
+    return LineTotals(**dict(zip(names, cols)), edge_hash=edge_hash,
+                      frame=old.frame)
 
 
 # ---------------------------------------------------------------------------

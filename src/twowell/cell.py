@@ -522,6 +522,7 @@ class CellCheckReport:
     failure_examples: list
     max_partition_err: float   # |sum of piece areas - area| / area
     max_trace_err: float       # boundary deviation from the affine map / scale
+    max_stray_len: float       # boundary interval off the diamond / scale
     max_det_err: float         # worst |det(grad) - 1| over the five slots
     max_fraction_err: float    # |a_fraction - lam (1 + (1 - lam) h)|
 
@@ -550,7 +551,7 @@ def verify_cells(delta: float, samples: int = 1_000,
     a_slots = np.isin(GRAD_INDEX, (0, 2))
     failures = 0
     examples: list = []
-    mp = mt = md = mf = 0.0
+    mp = mt = ms = md = mf = 0.0
     for _ in range(samples):
         stage = int(rng.integers(2, 9))
         F = ia.sample_stage(stage, delta, rng)
@@ -578,7 +579,7 @@ def verify_cells(delta: float, samples: int = 1_000,
         det = float(np.abs(np.linalg.det(plan.grads) - 1.0).max())
         frac = abs(plan.areas_unit[a_slots].sum() / (2.0 * h)
                    - lam * (1.0 + (1.0 - lam) * h))
-        mp, mt = max(mp, part), max(mt, tr)
+        mp, mt, ms = max(mp, part), max(mt, tr), max(ms, stray / scale)
         md, mf = max(md, det), max(mf, frac)
         if (part > 1e-12 or tr > 1e-10 or det > 1e-10 or frac > 1e-12
                 or stray > 1e-8 * scale):
@@ -586,4 +587,5 @@ def verify_cells(delta: float, samples: int = 1_000,
             if len(examples) < 5:
                 examples.append((stage, float(lam), h, part, tr, det, frac,
                                  stray))
-    return CellCheckReport(delta, samples, failures, examples, mp, mt, md, mf)
+    return CellCheckReport(delta, samples, failures, examples, mp, mt, ms, md,
+                           mf)

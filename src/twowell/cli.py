@@ -337,6 +337,7 @@ def _run_suite(name: str, delta: float, samples: Optional[int]):
         return rep.ok, (f"failures={rep.failures} "
                         f"partition={rep.max_partition_err:.3e} "
                         f"trace={rep.max_trace_err:.3e} "
+                        f"stray={rep.max_stray_len:.3e} "
                         f"det={rep.max_det_err:.3e} "
                         f"fraction={rep.max_fraction_err:.3e}")
     if name == "covering":
@@ -345,6 +346,8 @@ def _run_suite(name: str, delta: float, samples: Optional[int]):
                         f"h0={rep.h0!r} "
                         f"partition={rep.max_partition_err:.3e} "
                         f"continuity={rep.max_continuity_err:.3e} "
+                        f"trace={rep.max_trace_err:.3e} "
+                        f"stray={rep.max_stray_len:.3e} "
                         f"good_fraction={rep.min_good_fraction:.4f}")
     if name == "onewell":
         rep = ow.verify_qc_bounds(delta, samples=samples or 100_000, seed=0)

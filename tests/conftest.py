@@ -1,8 +1,8 @@
 """Shared pytest hooks: print the acceptance certificate after the run;
-the sweep and line-totals comparisons shared by the analysis and engine
-tests; the recorded states of a run and the stepped engines shared by the
-lineage and engine tests; the row comparison shared by the
-stacked-geometry tests."""
+the sweep and line-totals comparisons, and the edge count of every sweep,
+shared by the analysis and engine tests; the recorded states of a run and
+the stepped engines shared by the lineage and engine tests; the row
+comparison shared by the stacked-geometry tests."""
 
 import sys
 
@@ -26,7 +26,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 SWEEP_ARRAYS = ("dt", "left_owner", "right_owner", "point_lo", "point_hi",
-                "line")
+                "line", "overlap")
 
 
 def _assert_same_sweep(a, b):
@@ -36,7 +36,6 @@ def _assert_same_sweep(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
-    assert a.overlap_error == b.overlap_error
     assert a.frame[1] == b.frame[1]
     assert a.frame[0].tobytes() == b.frame[0].tobytes()
 
@@ -48,10 +47,15 @@ def assert_same_sweep():
 
 def _assert_same_totals(tot, want):
     """LineTotals tot holds the columns of the dict want (oracles.
-    line_totals) bit for bit, and no term column that want lacks."""
+    line_totals) bit for bit, and no term column that want lacks; want's
+    frame is tot's."""
     for name in an.TERM_COLUMNS:
         assert (getattr(tot, name) is None) == (name not in want), name
+    assert tot.frame[1] == want["frame"][1]
+    assert tot.frame[0].tobytes() == want["frame"][0].tobytes()
     for name, y in want.items():
+        if name == "frame":
+            continue
         x = getattr(tot, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
@@ -60,6 +64,21 @@ def _assert_same_totals(tot, want):
 @pytest.fixture
 def assert_same_totals():
     return _assert_same_totals
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The edge count of every table analysis._sweep_lines sweeps, in call
+    order."""
+    counts = []
+    sweep_lines = an._sweep_lines
+
+    def counted(edges, *args):
+        counts.append(edges[0].shape[0])
+        return sweep_lines(edges, *args)
+
+    monkeypatch.setattr(an, "_sweep_lines", counted)
+    return counts
 
 
 def _assert_same_rows(errors, row, calls):

@@ -109,9 +109,10 @@ def rank_one_factors(D: np.ndarray):
 
 def line_totals(sw: an.SweepAccumulator, cells: an.CellFields) -> dict:
     """{column: array} of the LineTotals of cells over the full interval
-    sweep sw: the line keys of its runs of intervals, and each public term
-    function over sw, reduced over each run with np.add.reduceat, or
-    np.maximum.reduceat for continuity and trace."""
+    sweep sw, and its frame under "frame": the line keys of its runs of
+    intervals, whether a run holds a doubly covered interval, and each
+    public term function over sw, reduced over each run with
+    np.add.reduceat, or np.maximum.reduceat for continuity and trace."""
     lo, ro, dt = sw.left_owner, sw.right_owner, sw.dt
     head = np.ones(dt.shape[0], dtype=bool)
     head[1:] = (sw.line[1:] != sw.line[:-1]).any(axis=1)
@@ -127,6 +128,7 @@ def line_totals(sw: an.SweepAccumulator, cells: an.CellFields) -> dict:
             cells.grads, cells.offs, cells.M, cells.hull_segments, lo, ro,
             sw.point_lo, sw.point_hi, dt, sw.frame[1], gid=cells.gid)
     add = ("bv_chi", "bv_grad", "stray")
-    return {"line": np.take(sw.line, starts, axis=0),
+    return {"frame": sw.frame, "line": np.take(sw.line, starts, axis=0),
+            "overlap": np.logical_or.reduceat(sw.overlap, starts),
             **{name: (np.add if name in add else np.maximum).reduceat(
                 t, starts) for name, t in terms.items()}}

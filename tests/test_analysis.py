@@ -155,6 +155,37 @@ class TestBVSeminorm:
         lo, ro = sweep.left_owner, sweep.right_owner
         assert (((lo == 0) & (ro == 1)) | ((lo == 1) & (ro == 0))).sum() == 1
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: collinear "
+                       "edges take their shared vertex's t from their own "
+                       "normals")
+    def test_collinear_edges_meet_without_overlap(self):
+        # four cells of a state of the unit square rotated by 0.3 rad; on
+        # one line, two collinear edges meet at a vertex whose t values,
+        # taken along each edge's own normal, differ by 1.06e-12 (above the
+        # 1e-12 sliver cut), so one side reads covered twice over 1.3e-12.
+        # The two small triangles pin the frame to the rotated square's
+        # bounding box
+        lo = np.array([-0.29552020666133955, 0.0])
+        hi = np.array([0.955336489125606, 1.2508566957869456])
+        ex, ey = np.array([1e-3, 0.0]), np.array([0.0, 1e-3])
+        verts = np.array([
+            [[-0.1779361837573271, 0.9898060696695858],
+             [-0.17803334759471204, 0.9898060826270516],
+             [-0.17798476567601956, 0.9897574942296262]],
+            [[-0.1779361837573271, 0.9898060696695858],
+             [-0.17798476567601956, 0.9897574942296262],
+             [-0.17642333581232822, 0.9898062889128666]],
+            [[-0.17803334759471204, 0.9897089187896667],
+             [-0.1779361837573271, 0.989708905832201],
+             [-0.17798476567601956, 0.9897574942296263]],
+            [[-0.17803334759471204, 0.9897089187896667],
+             [-0.17798476567601956, 0.9897574942296263],
+             [-0.1795461955397109, 0.989708699546386]],
+            [lo, lo + ex, lo + ey],
+            [hi, hi - ex, hi - ey],
+        ])
+        assert not an.sweep_intervals(verts).overlap_error
+
     def test_collinear_overlap_flagged(self):
         # two cells claiming the same side of one edge interval: the
         # signature of a misplaced refinement child
@@ -217,20 +248,6 @@ def boundary(verts):
     sw = an.sweep_intervals(verts)
     single = (sw.left_owner >= 0) ^ (sw.right_owner >= 0)
     return np.stack([sw.point_lo, sw.point_hi], 1)[single]
-
-
-@pytest.fixture
-def swept(monkeypatch):
-    """The edge count of every table _sweep_lines sweeps, in call order."""
-    counts = []
-    sweep_lines = an._sweep_lines
-
-    def counted(edges, *args):
-        counts.append(edges[0].shape[0])
-        return sweep_lines(edges, *args)
-
-    monkeypatch.setattr(an, "_sweep_lines", counted)
-    return counts
 
 
 class TestIncrementalSweep:
@@ -305,19 +322,21 @@ class TestIncrementalSweep:
         ([[0.0, 0.0], [2.0, 1.0], [-1.0, 1.0]], (True, True)),
         ([[0.0, 0.0], [2.0, 1.0], [0.0, 1.5]], (True, False)),
         ([[0.0, -1.0], [2.0, 1.0], [0.0, 2.0]], (False, True))])
-    def test_frame_change_sweeps_every_line(self, cell, moved,
+    def test_cell_past_the_frame_is_carried(self, cell, moved,
                                             assert_same_totals, swept):
-        # the new cell reaches past the old bounding box: the normalized
-        # frame's center, diameter or both move, every line key changes
-        # and nothing can be carried
+        # the new cell reaches past the old bounding box, whose center,
+        # diameter or both differ from the new one's: the line keys stay
+        # in the run's frame, the first state's, and the clean lines are
+        # carried
         verts = square_mesh() * [2.0, 1.0]
         new, tot, cells = self.carried(verts, [0], {1: [cell]})
-        old = an._frame(verts)
-        assert (tot.frame[0].tobytes() != old[0].tobytes(),
-                tot.frame[1] != old[1]) == moved
+        run, own = an._frame(verts), an._frame(new)
+        assert (own[0].tobytes() != run[0].tobytes(),
+                own[1] != run[1]) == moved
         assert not tot.overlap_error
-        assert swept[-1] == 6
-        assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
+        assert swept[-1] < 6
+        assert_same_totals(tot, line_totals(an.sweep_intervals(new, run),
+                                            cells))
 
     def test_child_edge_off_parent_key(self, assert_same_totals):
         # the covered cell's edge on y = 0 is longer than its neighbour's;
@@ -328,35 +347,33 @@ class TestIncrementalSweep:
         top = [1.0, 1e-8]
         new, tot, cells = self.carried(verts, [0], {1: [
             [[2.0, 0.0], top, [1.0, -1.0]], [top, [0.0, 0.0], [1.0, -1.0]]]})
-        a = an._join(an._edge_chunks(verts, an._frame(verts),
-                                     np.array([3])))[1]
-        b = an._join(an._edge_chunks(new, an._frame(new),
-                                     np.array([3, 4])))[1]
+        a = an._join(an._edge_chunks(verts, tot.frame, np.array([3])))[1]
+        b = an._join(an._edge_chunks(new, tot.frame, np.array([3, 4])))[1]
         assert not (b == a).all(axis=1).any()
         assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
 
-    @pytest.mark.parametrize("carried", [True, False])
-    def test_previous_sweep_is_handed_over(self, carried,
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_previous_sweep_is_handed_over(self, inside,
                                            assert_same_totals, swept):
-        # the call reads prev's totals and leaves them as they were: on
-        # the carried path and on the full sweep a frame change forces,
-        # the same prev gives the same totals again
+        # the call reads prev's totals and leaves them as they were, with
+        # the new cells inside the old ones or reaching past their
+        # bounding box: the same prev gives the same totals again
         verts, _ = stripe_mesh(9)
         a, b, c = verts[8]
-        m = (a + b + c) / 3.0 if carried else [0.5, 1.5]
+        m = (a + b + c) / 3.0 if inside else [0.5, 1.5]
         kept = [i for i in range(18) if i != 8]
         new, prev_index, before, cells = self.fields(
             verts, kept, {8: [[a, b, m], [b, c, m], [c, a, m]]})
         old = an.sweep_totals(verts, None, before)
-        kept_cols = {name: getattr(old, name).copy()
-                     for name in ("line", "edge_hash") + an.TERM_COLUMNS}
+        kept_cols = {name: getattr(old, name).copy() for name in
+                     ("line", "overlap", "edge_hash") + an.TERM_COLUMNS}
         prev = (old, prev_index, len(kept))
         tot = an.sweep_totals(new, prev, cells)
-        assert (tot.frame[1] == old.frame[1]) == carried
-        assert (swept[-1] < 3 * 20) == carried
+        assert tot.frame is old.frame
+        assert swept[-1] < 3 * 20
         for name, col in kept_cols.items():
             assert getattr(old, name).tobytes() == col.tobytes(), name
-        want = line_totals(an.sweep_intervals(new), cells)
+        want = line_totals(an.sweep_intervals(new, old.frame), cells)
         assert_same_totals(tot, want)
         assert_same_totals(an.sweep_totals(new, prev, cells), want)
 
@@ -366,9 +383,9 @@ class TestIncrementalSweep:
                                        swept):
         # the previous totals hold no term column, the two bv columns or
         # all five, and the step asks for the bv columns or all five: the
-        # step carries when the previous totals hold every column it asks
-        # for and sweeps every line otherwise, equal to the full sweep's
-        # reduction either way
+        # step carries, equal to the full sweep's reduction, when the
+        # previous totals hold every column it asks for, and raises
+        # otherwise
         verts, _ = stripe_mesh(9)
         a, b, c = verts[8]
         m = (a + b + c) / 3.0
@@ -383,26 +400,29 @@ class TestIncrementalSweep:
         old = an.sweep_totals(verts, None, terms(before, had))
         if had == "none":
             old.bv_chi = old.bv_grad = None
-        tot = an.sweep_totals(new, (old, prev_index, len(kept)),
-                              terms(cells, asks))
+        prev = (old, prev_index, len(kept))
         order = ["none", "bv", "all"]
-        carry = order.index(had) >= order.index(asks)
-        assert (swept[-1] < 3 * 20) == carry
+        if order.index(had) < order.index(asks):
+            with pytest.raises(InvalidParameterError, match="lack"):
+                an.sweep_totals(new, prev, terms(cells, asks))
+            return
+        tot = an.sweep_totals(new, prev, terms(cells, asks))
+        assert swept[-1] < 3 * 20
         assert_same_totals(tot, line_totals(an.sweep_intervals(new),
                                             terms(cells, asks)))
 
-    def test_overlap_sweeps_every_line(self, assert_same_totals, swept):
+    def test_overlap_is_carried_per_line(self, assert_same_totals, swept):
         # a child laid on top of a kept cell's edge: the carried totals
-        # flag the overlap and equal the full sweep's; the next step
-        # carries nothing
+        # flag the overlap on that line only and equal the full sweep's;
+        # a next step keeps carrying, and the clean line its overlap
         verts = square_mesh()
         new, tot, cells = self.carried(verts, [0], {1: [
             [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
             [[0.2, 0.0], [0.8, 0.0], [0.5, 0.3]]]})
-        assert tot.overlap_error
+        assert tot.overlap.sum() == 1
         assert_same_totals(tot, line_totals(an.sweep_intervals(new), cells))
         again = an.sweep_totals(new, (tot, np.arange(3), 3), cells)
-        assert again.overlap_error and swept[-1] == 9
+        assert again.overlap_error and swept[-1] == 0
         assert_same_totals(again, line_totals(an.sweep_intervals(new),
                                               cells))
 
@@ -470,7 +490,7 @@ class TestChunkedSweep:
         else:
             monkeypatch.setattr(an, "_buckets", lambda h, bits: (
                 h >> np.uint32(40 - bits)).astype(np.intp))
-        clean = an._dirty_lines(new, old.frame, old, *prev)[2]
+        clean = an._dirty_lines(new, old, *prev)[2]
         assert clean.any() == (bucket == "coarse")
         assert_same_totals(an.sweep_totals(new, (old, *prev), step), want)
 
@@ -534,11 +554,11 @@ class TestChunkedSweep:
         frame = an._frame(verts)
         edges = an._join(an._edge_chunks(verts, frame,
                                          np.arange(3 * n)))
-        for piece in (list, lambda f: an._line_totals(f, cells, frame[1])):
-            cols, overlap = an._sweep_lines(edges, frame[1], piece)
-            back, overlap_back = an._sweep_lines([f[::-1] for f in edges],
-                                                 frame[1], piece)
-            assert overlap == overlap_back == (mesh == "overlap")
+        for piece, at in ((list, 6),
+                          (lambda f: an._line_totals(f, cells, frame[1]), 1)):
+            cols = an._sweep_lines(edges, frame[1], piece)
+            back = an._sweep_lines([f[::-1] for f in edges], frame[1], piece)
+            assert cols[at].any() == (mesh == "overlap")
             assert len(cols) == len(back)
             for x, y in zip(cols, back):
                 assert x.dtype == y.dtype

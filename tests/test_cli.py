@@ -242,6 +242,13 @@ class TestVerify:
         assert list(fields) == list(cli.SUITES) + ["verify"]
         assert all(status == "pass" for status, _ in fields.values())
         assert "cases=7" in fields["covering"][1].split()
+        # the numbers the cell and covering suites fail on are printed
+        read = {name: dict(kv.split("=") for kv in fields[name][1].split())
+                for name in ("cell", "covering")}
+        assert float(read["cell"]["trace"]) <= 1e-10
+        assert float(read["covering"]["trace"]) <= 1e-10
+        assert float(read["cell"]["stray"]) == 0.0
+        assert float(read["covering"]["stray"]) == 0.0
 
     def test_cell_at_large_delta(self, capsys):
         # h is drawn below each pair's shear bound, which binds at delta 4

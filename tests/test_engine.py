@@ -455,10 +455,12 @@ class TestIncrementalSweep:
                     assert np.array_equal(verts[:n_kept],
                                           states[k - 1].verts[kept])
                     assert not np.isin(prev_index[n_kept:], kept).any()
-                # every state holds all five term columns
+                # every state holds all five term columns, in the run's
+                # frame
                 assert cells.gid is st.gid and cells.offs is st.offs
-                assert_same_totals(tot, line_totals(FULL_SWEEP(verts),
-                                                    cells))
+                assert tot.frame is sweeps[0][2].frame
+                assert_same_totals(tot, line_totals(
+                    FULL_SWEEP(verts, tot.frame), cells))
             assert eng._totals is sweeps[-1][2]
 
     @pytest.mark.parametrize("run", ["ramp", "stage_one_run"])
@@ -500,7 +502,34 @@ class TestIncrementalSweep:
         assert [call[1] is None for call in sweeps] == [True] * 2 \
             + [False] * 3
         for verts, prev, tot, cells in sweeps[1:]:
-            assert_same_totals(tot, line_totals(FULL_SWEEP(verts), cells))
+            assert_same_totals(tot, line_totals(FULL_SWEEP(verts, tot.frame),
+                                                cells))
+
+    def test_moving_frame_matches_full_sweep(self, sweeps, swept,
+                                             assert_same_totals):
+        # the unit square rotated and translated: a state's own bounding
+        # box moves off the domain's by an ulp, and every state still
+        # carries its predecessor's totals in the run's frame, equal to
+        # the full sweep in that frame
+        c, s = np.cos(0.3), np.sin(0.3)
+        domain = en.unit_square_domain() @ np.array([[c, s], [-s, c]]) \
+            + np.array([0.137, -2.71])
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=4, checks="full")
+        eng = en.Engine(domain, rep_datum(), DELTA, cfg)
+        eng.run()
+        assert eng.state.k == 4 and len(sweeps) == 5
+        frame = sweeps[0][2].frame
+        moved = 0
+        for (verts, prev, tot, cells), n_edges in zip(sweeps, swept):
+            own = an._frame(verts)
+            moved += (own[0].tobytes() != frame[0].tobytes()
+                      or own[1] != frame[1])
+            assert tot.frame is frame
+            if prev is not None:
+                assert n_edges < 3 * verts.shape[0]
+            assert_same_totals(tot, line_totals(FULL_SWEEP(verts, frame),
+                                                cells))
+        assert moved > 0
 
     def test_fast_run_carries_no_line_keys(self, sweeps):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
@@ -512,16 +541,19 @@ class TestIncrementalSweep:
         assert eng._totals is None
 
     @pytest.mark.parametrize("checks", ["fast", "full"])
-    def test_forced_overlap_sweeps_every_line(self, checks, sweeps,
-                                              monkeypatch):
-        # the sweep of step 1 reports an overlap: a full check fails the
-        # step, and a fast run carries nothing into step 2, which sweeps
-        # every edge of its state
+    def test_forced_overlap_is_carried(self, checks, sweeps, monkeypatch,
+                                       swept, assert_same_totals):
+        # the sweep of step 1 reports an overlap on every interval: a full
+        # check fails the step, and a fast run keeps carrying into step 2,
+        # whose clean lines keep their overlap and whose swept ones read
+        # the real sweep's
         sweep = an._sweep
 
         def overlapping(edges, rows, line, diam):
-            fields, overlap = sweep(edges, rows, line, diam)
-            return fields, overlap or len(sweeps) == 1
+            fields = sweep(edges, rows, line, diam)
+            if len(sweeps) == 1:
+                fields = fields[:6] + (np.ones_like(fields[6]),)
+            return fields
 
         monkeypatch.setattr(an, "_sweep", overlapping)
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=2, checks=checks,
@@ -532,18 +564,25 @@ class TestIncrementalSweep:
                                match="overlapping cells at step 1"):
                 eng.step()
             return
-        edges = []
+        keys = []
         sweep_lines = an._sweep_lines
 
-        def counted(table, *args):
-            edges.append(table[0].shape[0])
+        def swept_keys(table, *args):
+            keys.append({tuple(k) for k in table[1]})
             return sweep_lines(table, *args)
 
-        monkeypatch.setattr(an, "_sweep_lines", counted)
+        monkeypatch.setattr(an, "_sweep_lines", swept_keys)
         eng.run()
-        assert [call[2].overlap_error for call in sweeps] == \
-            [False, True, False]
-        assert edges[-1] == 3 * eng.state.n
+        verts, _, tot, cells = sweeps[2]
+        assert swept[-1] < 3 * verts.shape[0]
+        assert sweeps[1][2].overlap.all()
+        clean = {tuple(k) for k in sweeps[1][2].line} - keys[-1]
+        assert clean
+        want = line_totals(FULL_SWEEP(verts, tot.frame), cells)
+        assert not want["overlap"].any()
+        want["overlap"] = np.array([tuple(k) in clean for k in want["line"]])
+        assert tot.overlap_error
+        assert_same_totals(tot, want)
 
 
 class TestLowStageEntry:

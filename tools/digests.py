@@ -21,10 +21,15 @@ both engine workloads, so the default covers a restarted run) it prints:
   run (the per-line totals of every recorded state; none in a run that
   neither tracks BV nor runs full checks) over the line keys, every term
   column the totals hold (``bv_chi``, ``bv_grad``, ``continuity``,
-  ``trace``, ``stray``) and the overlap flag;
+  ``trace``, ``stray``) and the overlap flag (one byte, whether any line
+  holds an overlap);
   on a third line, one 8-digit digest per metric-row column (``name=``
   digest, columns in the order of the first row that holds them), so a
   change that moves the rows names the columns it moved;
+- ``rotated``: the same three lines for a run off the axis-aligned
+  square: ``big_run``'s datum and budget on the unit square rotated by
+  ``ROTATION`` about the origin, with fast checks and BV on (the CLI's
+  mode);
 - ``cli_pipeline``: the SHA-256 prefixes of ``mesh.txt``, ``phases.svg``,
   ``metrics.tsv`` and ``report.txt`` written by ``twowell run`` with the
   benchmark's arguments, and of the standard output of the benchmark's
@@ -53,6 +58,7 @@ import os
 import pickle
 import sys
 import tempfile
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -79,6 +85,8 @@ PLAN_FIELDS = ("M", "stage", "h", "S", "unit_verts", "grads", "bvec",
                "flip_area_unit", "grad_l1_unit", "wsup_unit", "w_l1_unit",
                "perim_unit")
 SAMPLED = dict(n_samples=4000, generations=7, seed=0)
+ROTATION = 0.3          # radians, the turn of the rotated run's square
+ENGINE_RUNS = ("big_run", "refine_fast", "rotated")
 
 
 def _hex(data: bytes) -> str:
@@ -114,9 +122,21 @@ def totals_digest(tot) -> str:
                          + (bytes([tot.overlap_error]),)))
 
 
+def engine_run(name: str, seed: int):
+    """(domain, datum, config) of the engine run name (ENGINE_RUNS)."""
+    if name != "rotated":
+        return (en.unit_square_domain(), wl.make_input(name, seed),
+                wl.engine_config(name, toy=False))
+    c, s = np.cos(ROTATION), np.sin(ROTATION)
+    return (en.unit_square_domain() @ np.array([[c, s], [-s, c]]),
+            wl.make_input("big_run", seed),
+            replace(wl.engine_config("big_run", toy=False), checks="fast"))
+
+
 def engine_digests(name: str, seed: int):
     """(per-step state digests, per-call totals digests, metric rows) of
-    one benchmark engine run; a restarted attempt's are dropped with it."""
+    one engine run (engine_run); a restarted attempt's are dropped with
+    it."""
     steps, sweeps = [], []
     init, step = en.Engine.__init__, en.Engine.step
     sweep = an.sweep_totals
@@ -140,9 +160,8 @@ def engine_digests(name: str, seed: int):
     en.Engine.__init__, en.Engine.step = traced_init, traced_step
     an.sweep_totals = traced_sweep
     try:
-        eng = en.run_construction(en.unit_square_domain(),
-                                  wl.make_input(name, seed), wl.DELTA,
-                                  wl.engine_config(name, toy=False))
+        domain, datum, config = engine_run(name, seed)
+        eng = en.run_construction(domain, datum, wl.DELTA, config)
     finally:
         en.Engine.__init__, en.Engine.step = init, step
         an.sweep_totals = sweep
@@ -223,11 +242,11 @@ def main(argv=None) -> int:
     parser.add_argument("--input", type=int, nargs="+", default=[0, 1, 3, 5],
                         help="benchmark input seeds (default: 0 1 3 5)")
     parser.add_argument("--only", nargs="+",
-                        choices=wl.NAMES + ("sampled", "plans"),
-                        default=wl.NAMES + ("sampled", "plans"))
+                        choices=wl.NAMES + ("rotated", "sampled", "plans"),
+                        default=wl.NAMES + ("rotated", "sampled", "plans"))
     args = parser.parse_args(argv)
     for seed in args.input:
-        for name in ("big_run", "refine_fast"):
+        for name in ENGINE_RUNS:
             if name in args.only:
                 steps, sweeps, rows = engine_digests(name, seed)
                 print(f"{name} input {seed}: rows {rows_digest(rows)} "

@@ -9,9 +9,10 @@ It runs one workload input in this process with ``tracemalloc`` on and
 wraps ``analysis.sweep_intervals`` (the one-shot interval sweep: the
 domain check), ``analysis.sweep_totals`` (the engine's per-line totals)
 and their helpers ``_dirty_lines``, ``_sweep_lines`` and
-``_merge_lines``.  Every sweep runs ``_dirty_lines`` and ``_sweep_lines``,
-a full sweep too (it carries nothing, and its ``_dirty_lines`` builds the
-whole edge table); only a carried ``sweep_totals`` runs ``_merge_lines``.
+``_merge_lines``.  Every ``sweep_totals`` call carries (a run's first
+state carries empty totals) and runs all three helpers;
+``sweep_intervals`` builds its whole edge table directly and runs only
+``_sweep_lines``.
 For every call, in the order the calls began (a helper indented under its
 sweep), it prints in MB of traced allocations (2^20 bytes, the unit of the
 benchmark's ``peak_rss_mb``):
