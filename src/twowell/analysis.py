@@ -7,11 +7,14 @@ geometric-rate fits, the regularity threshold, and box-counting dimension
 of interface edge sets.
 
 The line sweep keys every triangle edge by its carrying line (the
-quantized normal form (nx, ny, c)) and sorts the interval endpoints of
-all edges by line, then position along the line.  Running sums of
-per-side coverage counts and active edges then give the owners of every
-subinterval, so jumps across partially overlapping child/neighbor edges
-are integrated exactly without any pairwise matching.  A side covered by
+quantized normal form (nx, ny, c)) in an edge table of five columns:
+eid, key, tlo and thi (its interval along the line), and left (the side
+of its cell).  It sorts the interval endpoints of all edges by line,
+then position along the line.  Running sums of per-side coverage counts
+and active edges then give the owners of every subinterval, so jumps
+across partially overlapping child/neighbor edges are integrated exactly
+without any pairwise matching; a subinterval's endpoints are read from
+verts through the eid of an edge that owns it.  A side covered by
 exactly one edge is owned by its cell; by none or by more than one (an
 overlap), it has owner -1.  So a line's owners depend on its own edges
 only, and the sweep runs on pieces of whole lines of about SWEEP_CHUNK
@@ -57,15 +60,13 @@ array keeps a[idx], which is as fast there.
 
 Line grouping works in bbox-normalized coordinates: each edge's line
 (nx, ny, c) is rounded to LINE_QUANTUM = 1e-9, and the edges with equal
-rounded keys form one line.  Rounding has boundaries, so two edges of
-one line whose values differ in their last bits can fall on either side
-of one and get two keys, at any feature size and any noise level; their
-shared interval is then swept as two one-sided intervals.  ROADMAP item
-11 records it: big_run input 3 has stray_boundary_len 2.28e-4, and the
-engine's shortest edges on big_run inputs 0-9 are 3.1e-8 to 6.6e-8 long.
-Meshes stored with a large translation relative to their feature size
-lose coincidence information in the float format itself; the sweep flags
-such inputs through overlap_error rather than guessing.
+rounded keys form one line.  Two edges of one line whose values differ
+in their last bits can fall on either side of a rounding boundary and
+get two keys, at any feature size and noise level; their shared interval
+is then swept as two one-sided intervals (ROADMAP item 11: big_run input
+3 has stray_boundary_len 2.28e-4).  Meshes stored with a large
+translation relative to their feature size lose coincidence information
+in the float format itself; overlap_error flags them.
 
 overlap_error detects collinear double coverage (two cells claiming the
 same side of the same edge interval), the failure mode of misplaced
@@ -108,19 +109,23 @@ def _frame(verts: np.ndarray):
     return 0.5 * (lo + hi), diam
 
 
-def _edge_chunks(verts: np.ndarray, frame, eid: np.ndarray) -> list:
-    """Line keys and interval data of the edges eid of verts, as the
-    tables of its chunks of SWEEP_CHUNK edges (one chunk at least), to be
-    joined by the caller (_join).
+def _edge_ends(verts: np.ndarray, eid: np.ndarray):
+    """(first, second) vertex of the edges eid of verts: edge 3i + j runs
+    from vertex j to vertex j + 1 (mod 3) of cell i."""
+    flat = verts.reshape(-1, 2)
+    return (np.take(flat, eid, axis=0),
+            np.take(flat, eid + 1 - 3 * (eid % 3 == 2), axis=0))
 
-    Edge 3i + j runs from vertex j to vertex j + 1 (mod 3) of cell i.
-    Zero-length edges are dropped.  Works in normalized coordinates (the
-    frame's center and diameter divided out); every value of an edge
-    depends on that edge and the frame only, so the table is built a chunk
-    at a time and its temporaries stay that small.  A table's columns are
-    (eid, line key (E,3) int32, tlo, thi, left (bool: owning cell lies
-    left of the canonical tangent), and the endpoints in absolute
-    coordinates ordered by t).
+
+def _edge_chunks(verts: np.ndarray, frame, eid: np.ndarray) -> list:
+    """The edge tables of the edges eid of verts (_edge_ends) in frame, one
+    per chunk of SWEEP_CHUNK edges (one chunk at least), to be joined by
+    the caller (_join).  A table has five columns: eid, key (the line key,
+    (E,3) int32), tlo, thi and left (bool: the owning cell lies left of the
+    canonical tangent); zero-length edges are dropped.  Works in normalized
+    coordinates (the frame's center and diameter divided out); every value
+    of an edge depends on that edge and the frame only, so the table is
+    built a chunk at a time and its temporaries stay that small.
     """
     return [list(_edge_chunk(verts, frame, eid[i:i + SWEEP_CHUNK]))
             for i in range(0, max(eid.shape[0], 1), SWEEP_CHUNK)]
@@ -140,10 +145,7 @@ def _join(parts: list) -> list:
 def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
     """The table (_edge_chunks) of one chunk of edges."""
     center, diam = frame
-    flat = verts.reshape(-1, 2)
-    p0 = (np.take(flat, eid, axis=0) - center) / diam
-    p1 = (np.take(flat, eid + 1 - 3 * (eid % 3 == 2), axis=0)
-          - center) / diam
+    p0, p1 = ((p - center) / diam for p in _edge_ends(verts, eid))
     d = p1 - p0
     length = np.linalg.norm(d, axis=1)
     good = length > 0
@@ -165,30 +167,23 @@ def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
     t0 = ny * p0[:, 0] - nx * p0[:, 1]
     t1 = ny * p1[:, 0] - nx * p1[:, 1]
     left = t1 > t0
-    tlo = np.minimum(t0, t1)
-    thi = np.maximum(t0, t1)
-    # absolute-coordinate endpoints ordered by t, for exact interval
-    # point reconstruction (the quantized frame is only a grouping key)
-    a0 = p0 * diam + center
-    a1 = p1 * diam + center
-    swap = ~left[:, None]
-    plo_abs = np.where(swap, a1, a0)
-    phi_abs = np.where(swap, a0, a1)
     key = np.stack([qnx, qny, qc], axis=1)
-    return eid, key, tlo, thi, left, plo_abs, phi_abs
+    return eid, key, np.minimum(t0, t1), np.maximum(t0, t1), left
 
 
-def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
-    """Subintervals of a run of whole lines of an edge table, in the order
-    line, then t: rows are the table rows of the run's edges, line their
-    ascending line numbers.  Edges are numbered by table row.  A side
-    covered by exactly one edge is owned by that edge's cell; a side
-    covered by none or by more than one gets owner -1, and more than one
-    sets the interval's overlap flag.  So a line's result depends on its
-    own edges only, and any run of lines sweeps them as the whole table
-    does.  Returns (dt, left owner, right owner, point_lo, point_hi, line
-    key, overlap)."""
-    eid, key, tlo, thi, left, plo_abs, phi_abs = edges
+def _sweep(edges, rows: np.ndarray, line: np.ndarray, verts: np.ndarray,
+           frame):
+    """Subintervals of a run of whole lines of an edge table of verts in
+    frame, in the order line, then t: rows are the table rows of the run's
+    edges, line their ascending line numbers.  Edges are numbered by table
+    row.  A side covered by exactly one edge is owned by that edge's cell;
+    a side covered by none or by more than one gets owner -1, and more
+    than one sets the interval's overlap flag.  So a line's result depends
+    on its own edges only, and any run of lines sweeps them as the whole
+    table does.  Returns (dt, left owner, right owner, point_lo, point_hi,
+    line key, overlap)."""
+    eid, key, tlo, thi, left = edges
+    center, diam = frame
     # two events per edge (event i belongs to row rows[i >> 1]), sorted by
     # line, then t; events at equal t bound only zero-length intervals,
     # which are dropped, so their order among themselves does not matter
@@ -221,26 +216,28 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, diam: float):
     # row -1 reads the last row; its owner is masked
     lo = np.where(eL >= 0, eid[eL] // 3, -1)
     ro = np.where(eR >= 0, eid[eR] // 3, -1)
-    # interval endpoints in absolute coordinates, reconstructed on the
-    # owning edge's own stored segment: the quantized frame only groups
-    # lines, so points must not be rebuilt from it (thin pieces sit
-    # closer together than the quantum); an interval with no owner on
-    # either side has no segment and gets NaN endpoints
-    tl = ev_t[:-1][keep]
-    th = ev_t[1:][keep]
+    # interval endpoints in absolute coordinates, on the owning edge's own
+    # segment (read from verts by its eid, ordered by t): the quantized
+    # frame only groups lines, so points must not be rebuilt from it; an
+    # interval with no owner on either side gets NaN endpoints
     src = np.where(eL >= 0, eL, eR)
     gap = src < 0
     src = np.maximum(src, 0)
     t0 = tlo[src]
     span = np.maximum(thi[src] - t0, 1e-300)
-    s0 = np.clip((tl - t0) / span, 0.0, 1.0)
-    s1 = np.clip((th - t0) / span, 0.0, 1.0)
-    p0 = np.take(plo_abs, src, axis=0)
-    seg = np.take(phi_abs, src, axis=0) - p0
+    s0 = np.clip((ev_t[:-1][keep] - t0) / span, 0.0, 1.0)
+    s1 = np.clip((ev_t[1:][keep] - t0) / span, 0.0, 1.0)
+    # a vertex goes through the frame and back, not as its own bits:
+    # twowell dim's box counts read these points, and exact vertices
+    # change them on some meshes (ROADMAP item 10)
+    a0, a1 = ((p - center) / diam * diam + center
+              for p in _edge_ends(verts, eid[src]))
+    swap = ~left[src][:, None]
+    p0 = np.where(swap, a1, a0)
+    seg = np.where(swap, a0, a1) - p0
     plo = p0 + s0[:, None] * seg
     phi = p0 + s1[:, None] * seg
-    plo[gap] = np.nan
-    phi[gap] = np.nan
+    plo[gap] = phi[gap] = np.nan
     return (dt[keep] * diam, lo, ro, plo, phi,
             np.take(key, ev_edge[:-1][keep], axis=0), overlap)
 
@@ -329,15 +326,16 @@ def _line_totals(fields, cells: CellFields, diam: float) -> list:
                                _terms(fields, cells, diam))]
 
 
-def _sweep_lines(edges, diam: float, piece=list):
-    """_sweep a piece of whole lines at a time, each piece's fields mapped
-    through piece to a list of columns as soon as it is swept: the table is
-    stably sorted by line key, its lines numbered in that order, and cut at
-    line starts into pieces of about SWEEP_CHUNK edges (a small table is
-    one piece, an empty one one empty piece).  A line's owners depend on
-    its own edges only, so the pieces' intervals joined equal one sweep of
-    the whole table element for element; only their temporaries are
-    smaller.  Returns the pieces' columns joined."""
+def _sweep_lines(edges, verts: np.ndarray, frame, piece=list):
+    """_sweep the edge table edges of verts in frame a piece of whole lines
+    at a time, each piece's fields mapped through piece to a list of
+    columns as soon as it is swept: the table is stably sorted by line key,
+    its lines numbered in that order, and cut at line starts into pieces of
+    about SWEEP_CHUNK edges (a small table is one piece, an empty one one
+    empty piece).  A line's owners depend on its own edges only, so the
+    pieces' intervals joined equal one sweep of the whole table element
+    for element; only their temporaries are smaller.  Returns the pieces'
+    columns joined."""
     order = np.lexsort(edges[1].T[::-1])
     n = order.shape[0]
     starts = _line_starts(np.take(edges[1], order, axis=0))
@@ -345,7 +343,7 @@ def _sweep_lines(edges, diam: float, piece=list):
     at = np.searchsorted(starts, np.arange(SWEEP_CHUNK, n, SWEEP_CHUNK))
     inner = starts[at[at < starts.shape[0]]]        # ascending, all > 0
     cuts = np.concatenate([[0], inner[np.diff(inner, prepend=0) > 0], [n]])
-    return _join([piece(_sweep(edges, order[a:b], line[a:b], diam))
+    return _join([piece(_sweep(edges, order[a:b], line[a:b], verts, frame))
                   for a, b in zip(cuts[:-1], cuts[1:])])
 
 
@@ -459,7 +457,7 @@ def sweep_intervals(verts: np.ndarray, frame=None) -> SweepAccumulator:
     line keys taken in frame (the bounding box of verts by default)."""
     frame = _frame(verts) if frame is None else frame
     edges = _join(_edge_chunks(verts, frame, np.arange(3 * verts.shape[0])))
-    return SweepAccumulator(*_sweep_lines(edges, frame[1]), frame=frame)
+    return SweepAccumulator(*_sweep_lines(edges, verts, frame), frame=frame)
 
 
 def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
@@ -487,7 +485,8 @@ def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
                                     "the cells ask for")
     diam = old.frame[1]
     edge_hash, edges, clean = _dirty_lines(verts, old, prev_index, n_kept)
-    cols = _sweep_lines(edges, diam, lambda f: _line_totals(f, cells, diam))
+    cols = _sweep_lines(edges, verts, old.frame,
+                        lambda f: _line_totals(f, cells, diam))
     del edges
     cols = _merge_lines(old, clean, names, cols)
     return LineTotals(**dict(zip(names, cols)), edge_hash=edge_hash,

@@ -257,6 +257,14 @@ def _checks(value: str) -> str:
     return value
 
 
+def _positive_int(value: str) -> int:
+    """The argparse type of a count: an integer >= 1."""
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def cmd_run(args, parser) -> int:
     overrides = {}
     if args.config:
@@ -323,17 +331,20 @@ SUITES = ("matgeo", "inapprox", "cell", "covering", "onewell")
 
 
 def _run_suite(name: str, delta: float, samples: Optional[int]):
-    """Returns (ok, detail string) for one invariant suite."""
+    """Returns (ok, detail string) for one invariant suite; samples None
+    takes the suite's default count."""
+    def count(default):
+        return default if samples is None else samples
     if name == "matgeo":
-        res = mg.verify_identities(delta, samples=samples or 10_000, seed=0)
+        res = mg.verify_identities(delta, samples=count(10_000), seed=0)
         worst = max(res.values())
         return worst < 1e-10, f"max_residual={worst:.3e}"
     if name == "inapprox":
-        rep = ia.verify_in_approximation(delta, samples=samples or 2_000)
+        rep = ia.verify_in_approximation(delta, samples=count(2_000))
         return rep.ok, (f"failures={rep.failures} "
                         f"dist_constant={rep.dist_constant:.6g}")
     if name == "cell":
-        rep = cl.verify_cells(delta, samples=samples or 1_000, seed=0)
+        rep = cl.verify_cells(delta, samples=count(1_000), seed=0)
         return rep.ok, (f"failures={rep.failures} "
                         f"partition={rep.max_partition_err:.3e} "
                         f"trace={rep.max_trace_err:.3e} "
@@ -350,7 +361,7 @@ def _run_suite(name: str, delta: float, samples: Optional[int]):
                         f"stray={rep.max_stray_len:.3e} "
                         f"good_fraction={rep.min_good_fraction:.4f}")
     if name == "onewell":
-        rep = ow.verify_qc_bounds(delta, samples=samples or 100_000, seed=0)
+        rep = ow.verify_qc_bounds(delta, samples=count(100_000), seed=0)
         return rep.ok, (f"violations={rep.violations} "
                         f"laminate_failures={rep.laminate_failures} "
                         f"sup_witness={rep.sup_witness:.9g}")
@@ -361,7 +372,11 @@ def cmd_verify(args, parser) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
     overall = True
     for name in names:
-        ok, detail = _run_suite(name, args.delta, args.samples)
+        try:
+            ok, detail = _run_suite(name, args.delta, args.samples)
+        except TwoWellError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         overall = overall and ok
         print(f"{name}\t{'pass' if ok else 'fail'}\t{detail}")
     print(f"verify\t{'pass' if overall else 'fail'}\tdelta={_fmt(args.delta)}")
@@ -400,13 +415,10 @@ def cmd_dim(args, parser) -> int:
         print("error: mesh has no delta header; pass --delta",
               file=sys.stderr)
         return 1
-    segments = an.interface_segments(verts,
-                                     mg.phases(grads, mg.make_wells(delta)))
-    if segments.shape[0] == 0:
-        print("error: the phase interface is empty", file=sys.stderr)
-        return 1
     eps_list = [2.0 ** -p for p in range(args.pmin, args.pmax + 1)]
     try:
+        segments = an.interface_segments(
+            verts, mg.phases(grads, mg.make_wells(delta)))
         slope, table = an.box_dimension(segments, eps_list,
                                         d_report=args.d_report)
     except TwoWellError as err:
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("suite", choices=SUITES + ("all",))
     p_ver.add_argument("--delta", type=float, default=0.5)
-    p_ver.add_argument("--samples", type=int)
+    p_ver.add_argument("--samples", type=_positive_int)
     p_ver.set_defaults(func=cmd_verify)
 
     p_dim = sub.add_parser("dim", help="box-counting dimension of the "

@@ -1,5 +1,6 @@
 """Certification machinery: exact BV/L1 sweeps, fits, dimension counting."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import twowell.cell as cl
 from twowell import analysis as an
 from twowell import covering as cov
+from twowell import engine as en
 from twowell import inapprox as ia
 from twowell.errors import (InvalidParameterError, UndefinedDimensionError)
 
@@ -528,8 +530,7 @@ class TestChunkedSweep:
         monkeypatch.setattr(an, "SWEEP_CHUNK", 1)
         empty = an._join(an._edge_chunks(verts, whole.frame,
                                          np.array([3 * n - 3])))
-        assert [c.shape for c in empty] == [(0,), (0, 3), (0,), (0,), (0,),
-                                            (0, 2), (0, 2)]
+        assert [c.shape for c in empty] == [(0,), (0, 3), (0,), (0,), (0,)]
         assert_same_sweep(an.sweep_intervals(verts), whole)
         assert_same_totals(an.sweep_totals(verts, None, cells),
                            line_totals(whole, cells))
@@ -556,13 +557,33 @@ class TestChunkedSweep:
                                          np.arange(3 * n)))
         for piece, at in ((list, 6),
                           (lambda f: an._line_totals(f, cells, frame[1]), 1)):
-            cols = an._sweep_lines(edges, frame[1], piece)
-            back = an._sweep_lines([f[::-1] for f in edges], frame[1], piece)
+            cols = an._sweep_lines(edges, verts, frame, piece)
+            back = an._sweep_lines([f[::-1] for f in edges], verts, frame,
+                                   piece)
             assert cols[at].any() == (mesh == "overlap")
             assert len(cols) == len(back)
             for x, y in zip(cols, back):
                 assert x.dtype == y.dtype
                 assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+
+    def test_interval_endpoints_are_pinned(self):
+        # the point_lo/point_hi bits of a small engine state on the unit
+        # square rotated by 0.3 rad (2,348 cells, 4,112 intervals): each
+        # endpoint is rebuilt on its owning edge from verts sent through
+        # the frame and back, which twowell dim's box counts read.  Pinned
+        # for numpy 2.4.6 (OpenBLAS 0.3.31) on the x86-64 host it was
+        # recorded on; exact vertices print cb212aec6083e142.
+        c, s = np.cos(0.3), np.sin(0.3)
+        cfg = en.EngineConfig(cell_budget=3_000, max_steps=2,
+                              checks="fast", track_bv=False)
+        eng = en.Engine(en.unit_square_domain() @ np.array([[c, s],
+                                                            [-s, c]]),
+                        ia.stage_representative(2, DELTA), DELTA, cfg)
+        eng.run()
+        sw = an.sweep_intervals(eng.state.verts)
+        assert sw.point_lo.shape == (4112, 2)
+        assert hashlib.sha256(sw.point_lo.tobytes() + sw.point_hi.tobytes()
+                              ).hexdigest()[:16] == "16fb08ddf2b50af9"
 
 
 class TestFieldResiduals:

@@ -267,6 +267,26 @@ class TestVerify:
     def test_unknown_suite(self):
         assert run_cli(["verify", "nosuch"]) == 2
 
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    @pytest.mark.parametrize("suite", ["cell", "onewell", "inapprox"])
+    def test_samples_below_one_is_usage_error(self, capsys, suite, samples):
+        # a count below 1 checks nothing (or falls back to the default
+        # count): argparse refuses it before any suite runs
+        assert run_cli(["verify", suite, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert captured.out == ""
+
+    def test_one_sample_runs_one(self, capsys):
+        assert run_cli(["verify", "cell", "--samples", "1"]) == 0
+        assert capsys.readouterr().out.startswith("cell\tpass\tfailures=0 ")
+
+    @pytest.mark.parametrize("suite", ["cell", "all"])
+    def test_bad_delta_is_an_error(self, capsys, suite):
+        # the suite's TwoWellError is reported as twowell run reports one
+        assert run_cli(["verify", suite, "--delta", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def write_two_cell_mesh(path, delta=0.5, same_phase=False):
     wells = mg.make_wells(delta)
@@ -321,6 +341,14 @@ class TestDim:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+        assert "slope" not in captured.out
+
+    def test_bad_delta_is_an_error(self, tmp_path, capsys):
+        mesh = tmp_path / "mesh.txt"
+        write_two_cell_mesh(mesh)
+        assert run_cli(["dim", str(mesh), "--delta", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "delta" in captured.err
         assert "slope" not in captured.out
 
     def test_unreadable_mesh(self, tmp_path):

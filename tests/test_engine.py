@@ -549,8 +549,8 @@ class TestIncrementalSweep:
         # the real sweep's
         sweep = an._sweep
 
-        def overlapping(edges, rows, line, diam):
-            fields = sweep(edges, rows, line, diam)
+        def overlapping(edges, rows, line, verts, frame):
+            fields = sweep(edges, rows, line, verts, frame)
             if len(sweeps) == 1:
                 fields = fields[:6] + (np.ones_like(fields[6]),)
             return fields

@@ -13,10 +13,8 @@ both engine workloads, so the default covers a restarted run) it prints:
   ``STATE_FIELDS``) after each step, k = 0, 1, ..., and of the pickled
   ``MetricsSeries.rows``; ``grads``, ``stages`` and ``phases`` are hashed
   as the state reads them, gathered from its gradient table where the
-  state stores a table row per cell, and the isosceles tag as one bool
-  per cell, ``iso``, or ``iso_h > 0`` for a state that tags with an
-  aspect and an axis instead, so checkouts from before and after either
-  change print comparable lines;
+  state stores a table row per cell, so checkouts from before and after
+  that change print comparable lines;
   on a second line, one digest per ``analysis.sweep_totals`` call of the
   run (the per-line totals of every recorded state; none in a run that
   neither tracks BV nor runs full checks) over the line keys, every term
@@ -93,14 +91,8 @@ def _hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _column(st, name: str):
-    if name == "iso" and not hasattr(st, "iso"):
-        return st.iso_h > 0
-    return getattr(st, name)
-
-
 def state_digest(st) -> str:
-    return _hex(b"".join(_column(st, f).tobytes() for f in STATE_FIELDS))
+    return _hex(b"".join(getattr(st, f).tobytes() for f in STATE_FIELDS))
 
 
 def rows_digest(rows) -> str:
