@@ -519,7 +519,6 @@ class CellCheckReport:
     delta: float
     samples: int
     failures: int
-    failure_examples: list
     max_partition_err: float   # |sum of piece areas - area| / area
     max_trace_err: float       # boundary deviation from the affine map / scale
     max_stray_len: float       # boundary interval off the diamond / scale
@@ -550,7 +549,6 @@ def verify_cells(delta: float, samples: int = 1_000,
     wells = mg.make_wells(delta)
     a_slots = np.isin(GRAD_INDEX, (0, 2))
     failures = 0
-    examples: list = []
     mp = mt = ms = md = mf = 0.0
     for _ in range(samples):
         stage = int(rng.integers(2, 9))
@@ -584,8 +582,4 @@ def verify_cells(delta: float, samples: int = 1_000,
         if (part > 1e-12 or tr > 1e-10 or det > 1e-10 or frac > 1e-12
                 or stray > 1e-8 * scale):
             failures += 1
-            if len(examples) < 5:
-                examples.append((stage, float(lam), h, part, tr, det, frac,
-                                 stray))
-    return CellCheckReport(delta, samples, failures, examples, mp, mt, ms, md,
-                           mf)
+    return CellCheckReport(delta, samples, failures, mp, mt, ms, md, mf)

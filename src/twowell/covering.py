@@ -516,7 +516,6 @@ class CoveringCheckReport:
     h0: float                   # the aspect of the dyadic covers checked
     cases: int
     failures: int
-    failure_examples: list
     max_partition_err: float    # relative to the parent area
     max_continuity_err: float
     max_trace_err: float
@@ -529,7 +528,7 @@ class CoveringCheckReport:
 
 
 def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
-                 iso: bool, report: CoveringCheckReport, label: str):
+                 iso: bool, report: CoveringCheckReport):
     from . import analysis as an
     area = abs(tri_areas(np.asarray(tri, dtype=float)[None])[0])
     part = abs(float(tri_areas(res.verts).sum()) - area) / area
@@ -558,9 +557,6 @@ def _check_cover(res: CoverResult, tri: np.ndarray, plan: cl.RefinePlan,
     if (part > 1e-12 or cont > 1e-10 or trace > 1e-10 * max(scale, 1.0)
             or stray > 1e-8 * scale or not ledger_ok or not layout_ok):
         report.failures += 1
-        if len(report.failure_examples) < 5:
-            report.failure_examples.append(
-                (label, part, cont, trace, stray, ledger_ok, layout_ok))
 
 
 VERIFY_STAGES = (2, 3)
@@ -579,8 +575,7 @@ def verify_covering(delta: float) -> CoveringCheckReport:
     the plan's pieces.
     """
     h0 = cl.calibrate_h0(delta, fracs=cl.CORRIDOR)
-    report = CoveringCheckReport(delta, h0, 0, 0, [], 0.0, 0.0, 0.0, 0.0,
-                                 1.0)
+    report = CoveringCheckReport(delta, h0, 0, 0, 0.0, 0.0, 0.0, 0.0, 1.0)
     for stage in VERIFY_STAGES:
         M = ia.stage_representative(stage, delta)
         plan = cl.replace_dyadic_stage(M, delta, h0)
@@ -593,12 +588,12 @@ def verify_covering(delta: float) -> CoveringCheckReport:
         report.cases += 1
         if res.n_children != 12:
             report.failures += 1
-        _check_cover(res, iso_tri, plan, True, report, f"iso@{stage}")
+        _check_cover(res, iso_tri, plan, True, report)
         for tri in (np.array([[0.0, 0.0], [0.9, 0.15], [0.25, 0.8]]),
                     np.array([[1.0, 1.0], [1.2, 1.9], [0.3, 1.5]])):
             res = cover_generic(tri, plan)
             report.cases += 1
-            _check_cover(res, tri, plan, False, report, f"gen@{stage}")
+            _check_cover(res, tri, plan, False, report)
             good_frac = float(tri_areas(res.verts[res.good]).sum()
                               / abs(tri_areas(tri[None])[0]))
             report.min_good_fraction = min(report.min_good_fraction,
@@ -611,5 +606,5 @@ def verify_covering(delta: float) -> CoveringCheckReport:
     plan = cl.replace_low_stage(M0, delta)
     res = cover_generic(tri, plan)
     report.cases += 1
-    _check_cover(res, tri, plan, False, report, "low-stage")
+    _check_cover(res, tri, plan, False, report)
     return report

@@ -186,11 +186,8 @@ def matrices_from_gaps(d1, d2, delta: float, c12_sign,
     comes back exactly, and a gap between two grid points comes back as a
     neighbour that classifies as (d1, d2) do.  (A band edge that is itself
     off the grid, as for a z0 that is not dyadic, cannot be hit exactly.)
-    The root's entries are moved by a few ulps until the computed Gram
-    diagonal equals the targets; when no float squares to c11, the first
-    column gains a second entry of order 1e-8 (a rotation of that order)
-    so that the sum of squares does.  A rotated row is the plain root,
-    rotated.
+    The unrotated rows go through _round_trip_roots together.  A rotated
+    row is the plain root, rotated.
     """
     d1, d2, sign, angle = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (d1, d2, c12_sign, angle)))
@@ -199,8 +196,7 @@ def matrices_from_gaps(d1, d2, delta: float, c12_sign,
     c11, c22 = 1.0 - d1, 1.0 + delta * delta - d2
     c11[plain], c22[plain] = _grid_targets(d1[plain], d2[plain], delta)
     U, c12 = _upper_root(c11, c22, sign)
-    for i in np.flatnonzero(plain):
-        U[i] = _round_trip_root(U[i], c11[i], c22[i], c12[i])
+    U[plain] = _round_trip_roots(U[plain], c11[plain], c22[plain], c12[plain])
     U[rotated] = mg.rot(angle[rotated]) @ U[rotated]
     return U
 
@@ -249,55 +245,61 @@ def _grid_targets(d1: np.ndarray, d2: np.ndarray, delta: float):
             np.where(found, b[first, cols], c22))
 
 
-_ULP_STEPS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)
+def _ulp_ladder(x: np.ndarray, n: int) -> np.ndarray:
+    """x moved by 0, +1, -1, ..., +n, -n ulps, on a new last axis."""
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.stack(out, axis=-1)
 
 
-def _ulp_step(x: float, k: int) -> float:
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
+def _round_trip_roots(U: np.ndarray, c11: np.ndarray, c22: np.ndarray,
+                      c12: np.ndarray) -> np.ndarray:
+    """Square roots F (n,2,2) of the Gram matrices (c11, c12, c22) whose
+    computed Gram diagonals are (c11, c22), from their rounded
+    upper-triangular roots U.
 
+    c11: a = U[:, 0, 0] is the rounded root, so |a - sqrt(c11)| <=
+    ulp(a) / 2 and |a^2 - c11| <= a ulp(a), while one ulp of a moves a^2
+    by about 2a ulp(a).  Every other float squares at least about
+    a ulp(a) >= ulp(c11) / sqrt(2) away from c11, beyond the half ulp of
+    c11 that rounds to it; so when fl(a^2) != c11 no float squares to
+    c11, and the float a' below a squares strictly below it.  Such a row
+    takes (a', e) as its first column, with e = sqrt(c11 - fl(a'^2)) of
+    order 1e-8 (a rotation of that order) closing the sum of squares;
+    the second column keeps det = 1 and the off-diagonal c12.  A row
+    whose closure still misses c11 keeps U.
 
-def _round_trip_root(U: np.ndarray, c11: float, c22: float,
-                     c12: float) -> np.ndarray:
-    """A square root F of C whose computed Gram diagonal is (c11, c22).
-
-    Returns the closest candidate found; U itself when the ulp search
-    for c11 fails.
+    c22 = b^2 + f^2 for the second column (b, f): f moves by 0, +-1, +-2
+    ulps, b = sqrt(c22 - f^2) then by 0, +-1, ..., +-8 ulps, and a row
+    whose computed c22 misses takes the first of these candidates that
+    hits, f slowest.  A row with no hit keeps its closed root.
     """
-    for k in _ULP_STEPS:
-        a = _ulp_step(U[0, 0], k)
-        if a * a == c11:
-            F = np.array([[a, c12 / a], [0.0, 1.0 / a]])
-            break
-    else:
-        # a^2 falls short of c11 by less than two ulps; a tiny second
-        # entry e with e^2 = c11 - fl(a^2) closes the gap, and the
-        # second column keeps det = 1 and the off-diagonal c12
-        a = math.nextafter(U[0, 0], 0.0)
-        while a * a >= c11:
-            a = math.nextafter(a, 0.0)
-        e = math.sqrt(c11 - a * a)
-        F = np.array([[a, (c12 * a - e) / c11],
-                      [e, (c12 * e + a) / c11]])
-        if mg.gram(F)[0, 0] != c11:
-            return U
-    if mg.gram(F)[1, 1] == c22:
-        return F
-    # c22 = b^2 + f^2 for the second column (b, f): f moves by whole ulps
-    # of c22, b = sqrt(c22 - f^2) then lands within a few ulps
-    for kf in _ULP_STEPS[:5]:
-        f = _ulp_step(F[1, 1], kf)
-        rest = c22 - f * f
-        if rest <= 0.0:
-            continue
-        b0 = math.copysign(math.sqrt(rest), F[0, 1])
-        for kb in _ULP_STEPS:
-            G = F.copy()
-            G[0, 1], G[1, 1] = _ulp_step(b0, kb), f
-            if mg.gram(G)[1, 1] == c22:
-                return G
-    return F
+    F = U.copy()
+    fix = U[:, 0, 0] * U[:, 0, 0] != c11
+    a, c, s = np.nextafter(U[fix, 0, 0], 0.0), c11[fix], c12[fix]
+    e = np.sqrt(c - a * a)
+    F[fix] = mg.mat2(a, (s * a - e) / c, e, (s * e + a) / c)
+    C = mg.gram(F)
+    closed = C[:, 0, 0] == c11
+    search = closed & (C[:, 1, 1] != c22)
+    Fs, target = F[search], c22[search, None]
+    f = _ulp_ladder(Fs[:, 1, 1], 2)
+    rest = target - f * f
+    with np.errstate(invalid="ignore"):
+        b = _ulp_ladder(np.copysign(np.sqrt(rest), Fs[:, None, 0, 1]), 8)
+    G = np.broadcast_to(Fs[:, None, None], b.shape + (2, 2)).copy()
+    G[..., 0, 1], G[..., 1, 1] = b, f[..., None]
+    # one row per searched root, its 85 candidates f slowest (-1 leads:
+    # the search may have no rows)
+    G = G.reshape(-1, b.shape[1] * b.shape[2], 2, 2)
+    hit = ((mg.gram(G)[..., 1, 1] == target)
+           & np.repeat(rest > 0.0, b.shape[2], axis=1))
+    first = np.argmax(hit, axis=1)
+    F[search] = np.where(hit.any(axis=1)[:, None, None],
+                         G[np.arange(len(Fs)), first], Fs)
+    return np.where(closed[:, None, None], F, U)
 
 
 def stage_representative(stage: int, delta: float) -> np.ndarray:
@@ -343,7 +345,6 @@ class InApproxReport:
     samples: int
     stages: tuple[int, ...]
     failures: int
-    failure_examples: list
     sup_dist: dict          # stage -> max dist_to_wells over samples
     dist_constant: float    # max over stages of sup_dist * 2^(k/2)
 
@@ -366,7 +367,6 @@ def verify_in_approximation(delta: float, samples: int = 10_000,
     wells = mg.make_wells(delta)
     z0 = zeta0(delta)
     failures = 0
-    examples: list = []
     sup_dist: dict = {}
     for k in stages:
         branch, eps = dyadic_split_target(k, delta)
@@ -379,10 +379,7 @@ def verify_in_approximation(delta: float, samples: int = 10_000,
         improved = np.full(samples, eps)
         kid_stage = (_classify_gaps(improved, d2, z0) if branch == 1
                      else _classify_gaps(d1, improved, z0))
-        bad = np.nonzero(kid_stage != k + 1)[0]
-        failures += bad.size
-        for i in bad[:3]:
-            examples.append((k, float(d1[i]), float(d2[i]), int(kid_stage[i])))
+        failures += int(np.count_nonzero(kid_stage != k + 1))
         # full-pipeline spot checks through the split and the classification
         idx = rng.integers(0, samples, size=min(25, samples))
         draws = np.array([(rng.uniform(), rng.uniform(0, 2 * math.pi))
@@ -395,14 +392,11 @@ def verify_in_approximation(delta: float, samples: int = 10_000,
         got, _, _, errors = _stages(
             np.stack([sr.Fplus, sr.Fminus], axis=1).reshape(-1, 2, 2), delta)
         raise_first(errors)
-        for j in np.flatnonzero(got != k + 1):
-            failures += 1
-            i = idx[j // 2]
-            examples.append((k, float(d1[i]), float(d2[i]), int(got[j])))
+        failures += int(np.count_nonzero(got != k + 1))
         corners = mg.dist_to_wells_b(matrices_from_gaps(
             np.repeat([lo1 * 1.0000001, hi1 * 0.9999999], 2),
             np.tile([lo2 * 1.0000001, hi2 * 0.9999999], 2), delta, 1.0), wells)
         sup_dist[k] = float(corners.min(axis=1).max())
     const = max(s * 2.0 ** (k / 2.0) for k, s in sup_dist.items())
-    return InApproxReport(delta, samples, tuple(stages), failures, examples,
-                          sup_dist, const)
+    return InApproxReport(delta, samples, tuple(stages), failures, sup_dist,
+                          const)

@@ -163,6 +163,22 @@ class TestRun:
                 if ln and not ln.startswith("#")]
         assert len(rows) == 1 + 3         # flag wins over the file
 
+    def test_config_file_comments_and_checks(self, tmp_path):
+        # comment and blank lines are skipped, and checks = full reaches
+        # the run: report.txt's config digest is that of checks = full
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# a small full-checks run\n\n   \n"
+                           "checks = full\n  # indented comment\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(cfgfile), "--budget", "2000",
+                        "--steps", "2", "--outdir", str(out)]) == 0
+        want = dataclasses.replace(cli.RunConfig(), budget=2000, steps=2,
+                                   checks="full")
+        report = (out / "report.txt").read_text()
+        assert f"config: {want.digest()}\n" in report
+        assert want.digest() != dataclasses.replace(
+            want, checks="fast").digest()
+
     def test_domain_file(self, tmp_path):
         # the unit square's two triangles, read from a file, give the
         # cells of the built-in domain; the "#" lines differ because the
@@ -210,8 +226,9 @@ class TestRunErrors:
     @pytest.mark.parametrize("line, message", [
         ("stepz = 3", "unknown config key 'stepz'"),
         ("steps = two", "bad value for config key 'steps': 'two'"),
-        ("checks = bogus", "bad value for config key 'checks': 'bogus'")],
-        ids=["key", "value", "checks"])
+        ("checks = bogus", "bad value for config key 'checks': 'bogus'"),
+        ("steps 2", "bad config line: steps 2")],
+        ids=["key", "value", "checks", "no-equals"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, line,
                                        message):
         # a config file is checked like the flags: a usage error, before
@@ -222,6 +239,13 @@ class TestRunErrors:
         assert run_cli(["run", "--config", str(cfgfile),
                         "--outdir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(tmp_path / "nope.cfg"),
+                        "--outdir", str(out)]) == 1
+        assert "error: cannot read config" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -122,6 +122,35 @@ class TestValidation:
         with pytest.raises(InvalidDomainError):
             en.Engine(dom, rep_datum(), DELTA)
 
+    def test_single_triangle_domain(self):
+        # one (3,2) triangle is the domain of that triangle alone; a
+        # clockwise one is turned counter-clockwise, as in a stack
+        tri = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        one = en.Engine(tri, rep_datum(), DELTA)
+        stack = en.Engine(tri[None], rep_datum(), DELTA)
+        assert one.state.verts.shape == (1, 3, 2)
+        assert one.state.verts.tobytes() == stack.state.verts.tobytes()
+        assert one.domain_area == 0.5
+
+    @pytest.mark.parametrize("dom", [
+        np.empty((0, 3, 2)), np.zeros((2, 4, 2)), np.zeros((3, 3)),
+        np.zeros(6), [[[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]],
+        [[[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]]],
+        ids=["empty", "four-corners", "3x3", "flat", "nan", "inf"])
+    def test_rejects_malformed_domain(self, dom):
+        with pytest.raises(InvalidDomainError) as err:
+            en.Engine(dom, rep_datum(), DELTA)
+        assert "nonempty list of triangles" in str(err.value)
+
+    @pytest.mark.parametrize("M", [
+        np.eye(3), np.ones(4), [[1.0, np.nan], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["3x3", "flat", "nan", "inf"])
+    def test_rejects_malformed_datum(self, M):
+        with pytest.raises(WrongEntryPointError) as err:
+            en.Engine(en.unit_square_domain(), M, DELTA)
+        assert "finite 2x2 matrix" in str(err.value)
+
     def test_hull_is_the_domain_boundary(self):
         # the unit square's diagonal is shared by its two triangles, so a
         # single-sided interval on it is stray, not domain boundary

@@ -1,11 +1,14 @@
 """Stage bands: oracle transcription of the definition, split targets."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from twowell import cell as cl
 from twowell import inapprox as ia
 from twowell import matgeo as mg
 from twowell.errors import InvalidParameterError, NotClassifiableError
@@ -255,3 +258,48 @@ class TestStacks:
             ia.matrices_from_gaps(np.append(d1, 1.5), np.append(d2, d2[0]), d,
                                   np.append(sign, 1.0), np.append(angle, 0.0))
         assert str(stack.value) == str(one.value)
+
+    def test_round_trip_bits_are_pinned(self):
+        # the unrotated rows of calibrate_h0's grids (both fraction sets)
+        # and the band corners of stages 2-40, also 1e-16 inside and
+        # outside, at five deltas.  Pinned for numpy 2.4.6 on the x86-64
+        # host it was recorded on.
+        rows = []
+        for d in (0.25, 0.5, 1.0, 4.0, 16.0):
+            for k in range(2, 41):
+                (lo1, hi1), (lo2, hi2) = ia.stage_band(k, d)
+                for t in (0.0, 1e-16, -1e-16):
+                    rows += [(d, x1, x2, sign) for x1, x2, sign in
+                             itertools.product(
+                                 (lo1 * (1.0 + t), hi1 * (1.0 - t)),
+                                 (lo2 * (1.0 + t), hi2 * (1.0 - t)),
+                                 (1.0, -1.0))]
+                if k not in cl.CALIBRATION_STAGES:
+                    continue
+                for fracs in ((0.02, 0.5, 0.98), cl.CORRIDOR):
+                    rows += [(d, lo1 + f1 * (hi1 - lo1),
+                              lo2 + f2 * (hi2 - lo2), sign)
+                             for f1, f2, sign in itertools.product(
+                                 fracs, fracs, (1.0, -1.0))]
+        # at delta 3 (c22 near 10) the c22 search moves f by two ulps:
+        # gaps z0 m 2^-j, m = 1, 1.125, ..., 1.875 and j = 0..19
+        z0 = ia.zeta0(3.0)
+        gaps = (z0 * (1.0 + np.arange(8) / 8)[:, None]
+                * np.ldexp(1.0, -np.arange(20))).ravel()
+        rows += [(3.0, x1, x2, (-1.0) ** i)
+                 for i, (x1, x2) in enumerate(zip(gaps, gaps[::-1]))]
+        delta, d1, d2, sign = (np.array(c) for c in zip(*rows))
+        Fs, misses = [], 0
+        for d in np.unique(delta):
+            at = delta == d
+            Fs.append(ia.matrices_from_gaps(d1[at], d2[at], d, sign[at]))
+            c22 = ia._grid_targets(d1[at], d2[at], d)[1]
+            misses += np.count_nonzero(mg.gram(Fs[-1])[:, 1, 1] != c22)
+        Fs = np.concatenate(Fs)
+        # of the 7,540 rows, 3,385 take the c11 closure's second entry, and
+        # 15 keep a computed c22 that misses its target (no candidate of
+        # the c22 search hits)
+        assert Fs.shape == (7540, 2, 2)
+        assert np.count_nonzero(Fs[:, 1, 0]) == 3385 and misses == 15
+        assert hashlib.sha256(Fs.tobytes()).hexdigest()[:16] \
+            == "6ad9c6b2855fe6ff"

@@ -19,6 +19,7 @@ from twowell import covering as cov
 from twowell import engine as en
 from twowell import inapprox as ia
 from twowell import lineage as lin
+from twowell.errors import ConstructionFailureError
 
 DELTA = 0.5
 AREA_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
@@ -358,3 +359,68 @@ def test_stage_one_datum_freezes_no_lineage():
                                     n_samples=200, generations=3, seed=0)
     assert len(series.rows) == 4
     assert all(r["frozen_measure"] == 0.0 for r in series.rows)
+
+
+def _freeze_above(monkeypatch, top):
+    """Engine.plan raising ConstructionFailureError on rows above stage
+    top, as a plan that cannot be built does: the sampler's lineages stop
+    at those cells."""
+    plan = en.Engine.plan
+
+    def failing(self, row):
+        if self.table.stages[row] > top:
+            raise ConstructionFailureError(f"no plan above stage {top}")
+        return plan(self, row)
+    monkeypatch.setattr(en.Engine, "plan", failing)
+
+
+class TestFrozenLineages:
+    N = 200
+
+    def _sample(self):
+        series = lin.sample_generations(en.unit_square_domain(), _datum(),
+                                        DELTA, n_samples=self.N,
+                                        generations=3, seed=0)
+        omega = series.rows[0]["domain_area"]
+        for hist in series.stage_hists:
+            assert hist.sum() == pytest.approx(omega, rel=1e-12)
+        return series, omega
+
+    def test_frozen_roots_add_perimeter_and_stage_only(self, monkeypatch):
+        # the stage-2 roots have no plan: every lineage stops at its root,
+        # which then counts in perimeter_sum and the stage measure only
+        _freeze_above(monkeypatch, 1)
+        series, omega = self._sample()
+        first = series.rows[0]
+        for row, hist in zip(series.rows[1:], series.stage_hists[1:]):
+            assert (row["frozen_measure"], row["frozen_measure_se"]) \
+                == (omega, 0.0)
+            for name in ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
+                         "bv_chi"):
+                assert row[name] == row[name + "_se"] == 0.0
+            assert row["wsup_max"] == 0.0
+            assert row["perimeter_sum"] == pytest.approx(
+                first["perimeter_sum"], rel=1e-12)
+            assert row["perimeter_sum_se"] <= 1e-12
+            assert hist.tolist() == [0.0, 0.0, omega]
+
+    def test_frozen_measure_is_the_stopped_fraction(self, monkeypatch):
+        # plans of stage-3 and higher cells fail: a lineage stops when it
+        # enters a diamond's pieces (stages >= 3) and goes on in the
+        # stage-2 gaps between them
+        _freeze_above(monkeypatch, 2)
+        series, omega = self._sample()
+        rows, hists = series.rows, series.stage_hists
+        p = [row["frozen_measure"] / omega for row in rows]
+        assert p[0] == p[1] == 0.0 and 0.0 < p[2] <= p[3] < 1.0
+        for row, pk, hist in zip(rows, p, hists):
+            # a fraction of the N lineages, with its binomial error
+            assert abs(pk * self.N - round(pk * self.N)) < 1e-9
+            assert row["frozen_measure_se"] == pytest.approx(
+                omega * math.sqrt(pk * (1.0 - pk) / self.N), rel=1e-12)
+            # a stopped lineage keeps its cell's stage
+            assert hist[3:].sum() >= row["frozen_measure"]
+        # generation 1's measure above stage 2, summed over the roots'
+        # covers, is what stops at generation 2
+        assert abs(rows[2]["frozen_measure"] - hists[1][3:].sum()) \
+            <= 3.0 * rows[2]["frozen_measure_se"]
