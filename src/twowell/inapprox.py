@@ -187,10 +187,13 @@ def matrices_from_gaps(d1, d2, delta: float, c12_sign,
     neighbour that classifies as (d1, d2) do.  (A band edge that is itself
     off the grid, as for a z0 that is not dyadic, cannot be hit exactly.)
     The unrotated rows go through _round_trip_roots together.  A rotated
-    row is the plain root, rotated.
+    row is the plain root, rotated.  A gap, sign or angle that is not
+    finite raises InvalidParameterError before any arithmetic.
     """
     d1, d2, sign, angle = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (d1, d2, c12_sign, angle)))
+    if not all(np.isfinite(x).all() for x in (d1, d2, sign, angle)):
+        raise InvalidParameterError("gaps, signs and angles must be finite")
     rotated = angle != 0.0
     plain = ~rotated
     c11, c22 = 1.0 - d1, 1.0 + delta * delta - d2

@@ -11,19 +11,20 @@ isosceles template.  The child containing a point is found on that
 geometry directly; of a generic cover, only the square holding the point
 is laid, by the covering.lay_squares that emit_spec calls on a batch.
 
-Cells live in local frames.  A frame is a translation and a scaling of
-its parent's frame, chosen so the cell has unit size; the absolute scale
-is the product of the scalings.  Diamond pieces use the frame of their
-diamond, so a piece is exactly plan.unit_verts[j] and its cover depends
-on (plan, j) only; covers of generic leftovers are keyed by their
-parent's cover and their index in it.  Both are cached.
+Cells live in local frames, one struct of arrays (Nodes) per set of
+cells.  A frame is a translation and a scaling of its parent's frame,
+chosen so the cell has unit size; the absolute scale is the product of
+the scalings.  Diamond pieces use the frame of their diamond, so a piece
+is exactly plan.unit_verts[j].  A cover depends on the cell's table row,
+isosceles tag and local vertices only, and is cached by them; every
+generation moves all lineages at once, one group of cells per cover.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,20 +41,40 @@ ACROSS_FLOOR = 1e-13  # smallest outward offset in an ancestor's units
 
 
 @dataclass
-class Node:
-    """One cell in its local frame: y_parent = rel_c + rel_s * y.
+class Nodes:
+    """Cells in their local frames, one per row: y_parent = rel_c + rel_s y.
 
-    gid is the row of the cell's gradient in the engine's GradientTable,
-    as TwoWellState.gid is; iso marks a leftover in the isosceles class of
+    gid is the row of a cell's gradient in the engine's GradientTable, as
+    TwoWellState.gid is; iso marks a leftover in the isosceles class of
     its plan, as TwoWellState.iso does: its cover is the inscribed diamond.
     """
-    verts: np.ndarray        # (3,2) counterclockwise, local coordinates
-    gid: int                 # row of the cell's gradient in the table
-    iso: bool                # in the isosceles class of its plan
-    key: Optional[tuple]     # identifies the local geometry; None: uncached
-    rel_c: np.ndarray        # (2,) frame origin in the parent frame
-    rel_s: float             # frame scale relative to the parent frame
-    abs_s: float             # absolute length of one local unit
+    verts: np.ndarray        # (n,3,2) counterclockwise, local coordinates
+    gid: np.ndarray          # (n,) row of the cell's gradient in the table
+    iso: np.ndarray          # (n,) in the isosceles class of its plan
+    rel_c: np.ndarray        # (n,2) frame origin in the parent frame
+    rel_s: np.ndarray        # (n,) frame scale relative to the parent frame
+    abs_s: np.ndarray        # (n,) absolute length of one local unit
+
+    @staticmethod
+    def of(tris: np.ndarray, gid, iso, abs_s) -> "Nodes":
+        """The cells tris (n,3,2) of parent frames of absolute scales
+        abs_s, each in the frame of its bounding box's corner and size."""
+        lo = tris.min(axis=1)
+        s = (tris.max(axis=1) - lo).max(axis=1)
+        return Nodes((tris - lo[:, None]) / s[:, None, None], gid, iso, lo, s,
+                     abs_s * s)
+
+    @staticmethod
+    def cat(parts: List["Nodes"]) -> "Nodes":
+        return Nodes(*(np.concatenate([getattr(p, f.name) for p in parts])
+                       for f in fields(Nodes)))
+
+    def take(self, idx) -> "Nodes":
+        return Nodes(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def put(self, idx, other: "Nodes"):
+        for f in fields(self):
+            getattr(self, f.name)[idx] = getattr(other, f.name)
 
 
 @dataclass
@@ -61,45 +82,42 @@ class Cover:
     """One cover in the covered cell's local frame, plus its totals.
 
     A generic cover is kept as its RightRows (covering.generic_spec);
-    locate lays only the square holding a point, by covering.lay_squares
-    as emit_spec lays all squares of a batch.  leftovers[i] holds row i's
-    medial and residual triangles.  The isosceles fast path is one
-    diamond (iso) with two tagged leftovers.
+    locate lays only the squares holding its points, by covering.
+    lay_squares as emit_spec lays all squares of a batch.  leftovers[i]
+    holds row i's medial and residual triangles.  The isosceles fast path
+    is one diamond (iso: center, r) with two tagged leftovers.  bv is the
+    exact phase-jump length strictly inside the cover (local units):
+    diamonds touch leftovers of the parent phase along their whole rim,
+    except in the isosceles cover, where the two apex-side rim edges lie
+    on the cell boundary and belong to the boundary term.
     """
     plan: cl.RefinePlan
     gids: np.ndarray                # table row of each plan piece
     rows: List[cv.RightRow]
     leftovers: List[np.ndarray]     # per row: (k,3,2) counterclockwise
-    iso: Optional[tuple]            # (center, r, leftovers (2,3,2), axis)
-    sum_r: float
+    iso: Optional[tuple]            # (center, r, leftovers (2,3,2))
     sum_r2: float
     sum_r3: float
     max_r: float
     perimeter: float                # sum of all children perimeters
     diamond_stage_area: np.ndarray  # area of diamond pieces per stage
-
-
-def _fix_ccw(tris: np.ndarray) -> np.ndarray:
-    return cv._fix_ccw(np.array(tris, dtype=float).reshape(-1, 3, 2))
+    bv: float
 
 
 def _margins(tris: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Signed distance from y to the nearest edge of each ccw triangle."""
-    e = np.roll(tris, -1, axis=1) - tris
-    d = y - tris
+    """Signed distance from y (...,2) to the nearest edge of each ccw
+    triangle of tris (...,3,2)."""
+    e = np.roll(tris, -1, axis=-2) - tris
+    d = y[..., None, :] - tris
     cross = e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]
-    return (cross / np.linalg.norm(e, axis=2)).min(axis=1)
-
-
-def _frame_of(tri: np.ndarray) -> Tuple[np.ndarray, float]:
-    lo = tri.min(axis=0)
-    return lo, float((tri.max(axis=0) - lo).max())
+    return (cross / np.linalg.norm(e, axis=-1)).min(axis=-1)
 
 
 class PlanData:
     """Unit-diamond facts of one plan: jumps, stage areas, piece rows."""
 
     def __init__(self, plan: cl.RefinePlan, gids: np.ndarray):
+        self.plan = plan
         self.gids = gids     # table row of each piece (Engine.piece_rows)
         uv = plan.unit_verts
         ind = (plan.phases == 1).astype(float)
@@ -131,7 +149,8 @@ def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
     leftovers = []
     tot = np.zeros(5)       # sum r, r^2, r^3, perimeter, max r
     for row in rows:
-        leftovers.append(_fix_ccw(np.concatenate([row.medial, row.residual])))
+        leftovers.append(cv._fix_ccw(np.concatenate([row.medial,
+                                                     row.residual])))
         tot[3] += float(cv.tri_perimeters(leftovers[-1]).sum())
         if row.m == 0:
             continue
@@ -146,241 +165,223 @@ def generic_cover(tri: np.ndarray, plan: cl.RefinePlan,
                + float(cv.tri_perimeters(corners).sum()))
         tot += row.m * np.array([n * r, n * r * r, n * r ** 3, per, 0.0])
         tot[4] = max(tot[4], r)
-    return Cover(plan, pdata.gids, rows, leftovers, None, float(tot[0]),
-                 float(tot[1]), float(tot[2]), float(tot[4]), float(tot[3]),
-                 pdata.stage_area * float(tot[1]))
+    return Cover(plan, pdata.gids, rows, leftovers, None, float(tot[1]),
+                 float(tot[2]), float(tot[4]), float(tot[3]),
+                 pdata.stage_area * float(tot[1]),
+                 pdata.bv_unit * float(tot[0]))
 
 
-def iso_cover(v: np.ndarray, plan: cl.RefinePlan, pdata: PlanData) -> Cover:
-    """The inscribed-diamond cover, laid by covering.iso_layout."""
-    center, r, left, axis = cv.iso_layout(v)
-    left = _fix_ccw(left)
-    perimeter = float(r * plan.perim_unit + cv.tri_perimeters(left).sum())
-    return Cover(plan, pdata.gids, [], [], (center, r, left, axis), r, r * r,
-                 r ** 3, r, perimeter, pdata.stage_area * r * r)
+def iso_cover(center, r, left, axis, pd: PlanData) -> Cover:
+    """The inscribed-diamond cover of one cell of a covering.iso_layout
+    stack (center, r, leftovers, apex axis)."""
+    plan, left = pd.plan, cv._fix_ccw(left)
+    sign = 1.0 if float(axis @ plan.dhat) > 0 else -1.0
+    return Cover(plan, pd.gids, [], [], (center, r, left), r * r, r ** 3, r,
+                 float(r * plan.perim_unit + cv.tri_perimeters(left).sum()),
+                 pd.stage_area * r * r, r * (pd.bv_unit - pd.rim_tip[sign]))
 
 
-def bv_inside(cover: Cover, pdata: PlanData) -> float:
-    """Exact phase-jump length strictly inside the cover (local units).
-
-    Diamonds touch leftovers of the parent phase along their whole rim,
-    except in the isosceles cover, where the two apex-side rim edges lie
-    on the cell boundary and belong to the boundary term.
+def _square_candidates(cover: Cover, y: np.ndarray):
+    """(diamond centers (m,R,2) and scales (m,R), triangles (m,K,3,2) and
+    their isosceles tags (K,)): the candidate children of the generic
+    cover for the points y (m,2).  Per right row: its leftovers, and of
+    the square holding the point (lay_squares), laid as emit_spec lays it,
+    the corners if rotated, diamond q next to the point (stack_centers),
+    the gaps at q-1 and q and the four end triangles (stack_leftovers).
+    A candidate that does not exist is NaN.
     """
-    if cover.iso is None:
-        return pdata.bv_unit * cover.sum_r
-    _, r, _, axis = cover.iso
-    sign = 1.0 if float(axis @ cover.plan.dhat) > 0 else -1.0
-    return r * (pdata.bv_unit - pdata.rim_tip[sign])
+    plan, rows, m = cover.plan, cover.rows, y.shape[0]
+    R = len(rows)
+    ri = np.tile(np.arange(R), m)
+    v0, e2, a, count, rot = (np.array([getattr(r, f) for r in rows])[ri]
+                             for f in ("v0", "e2", "a", "m", "rotated"))
+    yy = np.repeat(y, R, axis=0)
+    i = np.clip(np.floor(np.vecdot(yy - v0, e2) / a), 0, count - 1)
+    stack, corners = cv.lay_squares(rows, ri, i.astype(np.int64), plan)
+    p0, _, e_w, length, n = stack
+    q = np.clip(np.floor(np.vecdot(yy - p0, e_w) / (plan.h * length)), 0,
+                n - 1).astype(np.int64)
+    g = np.stack([q - 1, q], axis=1)
+    upper, lower, ends = cv.stack_leftovers(
+        stack, plan.h, np.repeat(np.arange(m * R), 2), g.ravel())
+    square = np.full((m * R, 12, 3, 2), np.nan)
+    square[rot, :4] = corners.reshape(-1, 4, 3, 2)
+    square[:, 4:] = cv._fix_ccw(np.concatenate(
+        [upper.reshape(-1, 2, 3, 2), lower.reshape(-1, 2, 3, 2), ends],
+        axis=1).reshape(-1, 3, 2)).reshape(-1, 8, 3, 2)
+    square[:, 4:8][np.tile((g < 0) | (g >= n[:, None] - 1), 2)] = np.nan
+    centers = cv.stack_centers(stack, plan.h, np.arange(m * R), q)
+    square[count == 0] = centers[count == 0] = np.nan
+    left = np.concatenate(cover.leftovers)
+    return (centers.reshape(m, R, 2), (0.5 * length).reshape(m, R),
+            np.concatenate([np.broadcast_to(left, (m,) + left.shape),
+                            square.reshape(m, 12 * R, 3, 2)], axis=1),
+            np.concatenate([np.zeros(left.shape[0], dtype=bool), np.tile(
+                np.repeat([False, True, False], 4), R)]))
 
 
-def _piece(plan: cl.RefinePlan, center: np.ndarray, r: float,
+def locate(covers: List[Optional[Cover]], inv: np.ndarray, nodes: Nodes,
            y: np.ndarray):
-    """(piece index, margin) of the unit-diamond piece containing y."""
-    mg = _margins(plan.unit_verts, (y - center) / r)
-    j = int(np.argmax(mg))
-    return j, float(mg[j])
+    """(children, y in their frames): of each cell of nodes, whose cover
+    is covers[inv] (CoverCache.groups), the child holding y.
 
-
-def locate(node: Node, cover: Cover, y: np.ndarray):
-    """(child Node, y in the child frame) of the child containing y.
-
-    Among the candidate pieces the one with the largest margin wins, so a
-    point on a shared edge still gets a child.
+    Per cover, the candidate child with the largest margin wins, so a
+    point on a shared edge still gets a child: the isosceles diamond's
+    pieces and two leftovers, or _square_candidates.  The pieces come
+    first, margins scaled by their diamond's r, so a tie goes to a piece.
+    A NaN margin (a candidate that does not exist, or a zero-area corner
+    or end triangle of a tiny square) never wins.  A cell without a cover
+    stays as it is.
     """
-    plan = cover.plan
-    if cover.iso is not None:
-        center, r, left, _ = cover.iso
-        j, mj = _piece(plan, center, r, y)
-        ml = _margins(left, y)
-        i = int(np.argmax(ml))
-        if mj * r >= ml[i]:
-            return _piece_child(node, cover, center, r, j, y)
-        return _leftover(node, left[i], y, True, None)
-    best = (-np.inf, None, 0, 0)        # (margin, kind, row, index)
-    for ri, row in enumerate(cover.rows):
-        ml = _margins(cover.leftovers[ri], y)
-        k = int(np.argmax(ml))
-        best = max(best, (float(ml[k]), "tri", ri, k), key=lambda c: c[0])
-        if row.m:
-            d = y - row.v0
-            s, t = float(d @ row.e1), float(d @ row.e2)
-            i = min(max(int(np.floor(t / row.a)), 0), row.m - 1)
-            msq = min(s, row.a - s, t - i * row.a, (i + 1) * row.a - t)
-            best = max(best, (msq, "square", ri, i), key=lambda c: c[0])
-    _, kind, ri, i = best
-    key = None if node.key is None else (node.key, ri, i)
-    if kind == "tri":
-        return _leftover(node, cover.leftovers[ri][i], y, False,
-                         key and key + ("tri",))
-    stack, corners = cv.lay_squares([cover.rows[ri]], [0], [i], plan)
-    if corners.shape[0]:
-        mc = _margins(corners, y)
-        c = int(np.argmax(mc))
-        if mc[c] > _box_margin(stack, plan, y):
-            return _leftover(node, corners[c], y, False,
-                             key and key + ("corner", c))
-    return _in_stack(node, cover, stack, y, key)
+    kids, y = nodes.take(np.arange(y.shape[0])), y.copy()
+    order = np.argsort(inv, kind="stable")
+    split = np.cumsum(np.bincount(inv, minlength=len(covers)))[:-1]
+    for cover, at in zip(covers, np.split(order, split)):
+        if cover is None:
+            continue
+        plan, m, yg = cover.plan, at.shape[0], y[at]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if cover.iso is None:
+                cen, r, tris, tiso = _square_candidates(cover, yg)
+            else:
+                center, r0, left = cover.iso
+                cen, r = np.broadcast_to(center, (m, 1, 2)), np.full((m, 1),
+                                                                     r0)
+                tris, tiso = np.broadcast_to(left, (m, 2, 3, 2)), [True] * 2
+            mp = _margins(plan.unit_verts, ((yg[:, None] - cen)
+                                            / r[..., None])[:, :, None])
+            mg = np.concatenate([(mp * r[..., None]).reshape(m, -1),
+                                 _margins(tris, yg[:, None])], axis=1)
+            k = np.where(np.isnan(mg), -np.inf, mg).argmax(axis=1)
+            npc = cen.shape[1] * plan.n_pieces
+            piece, kt = k < npc, np.maximum(k - npc, 0)
+            d, j = np.divmod(np.minimum(k, npc - 1), plan.n_pieces)
+            tri = tris[np.arange(m), kt]
+            lo = tri.min(axis=1)
+            size = (tri.max(axis=1) - lo).max(axis=1)
+            c = np.where(piece[:, None], cen[np.arange(m), d], lo)
+            s = np.where(piece, r[np.arange(m), d], size)
+            kids.verts[at] = np.where(
+                piece[:, None, None], plan.unit_verts[j],
+                (tri - lo[:, None]) / size[:, None, None])
+        kids.gid[at] = np.where(piece, cover.gids[j], kids.gid[at])
+        kids.iso[at] = ~piece & np.asarray(tiso)[kt]
+        kids.rel_c[at], kids.rel_s[at] = c, s
+        kids.abs_s[at] = nodes.abs_s[at] * s
+        y[at] = (yg - c) / s[:, None]
+    return kids, y
 
 
-def _box_margin(stack, plan: cl.RefinePlan, y: np.ndarray) -> float:
-    """Margin of y in the box of the one diamond row stack."""
-    p0, e_len, e_w, length, n = (x[0] for x in stack)
-    d = y - p0
-    s, t = float(d @ e_len), float(d @ e_w)
-    wt = plan.h * length * n
-    return min(s, length - s, t, wt - t)
-
-
-def _in_stack(node: Node, cover: Cover, stack, y: np.ndarray,
-              key: Optional[tuple]):
-    """The child of the one diamond row stack (lay_squares) holding y.
-
-    The row is laid by covering's stack_centers and stack_leftovers, as
-    emit_spec lays it: only diamond q next to y, its two gaps and, at
-    either end of the row, the end triangles.
-    """
-    plan = cover.plan
-    p0, _, e_w, length, n = (x[0] for x in stack)
-    w, r = plan.h * length, 0.5 * length
-    t = float((y - p0) @ e_w)
-    q = min(max(int(np.floor(t / w)), 0), n - 1)
-    center = cv.stack_centers(stack, plan.h, [0], np.array([q]))[0]
-    j, mj = _piece(plan, center, r, y)
-    if mj >= 0.0:
-        return _piece_child(node, cover, center, r, j, y)
-    gaps = np.arange(max(q - 1, 0), min(q + 1, n - 1))
-    upper, lower, ends = cv.stack_leftovers(stack, plan.h,
-                                            np.zeros_like(gaps), gaps)
-    tri_l = [upper, lower]
-    if q == 0 or q == n - 1:
-        tri_l.append(ends[0])
-    tl = _fix_ccw(np.concatenate(tri_l))
-    k = int(np.argmax(_margins(tl, y)))
-    # the 2 len(gaps) gap triangles come first, then the end triangles
-    n_gaps = 2 * len(gaps)
-    if k < n_gaps:
-        return _leftover(node, tl[k], y, True, None)
-    return _leftover(node, tl[k], y, False,
-                     key and key + ("end", k - n_gaps))
-
-
-def _piece_child(node: Node, cover: Cover, center: np.ndarray,
-                 r: float, j: int, y: np.ndarray):
-    plan = cover.plan
-    child = Node(plan.unit_verts[j], int(cover.gids[j]), False,
-                 ("piece", plan.M.tobytes(), j), center, r, node.abs_s * r)
-    return child, (y - center) / r
-
-
-def _leftover(node: Node, tri: np.ndarray, y: np.ndarray, iso: bool,
-              key: Optional[tuple]):
-    c, s = _frame_of(tri)
-    child = Node((tri - c) / s, node.gid, iso, key, c, s, node.abs_s * s)
-    return child, (y - c) / s
-
-
-def uniform_in(tri: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    u, v = rng.random(2)
-    if u + v > 1.0:
-        u, v = 1.0 - u, 1.0 - v
-    return tri[0] + u * (tri[1] - tri[0]) + v * (tri[2] - tri[0])
-
-
-def root_nodes(verts: np.ndarray, gid: int):
-    """Root cells of table row gid in frames of unit size; rel_c/rel_s are
-    absolute."""
-    nodes = []
-    for i, tri in enumerate(verts):
-        c, s = _frame_of(tri)
-        nodes.append(Node((tri - c) / s, gid, False, ("root", i), c, s, s))
-    return nodes
+def uniform_in(tri: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Uniform points of the triangles tri ((n,3,2) or one (3,2)) at the
+    uniform numbers uv (n,2), one point per row."""
+    u = np.where(uv.sum(axis=1, keepdims=True) > 1.0, 1.0 - uv, uv)
+    t0 = tri[..., 0, :]
+    return t0 + u[:, :1] * (tri[..., 1, :] - t0) + u[:, 1:] * (
+        tri[..., 2, :] - t0)
 
 
 class CoverCache:
-    """Covers by node key and PlanData by table row of one engine."""
+    """Covers by cell geometry and PlanData by table row of one engine."""
 
-    def __init__(self, eng: en.Engine, roots):
+    def __init__(self, eng: en.Engine):
         self.eng = eng              # its plans and table
-        self.roots = roots          # root Nodes, for far-side descents
-        self.covers: Dict[tuple, Cover] = {}
-        self.pdata: Dict[int, PlanData] = {}
+        self.covers: Dict[bytes, Cover] = {}
+        self.pdata: Dict[int, Optional[PlanData]] = {}
 
-    def plan_data(self, row: int) -> PlanData:
-        """The unit-diamond facts of the plan of table row `row`."""
-        pd = self.pdata.get(row)
-        if pd is None:
-            pd = self.pdata[row] = PlanData(self.eng.plan(row),
-                                            self.eng.piece_rows[row])
-        return pd
+    def plan_data(self, row: int) -> Optional[PlanData]:
+        """The unit-diamond facts of the plan of table row `row`, or None
+        when the plan fails (cell.replace_dyadic_stage, replace_low_stage):
+        its cells stay as frozen cells.  AspectFailureError is raised, as
+        the whole sample restarts on it.  Its stages are taken as they are."""
+        if row not in self.pdata:
+            try:
+                plan = self.eng.plan(row)
+            except AspectFailureError:
+                raise
+            except (ConstructionFailureError, NotClassifiableError):
+                plan = None
+            self.pdata[row] = None if plan is None else PlanData(
+                plan, self.eng.piece_rows[row])
+        return self.pdata[row]
 
-    def cover(self, node: Node) -> Optional[Cover]:
-        """The cover Engine.step would lay on node, or None when node's plan
-        fails (cell.replace_dyadic_stage, cell.replace_low_stage): the cell
-        stays as a frozen cell.  AspectFailureError is raised, as the whole
-        sample restarts on it.  The plan's stages are taken as they are."""
-        try:
-            plan = self.eng.plan(node.gid)
-        except AspectFailureError:
-            raise
-        except (ConstructionFailureError, NotClassifiableError):
-            return None
-        pd = self.plan_data(node.gid)
-        if node.iso:
-            return iso_cover(node.verts, plan, pd)
-        cov = self.covers.get(node.key) if node.key is not None else None
-        if cov is None:
-            cov = generic_cover(node.verts, plan, pd)
-            if node.key is not None:
-                self.covers[node.key] = cov
-        return cov
+    def groups(self, nodes: Nodes):
+        """(covers, inv): the covers Engine.step would lay on the distinct
+        cells of nodes, and the index of each row's cover.
 
-
-def descend(cache: CoverCache, node: Node, y: np.ndarray,
-            levels: int) -> Node:
-    """The cell `levels` generations below node that contains y.
-
-    A cell whose cover cannot be built stays as it is, as a frozen cell.
-    """
-    for _ in range(levels):
-        cover = cache.cover(node)
-        if cover is None:
-            return node
-        node, y = locate(node, cover, y)
-    return node
+        Cells share a cover when their table row, isosceles tag and local
+        vertices are the same bytes (one np.unique); a cover is None where
+        the plan fails (plan_data).  The new isosceles covers are laid
+        together, by one covering.iso_layout call.
+        """
+        key = np.column_stack([nodes.gid, nodes.iso,
+                               nodes.verts.reshape(-1, 6)])
+        keys, first, inv = np.unique(key.view(np.dtype((np.void, 64))).ravel(),
+                                     return_index=True, return_inverse=True)
+        covers = [self.covers.get(b.tobytes()) for b in keys]
+        new = [g for g, c in enumerate(covers) if c is None
+               and self.plan_data(int(nodes.gid[first[g]]))]
+        tag = [g for g in new if nodes.iso[first[g]]]
+        lay = dict(zip(tag, zip(*cv.iso_layout(nodes.verts[first[tag]]))))
+        for g in new:
+            pd = self.pdata[int(nodes.gid[first[g]])]
+            covers[g] = (iso_cover(*lay[g], pd) if g in lay else
+                         generic_cover(nodes.verts[first[g]], pd.plan, pd))
+            self.covers[keys[g].tobytes()] = covers[g]
+        return covers, inv.ravel()
 
 
-def far_cell(cache: CoverCache, lineage, yb: np.ndarray,
-             nrm: np.ndarray) -> Optional[Node]:
-    """The cell one generation below lineage[-1], just across its boundary.
+def descend(cache: CoverCache, nodes: Nodes, y: np.ndarray,
+            levels: np.ndarray):
+    """(cells, y in their frames): row i of nodes moved levels[i]
+    generations down along its point y[i], in the last levels[i] rounds,
+    so rows that end at one generation go down together.  A cell whose
+    cover cannot be built stays as it is, as a frozen cell."""
+    nodes, y = nodes.take(np.arange(y.shape[0])), y.copy()
+    top = int(levels.max(initial=0))
+    for step in range(top):
+        at = np.flatnonzero(levels >= top - step)
+        sub = nodes.take(at)
+        kids, y[at] = locate(*cache.groups(sub), sub, y[at])
+        nodes.put(at, kids)
+    return nodes, y
 
-    yb lies on the boundary of T = lineage[-1] (T's frame) and nrm is the
-    outward normal there.  The point yb + eps nrm is carried up T's
-    ancestors until one contains it, then descended from that ancestor:
-    coordinates stay relative to the smallest cell that holds both sides.
+
+def _across(line: List[Nodes], roots: Nodes, yb: np.ndarray,
+            nrm: np.ndarray):
+    """(start cells, points, levels) of the far-side descents.
+
+    yb lies on the boundary of the lineages' cells T = line[-1] (T's
+    frames), nrm is the outward normal there.  The point yb + eps nrm is
+    carried up T's ancestors, one level at a time for all lineages, until
+    one contains it, and descends from there to one generation below T:
+    coordinates stay relative to the smallest cell holding both sides.
     eps is ACROSS_EPS in T's units, floored at ACROSS_FLOOR in the units
     of the frame it is tested in, so a far-side cell thinner than that
-    floor can be stepped over.  None when the point leaves the domain.
+    floor can be stepped over.  A point outside the domain gets 0 levels.
     """
-    gen = len(lineage)
-    y, ratio = yb, 1.0
-    for j in range(len(lineage) - 1, -1, -1):
-        node = lineage[j]
-        y = node.rel_c + node.rel_s * y
-        ratio *= node.rel_s
-        if j == 0:
-            break
-        yp = y + max(ACROSS_EPS * ratio, ACROSS_FLOOR) * nrm
-        parent = lineage[j - 1]
-        if _margins(parent.verts[None], yp)[0] > 0.0:
-            return descend(cache, parent, yp, gen - j + 1)
-    # y is absolute now; the roots' own frames hold the far point
-    for root in cache.roots:
-        yr = (y - root.rel_c) / root.rel_s
-        yr = yr + max(ACROSS_EPS * ratio / root.rel_s, ACROSS_FLOOR) * nrm
-        if _margins(root.verts[None], yr)[0] > 0.0:
-            return descend(cache, root, yr, gen)
-    return None
+    gen = len(line)
+    start = line[-1].take(np.arange(yb.shape[0]))
+    y, ratio = yb, np.ones(yb.shape[0])
+    yf, levels = np.zeros_like(yb), np.zeros(yb.shape[0], dtype=np.int64)
+    for j in range(gen - 1, 0, -1):
+        y = line[j].rel_c + line[j].rel_s[:, None] * y
+        ratio = ratio * line[j].rel_s
+        yp = y + np.maximum(ACROSS_EPS * ratio, ACROSS_FLOOR)[:, None] * nrm
+        hit = (levels == 0) & (_margins(line[j - 1].verts, yp) > 0.0)
+        start.put(hit, line[j - 1].take(hit))
+        yf[hit], levels[hit] = yp[hit], gen - j + 1
+    # y becomes absolute; the roots' own frames hold the far point
+    y = line[0].rel_c + line[0].rel_s[:, None] * y
+    ratio = ratio * line[0].rel_s
+    for i in range(roots.gid.shape[0]):
+        yr = (y - roots.rel_c[i]) / roots.rel_s[i]
+        yr = yr + np.maximum(ACROSS_EPS * ratio / roots.rel_s[i],
+                             ACROSS_FLOOR)[:, None] * nrm
+        hit = (levels == 0) & (_margins(roots.verts[i], yr) > 0.0)
+        start.put(hit, roots.take(np.full(hit.sum(), i)))
+        yf[hit], levels[hit] = yr[hit], gen
+    return start, yf, levels
 
 
 SAMPLED_COLUMNS = ("l1_chi_diff", "l1_grad_diff", "w_l1_bound",
@@ -413,21 +414,27 @@ def sample_generations(domain, M, delta: float, n_samples: int = 2000,
     - bv_chi: the exact phase-jump length inside T's cover, plus half of
       |dT| times the jump indicator at one uniform point of dT (the far
       side is found by descending a point just across dT from the deepest
-      common ancestor, or from a root: far_cell), so shared edges count
+      common ancestor, or from a root: _across), so shared edges count
       once;
     - stage_hists: the area of T's children per stage.
+
+    The roots are drawn first (rng.choice), then one row of 2 + 4
+    generations uniform numbers per lineage: its start point, then per
+    generation its boundary point and its point in the child.  A stopped
+    lineage leaves the rest of its row unused.
 
     wsup_max is a sample maximum, not an estimate of the true maximum: it
     is the largest wsup_unit r over the covers of the sampled cells, a
     lower bound that is exact when every cell of a generation is visited;
     wsup_max_se is NaN.  frozen_measure is |domain| times the fraction of
     lineages stopped by any other failure to build their cell's plan
-    (CoverCache.cover); a stopped lineage keeps its cell, which then
+    (CoverCache.plan_data); a stopped lineage keeps its cell, which then
     counts in perimeter_sum and the stage measure only.
 
     Rows also carry n_samples; the series' meta holds the aspects used
-    (h_dyadic_used), h0, the restarts before it, the seed, the cache sizes
-    and the standard errors of the stage measures (stage_hists_se).
+    (h_dyadic_used), h0, the restarts before it, the seed, the number of
+    plans and of distinct covers, and the standard errors of the stage
+    measures (stage_hists_se).
     """
     if n_samples < 2 or generations < 1:
         raise InvalidParameterError("need n_samples >= 2 and generations "
@@ -441,47 +448,76 @@ def _sample(eng: en.Engine, n_samples: int, generations: int,
             seed: int) -> an.MetricsSeries:
     """sample_generations on the fresh engine eng."""
     st = eng.state
-    roots = root_nodes(st.verts, int(st.gid[0]))
-    cache = CoverCache(eng, roots)
+    roots = Nodes.of(st.verts, st.gid.astype(np.int64),
+                     np.zeros(st.n, dtype=bool), np.ones(st.n))
+    cache = CoverCache(eng)
     root_areas = st.areas()
     omega = eng.domain_area
     rng = np.random.default_rng(seed)
     dens = np.zeros((generations, n_samples, len(SAMPLED_COLUMNS)))
     wsup = np.zeros(generations)
     frozen = np.zeros((generations, n_samples), dtype=bool)
-    hists: List[List[np.ndarray]] = [[] for _ in range(generations)]
-    starts = rng.choice(len(roots), size=n_samples,
+    hists: List[np.ndarray] = []
+    starts = rng.choice(st.n, size=n_samples,
                         p=root_areas / root_areas.sum())
-    for i in range(n_samples):
-        lineage = [roots[starts[i]]]
-        y = uniform_in(lineage[0].verts, rng)
-        for k in range(generations):
-            T = lineage[-1]
-            area = float(cv.tri_areas(T.verts[None])[0])
-            stage = int(eng.table.stages[T.gid])
-            cover = cache.cover(T)
-            if cover is None:
-                frozen[k:, i] = True
-                dens[k:, i, 3] = float(cv.tri_perimeters(T.verts[None])[0]) \
-                    / (area * T.abs_s)
-                for j in range(k, generations):
-                    hists[j].append(_stage_vec(stage, 1.0))
-                break
-            plan = cover.plan
-            dens[k, i, 0] = plan.flip_area_unit * cover.sum_r2 / area
-            dens[k, i, 1] = plan.grad_l1_unit * cover.sum_r2 / area
-            dens[k, i, 2] = plan.w_l1_unit * cover.sum_r3 * T.abs_s / area
-            dens[k, i, 3] = cover.perimeter / (area * T.abs_s)
-            jump = _boundary_jump(cache, lineage, cover, rng)
-            dens[k, i, 4] = ((bv_inside(cover, cache.plan_data(T.gid))
-                              + 0.5 * jump) / (area * T.abs_s))
-            wsup[k] = max(wsup[k], plan.wsup_unit * cover.max_r * T.abs_s)
-            hist = cover.diamond_stage_area / area
-            hists[k].append(_stage_vec(stage, 1.0 - float(hist.sum()),
-                                       hist))
-            child, y = locate(T, cover, y)
-            lineage.append(child)
-            y = uniform_in(child.verts, rng)
+    draws = rng.random((n_samples, 2 + 4 * generations))
+    line = [roots.take(starts)]     # each lineage's cell, per generation
+    y = uniform_in(line[0].verts, draws[:, :2])
+    for k in range(generations):
+        T = line[k]
+        covers, inv = cache.groups(T)
+        # per cover: its totals in T's units and T's stage measure / |T|;
+        # a stopped lineage's cell (no cover) keeps its perimeter and stage
+        area, s = cv.tri_areas(T.verts), T.abs_s
+        cell = np.zeros((3, len(covers)))
+        cell[:, inv] = (area, eng.table.stages[T.gid],
+                        cv.tri_perimeters(T.verts))
+        facts = np.zeros((len(covers), 6))
+        hist = np.zeros((len(covers), max(
+            [int(cell[1].max()) + 1] + [c.diamond_stage_area.shape[0]
+                                        for c in covers if c])))
+        for g, c in enumerate(covers):
+            stage, h = int(cell[1, g]), np.zeros(0)
+            facts[g, 3] = cell[2, g]
+            if c is not None:
+                p = c.plan
+                facts[g] = (p.flip_area_unit * c.sum_r2, p.grad_l1_unit
+                            * c.sum_r2, p.w_l1_unit * c.sum_r3, c.perimeter,
+                            c.bv, p.wsup_unit * c.max_r)
+                h = c.diamond_stage_area / cell[0, g]
+            hist[g, :h.shape[0]] = h
+            hist[g, stage] += 1.0 - float(h.sum())
+        hists.append(hist[inv])
+        f = facts[inv]
+        dens[k, :, :4] = np.stack([f[:, 0] / area, f[:, 1] / area,
+                                   f[:, 2] * s / area, f[:, 3] / (area * s)],
+                                  axis=1)
+        wsup[k] = float((f[:, 5] * s).max())
+        frozen[k] = np.array([c is None for c in covers], dtype=bool)[inv]
+        live = np.flatnonzero(~frozen[k])
+        # |dT| times the jump indicator at a uniform point yb of dT
+        T, area, s, v = T.take(live), area[live], s[live], T.verts[live]
+        e = np.roll(v, -1, axis=1) - v
+        lens = np.linalg.norm(e, axis=2)
+        total = lens.sum(axis=1)
+        u, t = draws[live, 2 + 4 * k], draws[live, 3 + 4 * k]
+        j = np.minimum((np.cumsum(lens, axis=1) / total[:, None]
+                        <= u[:, None]).sum(axis=1), 2)
+        m = np.arange(live.shape[0])
+        yb = v[m, j] + t[:, None] * e[m, j]
+        nrm = np.stack([e[m, j, 1], -e[m, j, 0]], axis=1) / lens[m, j][:, None]
+        far, yf, lf = _across([c.take(live) for c in line], roots, yb, nrm)
+        n = live.shape[0]
+        end, _ = descend(cache, Nodes.cat([T, T, far]), np.concatenate(
+            [y[live], yb - INSIDE_EPS * nrm, yf]),
+            np.concatenate([np.ones(2 * n, dtype=np.int64), lf]))
+        phases = eng.table.phases[end.gid]
+        jump = (lf > 0) & (phases[2 * n:] != phases[n:2 * n])
+        dens[k, live, 4] = (f[live, 4] + 0.5 * np.where(jump, total, 0.0)) \
+            / (area * s)
+        line.append(line[k].take(np.arange(n_samples)))
+        line[k + 1].put(live, end.take(m))
+        y[live] = uniform_in(end.verts[:n], draws[live, 4 + 4 * k:6 + 4 * k])
     series = an.MetricsSeries()
     row0 = eng.metrics.rows[0]
     first = {"k": 0, "domain_area": omega, "n_samples": n_samples,
@@ -503,46 +539,10 @@ def _sample(eng: en.Engine, n_samples: int, generations: int,
             row[name] = omega * float(dens[k, :, c].mean())
             row[name + "_se"] = omega * float(dens[k, :, c].std(ddof=1)) \
                 / root_n
-        top = max(h.shape[0] for h in hists[k])
-        per = np.stack([np.pad(h, (0, top - h.shape[0])) for h in hists[k]])
-        series.append(row, omega * per.mean(axis=0))
-        hist_se.append(omega * per.std(axis=0, ddof=1) / root_n)
+        series.append(row, omega * hists[k].mean(axis=0))
+        hist_se.append(omega * hists[k].std(axis=0, ddof=1) / root_n)
     series.meta.update(h_dyadic_used=set(eng.h_dyadic_used), h0=eng.h0,
                        restarts=eng.restarts, seed=seed,
                        plans=len(eng.piece_rows), covers=len(cache.covers),
                        stage_hists_se=hist_se)
     return series
-
-
-def _stage_vec(stage: int, value: float,
-               base: np.ndarray = np.zeros(0)) -> np.ndarray:
-    """Stage-measure vector: base plus value at stage."""
-    out = np.zeros(max(stage + 1, base.shape[0]))
-    out[:base.shape[0]] = base
-    out[stage] += value
-    return out
-
-
-def _boundary_jump(cache: CoverCache, lineage, cover,
-                   rng: np.random.Generator) -> float:
-    """|dT| times the phase-jump indicator at one uniform point of dT.
-
-    T = lineage[-1].  The inner phase is that of T's child next to the
-    point; the outer one that of the next generation's cell just across,
-    or no jump where the point lies on the domain boundary.
-    """
-    T = lineage[-1]
-    v = T.verts
-    e = np.roll(v, -1, axis=0) - v
-    lens = np.linalg.norm(e, axis=1)
-    total = float(lens.sum())
-    u, t = rng.random(2)
-    j = min(int(np.searchsorted(np.cumsum(lens) / total, u, side="right")),
-            2)
-    yb = v[j] + t * e[j]
-    nrm = np.array([e[j, 1], -e[j, 0]]) / lens[j]
-    inner, _ = locate(T, cover, yb - INSIDE_EPS * nrm)
-    outer = far_cell(cache, lineage, yb, nrm)
-    phases = cache.eng.table.phases
-    jump = outer is not None and phases[outer.gid] != phases[inner.gid]
-    return total if jump else 0.0

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,14 +251,24 @@ class TestStacks:
                 U, _ = ia._upper_root(1.0 - d1[i], 1.0 + d * d - d2[i],
                                       sign[i])
                 assert got[i].tobytes() == (mg.rot(angle[i]) @ U).tobytes()
-        # a row whose gaps are not realizable fails the stack as it fails
-        # its one-row call
-        with pytest.raises(InvalidParameterError) as one:
-            ia.matrix_from_gaps(1.5, d2[0], d, 1.0)
-        with pytest.raises(InvalidParameterError) as stack:
-            ia.matrices_from_gaps(np.append(d1, 1.5), np.append(d2, d2[0]), d,
-                                  np.append(sign, 1.0), np.append(angle, 0.0))
-        assert str(stack.value) == str(one.value)
+        # a row whose gaps are not realizable, or whose gap, sign or angle
+        # is not finite, fails the stack as it fails its one-row call, and
+        # before any arithmetic warns
+        for g1, g2, s, a in ((1.5, d2[0], 1.0, 0.0),
+                             (math.nan, d2[0], 1.0, 0.0),
+                             (d1[0], math.inf, 1.0, 0.0),
+                             (d1[0], d2[0], math.nan, 0.0),
+                             (d1[0], d2[0], 1.0, math.nan),
+                             (d1[0], d2[0], 1.0, -math.inf)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParameterError) as one:
+                    ia.matrix_from_gaps(g1, g2, d, s, a)
+                with pytest.raises(InvalidParameterError) as stack:
+                    ia.matrices_from_gaps(np.append(d1, g1), np.append(d2, g2),
+                                          d, np.append(sign, s),
+                                          np.append(angle, a))
+            assert str(stack.value) == str(one.value)
 
     def test_round_trip_bits_are_pinned(self):
         # the unrotated rows of calibrate_h0's grids (both fraction sets)

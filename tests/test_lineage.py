@@ -66,7 +66,7 @@ def _generation2_reference(eng):
     tot = dict.fromkeys(AREA_COLUMNS, 0.0)
     hist = np.zeros(8)
     areas = st.areas()
-    cache = lin.CoverCache(eng, [])
+    cache = lin.CoverCache(eng)
     for i in range(st.n):
         row = int(st.gid[i])
         plan = eng.plan(row)
@@ -142,11 +142,10 @@ def test_same_seed_same_rows():
 
 
 def _node_of(eng, i):
-    """Generation-1 cell i of the explicit state as a lineage node."""
+    """Generation-1 cell i of the explicit state as one lineage node."""
     st = eng.state
-    c, s = lin._frame_of(st.verts[i])
-    return lin.Node((st.verts[i] - c) / s, int(st.gid[i]), bool(st.iso[i]),
-                    ("cell", i), c, s, s)
+    at = slice(i, i + 1)
+    return lin.Nodes.of(st.verts[at], st.gid[at], st.iso[at], np.ones(1))
 
 
 def _emitted(eng, i, st=None):
@@ -178,13 +177,13 @@ def test_located_children_are_emitted_children(gen1, which):
     i = _cell(gen1, which)
     res = _emitted(gen1, i)
     node = _node_of(gen1, i)
-    cache = lin.CoverCache(gen1, [])
-    cover = cache.cover(node)
+    nodes = node.take(np.zeros(60, dtype=np.int64))
     rng = np.random.default_rng(0)
-    c, s = node.rel_c, node.rel_s
-    for _ in range(60):
-        y = lin.uniform_in(node.verts, rng)
-        child, yc = lin.locate(node, cover, y)
+    c, s = node.rel_c[0], node.rel_s[0]
+    ys = lin.uniform_in(nodes.verts, rng.random((60, 2)))
+    kids, ycs = lin.locate(*lin.CoverCache(gen1).groups(nodes), nodes, ys)
+    for p in range(60):
+        child, y, yc = kids.take(p), ys[p], ycs[p]
         verts = c + s * (child.rel_c + child.rel_s * child.verts)
         x = c + s * y
         inside = np.flatnonzero(lin._margins(res.verts, x) >= -1e-12 * s)
@@ -241,10 +240,8 @@ def test_cover_totals_match_emitted_cover(gen1, which):
     i = _cell(gen1, which)
     res = _emitted(gen1, i)
     node = _node_of(gen1, i)
-    cache = lin.CoverCache(gen1, [])
-    cover = cache.cover(node)
-    pd = cache.plan_data(node.gid)
-    s = node.rel_s
+    cover = lin.CoverCache(gen1).groups(node)[0][0]
+    s = node.rel_s[0]
     r = res.diam_scales
     assert math.isclose(cover.sum_r2 * s * s, float(np.sum(r * r)),
                         rel_tol=1e-9)
@@ -268,8 +265,7 @@ def test_cover_totals_match_emitted_cover(gen1, which):
     inner = float(np.sum(np.where(
         both, np.abs(ind[np.maximum(sw.left_owner, 0)]
                      - ind[np.maximum(sw.right_owner, 0)]), 0.0) * sw.dt))
-    assert math.isclose(lin.bv_inside(cover, pd) * s, inner, rel_tol=1e-6,
-                        abs_tol=1e-12)
+    assert math.isclose(cover.bv * s, inner, rel_tol=1e-6, abs_tol=1e-12)
 
 
 def _generic_geometries(eng):
@@ -281,8 +277,7 @@ def _generic_geometries(eng):
         if st.iso[i]:
             continue
         plan = eng.plan(int(st.gid[i]))
-        c, s = lin._frame_of(st.verts[i])
-        shape = np.round((st.verts[i] - c) / s, 9)
+        shape = np.round(_node_of(eng, i).verts[0], 9)
         cells.setdefault((id(plan), shape.tobytes()), i)
     return list(cells.values())
 
@@ -293,11 +288,11 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
     st = gen1.state
     cells = _generic_geometries(gen1)
     assert len(cells) >= 10
-    cache = lin.CoverCache(gen1, [])
+    cache = lin.CoverCache(gen1)
     for i in cells:
         plan = gen1.plan(int(st.gid[i]))
         node = _node_of(gen1, i)
-        cover = cache.cover(node)
+        cover = cache.groups(node)[0][0]
         res = cov.emit_spec([cov.generic_spec(st.verts[i], plan)], plan,
                             st.offs[i])
         r = res.diam_scales
@@ -306,7 +301,7 @@ def test_generic_totals_match_every_generation1_geometry(gen1):
                 float(r.max()) if r.size else 0.0]
         good = np.bincount(res.stages[res.good],
                            weights=res.areas()[res.good])
-        s = node.rel_s
+        s = node.rel_s[0]
         got = [cover.sum_r2 * s * s, cover.sum_r3 * s ** 3,
                cover.perimeter * s, cover.max_r * s]
         for name, g, want in zip(("r^2", "r^3", "perimeter", "max r"), got,

@@ -83,6 +83,20 @@ def test_sampled_rows_digest_is_pinned():
     assert digests.rows_digest(series.rows) == "946edd6fd729000c"
 
 
+def test_sampled_rows_on_thin_cells_are_pinned():
+    """At delta 8 thin cells lay squares so small that some of their
+    corner and end triangles have zero area, and a point's margin to such
+    a triangle is NaN; it must never win the located child.  The rows of
+    the stage-2 representative at delta 8 (100 lineages, 3 generations,
+    seed 0) reach such candidates and are the same bit for bit, pinned as
+    above."""
+    digests = _load("digests")
+    series = lin.sample_generations(en.unit_square_domain(),
+                                    ia.stage_representative(2, 8.0), 8.0,
+                                    n_samples=100, generations=3, seed=0)
+    assert digests.rows_digest(series.rows) == "0c1a3e6d2b7de1c7"
+
+
 def test_column_digests_name_the_moved_column():
     """Two row lists that differ in one column (here by one ulp) get
     different digests for that column and equal ones for the others."""
