@@ -38,6 +38,26 @@ of a full sweep in the run's frame.  Dirty lines are found through a
 kept cells: a line's bucket is the top bits of its hash, and a bucket
 shared by two lines only re-sweeps a clean one.
 
+Twin edges skip the sweep.  Two edges are twins when they have the same
+two endpoints, exactly, in opposite order: the interior edges of a
+placed diamond, whose pieces share their plan's unit vertices
+(cell.plan_twins), and RefinePlan.place computes every vertex as
+r * u + c, so the bits as well.  The engine pairs them on the laid cells
+(pair_twins, which checks the endpoints) and carries the pairs of the
+kept cells (carry_twins).  A twin is one interval, interior, owned by
+its two cells, so sweep_totals leaves it out of the edge table and
+evaluates its terms directly, with the same term functions: per cell,
+over the pairs it owns (LineTotals.twin_terms).  A kept cell's twin
+terms are carried while its twins are; a kept edge whose twin's cell is
+covered enters the lines (its hash is computed then, and its bucket is
+dirty) and its cell's twin terms are evaluated again.  The line totals
+cover the intervals of the edges with no twin, and a row value combines
+a line column with its twin column (LineTotals.value); the twin terms
+use the edge's own length and vertices, so the BV and continuity values
+differ from the full sweep's by ulps.  The sweep's work in a step scales
+with the new edges that are not twins (28% of the child edges of the
+benchmark's big_run on its input 3) and the twins that dissolve.
+
 The engine's checks are split into a per-interval term and a reduction.
 jump_terms (phase jump x length), grad_jump_terms (Frobenius norm of the
 gradient jump x length), continuity_terms (affine mismatch at both
@@ -47,9 +67,9 @@ one entry per interval.  bv_seminorm_cells, bv_seminorm and the stray of
 boundary_trace_residual sum them per line, then over the lines in key
 order; continuity_residual and the trace are their max.  sweep_totals
 reduces the same terms of the cells' fields (CellFields) per line with
-np.add.reduceat and np.maximum.reduceat, so a row value, the np.sum or
-max of a totals column, has the bits of the public function on the
-state's full sweep.
+np.add.reduceat and np.maximum.reduceat, so the np.sum or max of a line
+column has the bits of the public function on the full sweep of the
+state's edges with no twin.  A twin adds no trace or stray term.
 
 Rows of an array with more than one column (points, line keys,
 gradients) are gathered with np.take(a, idx, axis=0) and selected with
@@ -73,6 +93,10 @@ same side of the same edge interval), the failure mode of misplaced
 refinement children.  Off the axes it also fires on conforming meshes:
 two collinear edges that meet at a vertex take its t from their own
 normals, which can differ by more than the sliver cut (ROADMAP item 18).
+A twin is not in the sweep, so it is covered by its two cells only: a
+foreign edge collinear with a twin and overlapping it reads as a
+one-sided interval off the domain boundary, that is stray length, where
+the full sweep would read a doubly covered side.
 A cell strictly inside another shares no edge line and is invisible to
 the sweep; total-area conservation is the guard for that case and is
 checked by the engine on every step.
@@ -89,6 +113,7 @@ from . import covering
 from .errors import InvalidParameterError, UndefinedDimensionError
 
 LINE_QUANTUM = 1e-9
+SLIVER = 1e-12           # shortest interval kept, in units of the frame diameter
 SWEEP_CHUNK = 1 << 16    # edges per piece of the edge table and the sweep
 BOX_POINTS = 1 << 18     # sample points per run of box_dimension
 
@@ -208,7 +233,7 @@ def _sweep(edges, rows: np.ndarray, line: np.ndarray, verts: np.ndarray,
     # event t values that should tie differ by float noise ~1e-16, which
     # makes sliver subintervals with transiently wrong coverage counts;
     # they carry no measure and are dropped
-    keep = dt > 1e-12
+    keep = dt > SLIVER
     nl, nr = nl[:-1][keep], nr[:-1][keep]
     eL = np.where(nl == 1, el[:-1][keep] - 1, -1)
     eR = np.where(nr == 1, er[:-1][keep] - 1, -1)
@@ -293,6 +318,9 @@ TERM_REDUCTIONS = {"bv_chi": np.add, "bv_grad": np.add,
                    "continuity": np.maximum, "trace": np.maximum,
                    "stray": np.add}
 TERM_COLUMNS = tuple(TERM_REDUCTIONS)
+# the term columns a twin pair adds to: a twin is interior, so it has no
+# trace or stray term
+TWIN_COLUMNS = TERM_COLUMNS[:3]
 
 
 def _term_names(cells: CellFields) -> tuple:
@@ -378,21 +406,32 @@ class SweepAccumulator(_Overlap):
 
 @dataclass
 class LineTotals(_Overlap):
-    """The engine's checks per line of a state's sweep: line (the keys of
-    the lines with an interval, ascending), overlap (a doubly covered
-    interval on the line), bv_chi and bv_grad (sums of jump_terms of the
-    phase indicator and of grad_jump_terms), and with offsets continuity
-    and trace (maxima of continuity_terms and of the trace terms of
-    trace_terms) and stray (sums of its stray lengths).  A row value is the
-    np.sum, max or any of a column.  The next state's sweep_totals carries
-    the clean lines through edge_hash (_line_hash of every cell's three
-    edges, (n,3) uint32, 0 for a zero-length edge) and frame (the run's
-    normalizing (center, diam), which every line key is taken in)."""
+    """The engine's checks of a state: per line of its sweep of the edges
+    with no twin, and per cell of its twins.
+
+    Per line: line (the keys of the lines with an interval, ascending),
+    overlap (a doubly covered interval on the line), bv_chi and bv_grad
+    (sums of jump_terms of the phase indicator and of grad_jump_terms), and
+    with offsets continuity and trace (maxima of continuity_terms and of
+    the trace terms of trace_terms) and stray (sums of its stray lengths).
+    Per cell: twins, the twin of each of its edges (the flat edge id 3c + j
+    of edge j of cell c, as in _edge_ends; -1 for none; (n,3) int32), and
+    twin_terms, the TWIN_COLUMNS it asks for, each reduced over the twin
+    pairs the cell owns (those whose other edge has the larger id; (n,2)
+    or (n,3)).  A row value (value) is the np.sum, max or any of a column,
+    combined with that of its twin column.  The next state's sweep_totals
+    carries the clean lines through edge_hash (_line_hash of every cell's
+    three edges, (n,3) uint32; 0 for a zero-length edge and for a twin)
+    and frame (the run's normalizing (center, diam), which every line key
+    is taken in), and the twin terms of the kept cells whose twins are
+    kept through twins."""
     line: np.ndarray
     overlap: np.ndarray
     bv_chi: np.ndarray
     bv_grad: np.ndarray
     edge_hash: np.ndarray
+    twins: np.ndarray
+    twin_terms: np.ndarray
     frame: tuple
     continuity: Optional[np.ndarray] = None
     trace: Optional[np.ndarray] = None
@@ -400,43 +439,142 @@ class LineTotals(_Overlap):
 
     @classmethod
     def empty(cls, frame) -> "LineTotals":
-        """No line, every column, in frame: a run's first state's."""
+        """No line and no cell, every column, in frame: a run's first
+        state's."""
         z = np.empty(0)
         return cls(np.empty((0, 3), np.int32), z.astype(bool), z, z,
-                   np.empty((0, 3), np.uint32), frame, z, z, z)
+                   np.empty((0, 3), np.uint32), np.empty((0, 3), np.int32),
+                   np.empty((0, len(TWIN_COLUMNS))), frame, z, z, z)
+
+    def value(self, name: str) -> float:
+        """The row value of the term column name: the np.sum (or max) of
+        its line column, plus (or the max with) that of its twin column."""
+        cols = [getattr(self, name)]
+        if name in TWIN_COLUMNS:
+            cols.append(self.twin_terms[:, TWIN_COLUMNS.index(name)])
+        if TERM_REDUCTIONS[name] is np.add:
+            return sum(float(np.sum(c)) for c in cols)
+        return max(float(c.max(initial=0.0)) for c in cols)
+
+
+def carry_twins(twins: np.ndarray, prev_index: np.ndarray, n_kept: int,
+                n: int) -> np.ndarray:
+    """The twins (LineTotals.twins) of a state of n cells whose first
+    n_kept are the cells prev_index[:n_kept] of a state with twins twins:
+    a kept edge keeps its twin, at the twin's new id, while the twin's
+    cell is kept too, and has none (-1) once it is not; the new cells'
+    edges have none until pair_twins pairs them.  The kept cells are
+    carried SWEEP_CHUNK at a time, so the temporaries stay that small."""
+    kept = prev_index[:n_kept]
+    at = np.full(twins.shape[0], -1, dtype=np.int32)
+    at[kept] = np.arange(n_kept, dtype=np.int32)
+    out = np.full((n, 3), -1, dtype=np.int32)
+    for i in range(0, n_kept, SWEEP_CHUNK):
+        t = np.take(twins, kept[i:i + SWEEP_CHUNK], axis=0)
+        cell = at[t // 3]           # t = -1 reads some cell; masked below
+        out[i:i + t.shape[0]] = np.where((t >= 0) & (cell >= 0),
+                                         3 * cell + t % 3, -1)
+    return out
+
+
+def pair_twins(twins: np.ndarray, verts: np.ndarray, first: np.ndarray,
+               table: np.ndarray) -> None:
+    """Pair the twins of the table (rows i, j, k, l: edge j of cell i and
+    edge l of cell k, as cell.plan_twins gives them) in each group of cells
+    of verts that starts at a cell of first, in place in twins: the two
+    edges become twins of each other where they have the same two
+    endpoints, exactly, in opposite order; a pair whose endpoints differ is
+    left as it was.  About SWEEP_CHUNK pairs at a time, so the temporaries
+    stay that small."""
+    flat = twins.reshape(-1)
+    step = max(SWEEP_CHUNK // max(table.shape[0], 1), 1)
+    for s in range(0, first.shape[0], step):
+        at = 3 * first[s:s + step, None]
+        e = (at + 3 * table[:, 0] + table[:, 1]).reshape(-1)
+        f = (at + 3 * table[:, 2] + table[:, 3]).reshape(-1)
+        e0, e1 = _edge_ends(verts, e)
+        f0, f1 = _edge_ends(verts, f)
+        same = ((e0 == f1) & (e1 == f0)).all(axis=1)
+        e, f = e[same], f[same]
+        flat[e], flat[f] = f, e
+
+
+def _twin_terms(verts: np.ndarray, twins: np.ndarray, cells: CellFields,
+                diam: float, rows: np.ndarray) -> np.ndarray:
+    """The twin terms (LineTotals.twin_terms) of the cells rows of verts,
+    SWEEP_CHUNK cells at a time.  A twin pair is the one interval its two
+    edges make, so its terms are those of the sweep's intervals, with the
+    two cells as owners, the two shared vertices as endpoints and the edge
+    length as dt; a twin shorter than SLIVER diam adds nothing, as the
+    sweep drops such an interval."""
+    names = _term_names(cells)[:3]
+    out = np.empty((rows.shape[0], len(names)))
+    for i in range(0, rows.shape[0], SWEEP_CHUNK):
+        r = rows[i:i + SWEEP_CHUNK]
+        e = 3 * r[:, None] + np.arange(3)
+        f = np.take(twins, r, axis=0)
+        own = np.flatnonzero(f > e)
+        e, f = e.reshape(-1)[own], f.reshape(-1)[own]
+        p0, p1 = _edge_ends(verts, e)
+        dt = np.linalg.norm(p1 - p0, axis=1)
+        dt[dt <= SLIVER * diam] = 0.0
+        a, b = e // 3, f // 3
+        terms = [jump_terms(cells.chi, a, b, dt, gid=cells.gid),
+                 grad_jump_terms(cells.grads, a, b, dt, gid=cells.gid)]
+        if len(names) == 3:
+            terms.append(np.where(dt > 0, continuity_terms(
+                cells.grads, cells.offs, a, b, p0, p1, gid=cells.gid), 0.0))
+        for c, (name, t) in enumerate(zip(names, terms)):
+            slots = np.zeros(3 * r.shape[0])
+            slots[own] = t
+            out[i:i + r.shape[0], c] = TERM_REDUCTIONS[name].reduce(
+                slots.reshape(-1, 3), axis=1)
+    return out
 
 
 def _dirty_lines(verts: np.ndarray, old: LineTotals, prev_index: np.ndarray,
-                 n_kept: int):
+                 n_kept: int, twins: np.ndarray):
     """What a refinement step changed, for sweep_totals: (edge_hash of
     verts, the edge table in old's frame of every edge on a dirty line, the
-    clean lines of old as a mask over old.line).  A kept edge's hash is
-    carried, not computed again; only the new edges' keys are hashed, a
-    chunk at a time.  The chunks of the re-swept kept edges and of the new
-    ones are joined once."""
+    clean lines of old as a mask over old.line, and the kept edges whose
+    twin was not kept, as a mask over the flat ids of the kept cells).
+
+    Only the edges with no twin (in twins) are on lines.  A kept edge's
+    hash is carried, not computed again; only the keys of the edges that
+    enter the lines are hashed, a chunk at a time: the new cells' edges
+    with no twin, and the kept edges whose twin was not kept.  A twin's
+    hash stays 0 until then.  The chunks of the re-swept kept edges and of
+    the entering ones are joined once."""
     n = verts.shape[0]
     kept = prev_index[:n_kept]
     edge_hash = np.zeros((n, 3), dtype=np.uint32)
     edge_hash[:n_kept] = np.take(old.edge_hash, kept, axis=0)
     flat = edge_hash.reshape(-1)
+    lone = twins.reshape(-1) < 0
+    gone = lone[:3 * n_kept] & (
+        np.take(old.twins, kept, axis=0).reshape(-1) >= 0)
     bits = min((3 * n).bit_length() + 2, 32)     # 4 to 8 buckets per edge
     dirty = np.zeros(1 << bits, dtype=bool)
-    new = _edge_chunks(verts, old.frame, np.arange(3 * n_kept, 3 * n))
-    for part in new:
+    enter = _edge_chunks(verts, old.frame, np.concatenate([
+        np.flatnonzero(gone), 3 * n_kept + np.flatnonzero(lone[3 * n_kept:])]))
+    for part in enter:
         new_hash = _line_hash(part[1])
         flat[part[0]] = new_hash
         dirty[_buckets(new_hash, bits)] = True
     # a parent edge and its children's edges need not share a key, so the
-    # lines of both are dirty
+    # lines of both are dirty; a covered twin was on no line
     covered = np.ones(old.edge_hash.shape[0], dtype=bool)
     covered[kept] = False
-    dirty[_buckets(np.compress(covered, old.edge_hash, axis=0).reshape(-1),
-                   bits)] = True
+    on_line = np.compress(covered, old.twins, axis=0).reshape(-1) < 0
+    dirty[_buckets(np.compress(covered, old.edge_hash, axis=0).reshape(-1)[
+        on_line], bits)] = True
     # kept edges on dirty lines; a zero-length one (hash 0) is dropped by
     # the edge table
-    redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)])
-    edges = _join(_edge_chunks(verts, old.frame, redo) + new)
-    return edge_hash, edges, ~dirty[_buckets(_line_hash(old.line), bits)]
+    redo = np.flatnonzero(dirty[_buckets(flat[:3 * n_kept], bits)]
+                          & lone[:3 * n_kept] & ~gone)
+    edges = _join(_edge_chunks(verts, old.frame, redo) + enter)
+    return (edge_hash, edges, ~dirty[_buckets(_line_hash(old.line), bits)],
+            gone)
 
 
 def _merge_lines(old: LineTotals, clean: np.ndarray, names: tuple,
@@ -460,22 +598,28 @@ def sweep_intervals(verts: np.ndarray, frame=None) -> SweepAccumulator:
     return SweepAccumulator(*_sweep_lines(edges, verts, frame), frame=frame)
 
 
-def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
-    """The LineTotals of the fields cells over the sweep of verts.
+def sweep_totals(verts: np.ndarray, prev, cells: CellFields,
+                 twins: Optional[np.ndarray] = None) -> LineTotals:
+    """The LineTotals of the fields cells over verts, whose edges pair up
+    as twins (LineTotals.twins; None: no edge has a twin).
 
     prev = (totals, prev_index, n_kept) carries the totals of the previous
     state when verts are its cells prev_index[:n_kept], kept bit for bit,
     followed by new cells in their union (a refinement step: the state's
     prev_index); prev None, a run's first state, carries LineTotals.empty
     in the frame of verts.  The line keys are taken in the carried frame.
-    Only the dirty lines, which carry an edge of a new cell or of a
-    previous cell not kept, are swept again, each piece reduced per line as
-    soon as it is swept; a clean line keeps its edges and so its totals,
-    and one sort by key interleaves the two sets.  A line's owners and
-    overlap depend on its own edges only (see _sweep), so the result equals
-    the per-line reduction of sweep_intervals(verts, frame) element for
-    element.  Carried totals that lack a column cells asks for raise
-    InvalidParameterError.
+
+    The lines hold the edges with no twin.  Only the dirty lines, which
+    carry an edge of a new cell, of a previous cell not kept or of a kept
+    cell whose twin was not kept, are swept again, each piece reduced per
+    line as soon as it is swept; a clean line keeps its edges and so its
+    totals, and one sort by key interleaves the two sets.  A line's owners
+    and overlap depend on its own edges only (see _sweep), so the result
+    equals the per-line reduction of the sweep in the carried frame of the
+    edges with no twin, element for element.  The twin terms are carried
+    for the kept cells whose twins are all kept, and evaluated for the
+    others and the new cells (_twin_terms).  Carried totals that lack a
+    column cells asks for raise InvalidParameterError.
     """
     names = ("line", "overlap") + _term_names(cells)
     old, prev_index, n_kept = (prev if prev is not None else (
@@ -483,14 +627,24 @@ def sweep_totals(verts: np.ndarray, prev, cells: CellFields) -> LineTotals:
     if any(getattr(old, name) is None for name in names):
         raise InvalidParameterError("the carried line totals lack a column "
                                     "the cells ask for")
+    n, k = verts.shape[0], len(_term_names(cells)[:3])
+    if twins is None:
+        twins = np.full((n, 3), -1, dtype=np.int32)
     diam = old.frame[1]
-    edge_hash, edges, clean = _dirty_lines(verts, old, prev_index, n_kept)
+    edge_hash, edges, clean, gone = _dirty_lines(verts, old, prev_index,
+                                                 n_kept, twins)
     cols = _sweep_lines(edges, verts, old.frame,
                         lambda f: _line_totals(f, cells, diam))
     del edges
     cols = _merge_lines(old, clean, names, cols)
+    twin_terms = np.empty((n, k))
+    twin_terms[:n_kept] = np.take(old.twin_terms[:, :k], prev_index[:n_kept],
+                                  axis=0)
+    redo = np.concatenate([np.flatnonzero(gone.reshape(-1, 3).any(axis=1)),
+                           np.arange(n_kept, n)])
+    twin_terms[redo] = _twin_terms(verts, twins, cells, diam, redo)
     return LineTotals(**dict(zip(names, cols)), edge_hash=edge_hash,
-                      frame=old.frame)
+                      twins=twins, twin_terms=twin_terms, frame=old.frame)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ RefinePlan.place lays it at any center and scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 from typing import Optional
 
@@ -279,7 +280,9 @@ class RefinePlan:
     Placement-independent: physical gradients depend only on (M, rule),
     vertices and offsets are affine in the diamond (center, scale), and
     place lays them.  unit_verts live on the unit diamond (center 0,
-    scale 1).
+    scale 1).  twins (plan_twins) lists the interior edges the pieces
+    share; place computes every vertex coordinate as r * u + c, so two
+    pieces that share a unit vertex share its placed bits too.
     """
     M: np.ndarray
     stage: int
@@ -301,6 +304,13 @@ class RefinePlan:
     wsup_unit: float
     w_l1_unit: float
     perim_unit: float
+
+    @functools.cached_property
+    def twins(self) -> np.ndarray:
+        """(T,4) piece i, edge j, piece k, edge l: plan_twins of unit_verts,
+        built once, on first use; of the engine's runs only one that
+        sweeps reads it."""
+        return plan_twins(self.unit_verts)
 
     @property
     def n_pieces(self) -> int:
@@ -376,6 +386,28 @@ def _plan_from_split(M: np.ndarray, stage: int, sr: mg.SplitResult, h: float,
     return RefinePlan(M, stage, h, S, unit_verts, grads, t.offs[0] @ MS.T,
                       stages, phases, areas, parent_phase, flip_area,
                       grad_l1, wsup, w_l1, perim)
+
+
+def plan_twins(unit_verts: np.ndarray) -> np.ndarray:
+    """The twins of the pieces unit_verts (n,3,2): rows (i, j, k, l), i < k,
+    where edge j of piece i (from its vertex j to vertex j + 1 mod 3) and
+    edge l of piece k have the same two endpoints, exactly, in opposite
+    order, and the sweep of the pieces shows that edge as exactly one
+    interval, owned by i and k.  A pair of equal edges the sweep does not
+    show so (a third piece on it, or a line key split) is no twin."""
+    from . import analysis as an
+    start = unit_verts.reshape(-1, 2)
+    end = np.roll(unit_verts, -1, axis=1).reshape(-1, 2)
+    same = ((start[:, None] == end[None]).all(axis=2)
+            & (end[:, None] == start[None]).all(axis=2))
+    e, f = np.nonzero(np.triu(same, 1))
+    sw = an.sweep_intervals(unit_verts)
+    lo, ro = sw.left_owner, sw.right_owner
+    n = unit_verts.shape[0]
+    pair = np.minimum(lo, ro) * n + np.maximum(lo, ro)
+    once = np.bincount(pair[(lo >= 0) & (ro >= 0)], minlength=n * n) == 1
+    keep = once[(e // 3) * n + f // 3]
+    return np.stack([e // 3, e % 3, f // 3, f % 3], axis=1)[keep]
 
 
 def _aspects():

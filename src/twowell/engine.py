@@ -20,8 +20,10 @@ precomputed on the unit diamond, added once per batch of covers, and the
 BV, continuity and trace numbers come from one edge sweep per state,
 reduced per line as it goes (analysis.sweep_totals).  That sweep
 re-sweeps only the lines a step changed and keeps the previous state's
-totals of the others; a row value is a sum or a max over the per-line
-totals.
+totals of the others.  The interior edges of every placed diamond are
+twins, pairs of edges with the same endpoints bit for bit; they skip the
+sweep and are checked pair by pair, per cell.  A row value is a sum or a
+max over the per-line totals and the per-cell twin terms.
 The per-cell areas and perimeters are carried the same way: a kept cell
 takes its values through prev_index, and only the children are measured.
 Everything is deterministic; there is no randomness anywhere in the
@@ -338,6 +340,7 @@ class Engine:
             parents=np.concatenate([st.parents[kept], st.ids[src[n_kept:]]]),
             prev_index=src)
         first = n_kept + np.cumsum(counts) - counts
+        diamonds = []      # per batch: its diamonds' first pieces, its plan
         l1_chi = l1_grad = wsup = wl1 = 0.0
         for (row, iso), (plan, pos, covers) in batches.items():
             cells = taken_idx[pos]
@@ -353,6 +356,8 @@ class Engine:
                 getattr(new, c)[at] = getattr(res, c)
             # piece -1 (a leftover) picks the last row, the parent's
             new.gid[at] = self.piece_rows[row][res.piece]
+            if self._totals is not None:         # a swept run pairs twins
+                diamonds.append((at[res.piece == 0], plan))
             # the batch's diamonds, scaled from the unit diamond's terms
             r = res.diam_scales
             r2 = float(np.sum(r ** 2))
@@ -369,7 +374,7 @@ class Engine:
         self._next_id += src.shape[0] - n_kept
         self.state = new
         refined_area = float(areas[taken_idx].sum()) if len(taken) else 0.0
-        return l1_chi, l1_grad, wsup, wl1, refined_area
+        return l1_chi, l1_grad, wsup, wl1, refined_area, diamonds
 
     def _target(self, k: int) -> float:
         cfg = self.config
@@ -379,11 +384,19 @@ class Engine:
 
     # -- metrics and certification ----------------------------------------
 
-    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area):
+    def _record(self, l1_chi, l1_grad, wsup, wl1, refined_area,
+                diamonds=()):
         """Append the state's metric row and run its checks.  Its n_kept
         kept cells take their areas, perimeters and line totals over from
         the state recorded last (row 0 keeps none) through prev_index; only
-        its children are measured."""
+        its children are measured.  diamonds holds, per batch of the step's
+        covers, the position of the first piece of each placed diamond (a
+        diamond's pieces are its plan's P pieces in plan order) and the
+        plan.  The checks take the state's twin edges (analysis.LineTotals.
+        twins) from the twin terms and not from the line sweep: the kept
+        cells' twins whose cell is kept, and the twins of the plans
+        (cell.plan_twins) of the placed diamonds whose endpoints are
+        exactly equal on the laid cells."""
         cfg = self.config
         st = self.state
         n_kept = st.n_kept
@@ -415,8 +428,13 @@ class Engine:
         }
         checks = cfg.checks
         if cfg.track_bv or checks == "full":
-            prev = (None if self._totals is None
-                    else (self._totals, st.prev_index, n_kept))
+            prev = twins = None
+            if self._totals is not None:
+                prev = (self._totals, st.prev_index, n_kept)
+                twins = an.carry_twins(self._totals.twins, st.prev_index,
+                                       n_kept, st.n)
+                for first, plan in diamonds:
+                    an.pair_twins(twins, st.verts, first, plan.twins)
             # hold the previous state's totals no longer than needed
             self._totals = None
             t = st.table
@@ -424,10 +442,11 @@ class Engine:
                 if checks == "full" else ()
             cells = an.CellFields(t.grads, st.gid,
                                   (t.phases == 1).astype(float), *full)
-            tot = self._totals = an.sweep_totals(st.verts, prev, cells)
+            tot = self._totals = an.sweep_totals(st.verts, prev, cells,
+                                                 twins)
             del prev
-            row["bv_chi"] = float(np.sum(tot.bv_chi))
-            row["bv_grad"] = float(np.sum(tot.bv_grad))
+            row["bv_chi"] = tot.value("bv_chi")
+            row["bv_grad"] = tot.value("bv_grad")
         if row["partition_err"] > PARTITION_TOL * self.domain_area:
             raise ConstructionFailureError(
                 f"partition error {row['partition_err']:.3e} at step {st.k}")
@@ -435,9 +454,9 @@ class Engine:
             if tot.overlap_error:
                 raise ConstructionFailureError(f"overlapping cells at step "
                                                f"{st.k}")
-            row["continuity_err"] = float(tot.continuity.max(initial=0.0))
-            row["trace_err"] = float(tot.trace.max(initial=0.0))
-            row["stray_boundary_len"] = float(np.sum(tot.stray))
+            row["continuity_err"] = tot.value("continuity")
+            row["trace_err"] = tot.value("trace")
+            row["stray_boundary_len"] = tot.value("stray")
             if row["continuity_err"] > CONTINUITY_TOL:
                 raise ConstructionFailureError(
                     f"continuity residual {row['continuity_err']:.3e} at "

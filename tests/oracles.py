@@ -107,16 +107,21 @@ def rank_one_factors(D: np.ndarray):
     return float(rho0[0]), a[0], n[0]
 
 
-def line_totals(sw: an.SweepAccumulator, cells: an.CellFields) -> dict:
-    """{column: array} of the LineTotals of cells over the full interval
-    sweep sw, and its frame under "frame": the line keys of its runs of
-    intervals, whether a run holds a doubly covered interval, and each
-    public term function over sw, reduced over each run with
-    np.add.reduceat, or np.maximum.reduceat for continuity and trace."""
+def twin_intervals(sw: an.SweepAccumulator, twins: np.ndarray) -> np.ndarray:
+    """Mask of the intervals of sw whose two owners are the cells of a
+    twin pair of twins (LineTotals.twins of the swept cells)."""
+    n = twins.shape[0]
+    e = np.flatnonzero(twins.reshape(-1) >= 0)
+    a, b = e // 3, twins.reshape(-1)[e] // 3
+    lo, ro = sw.left_owner, sw.right_owner
+    return (lo >= 0) & (ro >= 0) & np.isin(
+        np.minimum(lo, ro) * n + np.maximum(lo, ro),
+        np.minimum(a, b) * n + np.maximum(a, b))
+
+
+def _interval_terms(sw: an.SweepAccumulator, cells: an.CellFields) -> dict:
+    """Each public term function of cells over the intervals of sw."""
     lo, ro, dt = sw.left_owner, sw.right_owner, sw.dt
-    head = np.ones(dt.shape[0], dtype=bool)
-    head[1:] = (sw.line[1:] != sw.line[:-1]).any(axis=1)
-    starts = np.flatnonzero(head)
     terms = {"bv_chi": an.jump_terms(cells.chi, lo, ro, dt, gid=cells.gid),
              "bv_grad": an.grad_jump_terms(cells.grads, lo, ro, dt,
                                            gid=cells.gid)}
@@ -127,8 +132,51 @@ def line_totals(sw: an.SweepAccumulator, cells: an.CellFields) -> dict:
         terms["trace"], terms["stray"] = an.trace_terms(
             cells.grads, cells.offs, cells.M, cells.hull_segments, lo, ro,
             sw.point_lo, sw.point_hi, dt, sw.frame[1], gid=cells.gid)
+    return terms
+
+
+def line_totals(sw: an.SweepAccumulator, cells: an.CellFields,
+                twins=None) -> dict:
+    """{column: array} of the LineTotals of cells over the full interval
+    sweep sw, and its frame under "frame": the line keys of its runs of
+    intervals, whether a run holds a doubly covered interval, and each
+    public term function over sw, reduced over each run with
+    np.add.reduceat, or np.maximum.reduceat for continuity and trace.
+    With twins (LineTotals.twins of the swept cells) the twin intervals
+    (twin_intervals) are left out, and so is a line left with no interval
+    that has an owner or an overlap."""
+    head = np.ones(sw.dt.shape[0], dtype=bool)
+    head[1:] = (sw.line[1:] != sw.line[:-1]).any(axis=1)
+    line = np.cumsum(head) - 1
+    keep = np.ones(sw.dt.shape[0], dtype=bool)
+    if twins is not None:
+        keep = ~twin_intervals(sw, twins)
+        held = keep & ((sw.left_owner >= 0) | (sw.right_owner >= 0)
+                       | sw.overlap)
+        keep &= np.isin(line, line[held])
+    line = line[keep]
+    starts = np.flatnonzero(np.diff(line, prepend=-1) != 0)
+    terms = _interval_terms(sw, cells)
     add = ("bv_chi", "bv_grad", "stray")
-    return {"frame": sw.frame, "line": np.take(sw.line, starts, axis=0),
-            "overlap": np.logical_or.reduceat(sw.overlap, starts),
+    return {"frame": sw.frame,
+            "line": np.take(sw.line[keep], starts, axis=0),
+            "overlap": np.logical_or.reduceat(sw.overlap[keep], starts),
             **{name: (np.add if name in add else np.maximum).reduceat(
-                t, starts) for name, t in terms.items()}}
+                t[keep], starts) for name, t in terms.items()}}
+
+
+def twin_totals(sw: an.SweepAccumulator, cells: an.CellFields,
+                twins: np.ndarray) -> np.ndarray:
+    """(n, k): the LineTotals.twin_terms of cells as the full interval sweep
+    sw gives them: the twin intervals' bv_chi, bv_grad and (with offsets)
+    continuity terms, each reduced over the pairs of a cell that owns them
+    (the lower cell of the two)."""
+    mask = twin_intervals(sw, twins)
+    owner = np.minimum(sw.left_owner, sw.right_owner)[mask]
+    terms = _interval_terms(sw, cells)
+    names = [name for name in an.TWIN_COLUMNS if name in terms]
+    out = np.zeros((twins.shape[0], len(names)))
+    for c, name in enumerate(names):
+        reduce = np.add if name != "continuity" else np.maximum
+        reduce.at(out[:, c], owner, terms[name][mask])
+    return out

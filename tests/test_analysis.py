@@ -13,7 +13,7 @@ from twowell import engine as en
 from twowell import inapprox as ia
 from twowell.errors import (InvalidParameterError, UndefinedDimensionError)
 
-from oracles import line_totals
+from oracles import line_totals, twin_totals
 from raster_oracle import raster_bv, raster_l1, rasterize_cells
 
 DELTA = 0.5
@@ -413,6 +413,48 @@ class TestIncrementalSweep:
         assert_same_totals(tot, line_totals(an.sweep_intervals(new),
                                             terms(cells, asks)))
 
+    def test_twins_stay_off_the_lines(self, assert_same_totals, swept):
+        # every stripe's diagonal is a twin pair: the lines hold the other
+        # edges only, and a diagonal's terms are its lower cell's twin
+        # terms; a step that covers cell 8 hands its twin, cell 9's
+        # diagonal, to the sweep, and carries the other pairs
+        verts, _ = stripe_mesh(9)
+        twins = np.full((18, 3), -1, dtype=np.int32)
+        an.pair_twins(twins, verts, np.arange(0, 18, 2),
+                      np.array([[0, 2, 1, 0]]))
+        assert twins[::2, 2].tolist() == list(range(3, 54, 6))
+        a, b, c = verts[8]
+        m = (a + b + c) / 3.0
+        kept = [i for i in range(18) if i != 8]
+        new, prev_index, before, cells = self.fields(
+            verts, kept, {8: [[a, b, m], [b, c, m], [c, a, m]]})
+        old = an.sweep_totals(verts, None, before, twins)
+        assert swept[-1] == 3 * 18 - 18
+        sw = an.sweep_intervals(verts)
+        assert_same_totals(old, line_totals(sw, before, twins))
+        np.testing.assert_allclose(old.twin_terms,
+                                   twin_totals(sw, before, twins),
+                                   rtol=1e-12, atol=0.0)
+        step = an.carry_twins(twins, prev_index, len(kept), new.shape[0])
+        # cell 9 is kept at row 8 without its twin, the other pairs with
+        # theirs at their new rows
+        row = {cell: i for i, cell in enumerate(kept)}
+        assert step[row[9]].tolist() == [-1, -1, -1]
+        for i in range(0, 18, 2):
+            if i != 8:
+                assert step[row[i], 2] == 3 * row[i + 1], i
+        assert np.count_nonzero(step >= 0) == 16
+        tot = an.sweep_totals(new, (old, prev_index, len(kept)), cells, step)
+        assert 9 <= swept[-1] < 3 * 20 - 16
+        assert tot.edge_hash[row[9], 0] != 0 and tot.edge_hash[0, 2] == 0
+        sw = an.sweep_intervals(new)
+        assert_same_totals(tot, line_totals(sw, cells, step))
+        np.testing.assert_allclose(tot.twin_terms,
+                                   twin_totals(sw, cells, step),
+                                   rtol=1e-12, atol=0.0)
+        assert tot.value("bv_chi") == pytest.approx(an.bv_seminorm_cells(
+            new, cells.chi[cells.gid], sweep=sw), rel=1e-12)
+
     def test_overlap_is_carried_per_line(self, assert_same_totals, swept):
         # a child laid on top of a kept cell's edge: the carried totals
         # flag the overlap on that line only and equal the full sweep's;
@@ -492,7 +534,8 @@ class TestChunkedSweep:
         else:
             monkeypatch.setattr(an, "_buckets", lambda h, bits: (
                 h >> np.uint32(40 - bits)).astype(np.intp))
-        clean = an._dirty_lines(new, old, *prev)[2]
+        no_twins = np.full((new.shape[0], 3), -1, dtype=np.int32)
+        clean = an._dirty_lines(new, old, *prev, no_twins)[2]
         assert clean.any() == (bucket == "coarse")
         assert_same_totals(an.sweep_totals(new, (old, *prev), step), want)
 

@@ -393,6 +393,84 @@ class TestPlans:
             M = p.grads[np.argmax(p.areas_unit)]
 
 
+PLAN_NAMES = [f"stage {k}" for k in range(2, 17)] + [
+    f"cli input {seed}" for seed in range(10)]
+
+
+@pytest.fixture(scope="module")
+def engine_plans():
+    """The plans the engine builds on the benchmark's inputs, by name
+    (PLAN_NAMES): the dyadic plans of the stage representatives 2..16 at
+    the engine's calibrated h0, and the low-stage plans of the ten
+    cli_pipeline boundary data (the plans tools/digests.py pins), at
+    delta 0.5."""
+    import importlib.util
+    import os
+    from twowell import cli
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    h0 = cl.calibrate_h0(wl.DELTA, fracs=cl.CORRIDOR)
+    plans = {f"stage {k}": cl.replace_dyadic_stage(
+        ia.stage_representative(k, wl.DELTA), wl.DELTA, h0)
+        for k in range(2, 17)}
+    for seed in range(wl.N_INPUTS):
+        M = cli.parse_boundary(wl.make_input("cli_pipeline", seed), wl.DELTA)
+        plans[f"cli input {seed}"] = cl.replace_low_stage(M, wl.DELTA)
+    assert list(plans) == PLAN_NAMES
+    return plans
+
+
+def shared_edge(u, i, k):
+    """(j, l): the edges of pieces i and k of the pieces u with the same two
+    endpoints, bit for bit, in opposite order; None if they share none."""
+    for j, l in itertools.product(range(3), range(3)):
+        if (u[i, j].tobytes() == u[k, (l + 1) % 3].tobytes()
+                and u[i, (j + 1) % 3].tobytes() == u[k, l].tobytes()):
+            return j, l
+    return None
+
+
+class TestPlanTwins:
+    """A plan's twins are the interior edges its pieces share exactly."""
+
+    @pytest.mark.parametrize("name", PLAN_NAMES)
+    def test_twins_are_the_shared_intervals(self, name, engine_plans):
+        # the two-owner intervals of the unit sweep whose owners share
+        # both endpoints bit for bit, one row per pair; no edge has two
+        u = engine_plans[name].unit_verts
+        sw = an.sweep_intervals(u)
+        want = set()
+        for lo, ro in zip(sw.left_owner, sw.right_owner):
+            i, k = sorted((int(lo), int(ro)))
+            edge = shared_edge(u, i, k) if i >= 0 else None
+            if edge is not None:
+                want.add((i, edge[0], k, edge[1]))
+        twins = engine_plans[name].twins
+        assert {tuple(map(int, row)) for row in twins} == want
+        assert len(want) == twins.shape[0] > 0
+        edges = [(i, j) for i, j, _, _ in twins] + [
+            (k, l) for _, _, k, l in twins]
+        assert len(set(edges)) == len(edges)
+
+    def test_nudged_vertex_drops_its_twins(self, engine_plans):
+        # one piece's copy of a vertex moved by an ulp: exactly the twins
+        # of that piece's two edges through it are gone
+        plan = engine_plans["stage 2"]
+        full = {tuple(map(int, row)) for row in plan.twins}
+        for i, c in itertools.product(range(plan.n_pieces), range(3)):
+            u = plan.unit_verts.copy()
+            u[i, c, 0] = np.nextafter(u[i, c, 0], np.inf)
+            through = {(i, c), (i, (c - 1) % 3)}
+            want = {row for row in full if (row[0], row[1]) not in through
+                    and (row[2], row[3]) not in through}
+            got = {tuple(map(int, row)) for row in cl.plan_twins(u)}
+            assert got == want, (i, c)
+        assert len(full) == 13
+
+
 class TestCalibration:
     def test_frozen_values(self):
         corridor = (0.25, 0.5, 0.75)

@@ -17,7 +17,7 @@ from twowell.errors import (AspectFailureError, ConstructionFailureError,
                             InvalidDomainError, InvalidParameterError,
                             WrongEntryPointError)
 
-from oracles import line_totals
+from oracles import line_totals, twin_intervals, twin_totals
 from raster_oracle import l1_diff
 
 DELTA = 0.5
@@ -414,6 +414,21 @@ class TestRestarts:
 
 
 class TestLargeDelta:
+    @pytest.mark.parametrize("delta", [4.0, 8.0])
+    def test_children_have_positive_area(self, delta, record_states):
+        # thin cells at large delta: in the sampler's local frames some of
+        # their corner and end triangles have zero area; the engine lays
+        # its children in absolute coordinates, where every cell of every
+        # state keeps a positive area
+        cfg = en.EngineConfig(cell_budget=50_000, max_steps=4, checks="fast",
+                              track_bv=False)
+        eng, states = en.restarting(record_states, en.unit_square_domain(),
+                                    ia.stage_representative(2, delta), delta,
+                                    config=cfg)
+        assert eng.state.k == 4
+        for st in states:
+            assert (cv.tri_areas(st.verts) > 0).all(), st.k
+
     def test_full_checks_certify(self):
         # at delta = 4 the template does not fit the top rung of the
         # aspect ladder; calibration takes a lower one
@@ -438,11 +453,12 @@ SWEEP_TOTALS = an.sweep_totals
 @pytest.fixture
 def sweeps(monkeypatch):
     """Every sweep_totals call the engine makes: (verts, prev, result,
-    cells)."""
+    cells); the result holds the twins passed."""
     calls = []
 
-    def recorded(verts, prev, cells):
-        tot = SWEEP_TOTALS(verts, prev, cells)
+    def recorded(verts, prev, cells, twins):
+        tot = SWEEP_TOTALS(verts, prev, cells, twins)
+        assert tot.twins is twins or twins is None
         calls.append((verts, prev, tot, cells))
         return tot
 
@@ -450,10 +466,35 @@ def sweeps(monkeypatch):
     return calls
 
 
+def full_sweep_totals(tot, verts, cells):
+    """The line totals of the full sweep of verts in tot's frame with
+    tot's twin intervals left out (oracles.line_totals), after checking
+    tot's twin terms against those intervals: every twin pair is one
+    interval of the full sweep, and each cell's twin terms are its
+    intervals' terms within 1e-12 (absolute for continuity; for the BV
+    columns relative, or 1e-15 of the frame's diameter absolute).  The
+    twin terms take the edge's own length and vertices, the sweep its
+    interval's, whose length carries the rounding of positions along the
+    line: a few ulps of the diameter, relative 1e-11 on a short edge."""
+    sw = FULL_SWEEP(verts, tot.frame)
+    flat = tot.twins.reshape(-1)
+    e = np.flatnonzero(flat >= 0)
+    assert np.array_equal(flat[flat[e]], e)
+    assert np.count_nonzero(twin_intervals(sw, tot.twins)) == e.size // 2
+    want = twin_totals(sw, cells, tot.twins)
+    assert tot.twin_terms.shape == want.shape
+    np.testing.assert_allclose(tot.twin_terms[:, :2], want[:, :2],
+                               rtol=1e-12, atol=1e-15 * tot.frame[1])
+    assert np.abs(tot.twin_terms[:, 2:] - want[:, 2:]).max(
+        initial=0.0) <= 1e-12
+    return line_totals(sw, cells, tot.twins)
+
+
 class TestIncrementalSweep:
     """The engine carries each state's line totals into the next one's;
     the result equals the per-line reduction of the state's full interval
-    sweep."""
+    sweep with its twin intervals left out, and the twin terms equal those
+    intervals' terms."""
 
     def test_every_state_matches_full_sweep(self, sweeps,
                                             assert_same_totals,
@@ -472,6 +513,7 @@ class TestIncrementalSweep:
             assert len(states) == len(sweeps) == 6
             assert [call[1] is None for call in sweeps] == \
                 [True] + [False] * 5
+            carried = 0
             for k, (verts, prev, tot, cells) in enumerate(sweeps):
                 st = states[k]
                 assert verts is st.verts
@@ -484,19 +526,29 @@ class TestIncrementalSweep:
                     assert np.array_equal(verts[:n_kept],
                                           states[k - 1].verts[kept])
                     assert not np.isin(prev_index[n_kept:], kept).any()
+                    # a kept edge keeps its twin while the twin's cell is
+                    # kept, and loses it once that cell is covered
+                    had = np.take(last.twins, kept, axis=0) >= 0
+                    has = tot.twins[:n_kept] >= 0
+                    assert not (has & ~had).any()
+                    carried += np.count_nonzero(has)
+                    # the new pieces' twins: 26 of every 30 piece edges
+                    assert np.count_nonzero(tot.twins[n_kept:] >= 0) > 0
                 # every state holds all five term columns, in the run's
                 # frame
                 assert cells.gid is st.gid and cells.offs is st.offs
                 assert tot.frame is sweeps[0][2].frame
-                assert_same_totals(tot, line_totals(
-                    FULL_SWEEP(verts, tot.frame), cells))
+                assert_same_totals(tot, full_sweep_totals(tot, verts, cells))
+            assert carried > 0
             assert eng._totals is sweeps[-1][2]
 
     @pytest.mark.parametrize("run", ["ramp", "stage_one_run"])
     def test_rows_equal_the_public_checks(self, run, request,
                                           record_states):
-        # the row values reduce the per-line totals; each equals the
-        # public function evaluated on its state alone, bit for bit
+        # the row values reduce the per-line totals and the twin terms;
+        # each equals the public function evaluated on its state alone:
+        # the trace and the stray bit for bit (a twin adds nothing to
+        # them), the others within 1e-12, relative for the BV columns
         if run == "ramp":
             cfg = en.EngineConfig(cell_budget=20_000, max_steps=4,
                                   checks="full")
@@ -509,11 +561,14 @@ class TestIncrementalSweep:
         assert len(states) == len(eng.metrics.rows) == 5
         for st, row in zip(states, eng.metrics.rows):
             sw = FULL_SWEEP(st.verts)
-            assert row["bv_chi"] == an.bv_seminorm_cells(
-                st.verts, (st.phases == 1).astype(float), sweep=sw), st.k
-            assert row["bv_grad"] == an.bv_seminorm(st, sweep=sw), st.k
-            assert row["continuity_err"] == an.continuity_residual(
-                st.verts, st.grads, st.offs, sweep=sw), st.k
+            assert row["bv_chi"] == pytest.approx(an.bv_seminorm_cells(
+                st.verts, (st.phases == 1).astype(float), sweep=sw),
+                rel=1e-12, abs=0.0), st.k
+            assert row["bv_grad"] == pytest.approx(
+                an.bv_seminorm(st, sweep=sw), rel=1e-12, abs=0.0), st.k
+            assert row["continuity_err"] == pytest.approx(
+                an.continuity_residual(st.verts, st.grads, st.offs,
+                                       sweep=sw), rel=0.0, abs=1e-12), st.k
             assert (row["trace_err"], row["stray_boundary_len"]) == \
                 an.boundary_trace_residual(
                     st.verts, st.table.grads, st.offs, eng.M,
@@ -531,8 +586,7 @@ class TestIncrementalSweep:
         assert [call[1] is None for call in sweeps] == [True] * 2 \
             + [False] * 3
         for verts, prev, tot, cells in sweeps[1:]:
-            assert_same_totals(tot, line_totals(FULL_SWEEP(verts, tot.frame),
-                                                cells))
+            assert_same_totals(tot, full_sweep_totals(tot, verts, cells))
 
     def test_moving_frame_matches_full_sweep(self, sweeps, swept,
                                              assert_same_totals):
@@ -556,9 +610,93 @@ class TestIncrementalSweep:
             assert tot.frame is frame
             if prev is not None:
                 assert n_edges < 3 * verts.shape[0]
-            assert_same_totals(tot, line_totals(FULL_SWEEP(verts, frame),
-                                                cells))
+            assert_same_totals(tot, full_sweep_totals(tot, verts, cells))
         assert moved > 0
+
+    def test_covered_twin_leaves_its_edge_to_the_sweep(self, sweeps,
+                                                       assert_same_totals):
+        # at this budget step 2 covers some pieces of a diamond and keeps
+        # their siblings: a kept edge whose twin is covered enters the
+        # lines (it is hashed and swept), and its cell's twin terms are
+        # evaluated again without that pair
+        cfg = en.EngineConfig(cell_budget=120_000, max_steps=2,
+                              checks="full")
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        eng.run()
+        (_, _, last, _), (verts, prev, tot, cells) = sweeps[1:]
+        _, prev_index, n_kept = prev
+        had = np.take(last.twins, prev_index[:n_kept], axis=0) >= 0
+        gone = had & (tot.twins[:n_kept] < 0)
+        assert 0 < np.count_nonzero(gone) < np.count_nonzero(had)
+        assert (tot.edge_hash[:n_kept][gone] != 0).all()
+        assert_same_totals(tot, full_sweep_totals(tot, verts, cells))
+
+    def test_nudged_vertex_is_swept(self, sweeps, monkeypatch, swept,
+                                    assert_same_totals):
+        # vertex 0 of piece 0 of the first diamond laid, moved by an ulp:
+        # the two pairs through it (edges 0 and 2 of the piece) are no
+        # twins, so the four edges are swept with the line edges; the
+        # piece's third pair stays a twin, and the rows equal the public
+        # checks on the full sweep within the stated tolerance
+        place = cl.RefinePlan.place
+        moved = []
+
+        def nudged(self, centers, r, off):
+            verts, offs = place(self, centers, r, off)
+            if not moved:
+                verts[0, 0, 0, 0] = np.nextafter(verts[0, 0, 0, 0], np.inf)
+                moved.append(verts[0, 0, 0].copy())
+            return verts, offs
+
+        monkeypatch.setattr(cl.RefinePlan, "place", nudged)
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=2, checks="full")
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        plan = eng.plan(0)
+        table = {(i, j) for i, j, k, l in plan.twins} | {
+            (k, l) for i, j, k, l in plan.twins}
+        assert {(0, 0), (0, 1), (0, 2)} <= table
+        eng.step()
+        verts, _, tot, cells = sweeps[1]
+        cell = np.flatnonzero((verts[:, 0] == moved[0]).all(axis=1))
+        assert cell.size == 1
+        edges = 3 * cell[0] + np.arange(3)
+        twins = tot.twins.reshape(-1)
+        assert (twins[edges] < 0).tolist() == [True, False, True]
+        # the former twins of edges 0 and 2: edge 0 of piece 3, edge 0 of
+        # piece 1 (plan_twins' rows (0, 0, 3, 0) and (0, 2, 1, 0))
+        partners = 3 * (cell[0] + np.array([3, 1]))
+        assert (twins[partners] < 0).all()
+        assert (tot.edge_hash.reshape(-1)[np.concatenate(
+            [edges[[0, 2]], partners])] != 0).all()
+        assert_same_totals(tot, full_sweep_totals(tot, verts, cells))
+        sw = FULL_SWEEP(verts)
+        row = eng.metrics.rows[-1]
+        assert row["bv_chi"] == pytest.approx(an.bv_seminorm_cells(
+            verts, (eng.state.phases == 1).astype(float), sweep=sw),
+            rel=1e-12, abs=0.0)
+        assert row["continuity_err"] == pytest.approx(an.continuity_residual(
+            verts, eng.state.grads, eng.state.offs, sweep=sw),
+            rel=0.0, abs=1e-12)
+
+    def test_twin_continuity_defect_raises(self, monkeypatch):
+        # an offset moved by 1e-6 on piece 0 of every diamond laid: all
+        # three edges of that piece are twins, so only the twin terms see
+        # the mismatch, and full checks raise on it
+        place = cl.RefinePlan.place
+
+        def planted(self, centers, r, off):
+            verts, offs = place(self, centers, r, off)
+            offs[:, 0] += 1e-6
+            return verts, offs
+
+        monkeypatch.setattr(cl.RefinePlan, "place", planted)
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=2, checks="full")
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        assert {j for i, j, k, l in eng.plan(0).twins if i == 0} | {
+            l for i, j, k, l in eng.plan(0).twins if k == 0} == {0, 1, 2}
+        with pytest.raises(ConstructionFailureError,
+                           match=r"^continuity residual 1\.\d+e-06 at step 1"):
+            eng.step()
 
     def test_fast_run_carries_no_line_keys(self, sweeps):
         cfg = en.EngineConfig(cell_budget=20_000, max_steps=3, checks="fast",
@@ -607,7 +745,7 @@ class TestIncrementalSweep:
         assert sweeps[1][2].overlap.all()
         clean = {tuple(k) for k in sweeps[1][2].line} - keys[-1]
         assert clean
-        want = line_totals(FULL_SWEEP(verts, tot.frame), cells)
+        want = full_sweep_totals(tot, verts, cells)
         assert not want["overlap"].any()
         want["overlap"] = np.array([tuple(k) in clean for k in want["line"]])
         assert tot.overlap_error
@@ -816,9 +954,9 @@ class TestCarriedColumns:
         last = []            # a weak reference to the state before a step
         released = []
 
-        def sweep(verts, prev, cells):
+        def sweep(verts, prev, cells, twins):
             released.append(last[-1]() is None)
-            return SWEEP_TOTALS(verts, prev, cells)
+            return SWEEP_TOTALS(verts, prev, cells, twins)
 
         monkeypatch.setattr(an, "sweep_totals", sweep)
         for _ in range(cfg.max_steps):

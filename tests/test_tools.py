@@ -45,13 +45,19 @@ def test_probe_reports_every_call_and_unwraps(peak_probe, capsys):
     assert sum(r[0] == "_merge_lines" for r in rows) > 0
     outer = None
     for row, line in zip(rows, calls):
-        entry, peak, ret = map(float, row[1:])
+        entry, peak, ret = map(float, row[1:4])
         assert peak >= max(entry, ret)
         if line.startswith("sweep_"):
             outer = peak
+            # a sweep's counts: edges swept, twin pairs carried
+            assert len(row) == 6 and int(row[4]) >= 0
+            assert (row[5] == "-") == (row[0] == "sweep_intervals")
         else:
             # a helper runs inside its sweep, whose peak covers it
             assert line.startswith("  ") and peak <= outer
+            assert len(row) == 4
+    # the engine's placed diamonds carry twin pairs
+    assert max(int(r[5]) for r in rows if r[0] == "sweep_totals") > 0
     assert lines[-2].startswith("traced peak of the run")
     assert float(lines[-2].split()[-2]) >= max(float(r[2]) for r in rows)
     assert lines[-1].startswith("peak resident set")

@@ -16,11 +16,12 @@ both engine workloads, so the default covers a restarted run) it prints:
   state stores a table row per cell, so checkouts from before and after
   that change print comparable lines;
   on a second line, one digest per ``analysis.sweep_totals`` call of the
-  run (the per-line totals of every recorded state; none in a run that
-  neither tracks BV nor runs full checks) over the line keys, every term
-  column the totals hold (``bv_chi``, ``bv_grad``, ``continuity``,
-  ``trace``, ``stray``) and the overlap flag (one byte, whether any line
-  holds an overlap);
+  run (the totals of every recorded state; none in a run that neither
+  tracks BV nor runs full checks) over the line keys, every term column
+  the totals hold (``bv_chi``, ``bv_grad``, ``continuity``, ``trace``,
+  ``stray``), the overlap flag (one byte, whether any line holds an
+  overlap) and the per-cell twin terms (``twin_terms``; a checkout whose
+  totals have none hashes the rest alone);
   on a third line, one 8-digit digest per metric-row column (``name=``
   digest, columns in the order of the first row that holds them), so a
   change that moves the rows names the columns it moved;
@@ -42,8 +43,8 @@ aspect or the class and message of the refusal), the ``PLAN_FIELDS`` of
 ``replace_dyadic_stage(stage_representative(k), DELTA, h0)`` for
 k = 2..16 at the engine's calibrated h0, and those of
 ``replace_low_stage`` of the ten ``cli_pipeline`` boundary data.  Two
-checkouts print equal lines exactly when their states, rows, artifacts
-and plans are equal bit for bit.
+checkouts print equal lines exactly when their states, rows, line and
+twin totals, artifacts and plans are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -110,8 +111,10 @@ def column_digests(rows) -> dict:
 def totals_digest(tot) -> str:
     terms = tuple(getattr(tot, t).tobytes() for t in an.TERM_COLUMNS
                   if getattr(tot, t) is not None)
+    twin = getattr(tot, "twin_terms", None)
     return _hex(b"".join((tot.line.tobytes(),) + terms
-                         + (bytes([tot.overlap_error]),)))
+                         + (bytes([tot.overlap_error]),)
+                         + (() if twin is None else (twin.tobytes(),))))
 
 
 def engine_run(name: str, seed: int):

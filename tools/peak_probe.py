@@ -21,6 +21,12 @@ benchmark's ``peak_rss_mb``):
 - ``peak``: the most live at any moment of the call
 - ``return``: live at return, the call's result included
 
+and, on the line of a sweep, two counts: ``swept``, the edges of the
+tables its ``_sweep_lines`` sweeps, and ``twins``, the twin pairs its
+totals carry (``-`` for ``sweep_intervals``, which has none).  A
+``sweep_totals`` call sweeps the edges on dirty lines only and no twin,
+so the two show where the work went.
+
 The last two lines are the most traced bytes live at any moment of the
 run and the process's peak resident set.  Traced bytes count the
 arrays that are alive; the resident set also holds heap the allocator
@@ -44,6 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from twowell import analysis as an  # noqa: E402
 
@@ -54,7 +61,8 @@ MB = float(1 << 20)
 
 class Probe:
     """Wraps analysis functions by name and records, per call, the traced
-    bytes live at entry and at return and the peak in between.
+    bytes live at entry and at return and the peak in between, and per
+    sweep the edges swept and the twin pairs carried.
 
     tracemalloc keeps one peak for the process; every entry and return
     folds it into the peaks of all open calls and resets it, so a call's
@@ -79,10 +87,18 @@ class Probe:
             live = self.checkpoint()
             call = {"name": name, "depth": len(self._open), "entry": live,
                     "peak": live}
+            if name.startswith("sweep_"):
+                call["swept"], call["twins"] = 0, "-"
+            elif name == "_sweep_lines":
+                sweep = next(c for c in reversed(self._open) if "swept" in c)
+                sweep["swept"] += int(args[0][0].shape[0])
             self.calls.append(call)
             self._open.append(call)
             try:
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if name == "sweep_totals":
+                    call["twins"] = int(np.count_nonzero(out.twins >= 0)) // 2
+                return out
             finally:
                 call["return"] = self.checkpoint()
                 self._open.pop()
@@ -99,11 +115,15 @@ class Probe:
         self._saved.clear()
 
     def lines(self) -> List[str]:
-        out = [f"{'call':<24} {'entry':>9} {'peak':>9} {'return':>9}"]
+        out = [f"{'call':<24} {'entry':>9} {'peak':>9} {'return':>9} "
+               f"{'swept':>9} {'twins':>9}"]
         for call in self.calls:
             label = "  " * call["depth"] + call["name"]
-            out.append(f"{label:<24} {call['entry'] / MB:9.1f} "
-                       f"{call['peak'] / MB:9.1f} {call['return'] / MB:9.1f}")
+            line = (f"{label:<24} {call['entry'] / MB:9.1f} "
+                    f"{call['peak'] / MB:9.1f} {call['return'] / MB:9.1f}")
+            if "swept" in call:
+                line += f" {call['swept']:9d} {call['twins']:>9}"
+            out.append(line)
         return out
 
 
