@@ -78,6 +78,20 @@ the indexing forms take 2-10 times as long on such arrays.  Both copy the
 same elements in the same order, so every result keeps its bits.  A 1-D
 array keeps a[idx], which is as fast there.
 
+Reductions over a short axis (2 to 4 entries: a point's coordinates, a
+2x2 gradient, a cell's three edges) are written elementwise on the
+columns, not as .max(axis=1), .all/.any(axis=1), ufunc.reduce(axis=1) or
+np.linalg.norm(axis=...): with numpy 2.4 the reduction forms take up to
+40 times as long.  The columns are combined in the order the reduction
+takes them, so every result keeps its bits: a length is sqrt(x*x + y*y)
+(_lengths), a Frobenius norm sqrt(((a*a + b*b) + c*c) + d*d), a sum of
+three (a + b) + c (the reduction starts from +0, so the two differ only
+on three -0 entries, which no length or term is); a maximum is exact in
+any order.  np.hypot scales its arguments and np.vecdot
+(covering._norm) sums otherwise, so both round differently and are not
+used for these.  tests/oracles.py keeps the reduction forms, and the
+tests compare the two bit for bit.
+
 Line grouping works in bbox-normalized coordinates: each edge's line
 (nx, ny, c) is rounded to LINE_QUANTUM = 1e-9, and the edges with equal
 rounded keys form one line.  Two edges of one line whose values differ
@@ -167,12 +181,19 @@ def _join(parts: list) -> list:
     return cols
 
 
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """Lengths of the vectors d (n,2), sqrt(x*x + y*y): the bits of
+    np.linalg.norm(d, axis=1)."""
+    x, y = d[:, 0], d[:, 1]
+    return np.sqrt(x * x + y * y)
+
+
 def _edge_chunk(verts: np.ndarray, frame, eid: np.ndarray):
     """The table (_edge_chunks) of one chunk of edges."""
     center, diam = frame
     p0, p1 = ((p - center) / diam for p in _edge_ends(verts, eid))
     d = p1 - p0
-    length = np.linalg.norm(d, axis=1)
+    length = _lengths(d)
     good = length > 0
     eid, length = eid[good], length[good]
     p0, p1, d = (np.compress(good, a, axis=0) for a in (p0, p1, d))
@@ -494,7 +515,8 @@ def pair_twins(twins: np.ndarray, verts: np.ndarray, first: np.ndarray,
         f = (at + 3 * table[:, 2] + table[:, 3]).reshape(-1)
         e0, e1 = _edge_ends(verts, e)
         f0, f1 = _edge_ends(verts, f)
-        same = ((e0 == f1) & (e1 == f0)).all(axis=1)
+        same = ((e0[:, 0] == f1[:, 0]) & (e0[:, 1] == f1[:, 1])
+                & (e1[:, 0] == f0[:, 0]) & (e1[:, 1] == f0[:, 1]))
         e, f = e[same], f[same]
         flat[e], flat[f] = f, e
 
@@ -516,7 +538,7 @@ def _twin_terms(verts: np.ndarray, twins: np.ndarray, cells: CellFields,
         own = np.flatnonzero(f > e)
         e, f = e.reshape(-1)[own], f.reshape(-1)[own]
         p0, p1 = _edge_ends(verts, e)
-        dt = np.linalg.norm(p1 - p0, axis=1)
+        dt = _lengths(p1 - p0)
         dt[dt <= SLIVER * diam] = 0.0
         a, b = e // 3, f // 3
         terms = [jump_terms(cells.chi, a, b, dt, gid=cells.gid),
@@ -525,10 +547,11 @@ def _twin_terms(verts: np.ndarray, twins: np.ndarray, cells: CellFields,
             terms.append(np.where(dt > 0, continuity_terms(
                 cells.grads, cells.offs, a, b, p0, p1, gid=cells.gid), 0.0))
         for c, (name, t) in enumerate(zip(names, terms)):
-            slots = np.zeros(3 * r.shape[0])
-            slots[own] = t
-            out[i:i + r.shape[0], c] = TERM_REDUCTIONS[name].reduce(
-                slots.reshape(-1, 3), axis=1)
+            slots = np.zeros((r.shape[0], 3))
+            slots.reshape(-1)[own] = t
+            op = TERM_REDUCTIONS[name]
+            out[i:i + r.shape[0], c] = op(op(slots[:, 0], slots[:, 1]),
+                                          slots[:, 2])
     return out
 
 
@@ -640,8 +663,9 @@ def sweep_totals(verts: np.ndarray, prev, cells: CellFields,
     twin_terms = np.empty((n, k))
     twin_terms[:n_kept] = np.take(old.twin_terms[:, :k], prev_index[:n_kept],
                                   axis=0)
-    redo = np.concatenate([np.flatnonzero(gone.reshape(-1, 3).any(axis=1)),
-                           np.arange(n_kept, n)])
+    lost = gone.reshape(-1, 3)
+    redo = np.concatenate([np.flatnonzero(lost[:, 0] | lost[:, 1]
+                                          | lost[:, 2]), np.arange(n_kept, n)])
     twin_terms[redo] = _twin_terms(verts, twins, cells, diam, redo)
     return LineTotals(**dict(zip(names, cols)), edge_hash=edge_hash,
                       twins=twins, twin_terms=twin_terms, frame=old.frame)
@@ -679,10 +703,22 @@ def grad_jump_terms(grads: np.ndarray, lo: np.ndarray, ro: np.ndarray,
     (gradients grads[lo], grads[ro], through gid when given), 0 on the
     others."""
     both = (lo >= 0) & (ro >= 0)
-    jump = np.linalg.norm(np.take(grads, _rows(lo, gid), axis=0)
-                          - np.take(grads, _rows(ro, gid), axis=0),
-                          axis=(1, 2))
+    d = (np.take(grads, _rows(lo, gid), axis=0)
+         - np.take(grads, _rows(ro, gid), axis=0))
+    sq = (d * d).reshape(-1, 4)
+    jump = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
     return np.where(both, jump, 0.0) * dt
+
+
+def _affine_gap(dg: np.ndarray, do: np.ndarray, p_lo: np.ndarray,
+                p_hi: np.ndarray) -> np.ndarray:
+    """Per row, the largest component of |dg p + do| (dg (n,2,2), do (n,2))
+    over both endpoints p of p_lo and p_hi: the gap of an affine
+    difference over an interval."""
+    def at(p):
+        a = np.abs(np.einsum("nij,nj->ni", dg, p) + do)
+        return np.maximum(a[:, 0], a[:, 1])
+    return np.maximum(at(p_lo), at(p_hi))
 
 
 def continuity_terms(grads: np.ndarray, offs: np.ndarray, lo: np.ndarray,
@@ -698,10 +734,8 @@ def continuity_terms(grads: np.ndarray, offs: np.ndarray, lo: np.ndarray,
     dg = (np.take(grads, _rows(lo, gid), axis=0)
           - np.take(grads, _rows(ro, gid), axis=0))
     do = np.take(offs, lo, axis=0) - np.take(offs, ro, axis=0)
-    out[both] = np.maximum(*(
-        np.abs(np.einsum("nij,nj->ni", dg, np.compress(both, pts, axis=0))
-               + do).max(axis=1)
-        for pts in (p_lo, p_hi)))
+    out[both] = _affine_gap(dg, do, np.compress(both, p_lo, axis=0),
+                            np.compress(both, p_hi, axis=0))
     return out
 
 
@@ -747,10 +781,8 @@ def trace_terms(grads: np.ndarray, offs: np.ndarray, M: np.ndarray,
     stray[at[~on]] = dt[at[~on]]
     dg = np.take(grads, _rows(own[on], gid), axis=0) - M[None]
     do = np.take(offs, own[on], axis=0)
-    trace[at[on]] = np.maximum(*(
-        np.abs(np.einsum("nij,nj->ni", dg, np.compress(on, pts, axis=0))
-               + do).max(axis=1)
-        for pts in (p_lo, p_hi)))
+    trace[at[on]] = _affine_gap(dg, do, np.compress(on, p_lo, axis=0),
+                                np.compress(on, p_hi, axis=0))
     return trace, stray
 
 

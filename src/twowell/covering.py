@@ -53,8 +53,18 @@ def tri_areas(verts: np.ndarray) -> np.ndarray:
 
 
 def tri_perimeters(verts: np.ndarray) -> np.ndarray:
-    e = verts - np.roll(verts, 1, axis=1)
-    return np.linalg.norm(e, axis=2).sum(axis=1)
+    """Perimeters of triangles (n,3,2): (l0 + l1) + l2, where l_j =
+    sqrt(x*x + y*y) is the length of the edge e_j = v_j - v_{j-1} (e_0 =
+    v_0 - v_2), coordinate by coordinate.  That is the order of
+    np.linalg.norm(e, axis=2).sum(axis=1), so the bits are the same; the
+    columns spare the reductions over short axes (see analysis)."""
+    x, y = verts[:, :, 0], verts[:, :, 1]
+
+    def length(j):
+        dx, dy = x[:, j] - x[:, j - 1], y[:, j] - y[:, j - 1]
+        return np.sqrt(dx * dx + dy * dy)
+
+    return (length(0) + length(1)) + length(2)
 
 
 def _fix_ccw(verts: np.ndarray) -> np.ndarray:

@@ -366,11 +366,15 @@ class Engine:
             wl1 += plan.w_l1_unit * float(np.sum(r ** 3))
             wsup = max(wsup, plan.wsup_unit * float(r.max(initial=0.0)))
         # the plan builders put every piece above its parent's stage, so
-        # this holds while they do; it checks what the step wrote
-        low = np.flatnonzero(new.stages < st.stages[src])
+        # this holds while they do; it checks what the step wrote (the kept
+        # cells are copies of their sources, so only the children)
+        stages = self.table.stages
+        low = np.flatnonzero(stages[new.gid[n_kept:]] < np.repeat(
+            stages[st.gid[taken_idx]], counts))
         if low.size:
-            raise ConstructionFailureError("stage regressed under cover of "
-                                           f"cell {new.parents[low[0]]}")
+            raise ConstructionFailureError(
+                "stage regressed under cover of cell "
+                f"{new.parents[n_kept + low[0]]}")
         self._next_id += src.shape[0] - n_kept
         self.state = new
         refined_area = float(areas[taken_idx].sum()) if len(taken) else 0.0

@@ -5,7 +5,11 @@ diagonal pair, the well separation, the gap coefficient and the
 Lipschitz constant of the Gram map, and the area of a cover's diamond
 pieces, the normal form of the wells, the names of the cell's five
 gradient slots, and the per-line reduction of a full interval sweep that
-analysis.sweep_totals must equal.  dist_to_wells and rank_one_factors
+analysis.sweep_totals must equal.  The *_ref functions are the kernels of
+analysis and covering written with reductions over short axes
+(.max(axis=1), np.linalg.norm(axis=...), .all(axis=1), ufunc.reduce,
+.sum(axis=1)); the package computes the same elementwise on columns, and
+must keep their bits.  dist_to_wells and rank_one_factors
 are the one-matrix cases of matgeo.dist_to_wells_b / phases and of the
 stacked rank-one factorization of the cell construction; coords_to_matrix
 inverts matgeo.matrix_to_coords.
@@ -180,3 +184,143 @@ def twin_totals(sw: an.SweepAccumulator, cells: an.CellFields,
         reduce = np.add if name != "continuity" else np.maximum
         reduce.at(out[:, c], owner, terms[name][mask])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the short-axis forms of the package's kernels, kept as references
+# ---------------------------------------------------------------------------
+
+def tri_perimeters_ref(verts: np.ndarray) -> np.ndarray:
+    e = verts - np.roll(verts, 1, axis=1)
+    return np.linalg.norm(e, axis=2).sum(axis=1)
+
+
+def grad_jump_terms_ref(grads, lo, ro, dt, gid=None):
+    both = (lo >= 0) & (ro >= 0)
+    jump = np.linalg.norm(np.take(grads, an._rows(lo, gid), axis=0)
+                          - np.take(grads, an._rows(ro, gid), axis=0),
+                          axis=(1, 2))
+    return np.where(both, jump, 0.0) * dt
+
+
+def continuity_terms_ref(grads, offs, lo, ro, p_lo, p_hi, gid=None):
+    both = (lo >= 0) & (ro >= 0)
+    out = np.zeros(lo.shape[0])
+    lo, ro = lo[both], ro[both]
+    dg = (np.take(grads, an._rows(lo, gid), axis=0)
+          - np.take(grads, an._rows(ro, gid), axis=0))
+    do = np.take(offs, lo, axis=0) - np.take(offs, ro, axis=0)
+    out[both] = np.maximum(*(
+        np.abs(np.einsum("nij,nj->ni", dg, np.compress(both, pts, axis=0))
+               + do).max(axis=1)
+        for pts in (p_lo, p_hi)))
+    return out
+
+
+def trace_terms_ref(grads, offs, M, hull_segments, lo, ro, p_lo, p_hi, dt,
+                    diam, gid=None):
+    trace, stray = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
+    at = np.flatnonzero((lo >= 0) ^ (ro >= 0))
+    own = np.where(lo >= 0, lo, ro)[at]
+    p_lo, p_hi = np.take(p_lo, at, axis=0), np.take(p_hi, at, axis=0)
+    hs = np.asarray(hull_segments, dtype=float)
+    a = hs[:, 0]
+    d = hs[:, 1] - hs[:, 0]
+    length = np.linalg.norm(d, axis=1)
+    tang = d / length[:, None]
+    nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+    cs = np.einsum("mj,mj->m", nrm, a)
+    ts = np.einsum("mj,mj->m", tang, a)
+    tol = 1e-8 * diam
+
+    def within(p):
+        t = p @ tang.T - ts[None, :]
+        return ((np.abs(p @ nrm.T - cs[None, :]) <= tol) & (t >= -tol)
+                & (t <= length[None, :] + tol))
+
+    on = np.any(within(p_lo) & within(p_hi), axis=1)
+    stray[at[~on]] = dt[at[~on]]
+    dg = np.take(grads, an._rows(own[on], gid), axis=0) - M[None]
+    do = np.take(offs, own[on], axis=0)
+    trace[at[on]] = np.maximum(*(
+        np.abs(np.einsum("nij,nj->ni", dg, np.compress(on, pts, axis=0))
+               + do).max(axis=1)
+        for pts in (p_lo, p_hi)))
+    return trace, stray
+
+
+def edge_chunk_ref(verts, frame, eid):
+    center, diam = frame
+    p0, p1 = ((p - center) / diam for p in an._edge_ends(verts, eid))
+    d = p1 - p0
+    length = np.linalg.norm(d, axis=1)
+    good = length > 0
+    eid, length = eid[good], length[good]
+    p0, p1, d = (np.compress(good, a, axis=0) for a in (p0, p1, d))
+    dh = d / length[:, None]
+    nx, ny = -dh[:, 1], dh[:, 0]
+    qnx = np.round(nx / an.LINE_QUANTUM).astype(np.int32)
+    qny = np.round(ny / an.LINE_QUANTUM).astype(np.int32)
+    flip = (qnx < 0) | ((qnx == 0) & (qny < 0))
+    s = np.where(flip, -1.0, 1.0)
+    nx, ny = nx * s, ny * s
+    qnx, qny = np.where(flip, -qnx, qnx), np.where(flip, -qny, qny)
+    c = nx * p0[:, 0] + ny * p0[:, 1]
+    qc = np.round(c / an.LINE_QUANTUM).astype(np.int32)
+    t0 = ny * p0[:, 0] - nx * p0[:, 1]
+    t1 = ny * p1[:, 0] - nx * p1[:, 1]
+    left = t1 > t0
+    key = np.stack([qnx, qny, qc], axis=1)
+    return eid, key, np.minimum(t0, t1), np.maximum(t0, t1), left
+
+
+def pair_twins_ref(twins, verts, first, table):
+    flat = twins.reshape(-1)
+    step = max(an.SWEEP_CHUNK // max(table.shape[0], 1), 1)
+    for s in range(0, first.shape[0], step):
+        at = 3 * first[s:s + step, None]
+        e = (at + 3 * table[:, 0] + table[:, 1]).reshape(-1)
+        f = (at + 3 * table[:, 2] + table[:, 3]).reshape(-1)
+        e0, e1 = an._edge_ends(verts, e)
+        f0, f1 = an._edge_ends(verts, f)
+        same = ((e0 == f1) & (e1 == f0)).all(axis=1)
+        e, f = e[same], f[same]
+        flat[e], flat[f] = f, e
+
+
+def twin_terms_ref(verts, twins, cells, diam, rows):
+    names = an._term_names(cells)[:3]
+    out = np.empty((rows.shape[0], len(names)))
+    for i in range(0, rows.shape[0], an.SWEEP_CHUNK):
+        r = rows[i:i + an.SWEEP_CHUNK]
+        e = 3 * r[:, None] + np.arange(3)
+        f = np.take(twins, r, axis=0)
+        own = np.flatnonzero(f > e)
+        e, f = e.reshape(-1)[own], f.reshape(-1)[own]
+        p0, p1 = an._edge_ends(verts, e)
+        dt = np.linalg.norm(p1 - p0, axis=1)
+        dt[dt <= an.SLIVER * diam] = 0.0
+        a, b = e // 3, f // 3
+        terms = [an.jump_terms(cells.chi, a, b, dt, gid=cells.gid),
+                 grad_jump_terms_ref(cells.grads, a, b, dt, gid=cells.gid)]
+        if len(names) == 3:
+            terms.append(np.where(dt > 0, continuity_terms_ref(
+                cells.grads, cells.offs, a, b, p0, p1, gid=cells.gid), 0.0))
+        for c, (name, t) in enumerate(zip(names, terms)):
+            slots = np.zeros(3 * r.shape[0])
+            slots[own] = t
+            out[i:i + r.shape[0], c] = an.TERM_REDUCTIONS[name].reduce(
+                slots.reshape(-1, 3), axis=1)
+    return out
+
+
+# analysis and covering attributes and their references
+KERNEL_REFS = {
+    (an, "grad_jump_terms"): grad_jump_terms_ref,
+    (an, "continuity_terms"): continuity_terms_ref,
+    (an, "trace_terms"): trace_terms_ref,
+    (an, "_edge_chunk"): edge_chunk_ref,
+    (an, "pair_twins"): pair_twins_ref,
+    (an, "_twin_terms"): twin_terms_ref,
+    (cv, "tri_perimeters"): tri_perimeters_ref,
+}

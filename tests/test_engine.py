@@ -199,6 +199,24 @@ class TestRunSoundness:
             # children never fall below the datum's stage
             assert st.stages.min() >= 2
 
+    def test_stage_regression_raises(self):
+        # piece 0 of the datum's plan mapped to a stage-1 gradient: its
+        # children fall below their parent's stage, and the step raises
+        cfg = en.EngineConfig(cell_budget=20_000, max_steps=1, checks="fast",
+                              track_bv=False)
+        eng = en.Engine(en.unit_square_domain(), rep_datum(), DELTA, cfg)
+        eng.plan(0)
+        low = eng._row(stage_one_datum())
+        assert eng.table.stages[low] == 1 < eng.table.stages[0] == 2
+        eng.piece_rows[0][0] = low
+        st = eng.state
+        with pytest.raises(ConstructionFailureError,
+                           match=r"^stage regressed under cover of cell "
+                                 r"(\d+)$") as err:
+            eng.step()
+        assert eng.state is st
+        assert int(err.value.args[0].split()[-1]) in st.ids
+
     def test_mean_distance_non_increasing(self, small_run):
         md = [r["mean_dist"] for r in small_run[0].metrics.rows]
         assert all(b <= a + 1e-15 for a, b in zip(md, md[1:]))

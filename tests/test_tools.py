@@ -43,6 +43,9 @@ def test_probe_reports_every_call_and_unwraps(peak_probe, capsys):
     assert {r[0] for r in rows} == set(peak_probe.TARGETS)
     # a carried step merges its clean and fresh line totals: some does
     assert sum(r[0] == "_merge_lines" for r in rows) > 0
+    # every engine sweep evaluates twin terms, the first state's included
+    assert sum(r[0] == "_twin_terms" for r in rows) == sum(
+        r[0] == "sweep_totals" for r in rows)
     outer = None
     for row, line in zip(rows, calls):
         entry, peak, ret = map(float, row[1:4])

@@ -8,11 +8,11 @@ Run from the root of a source checkout (the package is imported from
 It runs one workload input in this process with ``tracemalloc`` on and
 wraps ``analysis.sweep_intervals`` (the one-shot interval sweep: the
 domain check), ``analysis.sweep_totals`` (the engine's per-line totals)
-and their helpers ``_dirty_lines``, ``_sweep_lines`` and
-``_merge_lines``.  Every ``sweep_totals`` call carries (a run's first
-state carries empty totals) and runs all three helpers;
-``sweep_intervals`` builds its whole edge table directly and runs only
-``_sweep_lines``.
+and their helpers ``_dirty_lines``, ``_sweep_lines``, ``_merge_lines``
+and ``_twin_terms`` (the terms of the twin pairs).  Every
+``sweep_totals`` call carries (a run's first state carries empty totals)
+and runs all four helpers; ``sweep_intervals`` builds its whole edge
+table directly and runs only ``_sweep_lines``.
 For every call, in the order the calls began (a helper indented under its
 sweep), it prints in MB of traced allocations (2^20 bytes, the unit of the
 benchmark's ``peak_rss_mb``):
@@ -55,7 +55,7 @@ import workloads as wl  # noqa: E402
 from twowell import analysis as an  # noqa: E402
 
 TARGETS = ("sweep_intervals", "sweep_totals", "_dirty_lines",
-           "_sweep_lines", "_merge_lines")
+           "_sweep_lines", "_merge_lines", "_twin_terms")
 MB = float(1 << 20)
 
 
